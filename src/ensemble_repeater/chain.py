@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,7 +29,6 @@ import numpy as np
 from .noise import NoiseParams, dark_count_error, misalignment_channel
 from .patterns import (
     BellState,
-    PatternAggregate,
     PatternState,
     SchemeKind,
     aggregate,
@@ -66,18 +65,19 @@ class RepeaterConfig:
     enp_schedule: Tuple[Tuple[int, EnpKind], ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("L", "L0", "p_c", "L_att", "c_fiber"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.L0 <= 0.0 or self.L <= 0.0:
             raise ValueError("L and L0 must be positive")
         if not 0.0 < self.p_c < 1.0:
             raise ValueError("p_c must lie in (0, 1)")
         if self.L_att <= 0.0 or self.c_fiber <= 0.0:
             raise ValueError("L_att and c_fiber must be positive")
-        ratio = self.L / self.L0
-        k = round(math.log2(ratio))
-        if abs(ratio - 2.0**k) > 1e-9 * ratio or k < 1:
-            raise ValueError("L/L0 must be a power of 2 (at least 2)")
-        if self.scheme is SchemeKind.NEW and k < 2:
-            raise ValueError("two-cell chains need at least one connection level")
+        problem = _spacing_problem(self.scheme, self.L, self.L0)
+        if problem is not None:
+            raise ValueError(problem)
         levels = self.num_levels
         schedule = tuple((int(m), EnpKind(kind)) for m, kind in self.enp_schedule)
         for m, _ in schedule:
@@ -89,6 +89,17 @@ class RepeaterConfig:
     def num_levels(self) -> int:
         """Number of connection levels, log2(L/L0) - 1."""
         return round(math.log2(self.L / self.L0)) - 1
+
+
+def _spacing_problem(scheme: SchemeKind, L: float, L0: float) -> Optional[str]:
+    """Why L/L0 is no usable power of two for the scheme, or None if it is."""
+    ratio = L / L0
+    k = round(math.log2(ratio))
+    if abs(ratio - 2.0**k) > 1e-9 * ratio or k < 1:
+        return "L/L0 must be a power of 2 (at least 2)"
+    if scheme is SchemeKind.NEW and k < 2:
+        return "two-cell chains need at least one connection level"
+    return None
 
 
 @dataclass(frozen=True)
@@ -252,6 +263,8 @@ def simulate_chain(
     """
     if waiting not in ("deterministic", "mc"):
         raise ValueError("waiting must be 'deterministic' or 'mc'")
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
     mc = _McTimes(np.random.default_rng(seed), n_samples) if waiting == "mc" else None
 
     scheme = config.scheme
@@ -355,40 +368,56 @@ def pc_grid() -> np.ndarray:
 
 def feasible_l0(scheme: SchemeKind, L: float) -> Tuple[float, ...]:
     """Grid spacings giving an integer number of doublings for this L."""
-    out = []
-    for L0 in L0_GRID:
-        ratio = L / L0
-        k = round(math.log2(ratio))
-        if abs(ratio - 2.0**k) > 1e-9 * ratio:
-            continue
-        if k < (2 if scheme is SchemeKind.NEW else 1):
-            continue
-        out.append(L0)
-    return tuple(out)
+    return tuple(L0 for L0 in L0_GRID if _spacing_problem(scheme, L, L0) is None)
 
 
-def _evaluate_l0(
+def _grid_rows(
     scheme: SchemeKind,
     L: float,
     L0: float,
     noise: NoiseParams,
     enp_schedule: Tuple[Tuple[int, EnpKind], ...],
+    p_cs: Tuple[float, ...],
 ) -> list:
-    """(t_avg, F, logical F, p_c) for every grid p_c at one spacing."""
+    """(t_avg, F, logical F) for every p_c at one spacing, in order.
+
+    An entry is None where some step of the chain never succeeds.
+    """
     rows = []
-    for p_c in pc_grid():
+    for p_c in p_cs:
         config = RepeaterConfig(
-            scheme=scheme, L=L, L0=L0, p_c=float(p_c), noise=noise,
+            scheme=scheme, L=L, L0=L0, p_c=p_c, noise=noise,
             enp_schedule=enp_schedule,
         )
         try:
             result = simulate_chain(config)
         except ZeroDivisionError:
+            rows.append(None)
             continue
-        rows.append(
-            (result.t_avg, result.fidelity, result.final_logical_fidelity, float(p_c))
-        )
+        rows.append((result.t_avg, result.fidelity, result.final_logical_fidelity))
     return rows
+
+
+def _sweep_spacings(
+    scheme: SchemeKind,
+    L: float,
+    noise: NoiseParams,
+    enp_schedule: Tuple[Tuple[int, EnpKind], ...],
+    p_cs: Tuple[float, ...],
+    workers: int,
+) -> list:
+    """(L0, grid rows) for every feasible spacing, in grid order.
+
+    With ``workers > 1`` the spacings are evaluated in a process pool.
+    """
+    spacings = feasible_l0(scheme, L)
+    args = [(scheme, L, L0, noise, enp_schedule, p_cs) for L0 in spacings]
+    if workers > 1 and len(spacings) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_grid_rows, *zip(*args)))
+    else:
+        rows = [_grid_rows(*a) for a in args]
+    return list(zip(spacings, rows))
 
 
 def optimize(
@@ -407,27 +436,13 @@ def optimize(
     """
     if not 0.0 < F_target < 1.0:
         raise ValueError("F_target must lie in (0, 1)")
-    spacings = feasible_l0(scheme, L)
-    if workers > 1 and len(spacings) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            all_rows = list(
-                pool.map(
-                    _evaluate_l0,
-                    [scheme] * len(spacings),
-                    [L] * len(spacings),
-                    spacings,
-                    [noise] * len(spacings),
-                    [enp_schedule] * len(spacings),
-                )
-            )
-    else:
-        all_rows = [
-            _evaluate_l0(scheme, L, L0, noise, enp_schedule) for L0 in spacings
-        ]
-
+    p_cs = tuple(float(p) for p in pc_grid())
     best = None  # (t, L0, p_c)
-    for L0, rows in zip(spacings, all_rows):
-        for t, F, _, p_c in rows:
+    for L0, rows in _sweep_spacings(scheme, L, noise, enp_schedule, p_cs, workers):
+        for p_c, row in zip(p_cs, rows):
+            if row is None:
+                continue
+            t, F, _ = row
             if F < F_target:
                 continue
             key = (t, L0, p_c)
@@ -461,31 +476,15 @@ def tf_curve(
     (t_avg, F, p_c, L0) tuples sorted by p_c.
     """
     sweep = pc_grid() if p_c_sweep is None else np.asarray(p_c_sweep, dtype=float)
-    spacings = feasible_l0(scheme, L)
-    if workers > 1 and len(spacings) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_l0 = list(
-                pool.map(
-                    _tf_rows,
-                    [scheme] * len(spacings),
-                    [L] * len(spacings),
-                    spacings,
-                    [noise] * len(spacings),
-                    [enp_schedule] * len(spacings),
-                    [tuple(float(p) for p in sweep)] * len(spacings),
-                )
-            )
-    else:
-        per_l0 = [
-            _tf_rows(scheme, L, L0, noise, enp_schedule, tuple(map(float, sweep)))
-            for L0 in spacings
-        ]
+    per_l0 = _sweep_spacings(
+        scheme, L, noise, enp_schedule, tuple(map(float, sweep)), workers
+    )
 
     candidates = []  # (t, F, p_c index, L0)
-    for i, p_c in enumerate(sweep):
-        for L0, rows in zip(spacings, per_l0):
+    for i in range(len(sweep)):
+        for L0, rows in per_l0:
             if rows[i] is not None:
-                t, F_log = rows[i]
+                t, _, F_log = rows[i]
                 candidates.append((t, F_log, i, L0))
     frontier = _pareto_indices(candidates)
 
@@ -528,22 +527,6 @@ def fit_tf_slope(
     if len(xs) < 3:
         raise ValueError("not enough points in the infidelity window")
     return float(np.polyfit(xs, ys, 1)[0])
-
-
-def _tf_rows(scheme, L, L0, noise, enp_schedule, sweep):
-    rows = []
-    for p_c in sweep:
-        config = RepeaterConfig(
-            scheme=scheme, L=L, L0=L0, p_c=p_c, noise=noise,
-            enp_schedule=enp_schedule,
-        )
-        try:
-            result = simulate_chain(config)
-        except ZeroDivisionError:
-            rows.append(None)
-            continue
-        rows.append((result.t_avg, result.final_logical_fidelity))
-    return rows
 
 
 def scaling_fit(

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,11 +52,8 @@ from .fock import (
 from .patterns import (
     BellState,
     ExcitationPattern,
-    LogicalBlock,
-    PatternState,
     SchemeKind,
     logical_coherence_residue,
-    logical_pattern,
     project_from_fock,
     scheme_patterns,
 )
@@ -390,22 +387,6 @@ class TableEntry:
     @property
     def total(self) -> float:
         return float(sum(w for _, w in self.masses))
-
-    def mass(self, pattern: ExcitationPattern) -> float:
-        for pat, w in self.masses:
-            if pat is pattern:
-                return w
-        return 0.0
-
-    def as_pattern_state(self, scheme: SchemeKind) -> PatternState:
-        """Unnormalized PatternState view (block from ``bell``)."""
-        probs = {pat: w for pat, w in self.masses if w > 0.0}
-        bell = np.asarray(self.bell)
-        if bell.sum() > 0.0:
-            block = LogicalBlock.from_array(bell / bell.sum())
-        else:
-            block = LogicalBlock()
-        return PatternState(scheme, probs, block)
 
 
 def accumulate_entry(

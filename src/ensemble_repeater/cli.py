@@ -28,7 +28,8 @@ are deterministic: rerunning the same configuration and seed reproduces
 every file byte for byte.
 
 Exit codes: 0 on success, 1 when verification fails, 2 when an
-optimization target is infeasible, 3 for unusable configuration.
+optimization target is infeasible, 3 for unusable configuration or
+command-line usage.
 """
 
 from __future__ import annotations
@@ -560,8 +561,16 @@ _COMMANDS: Dict[str, Callable[..., int]] = {
 # ----------------------------------------------------------------------
 # entry point
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with EXIT_BAD_CONFIG."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ensemble-repeater",
         description=(
             "Simulate and optimize atomic-ensemble repeater chains;"
@@ -626,10 +635,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out_dir = Path(args.out)
         _write_common(out_dir, manifest)
         return _COMMANDS[args.command](args, settings, out_dir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

@@ -25,8 +25,8 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -63,40 +63,6 @@ def rotation(theta: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FockBasisVector:
-    """Occupation-number basis vector over a mode register.
-
-    Attributes
-    ----------
-    occupations : tuple of (mode, count) pairs
-        Photon number per mode, in register order.
-    cutoff : int
-        Maximum total excitation number of the register.
-    """
-
-    occupations: tuple[tuple[ModeLabel, int], ...]
-    cutoff: int
-
-    def __post_init__(self) -> None:
-        if any(n < 0 for _, n in self.occupations):
-            raise ValueError("occupations must be non-negative")
-        if self.total > self.cutoff:
-            raise ValueError(
-                f"total occupation {self.total} exceeds cutoff {self.cutoff}"
-            )
-
-    @property
-    def total(self) -> int:
-        return sum(n for _, n in self.occupations)
-
-    def count(self, mode: ModeLabel) -> int:
-        for m, n in self.occupations:
-            if m == mode:
-                return n
-        raise KeyError(mode)
-
-
-@dataclass(frozen=True)
 class DetectionPattern:
     """Observed photon counts on a set of measured modes."""
 
@@ -120,9 +86,6 @@ class DetectionPattern:
                 return n
         raise KeyError(mode)
 
-    def as_dict(self) -> dict[ModeLabel, int]:
-        return dict(self.counts)
-
 
 _Ket = dict[tuple[int, ...], complex]
 
@@ -134,8 +97,8 @@ class FockDensityOperator:
     outer products sum to the density operator. Each ket is a sparse map
     from occupation tuples (aligned with ``modes``) to complex
     amplitudes; ensemble weights are absorbed into the amplitudes.
-    Operations never form the dense matrix; ``basis`` and ``matrix``
-    build it on demand for checks and inspection.
+    Operations never form the dense matrix; ``matrix`` builds it on
+    demand for checks and inspection.
     """
 
     __slots__ = ("_modes", "_index", "_kets", "_cutoff")
@@ -238,16 +201,6 @@ class FockDensityOperator:
             sum(abs(amp) ** 2 for ket in self._kets for amp in ket.values())
         )
 
-    @property
-    def num_kets(self) -> int:
-        return len(self._kets)
-
-    def terms(self) -> Iterator[tuple[int, tuple[int, ...], complex]]:
-        """Yield (ket index, occupation tuple, amplitude) over the ensemble."""
-        for i, ket in enumerate(self._kets):
-            for occ, amp in ket.items():
-                yield i, occ, amp
-
     def mode_index(self, mode: ModeLabel) -> int:
         try:
             return self._index[mode]
@@ -263,15 +216,8 @@ class FockDensityOperator:
         return sorted(occs)
 
     @property
-    def basis(self) -> tuple[FockBasisVector, ...]:
-        return tuple(
-            FockBasisVector(tuple(zip(self._modes, occ)), self._cutoff)
-            for occ in self.occupied()
-        )
-
-    @property
     def matrix(self) -> np.ndarray:
-        """Dense Hermitian matrix over ``basis`` (order matches)."""
+        """Dense Hermitian matrix over the ``occupied`` tuples, in that order."""
         return self.block(self.occupied())
 
     def block(self, occupations: Sequence[tuple[int, ...]]) -> np.ndarray:
@@ -304,26 +250,6 @@ class FockDensityOperator:
         return float(
             sum(abs(amp) ** 2 * sum(occ) for ket in self._kets for occ, amp in ket.items())
         )
-
-    # ------------------------------------------------------------------
-    # scaling
-
-    def scaled(self, factor: float) -> "FockDensityOperator":
-        """Return ``factor * rho`` (factor must be non-negative)."""
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
-        root = math.sqrt(factor)
-        return FockDensityOperator(
-            self._modes,
-            [{occ: root * amp for occ, amp in ket.items()} for ket in self._kets],
-            self._cutoff,
-        )
-
-    def normalized(self) -> "FockDensityOperator":
-        tr = self.trace
-        if tr <= 0.0:
-            raise ValueError("cannot normalize a zero-trace state")
-        return self.scaled(1.0 / tr)
 
 
 def tensor(a: FockDensityOperator, b: FockDensityOperator) -> "FockDensityOperator":
@@ -604,64 +530,6 @@ def project_total_photons(
         if sub:
             new_kets.append(sub)
     return FockDensityOperator(state.modes, new_kets, state.cutoff)
-
-
-# ----------------------------------------------------------------------
-# circuit driver
-
-
-@dataclass(frozen=True)
-class UnitaryStep:
-    modes: tuple[ModeLabel, ...]
-    u: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class LossStep:
-    mode: ModeLabel
-    eta: float
-
-
-@dataclass(frozen=True)
-class PBSStep:
-    in_a: tuple[ModeLabel, ModeLabel]
-    in_b: tuple[ModeLabel, ModeLabel]
-    out_1: tuple[ModeLabel, ModeLabel]
-    out_2: tuple[ModeLabel, ModeLabel]
-
-
-@dataclass(frozen=True)
-class MeasureStep:
-    modes: tuple[ModeLabel, ...]
-
-
-CircuitStep = UnitaryStep | LossStep | PBSStep | MeasureStep
-
-
-def run_circuit(
-    initial: FockDensityOperator, steps: Sequence[CircuitStep]
-) -> dict[DetectionPattern, tuple[FockDensityOperator, float]]:
-    """Run a circuit and enumerate all detection outcomes.
-
-    Steps apply in order; at most one MeasureStep is allowed and it must
-    come last. Without a measurement the result maps the empty pattern
-    to the evolved state and its trace.
-    """
-    state = initial
-    for pos, step in enumerate(steps):
-        if isinstance(step, MeasureStep):
-            if pos != len(steps) - 1:
-                raise ValueError("measurement must be the final step")
-            return measure_modes(state, step.modes)
-        if isinstance(step, UnitaryStep):
-            state = apply_mode_unitary(state, step.modes, step.u)
-        elif isinstance(step, LossStep):
-            state = apply_loss(state, step.mode, step.eta)
-        elif isinstance(step, PBSStep):
-            state = apply_pbs(state, step.in_a, step.in_b, step.out_1, step.out_2)
-        else:
-            raise ValueError(f"unknown circuit step: {step!r}")
-    return {DetectionPattern(()): (state, state.trace)}
 
 
 # ----------------------------------------------------------------------

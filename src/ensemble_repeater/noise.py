@@ -45,6 +45,8 @@ class NoiseParams:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        if not math.isfinite(self.D):
+            raise ValueError(f"D must be finite, got {self.D}")
         if self.D < 0.0:
             raise ValueError("D must be non-negative")
 

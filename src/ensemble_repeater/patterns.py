@@ -209,15 +209,6 @@ class PatternState:
         if abs(block - 1.0) > 1e-9:
             raise ValueError(f"logical block weights sum to {block}, expected 1")
 
-    @classmethod
-    def from_pattern(
-        cls,
-        scheme: SchemeKind,
-        pattern: ExcitationPattern,
-        logical: LogicalBlock | None = None,
-    ) -> "PatternState":
-        return cls(scheme, {pattern: 1.0}, logical or LogicalBlock())
-
     def prob(self, pattern: ExcitationPattern) -> float:
         return self.probs.get(pattern, 0.0)
 

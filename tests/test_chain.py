@@ -74,6 +74,10 @@ def test_config_validates_parameters():
         _config(L0=-40.0)
     with pytest.raises(ValueError):
         _config(L_att=0.0)
+    for name in ("L", "L0", "p_c", "L_att", "c_fiber"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                _config(**{name: bad})
 
 
 def test_enp_schedule_validation():
@@ -212,6 +216,13 @@ def test_mc_waiting_is_seeded_and_close_to_deterministic():
         simulate_chain(config, waiting="jitter")
 
 
+def test_mc_waiting_needs_at_least_one_sample():
+    config = _config(L=320.0)
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="n_samples must be at least 1"):
+            simulate_chain(config, waiting="mc", n_samples=n)
+
+
 # ----------------------------------------------------------------------
 # sweeps
 
@@ -254,6 +265,17 @@ def test_optimize_reports_infeasible_targets():
     assert optimize(NEW, 160.0, 0.995, noise=noise) is None
     with pytest.raises(ValueError):
         optimize(NEW, 160.0, 1.5)
+
+
+def test_worker_pool_matches_serial_sweeps():
+    serial = optimize(DLCZ, 160.0, 0.9, workers=1)
+    assert serial is not None
+    assert optimize(DLCZ, 160.0, 0.9, workers=2) == serial
+    noise = NoiseParams(eta=0.95, D=1e-3)
+    sweep = np.logspace(-4, -1, 13)
+    serial = tf_curve(DLCZ, 160.0, noise=noise, p_c_sweep=sweep, workers=1)
+    assert serial
+    assert tf_curve(DLCZ, 160.0, noise=noise, p_c_sweep=sweep, workers=2) == serial
 
 
 def test_tf_curve_is_a_trade_off():

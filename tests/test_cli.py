@@ -180,21 +180,51 @@ def test_mc_seed_changes_simulated_times(tmp_path):
     assert t1 != t2
 
 
-def test_bad_configuration_exits_3(tmp_path):
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text("[chain]\nbogus = 1\n")
-    rc, _ = _run(tmp_path, "--config", str(cfg), "simulate")
+@pytest.mark.parametrize(
+    "body, argv, message",
+    [
+        pytest.param("[chain]\nbogus = 1\n", [], "unknown key", id="unknown-key"),
+        # Chain-level inconsistencies are configuration errors too.
+        pytest.param("[chain]\nL = 300\n", [], "power of 2", id="not-power-of-two"),
+        pytest.param(None, ["--workers", "0"], "--workers", id="no-workers"),
+        pytest.param(None, ["--enp", "bogus"], "purification step", id="bad-enp"),
+        pytest.param(
+            "[chain]\nL0 = 20000\nL = 80000\n", [], "math range error",
+            id="overflowing-spacing",
+        ),
+        pytest.param("[chain]\nL = inf\n", [], "L must be finite", id="infinite-L"),
+        pytest.param("[chain]\nL = nan\n", [], "L must be finite", id="nan-L"),
+        pytest.param("[noise]\nD = nan\n", [], "D must be finite", id="nan-D"),
+        pytest.param(
+            "[chain]\nwaiting = mc\nn_samples = 0\n", [],
+            "n_samples must be at least 1", id="no-mc-samples",
+        ),
+    ],
+)
+def test_bad_configuration_exits_3(tmp_path, capsys, body, argv, message):
+    if body is not None:
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(body)
+        argv = ["--config", str(cfg), *argv]
+    rc, _ = _run(tmp_path, *argv, "simulate")
     assert rc == EXIT_BAD_CONFIG
-    # Chain-level inconsistencies (here: L/L0 not a power of two) are
-    # configuration errors too.
-    cfg2 = tmp_path / "bad2.ini"
-    cfg2.write_text("[chain]\nL = 300\n")
-    rc, _ = _run(tmp_path, "--config", str(cfg2), "simulate")
-    assert rc == EXIT_BAD_CONFIG
-    rc = main(["--out", str(tmp_path / "o"), "--workers", "0", "simulate"])
-    assert rc == EXIT_BAD_CONFIG
-    rc = main(["--out", str(tmp_path / "o"), "--enp", "bogus", "simulate"])
-    assert rc == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(["--format", "xml", "simulate"], EXIT_BAD_CONFIG, id="bad-format"),
+        pytest.param(["--workers", "x", "simulate"], EXIT_BAD_CONFIG, id="bad-workers"),
+        pytest.param(["--out", "unused"], EXIT_BAD_CONFIG, id="no-command"),
+        pytest.param(["--help"], EXIT_OK, id="help"),
+    ],
+)
+def test_usage_errors_exit_3(argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
 
 
 def test_oracle_verify_passes(tmp_path, capsys):

@@ -22,6 +22,9 @@ def test_noise_params_defaults_and_validation():
         NoiseParams(eta=1.0001)
     with pytest.raises(ValueError):
         NoiseParams(D=-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="D must be finite"):
+            NoiseParams(D=bad)
     with pytest.raises(ValueError):
         NoiseParams(p_misalign=2.0)
 
