@@ -38,6 +38,7 @@ from .patterns import (
     normalize,
 )
 from .protocols import EnpKind, enc, eng, enp, postselect_pme
+from .tables import enc_table, enp_table, pme_table
 
 TWO_PAIR_OVERHEAD = 1.5
 
@@ -368,6 +369,8 @@ def pc_grid() -> np.ndarray:
 
 def feasible_l0(scheme: SchemeKind, L: float) -> Tuple[float, ...]:
     """Grid spacings giving an integer number of doublings for this L."""
+    if not math.isfinite(L):
+        raise ValueError(f"L must be finite, got {L}")
     return tuple(L0 for L0 in L0_GRID if _spacing_problem(scheme, L, L0) is None)
 
 
@@ -413,6 +416,14 @@ def _sweep_spacings(
     spacings = feasible_l0(scheme, L)
     args = [(scheme, L, L0, noise, enp_schedule, p_cs) for L0 in spacings]
     if workers > 1 and len(spacings) > 1:
+        # Forked workers inherit the table caches: build every table the
+        # grid uses here once, not once per worker.
+        enc_table(scheme, noise.eta, first_level=True)
+        enc_table(scheme, noise.eta)
+        if scheme is SchemeKind.DLCZ:
+            pme_table(noise.eta)
+        for _, kind in enp_schedule:
+            enp_table(EnpKind(kind).value, noise.eta)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_grid_rows, *zip(*args)))
     else:

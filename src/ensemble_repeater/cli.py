@@ -47,6 +47,7 @@ from .chain import (
     CSV_COLUMNS,
     RepeaterConfig,
     RunResult,
+    feasible_l0,
     format_csv,
     optimize,
     run_result_json,
@@ -334,6 +335,20 @@ def _chain_config(settings: Settings) -> RepeaterConfig:
         c_fiber=settings.c_fiber,
         enp_schedule=settings.enp_schedule,
     )
+
+
+def _check_chain_inputs(command: str, settings: Settings) -> None:
+    """Raise on chain inputs the command would reject, before any output."""
+    if command == "simulate":
+        _chain_config(settings)
+    elif command in ("optimize", "curve"):
+        feasible_l0(settings.scheme, settings.L)
+    elif command in ("table", "scaling"):
+        for L in settings.L_list:
+            feasible_l0(settings.scheme, float(L))
+    if command == "curve":
+        for eta in settings.eta_list:
+            dataclasses.replace(settings.noise, eta=float(eta))
 
 
 def _emit(fmt: str, csv_text: str, json_text: str) -> None:
@@ -632,6 +647,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             output_format=args.format,
             settings=settings,
         )
+        _check_chain_inputs(args.command, settings)
         out_dir = Path(args.out)
         _write_common(out_dir, manifest)
         return _COMMANDS[args.command](args, settings, out_dir)

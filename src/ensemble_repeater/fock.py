@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -116,17 +116,24 @@ class FockDensityOperator:
         self._cutoff = int(cutoff)
         clean: list[_Ket] = []
         nmodes = len(self._modes)
+        # The kets of an ensemble share a few hundred occupation tuples, so
+        # each distinct tuple is checked once, in first-seen order.
+        checked: set[tuple[int, ...]] = set()
         for ket in kets:
-            pruned: _Ket = {}
-            for occ, amp in ket.items():
-                if len(occ) != nmodes:
-                    raise ValueError("occupation tuple does not match register")
-                if any(n < 0 for n in occ):
-                    raise ValueError("occupations must be non-negative")
-                if sum(occ) > self._cutoff:
-                    raise ValueError("occupation exceeds cutoff")
-                if abs(amp) > _AMP_PRUNE:
-                    pruned[occ] = complex(amp)
+            if not checked.issuperset(ket):
+                for occ in ket:
+                    if occ in checked:
+                        continue
+                    if len(occ) != nmodes:
+                        raise ValueError("occupation tuple does not match register")
+                    if any(n < 0 for n in occ):
+                        raise ValueError("occupations must be non-negative")
+                    if sum(occ) > self._cutoff:
+                        raise ValueError("occupation exceeds cutoff")
+                    checked.add(occ)
+            pruned: _Ket = {
+                occ: complex(amp) for occ, amp in ket.items() if abs(amp) > _AMP_PRUNE
+            }
             if pruned:
                 clean.append(pruned)
         self._kets = clean
@@ -335,21 +342,29 @@ def apply_mode_unitary(
     if not np.allclose(u.conj().T @ u, np.eye(k), atol=UNITARITY_TOL):
         raise ValueError("matrix is not unitary")
     idx = [state.mode_index(m) for m in modes]
+    # Images per transformed sub-occupation, and per full occupation the
+    # same images lifted back into the register.
     memo: dict[tuple[int, ...], list[tuple[tuple[int, ...], complex]]] = {}
+    lifted: dict[tuple[int, ...], list[tuple[tuple[int, ...], complex]]] = {}
     new_kets: list[_Ket] = []
     for ket in state._kets:
         out: _Ket = {}
         for occ, amp in ket.items():
-            sub = tuple(occ[i] for i in idx)
-            images = memo.get(sub)
+            images = lifted.get(occ)
             if images is None:
-                images = _expand_monomial(sub, u)
-                memo[sub] = images
-            for mono, coeff in images:
-                new_occ = list(occ)
-                for pos, i in enumerate(idx):
-                    new_occ[i] = mono[pos]
-                key = tuple(new_occ)
+                sub = tuple(occ[i] for i in idx)
+                monos = memo.get(sub)
+                if monos is None:
+                    monos = _expand_monomial(sub, u)
+                    memo[sub] = monos
+                images = []
+                for mono, coeff in monos:
+                    new_occ = list(occ)
+                    for pos, i in enumerate(idx):
+                        new_occ[i] = mono[pos]
+                    images.append((tuple(new_occ), coeff))
+                lifted[occ] = images
+            for key, coeff in images:
                 out[key] = out.get(key, 0.0) + amp * coeff
         new_kets.append(out)
     return FockDensityOperator(state.modes, new_kets, state.cutoff)
@@ -416,6 +431,7 @@ def apply_loss(
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     i = state.mode_index(mode)
+    roots: dict[tuple[int, int], float] = {}
     new_kets: list[_Ket] = []
     for ket in state._kets:
         nmax = max(occ[i] for occ in ket)
@@ -425,29 +441,26 @@ def apply_loss(
                 n = occ[i]
                 if n < lost:
                     continue
-                w = math.comb(n, lost) * eta ** (n - lost) * (1.0 - eta) ** lost
-                if w == 0.0:
+                root = roots.get((n, lost))
+                if root is None:
+                    w = math.comb(n, lost) * eta ** (n - lost) * (1.0 - eta) ** lost
+                    root = roots[(n, lost)] = math.sqrt(w)
+                if root == 0.0:
                     continue
                 kept = occ[:i] + (n - lost,) + occ[i + 1 :]
-                branch[kept] = branch.get(kept, 0.0) + amp * math.sqrt(w)
+                branch[kept] = branch.get(kept, 0.0) + amp * root
             if branch:
                 new_kets.append(branch)
     return FockDensityOperator(state.modes, new_kets, state.cutoff)
 
 
-def _strip_modes(
-    state: FockDensityOperator, idx: Sequence[int], filtered: Iterable[_Ket]
-) -> tuple[tuple[ModeLabel, ...], list[_Ket]]:
+def _kept_modes(
+    state: FockDensityOperator, idx: Sequence[int]
+) -> tuple[list[int], tuple[ModeLabel, ...]]:
+    """Register positions and labels left after removing ``idx``."""
     drop = set(idx)
     keep = [i for i in range(len(state.modes)) if i not in drop]
-    new_modes = tuple(state.modes[i] for i in keep)
-    new_kets = []
-    for ket in filtered:
-        if ket:
-            new_kets.append(
-                {tuple(occ[i] for i in keep): amp for occ, amp in ket.items()}
-            )
-    return new_modes, new_kets
+    return keep, tuple(state.modes[i] for i in keep)
 
 
 def measure_and_postselect(
@@ -466,15 +479,21 @@ def measure_and_postselect(
         raise ValueError("pattern must be defined exactly on the measured modes")
     idx = [state.mode_index(m) for m in measured]
     want = tuple(pattern.count(m) for m in measured)
-    filtered = []
+    keep, new_modes = _kept_modes(state, idx)
+    # Per occupation: the tuple without the counters, or None off-pattern.
+    stripped: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
+    new_kets = []
     for ket in state._kets:
-        sub = {
-            occ: amp
-            for occ, amp in ket.items()
-            if tuple(occ[i] for i in idx) == want
-        }
-        filtered.append(sub)
-    new_modes, new_kets = _strip_modes(state, idx, filtered)
+        sub: _Ket = {}
+        for occ, amp in ket.items():
+            if occ not in stripped:
+                hit = tuple(occ[i] for i in idx) == want
+                stripped[occ] = tuple(occ[i] for i in keep) if hit else None
+            rest = stripped[occ]
+            if rest is not None:
+                sub[rest] = amp
+        if sub:
+            new_kets.append(sub)
     conditional = FockDensityOperator(new_modes, new_kets, state.cutoff)
     return conditional, conditional.trace
 
@@ -490,18 +509,27 @@ def measure_modes(
     """
     measured = tuple(measured_modes)
     idx = [state.mode_index(m) for m in measured]
+    keep, new_modes = _kept_modes(state, idx)
+    # Per occupation: its outcome and the tuple without the counters.
+    # Within one outcome distinct occupations stay distinct when stripped.
+    split: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
     grouped: dict[tuple[int, ...], list[_Ket]] = {}
     for ket in state._kets:
         per_outcome: dict[tuple[int, ...], _Ket] = {}
         for occ, amp in ket.items():
-            key = tuple(occ[i] for i in idx)
-            per_outcome.setdefault(key, {})[occ] = amp
+            parts = split.get(occ)
+            if parts is None:
+                parts = split[occ] = (
+                    tuple(occ[i] for i in idx),
+                    tuple(occ[i] for i in keep),
+                )
+            key, rest = parts
+            per_outcome.setdefault(key, {})[rest] = amp
         for key, sub in per_outcome.items():
             grouped.setdefault(key, []).append(sub)
     out: dict[DetectionPattern, tuple[FockDensityOperator, float]] = {}
     for key, kets in grouped.items():
-        new_modes, new_kets = _strip_modes(state, idx, kets)
-        cond = FockDensityOperator(new_modes, new_kets, state.cutoff)
+        cond = FockDensityOperator(new_modes, kets, state.cutoff)
         tr = cond.trace
         if tr <= 0.0:
             continue
@@ -520,13 +548,16 @@ def project_total_photons(
     surviving photons carry the output qubit.
     """
     idx = [state.mode_index(m) for m in modes]
+    hits: dict[tuple[int, ...], bool] = {}
     new_kets = []
     for ket in state._kets:
-        sub = {
-            occ: amp
-            for occ, amp in ket.items()
-            if sum(occ[i] for i in idx) == total
-        }
+        sub: _Ket = {}
+        for occ, amp in ket.items():
+            hit = hits.get(occ)
+            if hit is None:
+                hit = hits[occ] = sum(occ[i] for i in idx) == total
+            if hit:
+                sub[occ] = amp
         if sub:
             new_kets.append(sub)
     return FockDensityOperator(state.modes, new_kets, state.cutoff)

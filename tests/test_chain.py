@@ -28,6 +28,7 @@ from ensemble_repeater.chain import (
 from ensemble_repeater.noise import NoiseParams
 from ensemble_repeater.patterns import SchemeKind
 from ensemble_repeater.protocols import EnpKind
+from ensemble_repeater.tables import _enc_table, pme_table
 
 NEW = SchemeKind.NEW
 DLCZ = SchemeKind.DLCZ
@@ -242,6 +243,9 @@ def test_feasible_l0():
     assert feasible_l0(DLCZ, 160.0) == (5.0, 10.0, 20.0, 40.0, 80.0)
     assert set(feasible_l0(NEW, 96.0)) == set()
     assert all(L0 in L0_GRID for L0 in feasible_l0(NEW, 1280.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="L must be finite"):
+            feasible_l0(DLCZ, bad)
 
 
 def test_optimize_returns_fastest_feasible_point():
@@ -276,6 +280,22 @@ def test_worker_pool_matches_serial_sweeps():
     serial = tf_curve(DLCZ, 160.0, noise=noise, p_c_sweep=sweep, workers=1)
     assert serial
     assert tf_curve(DLCZ, 160.0, noise=noise, p_c_sweep=sweep, workers=2) == serial
+
+
+def test_worker_pool_gets_tables_built_in_parent():
+    """A pooled sweep builds its tables before forking, so no worker does."""
+    noise = NoiseParams(eta=0.91, D=1e-3)
+    _enc_table.cache_clear()
+    pme_table.cache_clear()
+    # An unreachable target: optimize runs no chain after the sweep, so
+    # only the build before the pool can have filled the parent's caches.
+    assert optimize(DLCZ, 160.0, 0.999, noise=noise, workers=2) is None
+    assert _enc_table.cache_info().currsize == 1
+    assert pme_table.cache_info().currsize == 1
+    assert optimize(DLCZ, 160.0, 0.999, noise=noise, workers=1) is None
+    pooled = optimize(DLCZ, 160.0, 0.9, noise=noise, workers=2)
+    assert pooled is not None
+    assert pooled == optimize(DLCZ, 160.0, 0.9, noise=noise, workers=1)
 
 
 def test_tf_curve_is_a_trade_off():

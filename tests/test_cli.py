@@ -181,35 +181,67 @@ def test_mc_seed_changes_simulated_times(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "body, argv, message",
+    "body, argv, command, message",
     [
-        pytest.param("[chain]\nbogus = 1\n", [], "unknown key", id="unknown-key"),
+        pytest.param("[chain]\nbogus = 1\n", [], "simulate", "unknown key", id="unknown-key"),
         # Chain-level inconsistencies are configuration errors too.
-        pytest.param("[chain]\nL = 300\n", [], "power of 2", id="not-power-of-two"),
-        pytest.param(None, ["--workers", "0"], "--workers", id="no-workers"),
-        pytest.param(None, ["--enp", "bogus"], "purification step", id="bad-enp"),
         pytest.param(
-            "[chain]\nL0 = 20000\nL = 80000\n", [], "math range error",
+            "[chain]\nL = 300\n", [], "simulate", "power of 2", id="not-power-of-two"
+        ),
+        pytest.param(None, ["--workers", "0"], "simulate", "--workers", id="no-workers"),
+        pytest.param(
+            None, ["--enp", "bogus"], "simulate", "purification step", id="bad-enp"
+        ),
+        pytest.param(
+            "[chain]\nL0 = 20000\nL = 80000\n", [], "simulate", "math range error",
             id="overflowing-spacing",
         ),
-        pytest.param("[chain]\nL = inf\n", [], "L must be finite", id="infinite-L"),
-        pytest.param("[chain]\nL = nan\n", [], "L must be finite", id="nan-L"),
-        pytest.param("[noise]\nD = nan\n", [], "D must be finite", id="nan-D"),
         pytest.param(
-            "[chain]\nwaiting = mc\nn_samples = 0\n", [],
+            "[chain]\nL = inf\n", [], "simulate", "L must be finite", id="infinite-L"
+        ),
+        pytest.param("[chain]\nL = nan\n", [], "simulate", "L must be finite", id="nan-L"),
+        pytest.param("[noise]\nD = nan\n", [], "simulate", "D must be finite", id="nan-D"),
+        pytest.param(
+            "[chain]\nwaiting = mc\nn_samples = 0\n", [], "simulate",
             "n_samples must be at least 1", id="no-mc-samples",
+        ),
+        # The sweeps reach the chain length through the station grid.
+        pytest.param(
+            "[chain]\nL = nan\n", [], "optimize", "L must be finite, got nan",
+            id="optimize-nan-L",
+        ),
+        pytest.param(
+            "[chain]\nL = inf\n", [], "curve", "L must be finite, got inf",
+            id="curve-infinite-L",
+        ),
+        pytest.param(
+            "[sweep]\nL_list = 640, nan\n", [], "table", "L must be finite, got nan",
+            id="table-nan-in-L-list",
         ),
     ],
 )
-def test_bad_configuration_exits_3(tmp_path, capsys, body, argv, message):
+def test_bad_configuration_exits_3(tmp_path, capsys, body, argv, command, message):
     if body is not None:
         cfg = tmp_path / "bad.ini"
         cfg.write_text(body)
         argv = ["--config", str(cfg), *argv]
-    rc, _ = _run(tmp_path, *argv, "simulate")
+    rc, _ = _run(tmp_path, *argv, command)
     assert rc == EXIT_BAD_CONFIG
     err = capsys.readouterr().err.strip().splitlines()[-1]
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+def test_rejected_run_writes_no_manifest(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[chain]\nL = nan\n")
+    rc, out = _run(tmp_path, "--config", str(cfg), command)
+    assert rc == EXIT_BAD_CONFIG
+    assert not (out / MANIFEST_NAME).exists()
+    assert not (out / CONFIG_REFERENCE_NAME).exists()
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: L must be finite, got nan"
+    ]
 
 
 @pytest.mark.parametrize(

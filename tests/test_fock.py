@@ -14,6 +14,7 @@ from ensemble_repeater.fock import (
     BS_5050,
     PAULI_X,
     PAULI_Z,
+    ROTATE_45,
     DetectionPattern,
     FockDensityOperator,
     apply_loss,
@@ -223,3 +224,73 @@ def test_detection_pattern_total():
     pat = DetectionPattern.from_counts({"a": 2, "b": 0, "c": 1})
     assert pat.total == 3
     assert pat.count("b") == 0
+
+
+@pytest.mark.parametrize(
+    "kets, message",
+    [
+        pytest.param([{(1, 0, 0): 1.0}], "does not match register", id="length"),
+        pytest.param([{(1, -1): 1.0}], "must be non-negative", id="negative"),
+        pytest.param([{(3, 2): 1.0}], "exceeds cutoff", id="above-cutoff"),
+        # A pruned amplitude does not exempt its occupation from the checks.
+        pytest.param([{(0, 0): 1.0, (5, 0): 0.0}], "exceeds cutoff", id="zero-amplitude"),
+        # The offending tuple only appears in a later ket, after tuples the
+        # earlier kets already had checked.
+        pytest.param(
+            [{(1, 0): 0.6, (0, 1): 0.8}, {(0, 1): 0.5, (1, 0): 0.5}, {(1, 0): 0.1, (4, 1): 0.1}],
+            "exceeds cutoff",
+            id="later-ket",
+        ),
+        # The first offender in ket order decides the message.
+        pytest.param(
+            [{(0, 1): 1.0}, {(0, 1): 0.1, (-1, 0): 0.1, (5, 0): 0.1}],
+            "must be non-negative",
+            id="first-offender-negative",
+        ),
+        pytest.param(
+            [{(0, 1): 1.0}, {(0, 1): 0.1, (5, 0): 0.1, (-1, 0): 0.1}],
+            "exceeds cutoff",
+            id="first-offender-cutoff",
+        ),
+    ],
+)
+def test_bad_occupations_rejected(kets, message):
+    with pytest.raises(ValueError, match=message):
+        FockDensityOperator(("a", "b"), kets, cutoff=4)
+
+
+def _shared_tuple_ensemble():
+    """Three kets on (a, b, c) that reuse the same occupation tuples."""
+    return FockDensityOperator(
+        ("a", "b", "c"),
+        [
+            {(1, 1, 0): 0.5, (2, 0, 0): 0.3j, (0, 1, 1): 0.2},
+            {(1, 1, 0): 0.1, (0, 1, 1): -0.4, (0, 0, 2): 0.3, (2, 0, 0): 0.05},
+            {(2, 0, 0): 0.2 - 0.1j, (1, 0, 1): 0.25, (1, 1, 0): -0.15},
+        ],
+    )
+
+
+def test_multi_ket_round_trip_with_shared_tuples():
+    state = _shared_tuple_ensemble()
+    back = apply_mode_unitary(
+        apply_mode_unitary(state, ("a", "b"), ROTATE_45), ("a", "b"), ROTATE_45
+    )
+    occs = sorted(set(state.occupied()) | set(back.occupied()))
+    assert np.allclose(back.block(occs), state.block(occs), rtol=0.0, atol=1e-12)
+    assert back.trace == pytest.approx(state.trace, rel=1e-12)
+
+
+def test_multi_ket_measurement_sums_to_trace():
+    state = apply_loss(
+        apply_mode_unitary(_shared_tuple_ensemble(), ("b", "c"), ROTATE_45), "a", 0.7
+    )
+    outcomes = measure_modes(state, ("a", "c"))
+    assert sum(p for _, p in outcomes.values()) == pytest.approx(state.trace, rel=1e-12)
+    for pattern, (cond, p) in outcomes.items():
+        assert cond.modes == ("b",)
+        single, q = measure_and_postselect(state, ("a", "c"), pattern)
+        assert q == p
+        assert single.matrix.tolist() == cond.matrix.tolist()
+    by_total = [project_total_photons(state, ("a", "c"), n).trace for n in range(5)]
+    assert sum(by_total) == pytest.approx(state.trace, rel=1e-12)
