@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Tuple
@@ -41,6 +42,9 @@ from .protocols import EnpKind, enc, eng, enp, postselect_pme
 from .tables import enc_table, enp_table, pme_table
 
 TWO_PAIR_OVERHEAD = 1.5
+
+# Largest argument math.exp accepts without overflow.
+_MAX_EXP_ARG = math.log(sys.float_info.max)
 
 # Number of detection windows whose dark counts can fake a herald in one
 # connection or purification step (two accepted detectors per step).
@@ -76,6 +80,12 @@ class RepeaterConfig:
             raise ValueError("p_c must lie in (0, 1)")
         if self.L_att <= 0.0 or self.c_fiber <= 0.0:
             raise ValueError("L_att and c_fiber must be positive")
+        if self.L0 / self.L_att > _MAX_EXP_ARG:
+            raise ValueError(
+                f"L0 / L_att = {self.L0 / self.L_att:g} is too large:"
+                " the elementary time exp(L0 / L_att) overflows"
+            )
+        check_step_noise(self.scheme, self.noise)
         problem = _spacing_problem(self.scheme, self.L, self.L0)
         if problem is not None:
             raise ValueError(problem)
@@ -90,6 +100,19 @@ class RepeaterConfig:
     def num_levels(self) -> int:
         """Number of connection levels, log2(L/L0) - 1."""
         return round(math.log2(self.L / self.L0)) - 1
+
+
+def check_step_noise(scheme: SchemeKind, noise: NoiseParams) -> None:
+    """Reject step noise the scheme's pattern bookkeeping cannot carry.
+
+    The misalignment and dark-count channel mixes all four Bell states,
+    but a single-rail pair carries only the two odd-parity ones.
+    """
+    if scheme is SchemeKind.DLCZ and (noise.p_misalign > 0.0 or noise.p_dark > 0.0):
+        raise ValueError(
+            "p_misalign and p_dark must be 0 for the single-rail (dlcz) scheme,"
+            f" got p_misalign = {noise.p_misalign}, p_dark = {noise.p_dark}"
+        )
 
 
 def _spacing_problem(scheme: SchemeKind, L: float, L0: float) -> Optional[str]:

@@ -47,6 +47,7 @@ from .chain import (
     CSV_COLUMNS,
     RepeaterConfig,
     RunResult,
+    check_step_noise,
     feasible_l0,
     format_csv,
     optimize,
@@ -337,10 +338,13 @@ def _chain_config(settings: Settings) -> RepeaterConfig:
     )
 
 
-def _check_chain_inputs(command: str, settings: Settings) -> None:
+def _check_chain_inputs(args, settings: Settings) -> None:
     """Raise on chain inputs the command would reject, before any output."""
+    command = args.command
     if command == "simulate":
         _chain_config(settings)
+        if settings.n_samples < 1:
+            raise ValueError("n_samples must be at least 1")
     elif command in ("optimize", "curve"):
         feasible_l0(settings.scheme, settings.L)
     elif command in ("table", "scaling"):
@@ -349,6 +353,10 @@ def _check_chain_inputs(command: str, settings: Settings) -> None:
     if command == "curve":
         for eta in settings.eta_list:
             dataclasses.replace(settings.noise, eta=float(eta))
+        for scheme, _ in _curve_variants(args, settings):
+            check_step_noise(scheme, settings.noise)
+    elif command in ("optimize", "table", "scaling"):
+        check_step_noise(settings.scheme, settings.noise)
 
 
 def _emit(fmt: str, csv_text: str, json_text: str) -> None:
@@ -482,19 +490,20 @@ _CURVE_VARIANTS: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def cmd_curve(args, settings: Settings, out_dir: Path) -> int:
+def _curve_variants(args, settings: Settings) -> list:
+    """(scheme, schedule) of every curve the command sweeps."""
     if args.scheme or args.enp:
-        variants = [
-            (settings.scheme, settings.enp_schedule),
-        ]
-    else:
-        variants = [
-            (_parse_scheme(name), parse_enp_schedule(spec))
-            for name, spec in _CURVE_VARIANTS
-        ]
+        return [(settings.scheme, settings.enp_schedule)]
+    return [
+        (_parse_scheme(name), parse_enp_schedule(spec))
+        for name, spec in _CURVE_VARIANTS
+    ]
+
+
+def cmd_curve(args, settings: Settings, out_dir: Path) -> int:
     all_rows = []
     collected = {}
-    for scheme, schedule in variants:
+    for scheme, schedule in _curve_variants(args, settings):
         for eta in settings.eta_list:
             noise = dataclasses.replace(settings.noise, eta=float(eta))
             points = tf_curve(
@@ -647,7 +656,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             output_format=args.format,
             settings=settings,
         )
-        _check_chain_inputs(args.command, settings)
+        _check_chain_inputs(args, settings)
         out_dir = Path(args.out)
         _write_common(out_dir, manifest)
         return _COMMANDS[args.command](args, settings, out_dir)

@@ -6,7 +6,7 @@ maps between :class:`~.patterns.PatternState` objects.  Generation is an
 analytic model of the heralded source including its leading
 multi-excitation admixture; connection, purification and the final
 mapping apply the exact Fock-level tables of :mod:`.tables` bilinearly
-to the input decompositions.
+to the input decompositions, as one dense contraction per step.
 
 Connection-type steps return an unnormalized output whose total mass is
 the acceptance probability of the step; overflow components of the
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 import numpy as np
 
@@ -30,8 +29,16 @@ from .patterns import (
     PatternState,
     SchemeKind,
     logical_pattern,
+    scheme_patterns,
 )
-from .tables import ConnectionTable, Key, enc_table, enp_table, pme_table
+from .tables import (
+    ConnectionTable,
+    enc_table,
+    enp_table,
+    output_patterns,
+    pme_table,
+    state_selection,
+)
 
 # Weight of the unheralded double-excitation admixture of the sources,
 # relative to p_c.  Generation-side detection catches most double
@@ -123,29 +130,22 @@ def eng(
     return PatternState(scheme=scheme, probs=probs, logical=block)
 
 
-def _component_masses(state: PatternState) -> Dict[Key, float]:
-    """Decompose a pattern state into canonical component masses."""
+def _row(state: PatternState) -> np.ndarray:
+    """Pattern masses in scheme order, then the absolute Bell masses."""
     logical = logical_pattern(state.scheme)
-    masses: Dict[Key, float] = {}
-    for pattern, prob in state.probs.items():
-        if pattern is ExcitationPattern.OVERFLOW:
-            continue
-        if pattern is logical:
-            for bell in BellState:
-                weight = state.logical.weight(bell)
-                if weight <= 0.0:
-                    continue
-                if state.scheme is SchemeKind.DLCZ and bell in (
-                    BellState.PHI_PLUS,
-                    BellState.PHI_MINUS,
-                ):
-                    raise ValueError(
-                        "single-rail pairs carry only odd-parity Bell weight"
-                    )
-                masses[(pattern, bell)] = prob * weight
-        elif prob > 0.0:
-            masses[(pattern, None)] = prob
-    return masses
+    if (
+        state.scheme is SchemeKind.DLCZ
+        and logical in state.probs
+        and (state.logical.w_phi_plus > 0.0 or state.logical.w_phi_minus > 0.0)
+    ):
+        raise ValueError("single-rail pairs carry only odd-parity Bell weight")
+    masses = [state.probs.get(p, 0.0) for p in scheme_patterns(state.scheme)]
+    return np.concatenate((masses, state.bell_masses()))
+
+
+def _component_masses(state: PatternState) -> np.ndarray:
+    """Canonical component masses of a state; non-positive ones count as 0."""
+    return np.maximum(state_selection(state.scheme) @ _row(state), 0.0)
 
 
 def _apply_table(
@@ -156,25 +156,15 @@ def _apply_table(
     if left.scheme is not table.scheme or right.scheme is not table.scheme:
         raise ValueError("input scheme does not match table scheme")
     out_scheme = table.output_scheme
-    logical_out = logical_pattern(out_scheme)
-    masses_l = _component_masses(left)
-    masses_r = _component_masses(right)
-    out_masses: Dict[ExcitationPattern, float] = {}
-    bell = np.zeros(4)
-    for key_l, mass_l in masses_l.items():
-        for key_r, mass_r in masses_r.items():
-            entry = table.entry(key_l, key_r)
-            if entry.total <= 0.0:
-                continue
-            weight = mass_l * mass_r
-            for pattern, mass in entry.masses:
-                if pattern is logical_out:
-                    continue
-                out_masses[pattern] = out_masses.get(pattern, 0.0) + weight * mass
-            bell += weight * np.asarray(entry.bell)
+    x_left = _component_masses(left)
+    x_right = x_left if right is left else _component_masses(right)
+    dense = np.einsum("oab,a,b->o", table.tensor, x_left, x_right)
+    patterns = output_patterns(out_scheme)
+    out_masses = dict(zip(patterns, dense[: len(patterns)].tolist()))
+    bell = dense[len(patterns):]
     p_logical = float(bell.sum())
     if p_logical > 0.0:
-        out_masses[logical_out] = p_logical
+        out_masses[logical_pattern(out_scheme)] = p_logical
         block = LogicalBlock.from_array(bell / p_logical)
     else:
         block = LogicalBlock.pure(

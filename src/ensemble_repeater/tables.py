@@ -14,13 +14,19 @@ excitation pattern; the logical pattern carries an additional Bell
 label.  Overflow components (more than two excitations per node) have
 no canonical representative and are treated as absorbing: any input
 mass assigned to them is dropped by the connection step.
+
+A step applies a table as one dense contraction: ``ConnectionTable.tensor``
+holds the entries as ``T[o, a, b]`` and ``state_selection`` picks the
+canonical component masses out of a state row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Optional, Tuple
+
+import numpy as np
 
 from .circuits import TableEntry, enc_entry, enp_entry, pme_entry
 from .patterns import (
@@ -60,6 +66,37 @@ def canonical_keys(scheme: SchemeKind) -> tuple[Key, ...]:
     return tuple(keys)
 
 
+@lru_cache(maxsize=None)
+def output_patterns(scheme: SchemeKind) -> tuple[ExcitationPattern, ...]:
+    """Non-logical patterns of a scheme, overflow included, in scheme order.
+
+    These are the pattern rows of ``ConnectionTable.tensor``; the four
+    Bell masses of the logical pattern follow them.
+    """
+    logical = logical_pattern(scheme)
+    return tuple(p for p in scheme_patterns(scheme) if p is not logical)
+
+
+@lru_cache(maxsize=None)
+def state_selection(scheme: SchemeKind) -> np.ndarray:
+    """0/1 matrix ``S[k, r]`` taking a state row to canonical key masses.
+
+    A state row lists the pattern masses in ``scheme_patterns`` order,
+    then the four absolute Bell masses.  Key ``(pattern, None)`` picks
+    its pattern's mass, key ``(logical, bell)`` the mass of that Bell
+    state; the logical pattern's total and the overflow mass map to no
+    key.
+    """
+    patterns = scheme_patterns(scheme)
+    keys = canonical_keys(scheme)
+    selection = np.zeros((len(keys), len(patterns) + 4))
+    for k, (pattern, bell) in enumerate(keys):
+        column = patterns.index(pattern) if bell is None else len(patterns) + bell.index
+        selection[k, column] = 1.0
+    selection.flags.writeable = False
+    return selection
+
+
 @dataclass(frozen=True)
 class ConnectionTable:
     """Bilinear action of one connection step at fixed efficiency.
@@ -94,6 +131,31 @@ class ConnectionTable:
 
     def max_residue(self) -> float:
         return max(entry.residue for entry in self.entries.values())
+
+    @cached_property
+    def tensor(self) -> np.ndarray:
+        """Dense entries ``T[o, a, b]``, built on first use.
+
+        ``a`` and ``b`` run over ``canonical_keys(scheme)``; ``o`` runs
+        over ``output_patterns(output_scheme)``, then the four absolute
+        Bell masses of the logical output.  Entries with no accepted
+        mass stay zero.
+        """
+        keys = canonical_keys(self.scheme)
+        rows = {p: o for o, p in enumerate(output_patterns(self.output_scheme))}
+        n = len(rows)
+        tensor = np.zeros((n + 4, len(keys), len(keys)))
+        for a, alpha in enumerate(keys):
+            for b, beta in enumerate(keys):
+                entry = self.entries[(alpha, beta)]
+                if entry.total <= 0.0:
+                    continue
+                for pattern, mass in entry.masses:
+                    if pattern in rows:
+                        tensor[rows[pattern], a, b] = mass
+                tensor[n:, a, b] = entry.bell
+        tensor.flags.writeable = False
+        return tensor
 
 
 def _build(scheme: SchemeKind, op: str, variant: str, eta: float) -> ConnectionTable:

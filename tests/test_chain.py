@@ -10,6 +10,7 @@ from ensemble_repeater.chain import (
     CSV_COLUMNS,
     L0_GRID,
     RepeaterConfig,
+    check_step_noise,
     elementary_time,
     empirical_time,
     enc_success_estimate,
@@ -79,6 +80,27 @@ def test_config_validates_parameters():
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 _config(**{name: bad})
+
+
+def test_config_rejects_overflowing_elementary_time():
+    with pytest.raises(ValueError, match=r"^L0 / L_att = 1000 is too large"):
+        _config(L0=20000.0, L=80000.0)
+    with pytest.raises(ValueError, match=r"exp\(L0 / L_att\) overflows"):
+        _config(L_att=40.0 / 710.0)
+    _config(L_att=40.0 / 709.0)  # exp(709) is still a float
+
+
+def test_single_rail_chains_reject_step_noise():
+    """The step channel mixes all four Bell states; a single-rail pair
+    carries only the odd-parity two, so such chains are refused up front."""
+    for noise in (NoiseParams(p_misalign=0.01), NoiseParams(p_dark=1e-3)):
+        with pytest.raises(ValueError, match="^p_misalign and p_dark must be 0"):
+            _config(scheme=DLCZ, noise=noise)
+        with pytest.raises(ValueError, match="single-rail"):
+            check_step_noise(DLCZ, noise)
+        check_step_noise(NEW, noise)
+        _config(noise=noise)
+    check_step_noise(DLCZ, NoiseParams(D=1e-3))
 
 
 def test_enp_schedule_validation():
@@ -200,6 +222,70 @@ def test_misalignment_depolarizes_each_step():
     assert noisy.final_logical_fidelity < clean.final_logical_fidelity
     # Timing is unaffected by the Bell channel.
     assert noisy.t_avg == pytest.approx(clean.t_avg)
+
+
+# (t_avg, F, per-stage success probabilities) of six chains, recorded
+# with tables applied entry by entry (the reference sum of
+# test_protocol_tables._reference_step), not as one dense contraction.
+_CHAIN_DIGESTS = {
+    "two-cell-1280": (
+        dict(scheme=NEW, L=1280.0, L0=40.0, p_c=5e-3, noise=NoiseParams(eta=0.9)),
+        544.241686121995,
+        0.8174468762529187,
+        (1.0, 0.12259589879401304, 0.33435378187503323, 0.33434464952212073,
+         0.3343446498672664),
+    ),
+    "single-rail-1280": (
+        dict(scheme=DLCZ, L=1280.0, L0=40.0, p_c=5e-3, noise=NoiseParams(eta=0.9)),
+        365.30398713581445,
+        0.38148936460646204,
+        (1.0, 0.4903471828547068, 0.4821347279930994, 0.4616506954945844,
+         0.42581014862266964, 0.14689490312110076),
+    ),
+    "single-rail-phase-noise": (
+        dict(scheme=DLCZ, L=640.0, L0=20.0, p_c=2e-2,
+             noise=NoiseParams(eta=0.95, D=1e-3)),
+        9.14456582012282,
+        0.2833177067694529,
+        (1.0, 0.4776277593894567, 0.4777189601485152, 0.4776581216213565,
+         0.47755725620255474, 0.228259800434615),
+    ),
+    "two-cell-phase-purified": (
+        dict(scheme=NEW, L=1280.0, L0=40.0, p_c=1e-2,
+             noise=NoiseParams(eta=0.9, D=1e-3), enp_schedule=((2, "phase"),)),
+        2889.911891282597,
+        0.5320798596034956,
+        (1.0, 0.12267903340026512, 0.3339979559817326, 0.2990776079662518,
+         0.2179681944988757, 0.24229710355530332),
+    ),
+    "two-cell-bit-purified": (
+        dict(scheme=NEW, L=640.0, L0=20.0, p_c=3e-3,
+             noise=NoiseParams(eta=0.9, D=5e-4),
+             enp_schedule=((1, "bit"), (3, "phase"))),
+        14950.404845863695,
+        0.43663059481887667,
+        (1.0, 0.1225625710397266, 0.3563819962780268, 0.23852220839511937,
+         0.2710001167108295, 0.2680826142903705, 0.15201134770486158),
+    ),
+    "two-cell-misaligned": (
+        dict(scheme=NEW, L=2560.0, L0=80.0, p_c=2e-3,
+             noise=NoiseParams(eta=0.9, p_misalign=0.02, p_dark=1e-3)),
+        20076.12664952611,
+        0.6602927596543835,
+        (1.0, 0.12254589128962551, 0.33456782232566373, 0.3345641703101192,
+         0.3345641703654027),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHAIN_DIGESTS))
+def test_chain_matches_recorded_digest(name):
+    kwargs, t_avg, F, success = _CHAIN_DIGESTS[name]
+    result = simulate_chain(RepeaterConfig(**kwargs))
+    assert result.t_avg == pytest.approx(t_avg, rel=1e-12, abs=0.0)
+    assert result.fidelity == pytest.approx(F, rel=1e-12, abs=0.0)
+    got = tuple(rec.success_prob for rec in result.per_level)
+    assert got == pytest.approx(success, rel=1e-12, abs=0.0)
 
 
 def test_mc_waiting_is_seeded_and_close_to_deterministic():

@@ -193,8 +193,8 @@ def test_mc_seed_changes_simulated_times(tmp_path):
             None, ["--enp", "bogus"], "simulate", "purification step", id="bad-enp"
         ),
         pytest.param(
-            "[chain]\nL0 = 20000\nL = 80000\n", [], "simulate", "math range error",
-            id="overflowing-spacing",
+            "[chain]\nL0 = 20000\nL = 80000\n", [], "simulate",
+            "exp(L0 / L_att) overflows", id="overflowing-spacing",
         ),
         pytest.param(
             "[chain]\nL = inf\n", [], "simulate", "L must be finite", id="infinite-L"
@@ -218,6 +218,27 @@ def test_mc_seed_changes_simulated_times(tmp_path):
             "[sweep]\nL_list = 640, nan\n", [], "table", "L must be finite, got nan",
             id="table-nan-in-L-list",
         ),
+        # The step channel would put even-parity weight on single-rail pairs.
+        pytest.param(
+            "[chain]\nscheme = dlcz\nL = 320\n[noise]\np_misalign = 0.01\n", [],
+            "simulate", "p_misalign and p_dark must be 0 for the single-rail",
+            id="single-rail-misalignment",
+        ),
+        pytest.param(
+            "[noise]\np_dark = 0.001\n", ["--scheme", "dlcz"], "optimize",
+            "p_misalign and p_dark must be 0 for the single-rail",
+            id="optimize-single-rail-dark-counts",
+        ),
+        pytest.param(
+            "[noise]\np_misalign = 0.01\n", [], "curve",
+            "p_misalign and p_dark must be 0 for the single-rail",
+            id="curve-variants-include-single-rail",
+        ),
+        pytest.param(
+            "[chain]\nscheme = dlcz\n[noise]\np_dark = 0.001\n", [], "scaling",
+            "p_misalign and p_dark must be 0 for the single-rail",
+            id="scaling-single-rail-dark-counts",
+        ),
     ],
 )
 def test_bad_configuration_exits_3(tmp_path, capsys, body, argv, command, message):
@@ -231,17 +252,44 @@ def test_bad_configuration_exits_3(tmp_path, capsys, body, argv, command, messag
     assert err.startswith("error: ") and message in err
 
 
-@pytest.mark.parametrize("command", ["simulate", "optimize"])
-def test_rejected_run_writes_no_manifest(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "body, command, message",
+    [
+        pytest.param(
+            "[chain]\nL = nan\n", "simulate", "L must be finite, got nan",
+            id="simulate",
+        ),
+        pytest.param(
+            "[chain]\nL = nan\n", "optimize", "L must be finite, got nan",
+            id="optimize",
+        ),
+        # Failures the chain run itself would only meet after the manifest.
+        pytest.param(
+            "[chain]\nL0 = 20000\nL = 80000\n", "simulate",
+            "L0 / L_att = 1000 is too large: the elementary time"
+            " exp(L0 / L_att) overflows",
+            id="overflowing-spacing",
+        ),
+        pytest.param(
+            "[chain]\nwaiting = mc\nn_samples = 0\n", "simulate",
+            "n_samples must be at least 1", id="no-mc-samples",
+        ),
+        pytest.param(
+            "[chain]\nscheme = dlcz\nL = 320\n[noise]\np_dark = 0.001\n", "simulate",
+            "p_misalign and p_dark must be 0 for the single-rail (dlcz) scheme,"
+            " got p_misalign = 0.0, p_dark = 0.001",
+            id="single-rail-dark-counts",
+        ),
+    ],
+)
+def test_rejected_run_writes_no_manifest(tmp_path, capsys, body, command, message):
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[chain]\nL = nan\n")
+    cfg.write_text(body)
     rc, out = _run(tmp_path, "--config", str(cfg), command)
     assert rc == EXIT_BAD_CONFIG
     assert not (out / MANIFEST_NAME).exists()
     assert not (out / CONFIG_REFERENCE_NAME).exists()
-    assert capsys.readouterr().err.strip().splitlines() == [
-        "error: L must be finite, got nan"
-    ]
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
 
 
 @pytest.mark.parametrize(

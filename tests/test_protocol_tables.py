@@ -9,6 +9,8 @@ broken invariant.
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensemble_repeater.noise import NoiseParams
 from ensemble_repeater.patterns import (
@@ -17,9 +19,12 @@ from ensemble_repeater.patterns import (
     LogicalBlock,
     PatternState,
     SchemeKind,
+    logical_pattern,
+    scheme_patterns,
 )
 from ensemble_repeater.protocols import (
     EnpKind,
+    _apply_table,
     enc,
     eng,
     enp,
@@ -284,6 +289,96 @@ def test_single_rail_error_entries_drop_known_coherence():
     entry = table.entry((P.P00, None), (P.P11, None))
     assert entry.residue > 0.1
     assert entry.bell == pytest.approx((0.0, 0.0, 0.45, 0.45))
+
+
+# ----------------------------------------------------------------------
+# the dense step kernel against the per-entry bilinear sum
+
+
+def _reference_step(table, left, right):
+    """Reference step: pattern masses and absolute Bell masses summed
+    entry by entry over ``table.entries``."""
+
+    def components(state):
+        logical = logical_pattern(state.scheme)
+        masses = {}
+        for pattern, prob in state.probs.items():
+            if pattern is P.OVERFLOW:
+                continue
+            if pattern is logical:
+                for bell in BellState:
+                    weight = state.logical.weight(bell)
+                    if weight > 0.0:
+                        masses[(pattern, bell)] = prob * weight
+            elif prob > 0.0:
+                masses[(pattern, None)] = prob
+        return masses
+
+    logical_out = logical_pattern(table.output_scheme)
+    masses = {}
+    bell = [0.0] * 4
+    for key_l, mass_l in components(left).items():
+        for key_r, mass_r in components(right).items():
+            entry = table.entry(key_l, key_r)
+            weight = mass_l * mass_r
+            for pattern, mass in entry.masses:
+                if pattern is not logical_out:
+                    masses[pattern] = masses.get(pattern, 0.0) + weight * mass
+            bell = [b + weight * w for b, w in zip(bell, entry.bell)]
+    return masses, bell
+
+
+_MASS = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+
+
+@st.composite
+def _pattern_states(draw, scheme):
+    probs = {pattern: draw(_MASS) for pattern in scheme_patterns(scheme)}
+    n_bells = 2 if scheme is DLCZ else 4
+    weights = [draw(_MASS) for _ in range(n_bells)]
+    if sum(weights) == 0.0:
+        weights[0] = 1.0
+    weights = [w / sum(weights) for w in weights]
+    block = [0.0, 0.0, *weights] if scheme is DLCZ else weights
+    return PatternState(scheme, probs, LogicalBlock.from_array(block))
+
+
+_KERNEL_TABLES = {
+    "enc_dlcz": lambda: enc_table(DLCZ, ETA),
+    "pme": lambda: pme_table(ETA),
+    "enc_level1": lambda: enc_table(NEW, ETA, first_level=True),
+    "enc_higher": lambda: enc_table(NEW, ETA),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNEL_TABLES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dense_step_matches_per_entry_sum(kind, data):
+    table = _KERNEL_TABLES[kind]()
+    left = data.draw(_pattern_states(table.scheme), label="left")
+    if data.draw(st.booleans(), label="same pair"):
+        right = left
+    else:
+        right = data.draw(_pattern_states(table.scheme), label="right")
+    outcome = _apply_table(table, left, right)
+    out = outcome.out
+    masses, bell = _reference_step(table, left, right)
+    logical = logical_pattern(table.output_scheme)
+    assert out.scheme is table.output_scheme
+    for pattern in scheme_patterns(table.output_scheme):
+        if pattern is not logical:
+            want = masses.get(pattern, 0.0)
+            assert out.prob(pattern) == pytest.approx(want, rel=1e-12, abs=0.0)
+    p_logical = sum(bell)
+    assert out.prob(logical) == pytest.approx(p_logical, rel=1e-12, abs=0.0)
+    if p_logical > 0.0:
+        want = [b / p_logical for b in bell]
+        assert out.logical.as_array().tolist() == pytest.approx(want, rel=1e-12, abs=0.0)
+    else:
+        fallback = B.PSI_PLUS if table.output_scheme is DLCZ else B.PHI_PLUS
+        assert out.logical == LogicalBlock.pure(fallback)
+    assert outcome.success_prob == out.total
 
 
 # ----------------------------------------------------------------------
