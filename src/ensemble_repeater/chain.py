@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -39,7 +38,6 @@ from .patterns import (
     normalize,
 )
 from .protocols import EnpKind, enc, eng, enp, postselect_pme
-from .tables import enc_table, enp_table, pme_table
 
 TWO_PAIR_OVERHEAD = 1.5
 
@@ -84,6 +82,15 @@ class RepeaterConfig:
             raise ValueError(
                 f"L0 / L_att = {self.L0 / self.L_att:g} is too large:"
                 " the elementary time exp(L0 / L_att) overflows"
+            )
+        t0 = elementary_time(
+            self.p_c, self.noise.eta, self.L0, self.L_att, self.c_fiber
+        )
+        if not math.isfinite(t0):
+            raise ValueError(
+                "the elementary time (L0 / c_fiber) exp(L0 / L_att) / (p_c eta)"
+                f" overflows for L0 = {self.L0:g}, L_att = {self.L_att:g},"
+                f" p_c = {self.p_c:g}, eta = {self.noise.eta:g}"
             )
         check_step_noise(self.scheme, self.noise)
         problem = _spacing_problem(self.scheme, self.L, self.L0)
@@ -238,7 +245,7 @@ def _record(
         p_logic=agg.p_logic,
         p_vac=agg.p_vac,
         p_multi=agg.p_multi,
-        bell=tuple(float(w) for w in state.logical.as_array()),
+        bell=tuple(map(float, state.logical.as_tuple())),
         fidelity=fidelity(state, target),
         logical_fidelity=logical_fidelity(state, target),
         success_prob=success,
@@ -430,28 +437,12 @@ def _sweep_spacings(
     noise: NoiseParams,
     enp_schedule: Tuple[Tuple[int, EnpKind], ...],
     p_cs: Tuple[float, ...],
-    workers: int,
 ) -> list:
-    """(L0, grid rows) for every feasible spacing, in grid order.
-
-    With ``workers > 1`` the spacings are evaluated in a process pool.
-    """
-    spacings = feasible_l0(scheme, L)
-    args = [(scheme, L, L0, noise, enp_schedule, p_cs) for L0 in spacings]
-    if workers > 1 and len(spacings) > 1:
-        # Forked workers inherit the table caches: build every table the
-        # grid uses here once, not once per worker.
-        enc_table(scheme, noise.eta, first_level=True)
-        enc_table(scheme, noise.eta)
-        if scheme is SchemeKind.DLCZ:
-            pme_table(noise.eta)
-        for _, kind in enp_schedule:
-            enp_table(EnpKind(kind).value, noise.eta)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_grid_rows, *zip(*args)))
-    else:
-        rows = [_grid_rows(*a) for a in args]
-    return list(zip(spacings, rows))
+    """(L0, grid rows) for every feasible spacing, in grid order."""
+    return [
+        (L0, _grid_rows(scheme, L, L0, noise, enp_schedule, p_cs))
+        for L0 in feasible_l0(scheme, L)
+    ]
 
 
 def optimize(
@@ -460,7 +451,6 @@ def optimize(
     F_target: float,
     noise: NoiseParams = NoiseParams(),
     enp_schedule: Tuple[Tuple[int, EnpKind], ...] = (),
-    workers: int = 1,
 ) -> Optional[Tuple[RepeaterConfig, RunResult]]:
     """Fastest configuration reaching the target fidelity.
 
@@ -472,7 +462,7 @@ def optimize(
         raise ValueError("F_target must lie in (0, 1)")
     p_cs = tuple(float(p) for p in pc_grid())
     best = None  # (t, L0, p_c)
-    for L0, rows in _sweep_spacings(scheme, L, noise, enp_schedule, p_cs, workers):
+    for L0, rows in _sweep_spacings(scheme, L, noise, enp_schedule, p_cs):
         for p_c, row in zip(p_cs, rows):
             if row is None:
                 continue
@@ -497,7 +487,6 @@ def tf_curve(
     noise: NoiseParams = NoiseParams(),
     enp_schedule: Tuple[Tuple[int, EnpKind], ...] = (),
     p_c_sweep: Optional[Sequence[float]] = None,
-    workers: int = 1,
 ) -> list:
     """Time/fidelity trade-off swept over p_c with per-point L0 choice.
 
@@ -510,9 +499,8 @@ def tf_curve(
     (t_avg, F, p_c, L0) tuples sorted by p_c.
     """
     sweep = pc_grid() if p_c_sweep is None else np.asarray(p_c_sweep, dtype=float)
-    per_l0 = _sweep_spacings(
-        scheme, L, noise, enp_schedule, tuple(map(float, sweep)), workers
-    )
+    p_cs = tuple(float(p) for p in sweep)
+    per_l0 = _sweep_spacings(scheme, L, noise, enp_schedule, p_cs)
 
     candidates = []  # (t, F, p_c index, L0)
     for i in range(len(sweep)):
@@ -563,6 +551,22 @@ def fit_tf_slope(
     return float(np.polyfit(xs, ys, 1)[0])
 
 
+def scaling_configs(
+    scheme: SchemeKind,
+    noise: NoiseParams,
+    L_values: Sequence[float],
+    L0: float = 40.0,
+    p_c_scale: float = 0.26,
+) -> list:
+    """The chains ``scaling_fit`` simulates: one per L, p_c = p_c_scale * L0 / L."""
+    return [
+        RepeaterConfig(
+            scheme=scheme, L=float(L), L0=L0, p_c=p_c_scale * L0 / L, noise=noise
+        )
+        for L in L_values
+    ]
+
+
 def scaling_fit(
     scheme: SchemeKind,
     noise: NoiseParams,
@@ -577,11 +581,9 @@ def scaling_fit(
     Returns (slope, [(L, t_avg), ...]).
     """
     points = []
-    for L in L_values:
-        p_c = p_c_scale * L0 / L
-        config = RepeaterConfig(scheme=scheme, L=float(L), L0=L0, p_c=p_c, noise=noise)
+    for config in scaling_configs(scheme, noise, L_values, L0, p_c_scale):
         result = simulate_chain(config, waiting=waiting, seed=seed)
-        points.append((float(L), result.t_avg))
+        points.append((config.L, result.t_avg))
     logs = np.log([p[0] for p in points])
     logt = np.log([p[1] for p in points])
     slope = float(np.polyfit(logs, logt, 1)[0])

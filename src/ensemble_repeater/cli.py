@@ -21,11 +21,12 @@ Six subcommands drive the package end to end:
     Fit the power-law exponent of the average time against distance.
 
 All options live either on the command line (``--config``, ``--out``,
-``--seed``, ``--workers``, ``--scheme``, ``--enp``, ``--format``) or in
-an INI configuration file whose sections mirror the library dataclasses
-(see ``config-reference.ini``, written next to every output).  Outputs
-are deterministic: rerunning the same configuration and seed reproduces
-every file byte for byte.
+``--seed``, ``--scheme``, ``--enp``, ``--format``) or in an INI
+configuration file whose sections mirror the library dataclasses (see
+``config-reference.ini``, written next to every output).  Parameter
+sweeps run serially in one process.  Outputs are deterministic:
+rerunning the same configuration and seed reproduces every file byte
+for byte.
 
 Exit codes: 0 on success, 1 when verification fails, 2 when an
 optimization target is infeasible, 3 for unusable configuration or
@@ -53,6 +54,7 @@ from .chain import (
     optimize,
     run_result_json,
     run_result_rows,
+    scaling_configs,
     scaling_exponent,
     scaling_fit,
     simulate_chain,
@@ -281,7 +283,6 @@ class RunManifest:
     config_path: Optional[str]
     out_dir: str
     seed: int
-    workers: int
     output_format: str
     settings: Settings
 
@@ -292,7 +293,6 @@ class RunManifest:
             "config_path": self.config_path,
             "out_dir": self.out_dir,
             "seed": self.seed,
-            "workers": self.workers,
             "output_format": self.output_format,
             "settings": {
                 "scheme": s.scheme.value,
@@ -347,15 +347,17 @@ def _check_chain_inputs(args, settings: Settings) -> None:
             raise ValueError("n_samples must be at least 1")
     elif command in ("optimize", "curve"):
         feasible_l0(settings.scheme, settings.L)
-    elif command in ("table", "scaling"):
+    elif command == "table":
         for L in settings.L_list:
             feasible_l0(settings.scheme, float(L))
+    elif command == "scaling":
+        scaling_configs(settings.scheme, settings.noise, settings.L_list, settings.L0)
     if command == "curve":
         for eta in settings.eta_list:
             dataclasses.replace(settings.noise, eta=float(eta))
         for scheme, _ in _curve_variants(args, settings):
             check_step_noise(scheme, settings.noise)
-    elif command in ("optimize", "table", "scaling"):
+    elif command in ("optimize", "table"):
         check_step_noise(settings.scheme, settings.noise)
 
 
@@ -416,7 +418,6 @@ def cmd_optimize(args, settings: Settings, out_dir: Path) -> int:
         settings.F_target,
         noise=settings.noise,
         enp_schedule=settings.enp_schedule,
-        workers=args.workers,
     )
     row = _optimum_row(settings.scheme, settings.L, best)
     csv_text = format_csv([row], header=_TABLE_COLUMNS)
@@ -459,7 +460,6 @@ def cmd_table(args, settings: Settings, out_dir: Path) -> int:
             settings.F_target,
             noise=settings.noise,
             enp_schedule=settings.enp_schedule,
-            workers=args.workers,
         )
         feasible_count += best is not None
         rows.append(_optimum_row(settings.scheme, float(L), best))
@@ -506,13 +506,7 @@ def cmd_curve(args, settings: Settings, out_dir: Path) -> int:
     for scheme, schedule in _curve_variants(args, settings):
         for eta in settings.eta_list:
             noise = dataclasses.replace(settings.noise, eta=float(eta))
-            points = tf_curve(
-                scheme,
-                settings.L,
-                noise=noise,
-                enp_schedule=schedule,
-                workers=args.workers,
-            )
+            points = tf_curve(scheme, settings.L, noise=noise, enp_schedule=schedule)
             rows = [
                 [
                     scheme.value, settings.L, float(eta), noise.D,
@@ -614,10 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"random seed for sampled waiting times (default {DEFAULT_SEED})",
     )
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for parameter sweeps (default 1)",
-    )
-    parser.add_argument(
         "--scheme", choices=sorted(_SCHEME_NAMES), default=None,
         help="override the configured scheme",
     )
@@ -645,14 +635,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             settings = dataclasses.replace(
                 settings, enp_schedule=parse_enp_schedule(args.enp)
             )
-        if args.workers < 1:
-            raise ConfigError("--workers must be at least 1")
         manifest = RunManifest(
             command=args.command,
             config_path=str(args.config) if args.config else None,
             out_dir=str(args.out),
             seed=args.seed,
-            workers=args.workers,
             output_format=args.format,
             settings=settings,
         )

@@ -24,6 +24,14 @@ States with more than two excitations at a node appear only at second
 order in the excitation probability; they are kept as an explicit
 OVERFLOW bucket so that classification preserves trace exactly, and are
 treated as absorbing failure mass by the connection tables.
+
+Array layout
+------------
+A :class:`PatternState` stores its pattern masses as one read-only float
+array, ``masses``, in ``scheme_patterns(scheme)`` order (overflow last),
+next to its :class:`LogicalBlock`.  The protocol steps read and write
+this array directly; ``probs`` is a derived read-only mapping of the
+nonzero masses for I/O, the oracle projection and tests.
 """
 
 from __future__ import annotations
@@ -31,6 +39,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -53,8 +63,9 @@ class BellState(enum.Enum):
     PSI_PLUS = "psi_plus"
     PSI_MINUS = "psi_minus"
 
-    @property
+    @cached_property
     def index(self) -> int:
+        """Position in the (Phi+, Phi-, Psi+, Psi-) order of Bell arrays."""
         return _BELL_ORDER.index(self)
 
 
@@ -126,6 +137,33 @@ _VACUUM_PATTERNS = {
 }
 
 
+class _Layout(NamedTuple):
+    """Columns of a scheme's patterns in ``PatternState.masses``."""
+
+    column: Mapping[ExcitationPattern, int]
+    logical: int
+    vacuum: tuple[int, ...]
+
+
+def _make_layout(scheme: SchemeKind) -> _Layout:
+    column = {p: i for i, p in enumerate(scheme_patterns(scheme))}
+    vacuum = tuple(column[p] for p in _VACUUM_PATTERNS[scheme])
+    return _Layout(column, column[logical_pattern(scheme)], vacuum)
+
+
+_DLCZ_LAYOUT = _make_layout(SchemeKind.DLCZ)
+_NEW_LAYOUT = _make_layout(SchemeKind.NEW)
+
+
+def _layout(scheme: SchemeKind) -> _Layout:
+    return _DLCZ_LAYOUT if scheme is SchemeKind.DLCZ else _NEW_LAYOUT
+
+
+def logical_column(scheme: SchemeKind) -> int:
+    """Position of the logical pattern in ``scheme_patterns(scheme)``."""
+    return _layout(scheme).logical
+
+
 @dataclass(frozen=True)
 class LogicalBlock:
     """Bell-diagonal weights (Phi+, Phi-, Psi+, Psi-), normalized to 1.
@@ -141,7 +179,7 @@ class LogicalBlock:
     w_psi_minus: float = 0.0
 
     def __post_init__(self) -> None:
-        if min(self.as_array()) < -WEIGHT_TOL:
+        if min(self.as_tuple()) < -WEIGHT_TOL:
             raise ValueError("Bell weights must be non-negative")
 
     @classmethod
@@ -149,7 +187,7 @@ class LogicalBlock:
         w = np.asarray(w, dtype=float)
         if w.shape != (4,):
             raise ValueError("expected four Bell weights")
-        return cls(*map(float, w))
+        return cls(*w.tolist())
 
     @classmethod
     def pure(cls, bell: BellState) -> "LogicalBlock":
@@ -161,17 +199,18 @@ class LogicalBlock:
     def mixed(cls) -> "LogicalBlock":
         return cls(0.25, 0.25, 0.25, 0.25)
 
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.w_phi_plus, self.w_phi_minus, self.w_psi_plus, self.w_psi_minus)
+
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.w_phi_plus, self.w_phi_minus, self.w_psi_plus, self.w_psi_minus]
-        )
+        return np.array(self.as_tuple())
 
     def weight(self, bell: BellState) -> float:
-        return float(self.as_array()[bell.index])
+        return float(self.as_tuple()[bell.index])
 
     @property
     def total(self) -> float:
-        return float(self.as_array().sum())
+        return float(sum(self.as_tuple()))
 
     def normalized(self) -> "LogicalBlock":
         t = self.total
@@ -180,49 +219,120 @@ class LogicalBlock:
         return LogicalBlock.from_array(self.as_array() / t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PatternState:
     """Probabilities over excitation patterns plus the logical Bell block.
 
-    ``probs`` carries the full pattern mass including the logical
-    pattern; ``logical`` holds the Bell-diagonal weights conditioned on
-    being in the logical pattern (they sum to 1). Sub-normalized states
-    are allowed; ``normalized`` reports whether the mass sums to 1.
+    ``masses`` is a read-only float array of the full pattern masses in
+    ``scheme_patterns(scheme)`` order, the logical pattern included;
+    ``logical`` holds the Bell-diagonal weights conditioned on being in
+    the logical pattern (they sum to 1).  ``probs`` maps each pattern of
+    nonzero mass to its mass, and ``total`` is the summed mass.
+    Sub-normalized states are allowed; ``normalized`` reports whether the
+    mass sums to 1.  States are immutable.
+
+    ``PatternState(scheme, probs, logical)`` builds a state from a
+    pattern -> mass mapping; ``PatternState.from_masses`` from an array
+    in the layout above.  Both reject patterns outside the scheme,
+    masses below ``-WEIGHT_TOL`` and Bell weights that do not sum to 1.
     """
 
     scheme: SchemeKind
-    probs: Mapping[ExcitationPattern, float]
-    logical: LogicalBlock = LogicalBlock()
+    masses: np.ndarray
+    logical: LogicalBlock
+    total: float
 
-    def __post_init__(self) -> None:
-        allowed = set(scheme_patterns(self.scheme))
-        clean = {}
-        for pat, p in self.probs.items():
-            if pat not in allowed:
-                raise ValueError(f"pattern {pat} not valid for scheme {self.scheme}")
+    def __init__(
+        self,
+        scheme: SchemeKind,
+        probs: Mapping[ExcitationPattern, float],
+        logical: LogicalBlock = LogicalBlock(),
+    ) -> None:
+        column = _layout(scheme).column
+        masses = np.zeros(len(column))
+        for pat, p in probs.items():
+            if pat not in column:
+                raise ValueError(f"pattern {pat} not valid for scheme {scheme}")
             if p < -WEIGHT_TOL:
                 raise ValueError(f"negative pattern probability: {pat} = {p}")
-            if p != 0.0:
-                clean[pat] = float(p)
-        object.__setattr__(self, "probs", clean)
-        block = self.logical.total
+            masses[column[pat]] = p
+        self._freeze(scheme, masses, logical, masses.tolist())
+
+    @classmethod
+    def from_masses(
+        cls, scheme: SchemeKind, masses: Sequence[float], logical: LogicalBlock
+    ) -> "PatternState":
+        """State from pattern masses in ``scheme_patterns(scheme)`` order."""
+        patterns = scheme_patterns(scheme)
+        masses = np.array(masses, dtype=float)
+        if masses.shape != (len(patterns),):
+            raise ValueError(
+                f"expected {len(patterns)} pattern masses for scheme {scheme},"
+                f" got shape {masses.shape}"
+            )
+        values = masses.tolist()
+        if min(values) < -WEIGHT_TOL:
+            i = next(i for i, p in enumerate(values) if p < -WEIGHT_TOL)
+            raise ValueError(
+                f"negative pattern probability: {patterns[i]} = {values[i]}"
+            )
+        state = cls.__new__(cls)
+        state._freeze(scheme, masses, logical, values)
+        return state
+
+    def _freeze(
+        self,
+        scheme: SchemeKind,
+        masses: np.ndarray,
+        logical: LogicalBlock,
+        values: list[float],
+    ) -> None:
+        """Check the block and set the fields; ``values`` lists ``masses``."""
+        block = logical.total
         if abs(block - 1.0) > 1e-9:
             raise ValueError(f"logical block weights sum to {block}, expected 1")
+        masses.flags.writeable = False
+        fields = self.__dict__
+        fields["scheme"] = scheme
+        fields["masses"] = masses
+        fields["logical"] = logical
+        fields["total"] = float(sum(values))
 
-    def prob(self, pattern: ExcitationPattern) -> float:
-        return self.probs.get(pattern, 0.0)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PatternState):
+            return NotImplemented
+        return (
+            self.scheme is other.scheme
+            and self.logical == other.logical
+            and np.array_equal(self.masses, other.masses)
+        )
 
     @property
-    def total(self) -> float:
-        return float(sum(self.probs.values()))
+    def probs(self) -> Mapping[ExcitationPattern, float]:
+        """Read-only mapping of the nonzero pattern masses, in scheme order."""
+        return MappingProxyType(
+            {
+                pat: p
+                for pat, p in zip(scheme_patterns(self.scheme), self.masses.tolist())
+                if p != 0.0
+            }
+        )
+
+    def prob(self, pattern: ExcitationPattern) -> float:
+        column = _layout(self.scheme).column.get(pattern)
+        return 0.0 if column is None else float(self.masses[column])
 
     @property
     def normalized(self) -> bool:
         return abs(self.total - 1.0) <= WEIGHT_TOL
 
+    def logical_mass(self) -> float:
+        """Probability of the logical pattern."""
+        return float(self.masses[logical_column(self.scheme)])
+
     def bell_masses(self) -> np.ndarray:
         """Absolute Bell masses: logical-pattern probability times weights."""
-        return self.prob(logical_pattern(self.scheme)) * self.logical.as_array()
+        return self.logical_mass() * self.logical.as_array()
 
 
 class PatternAggregate(NamedTuple):
@@ -238,10 +348,10 @@ def aggregate(state: PatternState) -> PatternAggregate:
     Two-cell scheme: logical is P11, vacuum is P00 + P10 (states with at
     most one excitation between both pairs of cells), rest is multi.
     """
-    logical = logical_pattern(state.scheme)
-    vacuum = _VACUUM_PATTERNS[state.scheme]
-    p_logic = state.prob(logical)
-    p_vac = sum(state.prob(p) for p in vacuum)
+    layout = _layout(state.scheme)
+    masses = state.masses.tolist()
+    p_logic = masses[layout.logical]
+    p_vac = sum(masses[i] for i in layout.vacuum)
     p_multi = state.total - p_logic - p_vac
     return PatternAggregate(p_logic, p_vac, float(p_multi))
 
@@ -254,7 +364,7 @@ def fidelity(state: PatternState, target: BellState) -> float:
     """
     if not state.normalized:
         raise ValueError("fidelity requires a normalized state")
-    return aggregate(state).p_logic * state.logical.weight(target)
+    return state.logical_mass() * state.logical.weight(target)
 
 
 def logical_fidelity(state: PatternState, target: BellState) -> float:
@@ -266,11 +376,7 @@ def normalize(state: PatternState) -> PatternState:
     total = state.total
     if total <= 0.0:
         raise ValueError("cannot normalize a zero-trace pattern state")
-    return PatternState(
-        state.scheme,
-        {p: v / total for p, v in state.probs.items()},
-        state.logical,
-    )
+    return PatternState.from_masses(state.scheme, state.masses / total, state.logical)
 
 
 def apply_bell_channel(state: PatternState, channel: np.ndarray) -> PatternState:
@@ -287,7 +393,9 @@ def apply_bell_channel(state: PatternState, channel: np.ndarray) -> PatternState
     if not np.allclose(channel.sum(axis=0), 1.0, atol=1e-9):
         raise ValueError("Bell channel columns must sum to 1")
     w = channel @ state.logical.as_array()
-    return PatternState(state.scheme, dict(state.probs), LogicalBlock.from_array(w))
+    return PatternState.from_masses(
+        state.scheme, state.masses, LogicalBlock.from_array(w)
+    )
 
 
 # ----------------------------------------------------------------------

@@ -28,14 +28,12 @@ from .patterns import (
     LogicalBlock,
     PatternState,
     SchemeKind,
-    logical_pattern,
-    scheme_patterns,
+    logical_column,
 )
 from .tables import (
     ConnectionTable,
     enc_table,
     enp_table,
-    output_patterns,
     pme_table,
     state_selection,
 )
@@ -132,15 +130,13 @@ def eng(
 
 def _row(state: PatternState) -> np.ndarray:
     """Pattern masses in scheme order, then the absolute Bell masses."""
-    logical = logical_pattern(state.scheme)
     if (
         state.scheme is SchemeKind.DLCZ
-        and logical in state.probs
+        and state.logical_mass() != 0.0
         and (state.logical.w_phi_plus > 0.0 or state.logical.w_phi_minus > 0.0)
     ):
         raise ValueError("single-rail pairs carry only odd-parity Bell weight")
-    masses = [state.probs.get(p, 0.0) for p in scheme_patterns(state.scheme)]
-    return np.concatenate((masses, state.bell_masses()))
+    return np.concatenate((state.masses, state.bell_masses()))
 
 
 def _component_masses(state: PatternState) -> np.ndarray:
@@ -158,19 +154,17 @@ def _apply_table(
     out_scheme = table.output_scheme
     x_left = _component_masses(left)
     x_right = x_left if right is left else _component_masses(right)
-    dense = np.einsum("oab,a,b->o", table.tensor, x_left, x_right)
-    patterns = output_patterns(out_scheme)
-    out_masses = dict(zip(patterns, dense[: len(patterns)].tolist()))
-    bell = dense[len(patterns):]
+    row = np.einsum("oab,a,b->o", table.tensor, x_left, x_right)
+    masses, bell = row[:-4], row[-4:]
     p_logical = float(bell.sum())
     if p_logical > 0.0:
-        out_masses[logical_pattern(out_scheme)] = p_logical
+        masses[logical_column(out_scheme)] = p_logical
         block = LogicalBlock.from_array(bell / p_logical)
     else:
         block = LogicalBlock.pure(
             BellState.PSI_PLUS if out_scheme is SchemeKind.DLCZ else BellState.PHI_PLUS
         )
-    out = PatternState(scheme=out_scheme, probs=out_masses, logical=block)
+    out = PatternState.from_masses(out_scheme, masses, block)
     return StepOutcome(out=out, success_prob=out.total)
 
 

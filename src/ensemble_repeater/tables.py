@@ -15,9 +15,10 @@ label.  Overflow components (more than two excitations per node) have
 no canonical representative and are treated as absorbing: any input
 mass assigned to them is dropped by the connection step.
 
-A step applies a table as one dense contraction: ``ConnectionTable.tensor``
-holds the entries as ``T[o, a, b]`` and ``state_selection`` picks the
-canonical component masses out of a state row.
+A step applies a table as one dense contraction: ``state_selection``
+picks the canonical component masses out of a state row (pattern
+masses, then Bell masses) and ``ConnectionTable.tensor``, ``T[o, a, b]``,
+maps a pair of them to the output state row.
 """
 
 from __future__ import annotations
@@ -64,17 +65,6 @@ def canonical_keys(scheme: SchemeKind) -> tuple[Key, ...]:
         else:
             keys.append((pattern, None))
     return tuple(keys)
-
-
-@lru_cache(maxsize=None)
-def output_patterns(scheme: SchemeKind) -> tuple[ExcitationPattern, ...]:
-    """Non-logical patterns of a scheme, overflow included, in scheme order.
-
-    These are the pattern rows of ``ConnectionTable.tensor``; the four
-    Bell masses of the logical pattern follow them.
-    """
-    logical = logical_pattern(scheme)
-    return tuple(p for p in scheme_patterns(scheme) if p is not logical)
 
 
 @lru_cache(maxsize=None)
@@ -137,13 +127,17 @@ class ConnectionTable:
         """Dense entries ``T[o, a, b]``, built on first use.
 
         ``a`` and ``b`` run over ``canonical_keys(scheme)``; ``o`` runs
-        over ``output_patterns(output_scheme)``, then the four absolute
-        Bell masses of the logical output.  Entries with no accepted
-        mass stay zero.
+        over the state row of the output scheme: its pattern masses in
+        ``scheme_patterns`` order, then the four absolute Bell masses of
+        the logical output.  The logical pattern's own row stays zero
+        (its mass is the sum of the Bell masses), as do entries with no
+        accepted mass.
         """
         keys = canonical_keys(self.scheme)
-        rows = {p: o for o, p in enumerate(output_patterns(self.output_scheme))}
-        n = len(rows)
+        patterns = scheme_patterns(self.output_scheme)
+        logical = logical_pattern(self.output_scheme)
+        rows = {p: o for o, p in enumerate(patterns) if p is not logical}
+        n = len(patterns)
         tensor = np.zeros((n + 4, len(keys), len(keys)))
         for a, alpha in enumerate(keys):
             for b, beta in enumerate(keys):

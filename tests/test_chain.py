@@ -29,7 +29,6 @@ from ensemble_repeater.chain import (
 from ensemble_repeater.noise import NoiseParams
 from ensemble_repeater.patterns import SchemeKind
 from ensemble_repeater.protocols import EnpKind
-from ensemble_repeater.tables import _enc_table, pme_table
 
 NEW = SchemeKind.NEW
 DLCZ = SchemeKind.DLCZ
@@ -88,6 +87,15 @@ def test_config_rejects_overflowing_elementary_time():
     with pytest.raises(ValueError, match=r"exp\(L0 / L_att\) overflows"):
         _config(L_att=40.0 / 710.0)
     _config(L_att=40.0 / 709.0)  # exp(709) is still a float
+
+
+def test_config_rejects_infinite_elementary_time():
+    """exp(L0 / L_att) is finite here, but the elementary time is not."""
+    config = dict(scheme=DLCZ, L=2836.0, L0=709.0, L_att=1.0, p_c=1e-3)
+    assert math.isinf(elementary_time(1e-3, 0.9, 709.0, 1.0, 2.0e5))
+    with pytest.raises(ValueError, match=r"^the elementary time .* overflows for L0 = 709"):
+        _config(**config)
+    _config(**config, c_fiber=2.0e6)  # ten times faster fiber keeps it finite
 
 
 def test_single_rail_chains_reject_step_noise():
@@ -355,33 +363,6 @@ def test_optimize_reports_infeasible_targets():
     assert optimize(NEW, 160.0, 0.995, noise=noise) is None
     with pytest.raises(ValueError):
         optimize(NEW, 160.0, 1.5)
-
-
-def test_worker_pool_matches_serial_sweeps():
-    serial = optimize(DLCZ, 160.0, 0.9, workers=1)
-    assert serial is not None
-    assert optimize(DLCZ, 160.0, 0.9, workers=2) == serial
-    noise = NoiseParams(eta=0.95, D=1e-3)
-    sweep = np.logspace(-4, -1, 13)
-    serial = tf_curve(DLCZ, 160.0, noise=noise, p_c_sweep=sweep, workers=1)
-    assert serial
-    assert tf_curve(DLCZ, 160.0, noise=noise, p_c_sweep=sweep, workers=2) == serial
-
-
-def test_worker_pool_gets_tables_built_in_parent():
-    """A pooled sweep builds its tables before forking, so no worker does."""
-    noise = NoiseParams(eta=0.91, D=1e-3)
-    _enc_table.cache_clear()
-    pme_table.cache_clear()
-    # An unreachable target: optimize runs no chain after the sweep, so
-    # only the build before the pool can have filled the parent's caches.
-    assert optimize(DLCZ, 160.0, 0.999, noise=noise, workers=2) is None
-    assert _enc_table.cache_info().currsize == 1
-    assert pme_table.cache_info().currsize == 1
-    assert optimize(DLCZ, 160.0, 0.999, noise=noise, workers=1) is None
-    pooled = optimize(DLCZ, 160.0, 0.9, noise=noise, workers=2)
-    assert pooled is not None
-    assert pooled == optimize(DLCZ, 160.0, 0.9, noise=noise, workers=1)
 
 
 def test_tf_curve_is_a_trade_off():

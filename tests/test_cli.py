@@ -140,6 +140,16 @@ def test_main_writes_manifest_and_reference(tmp_path):
     assert (out / CONFIG_REFERENCE_NAME).exists()
 
 
+def test_manifest_keys(tmp_path):
+    """Sweeps run serially, so the manifest records no process count."""
+    rc, out = _run(tmp_path, "simulate")
+    assert rc == EXIT_OK
+    manifest = json.loads((out / MANIFEST_NAME).read_text())
+    assert set(manifest) == {
+        "command", "config_path", "out_dir", "output_format", "seed", "settings",
+    }
+
+
 def test_simulate_outputs_are_deterministic(tmp_path):
     rc1, out1 = _run(tmp_path / "a", "simulate")
     rc2, out2 = _run(tmp_path / "b", "simulate")
@@ -188,7 +198,6 @@ def test_mc_seed_changes_simulated_times(tmp_path):
         pytest.param(
             "[chain]\nL = 300\n", [], "simulate", "power of 2", id="not-power-of-two"
         ),
-        pytest.param(None, ["--workers", "0"], "simulate", "--workers", id="no-workers"),
         pytest.param(
             None, ["--enp", "bogus"], "simulate", "purification step", id="bad-enp"
         ),
@@ -280,6 +289,18 @@ def test_bad_configuration_exits_3(tmp_path, capsys, body, argv, command, messag
             " got p_misalign = 0.0, p_dark = 0.001",
             id="single-rail-dark-counts",
         ),
+        pytest.param(
+            "[chain]\nscheme = dlcz\nL0 = 709\nL = 2836\nL_att = 1\np_c = 0.001\n",
+            "simulate",
+            "the elementary time (L0 / c_fiber) exp(L0 / L_att) / (p_c eta) overflows"
+            " for L0 = 709, L_att = 1, p_c = 0.001, eta = 0.95",
+            id="infinite-elementary-time",
+        ),
+        # scaling_fit spaces every chain at [chain] L0, not on the grid.
+        pytest.param(
+            "[chain]\nL0 = 30\n", "scaling", "L/L0 must be a power of 2 (at least 2)",
+            id="scaling-off-power-of-two",
+        ),
     ],
 )
 def test_rejected_run_writes_no_manifest(tmp_path, capsys, body, command, message):
@@ -296,7 +317,8 @@ def test_rejected_run_writes_no_manifest(tmp_path, capsys, body, command, messag
     "argv, code",
     [
         pytest.param(["--format", "xml", "simulate"], EXIT_BAD_CONFIG, id="bad-format"),
-        pytest.param(["--workers", "x", "simulate"], EXIT_BAD_CONFIG, id="bad-workers"),
+        # Sweeps run serially; the process-pool option is gone.
+        pytest.param(["--workers", "2", "optimize"], EXIT_BAD_CONFIG, id="removed-pool-option"),
         pytest.param(["--out", "unused"], EXIT_BAD_CONFIG, id="no-command"),
         pytest.param(["--help"], EXIT_OK, id="help"),
     ],

@@ -5,6 +5,7 @@ import pytest
 
 from ensemble_repeater.noise import misalignment_channel
 from ensemble_repeater.patterns import (
+    WEIGHT_TOL,
     BellState,
     ExcitationPattern,
     LogicalBlock,
@@ -60,10 +61,87 @@ def test_logical_block_rejects_negative_weights():
 
 
 def test_pattern_state_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError,
+        match=r"^pattern ExcitationPattern\.P20_PERP not valid for scheme SchemeKind\.DLCZ$",
+    ):
         PatternState(SchemeKind.DLCZ, {ExcitationPattern.P20_PERP: 1.0})
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=r"^negative pattern probability: ExcitationPattern\.P10 = -0\.5$"
+    ):
         PatternState(SchemeKind.DLCZ, {ExcitationPattern.P10: -0.5})
+    with pytest.raises(ValueError, match=r"^logical block weights sum to 0\.5, expected 1$"):
+        PatternState(
+            SchemeKind.NEW, {ExcitationPattern.P11: 1.0}, LogicalBlock(0.5, 0.0, 0.0, 0.0)
+        )
+    # The first offending pattern in input order is named.
+    with pytest.raises(ValueError, match=r"P20 = -0\.25$"):
+        PatternState(
+            SchemeKind.DLCZ, {ExcitationPattern.P20: -0.25, ExcitationPattern.P00: -0.5}
+        )
+
+
+def test_pattern_state_masses_follow_scheme_order():
+    probs = {
+        ExcitationPattern.P21_PERP: 0.125,
+        ExcitationPattern.P00: 0.25,
+        ExcitationPattern.P11: 0.625,
+        ExcitationPattern.P10: 0.0,
+    }
+    state = PatternState(SchemeKind.NEW, probs, LogicalBlock.pure(BellState.PHI_PLUS))
+    assert state.probs == {p: v for p, v in probs.items() if v != 0.0}
+    assert list(state.probs) == [
+        ExcitationPattern.P00, ExcitationPattern.P11, ExcitationPattern.P21_PERP
+    ]
+    assert state.masses.tolist() == [
+        probs.get(p, 0.0) for p in scheme_patterns(SchemeKind.NEW)
+    ]
+    assert state.total == 1.0 and state.normalized
+    same = PatternState.from_masses(
+        SchemeKind.NEW, state.masses, LogicalBlock.pure(BellState.PHI_PLUS)
+    )
+    assert same == state
+    assert same != PatternState.from_masses(
+        SchemeKind.NEW, state.masses, LogicalBlock.pure(BellState.PSI_PLUS)
+    )
+    with pytest.raises(ValueError, match="expected 7 pattern masses"):
+        PatternState.from_masses(SchemeKind.DLCZ, state.masses, LogicalBlock())
+
+
+def test_pattern_state_is_immutable():
+    masses = np.array([0.25, 0.75, 0.0, 0.0, 0.0, 0.0, 0.0])
+    state = PatternState.from_masses(
+        SchemeKind.DLCZ, masses, LogicalBlock.pure(BellState.PSI_PLUS)
+    )
+    masses[0] = 1.0  # the state keeps its own copy
+    assert state.prob(ExcitationPattern.P00) == 0.25
+    with pytest.raises(AttributeError):
+        state.scheme = SchemeKind.NEW
+    with pytest.raises(AttributeError):
+        state.total = 2.0
+    with pytest.raises(AttributeError):
+        del state.logical
+    with pytest.raises(ValueError):
+        state.masses[0] = 0.5
+    with pytest.raises(TypeError):
+        state.probs[ExcitationPattern.P00] = 0.5
+    assert state.masses.tolist() == [0.25, 0.75, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+
+def test_from_masses_rejects_negative_mass():
+    """Array-built states, as every step builds, keep the negativity check."""
+    masses = [0.0] * len(scheme_patterns(SchemeKind.NEW))
+    masses[0] = -0.5 * WEIGHT_TOL  # within tolerance: kept as is
+    masses[4] = -2.0 * WEIGHT_TOL
+    masses[6] = -0.25
+    with pytest.raises(
+        ValueError,
+        match=r"^negative pattern probability: ExcitationPattern\.P20_PERP = -2e-12$",
+    ):
+        PatternState.from_masses(SchemeKind.NEW, masses, LogicalBlock())
+    masses[4] = masses[6] = 0.0
+    state = PatternState.from_masses(SchemeKind.NEW, masses, LogicalBlock())
+    assert state.probs == {ExcitationPattern.P00: -0.5 * WEIGHT_TOL}
 
 
 def test_pattern_state_total_and_normalize():

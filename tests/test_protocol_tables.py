@@ -32,6 +32,7 @@ from ensemble_repeater.protocols import (
     predicted_logical_error,
 )
 from ensemble_repeater.tables import (
+    ConnectionTable,
     canonical_keys,
     enc_table,
     enp_table,
@@ -422,6 +423,31 @@ def test_single_rail_states_cannot_carry_even_parity_weight():
     )
     with pytest.raises(ValueError):
         enc(DLCZ, bad, bad, ETA)
+
+
+def test_step_checks_keep_their_messages():
+    """The scheme, parity and state checks still run on the array a step
+    reads and writes."""
+    pair = eng(NEW, 0.01, NoiseParams(eta=ETA), 40.0)
+    dlcz_pair = PatternState(DLCZ, {P.P10: 1.0}, LogicalBlock.pure(B.PSI_PLUS))
+    with pytest.raises(ValueError, match="^input scheme does not match table scheme$"):
+        enc(NEW, pair, dlcz_pair, ETA)
+    even = PatternState(DLCZ, {P.P10: 1.0}, LogicalBlock.pure(B.PHI_MINUS))
+    with pytest.raises(
+        ValueError, match="^single-rail pairs carry only odd-parity Bell weight$"
+    ):
+        enc(DLCZ, even, dlcz_pair, ETA)
+    table = enc_table(NEW, ETA)
+    broken = ConnectionTable(
+        table.scheme, table.op, table.variant, table.eta, table.entries
+    )
+    tensor = table.tensor.copy()
+    tensor[0] = -1.0  # every input pair now feeds negative P00 mass
+    broken.__dict__["tensor"] = tensor
+    assert _apply_table(table, pair, pair).out.prob(P.P00) >= 0.0
+    message = r"^negative pattern probability: ExcitationPattern\.P00 = -"
+    with pytest.raises(ValueError, match=message):
+        _apply_table(broken, pair, pair)
 
 
 def test_generation_composition():
