@@ -34,7 +34,6 @@ from .patterns import (
     aggregate,
     apply_bell_channel,
     fidelity,
-    logical_fidelity,
     normalize,
 )
 from .protocols import EnpKind, enc, eng, enp, postselect_pme
@@ -239,15 +238,16 @@ def _record(
     t: float,
 ) -> LevelRecord:
     agg = aggregate(state)
+    logical = state.logical
     return LevelRecord(
         level=level,
         stage=stage,
         p_logic=agg.p_logic,
         p_vac=agg.p_vac,
         p_multi=agg.p_multi,
-        bell=tuple(map(float, state.logical.as_tuple())),
+        bell=logical.as_tuple(),
         fidelity=fidelity(state, target),
-        logical_fidelity=logical_fidelity(state, target),
+        logical_fidelity=logical.weight(target),
         success_prob=success,
         t_avg=t,
     )
@@ -302,83 +302,58 @@ def simulate_chain(
     noise = config.noise
     eta = noise.eta
     channel = _step_channel(noise)
-    schedule: dict[int, list[EnpKind]] = {}
-    for m, kind in config.enp_schedule:
-        schedule.setdefault(m, []).append(kind)
+    stages: list[Tuple[str, int, Optional[EnpKind]]] = []
+    for level in range(1, config.num_levels + 1):
+        stages.append(("enc", level, None))
+        stages.extend(
+            ("enp", level, kind) for m, kind in config.enp_schedule if m == level
+        )
+    if scheme is SchemeKind.DLCZ:
+        stages.append(("pme", config.num_levels + 1, None))
 
     state = eng(scheme, config.p_c, noise, config.L0)
-    t0 = elementary_time(config.p_c, eta, config.L0, config.L_att, config.c_fiber)
-    if scheme is SchemeKind.NEW:
-        t = TWO_PAIR_OVERHEAD * t0
-    else:
-        t = t0
-    times = mc.elementary(config) if mc else None
     if mc:
+        times = mc.elementary(config)
         t = float(times.mean())
-
+    else:
+        t = elementary_time(config.p_c, eta, config.L0, config.L_att, config.c_fiber)
+        if scheme is SchemeKind.NEW:
+            t *= TWO_PAIR_OVERHEAD
     records = [_record(0, "eng", state, _target_bell(scheme, False), 1.0, t)]
+    target = _target_bell(scheme, True)
 
-    def heralded(step_fn, current, current_t, current_times, stage, level):
-        outcome = step_fn(current)
-        if outcome.success_prob <= 0.0:
+    for stage, level, kind in stages:
+        if stage == "enc":
+            outcome = enc(scheme, state, state, eta, level=level)
+        elif stage == "enp":
+            outcome = enp(kind, state, state, eta)
+        else:
+            outcome = postselect_pme(state, state, eta)
+        success = outcome.success_prob
+        if success <= 0.0:
             raise ZeroDivisionError(
                 f"{stage} at level {level} has zero success probability"
             )
-        out = normalize(outcome.out)
+        state = normalize(outcome.out)
         if channel is not None:
-            out = apply_bell_channel(out, channel)
-        if current_times is not None:
-            new_times = mc.combine(current_times, outcome.success_prob)
-            new_t = float(new_times.mean())
+            state = apply_bell_channel(state, channel)
+        if mc:
+            times = mc.combine(times, success)
+            t = float(times.mean())
         else:
-            new_times = None
-            new_t = TWO_PAIR_OVERHEAD * current_t / outcome.success_prob
-        records.append(
-            _record(
-                level,
-                stage,
-                out,
-                _target_bell(scheme, level >= 1),
-                outcome.success_prob,
-                new_t,
-            )
-        )
-        return out, new_t, new_times
+            t = TWO_PAIR_OVERHEAD * t / success
+        records.append(_record(level, stage, state, target, success, t))
 
-    for level in range(1, config.num_levels + 1):
-        state, t, times = heralded(
-            lambda s: enc(scheme, s, s, eta, level=level),
-            state,
-            t,
-            times,
-            "enc",
-            level,
-        )
-        for kind in schedule.get(level, []):
-            state, t, times = heralded(
-                lambda s, k=kind: enp(k, s, s, eta),
-                state,
-                t,
-                times,
-                "enp",
-                level,
+    for rec in records:
+        if not math.isfinite(rec.t_avg):
+            raise OverflowError(
+                f"the average time of {rec.stage} at level {rec.level} overflows"
             )
 
-    if scheme is SchemeKind.DLCZ:
-        state, t, times = heralded(
-            lambda s: postselect_pme(s, s, eta),
-            state,
-            t,
-            times,
-            "pme",
-            config.num_levels + 1,
-        )
-
-    final_target = _target_bell(scheme, config.num_levels >= 1)
     return RunResult(
         config=config,
         per_level=tuple(records),
-        final=(t, fidelity(state, final_target)),
+        final=(t, fidelity(state, target)),
     )
 
 
@@ -404,44 +379,29 @@ def feasible_l0(scheme: SchemeKind, L: float) -> Tuple[float, ...]:
     return tuple(L0 for L0 in L0_GRID if _spacing_problem(scheme, L, L0) is None)
 
 
-def _grid_rows(
-    scheme: SchemeKind,
-    L: float,
-    L0: float,
-    noise: NoiseParams,
-    enp_schedule: Tuple[Tuple[int, EnpKind], ...],
-    p_cs: Tuple[float, ...],
-) -> list:
+def _grid_rows(chain: dict, L0: float, p_cs: Tuple[float, ...]) -> list:
     """(t_avg, F, logical F) for every p_c at one spacing, in order.
 
-    An entry is None where some step of the chain never succeeds.
+    ``chain`` holds the other ``RepeaterConfig`` arguments.  An entry is
+    None where a step never succeeds or a stage time overflows.
     """
     rows = []
     for p_c in p_cs:
-        config = RepeaterConfig(
-            scheme=scheme, L=L, L0=L0, p_c=p_c, noise=noise,
-            enp_schedule=enp_schedule,
-        )
+        config = RepeaterConfig(L0=L0, p_c=p_c, **chain)
         try:
             result = simulate_chain(config)
-        except ZeroDivisionError:
+        except ArithmeticError:
             rows.append(None)
             continue
         rows.append((result.t_avg, result.fidelity, result.final_logical_fidelity))
     return rows
 
 
-def _sweep_spacings(
-    scheme: SchemeKind,
-    L: float,
-    noise: NoiseParams,
-    enp_schedule: Tuple[Tuple[int, EnpKind], ...],
-    p_cs: Tuple[float, ...],
-) -> list:
+def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     """(L0, grid rows) for every feasible spacing, in grid order."""
     return [
-        (L0, _grid_rows(scheme, L, L0, noise, enp_schedule, p_cs))
-        for L0 in feasible_l0(scheme, L)
+        (L0, _grid_rows(chain, L0, p_cs))
+        for L0 in feasible_l0(chain["scheme"], chain["L"])
     ]
 
 
@@ -451,6 +411,8 @@ def optimize(
     F_target: float,
     noise: NoiseParams = NoiseParams(),
     enp_schedule: Tuple[Tuple[int, EnpKind], ...] = (),
+    L_att: float = RepeaterConfig.L_att,
+    c_fiber: float = RepeaterConfig.c_fiber,
 ) -> Optional[Tuple[RepeaterConfig, RunResult]]:
     """Fastest configuration reaching the target fidelity.
 
@@ -460,9 +422,13 @@ def optimize(
     """
     if not 0.0 < F_target < 1.0:
         raise ValueError("F_target must lie in (0, 1)")
+    chain = dict(
+        scheme=scheme, L=L, noise=noise, L_att=L_att, c_fiber=c_fiber,
+        enp_schedule=enp_schedule,
+    )
     p_cs = tuple(float(p) for p in pc_grid())
     best = None  # (t, L0, p_c)
-    for L0, rows in _sweep_spacings(scheme, L, noise, enp_schedule, p_cs):
+    for L0, rows in _sweep_spacings(chain, p_cs):
         for p_c, row in zip(p_cs, rows):
             if row is None:
                 continue
@@ -475,9 +441,7 @@ def optimize(
     if best is None:
         return None
     _, L0, p_c = best
-    config = RepeaterConfig(
-        scheme=scheme, L=L, L0=L0, p_c=p_c, noise=noise, enp_schedule=enp_schedule
-    )
+    config = RepeaterConfig(L0=L0, p_c=p_c, **chain)
     return config, simulate_chain(config)
 
 
@@ -487,6 +451,8 @@ def tf_curve(
     noise: NoiseParams = NoiseParams(),
     enp_schedule: Tuple[Tuple[int, EnpKind], ...] = (),
     p_c_sweep: Optional[Sequence[float]] = None,
+    L_att: float = RepeaterConfig.L_att,
+    c_fiber: float = RepeaterConfig.c_fiber,
 ) -> list:
     """Time/fidelity trade-off swept over p_c with per-point L0 choice.
 
@@ -500,7 +466,11 @@ def tf_curve(
     """
     sweep = pc_grid() if p_c_sweep is None else np.asarray(p_c_sweep, dtype=float)
     p_cs = tuple(float(p) for p in sweep)
-    per_l0 = _sweep_spacings(scheme, L, noise, enp_schedule, p_cs)
+    chain = dict(
+        scheme=scheme, L=L, noise=noise, L_att=L_att, c_fiber=c_fiber,
+        enp_schedule=enp_schedule,
+    )
+    per_l0 = _sweep_spacings(chain, p_cs)
 
     candidates = []  # (t, F, p_c index, L0)
     for i in range(len(sweep)):
@@ -557,11 +527,14 @@ def scaling_configs(
     L_values: Sequence[float],
     L0: float = 40.0,
     p_c_scale: float = 0.26,
+    L_att: float = RepeaterConfig.L_att,
+    c_fiber: float = RepeaterConfig.c_fiber,
 ) -> list:
     """The chains ``scaling_fit`` simulates: one per L, p_c = p_c_scale * L0 / L."""
     return [
         RepeaterConfig(
-            scheme=scheme, L=float(L), L0=L0, p_c=p_c_scale * L0 / L, noise=noise
+            scheme=scheme, L=float(L), L0=L0, p_c=p_c_scale * L0 / L, noise=noise,
+            L_att=L_att, c_fiber=c_fiber,
         )
         for L in L_values
     ]
@@ -575,13 +548,17 @@ def scaling_fit(
     p_c_scale: float = 0.26,
     waiting: str = "deterministic",
     seed: int = 0,
+    L_att: float = RepeaterConfig.L_att,
+    c_fiber: float = RepeaterConfig.c_fiber,
 ) -> Tuple[float, list]:
     """Fitted slope of log t_avg vs log L with p_c scaled as L0/L.
 
     Returns (slope, [(L, t_avg), ...]).
     """
     points = []
-    for config in scaling_configs(scheme, noise, L_values, L0, p_c_scale):
+    for config in scaling_configs(
+        scheme, noise, L_values, L0, p_c_scale, L_att, c_fiber
+    ):
         result = simulate_chain(config, waiting=waiting, seed=seed)
         points.append((config.L, result.t_avg))
     logs = np.log([p[0] for p in points])

@@ -338,6 +338,16 @@ def _chain_config(settings: Settings) -> RepeaterConfig:
     )
 
 
+def _sweep_options(settings: Settings) -> dict:
+    """The chain settings ``optimize`` takes as keyword arguments."""
+    return dict(
+        noise=settings.noise,
+        enp_schedule=settings.enp_schedule,
+        L_att=settings.L_att,
+        c_fiber=settings.c_fiber,
+    )
+
+
 def _check_chain_inputs(args, settings: Settings) -> None:
     """Raise on chain inputs the command would reject, before any output."""
     command = args.command
@@ -351,7 +361,10 @@ def _check_chain_inputs(args, settings: Settings) -> None:
         for L in settings.L_list:
             feasible_l0(settings.scheme, float(L))
     elif command == "scaling":
-        scaling_configs(settings.scheme, settings.noise, settings.L_list, settings.L0)
+        scaling_configs(
+            settings.scheme, settings.noise, settings.L_list, settings.L0,
+            L_att=settings.L_att, c_fiber=settings.c_fiber,
+        )
     if command == "curve":
         for eta in settings.eta_list:
             dataclasses.replace(settings.noise, eta=float(eta))
@@ -413,11 +426,7 @@ def _optimum_row(
 
 def cmd_optimize(args, settings: Settings, out_dir: Path) -> int:
     best = optimize(
-        settings.scheme,
-        settings.L,
-        settings.F_target,
-        noise=settings.noise,
-        enp_schedule=settings.enp_schedule,
+        settings.scheme, settings.L, settings.F_target, **_sweep_options(settings)
     )
     row = _optimum_row(settings.scheme, settings.L, best)
     csv_text = format_csv([row], header=_TABLE_COLUMNS)
@@ -455,11 +464,7 @@ def cmd_table(args, settings: Settings, out_dir: Path) -> int:
     feasible_count = 0
     for L in settings.L_list:
         best = optimize(
-            settings.scheme,
-            float(L),
-            settings.F_target,
-            noise=settings.noise,
-            enp_schedule=settings.enp_schedule,
+            settings.scheme, float(L), settings.F_target, **_sweep_options(settings)
         )
         feasible_count += best is not None
         rows.append(_optimum_row(settings.scheme, float(L), best))
@@ -506,7 +511,10 @@ def cmd_curve(args, settings: Settings, out_dir: Path) -> int:
     for scheme, schedule in _curve_variants(args, settings):
         for eta in settings.eta_list:
             noise = dataclasses.replace(settings.noise, eta=float(eta))
-            points = tf_curve(scheme, settings.L, noise=noise, enp_schedule=schedule)
+            points = tf_curve(
+                scheme, settings.L, noise=noise, enp_schedule=schedule,
+                L_att=settings.L_att, c_fiber=settings.c_fiber,
+            )
             rows = [
                 [
                     scheme.value, settings.L, float(eta), noise.D,
@@ -545,6 +553,8 @@ def cmd_scaling(args, settings: Settings, out_dir: Path) -> int:
         L0=settings.L0,
         waiting=settings.waiting,
         seed=args.seed,
+        L_att=settings.L_att,
+        c_fiber=settings.c_fiber,
     )
     eta = settings.noise.eta
     rows = [

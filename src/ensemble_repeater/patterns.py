@@ -27,11 +27,14 @@ treated as absorbing failure mass by the connection tables.
 
 Array layout
 ------------
-A :class:`PatternState` stores its pattern masses as one read-only float
-array, ``masses``, in ``scheme_patterns(scheme)`` order (overflow last),
-next to its :class:`LogicalBlock`.  The protocol steps read and write
-this array directly; ``probs`` is a derived read-only mapping of the
-nonzero masses for I/O, the oracle projection and tests.
+A :class:`PatternState` is one read-only float row: the pattern masses
+in ``scheme_patterns(scheme)`` order (overflow last, the logical
+pattern's mass included), then the four absolute Bell masses of the
+logical pattern, which sum to its mass.  The protocol steps read and
+write this row directly; the conditional Bell weights ``logical`` and
+the mapping ``probs`` are derived from it.  A state with no logical
+mass reports the scheme's pure default weights: Psi+ for DLCZ, Phi+ for
+the two-cell scheme.
 """
 
 from __future__ import annotations
@@ -138,7 +141,7 @@ _VACUUM_PATTERNS = {
 
 
 class _Layout(NamedTuple):
-    """Columns of a scheme's patterns in ``PatternState.masses``."""
+    """Columns of a scheme's patterns in ``PatternState.row``."""
 
     column: Mapping[ExcitationPattern, int]
     logical: int
@@ -221,25 +224,25 @@ class LogicalBlock:
 
 @dataclass(frozen=True, init=False, eq=False)
 class PatternState:
-    """Probabilities over excitation patterns plus the logical Bell block.
+    """One read-only float row: pattern masses, then Bell masses.
 
-    ``masses`` is a read-only float array of the full pattern masses in
-    ``scheme_patterns(scheme)`` order, the logical pattern included;
-    ``logical`` holds the Bell-diagonal weights conditioned on being in
-    the logical pattern (they sum to 1).  ``probs`` maps each pattern of
-    nonzero mass to its mass, and ``total`` is the summed mass.
-    Sub-normalized states are allowed; ``normalized`` reports whether the
-    mass sums to 1.  States are immutable.
+    ``row`` is laid out as the module docstring describes; ``masses``
+    and ``bell_masses()`` are views of it.  ``logical`` is derived: the
+    Bell masses over the logical mass, or the scheme's pure default when
+    that mass is zero.  ``probs`` maps each pattern of nonzero mass to
+    its mass, and ``total`` is the summed pattern mass.  Sub-normalized
+    states are allowed; ``normalized`` reports whether the mass sums to
+    1.  States are immutable.
 
     ``PatternState(scheme, probs, logical)`` builds a state from a
-    pattern -> mass mapping; ``PatternState.from_masses`` from an array
-    in the layout above.  Both reject patterns outside the scheme,
-    masses below ``-WEIGHT_TOL`` and Bell weights that do not sum to 1.
+    pattern -> mass mapping and conditional Bell weights;
+    ``PatternState.from_masses`` from pattern masses in scheme order.
+    Both reject patterns outside the scheme, masses below
+    ``-WEIGHT_TOL`` and Bell weights that do not sum to 1.
     """
 
     scheme: SchemeKind
-    masses: np.ndarray
-    logical: LogicalBlock
+    row: np.ndarray
     total: float
 
     def __init__(
@@ -248,64 +251,83 @@ class PatternState:
         probs: Mapping[ExcitationPattern, float],
         logical: LogicalBlock = LogicalBlock(),
     ) -> None:
-        column = _layout(scheme).column
-        masses = np.zeros(len(column))
+        layout = _layout(scheme)
+        masses = np.zeros(len(layout.column))
         for pat, p in probs.items():
-            if pat not in column:
+            if pat not in layout.column:
                 raise ValueError(f"pattern {pat} not valid for scheme {scheme}")
             if p < -WEIGHT_TOL:
                 raise ValueError(f"negative pattern probability: {pat} = {p}")
-            masses[column[pat]] = p
-        self._freeze(scheme, masses, logical, masses.tolist())
+            masses[layout.column[pat]] = p
+        self._set_row(scheme, _block_row(layout, masses, logical))
 
     @classmethod
     def from_masses(
         cls, scheme: SchemeKind, masses: Sequence[float], logical: LogicalBlock
     ) -> "PatternState":
         """State from pattern masses in ``scheme_patterns(scheme)`` order."""
-        patterns = scheme_patterns(scheme)
-        masses = np.array(masses, dtype=float)
-        if masses.shape != (len(patterns),):
+        layout = _layout(scheme)
+        masses = np.asarray(masses, dtype=float)
+        if masses.shape != (len(layout.column),):
             raise ValueError(
-                f"expected {len(patterns)} pattern masses for scheme {scheme},"
+                f"expected {len(layout.column)} pattern masses for scheme {scheme},"
                 f" got shape {masses.shape}"
             )
-        values = masses.tolist()
-        if min(values) < -WEIGHT_TOL:
-            i = next(i for i, p in enumerate(values) if p < -WEIGHT_TOL)
-            raise ValueError(
-                f"negative pattern probability: {patterns[i]} = {values[i]}"
-            )
+        return cls._from_row(scheme, _block_row(layout, masses, logical))
+
+    @classmethod
+    def _from_row(cls, scheme: SchemeKind, row: np.ndarray) -> "PatternState":
+        """State owning ``row``, a fresh array; every step builds its output here."""
         state = cls.__new__(cls)
-        state._freeze(scheme, masses, logical, values)
+        state._set_row(scheme, row)
         return state
 
-    def _freeze(
-        self,
-        scheme: SchemeKind,
-        masses: np.ndarray,
-        logical: LogicalBlock,
-        values: list[float],
-    ) -> None:
-        """Check the block and set the fields; ``values`` lists ``masses``."""
-        block = logical.total
-        if abs(block - 1.0) > 1e-9:
-            raise ValueError(f"logical block weights sum to {block}, expected 1")
-        masses.flags.writeable = False
+    def _set_row(self, scheme: SchemeKind, row: np.ndarray) -> None:
+        """Check ``row`` and freeze it as this state's.
+
+        Rejects a pattern mass (naming the first in scheme order) or a
+        Bell weight, Bell mass over logical mass, below ``-WEIGHT_TOL``.
+        """
+        layout = _layout(scheme)
+        n = len(layout.column)
+        values = row.tolist()
+        masses = values[:n]
+        if min(masses) < -WEIGHT_TOL:
+            i = next(i for i, p in enumerate(masses) if p < -WEIGHT_TOL)
+            pattern = scheme_patterns(scheme)[i]
+            raise ValueError(f"negative pattern probability: {pattern} = {masses[i]}")
+        mass = masses[layout.logical]
+        if mass != 0.0 and min(b / mass for b in values[n:]) < -WEIGHT_TOL:
+            raise ValueError("Bell weights must be non-negative")
+        row.flags.writeable = False
         fields = self.__dict__
         fields["scheme"] = scheme
-        fields["masses"] = masses
-        fields["logical"] = logical
-        fields["total"] = float(sum(values))
+        fields["row"] = row
+        fields["total"] = float(sum(masses))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PatternState):
             return NotImplemented
-        return (
-            self.scheme is other.scheme
-            and self.logical == other.logical
-            and np.array_equal(self.masses, other.masses)
-        )
+        return self.scheme is other.scheme and np.array_equal(self.row, other.row)
+
+    @property
+    def masses(self) -> np.ndarray:
+        """Read-only view of the pattern masses in scheme order."""
+        return self.row[:-4]
+
+    def bell_masses(self) -> np.ndarray:
+        """Read-only view of the absolute Bell masses of the logical pattern."""
+        return self.row[-4:]
+
+    @property
+    def logical(self) -> LogicalBlock:
+        """Bell weights conditioned on the logical pattern (they sum to 1)."""
+        values = self.row.tolist()
+        mass = values[logical_column(self.scheme)]
+        if mass == 0.0:
+            dlcz = self.scheme is SchemeKind.DLCZ
+            return LogicalBlock.pure(BellState.PSI_PLUS if dlcz else BellState.PHI_PLUS)
+        return LogicalBlock(*(b / mass for b in values[-4:]))
 
     @property
     def probs(self) -> Mapping[ExcitationPattern, float]:
@@ -320,7 +342,7 @@ class PatternState:
 
     def prob(self, pattern: ExcitationPattern) -> float:
         column = _layout(self.scheme).column.get(pattern)
-        return 0.0 if column is None else float(self.masses[column])
+        return 0.0 if column is None else float(self.row[column])
 
     @property
     def normalized(self) -> bool:
@@ -328,11 +350,17 @@ class PatternState:
 
     def logical_mass(self) -> float:
         """Probability of the logical pattern."""
-        return float(self.masses[logical_column(self.scheme)])
+        return float(self.row[logical_column(self.scheme)])
 
-    def bell_masses(self) -> np.ndarray:
-        """Absolute Bell masses: logical-pattern probability times weights."""
-        return self.logical_mass() * self.logical.as_array()
+
+def _block_row(
+    layout: _Layout, masses: np.ndarray, logical: LogicalBlock
+) -> np.ndarray:
+    """State row from pattern masses and conditional Bell weights."""
+    block = logical.total
+    if abs(block - 1.0) > 1e-9:
+        raise ValueError(f"logical block weights sum to {block}, expected 1")
+    return np.concatenate((masses, masses[layout.logical] * logical.as_array()))
 
 
 class PatternAggregate(NamedTuple):
@@ -349,7 +377,7 @@ def aggregate(state: PatternState) -> PatternAggregate:
     most one excitation between both pairs of cells), rest is multi.
     """
     layout = _layout(state.scheme)
-    masses = state.masses.tolist()
+    masses = state.row.tolist()
     p_logic = masses[layout.logical]
     p_vac = sum(masses[i] for i in layout.vacuum)
     p_multi = state.total - p_logic - p_vac
@@ -357,14 +385,14 @@ def aggregate(state: PatternState) -> PatternAggregate:
 
 
 def fidelity(state: PatternState, target: BellState) -> float:
-    """Full-state fidelity with a Bell target: p_logic times its weight.
+    """Full-state fidelity with a Bell target: the target's Bell mass.
 
     Vacuum and multi-excitation mass count as errors; see
     ``logical_fidelity`` for the post-selected figure.
     """
     if not state.normalized:
         raise ValueError("fidelity requires a normalized state")
-    return state.logical_mass() * state.logical.weight(target)
+    return float(state.bell_masses()[target.index])
 
 
 def logical_fidelity(state: PatternState, target: BellState) -> float:
@@ -376,11 +404,11 @@ def normalize(state: PatternState) -> PatternState:
     total = state.total
     if total <= 0.0:
         raise ValueError("cannot normalize a zero-trace pattern state")
-    return PatternState.from_masses(state.scheme, state.masses / total, state.logical)
+    return PatternState._from_row(state.scheme, state.row / total)
 
 
 def apply_bell_channel(state: PatternState, channel: np.ndarray) -> PatternState:
-    """Apply a stochastic 4x4 matrix to the Bell weights.
+    """Apply a stochastic 4x4 matrix to the Bell masses.
 
     ``channel[i, j]`` is the probability that Bell state j becomes Bell
     state i; columns must sum to 1.
@@ -392,18 +420,13 @@ def apply_bell_channel(state: PatternState, channel: np.ndarray) -> PatternState
         raise ValueError("Bell channel entries must be non-negative")
     if not np.allclose(channel.sum(axis=0), 1.0, atol=1e-9):
         raise ValueError("Bell channel columns must sum to 1")
-    w = channel @ state.logical.as_array()
-    return PatternState.from_masses(
-        state.scheme, state.masses, LogicalBlock.from_array(w)
-    )
+    row = state.row.copy()
+    row[-4:] = channel @ row[-4:]
+    return PatternState._from_row(state.scheme, row)
 
 
 # ----------------------------------------------------------------------
 # classification of oracle states
-
-
-def _node_signature_dlcz(n: int) -> int | None:
-    return n if n <= 2 else None
 
 
 _DLCZ_CLASS = {

@@ -23,7 +23,6 @@ import numpy as np
 
 from .noise import NoiseParams, gaussian_phase_average, phase_error_prob
 from .patterns import (
-    BellState,
     ExcitationPattern,
     LogicalBlock,
     PatternState,
@@ -128,20 +127,14 @@ def eng(
     return PatternState(scheme=scheme, probs=probs, logical=block)
 
 
-def _row(state: PatternState) -> np.ndarray:
-    """Pattern masses in scheme order, then the absolute Bell masses."""
-    if (
-        state.scheme is SchemeKind.DLCZ
-        and state.logical_mass() != 0.0
-        and (state.logical.w_phi_plus > 0.0 or state.logical.w_phi_minus > 0.0)
-    ):
-        raise ValueError("single-rail pairs carry only odd-parity Bell weight")
-    return np.concatenate((state.masses, state.bell_masses()))
-
-
 def _component_masses(state: PatternState) -> np.ndarray:
     """Canonical component masses of a state; non-positive ones count as 0."""
-    return np.maximum(state_selection(state.scheme) @ _row(state), 0.0)
+    row = state.row
+    if state.scheme is SchemeKind.DLCZ:
+        mass = row[logical_column(SchemeKind.DLCZ)]
+        if mass != 0.0 and (row[-4] / mass > 0.0 or row[-3] / mass > 0.0):
+            raise ValueError("single-rail pairs carry only odd-parity Bell weight")
+    return np.maximum(state_selection(state.scheme) @ row, 0.0)
 
 
 def _apply_table(
@@ -151,20 +144,10 @@ def _apply_table(
 ) -> StepOutcome:
     if left.scheme is not table.scheme or right.scheme is not table.scheme:
         raise ValueError("input scheme does not match table scheme")
-    out_scheme = table.output_scheme
     x_left = _component_masses(left)
     x_right = x_left if right is left else _component_masses(right)
     row = np.einsum("oab,a,b->o", table.tensor, x_left, x_right)
-    masses, bell = row[:-4], row[-4:]
-    p_logical = float(bell.sum())
-    if p_logical > 0.0:
-        masses[logical_column(out_scheme)] = p_logical
-        block = LogicalBlock.from_array(bell / p_logical)
-    else:
-        block = LogicalBlock.pure(
-            BellState.PSI_PLUS if out_scheme is SchemeKind.DLCZ else BellState.PHI_PLUS
-        )
-    out = PatternState.from_masses(out_scheme, masses, block)
+    out = PatternState._from_row(table.output_scheme, row)
     return StepOutcome(out=out, success_prob=out.total)
 
 

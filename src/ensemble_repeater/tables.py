@@ -17,8 +17,9 @@ mass assigned to them is dropped by the connection step.
 
 A step applies a table as one dense contraction: ``state_selection``
 picks the canonical component masses out of a state row (pattern
-masses, then Bell masses) and ``ConnectionTable.tensor``, ``T[o, a, b]``,
-maps a pair of them to the output state row.
+masses, then Bell masses; see :mod:`.patterns`) and
+``ConnectionTable.tensor``, ``T[o, a, b]``, maps a pair of them to the
+output state row, which is the next state's row as it stands.
 """
 
 from __future__ import annotations
@@ -129,9 +130,9 @@ class ConnectionTable:
         ``a`` and ``b`` run over ``canonical_keys(scheme)``; ``o`` runs
         over the state row of the output scheme: its pattern masses in
         ``scheme_patterns`` order, then the four absolute Bell masses of
-        the logical output.  The logical pattern's own row stays zero
-        (its mass is the sum of the Bell masses), as do entries with no
-        accepted mass.
+        the logical output.  The logical pattern's row carries its mass,
+        the sum of the Bell masses, so the contraction yields the output
+        state row as it stands.  Entries with no accepted mass stay zero.
         """
         keys = canonical_keys(self.scheme)
         patterns = scheme_patterns(self.output_scheme)
@@ -148,6 +149,7 @@ class ConnectionTable:
                     if pattern in rows:
                         tensor[rows[pattern], a, b] = mass
                 tensor[n:, a, b] = entry.bell
+        tensor[patterns.index(logical)] = tensor[n:].sum(axis=0)
         tensor.flags.writeable = False
         return tensor
 

@@ -10,6 +10,7 @@ from ensemble_repeater.chain import (
     CSV_COLUMNS,
     L0_GRID,
     RepeaterConfig,
+    _grid_rows,
     check_step_noise,
     elementary_time,
     empirical_time,
@@ -356,6 +357,50 @@ def test_optimize_returns_fastest_feasible_point():
         )
         if alt.fidelity >= 0.9:
             assert alt.t_avg >= result.t_avg * (1.0 - 1e-9)
+
+
+def test_optimize_honours_attenuation_length():
+    noise = NoiseParams(eta=0.95)
+    default = optimize(NEW, 160.0, 0.9, noise=noise)
+    short = optimize(NEW, 160.0, 0.9, noise=noise, L_att=10.0, c_fiber=1.0e5)
+    assert default is not None and short is not None
+    config, result = short
+    assert (config.L_att, config.c_fiber) == (10.0, 1.0e5)
+    assert result.t_avg != default[1].t_avg
+    again = simulate_chain(config)
+    assert (again.t_avg, again.fidelity) == (result.t_avg, result.fidelity)
+
+
+def test_sweeps_pass_attenuation_and_fiber_speed_on():
+    noise = NoiseParams(eta=0.95)
+    points = tf_curve(NEW, 160.0, noise=noise, p_c_sweep=(1e-3,), L_att=10.0)
+    t, _, p_c, L0 = points[0]
+    config = RepeaterConfig(
+        scheme=NEW, L=160.0, L0=L0, p_c=p_c, noise=noise, L_att=10.0
+    )
+    assert t == simulate_chain(config).t_avg
+    _, fast = scaling_fit(NEW, noise, (160.0, 320.0), c_fiber=4.0e5)
+    _, slow = scaling_fit(NEW, noise, (160.0, 320.0))
+    for (_, t_fast), (_, t_slow) in zip(fast, slow):
+        assert t_fast == pytest.approx(0.5 * t_slow, rel=1e-12)
+
+
+def test_stage_time_overflow_is_an_error():
+    """Every stage time is finite here except the final mapping's."""
+    config = _config(scheme=DLCZ, L0=700.0, L=89600.0, L_att=1.0, p_c=1e-3)
+    message = r"^the average time of pme at level 7 overflows$"
+    with pytest.raises(OverflowError, match=message):
+        simulate_chain(config)
+
+
+def test_grid_skips_points_whose_stage_time_overflows():
+    chain = dict(
+        scheme=DLCZ, L=89600.0, noise=NoiseParams(), L_att=1.0, c_fiber=2.0e5,
+        enp_schedule=(),
+    )
+    overflowing, finite = _grid_rows(chain, 700.0, (1e-3, 1e-2))
+    assert overflowing is None
+    assert math.isfinite(finite[0])
 
 
 def test_optimize_reports_infeasible_targets():

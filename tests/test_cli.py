@@ -248,6 +248,12 @@ def test_mc_seed_changes_simulated_times(tmp_path):
             "p_misalign and p_dark must be 0 for the single-rail",
             id="scaling-single-rail-dark-counts",
         ),
+        # The elementary time is finite; the final mapping's time is not.
+        pytest.param(
+            "[chain]\nscheme = dlcz\nL0 = 700\nL = 89600\nL_att = 1\np_c = 0.001\n",
+            [], "simulate", "the average time of pme at level 7 overflows",
+            id="overflowing-stage-time",
+        ),
     ],
 )
 def test_bad_configuration_exits_3(tmp_path, capsys, body, argv, command, message):
@@ -359,6 +365,17 @@ def test_optimize_feasible_and_infeasible(tmp_path):
     assert payload["feasible"] is False
     csv_rows = (out / "optimize.csv").read_text().strip().splitlines()
     assert csv_rows[1].endswith("0")
+
+
+def test_optimize_honours_attenuation_and_fiber_speed(tmp_path, capsys):
+    rows = []
+    for name, extra in (("default", ""), ("short", "L_att = 10\nc_fiber = 1e5\n")):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text("[chain]\nL = 160\n" + extra)
+        rc, _ = _run(tmp_path / name, "--config", str(cfg), "optimize")
+        assert rc == EXIT_OK
+        rows.append(capsys.readouterr().out.splitlines()[1])
+    assert rows[0] != rows[1]
 
 
 def test_table_over_distances(tmp_path):

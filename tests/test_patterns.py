@@ -170,6 +170,34 @@ def test_bell_masses_scale_with_logical_probability():
     assert masses[BellState.PSI_PLUS.index] == pytest.approx(0.3)
 
 
+def test_state_is_one_row_of_masses_then_bell_masses():
+    state = PatternState(
+        SchemeKind.NEW,
+        {ExcitationPattern.P11: 0.5, ExcitationPattern.P00: 0.5},
+        LogicalBlock.from_array([0.125, 0.125, 0.75, 0.0]),
+    )
+    assert state.row.tolist() == [
+        *state.masses.tolist(), *state.bell_masses().tolist()
+    ]
+    assert state.bell_masses().tolist() == [0.0625, 0.0625, 0.375, 0.0]
+    assert np.shares_memory(state.masses, state.row)
+    assert np.shares_memory(state.bell_masses(), state.row)
+    assert state.logical == LogicalBlock.from_array([0.125, 0.125, 0.75, 0.0])
+    assert fidelity(state, BellState.PSI_PLUS) == 0.375
+
+
+def test_state_without_logical_mass_reports_scheme_default():
+    for scheme, default in (
+        (SchemeKind.DLCZ, BellState.PSI_PLUS),
+        (SchemeKind.NEW, BellState.PHI_PLUS),
+    ):
+        state = PatternState(scheme, {ExcitationPattern.P00: 1.0}, LogicalBlock.mixed())
+        assert state.bell_masses().tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert state.logical == LogicalBlock.pure(default)
+        assert logical_fidelity(state, default) == 1.0
+        assert fidelity(state, default) == 0.0
+
+
 def test_aggregate_groups_vacuum_by_scheme():
     dlcz = PatternState(
         SchemeKind.DLCZ,

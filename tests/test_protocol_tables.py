@@ -9,17 +9,19 @@ broken invariant.
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ensemble_repeater.noise import NoiseParams
+from ensemble_repeater.noise import NoiseParams, misalignment_channel
 from ensemble_repeater.patterns import (
     BellState,
     ExcitationPattern,
     LogicalBlock,
     PatternState,
     SchemeKind,
+    apply_bell_channel,
     logical_pattern,
+    normalize,
     scheme_patterns,
 )
 from ensemble_repeater.protocols import (
@@ -382,6 +384,35 @@ def test_dense_step_matches_per_entry_sum(kind, data):
     assert outcome.success_prob == out.total
 
 
+def _assert_row_invariant(state):
+    """The logical mass is the Bell masses' sum, and ``logical`` their
+    conditional weights or, without logical mass, the scheme default."""
+    mass = state.logical_mass()
+    assert mass == pytest.approx(float(state.bell_masses().sum()), rel=1e-12, abs=0.0)
+    assert state.logical.total == pytest.approx(1.0, rel=1e-12, abs=0.0)
+    if mass == 0.0:
+        default = B.PSI_PLUS if state.scheme is DLCZ else B.PHI_PLUS
+        assert state.logical == LogicalBlock.pure(default)
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNEL_TABLES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_state_row_invariant_holds_through_every_operation(kind, data):
+    table = _KERNEL_TABLES[kind]()
+    state = data.draw(_pattern_states(table.scheme), label="state")
+    assume(state.total > 0.0)
+    p = data.draw(st.floats(0.0, 1.0), label="p_misalign")
+    unit = normalize(state)
+    for out in (
+        state,
+        unit,
+        apply_bell_channel(unit, misalignment_channel(p)),
+        _apply_table(table, unit, unit).out,
+    ):
+        _assert_row_invariant(out)
+
+
 # ----------------------------------------------------------------------
 # protocol-level wrappers
 
@@ -447,6 +478,19 @@ def test_step_checks_keep_their_messages():
     assert _apply_table(table, pair, pair).out.prob(P.P00) >= 0.0
     message = r"^negative pattern probability: ExcitationPattern\.P00 = -"
     with pytest.raises(ValueError, match=message):
+        _apply_table(broken, pair, pair)
+
+
+def test_step_rejects_negative_bell_weight():
+    pair = eng(NEW, 0.01, NoiseParams(eta=ETA), 40.0)
+    table = enc_table(NEW, ETA)
+    broken = ConnectionTable(
+        table.scheme, table.op, table.variant, table.eta, table.entries
+    )
+    tensor = table.tensor.copy()
+    tensor[-1] = -1e-3  # every input pair now feeds negative Psi- mass
+    broken.__dict__["tensor"] = tensor
+    with pytest.raises(ValueError, match="^Bell weights must be non-negative$"):
         _apply_table(broken, pair, pair)
 
 

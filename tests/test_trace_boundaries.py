@@ -1,0 +1,52 @@
+"""The benchmark tracer still finds every layer boundary it patches.
+
+``perfbench/spans.py`` wraps the names each module looks up from its
+collaborators.  A refactor that renames or stops calling one of them
+breaks ``perfbench/run.py --trace 1`` without failing any other test, so
+this test installs the tracer, runs one chain through it and checks the
+span counts and that uninstalling restores every original attribute.
+"""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_chain_stages_and_restores_patches():
+    workloads, spans = _load("workloads"), _load("spans")
+    pkg = workloads.load_package(ROOT)
+    chain = pkg.chain
+    config = chain.RepeaterConfig(
+        scheme=pkg.patterns.SchemeKind.NEW,
+        L=320.0,
+        L0=40.0,
+        p_c=5e-3,
+        noise=pkg.er.NoiseParams(eta=0.9),
+        enp_schedule=((1, "bit"),),
+    )
+    tracer = spans.Tracer(pkg)
+    tracer.install()
+    try:
+        patched = list(tracer._patches)
+        result = chain.simulate_chain(config)
+    finally:
+        tracer.uninstall()
+
+    stages = [rec.stage for rec in result.per_level]
+    assert stages == ["eng", "enc", "enp", "enc"]
+    counts = {name: int(entry[0]) for name, entry in tracer.agg.items()}
+    assert counts["chain"] == 1
+    assert counts["protocols.eng"] == 1
+    assert counts["protocols.step"] == len(stages) - 1
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, attr
