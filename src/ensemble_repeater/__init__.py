@@ -13,13 +13,16 @@ Layers, from the bottom up:
 ``fock``
     Truncated Fock-space density operators and linear-optics circuits.
 ``patterns``
-    Excitation-pattern states with a Bell-diagonal logical block.
+    ``PatternState``, the one pair-state type: a float row of
+    excitation-pattern masses, then the Bell-diagonal masses of the
+    logical pattern.
 ``circuits``
     The protocol primitives as explicit Fock circuits; superoperator
     table entries derived from them.
 ``tables`` / ``protocols``
     Cached connection/purification tables and the heralded protocol
-    steps acting on pattern states.
+    steps; a step returns its unnormalized output ``PatternState``,
+    whose total is the success probability.
 ``noise`` / ``chain``
     Imperfection models, full-chain simulation, optimization, sweeps.
 ``verify``
@@ -43,7 +46,6 @@ from .noise import NoiseParams, phase_error_prob
 from .patterns import (
     BellState,
     ExcitationPattern,
-    LogicalBlock,
     PatternState,
     SchemeKind,
     fidelity,
@@ -64,7 +66,6 @@ __all__ = [
     "BellState",
     "EnpKind",
     "ExcitationPattern",
-    "LogicalBlock",
     "NoiseParams",
     "PatternState",
     "RepeaterConfig",

@@ -43,6 +43,9 @@ TWO_PAIR_OVERHEAD = 1.5
 # Largest argument math.exp accepts without overflow.
 _MAX_EXP_ARG = math.log(sys.float_info.max)
 
+# Value at which numpy saturates a geometric draw.
+_SATURATED_DRAW = np.iinfo(np.int64).max
+
 # Number of detection windows whose dark counts can fake a herald in one
 # connection or purification step (two accepted detectors per step).
 _DETECTIONS_PER_STEP = 2
@@ -78,7 +81,7 @@ class RepeaterConfig:
         if self.L_att <= 0.0 or self.c_fiber <= 0.0:
             raise ValueError("L_att and c_fiber must be positive")
         if self.L0 / self.L_att > _MAX_EXP_ARG:
-            raise ValueError(
+            raise OverflowError(
                 f"L0 / L_att = {self.L0 / self.L_att:g} is too large:"
                 " the elementary time exp(L0 / L_att) overflows"
             )
@@ -86,7 +89,7 @@ class RepeaterConfig:
             self.p_c, self.noise.eta, self.L0, self.L_att, self.c_fiber
         )
         if not math.isfinite(t0):
-            raise ValueError(
+            raise OverflowError(
                 "the elementary time (L0 / c_fiber) exp(L0 / L_att) / (p_c eta)"
                 f" overflows for L0 = {self.L0:g}, L_att = {self.L_att:g},"
                 f" p_c = {self.p_c:g}, eta = {self.noise.eta:g}"
@@ -238,23 +241,28 @@ def _record(
     t: float,
 ) -> LevelRecord:
     agg = aggregate(state)
-    logical = state.logical
+    logical = state.logical.tolist()
     return LevelRecord(
         level=level,
         stage=stage,
         p_logic=agg.p_logic,
         p_vac=agg.p_vac,
         p_multi=agg.p_multi,
-        bell=logical.as_tuple(),
+        bell=tuple(logical),
         fidelity=fidelity(state, target),
-        logical_fidelity=logical.weight(target),
+        logical_fidelity=logical[target.index],
         success_prob=success,
         t_avg=t,
     )
 
 
 class _McTimes:
-    """Empirical waiting-time samples propagated through the chain."""
+    """Empirical waiting-time samples propagated through the chain.
+
+    numpy saturates a geometric draw at the int64 maximum when the
+    success probability is tiny.  A stage with such a draw gets infinite
+    times, which ``simulate_chain`` reports as that stage's overflow.
+    """
 
     def __init__(self, rng: np.random.Generator, n_samples: int) -> None:
         self.rng = rng
@@ -265,12 +273,17 @@ class _McTimes:
         p_att = config.p_c * eta * math.exp(-config.L0 / config.L_att)
         cycle = config.L0 / config.c_fiber
         draws = 2 if config.scheme is SchemeKind.NEW else 1
-        t = self.rng.geometric(min(p_att, 1.0), size=(draws, self.n)) * cycle
+        attempts = self.rng.geometric(min(p_att, 1.0), size=(draws, self.n))
+        if attempts.max() == _SATURATED_DRAW:
+            return np.full(self.n, math.inf)
+        t = attempts * cycle
         return t.max(axis=0)
 
     def combine(self, times: np.ndarray, success: float) -> np.ndarray:
         """Times for one heralded step consuming two sub-pairs per attempt."""
         attempts = self.rng.geometric(min(success, 1.0), size=self.n)
+        if attempts.max() == _SATURATED_DRAW:
+            return np.full(self.n, math.inf)
         total = int(attempts.sum())
         a = self.rng.choice(times, size=total)
         b = self.rng.choice(times, size=total)
@@ -324,17 +337,17 @@ def simulate_chain(
 
     for stage, level, kind in stages:
         if stage == "enc":
-            outcome = enc(scheme, state, state, eta, level=level)
+            out = enc(scheme, state, state, eta, level=level)
         elif stage == "enp":
-            outcome = enp(kind, state, state, eta)
+            out = enp(kind, state, state, eta)
         else:
-            outcome = postselect_pme(state, state, eta)
-        success = outcome.success_prob
+            out = postselect_pme(state, state, eta)
+        success = out.total
         if success <= 0.0:
             raise ZeroDivisionError(
                 f"{stage} at level {level} has zero success probability"
             )
-        state = normalize(outcome.out)
+        state = normalize(out)
         if channel is not None:
             state = apply_bell_channel(state, channel)
         if mc:
@@ -383,13 +396,13 @@ def _grid_rows(chain: dict, L0: float, p_cs: Tuple[float, ...]) -> list:
     """(t_avg, F, logical F) for every p_c at one spacing, in order.
 
     ``chain`` holds the other ``RepeaterConfig`` arguments.  An entry is
-    None where a step never succeeds or a stage time overflows.
+    None where a step never succeeds, or the elementary time or a stage
+    time overflows.
     """
     rows = []
     for p_c in p_cs:
-        config = RepeaterConfig(L0=L0, p_c=p_c, **chain)
         try:
-            result = simulate_chain(config)
+            result = simulate_chain(RepeaterConfig(L0=L0, p_c=p_c, **chain))
         except ArithmeticError:
             rows.append(None)
             continue

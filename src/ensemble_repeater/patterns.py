@@ -3,7 +3,7 @@
 The scalable recursion does not track full density matrices. A repeater
 pair is summarized by probabilities over excitation patterns (how many
 spin waves sit at each node, and how they are arranged over the node's
-cells) plus a Bell-diagonal logical block for the pattern that carries
+cells) plus the four Bell-diagonal weights of the pattern that carries
 the qubit. Inter-pattern coherence is dropped by construction; within
 the logical pattern only the Bell-basis diagonal is kept, and the
 discarded off-diagonal magnitude is available as a diagnostic.
@@ -30,11 +30,13 @@ Array layout
 A :class:`PatternState` is one read-only float row: the pattern masses
 in ``scheme_patterns(scheme)`` order (overflow last, the logical
 pattern's mass included), then the four absolute Bell masses of the
-logical pattern, which sum to its mass.  The protocol steps read and
-write this row directly; the conditional Bell weights ``logical`` and
-the mapping ``probs`` are derived from it.  A state with no logical
-mass reports the scheme's pure default weights: Psi+ for DLCZ, Phi+ for
-the two-cell scheme.
+logical pattern, which sum to its mass.  It is the only pair-state
+type: the protocol steps read this row and return their unnormalized
+output as a new one, whose total mass is the step's success
+probability.  The conditional Bell weights ``logical`` (a read-only
+float array) and the mapping ``probs`` are derived from the row.  A
+state with no logical mass reports the scheme's pure default weights:
+Psi+ for DLCZ, Phi+ for the two-cell scheme.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ import numpy as np
 from .fock import FockDensityOperator, ModeLabel
 
 WEIGHT_TOL = 1e-12
+
+# Column-sum tolerance of a Bell channel: np.allclose(sums, 1, atol=1e-9)
+# with allclose's default rtol of 1e-5.
+_CHANNEL_COLUMN_TOL = 1e-9 + 1e-5
 
 
 class SchemeKind(enum.Enum):
@@ -141,17 +147,23 @@ _VACUUM_PATTERNS = {
 
 
 class _Layout(NamedTuple):
-    """Columns of a scheme's patterns in ``PatternState.row``."""
+    """Columns of a scheme's patterns in ``PatternState.row``, and the
+    scheme's pure Bell weights for a state without logical mass."""
 
     column: Mapping[ExcitationPattern, int]
     logical: int
     vacuum: tuple[int, ...]
+    default_logical: np.ndarray
 
 
 def _make_layout(scheme: SchemeKind) -> _Layout:
     column = {p: i for i, p in enumerate(scheme_patterns(scheme))}
     vacuum = tuple(column[p] for p in _VACUUM_PATTERNS[scheme])
-    return _Layout(column, column[logical_pattern(scheme)], vacuum)
+    default = BellState.PSI_PLUS if scheme is SchemeKind.DLCZ else BellState.PHI_PLUS
+    weights = np.zeros(4)
+    weights[default.index] = 1.0
+    weights.flags.writeable = False
+    return _Layout(column, column[logical_pattern(scheme)], vacuum, weights)
 
 
 _DLCZ_LAYOUT = _make_layout(SchemeKind.DLCZ)
@@ -167,78 +179,24 @@ def logical_column(scheme: SchemeKind) -> int:
     return _layout(scheme).logical
 
 
-@dataclass(frozen=True)
-class LogicalBlock:
-    """Bell-diagonal weights (Phi+, Phi-, Psi+, Psi-), normalized to 1.
-
-    For the single-rail DLCZ scheme the two entangled states
-    (|10> +- |01>)/sqrt2 occupy the Psi+ and Psi- slots and the Phi
-    slots stay zero.
-    """
-
-    w_phi_plus: float = 1.0
-    w_phi_minus: float = 0.0
-    w_psi_plus: float = 0.0
-    w_psi_minus: float = 0.0
-
-    def __post_init__(self) -> None:
-        if min(self.as_tuple()) < -WEIGHT_TOL:
-            raise ValueError("Bell weights must be non-negative")
-
-    @classmethod
-    def from_array(cls, w: Sequence[float]) -> "LogicalBlock":
-        w = np.asarray(w, dtype=float)
-        if w.shape != (4,):
-            raise ValueError("expected four Bell weights")
-        return cls(*w.tolist())
-
-    @classmethod
-    def pure(cls, bell: BellState) -> "LogicalBlock":
-        w = [0.0, 0.0, 0.0, 0.0]
-        w[bell.index] = 1.0
-        return cls(*w)
-
-    @classmethod
-    def mixed(cls) -> "LogicalBlock":
-        return cls(0.25, 0.25, 0.25, 0.25)
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.w_phi_plus, self.w_phi_minus, self.w_psi_plus, self.w_psi_minus)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.as_tuple())
-
-    def weight(self, bell: BellState) -> float:
-        return float(self.as_tuple()[bell.index])
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.as_tuple()))
-
-    def normalized(self) -> "LogicalBlock":
-        t = self.total
-        if t <= 0.0:
-            raise ValueError("cannot normalize a zero block")
-        return LogicalBlock.from_array(self.as_array() / t)
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class PatternState:
-    """One read-only float row: pattern masses, then Bell masses.
+    """A pair's pattern masses and Bell masses as one read-only float row.
 
     ``row`` is laid out as the module docstring describes; ``masses``
     and ``bell_masses()`` are views of it.  ``logical`` is derived: the
     Bell masses over the logical mass, or the scheme's pure default when
     that mass is zero.  ``probs`` maps each pattern of nonzero mass to
-    its mass, and ``total`` is the summed pattern mass.  Sub-normalized
-    states are allowed; ``normalized`` reports whether the mass sums to
+    its mass, and ``total`` is the summed pattern mass.  A protocol step
+    returns its output unnormalized, so that ``total`` is the step's
+    success probability; ``normalized`` reports whether the mass sums to
     1.  States are immutable.
 
     ``PatternState(scheme, probs, logical)`` builds a state from a
-    pattern -> mass mapping and conditional Bell weights;
-    ``PatternState.from_masses`` from pattern masses in scheme order.
-    Both reject patterns outside the scheme, masses below
-    ``-WEIGHT_TOL`` and Bell weights that do not sum to 1.
+    pattern -> mass mapping and four conditional Bell weights in the
+    order (Phi+, Phi-, Psi+, Psi-), pure Phi+ by default.  It rejects
+    patterns outside the scheme, masses below ``-WEIGHT_TOL``, and Bell
+    weights that are negative or do not sum to 1.
     """
 
     scheme: SchemeKind
@@ -249,7 +207,7 @@ class PatternState:
         self,
         scheme: SchemeKind,
         probs: Mapping[ExcitationPattern, float],
-        logical: LogicalBlock = LogicalBlock(),
+        logical: Sequence[float] = (1.0, 0.0, 0.0, 0.0),
     ) -> None:
         layout = _layout(scheme)
         masses = np.zeros(len(layout.column))
@@ -259,21 +217,17 @@ class PatternState:
             if p < -WEIGHT_TOL:
                 raise ValueError(f"negative pattern probability: {pat} = {p}")
             masses[layout.column[pat]] = p
-        self._set_row(scheme, _block_row(layout, masses, logical))
-
-    @classmethod
-    def from_masses(
-        cls, scheme: SchemeKind, masses: Sequence[float], logical: LogicalBlock
-    ) -> "PatternState":
-        """State from pattern masses in ``scheme_patterns(scheme)`` order."""
-        layout = _layout(scheme)
-        masses = np.asarray(masses, dtype=float)
-        if masses.shape != (len(layout.column),):
-            raise ValueError(
-                f"expected {len(layout.column)} pattern masses for scheme {scheme},"
-                f" got shape {masses.shape}"
-            )
-        return cls._from_row(scheme, _block_row(layout, masses, logical))
+        weights = np.asarray(logical, dtype=float)
+        if weights.shape != (4,):
+            raise ValueError("expected four Bell weights")
+        values = weights.tolist()
+        if min(values) < -WEIGHT_TOL:
+            raise ValueError("Bell weights must be non-negative")
+        block = sum(values)
+        if abs(block - 1.0) > 1e-9:
+            raise ValueError(f"logical block weights sum to {block}, expected 1")
+        row = np.concatenate((masses, masses[layout.logical] * weights))
+        self._set_row(scheme, row)
 
     @classmethod
     def _from_row(cls, scheme: SchemeKind, row: np.ndarray) -> "PatternState":
@@ -320,14 +274,16 @@ class PatternState:
         return self.row[-4:]
 
     @property
-    def logical(self) -> LogicalBlock:
-        """Bell weights conditioned on the logical pattern (they sum to 1)."""
-        values = self.row.tolist()
-        mass = values[logical_column(self.scheme)]
+    def logical(self) -> np.ndarray:
+        """Read-only Bell weights (Phi+, Phi-, Psi+, Psi-) conditioned on
+        the logical pattern; they sum to 1."""
+        layout = _layout(self.scheme)
+        mass = self.row[layout.logical]
         if mass == 0.0:
-            dlcz = self.scheme is SchemeKind.DLCZ
-            return LogicalBlock.pure(BellState.PSI_PLUS if dlcz else BellState.PHI_PLUS)
-        return LogicalBlock(*(b / mass for b in values[-4:]))
+            return layout.default_logical
+        weights = self.row[-4:] / mass
+        weights.flags.writeable = False
+        return weights
 
     @property
     def probs(self) -> Mapping[ExcitationPattern, float]:
@@ -347,20 +303,6 @@ class PatternState:
     @property
     def normalized(self) -> bool:
         return abs(self.total - 1.0) <= WEIGHT_TOL
-
-    def logical_mass(self) -> float:
-        """Probability of the logical pattern."""
-        return float(self.row[logical_column(self.scheme)])
-
-
-def _block_row(
-    layout: _Layout, masses: np.ndarray, logical: LogicalBlock
-) -> np.ndarray:
-    """State row from pattern masses and conditional Bell weights."""
-    block = logical.total
-    if abs(block - 1.0) > 1e-9:
-        raise ValueError(f"logical block weights sum to {block}, expected 1")
-    return np.concatenate((masses, masses[layout.logical] * logical.as_array()))
 
 
 class PatternAggregate(NamedTuple):
@@ -397,7 +339,7 @@ def fidelity(state: PatternState, target: BellState) -> float:
 
 def logical_fidelity(state: PatternState, target: BellState) -> float:
     """Fidelity conditioned on the logical pattern (post-selected)."""
-    return state.logical.weight(target)
+    return float(state.logical[target.index])
 
 
 def normalize(state: PatternState) -> PatternState:
@@ -416,9 +358,12 @@ def apply_bell_channel(state: PatternState, channel: np.ndarray) -> PatternState
     channel = np.asarray(channel, dtype=float)
     if channel.shape != (4, 4):
         raise ValueError("Bell channel must be 4x4")
-    if np.any(channel < -WEIGHT_TOL):
+    # Plain comparisons: np.allclose costs far more than the matmul it
+    # guards.  A NaN fails every comparison, so its column is rejected.
+    if any(x < -WEIGHT_TOL for x in channel.ravel().tolist()):
         raise ValueError("Bell channel entries must be non-negative")
-    if not np.allclose(channel.sum(axis=0), 1.0, atol=1e-9):
+    sums = channel.sum(axis=0).tolist()
+    if not all(abs(s - 1.0) <= _CHANNEL_COLUMN_TOL for s in sums):
         raise ValueError("Bell channel columns must sum to 1")
     row = state.row.copy()
     row[-4:] = channel @ row[-4:]
@@ -596,15 +541,11 @@ def project_from_fock(
         vecs = _bell_vectors_new()
         bell = np.real(np.einsum("ij,jk,ik->i", vecs.conj(), block4, vecs))
 
-    logical = logical_pattern(scheme)
     mass = float(bell.sum())
-    if mass > 0.0:
-        block = LogicalBlock.from_array(np.maximum(bell, 0.0) / mass)
-        # keep the exact subspace trace as the pattern probability
-        probs[logical] = probs.get(logical, 0.0)
-    else:
-        block = LogicalBlock()
-    return PatternState(scheme, probs, block)
+    # The logical pattern's mass stays the exact subspace trace in probs;
+    # the Bell diagonal supplies only the conditional weights.
+    weights = np.maximum(bell, 0.0) / mass if mass > 0.0 else (1.0, 0.0, 0.0, 0.0)
+    return PatternState(scheme, probs, weights)
 
 
 def logical_coherence_residue(
@@ -643,10 +584,7 @@ def to_text(state: PatternState) -> str:
         p = state.prob(pat)
         if p != 0.0 or pat is logical_pattern(state.scheme):
             lines.append(f"{pat.value}: {p!r}")
-    w = state.logical.as_array()
-    lines.append(
-        "logical: " + " ".join(repr(float(x)) for x in w)
-    )
+    lines.append("logical: " + " ".join(repr(w) for w in state.logical.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -654,7 +592,7 @@ def from_text(text: str) -> PatternState:
     """Parse the record produced by ``to_text``."""
     scheme: SchemeKind | None = None
     probs: dict[ExcitationPattern, float] = {}
-    logical = LogicalBlock()
+    logical = [1.0, 0.0, 0.0, 0.0]
     by_value = {p.value: p for p in ExcitationPattern}
     for raw in text.splitlines():
         line = raw.strip()
@@ -665,7 +603,7 @@ def from_text(text: str) -> PatternState:
         if key == "scheme":
             scheme = SchemeKind(value)
         elif key == "logical":
-            logical = LogicalBlock.from_array([float(x) for x in value.split()])
+            logical = [float(x) for x in value.split()]
         elif key in by_value:
             probs[by_value[key]] = float(value)
         else:

@@ -8,23 +8,22 @@ multi-excitation admixture; connection, purification and the final
 mapping apply the exact Fock-level tables of :mod:`.tables` bilinearly
 to the input decompositions, as one dense contraction per step.
 
-Connection-type steps return an unnormalized output whose total mass is
-the acceptance probability of the step; overflow components of the
-inputs (beyond two excitations per node) are treated as never yielding
-an accepted outcome.
+Connection-type steps return their output as an unnormalized
+:class:`~.patterns.PatternState` whose total mass is the acceptance
+probability of the step; overflow components of the inputs (beyond two
+excitations per node) are treated as never yielding an accepted
+outcome.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from .noise import NoiseParams, gaussian_phase_average, phase_error_prob
 from .patterns import (
     ExcitationPattern,
-    LogicalBlock,
     PatternState,
     SchemeKind,
     logical_column,
@@ -52,29 +51,6 @@ class EnpKind(str, enum.Enum):
 
     BIT = "bit"
     PHASE = "phase"
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Result of one heralded step.
-
-    Attributes
-    ----------
-    out : PatternState
-        Unnormalized post-step state; its total mass equals the
-        acceptance probability of the step.
-    success_prob : float
-        Acceptance probability (equal to ``out.total``).
-    """
-
-    out: PatternState
-    success_prob: float
-
-    @property
-    def normalized(self) -> PatternState:
-        from .patterns import normalize
-
-        return normalize(self.out)
 
 
 def eng(
@@ -111,8 +87,7 @@ def eng(
             ExcitationPattern.P11: 0.5 * extra / norm,
             ExcitationPattern.P20: 0.5 * extra / norm,
         }
-        block = LogicalBlock(0.0, 0.0, 1.0 - q, q)
-        return PatternState(scheme=scheme, probs=probs, logical=block)
+        return PatternState(scheme, probs, (0.0, 0.0, 1.0 - q, q))
 
     q = gaussian_phase_average(4.0 * noise.D * L0)
     extra = ENG_MULTI_WEIGHT_NEW * p_c
@@ -123,8 +98,7 @@ def eng(
         ExcitationPattern.P21_PAR: 0.5 * extra / norm,
         ExcitationPattern.P21_PERP: 0.5 * extra / norm,
     }
-    block = LogicalBlock(0.0, 0.0, 1.0 - q, q)
-    return PatternState(scheme=scheme, probs=probs, logical=block)
+    return PatternState(scheme, probs, (0.0, 0.0, 1.0 - q, q))
 
 
 def _component_masses(state: PatternState) -> np.ndarray:
@@ -141,14 +115,15 @@ def _apply_table(
     table: ConnectionTable,
     left: PatternState,
     right: PatternState,
-) -> StepOutcome:
+) -> PatternState:
+    """Unnormalized output of one table step; its total is the success
+    probability."""
     if left.scheme is not table.scheme or right.scheme is not table.scheme:
         raise ValueError("input scheme does not match table scheme")
     x_left = _component_masses(left)
     x_right = x_left if right is left else _component_masses(right)
     row = np.einsum("oab,a,b->o", table.tensor, x_left, x_right)
-    out = PatternState._from_row(table.output_scheme, row)
-    return StepOutcome(out=out, success_prob=out.total)
+    return PatternState._from_row(table.output_scheme, row)
 
 
 def enc(
@@ -157,7 +132,7 @@ def enc(
     right: PatternState,
     eta: float,
     level: int = 2,
-) -> StepOutcome:
+) -> PatternState:
     """Entanglement connection of two adjacent pairs.
 
     The two-cell circuit at the first connection level rotates the
@@ -165,6 +140,8 @@ def enc(
     beam splitter; all higher levels (and every single-rail connection)
     interfere them directly.  Acceptance requires exactly one photon at
     each output arm (one click total for the single-rail circuit).
+
+    Returns the unnormalized output; its total is the success probability.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
@@ -177,7 +154,7 @@ def enp(
     pair1: PatternState,
     pair2: PatternState,
     eta: float,
-) -> StepOutcome:
+) -> PatternState:
     """One entanglement-purification round consuming two parallel pairs.
 
     The bit variant compares the qubits in the H/V basis and keeps the
@@ -185,6 +162,9 @@ def enp(
     which rejects components whose bit parities disagree; the phase
     variant runs the same comparison in the rotated basis and rejects
     sign mismatches instead.
+
+    Returns the unnormalized kept pair; its total is the success
+    probability.
     """
     table = enp_table(EnpKind(kind).value, eta)
     return _apply_table(table, pair1, pair2)
@@ -194,13 +174,16 @@ def postselect_pme(
     pair1: PatternState,
     pair2: PatternState,
     eta: float,
-) -> StepOutcome:
+) -> PatternState:
     """Post-selected mapping of two single-rail pairs to one qubit pair.
 
     The two rails become the H and V cells of a polarization pair; the
     mapping keeps the component with exactly one excitation at each
     node, which is read out only by the final measurement and therefore
     enters the delivered fidelity as a post-selection.
+
+    Returns the unnormalized two-cell pair; its total is the success
+    probability.
     """
     table = pme_table(eta)
     return _apply_table(table, pair1, pair2)

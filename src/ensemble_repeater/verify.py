@@ -34,7 +34,6 @@ from .circuits import (
 from .patterns import (
     BellState,
     ExcitationPattern,
-    LogicalBlock,
     PatternState,
     SchemeKind,
 )
@@ -241,47 +240,42 @@ def check_success_probabilities() -> List[CheckResult]:
     for higher levels, 1/2 for purification on matching pairs, 1/2 for
     the single-rail connection and the final post-selection."""
     results = []
+    psi_plus = (0.0, 0.0, 1.0, 0.0)
     ideal_new_source = PatternState(
-        SchemeKind.NEW,
-        {P.P11: 0.5, P.P20_PERP: 0.5},
-        LogicalBlock.pure(BellState.PSI_PLUS),
+        SchemeKind.NEW, {P.P11: 0.5, P.P20_PERP: 0.5}, psi_plus
     )
-    pure_new = PatternState(
-        SchemeKind.NEW, {P.P11: 1.0}, LogicalBlock.pure(BellState.PHI_PLUS)
-    )
-    pure_dlcz = PatternState(
-        SchemeKind.DLCZ, {P.P10: 1.0}, LogicalBlock.pure(BellState.PSI_PLUS)
-    )
+    pure_new = PatternState(SchemeKind.NEW, {P.P11: 1.0})
+    pure_dlcz = PatternState(SchemeKind.DLCZ, {P.P10: 1.0}, psi_plus)
     checks = [
         (
             "first-level connection on generated pairs (1/8)",
             enc(SchemeKind.NEW, ideal_new_source, ideal_new_source, 1.0, level=1)
-            .success_prob,
+            .total,
             1.0 / 8.0,
         ),
         (
             "higher-level connection on logical pairs (1/2)",
-            enc(SchemeKind.NEW, pure_new, pure_new, 1.0, level=2).success_prob,
+            enc(SchemeKind.NEW, pure_new, pure_new, 1.0, level=2).total,
             0.5,
         ),
         (
             "bit purification on matching pairs (1/2)",
-            enp("bit", pure_new, pure_new, 1.0).success_prob,
+            enp("bit", pure_new, pure_new, 1.0).total,
             0.5,
         ),
         (
             "phase purification on matching pairs (1/2)",
-            enp("phase", pure_new, pure_new, 1.0).success_prob,
+            enp("phase", pure_new, pure_new, 1.0).total,
             0.5,
         ),
         (
             "single-rail connection on ideal pairs (1/2)",
-            enc(SchemeKind.DLCZ, pure_dlcz, pure_dlcz, 1.0).success_prob,
+            enc(SchemeKind.DLCZ, pure_dlcz, pure_dlcz, 1.0).total,
             0.5,
         ),
         (
             "post-selection on ideal pairs (1/2)",
-            postselect_pme(pure_dlcz, pure_dlcz, 1.0).success_prob,
+            postselect_pme(pure_dlcz, pure_dlcz, 1.0).total,
             0.5,
         ),
     ]

@@ -30,10 +30,11 @@ from ensemble_repeater.patterns import (
     BellState,
     SchemeKind,
     aggregate,
+    normalize,
 )
 from ensemble_repeater.protocols import enc, eng, predicted_logical_error
 from ensemble_repeater.tables import enc_table
-from ensemble_repeater.patterns import ExcitationPattern, LogicalBlock, PatternState
+from ensemble_repeater.patterns import ExcitationPattern, PatternState
 from ensemble_repeater import verify
 
 NEW = SchemeKind.NEW
@@ -111,10 +112,10 @@ def test_criterion_04_ratio_dynamics():
     state = PatternState(
         DLCZ,
         {ExcitationPattern.P00: r / (1 + r), ExcitationPattern.P10: 1 / (1 + r)},
-        LogicalBlock.pure(BellState.PSI_PLUS),
+        (0.0, 0.0, 1.0, 0.0),  # pure Psi+
     )
     for level in range(1, 6):
-        state = enc(DLCZ, state, state, eta, level=level).normalized
+        state = normalize(enc(DLCZ, state, state, eta, level=level))
         agg = aggregate(state)
         grown = agg.p_vac / agg.p_logic
         assert grown / r >= 2.0, f"level {level}: growth {grown / r:.3f}"
@@ -126,7 +127,7 @@ def test_criterion_04_ratio_dynamics():
             state = eng(NEW, p_c, NoiseParams(eta=eta), 40.0)
             ratios = []
             for level in range(1, 7):
-                state = enc(NEW, state, state, eta, level=level).normalized
+                state = normalize(enc(NEW, state, state, eta, level=level))
                 agg = aggregate(state)
                 ratios.append(
                     (agg.p_vac / agg.p_logic, agg.p_multi / agg.p_logic)

@@ -11,6 +11,7 @@ from ensemble_repeater.chain import (
     L0_GRID,
     RepeaterConfig,
     _grid_rows,
+    _McTimes,
     check_step_noise,
     elementary_time,
     empirical_time,
@@ -83,9 +84,9 @@ def test_config_validates_parameters():
 
 
 def test_config_rejects_overflowing_elementary_time():
-    with pytest.raises(ValueError, match=r"^L0 / L_att = 1000 is too large"):
+    with pytest.raises(OverflowError, match=r"^L0 / L_att = 1000 is too large"):
         _config(L0=20000.0, L=80000.0)
-    with pytest.raises(ValueError, match=r"exp\(L0 / L_att\) overflows"):
+    with pytest.raises(OverflowError, match=r"exp\(L0 / L_att\) overflows"):
         _config(L_att=40.0 / 710.0)
     _config(L_att=40.0 / 709.0)  # exp(709) is still a float
 
@@ -94,7 +95,7 @@ def test_config_rejects_infinite_elementary_time():
     """exp(L0 / L_att) is finite here, but the elementary time is not."""
     config = dict(scheme=DLCZ, L=2836.0, L0=709.0, L_att=1.0, p_c=1e-3)
     assert math.isinf(elementary_time(1e-3, 0.9, 709.0, 1.0, 2.0e5))
-    with pytest.raises(ValueError, match=r"^the elementary time .* overflows for L0 = 709"):
+    with pytest.raises(OverflowError, match=r"^the elementary time .* overflows for L0 = 709"):
         _config(**config)
     _config(**config, c_fiber=2.0e6)  # ten times faster fiber keeps it finite
 
@@ -312,6 +313,17 @@ def test_mc_waiting_is_seeded_and_close_to_deterministic():
         simulate_chain(config, waiting="jitter")
 
 
+def test_mc_waiting_reports_saturated_draws_as_overflow():
+    """numpy saturates geometric draws at the int64 maximum for tiny
+    success probabilities; the chain reports an overflow, not 3e16 s."""
+    config = _config(scheme=DLCZ, L0=700.0, L=89600.0, L_att=1.0, p_c=1e-3)
+    with pytest.raises(OverflowError, match=r"^the average time of eng at level 0 overflows$"):
+        simulate_chain(config, waiting="mc")
+    mc = _McTimes(np.random.default_rng(0), 8)
+    assert np.isinf(mc.combine(np.ones(8), 1e-300)).all()
+    assert np.isfinite(mc.combine(np.ones(8), 0.5)).all()
+
+
 def test_mc_waiting_needs_at_least_one_sample():
     config = _config(L=320.0)
     for n in (0, -5):
@@ -401,6 +413,19 @@ def test_grid_skips_points_whose_stage_time_overflows():
     overflowing, finite = _grid_rows(chain, 700.0, (1e-3, 1e-2))
     assert overflowing is None
     assert math.isfinite(finite[0])
+
+
+def test_grid_skips_spacings_whose_elementary_time_overflows():
+    """At L_att = 0.2 km the 160 km spacing's exp(L0 / L_att) overflows;
+    the sweep records None there and keeps the other spacings."""
+    chain = dict(
+        scheme=NEW, L=1280.0, noise=NoiseParams(), L_att=0.2, c_fiber=2.0e5,
+        enp_schedule=(),
+    )
+    assert _grid_rows(chain, 160.0, (1e-3, 1e-2)) == [None, None]
+    assert all(row is not None for row in _grid_rows(chain, 5.0, (1e-3, 1e-2)))
+    found = optimize(NEW, 1280.0, 0.78, L_att=0.2)
+    assert found is not None and found[0].L0 < 160.0
 
 
 def test_optimize_reports_infeasible_targets():

@@ -254,6 +254,13 @@ def test_mc_seed_changes_simulated_times(tmp_path):
             [], "simulate", "the average time of pme at level 7 overflows",
             id="overflowing-stage-time",
         ),
+        # numpy saturates the elementary attempt counts of this chain.
+        pytest.param(
+            "[chain]\nscheme = dlcz\nL0 = 700\nL = 89600\nL_att = 1\np_c = 0.001\n"
+            "waiting = mc\n",
+            [], "simulate", "the average time of eng at level 0 overflows",
+            id="saturated-mc-attempts",
+        ),
     ],
 )
 def test_bad_configuration_exits_3(tmp_path, capsys, body, argv, command, message):
@@ -376,6 +383,19 @@ def test_optimize_honours_attenuation_and_fiber_speed(tmp_path, capsys):
         assert rc == EXIT_OK
         rows.append(capsys.readouterr().out.splitlines()[1])
     assert rows[0] != rows[1]
+
+
+def test_optimize_skips_spacings_whose_elementary_time_overflows(tmp_path, capsys):
+    """At L_att = 0.2 km the 160 km spacing overflows; optimize searches
+    the other spacings instead of failing the run."""
+    cfg = tmp_path / "short.ini"
+    cfg.write_text("[chain]\nL = 1280\nL_att = 0.2\n")
+    rc, out = _run(tmp_path, "--config", str(cfg), "optimize")
+    assert rc == EXIT_OK
+    assert "error" not in capsys.readouterr().err
+    payload = json.loads((out / "optimize.json").read_text())
+    assert payload["feasible"] is True
+    assert payload["L0_km"] < 160.0
 
 
 def test_table_over_distances(tmp_path):

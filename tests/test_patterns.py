@@ -8,7 +8,6 @@ from ensemble_repeater.patterns import (
     WEIGHT_TOL,
     BellState,
     ExcitationPattern,
-    LogicalBlock,
     PatternState,
     SchemeKind,
     aggregate,
@@ -39,25 +38,11 @@ def test_scheme_patterns_contain_logical_and_overflow():
     assert logical_pattern(SchemeKind.NEW) is ExcitationPattern.P11
 
 
-def test_logical_block_pure_and_mixed():
-    pure = LogicalBlock.pure(BellState.PSI_PLUS)
-    assert pure.weight(BellState.PSI_PLUS) == pytest.approx(1.0)
-    assert pure.weight(BellState.PHI_PLUS) == 0.0
-    mixed = LogicalBlock.mixed()
-    assert np.allclose(mixed.as_array(), 0.25)
-    assert mixed.total == pytest.approx(1.0)
-
-
-def test_logical_block_from_array_normalizes_on_request():
-    raw = LogicalBlock.from_array([0.2, 0.1, 0.6, 0.1])
-    assert raw.as_array()[2] == pytest.approx(0.6)
-    scaled = LogicalBlock.from_array([2.0, 1.0, 6.0, 1.0]).normalized()
-    assert scaled.weight(BellState.PSI_PLUS) == pytest.approx(0.6)
-
-
-def test_logical_block_rejects_negative_weights():
-    with pytest.raises(ValueError):
-        LogicalBlock.from_array([0.5, 0.6, -0.1, 0.0])
+def _pure(bell):
+    """One-hot conditional Bell weights."""
+    weights = [0.0] * 4
+    weights[bell.index] = 1.0
+    return weights
 
 
 def test_pattern_state_validation():
@@ -71,9 +56,27 @@ def test_pattern_state_validation():
     ):
         PatternState(SchemeKind.DLCZ, {ExcitationPattern.P10: -0.5})
     with pytest.raises(ValueError, match=r"^logical block weights sum to 0\.5, expected 1$"):
-        PatternState(
-            SchemeKind.NEW, {ExcitationPattern.P11: 1.0}, LogicalBlock(0.5, 0.0, 0.0, 0.0)
-        )
+        PatternState(SchemeKind.NEW, {ExcitationPattern.P11: 1.0}, (0.5, 0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match=r"^expected four Bell weights$"):
+        PatternState(SchemeKind.NEW, {ExcitationPattern.P11: 1.0}, (0.5, 0.5, 0.0))
+    # Negative weights are rejected even where no logical mass scales them.
+    for probs in ({ExcitationPattern.P11: 1.0}, {ExcitationPattern.P00: 1.0}):
+        with pytest.raises(ValueError, match=r"^Bell weights must be non-negative$"):
+            PatternState(SchemeKind.NEW, probs, [0.5, 0.6, -0.1, 0.0])
+    # Weights are taken as given, never renormalized.
+    with pytest.raises(ValueError, match=r"^logical block weights sum to 10\.0, expected 1$"):
+        PatternState(SchemeKind.NEW, {ExcitationPattern.P11: 1.0}, [2.0, 1.0, 6.0, 1.0])
+    # Any float sequence of four weights summing to 1 is accepted as is.
+    for weights in ((0.25, 0.25, 0.25, 0.25), np.array([0.2, 0.1, 0.6, 0.1])):
+        state = PatternState(SchemeKind.NEW, {ExcitationPattern.P11: 1.0}, weights)
+        assert state.logical.tolist() == list(weights)
+    pure = PatternState(
+        SchemeKind.DLCZ, {ExcitationPattern.P10: 1.0}, _pure(BellState.PSI_PLUS)
+    )
+    assert pure.logical.tolist() == [0.0, 0.0, 1.0, 0.0]
+    # The default is pure Phi+.
+    default = PatternState(SchemeKind.NEW, {ExcitationPattern.P11: 1.0})
+    assert default.logical.tolist() == [1.0, 0.0, 0.0, 0.0]
     # The first offending pattern in input order is named.
     with pytest.raises(ValueError, match=r"P20 = -0\.25$"):
         PatternState(
@@ -88,7 +91,7 @@ def test_pattern_state_masses_follow_scheme_order():
         ExcitationPattern.P11: 0.625,
         ExcitationPattern.P10: 0.0,
     }
-    state = PatternState(SchemeKind.NEW, probs, LogicalBlock.pure(BellState.PHI_PLUS))
+    state = PatternState(SchemeKind.NEW, probs, _pure(BellState.PHI_PLUS))
     assert state.probs == {p: v for p, v in probs.items() if v != 0.0}
     assert list(state.probs) == [
         ExcitationPattern.P00, ExcitationPattern.P11, ExcitationPattern.P21_PERP
@@ -97,24 +100,20 @@ def test_pattern_state_masses_follow_scheme_order():
         probs.get(p, 0.0) for p in scheme_patterns(SchemeKind.NEW)
     ]
     assert state.total == 1.0 and state.normalized
-    same = PatternState.from_masses(
-        SchemeKind.NEW, state.masses, LogicalBlock.pure(BellState.PHI_PLUS)
-    )
+    same = PatternState(SchemeKind.NEW, dict(reversed(probs.items())))
     assert same == state
-    assert same != PatternState.from_masses(
-        SchemeKind.NEW, state.masses, LogicalBlock.pure(BellState.PSI_PLUS)
-    )
-    with pytest.raises(ValueError, match="expected 7 pattern masses"):
-        PatternState.from_masses(SchemeKind.DLCZ, state.masses, LogicalBlock())
+    assert same != PatternState(SchemeKind.NEW, probs, _pure(BellState.PSI_PLUS))
 
 
 def test_pattern_state_is_immutable():
-    masses = np.array([0.25, 0.75, 0.0, 0.0, 0.0, 0.0, 0.0])
-    state = PatternState.from_masses(
-        SchemeKind.DLCZ, masses, LogicalBlock.pure(BellState.PSI_PLUS)
+    weights = np.array([0.0, 0.0, 1.0, 0.0])
+    state = PatternState(
+        SchemeKind.DLCZ,
+        {ExcitationPattern.P00: 0.25, ExcitationPattern.P10: 0.75},
+        weights,
     )
-    masses[0] = 1.0  # the state keeps its own copy
-    assert state.prob(ExcitationPattern.P00) == 0.25
+    weights[:] = 0.25  # the state keeps its own copy
+    assert state.logical.tolist() == [0.0, 0.0, 1.0, 0.0]
     with pytest.raises(AttributeError):
         state.scheme = SchemeKind.NEW
     with pytest.raises(AttributeError):
@@ -123,13 +122,16 @@ def test_pattern_state_is_immutable():
         del state.logical
     with pytest.raises(ValueError):
         state.masses[0] = 0.5
+    with pytest.raises(ValueError):
+        state.logical[0] = 0.5
     with pytest.raises(TypeError):
         state.probs[ExcitationPattern.P00] = 0.5
     assert state.masses.tolist() == [0.25, 0.75, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
-def test_from_masses_rejects_negative_mass():
-    """Array-built states, as every step builds, keep the negativity check."""
+def test_step_row_rejects_negative_mass():
+    """Rows built by the steps, through ``PatternState._from_row``, keep
+    the negativity check."""
     masses = [0.0] * len(scheme_patterns(SchemeKind.NEW))
     masses[0] = -0.5 * WEIGHT_TOL  # within tolerance: kept as is
     masses[4] = -2.0 * WEIGHT_TOL
@@ -138,9 +140,9 @@ def test_from_masses_rejects_negative_mass():
         ValueError,
         match=r"^negative pattern probability: ExcitationPattern\.P20_PERP = -2e-12$",
     ):
-        PatternState.from_masses(SchemeKind.NEW, masses, LogicalBlock())
+        PatternState._from_row(SchemeKind.NEW, np.array(masses + [0.0] * 4))
     masses[4] = masses[6] = 0.0
-    state = PatternState.from_masses(SchemeKind.NEW, masses, LogicalBlock())
+    state = PatternState._from_row(SchemeKind.NEW, np.array(masses + [0.0] * 4))
     assert state.probs == {ExcitationPattern.P00: -0.5 * WEIGHT_TOL}
 
 
@@ -148,7 +150,7 @@ def test_pattern_state_total_and_normalize():
     state = PatternState(
         SchemeKind.DLCZ,
         {ExcitationPattern.P10: 0.3, ExcitationPattern.P00: 0.1},
-        LogicalBlock.pure(BellState.PSI_PLUS),
+        _pure(BellState.PSI_PLUS),
     )
     assert state.total == pytest.approx(0.4)
     assert not state.normalized
@@ -156,14 +158,14 @@ def test_pattern_state_total_and_normalize():
     assert unit.normalized
     assert unit.prob(ExcitationPattern.P10) == pytest.approx(0.75)
     # Normalization leaves the conditional Bell weights untouched.
-    assert unit.logical.weight(BellState.PSI_PLUS) == pytest.approx(1.0)
+    assert unit.logical[BellState.PSI_PLUS.index] == pytest.approx(1.0)
 
 
 def test_bell_masses_scale_with_logical_probability():
     state = PatternState(
         SchemeKind.NEW,
         {ExcitationPattern.P11: 0.5, ExcitationPattern.P00: 0.5},
-        LogicalBlock.from_array([0.1, 0.2, 0.6, 0.1]),
+        [0.1, 0.2, 0.6, 0.1],
     )
     masses = state.bell_masses()
     assert masses.sum() == pytest.approx(0.5)
@@ -174,7 +176,7 @@ def test_state_is_one_row_of_masses_then_bell_masses():
     state = PatternState(
         SchemeKind.NEW,
         {ExcitationPattern.P11: 0.5, ExcitationPattern.P00: 0.5},
-        LogicalBlock.from_array([0.125, 0.125, 0.75, 0.0]),
+        [0.125, 0.125, 0.75, 0.0],
     )
     assert state.row.tolist() == [
         *state.masses.tolist(), *state.bell_masses().tolist()
@@ -182,18 +184,18 @@ def test_state_is_one_row_of_masses_then_bell_masses():
     assert state.bell_masses().tolist() == [0.0625, 0.0625, 0.375, 0.0]
     assert np.shares_memory(state.masses, state.row)
     assert np.shares_memory(state.bell_masses(), state.row)
-    assert state.logical == LogicalBlock.from_array([0.125, 0.125, 0.75, 0.0])
+    assert state.logical.tolist() == [0.125, 0.125, 0.75, 0.0]
     assert fidelity(state, BellState.PSI_PLUS) == 0.375
 
 
-def test_state_without_logical_mass_reports_scheme_default():
+def test_empty_logical_pattern_reports_scheme_default():
     for scheme, default in (
         (SchemeKind.DLCZ, BellState.PSI_PLUS),
         (SchemeKind.NEW, BellState.PHI_PLUS),
     ):
-        state = PatternState(scheme, {ExcitationPattern.P00: 1.0}, LogicalBlock.mixed())
+        state = PatternState(scheme, {ExcitationPattern.P00: 1.0}, [0.25] * 4)
         assert state.bell_masses().tolist() == [0.0, 0.0, 0.0, 0.0]
-        assert state.logical == LogicalBlock.pure(default)
+        assert state.logical.tolist() == _pure(default)
         assert logical_fidelity(state, default) == 1.0
         assert fidelity(state, default) == 0.0
 
@@ -231,7 +233,7 @@ def test_fidelity_vs_logical_fidelity():
     state = PatternState(
         SchemeKind.NEW,
         {ExcitationPattern.P11: 0.8, ExcitationPattern.P00: 0.2},
-        LogicalBlock.from_array([0.05, 0.05, 0.9, 0.0]),
+        [0.05, 0.05, 0.9, 0.0],
     )
     assert fidelity(state, BellState.PSI_PLUS) == pytest.approx(0.72)
     assert logical_fidelity(state, BellState.PSI_PLUS) == pytest.approx(0.9)
@@ -244,15 +246,47 @@ def test_apply_bell_channel_is_stochastic():
     state = PatternState(
         SchemeKind.NEW,
         {ExcitationPattern.P11: 1.0},
-        LogicalBlock.pure(BellState.PHI_PLUS),
+        _pure(BellState.PHI_PLUS),
     )
     out = apply_bell_channel(state, misalignment_channel(0.2))
-    assert out.logical.total == pytest.approx(1.0)
-    assert out.logical.weight(BellState.PHI_PLUS) < 1.0
+    assert out.logical.sum() == pytest.approx(1.0)
+    assert out.logical[BellState.PHI_PLUS.index] < 1.0
     ident = apply_bell_channel(state, np.eye(4))
-    assert ident.logical.weight(BellState.PHI_PLUS) == pytest.approx(1.0)
+    assert ident.logical[BellState.PHI_PLUS.index] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         apply_bell_channel(state, np.ones((4, 4)))
+
+
+def _channel_with(i, j, value):
+    channel = np.eye(4)
+    channel[i, j] = value
+    return channel
+
+
+@pytest.mark.parametrize(
+    "channel, message",
+    [
+        (_channel_with(1, 0, -1e-3), "^Bell channel entries must be non-negative$"),
+        (_channel_with(1, 0, 1e-3), "^Bell channel columns must sum to 1$"),
+        (_channel_with(2, 3, np.nan), "^Bell channel columns must sum to 1$"),
+        (np.eye(3), "^Bell channel must be 4x4$"),
+    ],
+    ids=["negative", "column_off", "nan", "shape"],
+)
+def test_apply_bell_channel_rejects_bad_channels(channel, message):
+    state = PatternState(SchemeKind.NEW, {ExcitationPattern.P11: 1.0})
+    with pytest.raises(ValueError, match=message):
+        apply_bell_channel(state, channel)
+
+
+def test_apply_bell_channel_tolerances():
+    """Entries down to -WEIGHT_TOL and column sums within 1e-9 + 1e-5 of
+    1 (np.allclose's atol and rtol) pass."""
+    state = PatternState(SchemeKind.NEW, {ExcitationPattern.P11: 1.0})
+    apply_bell_channel(state, _channel_with(1, 0, 9e-6))
+    apply_bell_channel(state, _channel_with(1, 0, -0.5 * WEIGHT_TOL))
+    with pytest.raises(ValueError, match="columns"):
+        apply_bell_channel(state, _channel_with(1, 0, 1.1e-5))
 
 
 def test_classify_dlcz():
@@ -292,14 +326,14 @@ def test_text_round_trip():
             ExcitationPattern.P00: 0.25,
             ExcitationPattern.P21_PERP: 0.125,
         },
-        LogicalBlock.from_array([0.125, 0.125, 0.75, 0.0]),
+        [0.125, 0.125, 0.75, 0.0],
     )
     text = to_text(state)
     back = from_text(text)
     assert back.scheme is state.scheme
     for pat in scheme_patterns(state.scheme):
         assert back.prob(pat) == pytest.approx(state.prob(pat), abs=0.0)
-    assert np.array_equal(back.logical.as_array(), state.logical.as_array())
+    assert np.array_equal(back.logical, state.logical)
 
 
 def test_from_text_rejects_unknown_fields():

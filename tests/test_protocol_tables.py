@@ -16,7 +16,6 @@ from ensemble_repeater.noise import NoiseParams, misalignment_channel
 from ensemble_repeater.patterns import (
     BellState,
     ExcitationPattern,
-    LogicalBlock,
     PatternState,
     SchemeKind,
     apply_bell_channel,
@@ -48,6 +47,9 @@ B = BellState
 P = ExcitationPattern
 NEW = SchemeKind.NEW
 DLCZ = SchemeKind.DLCZ
+# One-hot conditional Bell weights (Phi+, Phi-, Psi+, Psi-).
+PHI_PLUS = (1.0, 0.0, 0.0, 0.0)
+PSI_PLUS = (0.0, 0.0, 1.0, 0.0)
 
 
 def _masses(entry):
@@ -131,13 +133,13 @@ def test_first_level_success_from_ideal_source():
     """Ideal heralded sources put half their mass on the cross-cell
     double; only the logical x logical quarter survives the rotated
     connection, at coefficient 1/2: total success 1/8."""
-    src = PatternState(NEW, {P.P11: 0.5, P.P20_PERP: 0.5}, LogicalBlock.pure(B.PSI_PLUS))
+    src = PatternState(NEW, {P.P11: 0.5, P.P20_PERP: 0.5}, PSI_PLUS)
     out = enc(NEW, src, src, 1.0, level=1)
-    assert out.success_prob == pytest.approx(0.125)
-    assert out.out.probs == {P.P11: pytest.approx(0.125)}
-    assert out.out.logical.weight(B.PHI_PLUS) == pytest.approx(1.0)
+    assert out.total == pytest.approx(0.125)
+    assert out.probs == {P.P11: pytest.approx(0.125)}
+    assert out.logical[B.PHI_PLUS.index] == pytest.approx(1.0)
     higher = enc(NEW, src, src, 1.0, level=2)
-    assert higher.success_prob == pytest.approx(0.25)
+    assert higher.total == pytest.approx(0.25)
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +312,7 @@ def _reference_step(table, left, right):
                 continue
             if pattern is logical:
                 for bell in BellState:
-                    weight = state.logical.weight(bell)
+                    weight = state.logical[bell.index]
                     if weight > 0.0:
                         masses[(pattern, bell)] = prob * weight
             elif prob > 0.0:
@@ -343,7 +345,7 @@ def _pattern_states(draw, scheme):
         weights[0] = 1.0
     weights = [w / sum(weights) for w in weights]
     block = [0.0, 0.0, *weights] if scheme is DLCZ else weights
-    return PatternState(scheme, probs, LogicalBlock.from_array(block))
+    return PatternState(scheme, probs, block)
 
 
 _KERNEL_TABLES = {
@@ -364,8 +366,7 @@ def test_dense_step_matches_per_entry_sum(kind, data):
         right = left
     else:
         right = data.draw(_pattern_states(table.scheme), label="right")
-    outcome = _apply_table(table, left, right)
-    out = outcome.out
+    out = _apply_table(table, left, right)
     masses, bell = _reference_step(table, left, right)
     logical = logical_pattern(table.output_scheme)
     assert out.scheme is table.output_scheme
@@ -377,22 +378,21 @@ def test_dense_step_matches_per_entry_sum(kind, data):
     assert out.prob(logical) == pytest.approx(p_logical, rel=1e-12, abs=0.0)
     if p_logical > 0.0:
         want = [b / p_logical for b in bell]
-        assert out.logical.as_array().tolist() == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert out.logical.tolist() == pytest.approx(want, rel=1e-12, abs=0.0)
     else:
-        fallback = B.PSI_PLUS if table.output_scheme is DLCZ else B.PHI_PLUS
-        assert out.logical == LogicalBlock.pure(fallback)
-    assert outcome.success_prob == out.total
+        fallback = PSI_PLUS if table.output_scheme is DLCZ else PHI_PLUS
+        assert out.logical.tolist() == list(fallback)
 
 
 def _assert_row_invariant(state):
     """The logical mass is the Bell masses' sum, and ``logical`` their
     conditional weights or, without logical mass, the scheme default."""
-    mass = state.logical_mass()
+    mass = state.prob(logical_pattern(state.scheme))
     assert mass == pytest.approx(float(state.bell_masses().sum()), rel=1e-12, abs=0.0)
-    assert state.logical.total == pytest.approx(1.0, rel=1e-12, abs=0.0)
+    assert state.logical.sum() == pytest.approx(1.0, rel=1e-12, abs=0.0)
     if mass == 0.0:
-        default = B.PSI_PLUS if state.scheme is DLCZ else B.PHI_PLUS
-        assert state.logical == LogicalBlock.pure(default)
+        default = PSI_PLUS if state.scheme is DLCZ else PHI_PLUS
+        assert state.logical.tolist() == list(default)
 
 
 @pytest.mark.parametrize("kind", sorted(_KERNEL_TABLES))
@@ -408,7 +408,7 @@ def test_state_row_invariant_holds_through_every_operation(kind, data):
         state,
         unit,
         apply_bell_channel(unit, misalignment_channel(p)),
-        _apply_table(table, unit, unit).out,
+        _apply_table(table, unit, unit),
     ):
         _assert_row_invariant(out)
 
@@ -421,37 +421,35 @@ def test_step_outcome_mass_is_success_probability():
     noise = NoiseParams(eta=ETA)
     pair = eng(NEW, 0.01, noise, 40.0)
     out = enc(NEW, pair, pair, ETA, level=1)
-    assert out.success_prob == pytest.approx(out.out.total)
-    kept = enp(EnpKind.PHASE, out.normalized, out.normalized, ETA)
-    assert kept.success_prob == pytest.approx(kept.out.total)
+    assert not out.normalized and 0.0 < out.total < 1.0
+    kept = enp(EnpKind.PHASE, normalize(out), normalize(out), ETA)
+    assert not kept.normalized and 0.0 < kept.total < 1.0
     dlcz_pair = eng(DLCZ, 0.01, noise, 40.0)
-    joined = enc(DLCZ, dlcz_pair, dlcz_pair, ETA)
-    final = postselect_pme(joined.normalized, joined.normalized, ETA)
-    assert final.success_prob == pytest.approx(final.out.total)
-    assert final.out.scheme is NEW
+    joined = normalize(enc(DLCZ, dlcz_pair, dlcz_pair, ETA))
+    final = postselect_pme(joined, joined, ETA)
+    assert not final.normalized and 0.0 < final.total < 1.0
+    assert final.scheme is NEW
 
 
 def test_enp_accepts_string_kinds():
-    pair = PatternState(NEW, {P.P11: 1.0}, LogicalBlock.pure(B.PHI_PLUS))
+    pair = PatternState(NEW, {P.P11: 1.0}, PHI_PLUS)
     out = enp("phase", pair, pair, 1.0)
-    assert out.success_prob == pytest.approx(0.5)
+    assert out.total == pytest.approx(0.5)
     with pytest.raises(ValueError):
         enp("parity", pair, pair, 1.0)
 
 
 def test_enc_rejects_bad_level_and_scheme_mismatch():
-    pair = PatternState(NEW, {P.P11: 1.0}, LogicalBlock.pure(B.PSI_PLUS))
+    pair = PatternState(NEW, {P.P11: 1.0}, PSI_PLUS)
     with pytest.raises(ValueError):
         enc(NEW, pair, pair, ETA, level=0)
-    dlcz_pair = PatternState(DLCZ, {P.P10: 1.0}, LogicalBlock.pure(B.PSI_PLUS))
+    dlcz_pair = PatternState(DLCZ, {P.P10: 1.0}, PSI_PLUS)
     with pytest.raises(ValueError):
         enc(NEW, pair, dlcz_pair, ETA)
 
 
 def test_single_rail_states_cannot_carry_even_parity_weight():
-    bad = PatternState(
-        DLCZ, {P.P10: 1.0}, LogicalBlock.from_array([0.5, 0.0, 0.5, 0.0])
-    )
+    bad = PatternState(DLCZ, {P.P10: 1.0}, [0.5, 0.0, 0.5, 0.0])
     with pytest.raises(ValueError):
         enc(DLCZ, bad, bad, ETA)
 
@@ -460,10 +458,10 @@ def test_step_checks_keep_their_messages():
     """The scheme, parity and state checks still run on the array a step
     reads and writes."""
     pair = eng(NEW, 0.01, NoiseParams(eta=ETA), 40.0)
-    dlcz_pair = PatternState(DLCZ, {P.P10: 1.0}, LogicalBlock.pure(B.PSI_PLUS))
+    dlcz_pair = PatternState(DLCZ, {P.P10: 1.0}, PSI_PLUS)
     with pytest.raises(ValueError, match="^input scheme does not match table scheme$"):
         enc(NEW, pair, dlcz_pair, ETA)
-    even = PatternState(DLCZ, {P.P10: 1.0}, LogicalBlock.pure(B.PHI_MINUS))
+    even = PatternState(DLCZ, {P.P10: 1.0}, (0.0, 1.0, 0.0, 0.0))
     with pytest.raises(
         ValueError, match="^single-rail pairs carry only odd-parity Bell weight$"
     ):
@@ -475,7 +473,7 @@ def test_step_checks_keep_their_messages():
     tensor = table.tensor.copy()
     tensor[0] = -1.0  # every input pair now feeds negative P00 mass
     broken.__dict__["tensor"] = tensor
-    assert _apply_table(table, pair, pair).out.prob(P.P00) >= 0.0
+    assert _apply_table(table, pair, pair).prob(P.P00) >= 0.0
     message = r"^negative pattern probability: ExcitationPattern\.P00 = -"
     with pytest.raises(ValueError, match=message):
         _apply_table(broken, pair, pair)
@@ -503,7 +501,7 @@ def test_generation_composition():
     assert new.prob(P.P20_PERP) == pytest.approx(0.5 / (1 + r))
     assert new.prob(P.P21_PAR) == pytest.approx(0.5 * r / (1 + r))
     assert new.prob(P.P21_PERP) == pytest.approx(0.5 * r / (1 + r))
-    assert new.logical.weight(B.PSI_PLUS) == pytest.approx(1.0)
+    assert new.logical[B.PSI_PLUS.index] == pytest.approx(1.0)
 
     dlcz = eng(DLCZ, 0.01, noise, 40.0)
     r = 5.5 * 0.01
@@ -518,12 +516,12 @@ def test_generation_phase_noise_mixes_the_sign():
     noise = NoiseParams(eta=ETA, D=1e-3)
     dlcz = eng(DLCZ, 0.01, noise, 10.0)
     q = 0.5 * (1.0 - math.exp(-1e-3 * 10.0))
-    assert dlcz.logical.weight(B.PSI_MINUS) == pytest.approx(q)
+    assert dlcz.logical[B.PSI_MINUS.index] == pytest.approx(q)
     # The two-cell pattern compares two independent links, doubling the
     # phase variance entering the Gaussian average.
     new = eng(NEW, 0.01, noise, 10.0)
     q2 = 0.5 * (1.0 - math.exp(-2.0 * 1e-3 * 10.0))
-    assert new.logical.weight(B.PSI_MINUS) == pytest.approx(q2)
+    assert new.logical[B.PSI_MINUS.index] == pytest.approx(q2)
 
 
 def test_generation_validation():
