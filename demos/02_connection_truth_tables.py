@@ -5,11 +5,13 @@ Connection and purification truth tables
 Every heralded operation of the repeater (entanglement connection,
 purification, the final post-selected mapping) acts bilinearly on a
 finite set of canonical input components, so its whole behavior fits in
-a table.  The tables are computed by the exact Fock simulation; this
-script prints the logical sector at unit efficiency, where the rules
-are simple enough to read off.
+a table.  Each table value is a polynomial in the efficiency eta,
+computed once by the exact Fock simulation and frozen in the package;
+this script prints the logical sector at unit efficiency, where the
+rules are simple enough to read off.
 """
 
+from ensemble_repeater.circuits import oracle_table
 from ensemble_repeater.patterns import BellState, ExcitationPattern, SchemeKind
 from ensemble_repeater.tables import dump_table, enc_table, enp_table
 
@@ -53,8 +55,10 @@ bell_grid(enp_table("phase", 1.0), ExcitationPattern.P11)
 
 # Below unit efficiency the same tables pick up loss branches; the full
 # dump lists every input pair with its surviving pattern masses.  The
-# vacuum rows show how connection losses feed the vacuum fraction.
-table = enc_table(SchemeKind.NEW, 0.9)
+# vacuum rows show how connection losses feed the vacuum fraction.  The
+# table is built by the Fock oracle, so that each line also reports the
+# discarded off-Bell-diagonal residue, which no polynomial carries.
+table = oracle_table("enc_higher", 0.9)
 print("Some two-cell connection entries at eta = 0.9:")
 for line in dump_table(table).splitlines():
     if line.startswith(("P00 x", "P11[phi_plus] x P11", "#")):

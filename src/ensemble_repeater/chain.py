@@ -260,8 +260,11 @@ class _McTimes:
     """Empirical waiting-time samples propagated through the chain.
 
     numpy saturates a geometric draw at the int64 maximum when the
-    success probability is tiny.  A stage with such a draw gets infinite
-    times, which ``simulate_chain`` reports as that stage's overflow.
+    success probability is tiny.  A stage with such a draw, or whose
+    attempt counts sum beyond the int64 maximum, gets infinite times,
+    which ``simulate_chain`` reports as that stage's overflow.  Totals
+    that fit in int64 but whose draws do not fit in memory are left to
+    an exact waiting-time distribution (ROADMAP item 3).
     """
 
     def __init__(self, rng: np.random.Generator, n_samples: int) -> None:
@@ -282,7 +285,8 @@ class _McTimes:
     def combine(self, times: np.ndarray, success: float) -> np.ndarray:
         """Times for one heralded step consuming two sub-pairs per attempt."""
         attempts = self.rng.geometric(min(success, 1.0), size=self.n)
-        if attempts.max() == _SATURATED_DRAW:
+        # a saturated draw, or a total an int64 sum would wrap negative
+        if attempts.sum(dtype=float) >= _SATURATED_DRAW:
             return np.full(self.n, math.inf)
         total = int(attempts.sum())
         a = self.rng.choice(times, size=total)

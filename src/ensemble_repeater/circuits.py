@@ -5,8 +5,11 @@ post-selection) is expressed here as an explicit Fock-space circuit:
 retrieval loss, interference optics, photon counting over all detection
 outcomes, and the measurement-conditioned corrections. Feeding canonical
 pattern states through these circuits produces the exact superoperator
-coefficients used by the scalable recursion; the same circuits back the
-truth-table and coefficient verification suite.
+entries of the connection tables. Run once with tagged loss
+(``entry_terms``), they give each entry's exact polynomial in eta, which
+:mod:`.freeze` stores for :mod:`.tables`; run at a given eta
+(``enc_entry``, ``enp_entry``, ``pme_entry``, ``oracle_table``), they
+back the verification suite.
 
 Canonical pattern states
 ------------------------
@@ -29,12 +32,13 @@ feed-forward correction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .fock import (
+    LEDGER,
     FockDensityOperator,
     ModeLabel,
     PAULI_X,
@@ -57,6 +61,7 @@ from .patterns import (
     project_from_fock,
     scheme_patterns,
 )
+from .tables import KINDS, ConnectionTable, Key, TableEntry, canonical_keys, enc_kind
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -222,11 +227,13 @@ def canonical_pattern_fock(
 # ----------------------------------------------------------------------
 # circuits
 
+# Each run_* circuit takes eta=None for tagged loss (see fock.apply_loss).
+
 AcceptedBranch = tuple[FockDensityOperator, float]
 
 
 def run_enc_dlcz(
-    left: FockDensityOperator, right: FockDensityOperator, eta: float
+    left: FockDensityOperator, right: FockDensityOperator, eta: float | None
 ) -> list[AcceptedBranch]:
     """Single-rail connection: retrieve the central memories, interfere
     on a balanced beamsplitter, accept exactly one click.
@@ -253,7 +260,7 @@ def run_enc_dlcz(
 def run_enc_new(
     left: FockDensityOperator,
     right: FockDensityOperator,
-    eta: float,
+    eta: float | None,
     first_level: bool,
 ) -> list[AcceptedBranch]:
     """Two-cell connection: retrieve both central qubits, overlap them on
@@ -296,7 +303,7 @@ def run_enc_new(
 def run_enp(
     pair1: FockDensityOperator,
     pair2: FockDensityOperator,
-    eta: float,
+    eta: float | None,
     phase_variant: bool,
 ) -> list[AcceptedBranch]:
     """Entanglement purification between two pairs spanning nodes a, b.
@@ -345,7 +352,7 @@ def run_enp(
 
 
 def run_pme(
-    pair1: FockDensityOperator, pair2: FockDensityOperator, eta: float
+    pair1: FockDensityOperator, pair2: FockDensityOperator, eta: float | None
 ) -> list[AcceptedBranch]:
     """Final DLCZ post-selection onto a polarization-entangled pair.
 
@@ -368,25 +375,6 @@ def run_pme(
 
 # ----------------------------------------------------------------------
 # superoperator table entries
-
-
-@dataclass(frozen=True)
-class TableEntry:
-    """Unnormalized output of one pattern-pair connection.
-
-    ``masses`` lists every output pattern weight (the logical pattern's
-    total equals the sum of ``bell``); ``bell`` holds the absolute Bell
-    masses of the logical output; ``residue`` is the largest discarded
-    off-Bell-diagonal magnitude across accepted outcomes.
-    """
-
-    masses: tuple[tuple[ExcitationPattern, float], ...]
-    bell: tuple[float, float, float, float]
-    residue: float
-
-    @property
-    def total(self) -> float:
-        return float(sum(w for _, w in self.masses))
 
 
 def accumulate_entry(
@@ -418,50 +406,89 @@ ENP_OUT_MAP = {"left": ("auH", "auV"), "right": ("buH", "buV")}
 PME_OUT_MAP = {"left": ("xH", "xV"), "right": ("yH", "yV")}
 
 
+def _entry_branches(
+    kind: str, alpha: Key, beta: Key, eta: float | None
+) -> tuple[list[AcceptedBranch], SchemeKind, dict[str, object]]:
+    """Accepted branches of one entry of a table of ``tables.KINDS``,
+    with the scheme and mode map that classify them.  ``eta=None``
+    runs the circuit with tagged loss (see ``fock.apply_loss``)."""
+    pat_a, bell_a = alpha
+    pat_b, bell_b = beta
+    if kind == "enc_dlcz":
+        left = canonical_pattern_fock(SchemeKind.DLCZ, pat_a, bell_a, side="left")
+        right = canonical_pattern_fock(SchemeKind.DLCZ, pat_b, bell_b, side="right")
+        return run_enc_dlcz(left, right, eta), SchemeKind.DLCZ, ENC_OUT_MAP_DLCZ
+    if kind in ("enc_level1", "enc_higher"):
+        left = canonical_pattern_fock(SchemeKind.NEW, pat_a, bell_a, side="left")
+        right = canonical_pattern_fock(SchemeKind.NEW, pat_b, bell_b, side="right")
+        first_level = kind == "enc_level1"
+        return run_enc_new(left, right, eta, first_level), SchemeKind.NEW, ENC_OUT_MAP_NEW
+    if kind in ("enp_bit", "enp_phase"):
+        pair1 = canonical_new(pat_a, ("a1H", "a1V"), ("b1H", "b1V"), bell_a)
+        pair2 = canonical_new(pat_b, ("a2H", "a2V"), ("b2H", "b2V"), bell_b)
+        branches = run_enp(pair1, pair2, eta, kind == "enp_phase")
+        return branches, SchemeKind.NEW, ENP_OUT_MAP
+    if kind == "pme":
+        pair1 = canonical_dlcz(pat_a, "x1", "y1", bell_a)
+        pair2 = canonical_dlcz(pat_b, "x2", "y2", bell_b)
+        # inputs are DLCZ patterns, the output a polarization pair
+        return run_pme(pair1, pair2, eta), SchemeKind.NEW, PME_OUT_MAP
+    raise ValueError(f"unknown table kind {kind!r}")
+
+
 def enc_entry(
     scheme: SchemeKind,
-    alpha: tuple[ExcitationPattern, BellState | None],
-    beta: tuple[ExcitationPattern, BellState | None],
+    alpha: Key,
+    beta: Key,
     eta: float,
     first_level: bool = False,
 ) -> TableEntry:
     """Connection superoperator entry for one canonical pattern pair."""
-    pat_a, bell_a = alpha
-    pat_b, bell_b = beta
-    left = canonical_pattern_fock(scheme, pat_a, bell_a, side="left")
-    right = canonical_pattern_fock(scheme, pat_b, bell_b, side="right")
-    if scheme is SchemeKind.DLCZ:
-        branches = run_enc_dlcz(left, right, eta)
-        return accumulate_entry(branches, scheme, ENC_OUT_MAP_DLCZ)
-    branches = run_enc_new(left, right, eta, first_level)
-    return accumulate_entry(branches, scheme, ENC_OUT_MAP_NEW)
+    kind = enc_kind(scheme, first_level)
+    return accumulate_entry(*_entry_branches(kind, alpha, beta, eta))
 
 
-def enp_entry(
-    alpha: tuple[ExcitationPattern, BellState | None],
-    beta: tuple[ExcitationPattern, BellState | None],
-    eta: float,
-    phase_variant: bool,
-) -> TableEntry:
+def enp_entry(alpha: Key, beta: Key, eta: float, phase_variant: bool) -> TableEntry:
     """Purification superoperator entry for one canonical pattern pair."""
-    pat_a, bell_a = alpha
-    pat_b, bell_b = beta
-    pair1 = canonical_new(pat_a, ("a1H", "a1V"), ("b1H", "b1V"), bell_a)
-    pair2 = canonical_new(pat_b, ("a2H", "a2V"), ("b2H", "b2V"), bell_b)
-    branches = run_enp(pair1, pair2, eta, phase_variant)
-    return accumulate_entry(branches, SchemeKind.NEW, ENP_OUT_MAP)
+    kind = "enp_phase" if phase_variant else "enp_bit"
+    return accumulate_entry(*_entry_branches(kind, alpha, beta, eta))
 
 
-def pme_entry(
-    alpha: tuple[ExcitationPattern, BellState | None],
-    beta: tuple[ExcitationPattern, BellState | None],
-    eta: float,
-) -> TableEntry:
+def pme_entry(alpha: Key, beta: Key, eta: float) -> TableEntry:
     """Post-selection entry; inputs are DLCZ patterns, output is a
     polarization pair classified in the two-cell representation."""
-    pat_a, bell_a = alpha
-    pat_b, bell_b = beta
-    pair1 = canonical_dlcz(pat_a, "x1", "y1", bell_a)
-    pair2 = canonical_dlcz(pat_b, "x2", "y2", bell_b)
-    branches = run_pme(pair1, pair2, eta)
-    return accumulate_entry(branches, SchemeKind.NEW, PME_OUT_MAP)
+    return accumulate_entry(*_entry_branches("pme", alpha, beta, eta))
+
+
+def entry_terms(kind: str, alpha: Key, beta: Key) -> dict[tuple[int, int], TableEntry]:
+    """One entry as its exact polynomial in eta.
+
+    Runs the circuit once with tagged loss and splits the accepted
+    output by the ledger's (kept, lost) photon counts.  The entry at any
+    eta is the sum over the returned parts of part * eta**kept *
+    (1 - eta)**lost.
+    """
+    branches, scheme, mode_map = _entry_branches(kind, alpha, beta, None)
+    parts: dict[tuple[int, int], list[AcceptedBranch]] = {}
+    for cond, _ in branches:
+        for counts, branch in measure_modes(cond, LEDGER).items():
+            exponents = (counts.count(LEDGER[0]), counts.count(LEDGER[1]))
+            parts.setdefault(exponents, []).append(branch)
+    return {
+        exponents: accumulate_entry(part, scheme, mode_map)
+        for exponents, part in sorted(parts.items())
+    }
+
+
+@lru_cache(maxsize=None)
+def oracle_table(kind: str, eta: float) -> ConnectionTable:
+    """A table of ``tables.KINDS`` built entry by entry by the Fock
+    oracle at eta, residues included."""
+    scheme, op, variant = KINDS[kind]
+    keys = canonical_keys(scheme)
+    entries = {
+        (alpha, beta): accumulate_entry(*_entry_branches(kind, alpha, beta, eta))
+        for alpha in keys
+        for beta in keys
+    }
+    return ConnectionTable(scheme, op, variant, eta, entries)

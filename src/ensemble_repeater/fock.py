@@ -418,8 +418,12 @@ def apply_pbs(
 # loss and measurement
 
 
+#: Ledger modes of a tagged loss run: the photons kept and lost so far.
+LEDGER = ("#kept", "#lost")
+
+
 def apply_loss(
-    state: FockDensityOperator, mode: ModeLabel, eta: float
+    state: FockDensityOperator, mode: ModeLabel, eta: Optional[float]
 ) -> FockDensityOperator:
     """Bosonic loss channel of transmissivity eta on one mode.
 
@@ -427,9 +431,21 @@ def apply_loss(
     environment mode followed by tracing the environment out. Each pure
     ket branches into one ket per number of photons lost, which keeps
     the ensemble exactly pure per branch.
+
+    ``eta=None`` tags the loss instead: a branch keeps only its
+    binomial weight, without the factor eta^kept (1 - eta)^lost, and
+    the kept and lost photon counts add up in the two ``LEDGER`` modes,
+    appended to the register on first use.  Counting the ledger at the
+    end of a circuit splits its output into parts that each carry one
+    factor eta^kept (1 - eta)^lost at every eta.
     """
-    if not 0.0 <= eta <= 1.0:
+    tagged = eta is None
+    if not tagged and not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
+    if tagged and LEDGER[0] not in state.modes:
+        # the ledger counts each photon at most once, so the cutoff doubles
+        kets = [{occ + (0, 0): amp for occ, amp in ket.items()} for ket in state._kets]
+        state = FockDensityOperator(state.modes + LEDGER, kets, 2 * state.cutoff)
     i = state.mode_index(mode)
     roots: dict[tuple[int, int], float] = {}
     new_kets: list[_Ket] = []
@@ -443,11 +459,16 @@ def apply_loss(
                     continue
                 root = roots.get((n, lost))
                 if root is None:
-                    w = math.comb(n, lost) * eta ** (n - lost) * (1.0 - eta) ** lost
+                    if tagged:
+                        w = math.comb(n, lost)
+                    else:
+                        w = math.comb(n, lost) * eta ** (n - lost) * (1.0 - eta) ** lost
                     root = roots[(n, lost)] = math.sqrt(w)
                 if root == 0.0:
                     continue
                 kept = occ[:i] + (n - lost,) + occ[i + 1 :]
+                if tagged:
+                    kept = kept[:-2] + (kept[-2] + n - lost, kept[-1] + lost)
                 branch[kept] = branch.get(kept, 0.0) + amp * root
             if branch:
                 new_kets.append(branch)

@@ -1,0 +1,98 @@
+"""Regenerate the frozen table coefficients from the Fock oracle.
+
+Run from the repository root::
+
+    PYTHONPATH=src python3 -m ensemble_repeater.freeze
+
+It rewrites ``src/ensemble_repeater/table_coefficients.json`` (about
+25 s on one core).  Each table of ``tables.KINDS`` is one block:
+
+``keys``
+    the canonical input keys, the ``a`` and ``b`` indices;
+``slots``
+    the output values of an entry, ``TableEntry.row`` order;
+``exponents``
+    the (kept, lost) photon counts of each term;
+``coefficients``
+    rows ``[a, b, slot, term, c]`` for every nonzero coefficient.
+
+An entry's value in a slot is the sum over its rows of
+``c * eta**kept * (1 - eta)**lost``.  The coefficients come from one
+tagged oracle run per entry (``circuits.entry_terms``), not from a fit.
+The file records the SHA-256 of its blocks (``tables.content_hash``).
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+from .circuits import entry_terms
+from .tables import (
+    COEFFICIENTS_FILE,
+    KINDS,
+    canonical_keys,
+    content_hash,
+    key_label,
+    output_scheme,
+    slot_labels,
+)
+
+
+def coefficient_block(kind: str) -> dict:
+    """The frozen-file block of one table, computed by the oracle."""
+    out = output_scheme(kind)
+    keys = canonical_keys(KINDS[kind][0])
+    terms = {}
+    for a, alpha in enumerate(keys):
+        for b, beta in enumerate(keys):
+            for exponents, part in entry_terms(kind, alpha, beta).items():
+                terms[(a, b, exponents)] = part.row(out).tolist()
+    exponents = sorted({e for _, _, e in terms})
+    column = {e: t for t, e in enumerate(exponents)}
+    rows = [
+        [a, b, slot, column[e], c]
+        for (a, b, e), values in terms.items()
+        for slot, c in enumerate(values)
+        if c != 0.0
+    ]
+    rows.sort()
+    return {
+        "keys": [key_label(k) for k in keys],
+        "slots": slot_labels(out),
+        "exponents": [list(e) for e in exponents],
+        "coefficients": rows,
+    }
+
+
+def render(blocks: dict) -> str:
+    """The data file's text: its hash, then one coefficient row per line."""
+    lines = ['{"sha256": ' + json.dumps(content_hash(blocks)) + ',', ' "tables": {']
+    for i, (kind, block) in enumerate(sorted(blocks.items())):
+        lines.append(f"  {json.dumps(kind)}: {{")
+        for field in ("keys", "slots", "exponents"):
+            lines.append(f"   {json.dumps(field)}: {json.dumps(block[field])},")
+        lines.append('   "coefficients": [')
+        rows = [json.dumps(row) for row in block["coefficients"]]
+        lines.extend(f"    {row}," for row in rows[:-1])
+        lines.append(f"    {rows[-1]}]")
+        lines.append("  }" + ("," if i < len(blocks) - 1 else ""))
+    lines.append(" }")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def main() -> int:
+    blocks = {}
+    for kind in KINDS:
+        print(f"computing {kind} ...", file=sys.stderr, flush=True)
+        blocks[kind] = coefficient_block(kind)
+    path = Path(__file__).with_name(COEFFICIENTS_FILE)
+    path.write_text(render(blocks))
+    print(f"wrote {path}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

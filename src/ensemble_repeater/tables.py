@@ -1,13 +1,26 @@
-"""Exact connection tables built from the Fock-level circuits.
+"""Connection tables, evaluated from exact polynomials in eta.
 
 Every connection step (entanglement connection, purification, the final
-post-selected mapping to polarization pairs) acts bilinearly on the
-pattern decomposition of its two input pairs.  Its action is therefore
-fully specified by a finite table: one :class:`~.circuits.TableEntry`
-per ordered pair of canonical input components.  Tables are computed on
-demand by brute-force simulation and cached per (scheme, operation,
-variant, eta), so a chain simulation touches the Fock layer only once
-per efficiency value.
+post-selected mapping) acts bilinearly on the pattern decomposition of
+its two input pairs.  Its action is therefore fully specified by a
+finite table: one :class:`TableEntry` per ordered pair of canonical
+input components.
+
+Loss is the only place the retrieval/detection efficiency eta enters
+the Fock circuits of :mod:`.circuits`: a branch that keeps ``kept``
+retrieved photons and loses ``lost`` carries the factor
+eta^kept (1 - eta)^lost.  Every table value is therefore a polynomial of
+degree at most 8, the sum of ``c * eta**kept * (1 - eta)**lost`` over
+the (kept, lost) exponents.  :mod:`.freeze` computes the coefficients
+``c`` once, exactly, from a tagged run of the circuits and stores them
+in ``table_coefficients.json`` with a content hash.  A table build
+evaluates them, reading the file on first use, and tables are cached
+per (scheme, operation, variant, eta).  ``verify.check_frozen_tables``
+compares them with the Fock oracle.
+
+The discarded-coherence diagnostic ``TableEntry.residue`` is no
+polynomial, so evaluated entries carry none; ``circuits.oracle_table``
+builds a table, residues included, through the oracle.
 
 Canonical input components are pattern states with a definite
 excitation pattern; the logical pattern carries an additional Bell
@@ -24,13 +37,14 @@ output state row, which is the next state's row as it stands.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .circuits import TableEntry, enc_entry, enp_entry, pme_entry
 from .patterns import (
     BellState,
     ExcitationPattern,
@@ -46,7 +60,61 @@ ENC_HIGHER = "higher"
 ENP_BIT = "bit"
 ENP_PHASE = "phase"
 
+#: The six tables by name: (input scheme, operation, variant).
+KINDS = {
+    "enc_dlcz": (SchemeKind.DLCZ, "enc", ENC_HIGHER),
+    "pme": (SchemeKind.DLCZ, "pme", ""),
+    "enc_level1": (SchemeKind.NEW, "enc", ENC_LEVEL1),
+    "enc_higher": (SchemeKind.NEW, "enc", ENC_HIGHER),
+    "enp_bit": (SchemeKind.NEW, "enp", ENP_BIT),
+    "enp_phase": (SchemeKind.NEW, "enp", ENP_PHASE),
+}
+
+#: Data file of the frozen coefficients, next to this module.
+COEFFICIENTS_FILE = "table_coefficients.json"
+
 _DLCZ_LOGICAL_BELLS = (BellState.PSI_PLUS, BellState.PSI_MINUS)
+
+
+def output_scheme(kind: str) -> SchemeKind:
+    """Scheme of a table's output pairs; the final mapping makes polarization pairs."""
+    scheme, op, _ = KINDS[kind]
+    return SchemeKind.NEW if op == "pme" else scheme
+
+
+def enc_kind(scheme: SchemeKind, first_level: bool) -> str:
+    """Name of the connection table of a scheme (level-independent for DLCZ)."""
+    if scheme is SchemeKind.DLCZ:
+        return "enc_dlcz"
+    return "enc_level1" if first_level else "enc_higher"
+
+
+@dataclass(frozen=True)
+class TableEntry:
+    """Unnormalized output of one pattern-pair connection.
+
+    ``masses`` lists every output pattern of nonzero weight in
+    ``scheme_patterns`` order (the logical pattern's total equals the
+    sum of ``bell``); ``bell`` holds the absolute Bell masses of the
+    logical output.  ``residue``, the largest discarded
+    off-Bell-diagonal magnitude across accepted outcomes, is known only
+    for entries built by the Fock oracle; it is None for entries
+    evaluated from the frozen polynomials.
+    """
+
+    masses: tuple[tuple[ExcitationPattern, float], ...]
+    bell: tuple[float, float, float, float]
+    residue: Optional[float] = None
+
+    @property
+    def total(self) -> float:
+        return float(sum(w for _, w in self.masses))
+
+    def row(self, scheme: SchemeKind) -> np.ndarray:
+        """Pattern masses in ``scheme_patterns(scheme)`` order, then ``bell``."""
+        masses = dict(self.masses)
+        values = [masses.get(p, 0.0) for p in scheme_patterns(scheme)]
+        return np.array(values + list(self.bell))
 
 
 def canonical_keys(scheme: SchemeKind) -> tuple[Key, ...]:
@@ -121,7 +189,14 @@ class ConnectionTable:
         return self.entries[(alpha, beta)]
 
     def max_residue(self) -> float:
-        return max(entry.residue for entry in self.entries.values())
+        """Largest entry residue; only oracle-built tables carry residues."""
+        residues = [entry.residue for entry in self.entries.values()]
+        if None in residues:
+            raise ValueError(
+                "entries evaluated from the frozen polynomials carry no residue;"
+                " build the table with circuits.oracle_table"
+            )
+        return max(residues)
 
     @cached_property
     def tensor(self) -> np.ndarray:
@@ -152,6 +227,101 @@ class ConnectionTable:
         tensor[patterns.index(logical)] = tensor[n:].sum(axis=0)
         tensor.flags.writeable = False
         return tensor
+
+
+# ----------------------------------------------------------------------
+# frozen coefficients
+
+
+def content_hash(blocks: Mapping) -> str:
+    """SHA-256 of the coefficient blocks in canonical JSON form."""
+    text = json.dumps(blocks, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@lru_cache(maxsize=None)
+def frozen_blocks() -> Mapping:
+    """The coefficient blocks of ``COEFFICIENTS_FILE``, checked against
+    its recorded hash.  Read on the first table build, not at import."""
+    from importlib import resources
+
+    text = resources.files(__package__).joinpath(COEFFICIENTS_FILE).read_text()
+    data = json.loads(text)
+    if content_hash(data["tables"]) != data["sha256"]:
+        raise RuntimeError(f"{COEFFICIENTS_FILE} does not match its sha256")
+    return data["tables"]
+
+
+def key_label(key: Key) -> str:
+    pattern, bell = key
+    return pattern.value if bell is None else f"{pattern.value}[{bell.value}]"
+
+
+def slot_labels(scheme: SchemeKind) -> list[str]:
+    """Labels of ``TableEntry.row(scheme)``: the patterns, then the Bell states."""
+    return [p.value for p in scheme_patterns(scheme)] + [b.value for b in BellState]
+
+
+class _Polynomials(NamedTuple):
+    """One table's coefficients ``c[a, b, slot, term]`` with the term
+    exponents, indexed like ``canonical_keys`` and ``TableEntry.row``."""
+
+    index: Mapping[Key, int]
+    patterns: tuple[ExcitationPattern, ...]
+    kept: np.ndarray
+    lost: np.ndarray
+    coefficients: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _polynomials(kind: str) -> _Polynomials:
+    block = frozen_blocks()[kind]
+    out = output_scheme(kind)
+    keys = canonical_keys(KINDS[kind][0])
+    if block["keys"] != [key_label(k) for k in keys] or block["slots"] != slot_labels(out):
+        raise RuntimeError(
+            f"{COEFFICIENTS_FILE}: the {kind} layout differs from the code;"
+            " regenerate it with python3 -m ensemble_repeater.freeze"
+        )
+    kept, lost = np.array(block["exponents"], dtype=float).reshape(-1, 2).T
+    coefficients = np.zeros((len(keys), len(keys), len(block["slots"]), len(kept)))
+    for a, b, slot, term, c in block["coefficients"]:
+        coefficients[a, b, slot, term] = c
+    index = {key: i for i, key in enumerate(keys)}
+    return _Polynomials(index, scheme_patterns(out), kept, lost, coefficients)
+
+
+def _frozen_entry(kind: str, alpha: Key, beta: Key, eta: float) -> TableEntry:
+    """One table entry evaluated from its frozen polynomials at eta."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must lie in [0, 1]")
+    poly = _polynomials(kind)
+    basis = eta**poly.kept * (1.0 - eta) ** poly.lost
+    values = (poly.coefficients[poly.index[alpha], poly.index[beta]] @ basis).tolist()
+    n = len(poly.patterns)
+    masses = tuple((p, v) for p, v in zip(poly.patterns, values) if v != 0.0)
+    return TableEntry(masses, tuple(values[n:]))
+
+
+def enc_entry(
+    scheme: SchemeKind, alpha: Key, beta: Key, eta: float, first_level: bool = False
+) -> TableEntry:
+    """Connection entry for one canonical pattern pair."""
+    return _frozen_entry(enc_kind(scheme, first_level), alpha, beta, eta)
+
+
+def enp_entry(alpha: Key, beta: Key, eta: float, phase_variant: bool) -> TableEntry:
+    """Purification entry for one canonical pattern pair."""
+    return _frozen_entry("enp_phase" if phase_variant else "enp_bit", alpha, beta, eta)
+
+
+def pme_entry(alpha: Key, beta: Key, eta: float) -> TableEntry:
+    """Final post-selection entry for one pair of single-rail patterns."""
+    return _frozen_entry("pme", alpha, beta, eta)
+
+
+# ----------------------------------------------------------------------
+# tables
 
 
 def _build(scheme: SchemeKind, op: str, variant: str, eta: float) -> ConnectionTable:
@@ -207,17 +377,23 @@ def pme_table(eta: float) -> ConnectionTable:
     return _build(SchemeKind.DLCZ, "pme", "", eta)
 
 
-def _key_label(key: Key) -> str:
-    pattern, bell = key
-    return pattern.value if bell is None else f"{pattern.value}[{bell.value}]"
+def kind_table(kind: str, eta: float) -> ConnectionTable:
+    """The cached table of one of the ``KINDS`` at eta."""
+    scheme, op, variant = KINDS[kind]
+    if op == "enc":
+        return enc_table(scheme, eta, first_level=(variant == ENC_LEVEL1))
+    if op == "enp":
+        return enp_table(variant, eta)
+    return pme_table(eta)
 
 
 def dump_table(table: ConnectionTable) -> str:
     """Human-readable structured dump of a connection table.
 
     One line per nonzero table entry, listing the surviving pattern
-    masses, the Bell weights of the logical component, and the
-    off-diagonal residue diagnostic.  Deterministic ordering.
+    masses, the Bell weights of the logical component, and, for an
+    oracle-built table, the off-diagonal residue diagnostic.
+    Deterministic ordering.
     """
     lines = [
         f"# scheme={table.scheme.value} op={table.op}"
@@ -237,9 +413,7 @@ def dump_table(table: ConnectionTable) -> str:
             if any(entry.bell):
                 bell = ",".join(repr(w) for w in entry.bell)
                 parts.append(f"{logical.value}=({bell})")
-            lines.append(
-                f"{_key_label(alpha)} x {_key_label(beta)} -> "
-                + " ".join(parts)
-                + f" | residue={entry.residue:.3e}"
-            )
+            if entry.residue is not None:
+                parts.append(f"| residue={entry.residue:.3e}")
+            lines.append(f"{key_label(alpha)} x {key_label(beta)} -> " + " ".join(parts))
     return "\n".join(lines) + "\n"

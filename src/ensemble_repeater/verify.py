@@ -5,9 +5,10 @@ brute-force Fock-space circuit simulation: the connection truth tables
 of both schemes, the purification accept/reject tables, the final
 post-selection, the ideal success probabilities, the symmetrized
 connection coefficients for every tracked excitation-pattern pair, and
-the insensitivity of all of it to the Fock-space cutoff.  Checks are
-exact to ``TOLERANCE`` and fast enough to run routinely from the test
-suite or the command line.
+the insensitivity of all of it to the Fock-space cutoff, and the
+frozen polynomial tables the chain uses.  Checks are exact to
+``TOLERANCE`` (the frozen tables to ``FROZEN_TOLERANCE``, relative) and
+fast enough to run routinely from the test suite or the command line.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ import numpy as np
 from .circuits import (
     ENC_OUT_MAP_DLCZ,
     ENC_OUT_MAP_NEW,
-    TableEntry,
     accumulate_entry,
     canonical_dlcz,
     canonical_new,
     enc_entry,
     enp_entry,
+    oracle_table,
     pme_entry,
     run_enc_dlcz,
     run_enc_new,
@@ -38,9 +39,10 @@ from .patterns import (
     SchemeKind,
 )
 from .protocols import enc, enp, postselect_pme
-from .tables import enc_table
+from .tables import KINDS, ConnectionTable, TableEntry, kind_table
 
 TOLERANCE = 1e-10
+FROZEN_TOLERANCE = 1e-12
 
 _BELLS = (
     BellState.PHI_PLUS,
@@ -388,8 +390,8 @@ def check_bell_diagonal_closure(eta: float = 0.9) -> List[CheckResult]:
     diagonal, so the pattern-state recursion is exact for it; the worst
     discarded off-diagonal magnitude over the whole table is zero."""
     results = []
-    for first_level, stage in ((True, "level 1"), (False, "level >= 2")):
-        table = enc_table(SchemeKind.NEW, eta, first_level=first_level)
+    for kind, stage in (("enc_level1", "level 1"), ("enc_higher", "level >= 2")):
+        table = oracle_table(kind, eta)
         results.append(
             CheckResult(
                 f"two-cell connection {stage} Bell-diagonal closure"
@@ -455,6 +457,47 @@ def _entry_difference(a: TableEntry, b: TableEntry) -> float:
 
 
 # ----------------------------------------------------------------------
+# frozen tables
+
+def frozen_deviation(frozen: ConnectionTable, oracle: ConnectionTable) -> float:
+    """Worst relative deviation of a frozen table from the oracle's,
+    over the oracle's nonzero values; inf if a value is zero in one
+    table and not in the other."""
+    worst = 0.0
+    for key, want_entry in oracle.entries.items():
+        want = want_entry.row(oracle.output_scheme)
+        got = frozen.entries[key].row(oracle.output_scheme)
+        nonzero = want != 0.0
+        if np.any(got[~nonzero] != 0.0) or np.any(got[nonzero] == 0.0):
+            return float("inf")
+        if nonzero.any():
+            rel = np.abs(got[nonzero] - want[nonzero]) / np.abs(want[nonzero])
+            worst = max(worst, float(rel.max()))
+    return worst
+
+
+def check_frozen_tables(
+    eta: float = 0.9, more_etas: Iterable[float] = (0.5, 0.97)
+) -> List[CheckResult]:
+    """The tables evaluated from the frozen polynomials equal the Fock
+    oracle's within 1e-12 relative, and their zeros are the oracle's.
+
+    All six tables are checked at ``eta``; the four cheap ones, all but
+    the two purification tables, at ``more_etas`` too.
+    """
+    cases = [(kind, eta) for kind in KINDS]
+    cases += [(kind, e) for e in more_etas for kind in KINDS if KINDS[kind][1] != "enp"]
+    return [
+        CheckResult(
+            f"frozen {kind} table equals the oracle at eta={e}",
+            frozen_deviation(kind_table(kind, e), oracle_table(kind, e)),
+            FROZEN_TOLERANCE,
+        )
+        for kind, e in cases
+    ]
+
+
+# ----------------------------------------------------------------------
 # suite
 
 def run_all() -> List[CheckResult]:
@@ -467,6 +510,7 @@ def run_all() -> List[CheckResult]:
     results.extend(check_connection_coefficients())
     results.extend(check_bell_diagonal_closure())
     results.extend(check_cutoff_insensitivity())
+    results.extend(check_frozen_tables())
     return results
 
 

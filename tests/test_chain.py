@@ -324,6 +324,16 @@ def test_mc_waiting_reports_saturated_draws_as_overflow():
     assert np.isfinite(mc.combine(np.ones(8), 0.5)).all()
 
 
+def test_mc_attempt_totals_past_int64_are_overflow():
+    """16384 draws of about 1e15 attempts each sum past the int64
+    maximum, where an int64 sum wraps negative; the stage's times are
+    infinite, as for a saturated draw, and the chain reports them."""
+    n = 16384
+    assert np.random.default_rng(0).geometric(1e-15, size=n).sum() < 0
+    times = _McTimes(np.random.default_rng(0), n).combine(np.ones(n), 1e-15)
+    assert times.shape == (n,) and np.isinf(times).all()
+
+
 def test_mc_waiting_needs_at_least_one_sample():
     config = _config(L=320.0)
     for n in (0, -5):

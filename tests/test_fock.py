@@ -12,6 +12,7 @@ import pytest
 
 from ensemble_repeater.fock import (
     BS_5050,
+    LEDGER,
     PAULI_X,
     PAULI_Z,
     ROTATE_45,
@@ -126,6 +127,24 @@ def test_loss_edge_cases():
     assert dead.trace == pytest.approx(1.0)
     with pytest.raises(ValueError):
         apply_loss(state, "a", 1.5)
+
+
+def test_tagged_loss_records_kept_and_lost_photons():
+    """With eta=None each branch keeps its binomial weight and the
+    ledger counts its photons; weighting a ledger outcome by
+    eta^kept (1 - eta)^lost gives the loss channel at that eta."""
+    state = FockDensityOperator.from_ket(("a", "b"), {(2, 0): 0.6, (1, 1): 0.8})
+    tagged = apply_loss(apply_loss(state, "a", None), "b", None)
+    assert tagged.modes == ("a", "b") + LEDGER
+    eta = 0.7
+    exact = apply_loss(apply_loss(state, "a", eta), "b", eta)
+    occs = exact.occupied()
+    weighted = np.zeros((len(occs), len(occs)), dtype=complex)
+    for counts, (part, _) in measure_modes(tagged, LEDGER).items():
+        kept, lost = counts.count(LEDGER[0]), counts.count(LEDGER[1])
+        assert kept + lost == 2
+        weighted += eta**kept * (1 - eta) ** lost * part.block(occs)
+    assert np.allclose(weighted, exact.block(occs), atol=1e-15)
 
 
 def test_loss_destroys_coherence_between_photon_numbers():

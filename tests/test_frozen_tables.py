@@ -1,0 +1,139 @@
+"""Tables evaluated from the frozen polynomials against the Fock oracle.
+
+Every table value is a polynomial in eta whose coefficients are stored
+in ``table_coefficients.json``.  These tests compare the evaluated
+tables with oracle builds, pin the data file to its hash and to a fresh
+regeneration, and check that the file ships with the package.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ensemble_repeater import freeze
+from ensemble_repeater.circuits import oracle_table
+from ensemble_repeater.patterns import SchemeKind
+from ensemble_repeater.tables import (
+    COEFFICIENTS_FILE,
+    KINDS,
+    canonical_keys,
+    frozen_blocks,
+    kind_table,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+CHEAP = ("enc_dlcz", "pme", "enc_level1", "enc_higher")
+# The oracle drops amplitudes below 1e-14 (fock._AMP_PRUNE).  Within
+# about 1e-7 of eta = 0 or 1 that removes probabilities of order 1e-28,
+# which the exact polynomial keeps; below this floor values may differ.
+PRUNED = 1e-24
+
+
+def _mismatches(kind, eta, floor=0.0):
+    """(key, slot, frozen, oracle) wherever the frozen table differs from
+    the oracle by more than 1e-12 relative, or is nonzero where the
+    oracle's value is exactly zero; values below ``floor`` are exempt."""
+    frozen, oracle = kind_table(kind, eta), oracle_table(kind, eta)
+    scheme = oracle.output_scheme
+    bad = []
+    for key, entry in oracle.entries.items():
+        want = entry.row(scheme)
+        got = frozen.entries[key].row(scheme)
+        for slot, (g, w) in enumerate(zip(got.tolist(), want.tolist())):
+            if max(abs(g), abs(w)) <= floor:
+                continue
+            if abs(g - w) > 1e-12 * abs(w) or (w == 0.0) != (g == 0.0):
+                bad.append((key, slot, g, w))
+    return bad
+
+
+@settings(max_examples=25, deadline=None)
+@given(eta=st.floats(min_value=0.0, max_value=1.0))
+def test_single_rail_tables_equal_the_oracle_at_every_eta(eta):
+    for kind in ("enc_dlcz", "pme"):
+        assert _mismatches(kind, eta, PRUNED) == [], (kind, eta)
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+@pytest.mark.parametrize("kind", CHEAP)
+def test_cheap_tables_equal_the_oracle_at_the_endpoints(kind, eta):
+    assert _mismatches(kind, eta) == []
+
+
+def test_frozen_entries_carry_no_residue():
+    table = kind_table("enc_dlcz", 0.9)
+    assert all(entry.residue is None for entry in table.entries.values())
+    with pytest.raises(ValueError, match="carry no residue"):
+        table.max_residue()
+    assert oracle_table("enc_dlcz", 0.9).max_residue() > 0.1
+
+
+def test_frozen_entries_reject_eta_outside_the_unit_interval():
+    for eta in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\]"):
+            kind_table("pme", eta)
+
+
+def test_data_file_hash_matches_its_bytes():
+    text = resources.files("ensemble_repeater").joinpath(COEFFICIENTS_FILE).read_text()
+    data = json.loads(text)
+    canonical = json.dumps(data["tables"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == data["sha256"]
+    assert set(data["tables"]) == set(KINDS)
+    assert freeze.render(data["tables"]) == text
+
+
+@pytest.mark.parametrize("kind", ["enc_dlcz", "pme"])
+def test_regenerating_single_rail_blocks_reproduces_the_file(kind):
+    assert freeze.coefficient_block(kind) == frozen_blocks()[kind]
+
+
+def test_data_file_ships_with_the_package():
+    """The file loads through importlib.resources and is declared as
+    package data, so an installed wheel carries it."""
+    resource = resources.files("ensemble_repeater").joinpath(COEFFICIENTS_FILE)
+    assert resource.is_file()
+    assert json.loads(resource.read_text())["tables"] == frozen_blocks()
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert f'ensemble_repeater = ["{COEFFICIENTS_FILE}"]' in pyproject
+
+
+def test_importing_the_package_does_not_read_the_data_file():
+    code = (
+        "import ensemble_repeater, ensemble_repeater.cli;"
+        " from ensemble_repeater import tables;"
+        " assert tables.frozen_blocks.cache_info().currsize == 0;"
+        " tables.kind_table('pme', 0.9);"
+        " assert tables.frozen_blocks.cache_info().currsize == 1"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_evaluation_is_a_sum_over_exponent_terms():
+    """One entry by hand: c * eta^kept (1 - eta)^lost summed over rows."""
+    block = frozen_blocks()["enc_dlcz"]
+    eta = 0.77
+    a, b = 1, 4  # P10[psi_plus] x P20
+    want = np.zeros(len(block["slots"]))
+    for ra, rb, slot, term, c in block["coefficients"]:
+        if (ra, rb) == (a, b):
+            kept, lost = block["exponents"][term]
+            want[slot] += c * eta**kept * (1 - eta) ** lost
+    keys = canonical_keys(SchemeKind.DLCZ)
+    got = kind_table("enc_dlcz", eta).entry(keys[a], keys[b]).row(SchemeKind.DLCZ)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ensemble_repeater.circuits import oracle_table
 from ensemble_repeater.noise import NoiseParams, misalignment_channel
 from ensemble_repeater.patterns import (
     BellState,
@@ -269,16 +270,17 @@ def test_tables_are_symmetric_in_their_inputs():
 
 def test_two_cell_connection_closes_on_bell_diagonal_states():
     """Every two-cell connection entry stays exactly Bell-diagonal, so
-    iterating the table through a nested chain loses nothing."""
-    for first_level in (False, True):
-        assert enc_table(NEW, ETA, first_level=first_level).max_residue() <= 1e-10
+    iterating the table through a nested chain loses nothing.  Residues
+    come from the oracle: they are not polynomials in eta."""
+    for kind in ("enc_higher", "enc_level1"):
+        assert oracle_table(kind, ETA).max_residue() <= 1e-10
 
 
 def test_purification_closes_on_the_logical_sector():
     """Purification and the final mapping are Bell-diagonal on logical
     inputs; fake coincidences involving error patterns leave (reported)
     coherence that the bookkeeping deliberately drops."""
-    tables = [enp_table("bit", ETA), enp_table("phase", ETA), pme_table(ETA)]
+    tables = [oracle_table(kind, ETA) for kind in ("enp_bit", "enp_phase", "pme")]
     for table in tables:
         for (alpha, beta), entry in table.entries.items():
             if alpha[1] is not None and beta[1] is not None:
@@ -290,7 +292,7 @@ def test_single_rail_error_entries_drop_known_coherence():
     """Connections fed by single-rail error patterns leave coherence
     between the odd-parity outputs that the Bell-diagonal bookkeeping
     discards; the residue diagnostic reports it instead of hiding it."""
-    table = enc_table(DLCZ, ETA)
+    table = oracle_table("enc_dlcz", ETA)
     entry = table.entry((P.P00, None), (P.P11, None))
     assert entry.residue > 0.1
     assert entry.bell == pytest.approx((0.0, 0.0, 0.45, 0.45))
