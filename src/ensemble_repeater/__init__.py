@@ -18,11 +18,13 @@ Layers, from the bottom up:
     logical pattern.
 ``circuits``
     The protocol primitives as explicit Fock circuits; superoperator
-    table entries derived from them, at one eta or as exact
-    polynomials in eta (``freeze`` stores those with the package).
+    table entries derived from them, at one eta (``oracle_entry``) or
+    as exact polynomials in eta (``freeze`` stores those with the
+    package).
 ``tables`` / ``protocols``
-    Connection/purification tables evaluated from the frozen
-    polynomials and cached per eta, and the heralded protocol steps; a
+    Connection/purification tables, one float row per entry in the
+    ``PatternState`` layout, evaluated from the frozen polynomials and
+    cached per eta, and the heralded protocol steps; a
     step returns its unnormalized output ``PatternState``, whose total
     is the success probability.
 ``noise`` / ``chain``

@@ -5,11 +5,12 @@ post-selection) is expressed here as an explicit Fock-space circuit:
 retrieval loss, interference optics, photon counting over all detection
 outcomes, and the measurement-conditioned corrections. Feeding canonical
 pattern states through these circuits produces the exact superoperator
-entries of the connection tables. Run once with tagged loss
-(``entry_terms``), they give each entry's exact polynomial in eta, which
-:mod:`.freeze` stores for :mod:`.tables`; run at a given eta
-(``enc_entry``, ``enp_entry``, ``pme_entry``, ``oracle_table``), they
-back the verification suite.
+entries of the connection tables, each the sum of the classified
+``PatternState`` rows of its accepted branches. Run once with tagged
+loss (``entry_terms``), they give each entry's exact polynomial in eta,
+which :mod:`.freeze` stores for :mod:`.tables`; run at a given eta, one
+entry of any table at a time (``oracle_entry``) or a whole table
+(``oracle_table``), they back the verification suite.
 
 Canonical pattern states
 ------------------------
@@ -61,7 +62,7 @@ from .patterns import (
     project_from_fock,
     scheme_patterns,
 )
-from .tables import KINDS, ConnectionTable, Key, TableEntry, canonical_keys, enc_kind
+from .tables import KINDS, ConnectionTable, Key, TableEntry, canonical_keys
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -202,26 +203,6 @@ def canonical_new(
     if pattern is ExcitationPattern.P22_PERP_PERP:
         return tensor_occ(perp_l, perp_r)
     raise ValueError(f"no canonical state for {pattern} in the two-cell scheme")
-
-
-def canonical_pattern_fock(
-    scheme: SchemeKind,
-    pattern: ExcitationPattern,
-    bell: BellState | None = None,
-    side: str = "left",
-) -> FockDensityOperator:
-    """Canonical state on the standard connection-circuit mode names.
-
-    ``side`` selects the mode register: "left" is the pair between the
-    outer node aL and the central node c1, "right" between c2 and aR.
-    """
-    if scheme is SchemeKind.DLCZ:
-        if side == "left":
-            return canonical_dlcz(pattern, "aL", "c1", bell)
-        return canonical_dlcz(pattern, "c2", "aR", bell)
-    if side == "left":
-        return canonical_new(pattern, ("aLH", "aLV"), ("c1H", "c1V"), bell)
-    return canonical_new(pattern, ("c2H", "c2V"), ("aRH", "aRV"), bell)
 
 
 # ----------------------------------------------------------------------
@@ -382,22 +363,15 @@ def accumulate_entry(
     scheme: SchemeKind,
     mode_map: dict[str, object],
 ) -> TableEntry:
-    """Classify accepted circuit branches into a summed TableEntry."""
-    masses: dict[ExcitationPattern, float] = {}
-    bell = np.zeros(4)
+    """Sum the classified rows of accepted circuit branches into a TableEntry."""
+    row = np.zeros(len(scheme_patterns(scheme)) + 4)
     residue = 0.0
     for cond, prob in branches:
         if prob <= 0.0:
             continue
-        ps = project_from_fock(cond, scheme, mode_map)
-        for pat, p in ps.probs.items():
-            masses[pat] = masses.get(pat, 0.0) + p
-        bell += ps.bell_masses()
+        row += project_from_fock(cond, scheme, mode_map).row
         residue = max(residue, logical_coherence_residue(cond, scheme, mode_map))
-    ordered = tuple(
-        (pat, masses[pat]) for pat in scheme_patterns(scheme) if pat in masses
-    )
-    return TableEntry(ordered, tuple(float(b) for b in bell), residue)
+    return TableEntry(scheme, row, residue)
 
 
 ENC_OUT_MAP_DLCZ = {"left": "aL", "right": "aR"}
@@ -407,57 +381,42 @@ PME_OUT_MAP = {"left": ("xH", "xV"), "right": ("yH", "yV")}
 
 
 def _entry_branches(
-    kind: str, alpha: Key, beta: Key, eta: float | None
+    kind: str, alpha: Key, beta: Key, eta: float | None, cutoff: int = 4
 ) -> tuple[list[AcceptedBranch], SchemeKind, dict[str, object]]:
     """Accepted branches of one entry of a table of ``tables.KINDS``,
     with the scheme and mode map that classify them.  ``eta=None``
-    runs the circuit with tagged loss (see ``fock.apply_loss``)."""
+    runs the circuit with tagged loss (see ``fock.apply_loss``);
+    ``cutoff`` is the per-mode Fock cutoff of the input states."""
     pat_a, bell_a = alpha
     pat_b, bell_b = beta
     if kind == "enc_dlcz":
-        left = canonical_pattern_fock(SchemeKind.DLCZ, pat_a, bell_a, side="left")
-        right = canonical_pattern_fock(SchemeKind.DLCZ, pat_b, bell_b, side="right")
+        left = canonical_dlcz(pat_a, "aL", "c1", bell_a, cutoff)
+        right = canonical_dlcz(pat_b, "c2", "aR", bell_b, cutoff)
         return run_enc_dlcz(left, right, eta), SchemeKind.DLCZ, ENC_OUT_MAP_DLCZ
     if kind in ("enc_level1", "enc_higher"):
-        left = canonical_pattern_fock(SchemeKind.NEW, pat_a, bell_a, side="left")
-        right = canonical_pattern_fock(SchemeKind.NEW, pat_b, bell_b, side="right")
+        left = canonical_new(pat_a, ("aLH", "aLV"), ("c1H", "c1V"), bell_a, cutoff)
+        right = canonical_new(pat_b, ("c2H", "c2V"), ("aRH", "aRV"), bell_b, cutoff)
         first_level = kind == "enc_level1"
         return run_enc_new(left, right, eta, first_level), SchemeKind.NEW, ENC_OUT_MAP_NEW
     if kind in ("enp_bit", "enp_phase"):
-        pair1 = canonical_new(pat_a, ("a1H", "a1V"), ("b1H", "b1V"), bell_a)
-        pair2 = canonical_new(pat_b, ("a2H", "a2V"), ("b2H", "b2V"), bell_b)
+        pair1 = canonical_new(pat_a, ("a1H", "a1V"), ("b1H", "b1V"), bell_a, cutoff)
+        pair2 = canonical_new(pat_b, ("a2H", "a2V"), ("b2H", "b2V"), bell_b, cutoff)
         branches = run_enp(pair1, pair2, eta, kind == "enp_phase")
         return branches, SchemeKind.NEW, ENP_OUT_MAP
     if kind == "pme":
-        pair1 = canonical_dlcz(pat_a, "x1", "y1", bell_a)
-        pair2 = canonical_dlcz(pat_b, "x2", "y2", bell_b)
+        pair1 = canonical_dlcz(pat_a, "x1", "y1", bell_a, cutoff)
+        pair2 = canonical_dlcz(pat_b, "x2", "y2", bell_b, cutoff)
         # inputs are DLCZ patterns, the output a polarization pair
         return run_pme(pair1, pair2, eta), SchemeKind.NEW, PME_OUT_MAP
     raise ValueError(f"unknown table kind {kind!r}")
 
 
-def enc_entry(
-    scheme: SchemeKind,
-    alpha: Key,
-    beta: Key,
-    eta: float,
-    first_level: bool = False,
+def oracle_entry(
+    kind: str, alpha: Key, beta: Key, eta: float, cutoff: int = 4
 ) -> TableEntry:
-    """Connection superoperator entry for one canonical pattern pair."""
-    kind = enc_kind(scheme, first_level)
-    return accumulate_entry(*_entry_branches(kind, alpha, beta, eta))
-
-
-def enp_entry(alpha: Key, beta: Key, eta: float, phase_variant: bool) -> TableEntry:
-    """Purification superoperator entry for one canonical pattern pair."""
-    kind = "enp_phase" if phase_variant else "enp_bit"
-    return accumulate_entry(*_entry_branches(kind, alpha, beta, eta))
-
-
-def pme_entry(alpha: Key, beta: Key, eta: float) -> TableEntry:
-    """Post-selection entry; inputs are DLCZ patterns, output is a
-    polarization pair classified in the two-cell representation."""
-    return accumulate_entry(*_entry_branches("pme", alpha, beta, eta))
+    """One entry of a table of ``tables.KINDS``, built by the Fock oracle
+    at eta with input states truncated at ``cutoff`` photons per mode."""
+    return accumulate_entry(*_entry_branches(kind, alpha, beta, eta, cutoff))
 
 
 def entry_terms(kind: str, alpha: Key, beta: Key) -> dict[tuple[int, int], TableEntry]:
@@ -487,7 +446,7 @@ def oracle_table(kind: str, eta: float) -> ConnectionTable:
     scheme, op, variant = KINDS[kind]
     keys = canonical_keys(scheme)
     entries = {
-        (alpha, beta): accumulate_entry(*_entry_branches(kind, alpha, beta, eta))
+        (alpha, beta): oracle_entry(kind, alpha, beta, eta)
         for alpha in keys
         for beta in keys
     }

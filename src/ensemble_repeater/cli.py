@@ -43,7 +43,6 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import verify
 from .chain import (
     CSV_COLUMNS,
     RepeaterConfig,
@@ -382,6 +381,8 @@ def _emit(fmt: str, csv_text: str, json_text: str) -> None:
 # subcommands
 
 def cmd_oracle_verify(args, settings: Settings, out_dir: Path) -> int:
+    from . import verify  # loads the Fock oracle, which no other command needs
+
     results = verify.run_all()
     report = verify.format_report(results)
     sys.stdout.write(report)
@@ -497,7 +498,7 @@ _CURVE_VARIANTS: Tuple[Tuple[str, str], ...] = (
 
 def _curve_variants(args, settings: Settings) -> list:
     """(scheme, schedule) of every curve the command sweeps."""
-    if args.scheme or args.enp:
+    if args.scheme is not None or args.enp is not None:
         return [(settings.scheme, settings.enp_schedule)]
     return [
         (_parse_scheme(name), parse_enp_schedule(spec))

@@ -10,7 +10,7 @@ It rewrites ``src/ensemble_repeater/table_coefficients.json`` (about
 ``keys``
     the canonical input keys, the ``a`` and ``b`` indices;
 ``slots``
-    the output values of an entry, ``TableEntry.row`` order;
+    the output values of an entry, the slots of ``TableEntry.row``;
 ``exponents``
     the (kept, lost) photon counts of each term;
 ``coefficients``
@@ -48,7 +48,7 @@ def coefficient_block(kind: str) -> dict:
     for a, alpha in enumerate(keys):
         for b, beta in enumerate(keys):
             for exponents, part in entry_terms(kind, alpha, beta).items():
-                terms[(a, b, exponents)] = part.row(out).tolist()
+                terms[(a, b, exponents)] = part.row.tolist()
     exponents = sorted({e for _, _, e in terms})
     column = {e: t for t, e in enumerate(exponents)}
     rows = [

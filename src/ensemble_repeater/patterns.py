@@ -46,11 +46,12 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .fock import FockDensityOperator, ModeLabel
+if TYPE_CHECKING:
+    from .fock import FockDensityOperator, ModeLabel
 
 WEIGHT_TOL = 1e-12
 

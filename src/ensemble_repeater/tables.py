@@ -4,7 +4,9 @@ Every connection step (entanglement connection, purification, the final
 post-selected mapping) acts bilinearly on the pattern decomposition of
 its two input pairs.  Its action is therefore fully specified by a
 finite table: one :class:`TableEntry` per ordered pair of canonical
-input components.
+input components.  An entry is one float row in the state layout of
+the output scheme (see :mod:`.patterns`): pattern masses, then Bell
+masses.
 
 Loss is the only place the retrieval/detection efficiency eta enters
 the Fock circuits of :mod:`.circuits`: a branch that keeps ``kept``
@@ -19,8 +21,9 @@ per (scheme, operation, variant, eta).  ``verify.check_frozen_tables``
 compares them with the Fock oracle.
 
 The discarded-coherence diagnostic ``TableEntry.residue`` is no
-polynomial, so evaluated entries carry none; ``circuits.oracle_table``
-builds a table, residues included, through the oracle.
+polynomial, so evaluated entries carry none; ``circuits.oracle_entry``
+and ``circuits.oracle_table`` build an entry or a table, residues
+included, through the oracle.
 
 Canonical input components are pattern states with a definite
 excitation pattern; the logical pattern carries an additional Bell
@@ -29,10 +32,10 @@ no canonical representative and are treated as absorbing: any input
 mass assigned to them is dropped by the connection step.
 
 A step applies a table as one dense contraction: ``state_selection``
-picks the canonical component masses out of a state row (pattern
-masses, then Bell masses; see :mod:`.patterns`) and
-``ConnectionTable.tensor``, ``T[o, a, b]``, maps a pair of them to the
-output state row, which is the next state's row as it stands.
+picks the canonical component masses out of a state row and
+``ConnectionTable.tensor``, ``T[o, a, b]``, the entry rows stacked,
+maps a pair of them to the output state row, which is the next state's
+row as it stands.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .patterns import (
     BellState,
     ExcitationPattern,
     SchemeKind,
+    logical_column,
     logical_pattern,
     scheme_patterns,
 )
@@ -89,32 +93,43 @@ def enc_kind(scheme: SchemeKind, first_level: bool) -> str:
     return "enc_level1" if first_level else "enc_higher"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TableEntry:
-    """Unnormalized output of one pattern-pair connection.
+    """Unnormalized output of one pattern-pair connection, as one row.
 
-    ``masses`` lists every output pattern of nonzero weight in
-    ``scheme_patterns`` order (the logical pattern's total equals the
-    sum of ``bell``); ``bell`` holds the absolute Bell masses of the
-    logical output.  ``residue``, the largest discarded
-    off-Bell-diagonal magnitude across accepted outcomes, is known only
-    for entries built by the Fock oracle; it is None for entries
-    evaluated from the frozen polynomials.
+    ``row`` is a read-only float array in the state layout of the output
+    ``scheme`` (see :mod:`.patterns`): the pattern masses in
+    ``scheme_patterns`` order, then the four absolute Bell masses of the
+    logical output.  ``masses`` lists the patterns of nonzero mass,
+    ``bell`` the Bell masses and ``total`` the summed pattern mass.
+    ``residue``, the largest discarded off-Bell-diagonal magnitude
+    across accepted outcomes, is known only for entries built by the
+    Fock oracle; it is None for entries evaluated from the frozen
+    polynomials.
     """
 
-    masses: tuple[tuple[ExcitationPattern, float], ...]
-    bell: tuple[float, float, float, float]
+    scheme: SchemeKind
+    row: np.ndarray
     residue: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        self.row.flags.writeable = False
+
+    @property
+    def masses(self) -> tuple[tuple[ExcitationPattern, float], ...]:
+        return tuple(
+            (p, w)
+            for p, w in zip(scheme_patterns(self.scheme), self.row[:-4].tolist())
+            if w != 0.0
+        )
+
+    @property
+    def bell(self) -> tuple[float, float, float, float]:
+        return tuple(self.row[-4:].tolist())
 
     @property
     def total(self) -> float:
-        return float(sum(w for _, w in self.masses))
-
-    def row(self, scheme: SchemeKind) -> np.ndarray:
-        """Pattern masses in ``scheme_patterns(scheme)`` order, then ``bell``."""
-        masses = dict(self.masses)
-        values = [masses.get(p, 0.0) for p in scheme_patterns(scheme)]
-        return np.array(values + list(self.bell))
+        return sum(self.row[:-4].tolist())
 
 
 def canonical_keys(scheme: SchemeKind) -> tuple[Key, ...]:
@@ -202,29 +217,15 @@ class ConnectionTable:
     def tensor(self) -> np.ndarray:
         """Dense entries ``T[o, a, b]``, built on first use.
 
-        ``a`` and ``b`` run over ``canonical_keys(scheme)``; ``o`` runs
-        over the state row of the output scheme: its pattern masses in
-        ``scheme_patterns`` order, then the four absolute Bell masses of
-        the logical output.  The logical pattern's row carries its mass,
-        the sum of the Bell masses, so the contraction yields the output
-        state row as it stands.  Entries with no accepted mass stay zero.
+        ``a`` and ``b`` run over ``canonical_keys(scheme)``; ``T[:, a, b]``
+        is the entry's ``row``, except that the logical pattern's slot
+        carries the sum of the Bell masses, so the contraction yields the
+        output state row as it stands.
         """
         keys = canonical_keys(self.scheme)
-        patterns = scheme_patterns(self.output_scheme)
-        logical = logical_pattern(self.output_scheme)
-        rows = {p: o for o, p in enumerate(patterns) if p is not logical}
-        n = len(patterns)
-        tensor = np.zeros((n + 4, len(keys), len(keys)))
-        for a, alpha in enumerate(keys):
-            for b, beta in enumerate(keys):
-                entry = self.entries[(alpha, beta)]
-                if entry.total <= 0.0:
-                    continue
-                for pattern, mass in entry.masses:
-                    if pattern in rows:
-                        tensor[rows[pattern], a, b] = mass
-                tensor[n:, a, b] = entry.bell
-        tensor[patterns.index(logical)] = tensor[n:].sum(axis=0)
+        rows = [[self.entries[(alpha, beta)].row for beta in keys] for alpha in keys]
+        tensor = np.array(rows).transpose(2, 0, 1).copy()
+        tensor[logical_column(self.output_scheme)] = tensor[-4:].sum(axis=0)
         tensor.flags.writeable = False
         return tensor
 
@@ -258,7 +259,7 @@ def key_label(key: Key) -> str:
 
 
 def slot_labels(scheme: SchemeKind) -> list[str]:
-    """Labels of ``TableEntry.row(scheme)``: the patterns, then the Bell states."""
+    """Labels of a ``TableEntry.row`` of the scheme: the patterns, then the Bell states."""
     return [p.value for p in scheme_patterns(scheme)] + [b.value for b in BellState]
 
 
@@ -267,7 +268,7 @@ class _Polynomials(NamedTuple):
     exponents, indexed like ``canonical_keys`` and ``TableEntry.row``."""
 
     index: Mapping[Key, int]
-    patterns: tuple[ExcitationPattern, ...]
+    scheme: SchemeKind
     kept: np.ndarray
     lost: np.ndarray
     coefficients: np.ndarray
@@ -288,7 +289,7 @@ def _polynomials(kind: str) -> _Polynomials:
     for a, b, slot, term, c in block["coefficients"]:
         coefficients[a, b, slot, term] = c
     index = {key: i for i, key in enumerate(keys)}
-    return _Polynomials(index, scheme_patterns(out), kept, lost, coefficients)
+    return _Polynomials(index, out, kept, lost, coefficients)
 
 
 def _frozen_entry(kind: str, alpha: Key, beta: Key, eta: float) -> TableEntry:
@@ -297,10 +298,8 @@ def _frozen_entry(kind: str, alpha: Key, beta: Key, eta: float) -> TableEntry:
         raise ValueError("eta must lie in [0, 1]")
     poly = _polynomials(kind)
     basis = eta**poly.kept * (1.0 - eta) ** poly.lost
-    values = (poly.coefficients[poly.index[alpha], poly.index[beta]] @ basis).tolist()
-    n = len(poly.patterns)
-    masses = tuple((p, v) for p, v in zip(poly.patterns, values) if v != 0.0)
-    return TableEntry(masses, tuple(values[n:]))
+    row = poly.coefficients[poly.index[alpha], poly.index[beta]] @ basis
+    return TableEntry(poly.scheme, row)
 
 
 def enc_entry(
@@ -356,11 +355,7 @@ def enc_table(scheme: SchemeKind, eta: float, first_level: bool = False) -> Conn
     The single-rail connection is level-independent; the two-cell scheme
     adds 45 degree rotations on the retrieved qubits at the first level.
     """
-    if scheme is SchemeKind.DLCZ:
-        variant = ENC_HIGHER
-    else:
-        variant = ENC_LEVEL1 if first_level else ENC_HIGHER
-    return _enc_table(scheme, eta, variant)
+    return _enc_table(scheme, eta, KINDS[enc_kind(scheme, first_level)][2])
 
 
 @lru_cache(maxsize=None)

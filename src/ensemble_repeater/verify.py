@@ -15,28 +15,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .circuits import (
-    ENC_OUT_MAP_DLCZ,
-    ENC_OUT_MAP_NEW,
-    accumulate_entry,
-    canonical_dlcz,
-    canonical_new,
-    enc_entry,
-    enp_entry,
-    oracle_table,
-    pme_entry,
-    run_enc_dlcz,
-    run_enc_new,
-)
+from .circuits import oracle_entry, oracle_table
 from .patterns import (
     BellState,
     ExcitationPattern,
     PatternState,
     SchemeKind,
+    logical_column,
 )
 from .protocols import enc, enp, postselect_pme
 from .tables import KINDS, ConnectionTable, TableEntry, kind_table
@@ -87,49 +76,27 @@ class CheckResult:
 P = ExcitationPattern
 
 
-def _sym(
-    entry_fn: Callable[..., TableEntry], alpha, beta
-) -> Tuple[Dict[ExcitationPattern, float], np.ndarray, float]:
-    """Order-symmetrized entry: average masses and Bell vector of the
-    two argument orders, worst residue."""
-    first = entry_fn(alpha, beta)
-    second = entry_fn(beta, alpha) if alpha != beta else first
-    masses: Dict[ExcitationPattern, float] = {}
-    for e in (first, second):
-        for pat, w in e.masses:
-            masses[pat] = masses.get(pat, 0.0) + 0.5 * w
-    bell = 0.5 * (np.asarray(first.bell) + np.asarray(second.bell))
-    return masses, bell, max(first.residue, second.residue)
+def _sym(kind: str, alpha, beta, eta: float) -> np.ndarray:
+    """Order-symmetrized oracle entry: the mean row of the two argument
+    orders."""
+    first = oracle_entry(kind, alpha, beta, eta).row
+    second = oracle_entry(kind, beta, alpha, eta).row if alpha != beta else first
+    return 0.5 * (first + second)
 
 
-def _mass_deviation(
-    got: Mapping[ExcitationPattern, float],
-    want: Mapping[ExcitationPattern, float],
-) -> float:
-    dev = 0.0
-    for pat in set(got) | set(want):
-        dev = max(dev, abs(got.get(pat, 0.0) - want.get(pat, 0.0)))
-    return dev
+def _row_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest absolute difference between two entry rows."""
+    return float(np.max(np.abs(a - b)))
 
 
 def _pure_bell_deviation(
     entry: TableEntry, target: BellState, coefficient: float
 ) -> float:
     """Deviation of an entry from `coefficient x pure target Bell state`."""
-    dev = entry.residue
-    want_bell = np.zeros(4)
-    want_bell[target.index] = coefficient
-    dev = max(dev, float(np.max(np.abs(np.asarray(entry.bell) - want_bell))))
-    got = {pat: w for pat, w in entry.masses}
-    logical = max(got, key=lambda pat: got[pat]) if got else None
-    for pat, w in got.items():
-        if pat is logical:
-            dev = max(dev, abs(w - coefficient))
-        else:
-            dev = max(dev, abs(w))
-    if not got:
-        dev = max(dev, coefficient)
-    return dev
+    want = np.zeros(len(entry.row))
+    want[logical_column(entry.scheme)] = coefficient
+    want[target.index - 4] = coefficient
+    return max(entry.residue, _row_difference(entry.row, want))
 
 
 # ----------------------------------------------------------------------
@@ -146,12 +113,9 @@ def check_connection_truth() -> List[CheckResult]:
     target Bell state directly.
     """
     results = []
-    for first_level in (True, False):
-        stage = "level 1" if first_level else "level >= 2"
+    for kind, stage in (("enc_level1", "level 1"), ("enc_higher", "level >= 2")):
         for b1, b2 in itertools.product(_BELLS, repeat=2):
-            entry = enc_entry(
-                SchemeKind.NEW, (P.P11, b1), (P.P11, b2), 1.0, first_level
-            )
+            entry = oracle_entry(kind, (P.P11, b1), (P.P11, b2), 1.0)
             target = bell_xor(b1, b2)
             dev = _pure_bell_deviation(entry, target, 0.5)
             results.append(
@@ -164,7 +128,7 @@ def check_connection_truth() -> List[CheckResult]:
     for s1, s2 in itertools.product(
         (BellState.PSI_PLUS, BellState.PSI_MINUS), repeat=2
     ):
-        entry = enc_entry(SchemeKind.DLCZ, (P.P10, s1), (P.P10, s2), 1.0)
+        entry = oracle_entry("enc_dlcz", (P.P10, s1), (P.P10, s2), 1.0)
         target = (
             BellState.PSI_PLUS if s1 is s2 else BellState.PSI_MINUS
         )
@@ -191,7 +155,7 @@ def check_purification_truth() -> List[CheckResult]:
     for phase_variant, label in ((False, "bit"), (True, "phase")):
         for b1, b2 in itertools.product(_BELLS, repeat=2):
             (x1, s1), (x2, s2) = _BELL_CODE[b1], _BELL_CODE[b2]
-            entry = enp_entry((P.P11, b1), (P.P11, b2), 1.0, phase_variant)
+            entry = oracle_entry(f"enp_{label}", (P.P11, b1), (P.P11, b2), 1.0)
             accept = (x1 == x2) if not phase_variant else (s1 == s2)
             if accept:
                 target = _CODE_BELL[
@@ -219,7 +183,7 @@ def check_postselection_truth() -> List[CheckResult]:
     for s1, s2 in itertools.product(
         (BellState.PSI_PLUS, BellState.PSI_MINUS), repeat=2
     ):
-        entry = pme_entry((P.P10, s1), (P.P10, s2), 1.0)
+        entry = oracle_entry("pme", (P.P10, s1), (P.P10, s2), 1.0)
         target = BellState.PSI_PLUS if s1 is s2 else BellState.PSI_MINUS
         dev = _pure_bell_deviation(entry, target, 0.5)
         results.append(
@@ -362,19 +326,18 @@ def check_connection_coefficients(
     """Symmetrized connection coefficients against the closed forms."""
     results = []
     cases = [
-        (SchemeKind.DLCZ, "single-rail", dlcz_connection_coefficients),
-        (SchemeKind.NEW, "two-cell", two_cell_connection_coefficients),
+        ("enc_dlcz", "single-rail", dlcz_connection_coefficients),
+        ("enc_higher", "two-cell", two_cell_connection_coefficients),
     ]
-    for scheme, label, expected_fn in cases:
+    for kind, label, expected_fn in cases:
+        scheme = KINDS[kind][0]
         for eta in etas:
             expected = expected_fn(eta)
             for (pat_a, pat_b), want in expected.items():
                 alpha = (pat_a, _bell_label(scheme, pat_a))
                 beta = (pat_b, _bell_label(scheme, pat_b))
-                got, _, _ = _sym(
-                    lambda a, b: enc_entry(scheme, a, b, eta), alpha, beta
-                )
-                dev = _mass_deviation(got, want)
+                got = _sym(kind, alpha, beta, eta)[:-4]
+                dev = _row_difference(got, PatternState(scheme, want).masses)
                 results.append(
                     CheckResult(
                         f"{label} connection [{pat_a.name}, {pat_b.name}]"
@@ -409,51 +372,23 @@ def check_cutoff_insensitivity(eta: float = 0.9) -> List[CheckResult]:
     """Raising the per-mode Fock cutoff from 4 to 5 leaves every checked
     entry unchanged, confirming the default truncation is exact for the
     tracked pattern family."""
-    results = []
-    new_cases = [
-        (P.P21_PERP, None, P.P21_PERP, None),
-        (P.P11, BellState.PHI_PLUS, P.P21_PERP, None),
+    cases = [
+        ("enc_higher", "two-cell", (P.P21_PERP, None), (P.P21_PERP, None)),
+        ("enc_higher", "two-cell", (P.P11, BellState.PHI_PLUS), (P.P21_PERP, None)),
+        ("enc_dlcz", "single-rail", (P.P20, None), (P.P20, None)),
     ]
-    for pat_a, bell_a, pat_b, bell_b in new_cases:
-        base = enc_entry(SchemeKind.NEW, (pat_a, bell_a), (pat_b, bell_b), eta)
-        left = canonical_new(
-            pat_a, ("aLH", "aLV"), ("c1H", "c1V"), bell_a, cutoff=5
-        )
-        right = canonical_new(
-            pat_b, ("c2H", "c2V"), ("aRH", "aRV"), bell_b, cutoff=5
-        )
-        wide = accumulate_entry(
-            run_enc_new(left, right, eta, False), SchemeKind.NEW, ENC_OUT_MAP_NEW
-        )
-        dev = _entry_difference(base, wide)
+    results = []
+    for kind, label, alpha, beta in cases:
+        base = oracle_entry(kind, alpha, beta, eta)
+        wide = oracle_entry(kind, alpha, beta, eta, cutoff=5)
         results.append(
             CheckResult(
-                f"cutoff 4 -> 5: two-cell [{pat_a.name}, {pat_b.name}]"
+                f"cutoff 4 -> 5: {label} [{alpha[0].name}, {beta[0].name}]"
                 f" at eta={eta}",
-                dev,
+                _row_difference(base.row, wide.row),
             )
         )
-    base = enc_entry(SchemeKind.DLCZ, (P.P20, None), (P.P20, None), eta)
-    left = canonical_dlcz(P.P20, "aL", "c1", cutoff=5)
-    right = canonical_dlcz(P.P20, "c2", "aR", cutoff=5)
-    wide = accumulate_entry(
-        run_enc_dlcz(left, right, eta), SchemeKind.DLCZ, ENC_OUT_MAP_DLCZ
-    )
-    results.append(
-        CheckResult(
-            f"cutoff 4 -> 5: single-rail [P20, P20] at eta={eta}",
-            _entry_difference(base, wide),
-        )
-    )
     return results
-
-
-def _entry_difference(a: TableEntry, b: TableEntry) -> float:
-    got_a = {pat: w for pat, w in a.masses}
-    got_b = {pat: w for pat, w in b.masses}
-    dev = _mass_deviation(got_a, got_b)
-    dev = max(dev, float(np.max(np.abs(np.asarray(a.bell) - np.asarray(b.bell)))))
-    return dev
 
 
 # ----------------------------------------------------------------------
@@ -465,8 +400,8 @@ def frozen_deviation(frozen: ConnectionTable, oracle: ConnectionTable) -> float:
     table and not in the other."""
     worst = 0.0
     for key, want_entry in oracle.entries.items():
-        want = want_entry.row(oracle.output_scheme)
-        got = frozen.entries[key].row(oracle.output_scheme)
+        want = want_entry.row
+        got = frozen.entries[key].row
         nonzero = want != 0.0
         if np.any(got[~nonzero] != 0.0) or np.any(got[nonzero] == 0.0):
             return float("inf")

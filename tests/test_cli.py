@@ -427,6 +427,17 @@ def test_curve_single_variant(tmp_path):
     assert header.replace(" ", "") == "scheme,L_km,eta,D,enp_schedule,p_c,L0_km,t_avg_s,F"
 
 
+def test_curve_with_an_empty_enp_sweeps_one_variant(tmp_path):
+    """``--enp ""`` overrides the schedule with none, so the curve covers
+    the configured scheme alone, not the three standard variants."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[chain]\nL = 160\n[sweep]\neta_list = 0.9\n")
+    rc, out = _run(tmp_path, "--config", str(cfg), "--enp", "", "curve")
+    assert rc == EXIT_OK
+    collected = json.loads((out / "curve.json").read_text())
+    assert list(collected) == ["curve_new_enp-none_eta90"]
+
+
 def test_scaling_fit_command(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[sweep]\nL_list = 160, 320, 640\n")

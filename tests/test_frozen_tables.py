@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from ensemble_repeater import freeze
 from ensemble_repeater.circuits import oracle_table
-from ensemble_repeater.patterns import SchemeKind
+from ensemble_repeater.patterns import SchemeKind, logical_column, scheme_patterns
 from ensemble_repeater.tables import (
     COEFFICIENTS_FILE,
     KINDS,
@@ -43,11 +43,10 @@ def _mismatches(kind, eta, floor=0.0):
     the oracle by more than 1e-12 relative, or is nonzero where the
     oracle's value is exactly zero; values below ``floor`` are exempt."""
     frozen, oracle = kind_table(kind, eta), oracle_table(kind, eta)
-    scheme = oracle.output_scheme
     bad = []
     for key, entry in oracle.entries.items():
-        want = entry.row(scheme)
-        got = frozen.entries[key].row(scheme)
+        want = entry.row
+        got = frozen.entries[key].row
         for slot, (g, w) in enumerate(zip(got.tolist(), want.tolist())):
             if max(abs(g), abs(w)) <= floor:
                 continue
@@ -67,6 +66,30 @@ def test_single_rail_tables_equal_the_oracle_at_every_eta(eta):
 @pytest.mark.parametrize("kind", CHEAP)
 def test_cheap_tables_equal_the_oracle_at_the_endpoints(kind, eta):
     assert _mismatches(kind, eta) == []
+
+
+@pytest.mark.parametrize("kind", ["enc_dlcz", "pme"])
+def test_an_entry_is_one_read_only_row(kind):
+    """Frozen and oracle entries alike: ``masses``, ``bell`` and ``total``
+    are read from ``row``, and the tensor stacks the rows, the logical
+    slot aside."""
+    for table in (kind_table(kind, 0.9), oracle_table(kind, 0.9)):
+        scheme = table.output_scheme
+        others = np.arange(len(scheme_patterns(scheme)) + 4) != logical_column(scheme)
+        keys = canonical_keys(table.scheme)
+        for a, alpha in enumerate(keys):
+            for b, beta in enumerate(keys):
+                entry = table.entry(alpha, beta)
+                row = entry.row
+                assert entry.scheme is scheme
+                with pytest.raises(ValueError, match="read-only"):
+                    row[0] = 1.0
+                slots = row[:-4].tolist()
+                nonzero = [(p, w) for p, w in zip(scheme_patterns(scheme), slots) if w]
+                assert entry.masses == tuple(nonzero)
+                assert entry.bell == tuple(row[-4:])
+                assert entry.total == sum(slots)
+                assert np.array_equal(table.tensor[:, a, b][others], row[others])
 
 
 def test_frozen_entries_carry_no_residue():
@@ -108,12 +131,16 @@ def test_data_file_ships_with_the_package():
 
 
 def test_importing_the_package_does_not_read_the_data_file():
+    """Nor does it load the Fock oracle; only ``oracle-verify`` needs it."""
     code = (
-        "import ensemble_repeater, ensemble_repeater.cli;"
+        "import sys, ensemble_repeater, ensemble_repeater.cli;"
         " from ensemble_repeater import tables;"
         " assert tables.frozen_blocks.cache_info().currsize == 0;"
         " tables.kind_table('pme', 0.9);"
-        " assert tables.frozen_blocks.cache_info().currsize == 1"
+        " assert tables.frozen_blocks.cache_info().currsize == 1;"
+        " oracle = ('fock', 'circuits', 'verify');"
+        " loaded = [m for m in oracle if 'ensemble_repeater.' + m in sys.modules];"
+        " assert loaded == [], loaded"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -135,5 +162,5 @@ def test_evaluation_is_a_sum_over_exponent_terms():
             kept, lost = block["exponents"][term]
             want[slot] += c * eta**kept * (1 - eta) ** lost
     keys = canonical_keys(SchemeKind.DLCZ)
-    got = kind_table("enc_dlcz", eta).entry(keys[a], keys[b]).row(SchemeKind.DLCZ)
+    got = kind_table("enc_dlcz", eta).entry(keys[a], keys[b]).row
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
