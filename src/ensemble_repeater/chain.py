@@ -22,7 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -135,8 +135,7 @@ def _spacing_problem(scheme: SchemeKind, L: float, L0: float) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class LevelRecord:
+class LevelRecord(NamedTuple):
     """State and timing snapshot after one stage of the chain."""
 
     level: int
@@ -176,8 +175,10 @@ def elementary_time(
     p_c: float, eta: float, L0: float, L_att: float, c_fiber: float
 ) -> float:
     """Average time to herald one elementary pair, (L0/c) e^{L0/L_att} / (p_c eta)."""
-    if min(p_c, eta, L0, L_att, c_fiber) <= 0.0:
-        raise ValueError("all arguments must be positive")
+    args = {"p_c": p_c, "eta": eta, "L0": L0, "L_att": L_att, "c_fiber": c_fiber}
+    for name, value in args.items():
+        if value <= 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
     return (L0 / c_fiber) * math.exp(L0 / L_att) / (p_c * eta)
 
 
@@ -241,16 +242,20 @@ def _record(
     t: float,
 ) -> LevelRecord:
     agg = aggregate(state)
-    logical = state.logical.tolist()
+    mass = agg.p_logic
+    if mass == 0.0:
+        bell = tuple(state.logical.tolist())
+    else:
+        bell = tuple([b / mass for b in state.row.tolist()[-4:]])
     return LevelRecord(
         level=level,
         stage=stage,
-        p_logic=agg.p_logic,
+        p_logic=mass,
         p_vac=agg.p_vac,
         p_multi=agg.p_multi,
-        bell=tuple(logical),
+        bell=bell,
         fidelity=fidelity(state, target),
-        logical_fidelity=logical[target.index],
+        logical_fidelity=bell[target.index],
         success_prob=success,
         t_avg=t,
     )
@@ -263,8 +268,9 @@ class _McTimes:
     success probability is tiny.  A stage with such a draw, or whose
     attempt counts sum beyond the int64 maximum, gets infinite times,
     which ``simulate_chain`` reports as that stage's overflow.  Totals
-    that fit in int64 but whose draws do not fit in memory are left to
-    an exact waiting-time distribution (ROADMAP item 3).
+    that fit in int64 but whose draws do not fit in memory would need
+    the exact waiting-time distribution of each stage, propagated
+    without drawing one sample per attempt.
     """
 
     def __init__(self, rng: np.random.Generator, n_samples: int) -> None:
@@ -497,16 +503,17 @@ def tf_curve(
                 candidates.append((t, F_log, i, L0))
     frontier = _pareto_indices(candidates)
 
+    by_pc: list = [[] for _ in p_cs]  # (candidate index, candidate)
+    for j, c in enumerate(candidates):
+        by_pc[c[2]].append((j, c))
+
     points = []
-    for i, p_c in enumerate(sweep):
-        mine = [
-            (j, c) for j, c in enumerate(candidates) if c[2] == i
-        ]
+    for p_c, mine in zip(p_cs, by_pc):
         if not mine:
             continue
         on_front = [c for j, c in mine if j in frontier]
         pick = min(on_front or [c for _, c in mine], key=lambda c: (c[0], c[3]))
-        points.append((pick[0], pick[1], float(p_c), pick[3]))
+        points.append((pick[0], pick[1], p_c, pick[3]))
     return points
 
 

@@ -232,7 +232,8 @@ class PatternState:
 
     @classmethod
     def _from_row(cls, scheme: SchemeKind, row: np.ndarray) -> "PatternState":
-        """State owning ``row``, a fresh array; every step builds its output here."""
+        """State owning ``row``, a fresh array; ``eng`` and every step
+        build their output here."""
         state = cls.__new__(cls)
         state._set_row(scheme, row)
         return state
@@ -242,6 +243,9 @@ class PatternState:
 
         Rejects a pattern mass (naming the first in scheme order) or a
         Bell weight, Bell mass over logical mass, below ``-WEIGHT_TOL``.
+        Dividing by a nonzero mass is monotone, so the smallest weight is
+        the smallest Bell mass over a positive mass and the largest over
+        a negative one.
         """
         layout = _layout(scheme)
         n = len(layout.column)
@@ -252,8 +256,10 @@ class PatternState:
             pattern = scheme_patterns(scheme)[i]
             raise ValueError(f"negative pattern probability: {pattern} = {masses[i]}")
         mass = masses[layout.logical]
-        if mass != 0.0 and min(b / mass for b in values[n:]) < -WEIGHT_TOL:
-            raise ValueError("Bell weights must be non-negative")
+        if mass != 0.0:
+            bell = values[n:]
+            if (min(bell) if mass > 0.0 else max(bell)) / mass < -WEIGHT_TOL:
+                raise ValueError("Bell weights must be non-negative")
         row.flags.writeable = False
         fields = self.__dict__
         fields["scheme"] = scheme
@@ -335,7 +341,7 @@ def fidelity(state: PatternState, target: BellState) -> float:
     """
     if not state.normalized:
         raise ValueError("fidelity requires a normalized state")
-    return float(state.bell_masses()[target.index])
+    return state.row.tolist()[target.index - 4]
 
 
 def logical_fidelity(state: PatternState, target: BellState) -> float:

@@ -27,6 +27,8 @@ from .patterns import (
     PatternState,
     SchemeKind,
     logical_column,
+    logical_pattern,
+    scheme_patterns,
 )
 from .tables import (
     ConnectionTable,
@@ -87,26 +89,31 @@ def eng(
             ExcitationPattern.P11: 0.5 * extra / norm,
             ExcitationPattern.P20: 0.5 * extra / norm,
         }
-        return PatternState(scheme, probs, (0.0, 0.0, 1.0 - q, q))
-
-    q = gaussian_phase_average(4.0 * noise.D * L0)
-    extra = ENG_MULTI_WEIGHT_NEW * p_c
-    norm = 1.0 + extra
-    probs = {
-        ExcitationPattern.P11: 0.5 / norm,
-        ExcitationPattern.P20_PERP: 0.5 / norm,
-        ExcitationPattern.P21_PAR: 0.5 * extra / norm,
-        ExcitationPattern.P21_PERP: 0.5 * extra / norm,
-    }
-    return PatternState(scheme, probs, (0.0, 0.0, 1.0 - q, q))
+    else:
+        q = gaussian_phase_average(4.0 * noise.D * L0)
+        extra = ENG_MULTI_WEIGHT_NEW * p_c
+        norm = 1.0 + extra
+        probs = {
+            ExcitationPattern.P11: 0.5 / norm,
+            ExcitationPattern.P20_PERP: 0.5 / norm,
+            ExcitationPattern.P21_PAR: 0.5 * extra / norm,
+            ExcitationPattern.P21_PERP: 0.5 * extra / norm,
+        }
+    # The row layout: pattern masses in scheme order, then the Bell masses
+    # (Phi+, Phi-, Psi+, Psi-), the logical mass times (0, 0, 1 - q, q).
+    row = [probs.get(pattern, 0.0) for pattern in scheme_patterns(scheme)]
+    mass = probs[logical_pattern(scheme)]
+    row += (0.0, 0.0, mass * (1.0 - q), mass * q)
+    return PatternState._from_row(scheme, np.array(row))
 
 
 def _component_masses(state: PatternState) -> np.ndarray:
     """Canonical component masses of a state; non-positive ones count as 0."""
     row = state.row
     if state.scheme is SchemeKind.DLCZ:
-        mass = row[logical_column(SchemeKind.DLCZ)]
-        if mass != 0.0 and (row[-4] / mass > 0.0 or row[-3] / mass > 0.0):
+        values = row.tolist()
+        mass = values[logical_column(SchemeKind.DLCZ)]
+        if mass != 0.0 and (values[-4] / mass > 0.0 or values[-3] / mass > 0.0):
             raise ValueError("single-rail pairs carry only odd-parity Bell weight")
     return np.maximum(state_selection(state.scheme) @ row, 0.0)
 

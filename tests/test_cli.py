@@ -227,6 +227,15 @@ def test_mc_seed_changes_simulated_times(tmp_path):
             "[sweep]\nL_list = 640, nan\n", [], "table", "L must be finite, got nan",
             id="table-nan-in-L-list",
         ),
+        # The elementary time names the argument that is not positive.
+        pytest.param(
+            "[noise]\neta = 0\n", [], "simulate", "eta must be positive, got 0.0",
+            id="zero-eta",
+        ),
+        pytest.param(
+            "[sweep]\neta_list = 0\n", [], "curve", "eta must be positive, got 0.0",
+            id="curve-zero-eta",
+        ),
         # The step channel would put even-parity weight on single-rail pairs.
         pytest.param(
             "[chain]\nscheme = dlcz\nL = 320\n[noise]\np_misalign = 0.01\n", [],

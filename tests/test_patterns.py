@@ -16,6 +16,7 @@ from ensemble_repeater.patterns import (
     classify_new,
     fidelity,
     from_text,
+    logical_column,
     logical_fidelity,
     logical_pattern,
     normalize,
@@ -144,6 +145,30 @@ def test_step_row_rejects_negative_mass():
     masses[4] = masses[6] = 0.0
     state = PatternState._from_row(SchemeKind.NEW, np.array(masses + [0.0] * 4))
     assert state.probs == {ExcitationPattern.P00: -0.5 * WEIGHT_TOL}
+
+
+@pytest.mark.parametrize(
+    "mass, bell, accepted",
+    [
+        pytest.param(-5e-13, (1e-13, 0.0, 0.0, 0.0), False, id="negative-mass-positive-bell"),
+        pytest.param(-5e-13, (-1e-13, 0.0, 0.0, 0.0), True, id="negative-mass-negative-bell"),
+        pytest.param(5e-13, (-1e-13, 0.0, 0.0, 0.0), False, id="positive-mass-negative-bell"),
+    ],
+)
+def test_step_row_checks_bell_weights_on_both_signs_of_the_logical_mass(
+    mass, bell, accepted
+):
+    """A Bell weight is a Bell mass over the logical mass, which a step may
+    leave slightly negative; the weight's sign then flips with it."""
+    masses = [0.0] * len(scheme_patterns(SchemeKind.NEW))
+    masses[logical_column(SchemeKind.NEW)] = mass
+    row = np.array(masses + list(bell))
+    if accepted:
+        state = PatternState._from_row(SchemeKind.NEW, row)
+        assert state.bell_masses().tolist() == list(bell)
+    else:
+        with pytest.raises(ValueError, match="^Bell weights must be non-negative$"):
+            PatternState._from_row(SchemeKind.NEW, row)
 
 
 def test_pattern_state_total_and_normalize():

@@ -13,7 +13,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ensemble_repeater.circuits import oracle_table
-from ensemble_repeater.noise import NoiseParams, misalignment_channel
+from ensemble_repeater.noise import (
+    NoiseParams,
+    gaussian_phase_average,
+    misalignment_channel,
+    phase_error_prob,
+)
 from ensemble_repeater.patterns import (
     BellState,
     ExcitationPattern,
@@ -25,6 +30,8 @@ from ensemble_repeater.patterns import (
     scheme_patterns,
 )
 from ensemble_repeater.protocols import (
+    ENG_MULTI_WEIGHT_DLCZ,
+    ENG_MULTI_WEIGHT_NEW,
     EnpKind,
     _apply_table,
     enc,
@@ -510,6 +517,33 @@ def test_generation_composition():
     assert dlcz.prob(P.P10) == pytest.approx(1.0 / (1 + r))
     assert dlcz.prob(P.P11) == pytest.approx(0.5 * r / (1 + r))
     assert dlcz.prob(P.P20) == pytest.approx(0.5 * r / (1 + r))
+
+
+@pytest.mark.parametrize("scheme", [NEW, DLCZ], ids=["two-cell", "single-rail"])
+@pytest.mark.parametrize(
+    "p_c, L0, D", [(1e-5, 5.0, 0.0), (0.01, 40.0, 1e-3), (0.3, 160.0, 0.02)]
+)
+def test_generation_row_equals_the_mapping_built_state(scheme, p_c, L0, D):
+    """``eng`` writes its row directly; it must be the state the mapping
+    constructor builds from the same masses and conditional weights."""
+    if scheme is DLCZ:
+        q = phase_error_prob(D, L0)
+        extra = ENG_MULTI_WEIGHT_DLCZ * p_c
+        norm = 1.0 + extra
+        probs = {P.P10: 1.0 / norm, P.P11: 0.5 * extra / norm, P.P20: 0.5 * extra / norm}
+    else:
+        q = gaussian_phase_average(4.0 * D * L0)
+        extra = ENG_MULTI_WEIGHT_NEW * p_c
+        norm = 1.0 + extra
+        probs = {
+            P.P11: 0.5 / norm,
+            P.P20_PERP: 0.5 / norm,
+            P.P21_PAR: 0.5 * extra / norm,
+            P.P21_PERP: 0.5 * extra / norm,
+        }
+    state = eng(scheme, p_c, NoiseParams(eta=ETA, D=D), L0)
+    assert state == PatternState(scheme, probs, (0.0, 0.0, 1.0 - q, q))
+    assert not state.row.flags.writeable
 
 
 def test_generation_phase_noise_mixes_the_sign():
