@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -152,33 +153,54 @@ class LevelRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class RunResult:
-    """Full chain simulation output: per-stage records plus the final pair."""
+    """Full chain simulation output: per-stage records plus the final pair.
+
+    ``stages`` holds one ``(level, stage, state, target, success, t, F)``
+    tuple per stage: the normalized state after the stage, its Bell
+    target, the step's success probability, the average time and the
+    fidelity.  ``per_level`` derives the ``LevelRecord`` of every stage
+    from them on first read, so a sweep that reads only the final time
+    and fidelities builds none; ``final`` and the final fidelities come
+    straight from the last stage.
+    """
 
     config: RepeaterConfig
-    per_level: Tuple[LevelRecord, ...]
-    final: Tuple[float, float]  # (t_avg seconds, fidelity)
+    stages: Tuple[tuple, ...]
+
+    @cached_property
+    def per_level(self) -> Tuple[LevelRecord, ...]:
+        return tuple(_record(*stage) for stage in self.stages)
+
+    @property
+    def final(self) -> Tuple[float, float]:
+        """(t_avg seconds, fidelity) of the delivered pair."""
+        return self.t_avg, self.fidelity
 
     @property
     def t_avg(self) -> float:
-        return self.final[0]
+        return self.stages[-1][5]
 
     @property
     def fidelity(self) -> float:
-        return self.final[1]
+        return self.stages[-1][6]
 
     @property
     def final_logical_fidelity(self) -> float:
-        return self.per_level[-1].logical_fidelity
+        return _record(*self.stages[-1]).logical_fidelity
+
+
+def check_positive(**values: float) -> None:
+    """Raise naming the first argument that is not positive, with its value."""
+    for name, value in values.items():
+        if value <= 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 def elementary_time(
     p_c: float, eta: float, L0: float, L_att: float, c_fiber: float
 ) -> float:
     """Average time to herald one elementary pair, (L0/c) e^{L0/L_att} / (p_c eta)."""
-    args = {"p_c": p_c, "eta": eta, "L0": L0, "L_att": L_att, "c_fiber": c_fiber}
-    for name, value in args.items():
-        if value <= 0.0:
-            raise ValueError(f"{name} must be positive, got {value}")
+    check_positive(p_c=p_c, eta=eta, L0=L0, L_att=L_att, c_fiber=c_fiber)
     return (L0 / c_fiber) * math.exp(L0 / L_att) / (p_c * eta)
 
 
@@ -240,6 +262,7 @@ def _record(
     target: BellState,
     success: float,
     t: float,
+    F: float,
 ) -> LevelRecord:
     agg = aggregate(state)
     mass = agg.p_logic
@@ -254,7 +277,7 @@ def _record(
         p_vac=agg.p_vac,
         p_multi=agg.p_multi,
         bell=bell,
-        fidelity=fidelity(state, target),
+        fidelity=F,
         logical_fidelity=bell[target.index],
         success_prob=success,
         t_avg=t,
@@ -308,7 +331,7 @@ def simulate_chain(
     n_samples: int = 16384,
     seed: int = 0,
 ) -> RunResult:
-    """Simulate the full chain and return per-stage records.
+    """Simulate the full chain and return its per-stage results.
 
     ``waiting`` selects the time model: "deterministic" applies the
     1.5/P recursion, "mc" samples geometric attempt counts and maxima of
@@ -325,14 +348,14 @@ def simulate_chain(
     noise = config.noise
     eta = noise.eta
     channel = _step_channel(noise)
-    stages: list[Tuple[str, int, Optional[EnpKind]]] = []
+    plan: list[Tuple[str, int, Optional[EnpKind]]] = []
     for level in range(1, config.num_levels + 1):
-        stages.append(("enc", level, None))
-        stages.extend(
+        plan.append(("enc", level, None))
+        plan.extend(
             ("enp", level, kind) for m, kind in config.enp_schedule if m == level
         )
     if scheme is SchemeKind.DLCZ:
-        stages.append(("pme", config.num_levels + 1, None))
+        plan.append(("pme", config.num_levels + 1, None))
 
     state = eng(scheme, config.p_c, noise, config.L0)
     if mc:
@@ -342,10 +365,11 @@ def simulate_chain(
         t = elementary_time(config.p_c, eta, config.L0, config.L_att, config.c_fiber)
         if scheme is SchemeKind.NEW:
             t *= TWO_PAIR_OVERHEAD
-    records = [_record(0, "eng", state, _target_bell(scheme, False), 1.0, t)]
+    target = _target_bell(scheme, False)
+    stages = [(0, "eng", state, target, 1.0, t, fidelity(state, target))]
     target = _target_bell(scheme, True)
 
-    for stage, level, kind in stages:
+    for stage, level, kind in plan:
         if stage == "enc":
             out = enc(scheme, state, state, eta, level=level)
         elif stage == "enp":
@@ -365,19 +389,17 @@ def simulate_chain(
             t = float(times.mean())
         else:
             t = TWO_PAIR_OVERHEAD * t / success
-        records.append(_record(level, stage, state, target, success, t))
+        stages.append(
+            (level, stage, state, target, success, t, fidelity(state, target))
+        )
 
-    for rec in records:
-        if not math.isfinite(rec.t_avg):
+    for level, stage, *_, t, _ in stages:
+        if not math.isfinite(t):
             raise OverflowError(
-                f"the average time of {rec.stage} at level {rec.level} overflows"
+                f"the average time of {stage} at level {level} overflows"
             )
 
-    return RunResult(
-        config=config,
-        per_level=tuple(records),
-        final=(t, fidelity(state, target)),
-    )
+    return RunResult(config=config, stages=tuple(stages))
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from .chain import (
     CSV_COLUMNS,
     RepeaterConfig,
     RunResult,
+    check_positive,
     check_step_noise,
     feasible_l0,
     format_csv,
@@ -366,10 +367,12 @@ def _check_chain_inputs(args, settings: Settings) -> None:
         )
     if command == "curve":
         for eta in settings.eta_list:
-            dataclasses.replace(settings.noise, eta=float(eta))
+            noise = dataclasses.replace(settings.noise, eta=float(eta))
+            check_positive(eta=noise.eta)
         for scheme, _ in _curve_variants(args, settings):
             check_step_noise(scheme, settings.noise)
     elif command in ("optimize", "table"):
+        check_positive(eta=settings.noise.eta)
         check_step_noise(settings.scheme, settings.noise)
 
 

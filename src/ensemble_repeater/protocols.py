@@ -35,7 +35,7 @@ from .tables import (
     enc_table,
     enp_table,
     pme_table,
-    state_selection,
+    selected_columns,
 )
 
 # Weight of the unheralded double-excitation admixture of the sources,
@@ -115,7 +115,7 @@ def _component_masses(state: PatternState) -> np.ndarray:
         mass = values[logical_column(SchemeKind.DLCZ)]
         if mass != 0.0 and (values[-4] / mass > 0.0 or values[-3] / mass > 0.0):
             raise ValueError("single-rail pairs carry only odd-parity Bell weight")
-    return np.maximum(state_selection(state.scheme) @ row, 0.0)
+    return np.maximum(row.take(selected_columns(state.scheme)), 0.0)
 
 
 def _apply_table(

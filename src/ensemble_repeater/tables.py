@@ -31,11 +31,11 @@ label.  Overflow components (more than two excitations per node) have
 no canonical representative and are treated as absorbing: any input
 mass assigned to them is dropped by the connection step.
 
-A step applies a table as one dense contraction: ``state_selection``
-picks the canonical component masses out of a state row and
-``ConnectionTable.tensor``, ``T[o, a, b]``, the entry rows stacked,
-maps a pair of them to the output state row, which is the next state's
-row as it stands.
+A step applies a table as one dense contraction.  It gathers the
+canonical component masses out of a state row, one column per key at
+``selected_columns``, and ``ConnectionTable.tensor``, ``T[o, a, b]``,
+the entry rows stacked, maps a pair of them to the output state row,
+which is the next state's row as it stands.
 """
 
 from __future__ import annotations
@@ -152,8 +152,8 @@ def canonical_keys(scheme: SchemeKind) -> tuple[Key, ...]:
 
 
 @lru_cache(maxsize=None)
-def state_selection(scheme: SchemeKind) -> np.ndarray:
-    """0/1 matrix ``S[k, r]`` taking a state row to canonical key masses.
+def selected_columns(scheme: SchemeKind) -> np.ndarray:
+    """Read-only state-row column of each canonical key, in key order.
 
     A state row lists the pattern masses in ``scheme_patterns`` order,
     then the four absolute Bell masses.  Key ``(pattern, None)`` picks
@@ -162,13 +162,14 @@ def state_selection(scheme: SchemeKind) -> np.ndarray:
     key.
     """
     patterns = scheme_patterns(scheme)
-    keys = canonical_keys(scheme)
-    selection = np.zeros((len(keys), len(patterns) + 4))
-    for k, (pattern, bell) in enumerate(keys):
-        column = patterns.index(pattern) if bell is None else len(patterns) + bell.index
-        selection[k, column] = 1.0
-    selection.flags.writeable = False
-    return selection
+    columns = np.array(
+        [
+            patterns.index(pattern) if bell is None else len(patterns) + bell.index
+            for pattern, bell in canonical_keys(scheme)
+        ]
+    )
+    columns.flags.writeable = False
+    return columns
 
 
 @dataclass(frozen=True)

@@ -323,6 +323,19 @@ def test_bad_configuration_exits_3(tmp_path, capsys, body, argv, command, messag
             "[chain]\nL0 = 30\n", "scaling", "L/L0 must be a power of 2 (at least 2)",
             id="scaling-off-power-of-two",
         ),
+        # The sweeps meet eta = 0 only in their first chain's elementary time.
+        pytest.param(
+            "[noise]\neta = 0\n", "optimize", "eta must be positive, got 0.0",
+            id="optimize-zero-eta",
+        ),
+        pytest.param(
+            "[noise]\neta = 0\n", "table", "eta must be positive, got 0.0",
+            id="table-zero-eta",
+        ),
+        pytest.param(
+            "[sweep]\neta_list = 0\n", "curve", "eta must be positive, got 0.0",
+            id="curve-zero-eta-list",
+        ),
     ],
 )
 def test_rejected_run_writes_no_manifest(tmp_path, capsys, body, command, message):
@@ -434,6 +447,21 @@ def test_curve_single_variant(tmp_path):
     assert (out / "curve_dlcz_enp-none_eta90.csv").exists()
     header = (out / "curve.csv").read_text().splitlines()[0]
     assert header.replace(" ", "") == "scheme,L_km,eta,D,enp_schedule,p_c,L0_km,t_avg_s,F"
+
+
+def test_curve_sweeps_eta_list_not_the_noise_eta(tmp_path):
+    """``curve`` replaces ``[noise] eta`` by each ``eta_list`` value, so a
+    zero there is never used."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[chain]\nL = 160\n[noise]\neta = 0\n[sweep]\neta_list = 0.9\n")
+    rc, out = _run(
+        tmp_path, "--config", str(cfg), "--scheme", "dlcz", "--enp", "none",
+        "curve",
+    )
+    assert rc == EXIT_OK
+    assert list(json.loads((out / "curve.json").read_text())) == [
+        "curve_dlcz_enp-none_eta90"
+    ]
 
 
 def test_curve_with_an_empty_enp_sweeps_one_variant(tmp_path):

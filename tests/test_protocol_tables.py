@@ -34,6 +34,7 @@ from ensemble_repeater.protocols import (
     ENG_MULTI_WEIGHT_NEW,
     EnpKind,
     _apply_table,
+    _component_masses,
     enc,
     eng,
     enp,
@@ -46,6 +47,7 @@ from ensemble_repeater.tables import (
     enc_table,
     enp_table,
     pme_table,
+    selected_columns,
 )
 from ensemble_repeater.verify import bell_xor
 
@@ -424,6 +426,35 @@ def test_state_row_invariant_holds_through_every_operation(kind, data):
 
 # ----------------------------------------------------------------------
 # protocol-level wrappers
+
+
+@pytest.mark.parametrize("scheme", [NEW, DLCZ])
+def test_selected_columns_read_each_keys_mass(scheme):
+    columns = selected_columns(scheme)
+    assert selected_columns(scheme) is columns
+    assert not columns.flags.writeable
+    patterns = scheme_patterns(scheme)
+    keys = canonical_keys(scheme)
+    assert len(columns) == len(keys)
+    for column, (pattern, bell) in zip(columns.tolist(), keys):
+        if bell is None:
+            assert column == patterns.index(pattern)
+        else:
+            assert pattern is logical_pattern(scheme)
+            assert column == len(patterns) + bell.index
+
+
+def test_component_masses_clip_small_negative_masses_to_zero():
+    state = PatternState(
+        NEW,
+        {P.P11: 0.6, P.P00: -1e-13, P.P20_PERP: 0.4 + 1e-13},
+        (0.5 + 1e-13, -1e-13, 0.25, 0.25),
+    )
+    masses = dict(zip(canonical_keys(NEW), _component_masses(state).tolist()))
+    assert masses[(P.P00, None)] == 0.0
+    assert masses[(P.P11, B.PHI_MINUS)] == 0.0
+    assert masses[(P.P20_PERP, None)] == 0.4 + 1e-13
+    assert masses[(P.P11, B.PHI_PLUS)] == state.row[-4]
 
 
 def test_step_outcome_mass_is_success_probability():
