@@ -14,6 +14,14 @@ deep chains where the constant-factor approximation drifts.
 The single-rail protocol ends with the post-selected mapping of two
 parallel full-length chains onto one polarization pair; the two-cell
 protocol carries polarization pairs throughout.
+
+The pair after a stage depends on the spacing only through the
+elementary pair, whose phase error q(D L0) vanishes at D = 0.  So at
+D = 0 the chain at spacing 2 L0 is a prefix of the chain at L0: the
+grid sweeps compute the pair states of each p_c once, in the deepest
+chain, and every other spacing reuses them through ``simulate_chain``'s
+memo, computing only its waiting times and the single-rail final
+mapping.  At D > 0 the elementary pairs differ and nothing is shared.
 """
 
 from __future__ import annotations
@@ -99,8 +107,9 @@ class RepeaterConfig:
         problem = _spacing_problem(self.scheme, self.L, self.L0)
         if problem is not None:
             raise ValueError(problem)
+        schedule = _normalized_schedule(self.enp_schedule)
+        _check_enp_schedule(self.scheme, schedule)
         levels = self.num_levels
-        schedule = tuple((int(m), EnpKind(kind)) for m, kind in self.enp_schedule)
         for m, _ in schedule:
             if not 1 <= m <= levels:
                 raise ValueError(f"purification level {m} outside 1..{levels}")
@@ -109,7 +118,38 @@ class RepeaterConfig:
     @property
     def num_levels(self) -> int:
         """Number of connection levels, log2(L/L0) - 1."""
-        return round(math.log2(self.L / self.L0)) - 1
+        return _num_levels(self.L, self.L0)
+
+
+def _num_levels(L: float, L0: float) -> int:
+    return round(math.log2(L / L0)) - 1
+
+
+def _normalized_schedule(
+    schedule: Iterable[Tuple[int, str]],
+) -> Tuple[Tuple[int, EnpKind], ...]:
+    return tuple((int(m), EnpKind(kind)) for m, kind in schedule)
+
+
+def format_enp_schedule(schedule: Tuple[Tuple[int, EnpKind], ...]) -> str:
+    if not schedule:
+        return "none"
+    return ", ".join(f"{kind.value}-after-{level}" for level, kind in schedule)
+
+
+def _check_enp_schedule(
+    scheme: SchemeKind, schedule: Tuple[Tuple[int, EnpKind], ...]
+) -> None:
+    """Reject a purification schedule on a chain that cannot be purified.
+
+    Purification consumes two polarization pairs, which only the
+    two-cell scheme carries before the final mapping.
+    """
+    if scheme is SchemeKind.DLCZ and schedule:
+        raise ValueError(
+            "the single-rail (dlcz) scheme has no purification step,"
+            f" got enp_schedule = {format_enp_schedule(schedule)}"
+        )
 
 
 def check_step_noise(scheme: SchemeKind, noise: NoiseParams) -> None:
@@ -330,6 +370,8 @@ def simulate_chain(
     waiting: str = "deterministic",
     n_samples: int = 16384,
     seed: int = 0,
+    *,
+    memo: Optional[dict] = None,
 ) -> RunResult:
     """Simulate the full chain and return its per-stage results.
 
@@ -337,6 +379,17 @@ def simulate_chain(
     1.5/P recursion, "mc" samples geometric attempt counts and maxima of
     independent sub-pair times (seeded, vectorized).  The quantum state
     evolution is identical in both modes.
+
+    ``memo`` lets chains that share their pair states compute them once.
+    A stage's state, success probability and F depend only on the
+    elementary pair, eta, the step channel and the plan steps up to it.
+    So the memo maps the first three (the elementary row by its bytes)
+    to the plan steps and stages of the longest chain recorded for them.
+    A chain reuses the leading stages whose plan steps equal its own,
+    computes the rest with every check, and records itself if it got
+    further.  The single-rail final mapping, whose place in the plan
+    depends on the chain's length, is never recorded.  Times stay per
+    chain.
     """
     if waiting not in ("deterministic", "mc"):
         raise ValueError("waiting must be 'deterministic' or 'mc'")
@@ -348,14 +401,16 @@ def simulate_chain(
     noise = config.noise
     eta = noise.eta
     channel = _step_channel(noise)
+    levels = config.num_levels
     plan: list[Tuple[str, int, Optional[EnpKind]]] = []
-    for level in range(1, config.num_levels + 1):
+    for level in range(1, levels + 1):
         plan.append(("enc", level, None))
-        plan.extend(
-            ("enp", level, kind) for m, kind in config.enp_schedule if m == level
-        )
+        for m, kind in config.enp_schedule:
+            if m == level:
+                plan.append(("enp", level, kind))
+    shareable = len(plan)
     if scheme is SchemeKind.DLCZ:
-        plan.append(("pme", config.num_levels + 1, None))
+        plan.append(("pme", levels + 1, None))
 
     state = eng(scheme, config.p_c, noise, config.L0)
     if mc:
@@ -369,31 +424,48 @@ def simulate_chain(
     stages = [(0, "eng", state, target, 1.0, t, fidelity(state, target))]
     target = _target_bell(scheme, True)
 
-    for stage, level, kind in plan:
-        if stage == "enc":
-            out = enc(scheme, state, state, eta, level=level)
-        elif stage == "enp":
-            out = enp(kind, state, state, eta)
+    shared = 0
+    if memo is not None:
+        key = (
+            scheme, state.row.tobytes(), eta,
+            None if channel is None else channel.tobytes(),
+        )
+        known_plan, known_stages = memo.get(key, ((), ()))
+        for step, known_step in zip(plan, known_plan):
+            if step != known_step:
+                break
+            shared += 1
+
+    for i, (stage, level, kind) in enumerate(plan):
+        if i < shared:
+            _, _, state, _, success, _, F = known_stages[i + 1]
         else:
-            out = postselect_pme(state, state, eta)
-        success = out.total
-        if success <= 0.0:
-            raise ZeroDivisionError(
-                f"{stage} at level {level} has zero success probability"
-            )
-        state = normalize(out)
-        if channel is not None:
-            state = apply_bell_channel(state, channel)
+            if stage == "enc":
+                out = enc(scheme, state, state, eta, level=level)
+            elif stage == "enp":
+                out = enp(kind, state, state, eta)
+            else:
+                out = postselect_pme(state, state, eta)
+            success = out.total
+            if success <= 0.0:
+                raise ZeroDivisionError(
+                    f"{stage} at level {level} has zero success probability"
+                )
+            state = normalize(out)
+            if channel is not None:
+                state = apply_bell_channel(state, channel)
+            F = fidelity(state, target)
         if mc:
             times = mc.combine(times, success)
             t = float(times.mean())
         else:
             t = TWO_PAIR_OVERHEAD * t / success
-        stages.append(
-            (level, stage, state, target, success, t, fidelity(state, target))
-        )
+        stages.append((level, stage, state, target, success, t, F))
 
-    for level, stage, *_, t, _ in stages:
+    if memo is not None and shared == len(known_plan) < shareable:
+        memo[key] = (plan[:shareable], stages)
+
+    for level, stage, _, _, _, t, _ in stages:
         if not math.isfinite(t):
             raise OverflowError(
                 f"the average time of {stage} at level {level} overflows"
@@ -424,30 +496,63 @@ def feasible_l0(scheme: SchemeKind, L: float) -> Tuple[float, ...]:
     return tuple(L0 for L0 in L0_GRID if _spacing_problem(scheme, L, L0) is None)
 
 
-def _grid_rows(chain: dict, L0: float, p_cs: Tuple[float, ...]) -> list:
-    """(t_avg, F, logical F) for every p_c at one spacing, in order.
+def sweep_l0(
+    scheme: SchemeKind,
+    L: float,
+    enp_schedule: Tuple[Tuple[int, EnpKind], ...] = (),
+) -> Tuple[float, ...]:
+    """Feasible spacings with every connection level the schedule purifies after.
 
-    ``chain`` holds the other ``RepeaterConfig`` arguments.  An entry is
-    None where a step never succeeds, or the elementary time or a stage
-    time overflows.
+    A spacing with too few levels is skipped.  If the schedule leaves no
+    feasible spacing, a ``ValueError`` names it.
     """
-    rows = []
-    for p_c in p_cs:
-        try:
-            result = simulate_chain(RepeaterConfig(L0=L0, p_c=p_c, **chain))
-        except ArithmeticError:
-            rows.append(None)
-            continue
-        rows.append((result.t_avg, result.fidelity, result.final_logical_fidelity))
-    return rows
+    spacings = feasible_l0(scheme, L)
+    schedule = _normalized_schedule(enp_schedule)
+    _check_enp_schedule(scheme, schedule)
+    usable = tuple(
+        L0 for L0 in spacings
+        if all(1 <= m <= _num_levels(L, L0) for m, _ in schedule)
+    )
+    if spacings and not usable:
+        raise ValueError(
+            f"enp_schedule = {format_enp_schedule(schedule)} purifies after a"
+            f" level that no grid spacing gives at L = {L:g} km (levels 1.."
+            f"{_num_levels(L, spacings[0])})"
+        )
+    return usable
 
 
 def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
-    """(L0, grid rows) for every feasible spacing, in grid order."""
-    return [
-        (L0, _grid_rows(chain, L0, p_cs))
-        for L0 in feasible_l0(chain["scheme"], chain["L"])
-    ]
+    """(L0, grid rows) for every spacing ``sweep_l0`` keeps, in grid order.
+
+    ``chain`` holds the other ``RepeaterConfig`` arguments.  The rows
+    hold (t_avg, F, logical F) for every p_c, in order, or None where a
+    step never succeeds, or the elementary time or a stage time
+    overflows.  The sweep walks the spacings of one p_c at a time,
+    deepest chain first, and at D = 0 hands them one memo: the
+    elementary pair does not depend on L0 there, so every spacing reuses
+    the deepest chain's pair states and computes only its times and the
+    single-rail final mapping.  At D > 0 no two spacings share a stage,
+    and a memo would only keep states alive that no chain reads, so the
+    sweep passes none.
+    """
+    spacings = sweep_l0(chain["scheme"], chain["L"], chain.get("enp_schedule", ()))
+    share = chain.get("noise", NoiseParams()).D == 0.0
+    rows = [(L0, []) for L0 in spacings]
+    for p_c in p_cs:
+        memo = {} if share else None
+        for L0, column in rows:
+            try:
+                result = simulate_chain(
+                    RepeaterConfig(L0=L0, p_c=p_c, **chain), memo=memo
+                )
+            except ArithmeticError:
+                column.append(None)
+                continue
+            column.append(
+                (result.t_avg, result.fidelity, result.final_logical_fidelity)
+            )
+    return rows
 
 
 def optimize(

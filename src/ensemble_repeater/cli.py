@@ -49,8 +49,8 @@ from .chain import (
     RunResult,
     check_positive,
     check_step_noise,
-    feasible_l0,
     format_csv,
+    format_enp_schedule,
     optimize,
     run_result_json,
     run_result_rows,
@@ -58,6 +58,7 @@ from .chain import (
     scaling_exponent,
     scaling_fit,
     simulate_chain,
+    sweep_l0,
     tf_curve,
 )
 from .noise import NoiseParams
@@ -129,12 +130,6 @@ def parse_enp_schedule(text: str) -> Tuple[Tuple[int, EnpKind], ...]:
                 " expected e.g. 'phase-after-2' or 'none'"
             ) from None
     return tuple(sorted(out))
-
-
-def format_enp_schedule(schedule: Tuple[Tuple[int, EnpKind], ...]) -> str:
-    if not schedule:
-        return "none"
-    return ", ".join(f"{kind.value}-after-{level}" for level, kind in schedule)
 
 
 def _parse_scheme(text: str) -> SchemeKind:
@@ -355,11 +350,14 @@ def _check_chain_inputs(args, settings: Settings) -> None:
         _chain_config(settings)
         if settings.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
-    elif command in ("optimize", "curve"):
-        feasible_l0(settings.scheme, settings.L)
+    elif command == "optimize":
+        sweep_l0(settings.scheme, settings.L, settings.enp_schedule)
     elif command == "table":
         for L in settings.L_list:
-            feasible_l0(settings.scheme, float(L))
+            sweep_l0(settings.scheme, float(L), settings.enp_schedule)
+    elif command == "curve":
+        for scheme, schedule in _curve_variants(args, settings):
+            sweep_l0(scheme, settings.L, schedule)
     elif command == "scaling":
         scaling_configs(
             settings.scheme, settings.noise, settings.L_list, settings.L0,

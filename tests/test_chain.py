@@ -10,8 +10,8 @@ from ensemble_repeater.chain import (
     CSV_COLUMNS,
     L0_GRID,
     RepeaterConfig,
-    _grid_rows,
     _McTimes,
+    _sweep_spacings,
     check_step_noise,
     elementary_time,
     empirical_time,
@@ -26,8 +26,10 @@ from ensemble_repeater.chain import (
     scaling_exponent,
     scaling_fit,
     simulate_chain,
+    sweep_l0,
     tf_curve,
 )
+from ensemble_repeater import chain as chain_module
 from ensemble_repeater.noise import NoiseParams
 from ensemble_repeater.patterns import SchemeKind
 from ensemble_repeater.protocols import EnpKind
@@ -120,6 +122,19 @@ def test_enp_schedule_validation():
         _config(L=1280.0, enp_schedule=((5, "phase"),))
     with pytest.raises(ValueError):
         _config(L=1280.0, enp_schedule=((0, "bit"),))
+
+
+def test_single_rail_chains_reject_a_purification_schedule():
+    """Only two-cell pairs can be purified; a single-rail schedule is
+    refused up front, naming the scheme and the schedule."""
+    message = (
+        r"^the single-rail \(dlcz\) scheme has no purification step,"
+        r" got enp_schedule = bit-after-1, phase-after-2$"
+    )
+    with pytest.raises(ValueError, match=message):
+        _config(scheme=DLCZ, L=1280.0, enp_schedule=((1, "bit"), (2, "phase")))
+    with pytest.raises(ValueError, match=message):
+        sweep_l0(DLCZ, 1280.0, ((1, "bit"), (2, "phase")))
 
 
 # ----------------------------------------------------------------------
@@ -302,6 +317,12 @@ def test_chain_matches_recorded_digest(name):
 _RECORD_CHAINS = {
     "two-cell": dict(scheme=NEW, L=640.0, noise=NoiseParams(eta=0.9)),
     "single-rail": dict(scheme=DLCZ, L=640.0, noise=NoiseParams(eta=0.9)),
+    "two-cell-phase-noise": dict(
+        scheme=NEW, L=640.0, noise=NoiseParams(eta=0.9, D=1e-4)
+    ),
+    "single-rail-phase-noise": dict(
+        scheme=DLCZ, L=640.0, noise=NoiseParams(eta=0.9, D=1e-4)
+    ),
     "two-cell-purified": dict(
         scheme=NEW, L=640.0, noise=NoiseParams(eta=0.9),
         enp_schedule=((1, "bit"), (3, "phase")),
@@ -325,13 +346,97 @@ def test_final_figures_equal_the_last_record(name):
 
 @pytest.mark.parametrize("name", sorted(_RECORD_CHAINS))
 def test_grid_rows_equal_per_point_chains(name):
+    """The sweep shares pair states between spacings; every row is still
+    exactly what a fresh chain at that grid point gives."""
     chain = _RECORD_CHAINS[name]
     p_cs = tuple(float(p) for p in pc_grid()[::30])
-    rows = _grid_rows(chain, 20.0, p_cs)
-    assert len(rows) == len(p_cs)
-    for p_c, row in zip(p_cs, rows):
-        result = simulate_chain(RepeaterConfig(L0=20.0, p_c=p_c, **chain))
-        assert row == (result.t_avg, result.fidelity, result.final_logical_fidelity)
+    per_l0 = _sweep_spacings(chain, p_cs)
+    spacings = sweep_l0(chain["scheme"], chain["L"], chain.get("enp_schedule", ()))
+    assert [L0 for L0, _ in per_l0] == list(spacings)
+    for L0, rows in per_l0:
+        assert len(rows) == len(p_cs)
+        for p_c, row in zip(p_cs, rows):
+            result = simulate_chain(RepeaterConfig(L0=L0, p_c=p_c, **chain))
+            assert row == (
+                result.t_avg, result.fidelity, result.final_logical_fidelity
+            )
+
+
+def _stage_values(result):
+    return result.per_level, result.t_avg, result.fidelity
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        pytest.param({}, dict(noise=NoiseParams(eta=0.85)), id="eta"),
+        pytest.param(
+            {}, dict(noise=NoiseParams(eta=0.9, p_misalign=0.02)), id="misalignment"
+        ),
+        # At D > 0 the elementary pair depends on the spacing.
+        pytest.param(
+            dict(noise=NoiseParams(eta=0.9, D=1e-4)),
+            dict(L0=40.0, noise=NoiseParams(eta=0.9, D=1e-4)),
+            id="phase-noise-spacing",
+        ),
+    ],
+)
+def test_memo_keeps_chains_with_other_steps_apart(first, second):
+    """Two chains with another eta, step channel or elementary pair
+    share no stage through one memo."""
+    configs = [
+        _config(**{"L": 640.0, "L0": 20.0, **kwargs}) for kwargs in (first, second)
+    ]
+    memo = {}
+    with_memo = [simulate_chain(c, memo=memo) for c in configs]
+    assert len(memo) == 2
+    for config, result in zip(configs, with_memo):
+        assert _stage_values(result) == _stage_values(simulate_chain(config))
+
+
+def test_memo_shares_the_states_of_a_shorter_chain():
+    """At D = 0 the chain at L0 = 40 km is a prefix of the one at 20 km,
+    so it reuses its state objects and still gives the memo-less result."""
+    memo = {}
+    deep = simulate_chain(_config(L=640.0, L0=20.0), memo=memo)
+    shallow_config = _config(L=640.0, L0=40.0)
+    shallow = simulate_chain(shallow_config, memo=memo)
+    for mine, theirs in zip(shallow.stages[1:], deep.stages[1:]):
+        assert mine[2] is theirs[2]
+    assert _stage_values(shallow) == _stage_values(simulate_chain(shallow_config))
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(chain_module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(chain_module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("D, levels", [(0.0, 7), (1e-4, 7 + 6 + 5 + 4 + 3 + 2)])
+def test_sweep_shares_connections_only_without_phase_noise(monkeypatch, D, levels):
+    """A two-cell 1280 km sweep at D = 0 runs the deepest chain's seven
+    connection levels once per p_c and reuses them at every other
+    spacing; at D > 0 every spacing runs its own."""
+    calls = _count_calls(monkeypatch, "enc")
+    chain = dict(scheme=NEW, L=1280.0, noise=NoiseParams(eta=0.9, D=D))
+    _sweep_spacings(chain, tuple(float(p) for p in pc_grid()))
+    assert len(calls) == 302 * levels
+
+
+def test_sweep_runs_every_final_mapping(monkeypatch):
+    """The single-rail final mapping is never shared between spacings."""
+    enc_calls = _count_calls(monkeypatch, "enc")
+    pme_calls = _count_calls(monkeypatch, "postselect_pme")
+    chain = dict(scheme=DLCZ, L=1280.0, noise=NoiseParams(eta=0.9))
+    _sweep_spacings(chain, tuple(float(p) for p in pc_grid()))
+    assert len(enc_calls) == 302 * 7
+    assert len(pme_calls) == 302 * len(feasible_l0(DLCZ, 1280.0))
 
 
 # (L0, p_c, t_avg, F) of the optimum at eta = 0.9, recorded before the
@@ -483,11 +588,13 @@ def test_stage_time_overflow_is_an_error():
 
 
 def test_grid_skips_points_whose_stage_time_overflows():
+    """At L0 = 160 km and L_att = 160/700 km every elementary time is
+    finite; at p_c = 1e-3 the final mapping's time is not."""
     chain = dict(
-        scheme=DLCZ, L=89600.0, noise=NoiseParams(), L_att=1.0, c_fiber=2.0e5,
-        enp_schedule=(),
+        scheme=DLCZ, L=20480.0, noise=NoiseParams(), L_att=160.0 / 700.0,
+        c_fiber=2.0e5, enp_schedule=(),
     )
-    overflowing, finite = _grid_rows(chain, 700.0, (1e-3, 1e-2))
+    overflowing, finite = dict(_sweep_spacings(chain, (1e-3, 1e-2)))[160.0]
     assert overflowing is None
     assert math.isfinite(finite[0])
 
@@ -499,10 +606,44 @@ def test_grid_skips_spacings_whose_elementary_time_overflows():
         scheme=NEW, L=1280.0, noise=NoiseParams(), L_att=0.2, c_fiber=2.0e5,
         enp_schedule=(),
     )
-    assert _grid_rows(chain, 160.0, (1e-3, 1e-2)) == [None, None]
-    assert all(row is not None for row in _grid_rows(chain, 5.0, (1e-3, 1e-2)))
+    rows = dict(_sweep_spacings(chain, (1e-3, 1e-2)))
+    assert rows[160.0] == [None, None]
+    assert all(row is not None for row in rows[5.0])
     found = optimize(NEW, 1280.0, 0.78, L_att=0.2)
     assert found is not None and found[0].L0 < 160.0
+
+
+def test_sweeps_skip_spacings_without_the_scheduled_levels():
+    """The 160 km spacing of a 1280 km chain has two connection levels,
+    too few for a purification round after level 3; the other spacings
+    carry it."""
+    schedule = ((3, EnpKind.PHASE),)
+    assert sweep_l0(NEW, 1280.0, schedule) == (5.0, 10.0, 20.0, 40.0, 80.0)
+    noise = NoiseParams(eta=0.95)
+    chain = dict(scheme=NEW, L=1280.0, noise=noise, enp_schedule=schedule)
+    per_l0 = _sweep_spacings(chain, (1e-3,))
+    assert [L0 for L0, _ in per_l0] == [5.0, 10.0, 20.0, 40.0, 80.0]
+    found = optimize(NEW, 1280.0, 0.8, noise=noise, enp_schedule=schedule)
+    assert found is not None and found[0].L0 <= 80.0
+    assert tf_curve(NEW, 1280.0, enp_schedule=schedule, p_c_sweep=(1e-3,))
+
+
+def test_sweeps_refuse_a_schedule_no_spacing_carries():
+    """At 160 km the deepest two-cell spacing has four levels."""
+    message = (
+        r"^enp_schedule = phase-after-5 purifies after a level that no grid"
+        r" spacing gives at L = 160 km \(levels 1..4\)$"
+    )
+    schedule = ((5, EnpKind.PHASE),)
+    with pytest.raises(ValueError, match=message):
+        sweep_l0(NEW, 160.0, schedule)
+    with pytest.raises(ValueError, match=message):
+        optimize(NEW, 160.0, 0.9, enp_schedule=schedule)
+    with pytest.raises(ValueError, match=message):
+        tf_curve(NEW, 160.0, enp_schedule=schedule)
+    # A length with no grid spacing at all stays an infeasible target.
+    assert sweep_l0(NEW, 96.0, schedule) == ()
+    assert optimize(NEW, 96.0, 0.9, enp_schedule=schedule) is None
 
 
 def test_optimize_reports_infeasible_targets():

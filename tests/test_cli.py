@@ -336,16 +336,48 @@ def test_bad_configuration_exits_3(tmp_path, capsys, body, argv, command, messag
             "[sweep]\neta_list = 0\n", "curve", "eta must be positive, got 0.0",
             id="curve-zero-eta-list",
         ),
+        # Only two-cell pairs can be purified.
+        *(
+            pytest.param(
+                "[chain]\nscheme = dlcz\nenp_schedule = bit-after-1\n", command,
+                "the single-rail (dlcz) scheme has no purification step,"
+                " got enp_schedule = bit-after-1",
+                id=f"single-rail-schedule-{command.split()[-1]}",
+            )
+            for command in ("simulate", "optimize", "table", "--enp bit-after-1 curve")
+        ),
+        # No grid spacing at 160 km has a fifth connection level.
+        *(
+            pytest.param(
+                "[chain]\nL = 160\nenp_schedule = phase-after-5\n"
+                "[sweep]\nL_list = 160\n", command,
+                "enp_schedule = phase-after-5 purifies after a level that no grid"
+                " spacing gives at L = 160 km (levels 1..4)",
+                id=f"schedule-too-deep-{command.split()[-1]}",
+            )
+            for command in ("optimize", "table", "--enp phase-after-5 curve")
+        ),
     ],
 )
 def test_rejected_run_writes_no_manifest(tmp_path, capsys, body, command, message):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(body)
-    rc, out = _run(tmp_path, "--config", str(cfg), command)
+    rc, out = _run(tmp_path, "--config", str(cfg), *command.split())
     assert rc == EXIT_BAD_CONFIG
     assert not (out / MANIFEST_NAME).exists()
     assert not (out / CONFIG_REFERENCE_NAME).exists()
     assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+
+
+def test_sweep_skips_spacings_without_the_scheduled_levels(tmp_path):
+    """At 1280 km the 160 km spacing has two connection levels; the other
+    spacings carry a purification round after level 3."""
+    cfg = tmp_path / "deep.ini"
+    cfg.write_text("[sweep]\nF_target = 0.8\n")
+    rc, out = _run(tmp_path, "--config", str(cfg), "--enp", "phase-after-3", "optimize")
+    assert rc == EXIT_OK
+    found = json.loads((out / "optimize.json").read_text())
+    assert found["feasible"] and found["L0_km"] <= 80.0
 
 
 @pytest.mark.parametrize(

@@ -50,3 +50,26 @@ def test_tracer_counts_chain_stages_and_restores_patches():
     assert counts["protocols.step"] == len(stages) - 1
     for owner, attr, original in patched:
         assert getattr(owner, attr) is original, attr
+
+
+def test_traced_optimize_runs_one_chain_per_grid_point():
+    """A sweep evaluates every grid point through ``simulate_chain``, so the
+    tracer counts one chain span and one grid point per (L0, p_c)."""
+    workloads, spans = _load("workloads"), _load("spans")
+    pkg = workloads.load_package(ROOT)
+    chain = pkg.chain
+    scheme = pkg.patterns.SchemeKind.NEW
+    tracer = spans.Tracer(pkg)
+    tracer.install()
+    try:
+        found = chain.optimize(scheme, 160.0, 0.9, noise=pkg.er.NoiseParams(eta=0.95))
+    finally:
+        tracer.uninstall()
+
+    assert found is not None  # optimize re-simulates its optimum once
+    points = len(chain.feasible_l0(scheme, 160.0)) * len(chain.pc_grid())
+    assert points == 4 * 302
+    assert tracer.counters["sweep.grid_points"] == points
+    counts = {name: int(entry[0]) for name, entry in tracer.agg.items()}
+    assert counts["chain"] == points + 1
+    assert counts["sweep"] == 1
