@@ -15,13 +15,18 @@ The single-rail protocol ends with the post-selected mapping of two
 parallel full-length chains onto one polarization pair; the two-cell
 protocol carries polarization pairs throughout.
 
+The grid sweeps compute the pair states of a whole p_c grid at once:
+each stage is one batched step over an ``(n, k)`` array of rows in the
+``PatternState.row`` layout, with every check of the per-state path
+run on each live row and a row whose step never succeeds masked dead.
 The pair after a stage depends on the spacing only through the
 elementary pair, whose phase error q(D L0) vanishes at D = 0.  So at
-D = 0 the chain at spacing 2 L0 is a prefix of the chain at L0: the
-grid sweeps compute the pair states of each p_c once, in the deepest
-chain, and every other spacing reuses them through ``simulate_chain``'s
-memo, computing only its waiting times and the single-rail final
-mapping.  At D > 0 the elementary pairs differ and nothing is shared.
+D = 0 the chain at spacing 2 L0 is a prefix of the chain at L0: one
+batch, for the deepest chain, serves every spacing, and the
+single-rail final mapping adds one batched step per spacing.  At D > 0
+every spacing gets its own batch.  Each grid point still gets its own
+``simulate_chain`` call, which reads its pair states off the batch and
+computes only its times.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,10 +47,25 @@ from .patterns import (
     SchemeKind,
     aggregate,
     apply_bell_channel,
+    check_bell_channel,
+    check_rows,
     fidelity,
+    fidelity_rows,
+    logical_fidelity,
+    logical_fidelity_rows,
     normalize,
+    row_totals,
 )
-from .protocols import EnpKind, enc, eng, enp, postselect_pme
+from .protocols import (
+    EnpKind,
+    apply_table_rows,
+    enc,
+    eng,
+    eng_rows,
+    enp,
+    postselect_pme,
+    step_table,
+)
 
 TWO_PAIR_OVERHEAD = 1.5
 
@@ -67,6 +87,9 @@ class RepeaterConfig:
     ``L`` must be a power-of-two multiple of ``L0``; elementary pairs
     span ``2*L0`` so the chain has ``log2(L/L0) - 1`` connection levels.
     ``enp_schedule`` lists (after-level, kind) purification insertions.
+    ``t0``, set at construction, is the checked ``elementary_time`` of
+    the configuration; it is no field, so it takes no part in ``__init__``,
+    equality or ``repr``.
     """
 
     scheme: SchemeKind
@@ -114,6 +137,7 @@ class RepeaterConfig:
             if not 1 <= m <= levels:
                 raise ValueError(f"purification level {m} outside 1..{levels}")
         object.__setattr__(self, "enp_schedule", schedule)
+        object.__setattr__(self, "t0", t0)
 
     @property
     def num_levels(self) -> int:
@@ -193,23 +217,28 @@ class LevelRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class RunResult:
-    """Full chain simulation output: per-stage records plus the final pair.
+    """Full chain simulation output: per-stage results plus the final pair.
 
-    ``stages`` holds one ``(level, stage, state, target, success, t, F)``
-    tuple per stage: the normalized state after the stage, its Bell
-    target, the step's success probability, the average time and the
-    fidelity.  ``per_level`` derives the ``LevelRecord`` of every stage
-    from them on first read, so a sweep that reads only the final time
-    and fidelities builds none; ``final`` and the final fidelities come
-    straight from the last stage.
+    ``stages`` holds one ``(level, stage, target, success, t, F)`` tuple
+    per stage: its Bell target, the step's success probability, the
+    average time and the fidelity.  ``states`` holds the normalized pair
+    after each stage; a sweep's chain builds them from its batch only
+    when they are read.  ``per_level`` derives the ``LevelRecord`` of
+    every stage from both on first read, so a sweep that reads only the
+    final time and fidelities builds none; ``final`` and the final
+    fidelities come straight from the last stage.
     """
 
     config: RepeaterConfig
     stages: Tuple[tuple, ...]
+    final_logical_fidelity: float
+    states: Sequence[PatternState] = field(repr=False, compare=False)
 
     @cached_property
     def per_level(self) -> Tuple[LevelRecord, ...]:
-        return tuple(_record(*stage) for stage in self.stages)
+        return tuple(
+            _record(*stage, state) for stage, state in zip(self.stages, self.states)
+        )
 
     @property
     def final(self) -> Tuple[float, float]:
@@ -218,15 +247,11 @@ class RunResult:
 
     @property
     def t_avg(self) -> float:
-        return self.stages[-1][5]
+        return self.stages[-1][4]
 
     @property
     def fidelity(self) -> float:
-        return self.stages[-1][6]
-
-    @property
-    def final_logical_fidelity(self) -> float:
-        return _record(*self.stages[-1]).logical_fidelity
+        return self.stages[-1][5]
 
 
 def check_positive(**values: float) -> None:
@@ -266,11 +291,10 @@ def empirical_time(config: RepeaterConfig) -> float:
     come from the first connection level and the constant 1.5.
     """
     eta = config.noise.eta
-    t0 = elementary_time(config.p_c, eta, config.L0, config.L_att, config.c_fiber)
     exponent = math.log2(
         TWO_PAIR_OVERHEAD * 2.0 * (2.0 - eta) ** 4 / (eta**2 * (3.0 - 2.0 * eta))
     )
-    return t0 * (config.L / config.L0) ** exponent
+    return config.t0 * (config.L / config.L0) ** exponent
 
 
 def _step_channel(noise: NoiseParams) -> Optional[np.ndarray]:
@@ -298,11 +322,11 @@ def _target_bell(scheme: SchemeKind, connected: bool) -> BellState:
 def _record(
     level: int,
     stage: str,
-    state: PatternState,
     target: BellState,
     success: float,
     t: float,
     F: float,
+    state: PatternState,
 ) -> LevelRecord:
     agg = aggregate(state)
     mass = agg.p_logic
@@ -365,13 +389,64 @@ class _McTimes:
         return np.add.reduceat(pair, starts)
 
 
+def _plan(
+    scheme: SchemeKind, levels: int, schedule: Tuple[Tuple[int, EnpKind], ...]
+) -> list:
+    """(stage, level, kind) of every step after generation: a connection
+    per level, each followed by the purification rounds scheduled after
+    it, and the single-rail final mapping."""
+    plan: list[Tuple[str, int, Optional[EnpKind]]] = []
+    for level in range(1, levels + 1):
+        plan.append(("enc", level, None))
+        for m, kind in schedule:
+            if m == level:
+                plan.append(("enp", level, kind))
+    if scheme is SchemeKind.DLCZ:
+        plan.append(("pme", levels + 1, None))
+    return plan
+
+
+def _chain_stages(config: RepeaterConfig, states: list) -> Iterator[tuple]:
+    """The stages of one chain, run one state and one step at a time.
+
+    Yields ``((level, stage, target), success, F)`` per stage, as each
+    is computed, and appends each normalized state to ``states``.  A
+    step that never succeeds is the last stage yielded, with no F.
+    """
+    scheme = config.scheme
+    noise = config.noise
+    eta = noise.eta
+    channel = _step_channel(noise)
+    state = eng(scheme, config.p_c, noise, config.L0)
+    target = _target_bell(scheme, False)
+    states.append(state)
+    yield (0, "eng", target), 1.0, fidelity(state, target)
+    target = _target_bell(scheme, True)
+    for stage, level, kind in _plan(scheme, config.num_levels, config.enp_schedule):
+        if stage == "enc":
+            out = enc(scheme, state, state, eta, level=level)
+        elif stage == "enp":
+            out = enp(kind, state, state, eta)
+        else:
+            out = postselect_pme(state, state, eta)
+        success = out.total
+        if success <= 0.0:  # simulate_chain raises at this stage
+            yield (level, stage, target), success, None
+            return
+        state = normalize(out)
+        if channel is not None:
+            state = apply_bell_channel(state, channel)
+        states.append(state)
+        yield (level, stage, target), success, fidelity(state, target)
+
+
 def simulate_chain(
     config: RepeaterConfig,
     waiting: str = "deterministic",
     n_samples: int = 16384,
     seed: int = 0,
     *,
-    memo: Optional[dict] = None,
+    pairs: Optional[tuple] = None,
 ) -> RunResult:
     """Simulate the full chain and return its per-stage results.
 
@@ -380,98 +455,184 @@ def simulate_chain(
     independent sub-pair times (seeded, vectorized).  The quantum state
     evolution is identical in both modes.
 
-    ``memo`` lets chains that share their pair states compute them once.
-    A stage's state, success probability and F depend only on the
-    elementary pair, eta, the step channel and the plan steps up to it.
-    So the memo maps the first three (the elementary row by its bytes)
-    to the plan steps and stages of the longest chain recorded for them.
-    A chain reuses the leading stages whose plan steps equal its own,
-    computes the rest with every check, and records itself if it got
-    further.  The single-rail final mapping, whose place in the plan
-    depends on the chain's length, is never recorded.  Times stay per
-    chain.
+    ``pairs`` hands in the chain's pair states from a sweep's batch:
+    its stages in the form ``_chain_stages`` yields them, the final
+    logical fidelity and the states.  The call then computes only the
+    times.  Without it the chain runs every step on its own states.
     """
     if waiting not in ("deterministic", "mc"):
         raise ValueError("waiting must be 'deterministic' or 'mc'")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     mc = _McTimes(np.random.default_rng(seed), n_samples) if waiting == "mc" else None
+    if pairs is None:
+        built: list = []
+        computed = _chain_stages(config, built)
+    else:
+        computed, logical_F, states = pairs
 
-    scheme = config.scheme
-    noise = config.noise
-    eta = noise.eta
-    channel = _step_channel(noise)
-    levels = config.num_levels
-    plan: list[Tuple[str, int, Optional[EnpKind]]] = []
-    for level in range(1, levels + 1):
-        plan.append(("enc", level, None))
-        for m, kind in config.enp_schedule:
-            if m == level:
-                plan.append(("enp", level, kind))
-    shareable = len(plan)
-    if scheme is SchemeKind.DLCZ:
-        plan.append(("pme", levels + 1, None))
-
-    state = eng(scheme, config.p_c, noise, config.L0)
     if mc:
         times = mc.elementary(config)
         t = float(times.mean())
     else:
-        t = elementary_time(config.p_c, eta, config.L0, config.L_att, config.c_fiber)
-        if scheme is SchemeKind.NEW:
+        t = config.t0
+        if config.scheme is SchemeKind.NEW:
             t *= TWO_PAIR_OVERHEAD
-    target = _target_bell(scheme, False)
-    stages = [(0, "eng", state, target, 1.0, t, fidelity(state, target))]
-    target = _target_bell(scheme, True)
-
-    shared = 0
-    if memo is not None:
-        key = (
-            scheme, state.row.tobytes(), eta,
-            None if channel is None else channel.tobytes(),
-        )
-        known_plan, known_stages = memo.get(key, ((), ()))
-        for step, known_step in zip(plan, known_plan):
-            if step != known_step:
-                break
-            shared += 1
-
-    for i, (stage, level, kind) in enumerate(plan):
-        if i < shared:
-            _, _, state, _, success, _, F = known_stages[i + 1]
-        else:
-            if stage == "enc":
-                out = enc(scheme, state, state, eta, level=level)
-            elif stage == "enp":
-                out = enp(kind, state, state, eta)
-            else:
-                out = postselect_pme(state, state, eta)
-            success = out.total
-            if success <= 0.0:
-                raise ZeroDivisionError(
-                    f"{stage} at level {level} has zero success probability"
-                )
-            state = normalize(out)
-            if channel is not None:
-                state = apply_bell_channel(state, channel)
-            F = fidelity(state, target)
+    (_, _, target), _, F = next(computed)
+    stages = [(0, "eng", target, 1.0, t, F)]
+    for (level, stage, target), success, F in computed:
+        if success <= 0.0:
+            raise ZeroDivisionError(
+                f"{stage} at level {level} has zero success probability"
+            )
         if mc:
             times = mc.combine(times, success)
             t = float(times.mean())
         else:
             t = TWO_PAIR_OVERHEAD * t / success
-        stages.append((level, stage, state, target, success, t, F))
+        stages.append((level, stage, target, success, t, F))
 
-    if memo is not None and shared == len(known_plan) < shareable:
-        memo[key] = (plan[:shareable], stages)
-
-    for level, stage, _, _, _, t, _ in stages:
+    for level, stage, _, _, t, _ in stages:
         if not math.isfinite(t):
             raise OverflowError(
                 f"the average time of {stage} at level {level} overflows"
             )
 
-    return RunResult(config=config, stages=tuple(stages))
+    if pairs is None:
+        states = tuple(built)
+        logical_F = logical_fidelity(states[-1], target)
+    return RunResult(config, tuple(stages), logical_F, states)
+
+
+class _BatchStates:
+    """The states of one row of a batch, built when read."""
+
+    __slots__ = ("blocks", "i")
+
+    def __init__(self, blocks: Sequence[Tuple[SchemeKind, np.ndarray]], i: int):
+        self.blocks = blocks
+        self.i = i
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def __getitem__(self, s: int) -> PatternState:
+        scheme, rows = self.blocks[s]
+        return PatternState._from_row(scheme, rows[self.i])
+
+
+class _PairBatch:
+    """The pair states of one plan over a p_c array, stage by stage.
+
+    Per stage, generation first: ``steps`` holds ``(level, stage,
+    target)``, ``schemes`` the rows' scheme, ``rows`` the normalized
+    ``(n, k)`` rows, ``successes`` and ``fidelities`` one value per row,
+    and ``live`` which rows are still alive.  A row that is not live
+    from the start, or whose step never succeeds, is zero from then on
+    and no check reads it.
+    """
+
+    __slots__ = ("steps", "schemes", "rows", "successes", "fidelities", "live")
+
+    def __init__(
+        self,
+        steps: tuple,
+        schemes: tuple,
+        rows: tuple,
+        successes: tuple,
+        fidelities: tuple,
+        live: tuple,
+    ) -> None:
+        self.steps = steps
+        self.schemes = schemes
+        self.rows = rows
+        self.successes = successes
+        self.fidelities = fidelities
+        self.live = live
+
+    def prefix(self, n_stages: int) -> "_PairBatch":
+        return _PairBatch(
+            *(getattr(self, name)[:n_stages] for name in _PairBatch.__slots__)
+        )
+
+    def extend(
+        self,
+        plan: Sequence,
+        eta: float,
+        channel: Optional[np.ndarray],
+        valid: np.ndarray,
+    ) -> "_PairBatch":
+        """The batch with every step of ``plan`` run on its last stage.
+
+        Only the rows that are live there and ``valid`` stay live.  Each
+        step runs the checks of the per-state path on every live row:
+        the step output's and the normalized pair's ``_set_row``, the
+        Bell channel's output's (``channel`` is checked already) and
+        ``fidelity``'s.  A row whose step has zero success is masked
+        dead, as ``simulate_chain`` raises at it.
+        """
+        steps, schemes, blocks = list(self.steps), list(self.schemes), list(self.rows)
+        successes, fidelities, lives = (
+            list(self.successes), list(self.fidelities), list(self.live)
+        )
+        scheme, rows, live = schemes[-1], blocks[-1], lives[-1] & valid
+        target = _target_bell(schemes[0], True)
+        for stage, level, kind in plan:
+            table = step_table(stage, scheme, eta, level, kind)
+            out = apply_table_rows(table, rows, rows)
+            scheme = table.output_scheme
+            check_rows(scheme, out, live)
+            success = row_totals(scheme, out)
+            live = live & ~(success <= 0.0)
+            rows = out / np.where(live, success, 1.0)[:, None]
+            rows[~live] = 0.0
+            check_rows(scheme, rows, live)
+            if channel is not None:
+                rows[:, -4:] = np.einsum("ij,nj->ni", channel, rows[:, -4:])
+                check_rows(scheme, rows, live)
+            rows.flags.writeable = False
+            steps.append((level, stage, target))
+            schemes.append(scheme)
+            blocks.append(rows)
+            successes.append(success)
+            fidelities.append(fidelity_rows(scheme, rows, live, target))
+            lives.append(live)
+        return _PairBatch(
+            tuple(steps), tuple(schemes), tuple(blocks), tuple(successes),
+            tuple(fidelities), tuple(lives),
+        )
+
+    def point_pairs(self) -> list:
+        """Every row's pairs in the form ``simulate_chain`` reads."""
+        successes = np.stack(self.successes, axis=1).tolist()
+        fidelities = np.stack(self.fidelities, axis=1).tolist()
+        logical = logical_fidelity_rows(
+            self.schemes[-1], self.rows[-1], self.steps[-1][2]
+        ).tolist()
+        blocks = tuple(zip(self.schemes, self.rows))
+        return [
+            (zip(self.steps, successes[i], fidelities[i]), logical[i], _BatchStates(blocks, i))
+            for i in range(len(logical))
+        ]
+
+
+def _generate_batch(
+    scheme: SchemeKind,
+    p_cs: np.ndarray,
+    noise: NoiseParams,
+    L0: float,
+    live: np.ndarray,
+) -> _PairBatch:
+    """The elementary pairs of every p_c, the first stage of a batch."""
+    rows = eng_rows(scheme, p_cs, noise, L0)
+    check_rows(scheme, rows, live)
+    rows[~live] = 0.0
+    rows.flags.writeable = False
+    target = _target_bell(scheme, False)
+    return _PairBatch(
+        ((0, "eng", target),), (scheme,), (rows,), (np.ones(len(rows)),),
+        (fidelity_rows(scheme, rows, live, target),), (live,),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -528,30 +689,53 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     ``chain`` holds the other ``RepeaterConfig`` arguments.  The rows
     hold (t_avg, F, logical F) for every p_c, in order, or None where a
     step never succeeds, or the elementary time or a stage time
-    overflows.  The sweep walks the spacings of one p_c at a time,
-    deepest chain first, and at D = 0 hands them one memo: the
-    elementary pair does not depend on L0 there, so every spacing reuses
-    the deepest chain's pair states and computes only its times and the
-    single-rail final mapping.  At D > 0 no two spacings share a stage,
-    and a memo would only keep states alive that no chain reads, so the
-    sweep passes none.
+    overflows.  The pair states come from one batch over the p_c grid
+    (see the module docstring): at D = 0 the deepest spacing's batch
+    serves every spacing up to its depth, plus one batched final mapping
+    per single-rail spacing; at D > 0 each spacing runs its own.  Every
+    grid point with a valid configuration gets one ``simulate_chain``
+    call, which reads its states off the batch and computes its times.
     """
-    spacings = sweep_l0(chain["scheme"], chain["L"], chain.get("enp_schedule", ()))
-    share = chain.get("noise", NoiseParams()).D == 0.0
-    rows = [(L0, []) for L0 in spacings]
-    for p_c in p_cs:
-        memo = {} if share else None
-        for L0, column in rows:
+    scheme = chain["scheme"]
+    schedule = _normalized_schedule(chain.get("enp_schedule", ()))
+    noise = chain.get("noise", NoiseParams())
+    spacings = sweep_l0(scheme, chain["L"], schedule)
+    channel = _step_channel(noise)
+    if channel is not None:
+        channel = check_bell_channel(channel)
+    grid = np.array(p_cs, dtype=float)
+    rows = []
+    deepest = None
+    for L0 in spacings:
+        configs = []
+        for p_c in p_cs:
             try:
-                result = simulate_chain(
-                    RepeaterConfig(L0=L0, p_c=p_c, **chain), memo=memo
-                )
+                configs.append(RepeaterConfig(L0=L0, p_c=p_c, **chain))
+            except ArithmeticError:
+                configs.append(None)
+        valid = np.array([config is not None for config in configs], dtype=bool)
+        plan = _plan(scheme, _num_levels(chain["L"], L0), schedule)
+        connections = plan[:-1] if scheme is SchemeKind.DLCZ else plan
+        if deepest is None or noise.D != 0.0:
+            batch = _generate_batch(scheme, grid, noise, L0, valid)
+            deepest = batch.extend(connections, noise.eta, channel, valid)
+        batch = deepest.prefix(len(connections) + 1)
+        if scheme is SchemeKind.DLCZ:
+            batch = batch.extend(plan[-1:], noise.eta, channel, valid)
+        column = []
+        for config, pairs in zip(configs, batch.point_pairs()):
+            if config is None:
+                column.append(None)
+                continue
+            try:
+                result = simulate_chain(config, pairs=pairs)
             except ArithmeticError:
                 column.append(None)
                 continue
             column.append(
                 (result.t_avg, result.fidelity, result.final_logical_fidelity)
             )
+        rows.append((L0, column))
     return rows
 
 

@@ -37,6 +37,11 @@ probability.  The conditional Bell weights ``logical`` (a read-only
 float array) and the mapping ``probs`` are derived from the row.  A
 state with no logical mass reports the scheme's pure default weights:
 Psi+ for DLCZ, Phi+ for the two-cell scheme.
+
+A batch of pairs is an ``(n, k)`` array of such rows.  The row
+functions (``row_totals``, ``check_rows``, ``fidelity_rows``,
+``logical_fidelity_rows``) are the state operations on every row at
+once, with the same arithmetic and the same checks.
 """
 
 from __future__ import annotations
@@ -345,8 +350,15 @@ def fidelity(state: PatternState, target: BellState) -> float:
 
 
 def logical_fidelity(state: PatternState, target: BellState) -> float:
-    """Fidelity conditioned on the logical pattern (post-selected)."""
-    return float(state.logical[target.index])
+    """Fidelity conditioned on the logical pattern (post-selected): the
+    target's Bell mass over the logical mass, or the scheme's pure default
+    weight when that mass is zero."""
+    layout = _layout(state.scheme)
+    values = state.row.tolist()
+    mass = values[layout.logical]
+    if mass == 0.0:
+        return float(layout.default_logical[target.index])
+    return values[target.index - 4] / mass
 
 
 def normalize(state: PatternState) -> PatternState:
@@ -356,12 +368,8 @@ def normalize(state: PatternState) -> PatternState:
     return PatternState._from_row(state.scheme, state.row / total)
 
 
-def apply_bell_channel(state: PatternState, channel: np.ndarray) -> PatternState:
-    """Apply a stochastic 4x4 matrix to the Bell masses.
-
-    ``channel[i, j]`` is the probability that Bell state j becomes Bell
-    state i; columns must sum to 1.
-    """
+def check_bell_channel(channel: np.ndarray) -> np.ndarray:
+    """The channel as a float array, once it is a stochastic 4x4 matrix."""
     channel = np.asarray(channel, dtype=float)
     if channel.shape != (4, 4):
         raise ValueError("Bell channel must be 4x4")
@@ -372,9 +380,83 @@ def apply_bell_channel(state: PatternState, channel: np.ndarray) -> PatternState
     sums = channel.sum(axis=0).tolist()
     if not all(abs(s - 1.0) <= _CHANNEL_COLUMN_TOL for s in sums):
         raise ValueError("Bell channel columns must sum to 1")
+    return channel
+
+
+def apply_bell_channel(state: PatternState, channel: np.ndarray) -> PatternState:
+    """Apply a stochastic 4x4 matrix to the Bell masses.
+
+    ``channel[i, j]`` is the probability that Bell state j becomes Bell
+    state i; columns must sum to 1.
+    """
+    channel = check_bell_channel(channel)
     row = state.row.copy()
     row[-4:] = channel @ row[-4:]
     return PatternState._from_row(state.scheme, row)
+
+
+# ----------------------------------------------------------------------
+# batches of rows (see the module docstring); ``live`` masks the rows the
+# checks apply to
+
+
+def row_totals(scheme: SchemeKind, rows: np.ndarray) -> np.ndarray:
+    """Summed pattern mass of each row, ``PatternState.total`` of each.
+
+    The columns are added left to right, in the order ``sum`` adds the
+    masses of one row, so each total is the state's to the bit.
+    """
+    total = 0.0 + rows[:, 0]
+    for j in range(1, len(_layout(scheme).column)):
+        total += rows[:, j]
+    return total
+
+
+def check_rows(scheme: SchemeKind, rows: np.ndarray, live: np.ndarray) -> None:
+    """Run ``PatternState._set_row``'s checks on the live rows.
+
+    The first live row that fails raises the error its state would.
+    """
+    layout = _layout(scheme)
+    n = len(layout.column)
+    negative = rows[:, :n] < -WEIGHT_TOL
+    bad_mass = live & negative.any(axis=1)
+    mass = rows[:, layout.logical]
+    weighted = live & (mass != 0.0)
+    bell = rows[weighted, n:]
+    extreme = np.where(mass[weighted] > 0.0, bell.min(axis=1), bell.max(axis=1))
+    bad = bad_mass.copy()
+    bad[weighted] |= extreme / mass[weighted] < -WEIGHT_TOL
+    if bad.any():
+        i = int(bad.argmax())
+        if bad_mass[i]:
+            j = int(negative[i].argmax())
+            pattern = scheme_patterns(scheme)[j]
+            raise ValueError(
+                f"negative pattern probability: {pattern} = {float(rows[i, j])}"
+            )
+        raise ValueError("Bell weights must be non-negative")
+
+
+def fidelity_rows(
+    scheme: SchemeKind, rows: np.ndarray, live: np.ndarray, target: BellState
+) -> np.ndarray:
+    """``fidelity`` of every row; every live row must be normalized."""
+    off = np.abs(row_totals(scheme, rows) - 1.0)
+    if (live & ~(off <= WEIGHT_TOL)).any():
+        raise ValueError("fidelity requires a normalized state")
+    return rows[:, target.index - 4]
+
+
+def logical_fidelity_rows(
+    scheme: SchemeKind, rows: np.ndarray, target: BellState
+) -> np.ndarray:
+    """``logical_fidelity`` of every row."""
+    layout = _layout(scheme)
+    mass = rows[:, layout.logical]
+    weights = np.full(len(rows), layout.default_logical[target.index])
+    np.divide(rows[:, target.index - 4], mass, out=weights, where=mass != 0.0)
+    return weights
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,9 @@ analytic model of the heralded source including its leading
 multi-excitation admixture; connection, purification and the final
 mapping apply the exact Fock-level tables of :mod:`.tables` bilinearly
 to the input decompositions, as one dense contraction per step.
+``eng_rows`` and ``apply_table_rows`` do the same for a batch of pairs,
+an ``(n, k)`` array of rows in the ``PatternState.row`` layout; ``eng``
+and the steps are their batches of one, so both share one formula.
 
 Connection-type steps return their output as an unnormalized
 :class:`~.patterns.PatternState` whose total mass is the acceptance
@@ -18,6 +21,8 @@ outcome.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -27,7 +32,6 @@ from .patterns import (
     PatternState,
     SchemeKind,
     logical_column,
-    logical_pattern,
     scheme_patterns,
 )
 from .tables import (
@@ -74,9 +78,23 @@ def eng(
     mixes the odd-parity sign; the two-cell pattern sees the difference
     of two independent link phases and thus twice the variance.
 
-    Returns a normalized pattern state.
+    Returns a normalized pattern state, whose row is ``eng_rows`` at
+    this one p_c.
     """
-    if not 0.0 < p_c < 1.0:
+    return PatternState._from_row(scheme, eng_rows(scheme, p_c, noise, L0))
+
+
+def eng_rows(scheme: SchemeKind, p_c, noise: NoiseParams, L0: float) -> np.ndarray:
+    """Rows of the elementary pairs of ``eng``, one per value of ``p_c``.
+
+    ``p_c`` is a float or a 1-d array; the result is a fresh array of
+    shape ``p_c.shape + (k,)`` in the ``PatternState.row`` layout:
+    pattern masses in scheme order, then the Bell masses (Phi+, Phi-,
+    Psi+, Psi-), the logical mass times (0, 0, 1 - q, q).  A float and
+    an array entry give the same row to the bit.
+    """
+    values = p_c.tolist() if isinstance(p_c, np.ndarray) else (p_c,)
+    if not all(0.0 < p < 1.0 for p in values):
         raise ValueError("p_c must lie in (0, 1)")
     if L0 <= 0.0:
         raise ValueError("L0 must be positive")
@@ -84,38 +102,73 @@ def eng(
         q = phase_error_prob(noise.D, L0)
         extra = ENG_MULTI_WEIGHT_DLCZ * p_c
         norm = 1.0 + extra
-        probs = {
-            ExcitationPattern.P10: 1.0 / norm,
-            ExcitationPattern.P11: 0.5 * extra / norm,
-            ExcitationPattern.P20: 0.5 * extra / norm,
-        }
+        mass = 1.0 / norm
     else:
         q = gaussian_phase_average(4.0 * noise.D * L0)
         extra = ENG_MULTI_WEIGHT_NEW * p_c
         norm = 1.0 + extra
-        probs = {
-            ExcitationPattern.P11: 0.5 / norm,
-            ExcitationPattern.P20_PERP: 0.5 / norm,
-            ExcitationPattern.P21_PAR: 0.5 * extra / norm,
-            ExcitationPattern.P21_PERP: 0.5 * extra / norm,
-        }
-    # The row layout: pattern masses in scheme order, then the Bell masses
-    # (Phi+, Phi-, Psi+, Psi-), the logical mass times (0, 0, 1 - q, q).
-    row = [probs.get(pattern, 0.0) for pattern in scheme_patterns(scheme)]
-    mass = probs[logical_pattern(scheme)]
-    row += (0.0, 0.0, mass * (1.0 - q), mass * q)
-    return PatternState._from_row(scheme, np.array(row))
+        mass = 0.5 / norm
+    multi = 0.5 * extra / norm
+    # Each entry is one product, mass or multi times its column's factor,
+    # plus an exact zero from the other product.
+    mass_factors, multi_factors = _eng_factors(scheme, q)
+    return np.multiply.outer(mass, mass_factors) + np.multiply.outer(
+        multi, multi_factors
+    )
 
 
-def _component_masses(state: PatternState) -> np.ndarray:
-    """Canonical component masses of a state; non-positive ones count as 0."""
-    row = state.row
-    if state.scheme is SchemeKind.DLCZ:
-        values = row.tolist()
-        mass = values[logical_column(SchemeKind.DLCZ)]
-        if mass != 0.0 and (values[-4] / mass > 0.0 or values[-3] / mass > 0.0):
-            raise ValueError("single-rail pairs carry only odd-parity Bell weight")
-    return np.maximum(row.take(selected_columns(state.scheme)), 0.0)
+@lru_cache(maxsize=64)
+def _eng_factors(scheme: SchemeKind, q: float) -> tuple:
+    """Column factors of the logical mass and of the multi-excitation mass
+    in an ``eng`` row, at phase-error probability ``q``."""
+    patterns = scheme_patterns(scheme)
+    if scheme is SchemeKind.DLCZ:
+        of_mass = (ExcitationPattern.P10,)
+        of_multi = (ExcitationPattern.P11, ExcitationPattern.P20)
+    else:
+        of_mass = (ExcitationPattern.P11, ExcitationPattern.P20_PERP)
+        of_multi = (ExcitationPattern.P21_PAR, ExcitationPattern.P21_PERP)
+    mass_factors = [1.0 if p in of_mass else 0.0 for p in patterns]
+    multi_factors = [1.0 if p in of_multi else 0.0 for p in patterns]
+    return (
+        np.array(mass_factors + [0.0, 0.0, 1.0 - q, q]),
+        np.array(multi_factors + [0.0] * 4),
+    )
+
+
+def _component_masses(scheme: SchemeKind, rows: np.ndarray) -> np.ndarray:
+    """Canonical component masses of each row; non-positive ones count as 0.
+
+    A single-rail row must carry no even-parity Bell weight: a row whose
+    Phi+ or Phi- mass over its logical mass is positive is rejected.
+    """
+    if scheme is SchemeKind.DLCZ:
+        even = rows[:, -4:-2]
+        # Only a row with even-parity Bell mass can fail; a valid chain has
+        # none.  count_nonzero is the cheapest test for a row or two.
+        if np.count_nonzero(even):
+            mass = rows[:, logical_column(scheme)]
+            weighted = mass != 0.0
+            if (even[weighted] / mass[weighted, None] > 0.0).any():
+                raise ValueError("single-rail pairs carry only odd-parity Bell weight")
+    return np.maximum(rows.take(selected_columns(scheme), axis=1), 0.0)
+
+
+def apply_table_rows(
+    table: ConnectionTable,
+    left: np.ndarray,
+    right: np.ndarray,
+) -> np.ndarray:
+    """Unnormalized outputs of one table step on ``n`` pairs of input rows.
+
+    ``left`` and ``right`` are ``(n, k)`` rows in the layout of
+    ``table.scheme``; row i of the ``(n, k_out)`` result is the step on
+    left row i and right row i, and its pattern total is that step's
+    success probability.
+    """
+    x_left = _component_masses(table.scheme, left)
+    x_right = x_left if right is left else _component_masses(table.scheme, right)
+    return np.einsum("oab,na,nb->no", table.tensor, x_left, x_right)
 
 
 def _apply_table(
@@ -124,13 +177,31 @@ def _apply_table(
     right: PatternState,
 ) -> PatternState:
     """Unnormalized output of one table step; its total is the success
-    probability."""
+    probability.  The batch of one of ``apply_table_rows``."""
     if left.scheme is not table.scheme or right.scheme is not table.scheme:
         raise ValueError("input scheme does not match table scheme")
-    x_left = _component_masses(left)
-    x_right = x_left if right is left else _component_masses(right)
-    row = np.einsum("oab,a,b->o", table.tensor, x_left, x_right)
+    x_left = left.row[None]
+    x_right = x_left if right is left else right.row[None]
+    row = apply_table_rows(table, x_left, x_right)[0]
     return PatternState._from_row(table.output_scheme, row)
+
+
+def step_table(
+    stage: str,
+    scheme: SchemeKind,
+    eta: float,
+    level: int = 2,
+    kind: Optional[EnpKind] = None,
+) -> ConnectionTable:
+    """Table of one chain step: "enc" at ``level``, "enp" of ``kind``, or
+    "pme", the final mapping."""
+    if stage == "enc":
+        if level < 1:
+            raise ValueError("level must be >= 1")
+        return enc_table(scheme, eta, first_level=(level == 1))
+    if stage == "enp":
+        return enp_table(EnpKind(kind).value, eta)
+    return pme_table(eta)
 
 
 def enc(
@@ -150,10 +221,7 @@ def enc(
 
     Returns the unnormalized output; its total is the success probability.
     """
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    table = enc_table(scheme, eta, first_level=(level == 1))
-    return _apply_table(table, left, right)
+    return _apply_table(step_table("enc", scheme, eta, level), left, right)
 
 
 def enp(
@@ -173,8 +241,9 @@ def enp(
     Returns the unnormalized kept pair; its total is the success
     probability.
     """
-    table = enp_table(EnpKind(kind).value, eta)
-    return _apply_table(table, pair1, pair2)
+    return _apply_table(
+        step_table("enp", SchemeKind.NEW, eta, kind=kind), pair1, pair2
+    )
 
 
 def postselect_pme(
@@ -192,8 +261,7 @@ def postselect_pme(
     Returns the unnormalized two-cell pair; its total is the success
     probability.
     """
-    table = pme_table(eta)
-    return _apply_table(table, pair1, pair2)
+    return _apply_table(step_table("pme", SchemeKind.DLCZ, eta), pair1, pair2)
 
 
 def predicted_logical_error(m: int, eta: float, p_c: float) -> float:

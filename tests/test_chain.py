@@ -2,9 +2,12 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensemble_repeater.chain import (
     CSV_COLUMNS,
@@ -30,9 +33,11 @@ from ensemble_repeater.chain import (
     tf_curve,
 )
 from ensemble_repeater import chain as chain_module
+from ensemble_repeater import protocols
 from ensemble_repeater.noise import NoiseParams
-from ensemble_repeater.patterns import SchemeKind
+from ensemble_repeater.patterns import ExcitationPattern, SchemeKind
 from ensemble_repeater.protocols import EnpKind
+from ensemble_repeater.tables import canonical_keys, enc_table, kind_table
 
 NEW = SchemeKind.NEW
 DLCZ = SchemeKind.DLCZ
@@ -362,50 +367,6 @@ def test_grid_rows_equal_per_point_chains(name):
             )
 
 
-def _stage_values(result):
-    return result.per_level, result.t_avg, result.fidelity
-
-
-@pytest.mark.parametrize(
-    "first, second",
-    [
-        pytest.param({}, dict(noise=NoiseParams(eta=0.85)), id="eta"),
-        pytest.param(
-            {}, dict(noise=NoiseParams(eta=0.9, p_misalign=0.02)), id="misalignment"
-        ),
-        # At D > 0 the elementary pair depends on the spacing.
-        pytest.param(
-            dict(noise=NoiseParams(eta=0.9, D=1e-4)),
-            dict(L0=40.0, noise=NoiseParams(eta=0.9, D=1e-4)),
-            id="phase-noise-spacing",
-        ),
-    ],
-)
-def test_memo_keeps_chains_with_other_steps_apart(first, second):
-    """Two chains with another eta, step channel or elementary pair
-    share no stage through one memo."""
-    configs = [
-        _config(**{"L": 640.0, "L0": 20.0, **kwargs}) for kwargs in (first, second)
-    ]
-    memo = {}
-    with_memo = [simulate_chain(c, memo=memo) for c in configs]
-    assert len(memo) == 2
-    for config, result in zip(configs, with_memo):
-        assert _stage_values(result) == _stage_values(simulate_chain(config))
-
-
-def test_memo_shares_the_states_of_a_shorter_chain():
-    """At D = 0 the chain at L0 = 40 km is a prefix of the one at 20 km,
-    so it reuses its state objects and still gives the memo-less result."""
-    memo = {}
-    deep = simulate_chain(_config(L=640.0, L0=20.0), memo=memo)
-    shallow_config = _config(L=640.0, L0=40.0)
-    shallow = simulate_chain(shallow_config, memo=memo)
-    for mine, theirs in zip(shallow.stages[1:], deep.stages[1:]):
-        assert mine[2] is theirs[2]
-    assert _stage_values(shallow) == _stage_values(simulate_chain(shallow_config))
-
-
 def _count_calls(monkeypatch, name):
     calls = []
     original = getattr(chain_module, name)
@@ -418,25 +379,161 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _steps_of(calls, kind, eta):
+    """The batched steps among ``apply_table_rows`` calls that apply one table."""
+    table = kind_table(kind, eta)
+    return [args for args in calls if args[0] is table]
+
+
 @pytest.mark.parametrize("D, levels", [(0.0, 7), (1e-4, 7 + 6 + 5 + 4 + 3 + 2)])
 def test_sweep_shares_connections_only_without_phase_noise(monkeypatch, D, levels):
     """A two-cell 1280 km sweep at D = 0 runs the deepest chain's seven
-    connection levels once per p_c and reuses them at every other
-    spacing; at D > 0 every spacing runs its own."""
-    calls = _count_calls(monkeypatch, "enc")
+    connection levels once, as batched steps over the whole p_c grid,
+    and every other spacing reads its states off that batch; at D > 0
+    every spacing runs its own."""
+    calls = _count_calls(monkeypatch, "apply_table_rows")
     chain = dict(scheme=NEW, L=1280.0, noise=NoiseParams(eta=0.9, D=D))
     _sweep_spacings(chain, tuple(float(p) for p in pc_grid()))
-    assert len(calls) == 302 * levels
+    assert len(calls) == levels
+    assert all(len(args[1]) == 302 for args in calls)
 
 
 def test_sweep_runs_every_final_mapping(monkeypatch):
-    """The single-rail final mapping is never shared between spacings."""
-    enc_calls = _count_calls(monkeypatch, "enc")
-    pme_calls = _count_calls(monkeypatch, "postselect_pme")
+    """The single-rail final mapping is one batched step per spacing."""
+    calls = _count_calls(monkeypatch, "apply_table_rows")
     chain = dict(scheme=DLCZ, L=1280.0, noise=NoiseParams(eta=0.9))
     _sweep_spacings(chain, tuple(float(p) for p in pc_grid()))
-    assert len(enc_calls) == 302 * 7
-    assert len(pme_calls) == 302 * len(feasible_l0(DLCZ, 1280.0))
+    assert len(_steps_of(calls, "enc_dlcz", 0.9)) == 7
+    assert len(_steps_of(calls, "pme", 0.9)) == len(feasible_l0(DLCZ, 1280.0))
+    assert len(calls) == 7 + len(feasible_l0(DLCZ, 1280.0))
+
+
+def _fresh_row(config_kwargs):
+    """(t_avg, F, logical F) of a chain run on its own, or None where the
+    configuration or the chain raises an ``ArithmeticError``."""
+    try:
+        result = simulate_chain(RepeaterConfig(**config_kwargs))
+    except ArithmeticError:
+        return None
+    return result.t_avg, result.fidelity, result.final_logical_fidelity
+
+
+def _assert_rows_equal_fresh_chains(chain, p_cs):
+    for L0, rows in _sweep_spacings(chain, p_cs):
+        assert rows == [_fresh_row(dict(chain, L0=L0, p_c=p_c)) for p_c in p_cs]
+
+
+_SCHEDULES = ((), ((1, "bit"),), ((2, "phase"),), ((1, "bit"), (3, "phase")))
+
+
+@st.composite
+def _sweeps(draw):
+    scheme = draw(st.sampled_from([NEW, DLCZ]))
+    D = draw(st.one_of(st.just(0.0), st.floats(1e-6, 3e-3)))
+    kwargs = dict(eta=draw(st.floats(0.6, 1.0)), D=D)
+    schedule = ()
+    if scheme is NEW:
+        kwargs["p_misalign"] = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.05)))
+        kwargs["p_dark"] = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-2)))
+        schedule = draw(st.sampled_from(_SCHEDULES))
+    grid = pc_grid()
+    indices = draw(st.lists(st.integers(0, len(grid) - 1), min_size=1, max_size=6))
+    chain = dict(
+        scheme=scheme, L=draw(st.sampled_from([640.0, 1280.0])),
+        noise=NoiseParams(**kwargs), enp_schedule=schedule,
+    )
+    return chain, tuple(float(grid[i]) for i in indices)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep=_sweeps())
+def test_every_batched_sweep_row_equals_a_fresh_chain(sweep):
+    """The batched path equals the batch of one: every row of a sweep,
+    over any p_c subset, noise and schedule, is exactly what a chain run
+    on its own gives at that grid point."""
+    _assert_rows_equal_fresh_chains(*sweep)
+
+
+def _with_tensor(table, tensor):
+    """A copy of ``table`` that applies ``tensor``."""
+    patched = type(table)(table.scheme, table.op, table.variant, table.eta, table.entries)
+    patched.__dict__["tensor"] = tensor
+    return patched
+
+
+def _multi_pair_table(table):
+    """``table`` with every entry dropped but those of two multi-excitation
+    inputs: its success is of order p_c squared."""
+    multi = (ExcitationPattern.P21_PAR, ExcitationPattern.P21_PERP)
+    keep = np.array([pattern in multi for pattern, _ in canonical_keys(table.scheme)])
+    return _with_tensor(table, table.tensor * np.logical_and.outer(keep, keep))
+
+
+def test_dead_rows_raise_no_warning_and_are_the_failing_chains(monkeypatch):
+    """A sweep whose batch has dead rows: at p_c = 1e-170 the first
+    connection's success, of order p_c squared with a patched table,
+    underflows to exactly zero, and at L_att = 0.2 km the wide spacings'
+    elementary times overflow.  The batch masks those rows without a
+    numpy warning, and each None row is a chain that raises on its own."""
+    level1 = _multi_pair_table(enc_table(NEW, 0.9, first_level=True))
+    original = protocols.enc_table
+
+    def patched(scheme, eta, first_level=False):
+        return level1 if first_level else original(scheme, eta, first_level)
+
+    monkeypatch.setattr(protocols, "enc_table", patched)
+    chain = dict(
+        scheme=NEW, L=640.0, noise=NoiseParams(eta=0.9), L_att=0.2, c_fiber=2.0e5,
+        enp_schedule=(),
+    )
+    p_cs = (1e-170, 1e-3, 5e-2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        per_l0 = dict(_sweep_spacings(chain, p_cs))
+    assert per_l0[5.0][0] is None and per_l0[5.0][1] is not None
+    assert per_l0[160.0] == [None, None, None]
+    with pytest.raises(ZeroDivisionError, match="^enc at level 1 has zero success"):
+        simulate_chain(RepeaterConfig(L0=5.0, p_c=1e-170, **chain))
+    with pytest.raises(OverflowError):
+        RepeaterConfig(L0=160.0, p_c=1e-3, **chain)
+    _assert_rows_equal_fresh_chains(chain, p_cs)
+
+
+def _broken_table(table, output, value):
+    """``table`` with every input pair feeding ``value`` into one output column."""
+    tensor = table.tensor.copy()
+    tensor[output] = value
+    return _with_tensor(table, tensor)
+
+
+@pytest.mark.parametrize(
+    "output, value, message",
+    [
+        (0, -1.0, r"^negative pattern probability: ExcitationPattern\.P00 = -"),
+        (-1, -1e-3, "^Bell weights must be non-negative$"),
+    ],
+    ids=["negative-mass", "negative-bell-weight"],
+)
+def test_sweep_raises_the_check_error_of_its_first_chain(
+    monkeypatch, output, value, message
+):
+    """The batched steps run the per-state checks: a sweep whose second
+    connection table breaks them raises what the chain at its first grid
+    point raises."""
+    higher = _broken_table(enc_table(NEW, 0.9), output, value)
+    original = protocols.enc_table
+
+    def patched(scheme, eta, first_level=False):
+        return original(scheme, eta, first_level) if first_level else higher
+
+    monkeypatch.setattr(protocols, "enc_table", patched)
+    chain = dict(scheme=NEW, L=640.0, noise=NoiseParams(eta=0.9))
+    p_cs = (1e-3, 1e-2)
+    with pytest.raises(ValueError, match=message) as fresh:
+        simulate_chain(RepeaterConfig(L0=5.0, p_c=p_cs[0], **chain))
+    with pytest.raises(ValueError) as swept:
+        _sweep_spacings(chain, p_cs)
+    assert str(swept.value) == str(fresh.value)
 
 
 # (L0, p_c, t_avg, F) of the optimum at eta = 0.9, recorded before the

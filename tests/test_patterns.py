@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensemble_repeater.noise import misalignment_channel
 from ensemble_repeater.patterns import (
@@ -12,14 +14,18 @@ from ensemble_repeater.patterns import (
     SchemeKind,
     aggregate,
     apply_bell_channel,
+    check_rows,
     classify_dlcz,
     classify_new,
     fidelity,
+    fidelity_rows,
     from_text,
     logical_column,
     logical_fidelity,
+    logical_fidelity_rows,
     logical_pattern,
     normalize,
+    row_totals,
     scheme_patterns,
     to_text,
 )
@@ -169,6 +175,77 @@ def test_step_row_checks_bell_weights_on_both_signs_of_the_logical_mass(
     else:
         with pytest.raises(ValueError, match="^Bell weights must be non-negative$"):
             PatternState._from_row(SchemeKind.NEW, row)
+
+
+# Row entries: mostly ordinary masses, some exact zeros, some just inside
+# and some just outside -WEIGHT_TOL, and some far below it.  No entry is
+# subnormal, so that a Bell mass over a logical mass stays finite.
+_ENTRY = st.one_of(
+    st.floats(0.0, 1.0, allow_subnormal=False),
+    st.just(0.0),
+    st.sampled_from([-0.5 * WEIGHT_TOL, -2.0 * WEIGHT_TOL, -0.25, 1e-300]),
+)
+
+
+@st.composite
+def _batches(draw):
+    scheme = draw(st.sampled_from(list(SchemeKind)))
+    width = len(scheme_patterns(scheme)) + 4
+    n = draw(st.integers(1, 6))
+    rows = np.array([[draw(_ENTRY) for _ in range(width)] for _ in range(n)])
+    live = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return scheme, rows, live
+
+
+def _state_error(scheme, row):
+    try:
+        PatternState._from_row(scheme, row.copy())
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(batch=_batches())
+def test_batch_checks_raise_what_the_first_failing_live_state_raises(batch):
+    scheme, rows, live = batch
+    errors = [_state_error(scheme, row) for row in rows[live]]
+    expected = next((e for e in errors if e is not None), None)
+    if expected is None:
+        check_rows(scheme, rows, live)
+    else:
+        with pytest.raises(ValueError) as caught:
+            check_rows(scheme, rows, live)
+        assert str(caught.value) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=_batches(), target=st.sampled_from(list(BellState)))
+def test_batch_figures_equal_each_states_to_the_bit(batch, target):
+    scheme, rows, _ = batch
+    rows[:, : len(scheme_patterns(scheme))] = np.abs(rows[:, : len(scheme_patterns(scheme))])
+    rows[:, -4:] = np.abs(rows[:, -4:])
+    states = [PatternState._from_row(scheme, row.copy()) for row in rows]
+    assert row_totals(scheme, rows).tolist() == [state.total for state in states]
+    weights = logical_fidelity_rows(scheme, rows, target).tolist()
+    assert weights == [logical_fidelity(state, target) for state in states]
+    normalized = np.array([normalize(s).row for s in states if s.total > 0.0])
+    if len(normalized):
+        live = np.ones(len(normalized), dtype=bool)
+        got = fidelity_rows(scheme, normalized, live, target).tolist()
+        assert got == [fidelity(PatternState._from_row(scheme, r.copy()), target)
+                       for r in normalized]
+
+
+def test_batch_fidelity_requires_normalized_live_rows():
+    rows = np.zeros((2, len(scheme_patterns(SchemeKind.NEW)) + 4))
+    rows[0, logical_column(SchemeKind.NEW)] = rows[0, -4] = 1.0
+    rows[1, logical_column(SchemeKind.NEW)] = rows[1, -4] = 0.5
+    assert fidelity_rows(
+        SchemeKind.NEW, rows, np.array([True, False]), BellState.PHI_PLUS
+    ).tolist() == [1.0, 0.5]
+    with pytest.raises(ValueError, match="^fidelity requires a normalized state$"):
+        fidelity_rows(SchemeKind.NEW, rows, np.array([True, True]), BellState.PHI_PLUS)
 
 
 def test_pattern_state_total_and_normalize():

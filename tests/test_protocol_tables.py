@@ -8,6 +8,7 @@ broken invariant.
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,7 @@ from ensemble_repeater.protocols import (
     EnpKind,
     _apply_table,
     _component_masses,
+    apply_table_rows,
     enc,
     eng,
     enp,
@@ -42,10 +44,12 @@ from ensemble_repeater.protocols import (
     predicted_logical_error,
 )
 from ensemble_repeater.tables import (
+    KINDS,
     ConnectionTable,
     canonical_keys,
     enc_table,
     enp_table,
+    kind_table,
     pme_table,
     selected_columns,
 )
@@ -395,6 +399,29 @@ def test_dense_step_matches_per_entry_sum(kind, data):
         assert out.logical.tolist() == list(fallback)
 
 
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_batched_step_equals_the_step_of_each_row(kind, data):
+    """Row i of one batched step is the step on the states of row i, to
+    the bit, for one pair per row and for each row with itself."""
+    table = kind_table(kind, ETA)
+    n = data.draw(st.integers(1, 5), label="rows")
+    lefts = [data.draw(_pattern_states(table.scheme), label="left") for _ in range(n)]
+    left_rows = np.stack([state.row for state in lefts])
+    if data.draw(st.booleans(), label="each row with itself"):
+        rights, right_rows = lefts, left_rows
+    else:
+        rights = [
+            data.draw(_pattern_states(table.scheme), label="right") for _ in range(n)
+        ]
+        right_rows = np.stack([state.row for state in rights])
+    out = apply_table_rows(table, left_rows, right_rows)
+    assert out.shape == (n, len(scheme_patterns(table.output_scheme)) + 4)
+    for row, left, right in zip(out, lefts, rights):
+        assert np.array_equal(row, _apply_table(table, left, right).row)
+
+
 def _assert_row_invariant(state):
     """The logical mass is the Bell masses' sum, and ``logical`` their
     conditional weights or, without logical mass, the scheme default."""
@@ -450,7 +477,8 @@ def test_component_masses_clip_small_negative_masses_to_zero():
         {P.P11: 0.6, P.P00: -1e-13, P.P20_PERP: 0.4 + 1e-13},
         (0.5 + 1e-13, -1e-13, 0.25, 0.25),
     )
-    masses = dict(zip(canonical_keys(NEW), _component_masses(state).tolist()))
+    rows = _component_masses(NEW, state.row[None])
+    masses = dict(zip(canonical_keys(NEW), rows[0].tolist()))
     assert masses[(P.P00, None)] == 0.0
     assert masses[(P.P11, B.PHI_MINUS)] == 0.0
     assert masses[(P.P20_PERP, None)] == 0.4 + 1e-13
