@@ -90,6 +90,12 @@ class RepeaterConfig:
     ``t0``, set at construction, is the checked ``elementary_time`` of
     the configuration; it is no field, so it takes no part in ``__init__``,
     equality or ``repr``.
+
+    Construction runs ``_check_chain_fields`` on the fields a sweep holds
+    fixed (scheme, L, noise, L_att, c_fiber, schedule) and then
+    ``_check_point`` on L0 and p_c.  A sweep runs the first once and the
+    second on its p_c column (see ``_sweep_spacings``), and builds each
+    grid point's configuration with ``_grid_point``, which runs neither.
     """
 
     scheme: SchemeKind
@@ -102,47 +108,131 @@ class RepeaterConfig:
     enp_schedule: Tuple[Tuple[int, EnpKind], ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("L", "L0", "p_c", "L_att", "c_fiber"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.L0 <= 0.0 or self.L <= 0.0:
-            raise ValueError("L and L0 must be positive")
-        if not 0.0 < self.p_c < 1.0:
-            raise ValueError("p_c must lie in (0, 1)")
-        if self.L_att <= 0.0 or self.c_fiber <= 0.0:
-            raise ValueError("L_att and c_fiber must be positive")
-        if self.L0 / self.L_att > _MAX_EXP_ARG:
-            raise OverflowError(
-                f"L0 / L_att = {self.L0 / self.L_att:g} is too large:"
-                " the elementary time exp(L0 / L_att) overflows"
-            )
-        t0 = elementary_time(
-            self.p_c, self.noise.eta, self.L0, self.L_att, self.c_fiber
+        schedule = _check_chain_fields(
+            self.scheme, self.L, self.noise, self.L_att, self.c_fiber,
+            self.enp_schedule,
         )
-        if not math.isfinite(t0):
-            raise OverflowError(
-                "the elementary time (L0 / c_fiber) exp(L0 / L_att) / (p_c eta)"
-                f" overflows for L0 = {self.L0:g}, L_att = {self.L_att:g},"
-                f" p_c = {self.p_c:g}, eta = {self.noise.eta:g}"
-            )
-        check_step_noise(self.scheme, self.noise)
-        problem = _spacing_problem(self.scheme, self.L, self.L0)
-        if problem is not None:
-            raise ValueError(problem)
-        schedule = _normalized_schedule(self.enp_schedule)
-        _check_enp_schedule(self.scheme, schedule)
-        levels = self.num_levels
-        for m, _ in schedule:
-            if not 1 <= m <= levels:
-                raise ValueError(f"purification level {m} outside 1..{levels}")
+        t0 = _check_point(
+            self.scheme, self.L, self.L0, self.p_c, self.noise.eta, self.L_att,
+            self.c_fiber, schedule,
+        )
         object.__setattr__(self, "enp_schedule", schedule)
         object.__setattr__(self, "t0", t0)
+
+    @classmethod
+    def _grid_point(
+        cls, fields: dict, L0: float, p_c: float, t0: float
+    ) -> "RepeaterConfig":
+        """The configuration of one sweep grid point, built unchecked.
+
+        ``fields`` holds the other fields, checked by
+        ``_check_chain_fields`` and with its normalized schedule; L0,
+        p_c and the elementary time ``t0`` passed the column form of
+        ``_check_point`` in ``_sweep_spacings``.
+        """
+        config = cls.__new__(cls)
+        values = config.__dict__
+        values.update(fields)
+        values["L0"] = L0
+        values["p_c"] = p_c
+        values["t0"] = t0
+        return config
 
     @property
     def num_levels(self) -> int:
         """Number of connection levels, log2(L/L0) - 1."""
         return _num_levels(self.L, self.L0)
+
+
+def _check_chain_fields(
+    scheme: SchemeKind,
+    L: float,
+    noise: NoiseParams,
+    L_att: float,
+    c_fiber: float,
+    enp_schedule: Iterable[Tuple[int, str]],
+) -> Tuple[Tuple[int, EnpKind], ...]:
+    """``RepeaterConfig``'s checks of the fields a sweep holds fixed.
+
+    Returns the normalized purification schedule.
+    """
+    for name, value in (("L", L), ("L_att", L_att), ("c_fiber", c_fiber)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if L <= 0.0:
+        raise ValueError("L and L0 must be positive")
+    if L_att <= 0.0 or c_fiber <= 0.0:
+        raise ValueError("L_att and c_fiber must be positive")
+    check_positive(eta=noise.eta)
+    check_step_noise(scheme, noise)
+    schedule = _normalized_schedule(enp_schedule)
+    _check_enp_schedule(scheme, schedule)
+    return schedule
+
+
+def _check_point(
+    scheme: SchemeKind,
+    L: float,
+    L0: float,
+    p_c: float,
+    eta: float,
+    L_att: float,
+    c_fiber: float,
+    schedule: Tuple[Tuple[int, EnpKind], ...],
+) -> float:
+    """``RepeaterConfig``'s checks of L0 and p_c, on checked other fields.
+
+    Returns the elementary time.  ``_sweep_spacings`` runs the same
+    checks with p_c as a column: ``_check_spacing`` once per spacing,
+    ``_p_c_problem`` at the first bad p_c, and ``_elementary_times``.
+    """
+    _check_spacing(scheme, L, L0, schedule)
+    problem = _p_c_problem(p_c)
+    if problem is not None:
+        raise ValueError(problem)
+    if L0 / L_att > _MAX_EXP_ARG:
+        raise OverflowError(
+            f"L0 / L_att = {L0 / L_att:g} is too large:"
+            " the elementary time exp(L0 / L_att) overflows"
+        )
+    # elementary_time's positivity checks are among the ones above
+    t0 = _elementary_time(p_c, eta, L0, L_att, c_fiber)
+    if not math.isfinite(t0):
+        raise OverflowError(
+            "the elementary time (L0 / c_fiber) exp(L0 / L_att) / (p_c eta)"
+            f" overflows for L0 = {L0:g}, L_att = {L_att:g},"
+            f" p_c = {p_c:g}, eta = {eta:g}"
+        )
+    return t0
+
+
+def _check_spacing(
+    scheme: SchemeKind,
+    L: float,
+    L0: float,
+    schedule: Tuple[Tuple[int, EnpKind], ...],
+) -> None:
+    """Reject an L0 that is no usable spacing of L for the scheme and schedule."""
+    if not math.isfinite(L0):
+        raise ValueError(f"L0 must be finite, got {L0}")
+    if L0 <= 0.0:
+        raise ValueError("L and L0 must be positive")
+    problem = _spacing_problem(scheme, L, L0)
+    if problem is not None:
+        raise ValueError(problem)
+    levels = _num_levels(L, L0)
+    for m, _ in schedule:
+        if not 1 <= m <= levels:
+            raise ValueError(f"purification level {m} outside 1..{levels}")
+
+
+def _p_c_problem(p_c: float) -> Optional[str]:
+    """Why p_c is no excitation probability, or None if it is one."""
+    if not math.isfinite(p_c):
+        return f"p_c must be finite, got {p_c}"
+    if not 0.0 < p_c < 1.0:
+        return "p_c must lie in (0, 1)"
+    return None
 
 
 def _num_levels(L: float, L0: float) -> int:
@@ -266,6 +356,11 @@ def elementary_time(
 ) -> float:
     """Average time to herald one elementary pair, (L0/c) e^{L0/L_att} / (p_c eta)."""
     check_positive(p_c=p_c, eta=eta, L0=L0, L_att=L_att, c_fiber=c_fiber)
+    return _elementary_time(p_c, eta, L0, L_att, c_fiber)
+
+
+def _elementary_time(p_c, eta: float, L0: float, L_att: float, c_fiber: float):
+    """``elementary_time`` without its checks; p_c may be a float or an array."""
     return (L0 / c_fiber) * math.exp(L0 / L_att) / (p_c * eta)
 
 
@@ -692,29 +787,43 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     overflows.  The pair states come from one batch over the p_c grid
     (see the module docstring): at D = 0 the deepest spacing's batch
     serves every spacing up to its depth, plus one batched final mapping
-    per single-rail spacing; at D > 0 each spacing runs its own.  Every
-    grid point with a valid configuration gets one ``simulate_chain``
+    per single-rail spacing; at D > 0 each spacing runs its own.
+
+    Every check of ``RepeaterConfig`` runs, with its message, but not
+    per point: ``_check_chain_fields`` once, before any spacing; the p_c
+    checks once on the p_c column, where the first bad p_c raises; and
+    per spacing ``_check_spacing``, the ``L0 / L_att`` overflow, which
+    makes every row of the spacing None, and the elementary-time column,
+    where a non-finite time makes its row None.  Every other grid point
+    gets a ``_grid_point`` configuration and one ``simulate_chain``
     call, which reads its states off the batch and computes its times.
     """
-    scheme = chain["scheme"]
-    schedule = _normalized_schedule(chain.get("enp_schedule", ()))
+    scheme, L = chain["scheme"], chain["L"]
     noise = chain.get("noise", NoiseParams())
-    spacings = sweep_l0(scheme, chain["L"], schedule)
+    L_att = chain.get("L_att", RepeaterConfig.L_att)
+    c_fiber = chain.get("c_fiber", RepeaterConfig.c_fiber)
+    schedule = _check_chain_fields(
+        scheme, L, noise, L_att, c_fiber, chain.get("enp_schedule", ())
+    )
+    fields = dict(
+        scheme=scheme, L=L, noise=noise, L_att=L_att, c_fiber=c_fiber,
+        enp_schedule=schedule,
+    )
+    grid = np.array(p_cs, dtype=float)
+    bad = ~((grid > 0.0) & (grid < 1.0))
+    if bad.any():
+        raise ValueError(_p_c_problem(p_cs[int(bad.argmax())]))
+    spacings = sweep_l0(scheme, L, schedule)
     channel = _step_channel(noise)
     if channel is not None:
         channel = check_bell_channel(channel)
-    grid = np.array(p_cs, dtype=float)
     rows = []
     deepest = None
     for L0 in spacings:
-        configs = []
-        for p_c in p_cs:
-            try:
-                configs.append(RepeaterConfig(L0=L0, p_c=p_c, **chain))
-            except ArithmeticError:
-                configs.append(None)
-        valid = np.array([config is not None for config in configs], dtype=bool)
-        plan = _plan(scheme, _num_levels(chain["L"], L0), schedule)
+        _check_spacing(scheme, L, L0, schedule)
+        times = _elementary_times(L0, grid, noise.eta, L_att, c_fiber)
+        valid = np.isfinite(times)
+        plan = _plan(scheme, _num_levels(L, L0), schedule)
         connections = plan[:-1] if scheme is SchemeKind.DLCZ else plan
         if deepest is None or noise.D != 0.0:
             batch = _generate_batch(scheme, grid, noise, L0, valid)
@@ -723,10 +832,13 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
         if scheme is SchemeKind.DLCZ:
             batch = batch.extend(plan[-1:], noise.eta, channel, valid)
         column = []
-        for config, pairs in zip(configs, batch.point_pairs()):
-            if config is None:
+        for p_c, t0, ok, pairs in zip(
+            p_cs, times.tolist(), valid.tolist(), batch.point_pairs()
+        ):
+            if not ok:
                 column.append(None)
                 continue
+            config = RepeaterConfig._grid_point(fields, L0, p_c, t0)
             try:
                 result = simulate_chain(config, pairs=pairs)
             except ArithmeticError:
@@ -737,6 +849,23 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
             )
         rows.append((L0, column))
     return rows
+
+
+def _elementary_times(
+    L0: float, p_cs: np.ndarray, eta: float, L_att: float, c_fiber: float
+) -> np.ndarray:
+    """``elementary_time`` of every p_c, not finite where the grid point's
+    ``RepeaterConfig`` raises an ``ArithmeticError``.
+
+    Each value takes the same IEEE operations as ``elementary_time``, so
+    it is bit-identical to it.  Where ``L0 / L_att`` overflows the exponential,
+    every value is inf; where p_c eta underflows to 0, which makes
+    ``elementary_time`` divide by zero, the value is inf or nan.
+    """
+    if L0 / L_att > _MAX_EXP_ARG:
+        return np.full(len(p_cs), math.inf)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _elementary_time(p_cs, eta, L0, L_att, c_fiber)
 
 
 def optimize(

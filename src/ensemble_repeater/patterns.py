@@ -250,20 +250,25 @@ class PatternState:
         Bell weight, Bell mass over logical mass, below ``-WEIGHT_TOL``.
         Dividing by a nonzero mass is monotone, so the smallest weight is
         the smallest Bell mass over a positive mass and the largest over
-        a negative one.
+        a negative one.  The verdict and message are ``check_rows``'s for
+        every row, NaN included: a NaN mass is not negative, and a NaN
+        Bell mass makes the extreme weight NaN, which passes.
         """
         layout = _layout(scheme)
         n = len(layout.column)
         values = row.tolist()
         masses = values[:n]
-        if min(masses) < -WEIGHT_TOL:
-            i = next(i for i, p in enumerate(masses) if p < -WEIGHT_TOL)
-            pattern = scheme_patterns(scheme)[i]
-            raise ValueError(f"negative pattern probability: {pattern} = {masses[i]}")
+        # min returns NaN only when the first mass is NaN; scan then
+        if not min(masses) >= -WEIGHT_TOL:
+            for i, p in enumerate(masses):
+                if p < -WEIGHT_TOL:
+                    pattern = scheme_patterns(scheme)[i]
+                    raise ValueError(f"negative pattern probability: {pattern} = {p}")
         mass = masses[layout.logical]
         if mass != 0.0:
             bell = values[n:]
-            if (min(bell) if mass > 0.0 else max(bell)) / mass < -WEIGHT_TOL:
+            extreme = min(bell) if mass > 0.0 else max(bell)
+            if extreme / mass < -WEIGHT_TOL and not np.isnan(row[n:]).any():
                 raise ValueError("Bell weights must be non-negative")
         row.flags.writeable = False
         fields = self.__dict__

@@ -442,6 +442,13 @@ def _sweeps(draw):
         scheme=scheme, L=draw(st.sampled_from([640.0, 1280.0])),
         noise=NoiseParams(**kwargs), enp_schedule=schedule,
     )
+    if draw(st.booleans()):
+        # exp(L0 / L_att) overflows beyond about L0 / L_att = 709.8: the
+        # wider spacings overflow, and near the edge the elementary time
+        # of the small p_c does too
+        L0 = draw(st.sampled_from(L0_GRID))
+        chain["L_att"] = L0 / draw(st.floats(690.0, 715.0))
+        chain["c_fiber"] = draw(st.floats(2.0e4, 2.0e6))
     return chain, tuple(float(grid[i]) for i in indices)
 
 
@@ -452,6 +459,62 @@ def test_every_batched_sweep_row_equals_a_fresh_chain(sweep):
     over any p_c subset, noise and schedule, is exactly what a chain run
     on its own gives at that grid point."""
     _assert_rows_equal_fresh_chains(*sweep)
+
+
+def test_a_sweep_makes_one_chain_call_per_valid_grid_point(monkeypatch):
+    """Each grid point with a valid configuration gets one ``simulate_chain``
+    call, which the benchmark's tracer counts as a grid point, and
+    ``optimize`` one more for its optimum; a spacing whose
+    ``exp(L0 / L_att)`` overflows gets none."""
+    calls = _count_calls(monkeypatch, "simulate_chain")
+    noise = NoiseParams(eta=0.9)
+    assert optimize(DLCZ, 1280.0, 0.9, noise=noise) is not None
+    assert len(calls) == 6 * 302 + 1
+    grid = [(config.L0, config.p_c) for config, *_ in calls[:-1]]
+    assert grid == [(L0, float(p_c)) for L0 in L0_GRID for p_c in pc_grid()]
+    config = calls[1][0]
+    fresh = RepeaterConfig(scheme=DLCZ, L=1280.0, L0=5.0, p_c=config.p_c, noise=noise)
+    assert config == fresh and config.t0 == fresh.t0
+    calls.clear()
+    rows = dict(_sweep_spacings(dict(scheme=NEW, L=1280.0, L_att=0.2), (1e-3, 1e-2)))
+    assert rows[160.0] == [None, None]
+    assert [config.L0 for config, *_ in calls] == [
+        L0 for L0 in L0_GRID[:-1] for _ in range(2)
+    ]
+
+
+def test_sweeps_raise_configuration_errors_where_every_spacing_overflows():
+    """A single-rail chain with step noise is no configuration; a sweep
+    says so whether or not its spacings' elementary times overflow, and
+    the fixed fields' message comes before a bad p_c's."""
+    noise = NoiseParams(eta=0.9, p_misalign=0.02)
+    message = "^p_misalign and p_dark must be 0 for the single-rail"
+    for L_att in (RepeaterConfig.L_att, 0.001):
+        with pytest.raises(ValueError, match=message):
+            optimize(DLCZ, 1280.0, 0.8, noise=noise, L_att=L_att)
+        with pytest.raises(ValueError, match=message):
+            tf_curve(DLCZ, 1280.0, noise=noise, L_att=L_att, p_c_sweep=(1e-3,))
+    with pytest.raises(ValueError, match=message):
+        tf_curve(DLCZ, 1280.0, noise=noise, p_c_sweep=(1.5,))
+
+
+@pytest.mark.parametrize("position", [0, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, 1.0, -1.0, 1.5])
+def test_sweeps_reject_a_bad_p_c_as_its_configuration_does(bad, position):
+    p_cs = [1e-3, 1e-2, 3e-2]
+    p_cs[position] = bad
+    with pytest.raises(ValueError) as fresh:
+        RepeaterConfig(scheme=NEW, L=160.0, L0=40.0, p_c=bad)
+    with pytest.raises(ValueError) as swept:
+        tf_curve(NEW, 160.0, p_c_sweep=p_cs)
+    assert str(swept.value) == str(fresh.value)
+
+
+def test_sweeps_report_the_first_bad_p_c_in_grid_order():
+    with pytest.raises(ValueError, match=r"^p_c must lie in \(0, 1\)$"):
+        tf_curve(NEW, 160.0, p_c_sweep=(1e-3, 1.5, math.nan))
+    with pytest.raises(ValueError, match="^p_c must be finite, got nan$"):
+        tf_curve(NEW, 160.0, p_c_sweep=(1e-3, math.nan, 1.5))
 
 
 def _with_tensor(table, tensor):

@@ -219,6 +219,43 @@ def test_batch_checks_raise_what_the_first_failing_live_state_raises(batch):
         assert str(caught.value) == expected
 
 
+@st.composite
+def _rows_with_non_finite_entries(draw):
+    """One row of ``_ENTRY`` values with NaN or +-inf at random positions."""
+    scheme = draw(st.sampled_from(list(SchemeKind)))
+    width = len(scheme_patterns(scheme)) + 4
+    row = [draw(_ENTRY) for _ in range(width)]
+    positions = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=3))
+    for i in positions:
+        row[i] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return scheme, np.array(row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_rows_with_non_finite_entries())
+def test_state_checks_give_the_batch_verdict_on_non_finite_rows(case):
+    """``_set_row`` and ``check_rows`` agree on NaN and infinite entries
+    wherever they sit: a NaN mass first or second in the row gets the
+    same verdict."""
+    scheme, row = case
+    with np.errstate(all="ignore"):
+        try:
+            check_rows(scheme, row[None, :], np.array([True]))
+        except ValueError as exc:
+            expected = str(exc)
+        else:
+            expected = None
+    assert _state_error(scheme, row) == expected
+
+
+def test_state_check_ignores_the_position_of_a_nan_mass():
+    masses = [0.0] * len(scheme_patterns(SchemeKind.NEW))
+    for first, second in ((np.nan, -0.25), (-0.25, np.nan)):
+        masses[0], masses[1] = first, second
+        with pytest.raises(ValueError, match="^negative pattern probability: "):
+            PatternState._from_row(SchemeKind.NEW, np.array(masses + [0.0] * 4))
+
+
 @settings(max_examples=100, deadline=None)
 @given(batch=_batches(), target=st.sampled_from(list(BellState)))
 def test_batch_figures_equal_each_states_to_the_bit(batch, target):
