@@ -156,11 +156,10 @@ def _check_chain_fields(
 
     Returns the normalized purification schedule.
     """
-    for name, value in (("L", L), ("L_att", L_att), ("c_fiber", c_fiber)):
+    _check_length(L)
+    for name, value in (("L_att", L_att), ("c_fiber", c_fiber)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    if L <= 0.0:
-        raise ValueError("L and L0 must be positive")
     if L_att <= 0.0 or c_fiber <= 0.0:
         raise ValueError("L_att and c_fiber must be positive")
     check_positive(eta=noise.eta)
@@ -168,6 +167,14 @@ def _check_chain_fields(
     schedule = _normalized_schedule(enp_schedule)
     _check_enp_schedule(scheme, schedule)
     return schedule
+
+
+def _check_length(L: float) -> None:
+    """Reject a chain length that is not finite or not positive."""
+    if not math.isfinite(L):
+        raise ValueError(f"L must be finite, got {L}")
+    if L <= 0.0:
+        raise ValueError("L and L0 must be positive")
 
 
 def _check_point(
@@ -183,8 +190,9 @@ def _check_point(
     """``RepeaterConfig``'s checks of L0 and p_c, on checked other fields.
 
     Returns the elementary time.  ``_sweep_spacings`` runs the same
-    checks with p_c as a column: ``_check_spacing`` once per spacing,
-    ``_p_c_problem`` at the first bad p_c, and ``_elementary_times``.
+    checks with p_c as a column: ``sweep_l0`` keeps only the spacings
+    ``_check_spacing`` passes, ``_p_c_problem`` runs at the first bad
+    p_c, and ``_elementary_times`` per spacing.
     """
     _check_spacing(scheme, L, L0, schedule)
     problem = _p_c_problem(p_c)
@@ -747,8 +755,7 @@ def pc_grid() -> np.ndarray:
 
 def feasible_l0(scheme: SchemeKind, L: float) -> Tuple[float, ...]:
     """Grid spacings giving an integer number of doublings for this L."""
-    if not math.isfinite(L):
-        raise ValueError(f"L must be finite, got {L}")
+    _check_length(L)
     return tuple(L0 for L0 in L0_GRID if _spacing_problem(scheme, L, L0) is None)
 
 
@@ -791,10 +798,12 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
 
     Every check of ``RepeaterConfig`` runs, with its message, but not
     per point: ``_check_chain_fields`` once, before any spacing; the p_c
-    checks once on the p_c column, where the first bad p_c raises; and
-    per spacing ``_check_spacing``, the ``L0 / L_att`` overflow, which
-    makes every row of the spacing None, and the elementary-time column,
-    where a non-finite time makes its row None.  Every other grid point
+    checks once on the p_c column, where the first bad p_c raises;
+    ``_check_spacing`` through ``sweep_l0``, which keeps only grid
+    spacings of L that have every scheduled level; and per spacing the
+    ``L0 / L_att`` overflow, which makes every row of the spacing None,
+    and the elementary-time column, where a non-finite time makes its
+    row None.  Every other grid point
     gets a ``_grid_point`` configuration and one ``simulate_chain``
     call, which reads its states off the batch and computes its times.
     """
@@ -820,7 +829,6 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     rows = []
     deepest = None
     for L0 in spacings:
-        _check_spacing(scheme, L, L0, schedule)
         times = _elementary_times(L0, grid, noise.eta, L_att, c_fiber)
         valid = np.isfinite(times)
         plan = _plan(scheme, _num_levels(L, L0), schedule)
@@ -985,25 +993,6 @@ def fit_tf_slope(
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def scaling_configs(
-    scheme: SchemeKind,
-    noise: NoiseParams,
-    L_values: Sequence[float],
-    L0: float = 40.0,
-    p_c_scale: float = 0.26,
-    L_att: float = RepeaterConfig.L_att,
-    c_fiber: float = RepeaterConfig.c_fiber,
-) -> list:
-    """The chains ``scaling_fit`` simulates: one per L, p_c = p_c_scale * L0 / L."""
-    return [
-        RepeaterConfig(
-            scheme=scheme, L=float(L), L0=L0, p_c=p_c_scale * L0 / L, noise=noise,
-            L_att=L_att, c_fiber=c_fiber,
-        )
-        for L in L_values
-    ]
-
-
 def scaling_fit(
     scheme: SchemeKind,
     noise: NoiseParams,
@@ -1017,12 +1006,20 @@ def scaling_fit(
 ) -> Tuple[float, list]:
     """Fitted slope of log t_avg vs log L with p_c scaled as L0/L.
 
+    Every chain is configured, and so checked, before any is simulated.
     Returns (slope, [(L, t_avg), ...]).
     """
+    configs = []
+    for L in L_values:
+        _check_length(L)  # before p_c divides by it
+        configs.append(
+            RepeaterConfig(
+                scheme=scheme, L=float(L), L0=L0, p_c=p_c_scale * L0 / L,
+                noise=noise, L_att=L_att, c_fiber=c_fiber,
+            )
+        )
     points = []
-    for config in scaling_configs(
-        scheme, noise, L_values, L0, p_c_scale, L_att, c_fiber
-    ):
+    for config in configs:
         result = simulate_chain(config, waiting=waiting, seed=seed)
         points.append((config.L, result.t_avg))
     logs = np.log([p[0] for p in points])

@@ -28,9 +28,15 @@ sweeps run serially in one process.  Outputs are deterministic:
 rerunning the same configuration and seed reproduces every file byte
 for byte.
 
+A command computes all its results before anything is written: it
+returns its files, its stdout text and its exit code, and only then are
+``config-reference.ini``, ``manifest.json`` and its files written and its
+stdout printed.  So the library's own checks are the configuration
+checks, and a rejected run leaves no file behind.
+
 Exit codes: 0 on success, 1 when verification fails, 2 when an
-optimization target is infeasible, 3 for unusable configuration or
-command-line usage.
+optimization target is infeasible, 3 for unusable configuration,
+command-line usage, or an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -41,24 +47,20 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .chain import (
     CSV_COLUMNS,
     RepeaterConfig,
     RunResult,
-    check_positive,
-    check_step_noise,
     format_csv,
     format_enp_schedule,
     optimize,
     run_result_json,
     run_result_rows,
-    scaling_configs,
     scaling_exponent,
     scaling_fit,
     simulate_chain,
-    sweep_l0,
     tf_curve,
 )
 from .noise import NoiseParams
@@ -308,16 +310,18 @@ class RunManifest:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_output(out_dir: Path, name: str, text: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(text)
-    print(f"wrote {path}", file=sys.stderr)
+class CommandOutput(NamedTuple):
+    """What a command computed, before anything is written.
 
+    ``files`` maps each output file name to its text, in write order;
+    ``stdout`` is printed after the files are written, and ``note``, if
+    any, goes to stderr after it.
+    """
 
-def _write_common(out_dir: Path, manifest: RunManifest) -> None:
-    _write_output(out_dir, CONFIG_REFERENCE_NAME, config_reference())
-    _write_output(out_dir, MANIFEST_NAME, manifest.to_json())
+    files: Dict[str, str]
+    stdout: str
+    code: int = EXIT_OK
+    note: str = ""
 
 
 def _chain_config(settings: Settings) -> RepeaterConfig:
@@ -343,55 +347,19 @@ def _sweep_options(settings: Settings) -> dict:
     )
 
 
-def _check_chain_inputs(args, settings: Settings) -> None:
-    """Raise on chain inputs the command would reject, before any output."""
-    command = args.command
-    if command == "simulate":
-        _chain_config(settings)
-        if settings.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
-    elif command == "optimize":
-        sweep_l0(settings.scheme, settings.L, settings.enp_schedule)
-    elif command == "table":
-        for L in settings.L_list:
-            sweep_l0(settings.scheme, float(L), settings.enp_schedule)
-    elif command == "curve":
-        for scheme, schedule in _curve_variants(args, settings):
-            sweep_l0(scheme, settings.L, schedule)
-    elif command == "scaling":
-        scaling_configs(
-            settings.scheme, settings.noise, settings.L_list, settings.L0,
-            L_att=settings.L_att, c_fiber=settings.c_fiber,
-        )
-    if command == "curve":
-        for eta in settings.eta_list:
-            noise = dataclasses.replace(settings.noise, eta=float(eta))
-            check_positive(eta=noise.eta)
-        for scheme, _ in _curve_variants(args, settings):
-            check_step_noise(scheme, settings.noise)
-    elif command in ("optimize", "table"):
-        check_positive(eta=settings.noise.eta)
-        check_step_noise(settings.scheme, settings.noise)
-
-
-def _emit(fmt: str, csv_text: str, json_text: str) -> None:
-    sys.stdout.write(csv_text if fmt == "csv" else json_text)
-
-
 # ----------------------------------------------------------------------
 # subcommands
 
-def cmd_oracle_verify(args, settings: Settings, out_dir: Path) -> int:
+def cmd_oracle_verify(args, settings: Settings) -> CommandOutput:
     from . import verify  # loads the Fock oracle, which no other command needs
 
     results = verify.run_all()
     report = verify.format_report(results)
-    sys.stdout.write(report)
-    _write_output(out_dir, "oracle_verify.txt", report)
-    return EXIT_OK if verify.all_ok(results) else EXIT_VERIFICATION
+    code = EXIT_OK if verify.all_ok(results) else EXIT_VERIFICATION
+    return CommandOutput({"oracle_verify.txt": report}, report, code)
 
 
-def cmd_simulate(args, settings: Settings, out_dir: Path) -> int:
+def cmd_simulate(args, settings: Settings) -> CommandOutput:
     config = _chain_config(settings)
     result = simulate_chain(
         config,
@@ -401,10 +369,8 @@ def cmd_simulate(args, settings: Settings, out_dir: Path) -> int:
     )
     csv_text = format_csv(run_result_rows(result))
     json_text = run_result_json(result)
-    _write_output(out_dir, "simulate.csv", csv_text)
-    _write_output(out_dir, "simulate.json", json_text)
-    _emit(args.format, csv_text, json_text)
-    return EXIT_OK
+    files = {"simulate.csv": csv_text, "simulate.json": json_text}
+    return CommandOutput(files, csv_text if args.format == "csv" else json_text)
 
 
 _TABLE_COLUMNS = (
@@ -426,7 +392,7 @@ def _optimum_row(
     ]
 
 
-def cmd_optimize(args, settings: Settings, out_dir: Path) -> int:
+def cmd_optimize(args, settings: Settings) -> CommandOutput:
     best = optimize(
         settings.scheme, settings.L, settings.F_target, **_sweep_options(settings)
     )
@@ -448,20 +414,18 @@ def cmd_optimize(args, settings: Settings, out_dir: Path) -> int:
             run=json.loads(run_result_json(result)),
         )
     json_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _write_output(out_dir, "optimize.csv", csv_text)
-    _write_output(out_dir, "optimize.json", json_text)
-    _emit(args.format, csv_text, json_text)
+    files = {"optimize.csv": csv_text, "optimize.json": json_text}
+    stdout = csv_text if args.format == "csv" else json_text
     if best is None:
-        print(
+        return CommandOutput(
+            files, stdout, EXIT_INFEASIBLE,
             f"no feasible configuration reaches F >= {settings.F_target}"
             f" at L = {settings.L} km",
-            file=sys.stderr,
         )
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return CommandOutput(files, stdout)
 
 
-def cmd_table(args, settings: Settings, out_dir: Path) -> int:
+def cmd_table(args, settings: Settings) -> CommandOutput:
     rows = []
     feasible_count = 0
     for L in settings.L_list:
@@ -476,10 +440,12 @@ def cmd_table(args, settings: Settings, out_dir: Path) -> int:
         for row in rows
     ]
     json_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _write_output(out_dir, "table.csv", csv_text)
-    _write_output(out_dir, "table.json", json_text)
-    _emit(args.format, csv_text, json_text)
-    return EXIT_OK if feasible_count else EXIT_INFEASIBLE
+    files = {"table.csv": csv_text, "table.json": json_text}
+    return CommandOutput(
+        files,
+        csv_text if args.format == "csv" else json_text,
+        EXIT_OK if feasible_count else EXIT_INFEASIBLE,
+    )
 
 
 _CURVE_COLUMNS = (
@@ -497,20 +463,18 @@ _CURVE_VARIANTS: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def _curve_variants(args, settings: Settings) -> list:
-    """(scheme, schedule) of every curve the command sweeps."""
+def cmd_curve(args, settings: Settings) -> CommandOutput:
     if args.scheme is not None or args.enp is not None:
-        return [(settings.scheme, settings.enp_schedule)]
-    return [
-        (_parse_scheme(name), parse_enp_schedule(spec))
-        for name, spec in _CURVE_VARIANTS
-    ]
-
-
-def cmd_curve(args, settings: Settings, out_dir: Path) -> int:
+        variants = [(settings.scheme, settings.enp_schedule)]
+    else:
+        variants = [
+            (_parse_scheme(name), parse_enp_schedule(spec))
+            for name, spec in _CURVE_VARIANTS
+        ]
     all_rows = []
     collected = {}
-    for scheme, schedule in _curve_variants(args, settings):
+    files = {}
+    for scheme, schedule in variants:
         for eta in settings.eta_list:
             noise = dataclasses.replace(settings.noise, eta=float(eta))
             points = tf_curve(
@@ -529,25 +493,22 @@ def cmd_curve(args, settings: Settings, out_dir: Path) -> int:
                 f"curve_{scheme.value}_enp-{format_enp_schedule(schedule)}"
                 f"_eta{round(float(eta) * 100):d}"
             ).replace(", ", "+")
-            _write_output(
-                out_dir, f"{tag}.csv", format_csv(rows, header=_CURVE_COLUMNS)
-            )
+            files[f"{tag}.csv"] = format_csv(rows, header=_CURVE_COLUMNS)
             collected[tag] = [
                 {"t_avg_s": t, "F": F, "p_c": p_c, "L0_km": L0}
                 for t, F, p_c, L0 in points
             ]
     csv_text = format_csv(all_rows, header=_CURVE_COLUMNS)
     json_text = json.dumps(collected, indent=2, sort_keys=True) + "\n"
-    _write_output(out_dir, "curve.csv", csv_text)
-    _write_output(out_dir, "curve.json", json_text)
-    _emit(args.format, csv_text, json_text)
-    return EXIT_OK
+    files["curve.csv"] = csv_text
+    files["curve.json"] = json_text
+    return CommandOutput(files, csv_text if args.format == "csv" else json_text)
 
 
 _SCALING_COLUMNS = ("scheme", "eta", "L_km", "t_avg_s")
 
 
-def cmd_scaling(args, settings: Settings, out_dir: Path) -> int:
+def cmd_scaling(args, settings: Settings) -> CommandOutput:
     slope, points = scaling_fit(
         settings.scheme,
         settings.noise,
@@ -572,13 +533,11 @@ def cmd_scaling(args, settings: Settings, out_dir: Path) -> int:
         "points": [{"L_km": L, "t_avg_s": t} for L, t in points],
     }
     json_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _write_output(out_dir, "scaling.csv", csv_text)
-    _write_output(out_dir, "scaling.json", json_text)
-    _emit(args.format, csv_text, json_text)
-    return EXIT_OK
+    files = {"scaling.csv": csv_text, "scaling.json": json_text}
+    return CommandOutput(files, csv_text if args.format == "csv" else json_text)
 
 
-_COMMANDS: Dict[str, Callable[..., int]] = {
+_COMMANDS: Dict[str, Callable[..., CommandOutput]] = {
     "oracle-verify": cmd_oracle_verify,
     "simulate": cmd_simulate,
     "optimize": cmd_optimize,
@@ -655,13 +614,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             output_format=args.format,
             settings=settings,
         )
-        _check_chain_inputs(args, settings)
-        out_dir = Path(args.out)
-        _write_common(out_dir, manifest)
-        return _COMMANDS[args.command](args, settings, out_dir)
+        output = _COMMANDS[args.command](args, settings)
     except (ConfigError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    files = {
+        CONFIG_REFERENCE_NAME: config_reference(),
+        MANIFEST_NAME: manifest.to_json(),
+        **output.files,
+    }
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            path = out_dir / name
+            path.write_text(text)
+            print(f"wrote {path}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    sys.stdout.write(output.stdout)
+    if output.note:
+        print(output.note, file=sys.stderr)
+    return output.code
 
 
 if __name__ == "__main__":

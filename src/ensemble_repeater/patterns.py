@@ -42,6 +42,18 @@ A batch of pairs is an ``(n, k)`` array of such rows.  The row
 functions (``row_totals``, ``check_rows``, ``fidelity_rows``,
 ``logical_fidelity_rows``) are the state operations on every row at
 once, with the same arithmetic and the same checks.
+
+The state rule
+--------------
+A row is a pair state unless a pattern mass is below ``-WEIGHT_TOL``,
+or a Bell weight (a Bell mass over the logical mass) is below
+``-WEIGHT_TOL``; a step may leave a mass slightly negative, and the
+weights' sign then flips with it.  ``check_rows`` is the rule's one
+implementation: a batch runs it on every live row, and a state on its
+one row.  It returns at once when no entry of the block is below 0.
+That is sound: no mass is then below ``-WEIGHT_TOL``, and every Bell
+mass over a mass is 0 or more, or NaN (a NaN mass or Bell mass), and
+NaN is not below ``-WEIGHT_TOL`` either.
 """
 
 from __future__ import annotations
@@ -244,37 +256,21 @@ class PatternState:
         return state
 
     def _set_row(self, scheme: SchemeKind, row: np.ndarray) -> None:
-        """Check ``row`` and freeze it as this state's.
+        """Check ``row`` with ``check_rows`` and freeze it as this state's.
 
-        Rejects a pattern mass (naming the first in scheme order) or a
-        Bell weight, Bell mass over logical mass, below ``-WEIGHT_TOL``.
-        Dividing by a nonzero mass is monotone, so the smallest weight is
-        the smallest Bell mass over a positive mass and the largest over
-        a negative one.  The verdict and message are ``check_rows``'s for
-        every row, NaN included: a NaN mass is not negative, and a NaN
-        Bell mass makes the extreme weight NaN, which passes.
+        A row with no entry below 0 passes every check, so only a row
+        with one pays for the array call.  ``min`` skips a NaN after the
+        first entry and returns NaN for a NaN first entry, so it is below
+        0 or NaN whenever some entry is below 0.
         """
-        layout = _layout(scheme)
-        n = len(layout.column)
         values = row.tolist()
-        masses = values[:n]
-        # min returns NaN only when the first mass is NaN; scan then
-        if not min(masses) >= -WEIGHT_TOL:
-            for i, p in enumerate(masses):
-                if p < -WEIGHT_TOL:
-                    pattern = scheme_patterns(scheme)[i]
-                    raise ValueError(f"negative pattern probability: {pattern} = {p}")
-        mass = masses[layout.logical]
-        if mass != 0.0:
-            bell = values[n:]
-            extreme = min(bell) if mass > 0.0 else max(bell)
-            if extreme / mass < -WEIGHT_TOL and not np.isnan(row[n:]).any():
-                raise ValueError("Bell weights must be non-negative")
+        if not min(values) >= 0.0:
+            check_rows(scheme, row[None], _ONE_LIVE)
         row.flags.writeable = False
         fields = self.__dict__
         fields["scheme"] = scheme
         fields["row"] = row
-        fields["total"] = float(sum(masses))
+        fields["total"] = float(sum(values[:-4]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PatternState):
@@ -404,6 +400,8 @@ def apply_bell_channel(state: PatternState, channel: np.ndarray) -> PatternState
 # batches of rows (see the module docstring); ``live`` masks the rows the
 # checks apply to
 
+_ONE_LIVE = np.ones(1, dtype=bool)
+
 
 def row_totals(scheme: SchemeKind, rows: np.ndarray) -> np.ndarray:
     """Summed pattern mass of each row, ``PatternState.total`` of each.
@@ -418,10 +416,16 @@ def row_totals(scheme: SchemeKind, rows: np.ndarray) -> np.ndarray:
 
 
 def check_rows(scheme: SchemeKind, rows: np.ndarray, live: np.ndarray) -> None:
-    """Run ``PatternState._set_row``'s checks on the live rows.
+    """Raise for the first live row that breaks the state rule (see the
+    module docstring).
 
-    The first live row that fails raises the error its state would.
+    A bad pattern mass raises naming the first in scheme order.  Dividing
+    by a nonzero mass is monotone, so the smallest Bell weight is the
+    smallest Bell mass over a positive mass and the largest over a
+    negative one.
     """
+    if not (rows < 0.0).any():
+        return
     layout = _layout(scheme)
     n = len(layout.column)
     negative = rows[:, :n] < -WEIGHT_TOL

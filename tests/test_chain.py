@@ -692,8 +692,13 @@ def test_feasible_l0():
     assert feasible_l0(DLCZ, 160.0) == (5.0, 10.0, 20.0, 40.0, 80.0)
     assert set(feasible_l0(NEW, 96.0)) == set()
     assert all(L0 in L0_GRID for L0 in feasible_l0(NEW, 1280.0))
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="L must be finite"):
+    for bad, message in (
+        (math.nan, "L must be finite"),
+        (math.inf, "L must be finite"),
+        (0.0, "L and L0 must be positive"),
+        (-640.0, "L and L0 must be positive"),
+    ):
+        with pytest.raises(ValueError, match=message):
             feasible_l0(DLCZ, bad)
 
 

@@ -357,6 +357,51 @@ def test_bad_configuration_exits_3(tmp_path, capsys, body, argv, command, messag
             )
             for command in ("optimize", "table", "--enp phase-after-5 curve")
         ),
+        # Checks that only the sweep or the chain run itself makes: the
+        # command computes before it writes, so they too leave no file.
+        *(
+            pytest.param(
+                "[chain]\nL_att = -1\n", command, "L_att and c_fiber must be positive",
+                id=f"negative-attenuation-length-{command}",
+            )
+            for command in ("optimize", "table", "curve")
+        ),
+        pytest.param(
+            "[chain]\nc_fiber = 0\n", "optimize", "L_att and c_fiber must be positive",
+            id="zero-fiber-speed-optimize",
+        ),
+        *(
+            pytest.param(
+                "[sweep]\nF_target = 1.5\n", command, "F_target must lie in (0, 1)",
+                id=f"fidelity-target-above-1-{command}",
+            )
+            for command in ("optimize", "table")
+        ),
+        *(
+            pytest.param(
+                "[chain]\nL = -640\n", command, "L and L0 must be positive",
+                id=f"negative-L-{command}",
+            )
+            for command in ("optimize", "curve")
+        ),
+        *(
+            pytest.param(
+                "[sweep]\nL_list = 640, 0\n", command, "L and L0 must be positive",
+                id=f"zero-in-L-list-{command}",
+            )
+            for command in ("table", "scaling")
+        ),
+        pytest.param(
+            "[chain]\nscheme = dlcz\nL0 = 700\nL = 89600\nL_att = 1\np_c = 0.001\n",
+            "simulate", "the average time of pme at level 7 overflows",
+            id="overflowing-stage-time",
+        ),
+        pytest.param(
+            "[chain]\nscheme = dlcz\nL0 = 700\nL = 89600\nL_att = 1\np_c = 0.001\n"
+            "waiting = mc\n",
+            "simulate", "the average time of eng at level 0 overflows",
+            id="saturated-mc-attempts",
+        ),
     ],
 )
 def test_rejected_run_writes_no_manifest(tmp_path, capsys, body, command, message):
@@ -367,6 +412,18 @@ def test_rejected_run_writes_no_manifest(tmp_path, capsys, body, command, messag
     assert not (out / MANIFEST_NAME).exists()
     assert not (out / CONFIG_REFERENCE_NAME).exists()
     assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+
+
+def test_unwritable_output_exits_3(tmp_path, capsys):
+    """An ``--out`` that names an existing file is one error line, not a
+    traceback, and the file is left as it was."""
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    rc = main(["--out", str(out), "simulate"])
+    assert rc == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write output: ")
+    assert out.read_text() == "not a directory\n"
 
 
 def test_sweep_skips_spacings_without_the_scheduled_levels(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the excitation-pattern state representation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,14 +179,41 @@ def test_step_row_checks_bell_weights_on_both_signs_of_the_logical_mass(
             PatternState._from_row(SchemeKind.NEW, row)
 
 
-# Row entries: mostly ordinary masses, some exact zeros, some just inside
-# and some just outside -WEIGHT_TOL, and some far below it.  No entry is
+# Row entries: mostly ordinary masses, some exact zeros of either sign,
+# some just inside and some just outside -WEIGHT_TOL, and some far below
+# it.  -0.0 is not below 0, so a block of such entries takes
+# ``check_rows``' early return; -1e-300 is, so a block holding it takes the
+# full check, though as a mass it is within tolerance.  No entry is
 # subnormal, so that a Bell mass over a logical mass stays finite.
 _ENTRY = st.one_of(
     st.floats(0.0, 1.0, allow_subnormal=False),
     st.just(0.0),
-    st.sampled_from([-0.5 * WEIGHT_TOL, -2.0 * WEIGHT_TOL, -0.25, 1e-300]),
+    st.sampled_from(
+        [-0.5 * WEIGHT_TOL, -2.0 * WEIGHT_TOL, -0.25, 1e-300, -0.0, -1e-300]
+    ),
 )
+
+
+def _rule_error(scheme, row):
+    """The state rule on one row, entry by entry: the message a state
+    built from ``row`` raises, or None.
+
+    A pattern mass below -WEIGHT_TOL fails, naming the first in scheme
+    order; otherwise, when the logical mass is nonzero, a Bell weight
+    (Bell mass over logical mass) below -WEIGHT_TOL fails.  A NaN Bell
+    mass passes the weights: the extreme weight of the row is then NaN.
+    """
+    patterns = scheme_patterns(scheme)
+    values = row.tolist()
+    for pattern, p in zip(patterns, values):
+        if p < -WEIGHT_TOL:
+            return f"negative pattern probability: {pattern} = {p}"
+    mass = values[logical_column(scheme)]
+    bell = values[len(patterns):]
+    if mass != 0.0 and not any(math.isnan(b) for b in bell):
+        if any(b / mass < -WEIGHT_TOL for b in bell):
+            return "Bell weights must be non-negative"
+    return None
 
 
 @st.composite
@@ -209,8 +238,9 @@ def _state_error(scheme, row):
 @given(batch=_batches())
 def test_batch_checks_raise_what_the_first_failing_live_state_raises(batch):
     scheme, rows, live = batch
-    errors = [_state_error(scheme, row) for row in rows[live]]
-    expected = next((e for e in errors if e is not None), None)
+    errors = [_rule_error(scheme, row) for row in rows]
+    assert [_state_error(scheme, row) for row in rows] == errors
+    expected = next((e for e, ok in zip(errors, live) if ok and e is not None), None)
     if expected is None:
         check_rows(scheme, rows, live)
     else:
@@ -234,18 +264,20 @@ def _rows_with_non_finite_entries(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=_rows_with_non_finite_entries())
 def test_state_checks_give_the_batch_verdict_on_non_finite_rows(case):
-    """``_set_row`` and ``check_rows`` agree on NaN and infinite entries
-    wherever they sit: a NaN mass first or second in the row gets the
-    same verdict."""
+    """A state and ``check_rows`` give the rule's verdict on NaN and
+    infinite entries wherever they sit: a NaN mass first or second in the
+    row gets the same verdict."""
     scheme, row = case
+    expected = _rule_error(scheme, row)
     with np.errstate(all="ignore"):
         try:
             check_rows(scheme, row[None, :], np.array([True]))
         except ValueError as exc:
-            expected = str(exc)
+            got = str(exc)
         else:
-            expected = None
-    assert _state_error(scheme, row) == expected
+            got = None
+        assert got == expected
+        assert _state_error(scheme, row) == expected
 
 
 def test_state_check_ignores_the_position_of_a_nan_mass():
