@@ -359,6 +359,12 @@ def check_positive(**values: float) -> None:
             raise ValueError(f"{name} must be positive, got {value}")
 
 
+def check_seed(seed: int) -> None:
+    """Raise unless ``seed`` is a valid sampling seed, an integer of 0 or more."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def elementary_time(
     p_c: float, eta: float, L0: float, L_att: float, c_fiber: float
 ) -> float:
@@ -567,6 +573,7 @@ def simulate_chain(
         raise ValueError("waiting must be 'deterministic' or 'mc'")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    check_seed(seed)
     mc = _McTimes(np.random.default_rng(seed), n_samples) if waiting == "mc" else None
     if pairs is None:
         built: list = []

@@ -53,6 +53,7 @@ from .chain import (
     CSV_COLUMNS,
     RepeaterConfig,
     RunResult,
+    check_seed,
     format_csv,
     format_enp_schedule,
     optimize,
@@ -576,7 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--seed", type=int, default=DEFAULT_SEED,
-        help=f"random seed for sampled waiting times (default {DEFAULT_SEED})",
+        help=f"random seed for sampled waiting times, 0 or more"
+        f" (default {DEFAULT_SEED})",
     )
     parser.add_argument(
         "--scheme", choices=sorted(_SCHEME_NAMES), default=None,
@@ -606,6 +608,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             settings = dataclasses.replace(
                 settings, enp_schedule=parse_enp_schedule(args.enp)
             )
+        check_seed(args.seed)
         manifest = RunManifest(
             command=args.command,
             config_path=str(args.config) if args.config else None,

@@ -13,13 +13,15 @@ It rewrites ``src/ensemble_repeater/table_coefficients.json`` (about
     the output values of an entry, the slots of ``TableEntry.row``;
 ``exponents``
     the (kept, lost) photon counts of each term;
-``coefficients``
-    rows ``[a, b, slot, term, c]`` for every nonzero coefficient.
+``a``, ``b``, ``slot``, ``term``, ``c`` (``tables.COLUMNS``)
+    parallel columns with one item per nonzero coefficient ``c`` of
+    ``c[a, b, slot, term]``, sorted by index.
 
-An entry's value in a slot is the sum over its rows of
+An entry's value in a slot is the sum over its coefficients of
 ``c * eta**kept * (1 - eta)**lost``.  The coefficients come from one
 tagged oracle run per entry (``circuits.entry_terms``), not from a fit.
-The file records the SHA-256 of its blocks (``tables.content_hash``).
+The file's first line records the SHA-256 of the rest of its bytes
+(``tables.hash_line``).
 """
 
 from __future__ import annotations
@@ -31,13 +33,17 @@ from pathlib import Path
 from .circuits import entry_terms
 from .tables import (
     COEFFICIENTS_FILE,
+    COLUMNS,
     KINDS,
     canonical_keys,
-    content_hash,
+    hash_line,
     key_label,
     output_scheme,
     slot_labels,
 )
+
+#: Every field of a block, in file order.
+FIELDS = ("keys", "slots", "exponents") + COLUMNS
 
 
 def coefficient_block(kind: str) -> dict:
@@ -51,36 +57,32 @@ def coefficient_block(kind: str) -> dict:
                 terms[(a, b, exponents)] = part.row.tolist()
     exponents = sorted({e for _, _, e in terms})
     column = {e: t for t, e in enumerate(exponents)}
-    rows = [
-        [a, b, slot, column[e], c]
+    rows = sorted(
+        (a, b, slot, column[e], c)
         for (a, b, e), values in terms.items()
         for slot, c in enumerate(values)
         if c != 0.0
-    ]
-    rows.sort()
-    return {
+    )
+    block = {
         "keys": [key_label(k) for k in keys],
         "slots": slot_labels(out),
         "exponents": [list(e) for e in exponents],
-        "coefficients": rows,
     }
+    for field, values in zip(COLUMNS, zip(*rows)):
+        block[field] = list(values)
+    return block
 
 
 def render(blocks: dict) -> str:
-    """The data file's text: its hash, then one coefficient row per line."""
-    lines = ['{"sha256": ' + json.dumps(content_hash(blocks)) + ',', ' "tables": {']
-    for i, (kind, block) in enumerate(sorted(blocks.items())):
-        lines.append(f"  {json.dumps(kind)}: {{")
-        for field in ("keys", "slots", "exponents"):
-            lines.append(f"   {json.dumps(field)}: {json.dumps(block[field])},")
-        lines.append('   "coefficients": [')
-        rows = [json.dumps(row) for row in block["coefficients"]]
-        lines.extend(f"    {row}," for row in rows[:-1])
-        lines.append(f"    {rows[-1]}]")
-        lines.append("  }" + ("," if i < len(blocks) - 1 else ""))
-    lines.append(" }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """The data file's text: its hash line, then one block field per line."""
+    texts = []
+    for kind, block in sorted(blocks.items()):
+        fields = ",\n".join(
+            f"   {json.dumps(field)}: {json.dumps(block[field])}" for field in FIELDS
+        )
+        texts.append(f"  {json.dumps(kind)}: {{\n{fields}\n  }}")
+    body = ' "tables": {\n' + ",\n".join(texts) + "\n }\n}\n"
+    return hash_line(body.encode()).decode() + "\n" + body
 
 
 def main() -> int:

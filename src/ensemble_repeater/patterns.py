@@ -213,8 +213,9 @@ class PatternState:
     ``PatternState(scheme, probs, logical)`` builds a state from a
     pattern -> mass mapping and four conditional Bell weights in the
     order (Phi+, Phi-, Psi+, Psi-), pure Phi+ by default.  It rejects
-    patterns outside the scheme, masses below ``-WEIGHT_TOL``, and Bell
-    weights that are negative or do not sum to 1.
+    patterns outside the scheme and Bell weights that are negative or do
+    not sum to 1; the state rule then rejects a mass below
+    ``-WEIGHT_TOL``, naming the first in scheme order.
     """
 
     scheme: SchemeKind
@@ -232,8 +233,6 @@ class PatternState:
         for pat, p in probs.items():
             if pat not in layout.column:
                 raise ValueError(f"pattern {pat} not valid for scheme {scheme}")
-            if p < -WEIGHT_TOL:
-                raise ValueError(f"negative pattern probability: {pat} = {p}")
             masses[layout.column[pat]] = p
         weights = np.asarray(logical, dtype=float)
         if weights.shape != (4,):

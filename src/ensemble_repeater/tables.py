@@ -15,10 +15,14 @@ eta^kept (1 - eta)^lost.  Every table value is therefore a polynomial of
 degree at most 8, the sum of ``c * eta**kept * (1 - eta)**lost`` over
 the (kept, lost) exponents.  :mod:`.freeze` computes the coefficients
 ``c`` once, exactly, from a tagged run of the circuits and stores them
-in ``table_coefficients.json`` with a content hash.  A table build
-evaluates them, reading the file on first use, and tables are cached
-per (scheme, operation, variant, eta).  ``verify.check_frozen_tables``
-compares them with the Fock oracle.
+in ``table_coefficients.json``: per table, five parallel columns ``a``,
+``b``, ``slot``, ``term`` and ``c``, one item per nonzero coefficient,
+under a first line that holds the SHA-256 of the rest of the file.  A
+table build reads the file on first use, evaluates the whole table as
+one product of its coefficient array with the eta basis, and takes each
+entry's row as a view of the result; tables are cached per (scheme,
+operation, variant, eta).  ``verify.check_frozen_tables`` compares them
+with the Fock oracle.
 
 The discarded-coherence diagnostic ``TableEntry.residue`` is no
 polynomial, so evaluated entries carry none; ``circuits.oracle_entry``
@@ -76,6 +80,8 @@ KINDS = {
 
 #: Data file of the frozen coefficients, next to this module.
 COEFFICIENTS_FILE = "table_coefficients.json"
+#: The coefficient columns of a block, one item per nonzero coefficient.
+COLUMNS = ("a", "b", "slot", "term", "c")
 
 _DLCZ_LOGICAL_BELLS = (BellState.PSI_PLUS, BellState.PSI_MINUS)
 
@@ -235,23 +241,29 @@ class ConnectionTable:
 # frozen coefficients
 
 
-def content_hash(blocks: Mapping) -> str:
-    """SHA-256 of the coefficient blocks in canonical JSON form."""
-    text = json.dumps(blocks, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
+def hash_line(body: bytes) -> bytes:
+    """First line of ``COEFFICIENTS_FILE``: the SHA-256 of ``body``, the
+    bytes after it."""
+    return b'{"sha256": "' + hashlib.sha256(body).hexdigest().encode() + b'",'
 
 
 @lru_cache(maxsize=None)
 def frozen_blocks() -> Mapping:
     """The coefficient blocks of ``COEFFICIENTS_FILE``, checked against
-    its recorded hash.  Read on the first table build, not at import."""
+    its recorded hash.  Read on the first table build, not at import.
+
+    The first line must be ``hash_line`` of the file's remaining bytes,
+    so any edit, whitespace included, is rejected.  Each block lists
+    ``keys``, ``slots`` and ``exponents``, then one coefficient per item
+    of the parallel columns ``a``, ``b``, ``slot``, ``term`` and ``c``.
+    """
     from importlib import resources
 
-    text = resources.files(__package__).joinpath(COEFFICIENTS_FILE).read_text()
-    data = json.loads(text)
-    if content_hash(data["tables"]) != data["sha256"]:
+    data = resources.files(__package__).joinpath(COEFFICIENTS_FILE).read_bytes()
+    head, _, body = data.partition(b"\n")
+    if head != hash_line(body):
         raise RuntimeError(f"{COEFFICIENTS_FILE} does not match its sha256")
-    return data["tables"]
+    return json.loads(data)["tables"]
 
 
 def key_label(key: Key) -> str:
@@ -287,10 +299,23 @@ def _polynomials(kind: str) -> _Polynomials:
         )
     kept, lost = np.array(block["exponents"], dtype=float).reshape(-1, 2).T
     coefficients = np.zeros((len(keys), len(keys), len(block["slots"]), len(kept)))
-    for a, b, slot, term, c in block["coefficients"]:
-        coefficients[a, b, slot, term] = c
+    a, b, slot, term, c = (block[column] for column in COLUMNS)
+    coefficients[a, b, slot, term] = c
     index = {key: i for i, key in enumerate(keys)}
     return _Polynomials(index, out, kept, lost, coefficients)
+
+
+@lru_cache(maxsize=None)
+def _frozen_values(kind: str, eta: float) -> np.ndarray:
+    """Every entry row of one table at eta, ``values[a, b]``, read-only.
+
+    One product of the coefficients with the eta basis, whose rows equal
+    the per-entry products ``coefficients[a, b] @ basis`` bit for bit.
+    """
+    poly = _polynomials(kind)
+    values = poly.coefficients @ (eta**poly.kept * (1.0 - eta) ** poly.lost)
+    values.flags.writeable = False
+    return values
 
 
 def _frozen_entry(kind: str, alpha: Key, beta: Key, eta: float) -> TableEntry:
@@ -298,8 +323,7 @@ def _frozen_entry(kind: str, alpha: Key, beta: Key, eta: float) -> TableEntry:
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     poly = _polynomials(kind)
-    basis = eta**poly.kept * (1.0 - eta) ** poly.lost
-    row = poly.coefficients[poly.index[alpha], poly.index[beta]] @ basis
+    row = _frozen_values(kind, eta)[poly.index[alpha], poly.index[beta]]
     return TableEntry(poly.scheme, row)
 
 

@@ -673,6 +673,13 @@ def test_mc_waiting_needs_at_least_one_sample():
             simulate_chain(config, waiting="mc", n_samples=n)
 
 
+def test_a_negative_seed_is_rejected_by_name():
+    config = _config(L=320.0)
+    for waiting in ("deterministic", "mc"):
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            simulate_chain(config, waiting=waiting, seed=-1)
+
+
 # ----------------------------------------------------------------------
 # sweeps
 

@@ -402,6 +402,20 @@ def test_bad_configuration_exits_3(tmp_path, capsys, body, argv, command, messag
             "simulate", "the average time of eng at level 0 overflows",
             id="saturated-mc-attempts",
         ),
+        # The seed is checked for every command before it runs.
+        *(
+            pytest.param(
+                "", f"--seed -1 {command}", "seed must be non-negative, got -1",
+                id=f"negative-seed-{command}",
+            )
+            for command in (
+                "oracle-verify", "simulate", "optimize", "table", "curve", "scaling"
+            )
+        ),
+        pytest.param(
+            "[chain]\nwaiting = mc\nL = 320\n", "--seed -1 simulate",
+            "seed must be non-negative, got -1", id="negative-seed-mc-simulate",
+        ),
     ],
 )
 def test_rejected_run_writes_no_manifest(tmp_path, capsys, body, command, message):

@@ -9,6 +9,7 @@ regeneration, and check that the file ships with the package.
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from importlib import resources
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ensemble_repeater import freeze
@@ -24,7 +25,9 @@ from ensemble_repeater.circuits import oracle_table
 from ensemble_repeater.patterns import SchemeKind, logical_column, scheme_patterns
 from ensemble_repeater.tables import (
     COEFFICIENTS_FILE,
+    COLUMNS,
     KINDS,
+    _polynomials,
     canonical_keys,
     frozen_blocks,
     kind_table,
@@ -107,12 +110,51 @@ def test_frozen_entries_reject_eta_outside_the_unit_interval():
 
 
 def test_data_file_hash_matches_its_bytes():
-    text = resources.files("ensemble_repeater").joinpath(COEFFICIENTS_FILE).read_text()
-    data = json.loads(text)
-    canonical = json.dumps(data["tables"], sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(canonical.encode()).hexdigest() == data["sha256"]
-    assert set(data["tables"]) == set(KINDS)
-    assert freeze.render(data["tables"]) == text
+    """The first line holds the SHA-256 of every byte after it."""
+    data = resources.files("ensemble_repeater").joinpath(COEFFICIENTS_FILE).read_bytes()
+    head, body = data.split(b"\n", 1)
+    assert head == b'{"sha256": "' + hashlib.sha256(body).hexdigest().encode() + b'",'
+    text = data.decode()
+    blocks = json.loads(text)["tables"]
+    assert set(blocks) == set(KINDS)
+    assert freeze.render(blocks) == text
+
+
+def _edit_digit(text):
+    """Change the last digit of the first coefficient value."""
+    end = text.index(",", text.index('"c": ['))
+    digit = text[end - 1]
+    return text[: end - 1] + ("1" if digit != "1" else "2") + text[end:]
+
+
+def _edit_whitespace(text):
+    return text.replace('"c": [', '"c":  [', 1)
+
+
+@pytest.mark.parametrize("edit", [None, _edit_digit, _edit_whitespace])
+def test_an_edited_data_file_is_rejected(tmp_path, edit):
+    """A copy of the package with an edited data file fails its first
+    table build; the unedited copy loads."""
+    package = tmp_path / "ensemble_repeater"
+    source = ROOT / "src" / "ensemble_repeater"
+    shutil.copytree(source, package, ignore=shutil.ignore_patterns("__pycache__"))
+    text = (source / COEFFICIENTS_FILE).read_text()
+    if edit is not None:
+        edited = edit(text)
+        assert edited != text
+        (package / COEFFICIENTS_FILE).write_text(edited)
+    code = "from ensemble_repeater import tables; tables.kind_table('pme', 0.9)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        capture_output=True,
+        text=True,
+    )
+    if edit is None:
+        assert proc.returncode == 0, proc.stderr
+    else:
+        assert proc.returncode == 1
+        assert f"{COEFFICIENTS_FILE} does not match its sha256" in proc.stderr
 
 
 @pytest.mark.parametrize("kind", ["enc_dlcz", "pme"])
@@ -152,15 +194,31 @@ def test_importing_the_package_does_not_read_the_data_file():
 
 
 def test_evaluation_is_a_sum_over_exponent_terms():
-    """One entry by hand: c * eta^kept (1 - eta)^lost summed over rows."""
+    """One entry by hand: c * eta^kept (1 - eta)^lost summed over its
+    coefficients."""
     block = frozen_blocks()["enc_dlcz"]
     eta = 0.77
     a, b = 1, 4  # P10[psi_plus] x P20
     want = np.zeros(len(block["slots"]))
-    for ra, rb, slot, term, c in block["coefficients"]:
+    for ra, rb, slot, term, c in zip(*(block[f] for f in COLUMNS)):
         if (ra, rb) == (a, b):
             kept, lost = block["exponents"][term]
             want[slot] += c * eta**kept * (1 - eta) ** lost
     keys = canonical_keys(SchemeKind.DLCZ)
     got = kind_table("enc_dlcz", eta).entry(keys[a], keys[b]).row
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(eta=st.floats(min_value=0.0, max_value=1.0))
+@example(eta=0.0)
+@example(eta=1.0)
+def test_one_product_per_table_equals_the_per_entry_products(eta):
+    """Every entry row, a view of its table's one product, equals its own
+    ``coefficients[a, b] @ basis`` bit for bit."""
+    for kind in KINDS:
+        poly = _polynomials(kind)
+        basis = eta**poly.kept * (1.0 - eta) ** poly.lost
+        for (alpha, beta), entry in kind_table(kind, eta).entries.items():
+            want = poly.coefficients[poly.index[alpha], poly.index[beta]] @ basis
+            assert np.array_equal(entry.row, want), (kind, eta, alpha, beta)

@@ -86,11 +86,31 @@ def test_pattern_state_validation():
     # The default is pure Phi+.
     default = PatternState(SchemeKind.NEW, {ExcitationPattern.P11: 1.0})
     assert default.logical.tolist() == [1.0, 0.0, 0.0, 0.0]
-    # The first offending pattern in input order is named.
-    with pytest.raises(ValueError, match=r"P20 = -0\.25$"):
-        PatternState(
-            SchemeKind.DLCZ, {ExcitationPattern.P20: -0.25, ExcitationPattern.P00: -0.5}
-        )
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize(
+    "scheme, probs, message",
+    [
+        (
+            SchemeKind.DLCZ,
+            [(ExcitationPattern.P20, -0.25), (ExcitationPattern.P00, -0.5)],
+            r"^negative pattern probability: ExcitationPattern\.P00 = -0\.5$",
+        ),
+        (
+            SchemeKind.NEW,
+            [(ExcitationPattern.P10, -0.5), (ExcitationPattern.P00, -0.25)],
+            r"^negative pattern probability: ExcitationPattern\.P00 = -0\.25$",
+        ),
+    ],
+)
+def test_pattern_state_names_the_first_negative_mass_in_scheme_order(
+    scheme, probs, message, reverse
+):
+    """The constructor leaves the mass check to the state rule, so the
+    message names P00, first in scheme order, whatever the mapping's order."""
+    with pytest.raises(ValueError, match=message):
+        PatternState(scheme, dict(probs[::-1] if reverse else probs))
 
 
 def test_pattern_state_masses_follow_scheme_order():
