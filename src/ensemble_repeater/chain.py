@@ -332,6 +332,25 @@ class RunResult:
     final_logical_fidelity: float
     states: Sequence[PatternState] = field(repr=False, compare=False)
 
+    @classmethod
+    def _of(
+        cls,
+        config: RepeaterConfig,
+        stages: Tuple[tuple, ...],
+        final_logical_fidelity: float,
+        states: Sequence[PatternState],
+    ) -> "RunResult":
+        """The result with these fields, built as ``_grid_point`` builds a
+        configuration: its ``__dict__`` filled in, without the frozen
+        ``__init__``'s ``object.__setattr__`` per field."""
+        result = cls.__new__(cls)
+        values = result.__dict__
+        values["config"] = config
+        values["stages"] = stages
+        values["final_logical_fidelity"] = final_logical_fidelity
+        values["states"] = states
+        return result
+
     @cached_property
     def per_level(self) -> Tuple[LevelRecord, ...]:
         return tuple(
@@ -602,16 +621,21 @@ def simulate_chain(
             t = TWO_PAIR_OVERHEAD * t / success
         stages.append((level, stage, target, success, t, F))
 
-    for level, stage, _, _, t, _ in stages:
-        if not math.isfinite(t):
-            raise OverflowError(
-                f"the average time of {stage} at level {level} overflows"
-            )
+    # A deterministic time that is not finite stays so: t <- 1.5 t / P
+    # maps inf and nan to inf or nan.  So the first overflowing stage is
+    # looked for only when the last time is not finite.  Sampled times
+    # carry no such bound and are all scanned.
+    if mc or not math.isfinite(t):
+        for level, stage, _, _, t, _ in stages:
+            if not math.isfinite(t):
+                raise OverflowError(
+                    f"the average time of {stage} at level {level} overflows"
+                )
 
     if pairs is None:
         states = tuple(built)
         logical_F = logical_fidelity(states[-1], target)
-    return RunResult(config, tuple(stages), logical_F, states)
+    return RunResult._of(config, tuple(stages), logical_F, states)
 
 
 class _BatchStates:
@@ -712,18 +736,23 @@ class _PairBatch:
             tuple(fidelities), tuple(lives),
         )
 
-    def point_pairs(self) -> list:
-        """Every row's pairs in the form ``simulate_chain`` reads."""
-        successes = np.stack(self.successes, axis=1).tolist()
-        fidelities = np.stack(self.fidelities, axis=1).tolist()
+    def point_pairs(self) -> Iterator[tuple]:
+        """Every row's pairs in the form ``simulate_chain`` reads, made one
+        row at a time as they are read.
+
+        A row's objects then die with its chain's result, so a sweep
+        holds one row's at a time, and the cyclic garbage collector finds
+        no backlog of them to collect.
+        """
+        successes = zip(*[column.tolist() for column in self.successes])
+        fidelities = zip(*[column.tolist() for column in self.fidelities])
         logical = logical_fidelity_rows(
             self.schemes[-1], self.rows[-1], self.steps[-1][2]
         ).tolist()
+        steps = self.steps
         blocks = tuple(zip(self.schemes, self.rows))
-        return [
-            (zip(self.steps, successes[i], fidelities[i]), logical[i], _BatchStates(blocks, i))
-            for i in range(len(logical))
-        ]
+        for i, (success, F, logical_F) in enumerate(zip(successes, fidelities, logical)):
+            yield zip(steps, success, F), logical_F, _BatchStates(blocks, i)
 
 
 def _generate_batch(
@@ -859,9 +888,8 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
             except ArithmeticError:
                 column.append(None)
                 continue
-            column.append(
-                (result.t_avg, result.fidelity, result.final_logical_fidelity)
-            )
+            _, _, _, _, t_avg, F = result.stages[-1]
+            column.append((t_avg, F, result.final_logical_fidelity))
         rows.append((L0, column))
     return rows
 
@@ -1013,7 +1041,8 @@ def scaling_fit(
 ) -> Tuple[float, list]:
     """Fitted slope of log t_avg vs log L with p_c scaled as L0/L.
 
-    Every chain is configured, and so checked, before any is simulated.
+    Every chain is configured, and so checked, before any is simulated,
+    and a line through fewer than two distinct lengths is no fit.
     Returns (slope, [(L, t_avg), ...]).
     """
     configs = []
@@ -1024,6 +1053,12 @@ def scaling_fit(
                 scheme=scheme, L=float(L), L0=L0, p_c=p_c_scale * L0 / L,
                 noise=noise, L_att=L_att, c_fiber=c_fiber,
             )
+        )
+    lengths = sorted({config.L for config in configs})
+    if len(lengths) < 2:
+        raise ValueError(
+            "the scaling fit needs at least two distinct lengths, got"
+            f" {', '.join(f'{L:g}' for L in lengths) or 'none'}"
         )
     points = []
     for config in configs:

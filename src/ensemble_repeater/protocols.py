@@ -6,10 +6,13 @@ maps between :class:`~.patterns.PatternState` objects.  Generation is an
 analytic model of the heralded source including its leading
 multi-excitation admixture; connection, purification and the final
 mapping apply the exact Fock-level tables of :mod:`.tables` bilinearly
-to the input decompositions, as one dense contraction per step.
+to the input decompositions, as two matrix products per step.
 ``eng_rows`` and ``apply_table_rows`` do the same for a batch of pairs,
 an ``(n, k)`` array of rows in the ``PatternState.row`` layout; ``eng``
 and the steps are their batches of one, so both share one formula.
+A batched step makes the same BLAS calls for each row as a batch of
+one does, so its rows equal the single steps to the bit, whatever the
+batch size.
 
 Connection-type steps return their output as an unnormalized
 :class:`~.patterns.PatternState` whose total mass is the acceptance
@@ -165,10 +168,22 @@ def apply_table_rows(
     ``table.scheme``; row i of the ``(n, k_out)`` result is the step on
     left row i and right row i, and its pattern total is that step's
     success probability.
+
+    Each row takes two products of its own, stacked by ``np.matmul``:
+    its right masses times ``table.matrix``, read as ``(o, a)``, then
+    that times its left masses.  Stacked, each is one BLAS
+    matrix-vector call per row, the call a batch of one makes, so a
+    row's bits do not depend on how many rows the batch holds.  One
+    matrix product over the whole batch is faster, but its rows differ
+    in the last bits with the batch size, and a sweep's rows would then
+    differ from the same chains run one at a time.
     """
     x_left = _component_masses(table.scheme, left)
     x_right = x_left if right is left else _component_masses(table.scheme, right)
-    return np.einsum("oab,na,nb->no", table.tensor, x_left, x_right)
+    n = len(x_left)
+    o, a, _ = table.tensor.shape
+    partial = np.matmul(x_right[:, None, :], table.matrix).reshape(n, o, a)
+    return np.matmul(partial, x_left[:, :, None]).reshape(n, o)
 
 
 def _apply_table(

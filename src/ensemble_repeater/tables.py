@@ -35,11 +35,14 @@ label.  Overflow components (more than two excitations per node) have
 no canonical representative and are treated as absorbing: any input
 mass assigned to them is dropped by the connection step.
 
-A step applies a table as one dense contraction.  It gathers the
+A step applies a table as two matrix products.  It gathers the
 canonical component masses out of a state row, one column per key at
 ``selected_columns``, and ``ConnectionTable.tensor``, ``T[o, a, b]``,
 the entry rows stacked, maps a pair of them to the output state row,
-which is the next state's row as it stands.
+which is the next state's row as it stands: the right masses times
+``ConnectionTable.matrix``, the tensor laid out as ``(b, o·a)``, then
+that ``(o, a)`` product times the left masses.  A batch of rows makes
+the same two BLAS calls per row (see ``protocols.apply_table_rows``).
 """
 
 from __future__ import annotations
@@ -195,6 +198,10 @@ class ConnectionTable:
         Retrieval/detection efficiency used in the circuits.
     entries : mapping
         ``(key_left, key_right) -> TableEntry`` over canonical keys.
+
+    ``tensor``, the entries as one dense array, and ``matrix``, its
+    ``(b, o·a)`` layout for the step's matrix products, are built on
+    first use, not with the table.
     """
 
     scheme: SchemeKind
@@ -235,6 +242,19 @@ class ConnectionTable:
         tensor[logical_column(self.output_scheme)] = tensor[-4:].sum(axis=0)
         tensor.flags.writeable = False
         return tensor
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The tensor as a read-only ``(b, o·a)`` matrix, built on first use.
+
+        Row ``b``, read as ``(o, a)``, is ``T[:, :, b]``: right-input
+        masses times the matrix give, for each output slot ``o``, the
+        vector over ``a`` that the left-input masses then contract.
+        """
+        o, a, b = self.tensor.shape
+        matrix = np.ascontiguousarray(self.tensor.reshape(o * a, b).T)
+        matrix.flags.writeable = False
+        return matrix
 
 
 # ----------------------------------------------------------------------

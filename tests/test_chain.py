@@ -13,6 +13,7 @@ from ensemble_repeater.chain import (
     CSV_COLUMNS,
     L0_GRID,
     RepeaterConfig,
+    RunResult,
     _McTimes,
     _sweep_spacings,
     check_step_noise,
@@ -347,6 +348,19 @@ def test_final_figures_equal_the_last_record(name):
     assert result.t_avg == last.t_avg
     assert result.final == (last.t_avg, last.fidelity)
     assert result.per_level is result.per_level
+
+
+@pytest.mark.parametrize("name", sorted(_RECORD_CHAINS))
+def test_a_chain_result_equals_the_one_its_constructor_builds(name):
+    """``simulate_chain`` fills a ``RunResult``'s fields in directly; the
+    frozen dataclass's own constructor gives an equal result."""
+    result = simulate_chain(RepeaterConfig(L0=20.0, p_c=3e-3, **_RECORD_CHAINS[name]))
+    built = RunResult(
+        result.config, result.stages, result.final_logical_fidelity, result.states
+    )
+    assert result == built and repr(result) == repr(built)
+    assert vars(result).keys() == vars(built).keys()
+    assert result.per_level == built.per_level
 
 
 @pytest.mark.parametrize("name", sorted(_RECORD_CHAINS))
@@ -751,6 +765,16 @@ def test_sweeps_pass_attenuation_and_fiber_speed_on():
         assert t_fast == pytest.approx(0.5 * t_slow, rel=1e-12)
 
 
+def test_the_first_overflowing_stage_is_named():
+    """The time overflows at the seventh connection level and stays
+    infinite through levels 8 and 9 and the final mapping; the error
+    names the first stage that overflows."""
+    config = _config(scheme=DLCZ, L0=700.0, L=700.0 * 2**10, L_att=1.0, p_c=1e-3)
+    message = r"^the average time of enc at level 7 overflows$"
+    with pytest.raises(OverflowError, match=message):
+        simulate_chain(config)
+
+
 def test_stage_time_overflow_is_an_error():
     """Every stage time is finite here except the final mapping's."""
     config = _config(scheme=DLCZ, L0=700.0, L=89600.0, L_att=1.0, p_c=1e-3)
@@ -849,6 +873,17 @@ def test_fit_tf_slope_recovers_synthetic_exponent():
     assert fit_tf_slope(points) == pytest.approx(-1.07, abs=1e-9)
     with pytest.raises(ValueError):
         fit_tf_slope(points[:2])
+
+
+@pytest.mark.parametrize("L_values", [(640.0,), (640.0, 640.0)])
+def test_scaling_fit_needs_two_distinct_lengths(monkeypatch, L_values):
+    """A line through one length is rank-deficient; the fit refuses it
+    before any chain is simulated."""
+    calls = _count_calls(monkeypatch, "simulate_chain")
+    message = r"^the scaling fit needs at least two distinct lengths, got 640$"
+    with pytest.raises(ValueError, match=message):
+        scaling_fit(NEW, NoiseParams(eta=0.95), L_values)
+    assert calls == []
 
 
 def test_scaling_fit_matches_stable_exponent():

@@ -391,6 +391,15 @@ def test_bad_configuration_exits_3(tmp_path, capsys, body, argv, command, messag
             )
             for command in ("table", "scaling")
         ),
+        # A line through a single length is no fit.
+        *(
+            pytest.param(
+                f"[sweep]\nL_list = {lengths}\n", "scaling",
+                "the scaling fit needs at least two distinct lengths, got 640",
+                id=f"scaling-one-length-{i}",
+            )
+            for i, lengths in enumerate(("640", "640, 640"))
+        ),
         pytest.param(
             "[chain]\nscheme = dlcz\nL0 = 700\nL = 89600\nL_att = 1\np_c = 0.001\n",
             "simulate", "the average time of pme at level 7 overflows",

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ensemble_repeater import freeze
+from ensemble_repeater import freeze, tables
 from ensemble_repeater.circuits import oracle_table
 from ensemble_repeater.patterns import SchemeKind, logical_column, scheme_patterns
 from ensemble_repeater.tables import (
@@ -93,6 +93,22 @@ def test_an_entry_is_one_read_only_row(kind):
                 assert entry.bell == tuple(row[-4:])
                 assert entry.total == sum(slots)
                 assert np.array_equal(table.tensor[:, a, b][others], row[others])
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_the_step_matrix_lays_the_tensor_out_as_b_by_o_a(kind):
+    """Row ``b`` of ``matrix``, read as ``(o, a)``, is ``T[:, :, b]``; the
+    matrix is read-only, built once, and not built with the table."""
+    built = tables._build(*KINDS[kind], 0.9)
+    assert "tensor" not in vars(built) and "matrix" not in vars(built)
+    table = kind_table(kind, 0.9)
+    o, a, b = table.tensor.shape
+    matrix = table.matrix
+    assert matrix.shape == (b, o * a) and matrix.flags.c_contiguous
+    assert np.array_equal(matrix.reshape(b, o, a), table.tensor.transpose(2, 0, 1))
+    assert table.matrix is matrix
+    with pytest.raises(ValueError, match="read-only"):
+        matrix[0, 0] = 1.0
 
 
 def test_frozen_entries_carry_no_residue():

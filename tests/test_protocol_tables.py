@@ -26,6 +26,7 @@ from ensemble_repeater.patterns import (
     PatternState,
     SchemeKind,
     apply_bell_channel,
+    logical_column,
     logical_pattern,
     normalize,
     scheme_patterns,
@@ -363,19 +364,13 @@ def _pattern_states(draw, scheme):
     return PatternState(scheme, probs, block)
 
 
-_KERNEL_TABLES = {
-    "enc_dlcz": lambda: enc_table(DLCZ, ETA),
-    "pme": lambda: pme_table(ETA),
-    "enc_level1": lambda: enc_table(NEW, ETA, first_level=True),
-    "enc_higher": lambda: enc_table(NEW, ETA),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(_KERNEL_TABLES))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_dense_step_matches_per_entry_sum(kind, data):
-    table = _KERNEL_TABLES[kind]()
+    """The step on a left and a right state, equal or not, is the
+    entry-by-entry sum, for every table."""
+    table = kind_table(kind, ETA)
     left = data.draw(_pattern_states(table.scheme), label="left")
     if data.draw(st.booleans(), label="same pair"):
         right = left
@@ -422,6 +417,62 @@ def test_batched_step_equals_the_step_of_each_row(kind, data):
         assert np.array_equal(row, _apply_table(table, left, right).row)
 
 
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_the_step_contracts_the_left_input_over_a_and_the_right_over_b(kind):
+    """Every table is symmetric in its two inputs up to rounding, so a
+    step with its inputs exchanged passes every check on real tables;
+    a random tensor in the table's shape pins which input is which."""
+    table = kind_table(kind, ETA)
+    rng = np.random.default_rng(11)
+    tensor = rng.random(table.tensor.shape)
+    assert not np.allclose(tensor, tensor.transpose(0, 2, 1))
+    patched = ConnectionTable(
+        table.scheme, table.op, table.variant, table.eta, table.entries
+    )
+    patched.__dict__["tensor"] = tensor
+    left_rows, right_rows = (_random_rows(rng, table.scheme, 5) for _ in range(2))
+    x_left = _component_masses(table.scheme, left_rows)
+    x_right = _component_masses(table.scheme, right_rows)
+    want = np.einsum("oab,na,nb->no", tensor, x_left, x_right)
+    got = apply_table_rows(patched, left_rows, right_rows)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [0, 302])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_batch_size_leaves_each_rows_step_unchanged(kind, n):
+    """At no rows and at the 302 rows of the p_c grid, where one BLAS
+    product over the whole batch would block its sums differently from
+    a single row's, row i of a batched step is the step on the states of
+    row i, to the bit: for one pair per row and for each row with
+    itself."""
+    table = kind_table(kind, ETA)
+    rng = np.random.default_rng(302)
+    left_rows, right_rows = (_random_rows(rng, table.scheme, n) for _ in range(2))
+    lefts = [PatternState._from_row(table.scheme, row) for row in left_rows]
+    rights = [PatternState._from_row(table.scheme, row) for row in right_rows]
+    k_out = len(scheme_patterns(table.output_scheme)) + 4
+    for others, other_states in ((right_rows, rights), (left_rows, lefts)):
+        out = apply_table_rows(table, left_rows, others)
+        assert out.shape == (n, k_out)
+        for row, left, right in zip(out, lefts, other_states):
+            assert np.array_equal(row, _apply_table(table, left, right).row)
+
+
+def _random_rows(rng, scheme, n):
+    """``n`` valid state rows of random masses: the Bell masses split the
+    logical mass, with none of a single-rail row's on even parity."""
+    patterns = scheme_patterns(scheme)
+    rows = np.zeros((n, len(patterns) + 4))
+    rows[:, : len(patterns)] = rng.random((n, len(patterns)))
+    bells = rng.random((n, 4))
+    if scheme is DLCZ:
+        bells[:, :2] = 0.0
+    mass = rows[:, logical_column(scheme)]
+    rows[:, -4:] = bells / bells.sum(axis=1, keepdims=True) * mass[:, None]
+    return rows
+
+
 def _assert_row_invariant(state):
     """The logical mass is the Bell masses' sum, and ``logical`` their
     conditional weights or, without logical mass, the scheme default."""
@@ -433,11 +484,11 @@ def _assert_row_invariant(state):
         assert state.logical.tolist() == list(default)
 
 
-@pytest.mark.parametrize("kind", sorted(_KERNEL_TABLES))
+@pytest.mark.parametrize("kind", sorted(KINDS))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_state_row_invariant_holds_through_every_operation(kind, data):
-    table = _KERNEL_TABLES[kind]()
+    table = kind_table(kind, ETA)
     state = data.draw(_pattern_states(table.scheme), label="state")
     assume(state.total > 0.0)
     p = data.draw(st.floats(0.0, 1.0), label="p_misalign")
