@@ -332,25 +332,6 @@ class RunResult:
     final_logical_fidelity: float
     states: Sequence[PatternState] = field(repr=False, compare=False)
 
-    @classmethod
-    def _of(
-        cls,
-        config: RepeaterConfig,
-        stages: Tuple[tuple, ...],
-        final_logical_fidelity: float,
-        states: Sequence[PatternState],
-    ) -> "RunResult":
-        """The result with these fields, built as ``_grid_point`` builds a
-        configuration: its ``__dict__`` filled in, without the frozen
-        ``__init__``'s ``object.__setattr__`` per field."""
-        result = cls.__new__(cls)
-        values = result.__dict__
-        values["config"] = config
-        values["stages"] = stages
-        values["final_logical_fidelity"] = final_logical_fidelity
-        values["states"] = states
-        return result
-
     @cached_property
     def per_level(self) -> Tuple[LevelRecord, ...]:
         return tuple(
@@ -621,21 +602,16 @@ def simulate_chain(
             t = TWO_PAIR_OVERHEAD * t / success
         stages.append((level, stage, target, success, t, F))
 
-    # A deterministic time that is not finite stays so: t <- 1.5 t / P
-    # maps inf and nan to inf or nan.  So the first overflowing stage is
-    # looked for only when the last time is not finite.  Sampled times
-    # carry no such bound and are all scanned.
-    if mc or not math.isfinite(t):
-        for level, stage, _, _, t, _ in stages:
-            if not math.isfinite(t):
-                raise OverflowError(
-                    f"the average time of {stage} at level {level} overflows"
-                )
+    for level, stage, _, _, t, _ in stages:
+        if not math.isfinite(t):
+            raise OverflowError(
+                f"the average time of {stage} at level {level} overflows"
+            )
 
     if pairs is None:
         states = tuple(built)
         logical_F = logical_fidelity(states[-1], target)
-    return RunResult._of(config, tuple(stages), logical_F, states)
+    return RunResult(config, tuple(stages), logical_F, states)
 
 
 class _BatchStates:
@@ -888,8 +864,9 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
             except ArithmeticError:
                 column.append(None)
                 continue
-            _, _, _, _, t_avg, F = result.stages[-1]
-            column.append((t_avg, F, result.final_logical_fidelity))
+            column.append(
+                (result.t_avg, result.fidelity, result.final_logical_fidelity)
+            )
         rows.append((L0, column))
     return rows
 
