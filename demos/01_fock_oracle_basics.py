@@ -18,7 +18,6 @@ from ensemble_repeater.fock import (
     apply_loss,
     apply_mode_unitary,
     apply_pbs,
-    measure_and_postselect,
     measure_modes,
 )
 
@@ -51,7 +50,7 @@ print()
 
 # Post-selection on a specific count keeps the conditional state.
 want = DetectionPattern.from_counts({"a": 2})
-cond, p = measure_and_postselect(out, ("a",), want)
+cond, p = measure_modes(out, ("a",))[want]
 print(f"Post-selecting exactly 2 photons in mode a: probability {p:.6f}")
 
 # The polarizing beamsplitter routes H through and reflects V; on H/V

@@ -12,14 +12,20 @@ which :mod:`.freeze` stores for :mod:`.tables`; run at a given eta, one
 entry of any table at a time (``oracle_entry``) or a whole table
 (``oracle_table``), they back the verification suite.
 
-Canonical pattern states
-------------------------
-The superoperator algebra is bilinear over excitation patterns, so each
-pattern label is represented by a canonical Fock state: the uniform
-mixture over all cell arrangements consistent with the label, with both
-side orientations weighted equally. The logical pattern is represented
-by each Bell state in turn, which spans every Bell-diagonal block by
-linearity.
+Excitation patterns
+-------------------
+One table defines the pattern labels: per scheme, the cell occupations
+of a node with each signature, and per label its pair of node
+signatures.  From it follow each label's occupations of the memory
+modes, left node first, which give both the oracle's inputs and the
+classification of its outputs.  The superoperator algebra is bilinear
+over excitation patterns, so each label is represented by a canonical
+Fock state (``canonical_state``): the uniform mixture over its
+occupations, with both side orientations weighted equally. The logical
+pattern is represented by each Bell state in turn, which spans every
+Bell-diagonal block by linearity.  An output occupation's label is a
+lookup (``classify``), and ``project_from_fock`` turns an accepted
+branch into its ``PatternState`` and residue.
 
 Detection conventions
 ---------------------
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -57,9 +63,9 @@ from .fock import (
 from .patterns import (
     BellState,
     ExcitationPattern,
+    PatternState,
     SchemeKind,
-    logical_coherence_residue,
-    project_from_fock,
+    logical_pattern,
     scheme_patterns,
 )
 from .tables import KINDS, ConnectionTable, Key, TableEntry, canonical_keys
@@ -71,138 +77,126 @@ PHASE_FLIP = np.array([[-1.0]])
 
 
 # ----------------------------------------------------------------------
-# canonical pattern states
+# excitation patterns
+
+#: Per scheme, the cell occupations of a node with each signature (its
+#: excitation count, and for two excitations in two cells whether they
+#: share one), in build order: one memory per node for DLCZ, the node's
+#: (H, V) cells for the two-cell scheme.
+_CELLS = {
+    SchemeKind.DLCZ: {0: ((0,),), 1: ((1,),), 2: ((2,),)},
+    SchemeKind.NEW: {
+        "0": ((0, 0),),
+        "1": ((1, 0), (0, 1)),
+        "par": ((2, 0), (0, 2)),
+        "perp": ((1, 1),),
+    },
+}
+
+_P = ExcitationPattern
+#: Per scheme, each pattern's pair of node signatures, left-first
+#: orientation first.
+_SIGNATURES = {
+    SchemeKind.DLCZ: {
+        _P.P00: (0, 0), _P.P10: (1, 0), _P.P11: (1, 1),
+        _P.P20: (2, 0), _P.P21: (2, 1), _P.P22: (2, 2),
+    },
+    SchemeKind.NEW: {
+        _P.P00: ("0", "0"), _P.P10: ("1", "0"), _P.P11: ("1", "1"),
+        _P.P20_PAR: ("par", "0"), _P.P20_PERP: ("perp", "0"),
+        _P.P21_PAR: ("par", "1"), _P.P21_PERP: ("perp", "1"),
+        _P.P22_PAR_PAR: ("par", "par"), _P.P22_PAR_PERP: ("par", "perp"),
+        _P.P22_PERP_PERP: ("perp", "perp"),
+    },
+}
 
 
-def canonical_dlcz(
+def _occupations(scheme: SchemeKind) -> dict[ExcitationPattern, list[tuple[int, ...]]]:
+    """Each pattern's memory occupations (left cells, then right cells):
+    every cell arrangement of each orientation, in build order."""
+    cells = _CELLS[scheme]
+    out = {}
+    for pattern, (a, b) in _SIGNATURES[scheme].items():
+        sides = [(a, b)] if a == b else [(a, b), (b, a)]
+        out[pattern] = [l + r for x, y in sides for l in cells[x] for r in cells[y]]
+    return out
+
+
+_OCCUPATIONS = {scheme: _occupations(scheme) for scheme in SchemeKind}
+
+#: Memory occupation -> pattern; any other occupation is OVERFLOW.
+_PATTERN_OF = {
+    scheme: {occ: p for p, occs in by_pattern.items() for occ in occs}
+    for scheme, by_pattern in _OCCUPATIONS.items()
+}
+
+#: Per scheme, the Bell labels of the logical pattern and, as rows, their
+#: vectors over its occupations: (|10>, |01>) for DLCZ, (HH, HV, VH, VV)
+#: for the two-cell scheme.
+_BELL_VECTORS = {
+    SchemeKind.DLCZ: (
+        (BellState.PSI_PLUS, BellState.PSI_MINUS),
+        SQRT_HALF * np.array([[1, 1], [1, -1]]),
+    ),
+    SchemeKind.NEW: (
+        tuple(BellState),
+        SQRT_HALF * np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]),
+    ),
+}
+
+
+def classify(scheme: SchemeKind, occupation: tuple[int, ...]) -> ExcitationPattern:
+    """Pattern label of a memory occupation: the left node's cell counts,
+    then the right node's."""
+    return _PATTERN_OF[scheme].get(occupation, ExcitationPattern.OVERFLOW)
+
+
+def _memory_modes(scheme: SchemeKind, left: object, right: object) -> tuple[ModeLabel, ...]:
+    """The memory modes of the two nodes, left cells first: a single
+    label per node for DLCZ, an (H, V) label pair for the two-cell scheme."""
+    if scheme is SchemeKind.DLCZ:
+        if not isinstance(left, str) or not isinstance(right, str):
+            raise ValueError("DLCZ mode map entries must be single mode labels")
+        return left, right
+    if (
+        not isinstance(left, (tuple, list))
+        or not isinstance(right, (tuple, list))
+        or len(left) != 2
+        or len(right) != 2
+    ):
+        raise ValueError("two-cell mode map entries must be (H, V) mode pairs")
+    return (*left, *right)
+
+
+def canonical_state(
+    scheme: SchemeKind,
     pattern: ExcitationPattern,
-    left: ModeLabel = "x",
-    right: ModeLabel = "y",
+    left: object,
+    right: object,
     bell: BellState | None = None,
     cutoff: int = 4,
 ) -> FockDensityOperator:
-    """Canonical single-rail Fock state for a DLCZ pattern label.
+    """Canonical Fock state of a pattern label on the nodes' memory modes.
 
-    The logical pattern P10 requires a Bell label (PSI_PLUS or
-    PSI_MINUS) selecting (|10> +- |01>)/sqrt2; other patterns are the
-    uniform mixture over node arrangements.
+    ``left`` and ``right`` are a mode label per node (DLCZ) or an (H, V)
+    label pair (two-cell scheme).  The logical pattern needs a Bell label
+    of the scheme and is that Bell state; any other pattern is the
+    uniform mixture over its occupations.
     """
-    modes = (left, right)
-
-    def basis(n_l: int, n_r: int) -> FockDensityOperator:
-        return FockDensityOperator.from_occupations(
-            modes, {left: n_l, right: n_r}, cutoff
-        )
-
-    if pattern is ExcitationPattern.P00:
-        return FockDensityOperator.vacuum(modes, cutoff)
-    if pattern is ExcitationPattern.P10:
-        if bell is BellState.PSI_PLUS:
-            sign = 1.0
-        elif bell is BellState.PSI_MINUS:
-            sign = -1.0
-        else:
-            raise ValueError("DLCZ logical pattern needs a Psi+ or Psi- label")
+    modes = _memory_modes(scheme, left, right)
+    occs = _OCCUPATIONS[scheme].get(pattern)
+    if occs is None:
+        raise ValueError(f"no canonical state for {pattern} in the {scheme.value} scheme")
+    if pattern is logical_pattern(scheme):
+        labels, vectors = _BELL_VECTORS[scheme]
+        if bell not in labels:
+            raise ValueError(f"the logical pattern needs one of the Bell labels {labels}")
+        amps = vectors[labels.index(bell)].tolist()
         return FockDensityOperator.from_ket(
-            modes, {(1, 0): SQRT_HALF, (0, 1): sign * SQRT_HALF}, cutoff
+            modes, {occ: a for occ, a in zip(occs, amps) if a != 0.0}, cutoff
         )
-    if pattern is ExcitationPattern.P11:
-        return basis(1, 1)
-    if pattern is ExcitationPattern.P20:
-        return FockDensityOperator.mixture([(0.5, basis(2, 0)), (0.5, basis(0, 2))])
-    if pattern is ExcitationPattern.P21:
-        return FockDensityOperator.mixture([(0.5, basis(2, 1)), (0.5, basis(1, 2))])
-    if pattern is ExcitationPattern.P22:
-        return basis(2, 2)
-    raise ValueError(f"no canonical state for {pattern} in the DLCZ scheme")
-
-
-def _bell_ket_new(
-    modes: tuple[ModeLabel, ModeLabel, ModeLabel, ModeLabel], bell: BellState
-) -> dict[tuple[int, ...], complex]:
-    # modes ordered (lH, lV, rH, rV); basis kets H/V per node
-    hh = (1, 0, 1, 0)
-    hv = (1, 0, 0, 1)
-    vh = (0, 1, 1, 0)
-    vv = (0, 1, 0, 1)
-    if bell is BellState.PHI_PLUS:
-        return {hh: SQRT_HALF, vv: SQRT_HALF}
-    if bell is BellState.PHI_MINUS:
-        return {hh: SQRT_HALF, vv: -SQRT_HALF}
-    if bell is BellState.PSI_PLUS:
-        return {hv: SQRT_HALF, vh: SQRT_HALF}
-    return {hv: SQRT_HALF, vh: -SQRT_HALF}
-
-
-def canonical_new(
-    pattern: ExcitationPattern,
-    left: tuple[ModeLabel, ModeLabel] = ("xH", "xV"),
-    right: tuple[ModeLabel, ModeLabel] = ("yH", "yV"),
-    bell: BellState | None = None,
-    cutoff: int = 4,
-) -> FockDensityOperator:
-    """Canonical two-cell Fock state for a pattern label.
-
-    The logical pattern P11 requires a Bell label; the remaining labels
-    are uniform mixtures over the cell arrangements consistent with the
-    pattern, symmetrized over the two node orientations.
-    """
-    modes = left + right
-    l_h, l_v = left
-    r_h, r_v = right
-
-    def basis(**occ: int) -> FockDensityOperator:
-        return FockDensityOperator.from_occupations(modes, occ, cutoff)
-
-    def uniform(parts: Sequence[FockDensityOperator]) -> FockDensityOperator:
-        w = 1.0 / len(parts)
-        return FockDensityOperator.mixture([(w, p) for p in parts])
-
-    singles_l = [basis(**{l_h: 1}), basis(**{l_v: 1})]
-    singles_r = [basis(**{r_h: 1}), basis(**{r_v: 1})]
-    par_l = [basis(**{l_h: 2}), basis(**{l_v: 2})]
-    par_r = [basis(**{r_h: 2}), basis(**{r_v: 2})]
-    perp_l = basis(**{l_h: 1, l_v: 1})
-    perp_r = basis(**{r_h: 1, r_v: 1})
-
-    def pair(a: Sequence[FockDensityOperator], b: Sequence[FockDensityOperator]):
-        return [tensor_occ(x, y) for x in a for y in b]
-
-    def tensor_occ(
-        a: FockDensityOperator, b: FockDensityOperator
-    ) -> FockDensityOperator:
-        # both states live on the full register already; combine by
-        # adding occupations (each is a basis state)
-        occ_a = next(iter(a.occupation_probabilities()))
-        occ_b = next(iter(b.occupation_probabilities()))
-        combined = tuple(na + nb for na, nb in zip(occ_a, occ_b))
-        return FockDensityOperator.from_ket(modes, {combined: 1.0}, cutoff)
-
-    if pattern is ExcitationPattern.P00:
-        return FockDensityOperator.vacuum(modes, cutoff)
-    if pattern is ExcitationPattern.P10:
-        return uniform(singles_l + singles_r)
-    if pattern is ExcitationPattern.P11:
-        if bell is None:
-            raise ValueError("logical pattern needs a Bell label")
-        return FockDensityOperator.from_ket(
-            modes, _bell_ket_new(modes, bell), cutoff
-        )
-    if pattern is ExcitationPattern.P20_PAR:
-        return uniform(par_l + par_r)
-    if pattern is ExcitationPattern.P20_PERP:
-        return uniform([perp_l, perp_r])
-    if pattern is ExcitationPattern.P21_PAR:
-        return uniform(pair(par_l, singles_r) + pair(singles_l, par_r))
-    if pattern is ExcitationPattern.P21_PERP:
-        return uniform(pair([perp_l], singles_r) + pair(singles_l, [perp_r]))
-    if pattern is ExcitationPattern.P22_PAR_PAR:
-        return uniform(pair(par_l, par_r))
-    if pattern is ExcitationPattern.P22_PAR_PERP:
-        return uniform(pair(par_l, [perp_r]) + pair([perp_l], par_r))
-    if pattern is ExcitationPattern.P22_PERP_PERP:
-        return tensor_occ(perp_l, perp_r)
-    raise ValueError(f"no canonical state for {pattern} in the two-cell scheme")
+    root = math.sqrt(1.0 / len(occs))
+    return FockDensityOperator(modes, [{occ: root} for occ in occs], cutoff)
 
 
 # ----------------------------------------------------------------------
@@ -358,19 +352,81 @@ def run_pme(
 # superoperator table entries
 
 
+def project_from_fock(
+    rho: FockDensityOperator,
+    scheme: SchemeKind,
+    mode_map: Mapping[str, object],
+) -> tuple[PatternState, float]:
+    """Classify an oracle state into a PatternState, with its residue.
+
+    Pattern masses are the traces of the pattern-subspace projections,
+    so the total trace is kept exactly.  The logical block, the density
+    matrix over the logical pattern's occupations, gives the Bell-basis
+    diagonal; the residue is the Frobenius norm of its non-diagonal
+    part, the coherence the pattern decomposition discards.
+
+    ``mode_map`` assigns the memory modes: ``{"left": m, "right": m}``
+    with single labels for DLCZ, or (H, V) label pairs per node for the
+    two-cell scheme. The state register must contain exactly these
+    modes.
+    """
+    try:
+        left = mode_map["left"]
+        right = mode_map["right"]
+    except KeyError as exc:
+        raise ValueError("mode map must define 'left' and 'right'") from exc
+    modes = _memory_modes(scheme, left, right)
+    if set(rho.modes) != set(modes):
+        raise ValueError(
+            f"state register {rho.modes} does not match mode map {sorted(modes)}"
+        )
+    index = [rho.mode_index(m) for m in modes]
+
+    probs: dict[ExcitationPattern, float] = {}
+    for occ, p in rho.occupation_probabilities().items():
+        pat = classify(scheme, tuple(occ[i] for i in index))
+        probs[pat] = probs.get(pat, 0.0) + p
+
+    basis = []
+    for cells in _OCCUPATIONS[scheme][logical_pattern(scheme)]:
+        occ = [0] * len(rho.modes)
+        for i, n in zip(index, cells):
+            occ[i] = n
+        basis.append(tuple(occ))
+    block = rho.block(basis)
+    labels, vecs = _BELL_VECTORS[scheme]
+    if scheme is SchemeKind.DLCZ:
+        bell = np.zeros(4)
+        for label, xi in zip(labels, vecs):
+            bell[label.index] = float(np.real(xi @ block @ xi))
+    else:
+        bell = np.real(np.einsum("ij,jk,ik->i", vecs.conj(), block, vecs))
+    vecs = vecs.astype(complex)
+    in_bell = vecs.conj() @ block @ vecs.T
+    residue = float(np.linalg.norm(in_bell - np.diag(np.diag(in_bell))))
+
+    mass = float(bell.sum())
+    # The logical pattern's mass stays the exact subspace trace in probs;
+    # the Bell diagonal supplies only the conditional weights.
+    weights = np.maximum(bell, 0.0) / mass if mass > 0.0 else (1.0, 0.0, 0.0, 0.0)
+    return PatternState(scheme, probs, weights), residue
+
+
 def accumulate_entry(
     branches: Iterable[AcceptedBranch],
     scheme: SchemeKind,
     mode_map: dict[str, object],
 ) -> TableEntry:
-    """Sum the classified rows of accepted circuit branches into a TableEntry."""
+    """Sum the classified rows of accepted circuit branches into a
+    TableEntry whose residue is the largest branch residue."""
     row = np.zeros(len(scheme_patterns(scheme)) + 4)
     residue = 0.0
     for cond, prob in branches:
         if prob <= 0.0:
             continue
-        row += project_from_fock(cond, scheme, mode_map).row
-        residue = max(residue, logical_coherence_residue(cond, scheme, mode_map))
+        state, branch_residue = project_from_fock(cond, scheme, mode_map)
+        row += state.row
+        residue = max(residue, branch_residue)
     return TableEntry(scheme, row, residue)
 
 
@@ -389,25 +445,26 @@ def _entry_branches(
     ``cutoff`` is the per-mode Fock cutoff of the input states."""
     pat_a, bell_a = alpha
     pat_b, bell_b = beta
+    dlcz, new = SchemeKind.DLCZ, SchemeKind.NEW
     if kind == "enc_dlcz":
-        left = canonical_dlcz(pat_a, "aL", "c1", bell_a, cutoff)
-        right = canonical_dlcz(pat_b, "c2", "aR", bell_b, cutoff)
-        return run_enc_dlcz(left, right, eta), SchemeKind.DLCZ, ENC_OUT_MAP_DLCZ
+        left = canonical_state(dlcz, pat_a, "aL", "c1", bell_a, cutoff)
+        right = canonical_state(dlcz, pat_b, "c2", "aR", bell_b, cutoff)
+        return run_enc_dlcz(left, right, eta), dlcz, ENC_OUT_MAP_DLCZ
     if kind in ("enc_level1", "enc_higher"):
-        left = canonical_new(pat_a, ("aLH", "aLV"), ("c1H", "c1V"), bell_a, cutoff)
-        right = canonical_new(pat_b, ("c2H", "c2V"), ("aRH", "aRV"), bell_b, cutoff)
+        left = canonical_state(new, pat_a, ("aLH", "aLV"), ("c1H", "c1V"), bell_a, cutoff)
+        right = canonical_state(new, pat_b, ("c2H", "c2V"), ("aRH", "aRV"), bell_b, cutoff)
         first_level = kind == "enc_level1"
-        return run_enc_new(left, right, eta, first_level), SchemeKind.NEW, ENC_OUT_MAP_NEW
+        return run_enc_new(left, right, eta, first_level), new, ENC_OUT_MAP_NEW
     if kind in ("enp_bit", "enp_phase"):
-        pair1 = canonical_new(pat_a, ("a1H", "a1V"), ("b1H", "b1V"), bell_a, cutoff)
-        pair2 = canonical_new(pat_b, ("a2H", "a2V"), ("b2H", "b2V"), bell_b, cutoff)
+        pair1 = canonical_state(new, pat_a, ("a1H", "a1V"), ("b1H", "b1V"), bell_a, cutoff)
+        pair2 = canonical_state(new, pat_b, ("a2H", "a2V"), ("b2H", "b2V"), bell_b, cutoff)
         branches = run_enp(pair1, pair2, eta, kind == "enp_phase")
-        return branches, SchemeKind.NEW, ENP_OUT_MAP
+        return branches, new, ENP_OUT_MAP
     if kind == "pme":
-        pair1 = canonical_dlcz(pat_a, "x1", "y1", bell_a, cutoff)
-        pair2 = canonical_dlcz(pat_b, "x2", "y2", bell_b, cutoff)
+        pair1 = canonical_state(dlcz, pat_a, "x1", "y1", bell_a, cutoff)
+        pair2 = canonical_state(dlcz, pat_b, "x2", "y2", bell_b, cutoff)
         # inputs are DLCZ patterns, the output a polarization pair
-        return run_pme(pair1, pair2, eta), SchemeKind.NEW, PME_OUT_MAP
+        return run_pme(pair1, pair2, eta), new, PME_OUT_MAP
     raise ValueError(f"unknown table kind {kind!r}")
 
 

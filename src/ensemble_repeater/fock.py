@@ -38,7 +38,12 @@ TRACE_TOL = 1e-12
 UNITARITY_TOL = 1e-12
 
 # Amplitudes below this absolute size are interference residue and are
-# dropped; they contribute < 1e-28 to any probability.
+# dropped.  The bound is absolute, not relative to the state's scale, so
+# near eta = 0 or 1 whole probabilities of order 1e-27 go: at
+# eta = 1 - 1e-7, oracle_table("pme", eta) reports exactly 0 for 20
+# values of up to 8.5e-28 and cuts others (the P11 x P22 entries) by
+# 11-20 %.  ROADMAP item 5 prunes relative to the state's scale instead.
+# Changing it changes what freeze writes.
 _AMP_PRUNE = 1e-14
 
 #: 45 degree rotation between the two cells of a node, taken verbatim as
@@ -482,41 +487,6 @@ def _kept_modes(
     drop = set(idx)
     keep = [i for i in range(len(state.modes)) if i not in drop]
     return keep, tuple(state.modes[i] for i in keep)
-
-
-def measure_and_postselect(
-    state: FockDensityOperator,
-    measured_modes: Sequence[ModeLabel],
-    pattern: DetectionPattern,
-) -> tuple[FockDensityOperator, float]:
-    """Project onto a photon-count pattern and trace the counters out.
-
-    Returns the unnormalized conditional state on the remaining modes
-    together with its trace, which is the probability of the pattern.
-    Probabilities over all patterns sum to the input trace.
-    """
-    measured = tuple(measured_modes)
-    if set(pattern.modes) != set(measured):
-        raise ValueError("pattern must be defined exactly on the measured modes")
-    idx = [state.mode_index(m) for m in measured]
-    want = tuple(pattern.count(m) for m in measured)
-    keep, new_modes = _kept_modes(state, idx)
-    # Per occupation: the tuple without the counters, or None off-pattern.
-    stripped: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
-    new_kets = []
-    for ket in state._kets:
-        sub: _Ket = {}
-        for occ, amp in ket.items():
-            if occ not in stripped:
-                hit = tuple(occ[i] for i in idx) == want
-                stripped[occ] = tuple(occ[i] for i in keep) if hit else None
-            rest = stripped[occ]
-            if rest is not None:
-                sub[rest] = amp
-        if sub:
-            new_kets.append(sub)
-    conditional = FockDensityOperator(new_modes, new_kets, state.cutoff)
-    return conditional, conditional.trace
 
 
 def measure_modes(

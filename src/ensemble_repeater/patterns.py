@@ -6,7 +6,8 @@ spin waves sit at each node, and how they are arranged over the node's
 cells) plus the four Bell-diagonal weights of the pattern that carries
 the qubit. Inter-pattern coherence is dropped by construction; within
 the logical pattern only the Bell-basis diagonal is kept, and the
-discarded off-diagonal magnitude is available as a diagnostic.
+discarded off-diagonal magnitude is available as a diagnostic (the
+residue of an oracle-built table entry).
 
 Pattern labels
 --------------
@@ -23,7 +24,9 @@ node, in the H or V cell).
 States with more than two excitations at a node appear only at second
 order in the excitation probability; they are kept as an explicit
 OVERFLOW bucket so that classification preserves trace exactly, and are
-treated as absorbing failure mass by the connection tables.
+treated as absorbing failure mass by the connection tables.  Each
+label's cell occupations, from which the oracle builds its input states
+and classifies its output, are defined once, in :mod:`.circuits`.
 
 Array layout
 ------------
@@ -59,16 +62,12 @@ NaN is not below ``-WEIGHT_TOL`` either.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .fock import FockDensityOperator, ModeLabel
 
 WEIGHT_TOL = 1e-12
 
@@ -465,209 +464,6 @@ def logical_fidelity_rows(
     weights = np.full(len(rows), layout.default_logical[target.index])
     np.divide(rows[:, target.index - 4], mass, out=weights, where=mass != 0.0)
     return weights
-
-
-# ----------------------------------------------------------------------
-# classification of oracle states
-
-
-_DLCZ_CLASS = {
-    (0, 0): ExcitationPattern.P00,
-    (0, 1): ExcitationPattern.P10,
-    (1, 1): ExcitationPattern.P11,
-    (0, 2): ExcitationPattern.P20,
-    (1, 2): ExcitationPattern.P21,
-    (2, 2): ExcitationPattern.P22,
-}
-
-
-def classify_dlcz(n_left: int, n_right: int) -> ExcitationPattern:
-    """Pattern label from per-node excitation counts (single-rail)."""
-    if n_left > 2 or n_right > 2:
-        return ExcitationPattern.OVERFLOW
-    return _DLCZ_CLASS[tuple(sorted((n_left, n_right)))]
-
-
-def _cell_signature(n_h: int, n_v: int) -> str | None:
-    total = n_h + n_v
-    if total == 0:
-        return "0"
-    if total == 1:
-        return "1"
-    if total == 2:
-        return "2perp" if n_h == 1 else "2par"
-    return None
-
-
-_NEW_CLASS = {
-    ("0", "0"): ExcitationPattern.P00,
-    ("0", "1"): ExcitationPattern.P10,
-    ("1", "1"): ExcitationPattern.P11,
-    ("0", "2par"): ExcitationPattern.P20_PAR,
-    ("0", "2perp"): ExcitationPattern.P20_PERP,
-    ("1", "2par"): ExcitationPattern.P21_PAR,
-    ("1", "2perp"): ExcitationPattern.P21_PERP,
-    ("2par", "2par"): ExcitationPattern.P22_PAR_PAR,
-    ("2par", "2perp"): ExcitationPattern.P22_PAR_PERP,
-    ("2perp", "2perp"): ExcitationPattern.P22_PERP_PERP,
-}
-
-
-def classify_new(left: tuple[int, int], right: tuple[int, int]) -> ExcitationPattern:
-    """Pattern label from per-node (H, V) cell counts (two-cell scheme)."""
-    sig_l = _cell_signature(*left)
-    sig_r = _cell_signature(*right)
-    if sig_l is None or sig_r is None:
-        return ExcitationPattern.OVERFLOW
-    return _NEW_CLASS[tuple(sorted((sig_l, sig_r)))]
-
-
-def _bell_vectors_new() -> np.ndarray:
-    # Rows: Phi+, Phi-, Psi+, Psi- over the basis (HH, HV, VH, VV).
-    s = 1.0 / math.sqrt(2.0)
-    return np.array(
-        [
-            [s, 0.0, 0.0, s],
-            [s, 0.0, 0.0, -s],
-            [0.0, s, s, 0.0],
-            [0.0, s, -s, 0.0],
-        ]
-    )
-
-
-def _logical_occupations_new(
-    rho: FockDensityOperator,
-    left: tuple[ModeLabel, ModeLabel],
-    right: tuple[ModeLabel, ModeLabel],
-) -> list[tuple[int, ...]]:
-    # Order matches the (HH, HV, VH, VV) basis of _bell_vectors_new.
-    occs = []
-    for lcell in (left[0], left[1]):
-        for rcell in (right[0], right[1]):
-            occ = [0] * len(rho.modes)
-            occ[rho.mode_index(lcell)] = 1
-            occ[rho.mode_index(rcell)] = 1
-            occs.append(tuple(occ))
-    return occs
-
-
-def _logical_occupations_dlcz(
-    rho: FockDensityOperator, left: ModeLabel, right: ModeLabel
-) -> list[tuple[int, ...]]:
-    occs = []
-    for mode in (left, right):
-        occ = [0] * len(rho.modes)
-        occ[rho.mode_index(mode)] = 1
-        occs.append(tuple(occ))
-    return occs
-
-
-def _normalize_mode_map(
-    scheme: SchemeKind, mode_map: Mapping[str, object]
-) -> tuple:
-    try:
-        left = mode_map["left"]
-        right = mode_map["right"]
-    except KeyError as exc:
-        raise ValueError("mode map must define 'left' and 'right'") from exc
-    if scheme is SchemeKind.DLCZ:
-        if not isinstance(left, str) or not isinstance(right, str):
-            raise ValueError("DLCZ mode map entries must be single mode labels")
-        return left, right
-    if (
-        not isinstance(left, (tuple, list))
-        or not isinstance(right, (tuple, list))
-        or len(left) != 2
-        or len(right) != 2
-    ):
-        raise ValueError("two-cell mode map entries must be (H, V) mode pairs")
-    return tuple(left), tuple(right)
-
-
-def project_from_fock(
-    rho: FockDensityOperator,
-    scheme: SchemeKind,
-    mode_map: Mapping[str, object],
-) -> PatternState:
-    """Classify an oracle state into a PatternState.
-
-    Pattern probabilities are the traces of the pattern-subspace
-    projections; the logical block is the Bell-basis diagonal of the
-    logical subspace. Inter-pattern coherence is discarded by
-    construction and the total trace is preserved exactly.
-
-    ``mode_map`` assigns the memory modes: ``{"left": m, "right": m}``
-    with single labels for DLCZ, or (H, V) label pairs per node for the
-    two-cell scheme. The state register must contain exactly these
-    modes.
-    """
-    left, right = _normalize_mode_map(scheme, mode_map)
-    needed = (
-        {left, right}
-        if scheme is SchemeKind.DLCZ
-        else {*left, *right}
-    )
-    if set(rho.modes) != needed:
-        raise ValueError(
-            f"state register {rho.modes} does not match mode map {sorted(needed)}"
-        )
-
-    probs: dict[ExcitationPattern, float] = {}
-    if scheme is SchemeKind.DLCZ:
-        i_l, i_r = rho.mode_index(left), rho.mode_index(right)
-        for occ, p in rho.occupation_probabilities().items():
-            pat = classify_dlcz(occ[i_l], occ[i_r])
-            probs[pat] = probs.get(pat, 0.0) + p
-        occs = _logical_occupations_dlcz(rho, left, right)
-        block2 = rho.block(occs)
-        s = 1.0 / math.sqrt(2.0)
-        xi = np.array([[s, s], [s, -s]])  # rows: xi+, xi- over (|10>, |01>)
-        bell = np.zeros(4)
-        bell[BellState.PSI_PLUS.index] = float(np.real(xi[0] @ block2 @ xi[0]))
-        bell[BellState.PSI_MINUS.index] = float(np.real(xi[1] @ block2 @ xi[1]))
-    else:
-        il_h, il_v = rho.mode_index(left[0]), rho.mode_index(left[1])
-        ir_h, ir_v = rho.mode_index(right[0]), rho.mode_index(right[1])
-        for occ, p in rho.occupation_probabilities().items():
-            pat = classify_new(
-                (occ[il_h], occ[il_v]), (occ[ir_h], occ[ir_v])
-            )
-            probs[pat] = probs.get(pat, 0.0) + p
-        occs = _logical_occupations_new(rho, left, right)
-        block4 = rho.block(occs)
-        vecs = _bell_vectors_new()
-        bell = np.real(np.einsum("ij,jk,ik->i", vecs.conj(), block4, vecs))
-
-    mass = float(bell.sum())
-    # The logical pattern's mass stays the exact subspace trace in probs;
-    # the Bell diagonal supplies only the conditional weights.
-    weights = np.maximum(bell, 0.0) / mass if mass > 0.0 else (1.0, 0.0, 0.0, 0.0)
-    return PatternState(scheme, probs, weights)
-
-
-def logical_coherence_residue(
-    rho: FockDensityOperator,
-    scheme: SchemeKind,
-    mode_map: Mapping[str, object],
-) -> float:
-    """Frobenius norm of the non-Bell-diagonal part of the logical block.
-
-    The pattern decomposition keeps only the Bell-basis diagonal; this
-    reports the magnitude of what was discarded.
-    """
-    left, right = _normalize_mode_map(scheme, mode_map)
-    if scheme is SchemeKind.DLCZ:
-        occs = _logical_occupations_dlcz(rho, left, right)
-        block = rho.block(occs)
-        s = 1.0 / math.sqrt(2.0)
-        vecs = np.array([[s, s], [s, -s]], dtype=complex)
-    else:
-        occs = _logical_occupations_new(rho, left, right)
-        block = rho.block(occs)
-        vecs = _bell_vectors_new().astype(complex)
-    in_bell = vecs.conj() @ block @ vecs.T
-    off = in_bell - np.diag(np.diag(in_bell))
-    return float(np.linalg.norm(off))
 
 
 # ----------------------------------------------------------------------

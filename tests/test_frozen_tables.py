@@ -173,8 +173,11 @@ def test_an_edited_data_file_is_rejected(tmp_path, edit):
         assert f"{COEFFICIENTS_FILE} does not match its sha256" in proc.stderr
 
 
-@pytest.mark.parametrize("kind", ["enc_dlcz", "pme"])
-def test_regenerating_single_rail_blocks_reproduces_the_file(kind):
+@pytest.mark.parametrize("kind", ["enc_dlcz", "pme", "enc_higher"])
+def test_regenerating_a_block_reproduces_the_file(kind):
+    """The blocks that regenerate in about a second: both with
+    single-rail inputs, and a two-cell connection, which pins the two-cell
+    canonical states and projection bit for bit."""
     assert freeze.coefficient_block(kind) == frozen_blocks()[kind]
 
 

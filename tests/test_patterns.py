@@ -1,4 +1,5 @@
-"""Tests for the excitation-pattern state representation."""
+"""Tests for the excitation-pattern state representation, and for the
+pattern table that builds and classifies the Fock oracle's states."""
 
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ensemble_repeater.circuits import canonical_state, classify, project_from_fock
 from ensemble_repeater.noise import misalignment_channel
 from ensemble_repeater.patterns import (
     WEIGHT_TOL,
@@ -17,8 +19,6 @@ from ensemble_repeater.patterns import (
     aggregate,
     apply_bell_channel,
     check_rows,
-    classify_dlcz,
-    classify_new,
     fidelity,
     fidelity_rows,
     from_text,
@@ -31,6 +31,7 @@ from ensemble_repeater.patterns import (
     scheme_patterns,
     to_text,
 )
+from ensemble_repeater.tables import canonical_keys
 
 
 def test_bell_state_order():
@@ -480,33 +481,84 @@ def test_apply_bell_channel_tolerances():
         apply_bell_channel(state, _channel_with(1, 0, 1.1e-5))
 
 
+def _dlcz(n_left, n_right):
+    return classify(SchemeKind.DLCZ, (n_left, n_right))
+
+
+def _new(left, right):
+    return classify(SchemeKind.NEW, left + right)
+
+
 def test_classify_dlcz():
-    assert classify_dlcz(0, 0) is ExcitationPattern.P00
-    assert classify_dlcz(1, 0) is ExcitationPattern.P10
-    assert classify_dlcz(0, 1) is ExcitationPattern.P10
-    assert classify_dlcz(1, 1) is ExcitationPattern.P11
-    assert classify_dlcz(2, 0) is ExcitationPattern.P20
-    assert classify_dlcz(2, 1) is ExcitationPattern.P21
-    assert classify_dlcz(2, 2) is ExcitationPattern.P22
-    assert classify_dlcz(3, 0) is ExcitationPattern.OVERFLOW
+    assert _dlcz(0, 0) is ExcitationPattern.P00
+    assert _dlcz(1, 0) is ExcitationPattern.P10
+    assert _dlcz(0, 1) is ExcitationPattern.P10
+    assert _dlcz(1, 1) is ExcitationPattern.P11
+    assert _dlcz(2, 0) is ExcitationPattern.P20
+    assert _dlcz(2, 1) is ExcitationPattern.P21
+    assert _dlcz(2, 2) is ExcitationPattern.P22
+    assert _dlcz(3, 0) is ExcitationPattern.OVERFLOW
 
 
 def test_classify_new():
-    assert classify_new((0, 0), (0, 0)) is ExcitationPattern.P00
-    assert classify_new((1, 0), (0, 0)) is ExcitationPattern.P10
-    assert classify_new((1, 0), (0, 1)) is ExcitationPattern.P11
+    assert _new((0, 0), (0, 0)) is ExcitationPattern.P00
+    assert _new((1, 0), (0, 0)) is ExcitationPattern.P10
+    assert _new((1, 0), (0, 1)) is ExcitationPattern.P11
     # Two photons in one cell versus one in each cell of a node.
-    assert classify_new((2, 0), (0, 0)) is ExcitationPattern.P20_PAR
-    assert classify_new((1, 1), (0, 0)) is ExcitationPattern.P20_PERP
-    assert classify_new((0, 2), (1, 0)) is ExcitationPattern.P21_PAR
-    assert classify_new((1, 1), (1, 0)) is ExcitationPattern.P21_PERP
-    assert classify_new((1, 1), (2, 0)) is ExcitationPattern.P22_PAR_PERP
-    assert classify_new((3, 0), (0, 0)) is ExcitationPattern.OVERFLOW
+    assert _new((2, 0), (0, 0)) is ExcitationPattern.P20_PAR
+    assert _new((1, 1), (0, 0)) is ExcitationPattern.P20_PERP
+    assert _new((0, 2), (1, 0)) is ExcitationPattern.P21_PAR
+    assert _new((1, 1), (1, 0)) is ExcitationPattern.P21_PERP
+    assert _new((1, 1), (2, 0)) is ExcitationPattern.P22_PAR_PERP
+    assert _new((3, 0), (0, 0)) is ExcitationPattern.OVERFLOW
 
 
 def test_classification_is_symmetric_between_nodes():
-    assert classify_new((1, 1), (1, 0)) is classify_new((1, 0), (1, 1))
-    assert classify_dlcz(2, 1) is classify_dlcz(1, 2)
+    assert _new((1, 1), (1, 0)) is _new((1, 0), (1, 1))
+    assert _dlcz(2, 1) is _dlcz(1, 2)
+
+
+_MEMORIES = {
+    SchemeKind.DLCZ: ("x", "y"),
+    SchemeKind.NEW: (("xH", "xV"), ("yH", "yV")),
+}
+
+
+@pytest.mark.parametrize(
+    "scheme, pattern, bell",
+    [
+        pytest.param(scheme, pattern, bell, id=f"{scheme.value}-{pattern.value}-{bell}")
+        for scheme in SchemeKind
+        for pattern, bell in canonical_keys(scheme)
+    ],
+)
+def test_canonical_state_projects_back_onto_its_label(scheme, pattern, bell):
+    """A pattern's canonical Fock state classifies as that pattern alone,
+    and the logical one as its Bell label alone, with nothing discarded."""
+    left, right = _MEMORIES[scheme]
+    rho = canonical_state(scheme, pattern, left, right, bell)
+    state, residue = project_from_fock(rho, scheme, {"left": left, "right": right})
+    assert dict(state.probs) == {pattern: pytest.approx(1.0, abs=1e-15)}
+    if bell is not None:
+        want = np.zeros(4)
+        want[bell.index] = 1.0
+        assert state.logical.tolist() == pytest.approx(want.tolist(), abs=1e-15)
+    assert residue == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "scheme, mode_map, message",
+    [
+        (SchemeKind.DLCZ, {"left": "x"}, "must define 'left' and 'right'"),
+        (SchemeKind.DLCZ, {"left": ("x",), "right": "y"}, "single mode labels"),
+        (SchemeKind.NEW, {"left": "x", "right": "y"}, r"\(H, V\) mode pairs"),
+        (SchemeKind.DLCZ, {"left": "x", "right": "z"}, "does not match mode map"),
+    ],
+)
+def test_projection_checks_its_mode_map(scheme, mode_map, message):
+    rho = canonical_state(SchemeKind.DLCZ, ExcitationPattern.P11, "x", "y")
+    with pytest.raises(ValueError, match=message):
+        project_from_fock(rho, scheme, mode_map)
 
 
 def test_text_round_trip():

@@ -73,3 +73,35 @@ def test_traced_optimize_runs_one_chain_per_grid_point():
     counts = {name: int(entry[0]) for name, entry in tracer.agg.items()}
     assert counts["chain"] == points + 1
     assert counts["sweep"] == 1
+
+
+def test_tracer_counts_oracle_projections_and_restores_patches():
+    """One oracle entry runs its circuit through the ``fock`` boundaries
+    and projects each accepted branch once."""
+    workloads, spans = _load("workloads"), _load("spans")
+    pkg = workloads.load_package(ROOT)
+    circuits, patterns = pkg.circuits, pkg.patterns
+    logical = (patterns.ExcitationPattern.P10, patterns.BellState.PSI_PLUS)
+    error = (patterns.ExcitationPattern.P11, None)
+    branches, _, _ = circuits._entry_branches("enc_dlcz", logical, error, 0.9)
+    accepted = sum(prob > 0.0 for _, prob in branches)
+    assert accepted == 2  # one click at either detector
+
+    tracer = spans.Tracer(pkg)
+    tracer.install()
+    try:
+        patched = list(tracer._patches)
+        traced = circuits.oracle_entry("enc_dlcz", logical, error, 0.9)
+    finally:
+        tracer.uninstall()
+
+    assert traced.row.tobytes() == circuits.oracle_entry(
+        "enc_dlcz", logical, error, 0.9
+    ).row.tobytes()
+    counts = {name: int(entry[0]) for name, entry in tracer.agg.items()}
+    assert counts["patterns.project"] == accepted
+    assert counts["fock.tensor"] == 1
+    assert counts["fock.loss"] == 2
+    assert counts["fock.measure"] == 1
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, attr
