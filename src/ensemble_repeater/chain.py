@@ -87,7 +87,7 @@ class RepeaterConfig:
     ``L`` must be a power-of-two multiple of ``L0``; elementary pairs
     span ``2*L0`` so the chain has ``log2(L/L0) - 1`` connection levels.
     ``enp_schedule`` lists (after-level, kind) purification insertions.
-    ``t0``, set at construction, is the checked ``elementary_time`` of
+    ``t0``, set at construction, is the checked elementary time of
     the configuration; it is no field, so it takes no part in ``__init__``,
     equality or ``repr``.
 
@@ -162,7 +162,8 @@ def _check_chain_fields(
             raise ValueError(f"{name} must be finite, got {value}")
     if L_att <= 0.0 or c_fiber <= 0.0:
         raise ValueError("L_att and c_fiber must be positive")
-    check_positive(eta=noise.eta)
+    if noise.eta <= 0.0:
+        raise ValueError(f"eta must be positive, got {noise.eta}")
     check_step_noise(scheme, noise)
     schedule = _normalized_schedule(enp_schedule)
     _check_enp_schedule(scheme, schedule)
@@ -203,7 +204,8 @@ def _check_point(
             f"L0 / L_att = {L0 / L_att:g} is too large:"
             " the elementary time exp(L0 / L_att) overflows"
         )
-    # elementary_time's positivity checks are among the ones above
+    # L0 > 0 and 0 < p_c < 1 are checked above, and eta, L_att and
+    # c_fiber > 0 by _check_chain_fields.
     t0 = _elementary_time(p_c, eta, L0, L_att, c_fiber)
     if not math.isfinite(t0):
         raise OverflowError(
@@ -323,8 +325,8 @@ class RunResult:
     after each stage; a sweep's chain builds them from its batch only
     when they are read.  ``per_level`` derives the ``LevelRecord`` of
     every stage from both on first read, so a sweep that reads only the
-    final time and fidelities builds none; ``final`` and the final
-    fidelities come straight from the last stage.
+    final time and fidelities builds none; those come straight from
+    the last stage.
     """
 
     config: RepeaterConfig
@@ -339,11 +341,6 @@ class RunResult:
         )
 
     @property
-    def final(self) -> Tuple[float, float]:
-        """(t_avg seconds, fidelity) of the delivered pair."""
-        return self.t_avg, self.fidelity
-
-    @property
     def t_avg(self) -> float:
         return self.stages[-1][4]
 
@@ -352,41 +349,27 @@ class RunResult:
         return self.stages[-1][5]
 
 
-def check_positive(**values: float) -> None:
-    """Raise naming the first argument that is not positive, with its value."""
-    for name, value in values.items():
-        if value <= 0.0:
-            raise ValueError(f"{name} must be positive, got {value}")
-
-
 def check_seed(seed: int) -> None:
     """Raise unless ``seed`` is a valid sampling seed, an integer of 0 or more."""
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
 
 
-def elementary_time(
-    p_c: float, eta: float, L0: float, L_att: float, c_fiber: float
-) -> float:
-    """Average time to herald one elementary pair, (L0/c) e^{L0/L_att} / (p_c eta)."""
-    check_positive(p_c=p_c, eta=eta, L0=L0, L_att=L_att, c_fiber=c_fiber)
-    return _elementary_time(p_c, eta, L0, L_att, c_fiber)
-
-
 def _elementary_time(p_c, eta: float, L0: float, L_att: float, c_fiber: float):
-    """``elementary_time`` without its checks; p_c may be a float or an array."""
+    """Average time to herald one elementary pair, (L0/c) e^{L0/L_att} / (p_c eta).
+
+    Unchecked: ``_check_point`` checks its inputs.  p_c may be a float or
+    an array.
+    """
     return (L0 / c_fiber) * math.exp(L0 / L_att) / (p_c * eta)
 
 
-def enc_success_estimate(eta: float) -> float:
-    """Stable-regime connection success probability eta^2(3-2eta)/(2(2-eta)^4)."""
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
-    return eta**2 * (3.0 - 2.0 * eta) / (2.0 * (2.0 - eta) ** 4)
-
-
 def scaling_exponent(eta: float) -> float:
-    """Polynomial time exponent 1 + log2(1.5) + log2(1/p_enc-stable)."""
+    """Polynomial time exponent 1 + log2(1.5) + log2(1/p_enc-stable).
+
+    p_enc-stable = eta^2 (3 - 2 eta) / (2 (2 - eta)^4) is the connection
+    success probability in the stable regime.
+    """
     return 1.0 + math.log2(TWO_PAIR_OVERHEAD) + math.log2(
         2.0 * (2.0 - eta) ** 4 / (eta**2 * (3.0 - 2.0 * eta))
     )
@@ -399,10 +382,7 @@ def empirical_time(config: RepeaterConfig) -> float:
     connection success probability; deviations from the simulated chain
     come from the first connection level and the constant 1.5.
     """
-    eta = config.noise.eta
-    exponent = math.log2(
-        TWO_PAIR_OVERHEAD * 2.0 * (2.0 - eta) ** 4 / (eta**2 * (3.0 - 2.0 * eta))
-    )
+    exponent = scaling_exponent(config.noise.eta) - 1.0
     return config.t0 * (config.L / config.L0) ** exponent
 
 
@@ -874,13 +854,13 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
 def _elementary_times(
     L0: float, p_cs: np.ndarray, eta: float, L_att: float, c_fiber: float
 ) -> np.ndarray:
-    """``elementary_time`` of every p_c, not finite where the grid point's
+    """The elementary time of every p_c, not finite where the grid point's
     ``RepeaterConfig`` raises an ``ArithmeticError``.
 
-    Each value takes the same IEEE operations as ``elementary_time``, so
-    it is bit-identical to it.  Where ``L0 / L_att`` overflows the exponential,
-    every value is inf; where p_c eta underflows to 0, which makes
-    ``elementary_time`` divide by zero, the value is inf or nan.
+    Each value takes the same IEEE operations as ``_elementary_time`` on
+    one p_c, so it is bit-identical to a configuration's ``t0``.  Where
+    ``L0 / L_att`` overflows the exponential, every value is inf; where
+    p_c eta underflows to 0, a division by zero, the value is inf or nan.
     """
     if L0 / L_att > _MAX_EXP_ARG:
         return np.full(len(p_cs), math.inf)

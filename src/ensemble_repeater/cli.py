@@ -50,7 +50,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .chain import (
-    CSV_COLUMNS,
     RepeaterConfig,
     RunResult,
     check_seed,
@@ -103,8 +102,8 @@ class Settings:
     L: float = 1280.0
     L0: float = 40.0
     p_c: float = 8.1e-3
-    L_att: float = 20.0
-    c_fiber: float = 2.0e5
+    L_att: float = RepeaterConfig.L_att
+    c_fiber: float = RepeaterConfig.c_fiber
     enp_schedule: Tuple[Tuple[int, EnpKind], ...] = ()
     waiting: str = "deterministic"
     n_samples: int = 16384
@@ -160,27 +159,35 @@ def _parse_waiting(text: str) -> str:
     return text
 
 
-_CHAIN_FIELDS: Dict[str, Callable[[str], object]] = {
-    "scheme": _parse_scheme,
-    "l": float,
-    "l0": float,
-    "p_c": float,
-    "l_att": float,
-    "c_fiber": float,
-    "enp_schedule": parse_enp_schedule,
-    "waiting": _parse_waiting,
-    "n_samples": int,
+#: Each configuration section's keys, as ``configparser`` lowercases
+#: them, with the attribute each sets and the parser of its value.  The
+#: ``[noise]`` keys set ``NoiseParams`` fields, the others ``Settings``
+#: fields.
+_SECTIONS: Dict[str, Dict[str, Tuple[str, Callable[[str], object]]]] = {
+    "chain": {
+        "scheme": ("scheme", _parse_scheme),
+        "l": ("L", float),
+        "l0": ("L0", float),
+        "p_c": ("p_c", float),
+        "l_att": ("L_att", float),
+        "c_fiber": ("c_fiber", float),
+        "enp_schedule": ("enp_schedule", parse_enp_schedule),
+        "waiting": ("waiting", _parse_waiting),
+        "n_samples": ("n_samples", int),
+    },
+    "noise": {
+        "eta": ("eta", float),
+        "d": ("D", float),
+        "p_misalign": ("p_misalign", float),
+        "p_dark": ("p_dark", float),
+        "eta_s": ("eta_s", float),
+    },
+    "sweep": {
+        "f_target": ("F_target", float),
+        "l_list": ("L_list", _parse_float_list),
+        "eta_list": ("eta_list", _parse_float_list),
+    },
 }
-_CHAIN_TARGETS = {
-    "l": "L", "l0": "L0", "l_att": "L_att",
-}
-_NOISE_FIELDS = ("eta", "d", "p_misalign", "p_dark", "eta_s")
-_SWEEP_FIELDS: Dict[str, Callable[[str], object]] = {
-    "f_target": float,
-    "l_list": _parse_float_list,
-    "eta_list": _parse_float_list,
-}
-_SWEEP_TARGETS = {"f_target": "F_target", "l_list": "L_list"}
 
 
 def load_settings(path: Optional[Path]) -> Settings:
@@ -197,43 +204,25 @@ def load_settings(path: Optional[Path]) -> Settings:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse configuration file: {exc}") from None
 
-    values: Dict[str, object] = {}
-    noise_values: Dict[str, float] = {}
+    values: Dict[str, Dict[str, object]] = {section: {} for section in _SECTIONS}
     for section in parser.sections():
-        if section == "chain":
-            for key, raw in parser.items(section):
-                if key not in _CHAIN_FIELDS:
-                    raise ConfigError(f"unknown key {key!r} in [chain]")
-                try:
-                    parsed = _CHAIN_FIELDS[key](raw)
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for {key!r}: {exc}") from None
-                values[_CHAIN_TARGETS.get(key, key)] = parsed
-        elif section == "noise":
-            for key, raw in parser.items(section):
-                if key not in _NOISE_FIELDS:
-                    raise ConfigError(f"unknown key {key!r} in [noise]")
-                try:
-                    noise_values["D" if key == "d" else key] = float(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for {key!r}: {exc}") from None
-        elif section == "sweep":
-            for key, raw in parser.items(section):
-                if key not in _SWEEP_FIELDS:
-                    raise ConfigError(f"unknown key {key!r} in [sweep]")
-                try:
-                    parsed = _SWEEP_FIELDS[key](raw)
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for {key!r}: {exc}") from None
-                values[_SWEEP_TARGETS.get(key, key)] = parsed
-        else:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-    if noise_values:
+        for key, raw in parser.items(section):
+            if key not in _SECTIONS[section]:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+            name, parse = _SECTIONS[section][key]
+            try:
+                values[section][name] = parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key!r}: {exc}") from None
+    noise = values.pop("noise")
+    if noise:
         try:
-            values["noise"] = NoiseParams(**noise_values)
+            values["chain"]["noise"] = NoiseParams(**noise)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    return Settings(**values)
+    return Settings(**values["chain"], **values["sweep"])
 
 
 def config_reference() -> str:
@@ -472,27 +461,37 @@ def cmd_curve(args, settings: Settings) -> CommandOutput:
             (_parse_scheme(name), parse_enp_schedule(spec))
             for name, spec in _CURVE_VARIANTS
         ]
+    # Each curve's files are named by round(100 eta), so two efficiencies
+    # with the same tag would write one file.
+    noises = {}
+    for eta in settings.eta_list:
+        noise = dataclasses.replace(settings.noise, eta=float(eta))
+        eta_tag = f"eta{round(noise.eta * 100):d}"
+        if eta_tag in noises:
+            raise ConfigError(
+                f"eta_list values {noises[eta_tag].eta} and {noise.eta} both"
+                f" name their curve files {eta_tag}"
+            )
+        noises[eta_tag] = noise
     all_rows = []
     collected = {}
     files = {}
     for scheme, schedule in variants:
-        for eta in settings.eta_list:
-            noise = dataclasses.replace(settings.noise, eta=float(eta))
+        for eta_tag, noise in noises.items():
             points = tf_curve(
                 scheme, settings.L, noise=noise, enp_schedule=schedule,
                 L_att=settings.L_att, c_fiber=settings.c_fiber,
             )
             rows = [
                 [
-                    scheme.value, settings.L, float(eta), noise.D,
+                    scheme.value, settings.L, noise.eta, noise.D,
                     format_enp_schedule(schedule), p_c, L0, t, F,
                 ]
                 for t, F, p_c, L0 in points
             ]
             all_rows.extend(rows)
             tag = (
-                f"curve_{scheme.value}_enp-{format_enp_schedule(schedule)}"
-                f"_eta{round(float(eta) * 100):d}"
+                f"curve_{scheme.value}_enp-{format_enp_schedule(schedule)}_{eta_tag}"
             ).replace(", ", "+")
             files[f"{tag}.csv"] = format_csv(rows, header=_CURVE_COLUMNS)
             collected[tag] = [

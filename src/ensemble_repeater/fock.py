@@ -32,9 +32,6 @@ import numpy as np
 
 ModeLabel = str
 
-HERMITICITY_TOL = 1e-12
-PSD_TOL = 1e-10
-TRACE_TOL = 1e-12
 UNITARITY_TOL = 1e-12
 
 # Amplitudes below this absolute size are interference residue and are
@@ -61,12 +58,6 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
-def rotation(theta: float) -> np.ndarray:
-    """Real two-mode rotation [[cos, -sin], [sin, cos]] on creation ops."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 @dataclass(frozen=True)
 class DetectionPattern:
     """Observed photon counts on a set of measured modes."""
@@ -76,10 +67,6 @@ class DetectionPattern:
     @classmethod
     def from_counts(cls, counts: Mapping[ModeLabel, int]) -> "DetectionPattern":
         return cls(tuple(sorted(counts.items())))
-
-    @property
-    def modes(self) -> tuple[ModeLabel, ...]:
-        return tuple(m for m, _ in self.counts)
 
     @property
     def total(self) -> int:
@@ -175,27 +162,6 @@ class FockDensityOperator:
         occ = tuple(int(occupations.get(m, 0)) for m in modes)
         return cls(modes, [{occ: 1.0 + 0.0j}], cutoff)
 
-    @classmethod
-    def mixture(
-        cls, parts: Iterable[tuple[float, "FockDensityOperator"]]
-    ) -> "FockDensityOperator":
-        """Weighted mixture sum_i w_i rho_i over a common register."""
-        parts = list(parts)
-        if not parts:
-            raise ValueError("empty mixture")
-        modes = parts[0][1]._modes
-        cutoff = max(s._cutoff for _, s in parts)
-        kets: list[_Ket] = []
-        for w, state in parts:
-            if w < 0:
-                raise ValueError("mixture weights must be non-negative")
-            if state._modes != modes:
-                raise ValueError("mixture components use different registers")
-            root = math.sqrt(w)
-            for ket in state._kets:
-                kets.append({occ: root * amp for occ, amp in ket.items()})
-        return cls(modes, kets, cutoff)
-
     # ------------------------------------------------------------------
     # basic properties
 
@@ -256,12 +222,6 @@ class FockDensityOperator:
             for occ, amp in ket.items():
                 probs[occ] = probs.get(occ, 0.0) + abs(amp) ** 2
         return probs
-
-    def expected_total_photons(self) -> float:
-        """Expectation of the total photon number operator."""
-        return float(
-            sum(abs(amp) ** 2 * sum(occ) for ket in self._kets for occ, amp in ket.items())
-        )
 
 
 def tensor(a: FockDensityOperator, b: FockDensityOperator) -> "FockDensityOperator":
@@ -552,22 +512,3 @@ def project_total_photons(
         if sub:
             new_kets.append(sub)
     return FockDensityOperator(state.modes, new_kets, state.cutoff)
-
-
-# ----------------------------------------------------------------------
-# invariant checks
-
-
-def verify_invariants(state: FockDensityOperator) -> None:
-    """Raise AssertionError if density-operator invariants fail.
-
-    Checks Hermiticity (1e-12), positive semidefiniteness (smallest
-    eigenvalue >= -1e-10) and trace <= 1 + 1e-12 on the dense matrix.
-    """
-    m = state.matrix
-    if m.size:
-        herm = np.max(np.abs(m - m.conj().T))
-        assert herm <= HERMITICITY_TOL, f"hermiticity violated by {herm:.3e}"
-        lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
-        assert lo >= -PSD_TOL, f"negative eigenvalue {lo:.3e}"
-    assert state.trace <= 1.0 + TRACE_TOL, f"trace {state.trace} exceeds 1"

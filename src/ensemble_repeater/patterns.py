@@ -92,15 +92,7 @@ class BellState(enum.Enum):
     @cached_property
     def index(self) -> int:
         """Position in the (Phi+, Phi-, Psi+, Psi-) order of Bell arrays."""
-        return _BELL_ORDER.index(self)
-
-
-_BELL_ORDER = (
-    BellState.PHI_PLUS,
-    BellState.PHI_MINUS,
-    BellState.PSI_PLUS,
-    BellState.PSI_MINUS,
-)
+        return tuple(BellState).index(self)
 
 
 class ExcitationPattern(enum.Enum):
@@ -464,43 +456,3 @@ def logical_fidelity_rows(
     weights = np.full(len(rows), layout.default_logical[target.index])
     np.divide(rows[:, target.index - 4], mass, out=weights, where=mass != 0.0)
     return weights
-
-
-# ----------------------------------------------------------------------
-# serialization
-
-
-def to_text(state: PatternState) -> str:
-    """Human-readable structured-text record of a PatternState."""
-    lines = [f"scheme: {state.scheme.value}"]
-    for pat in scheme_patterns(state.scheme):
-        p = state.prob(pat)
-        if p != 0.0 or pat is logical_pattern(state.scheme):
-            lines.append(f"{pat.value}: {p!r}")
-    lines.append("logical: " + " ".join(repr(w) for w in state.logical.tolist()))
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> PatternState:
-    """Parse the record produced by ``to_text``."""
-    scheme: SchemeKind | None = None
-    probs: dict[ExcitationPattern, float] = {}
-    logical = [1.0, 0.0, 0.0, 0.0]
-    by_value = {p.value: p for p in ExcitationPattern}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(":")
-        key, value = key.strip(), value.strip()
-        if key == "scheme":
-            scheme = SchemeKind(value)
-        elif key == "logical":
-            logical = [float(x) for x in value.split()]
-        elif key in by_value:
-            probs[by_value[key]] = float(value)
-        else:
-            raise ValueError(f"unrecognized field: {key}")
-    if scheme is None:
-        raise ValueError("missing scheme field")
-    return PatternState(scheme, probs, logical)

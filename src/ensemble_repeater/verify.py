@@ -33,13 +33,6 @@ from .tables import KINDS, ConnectionTable, TableEntry, kind_table
 TOLERANCE = 1e-10
 FROZEN_TOLERANCE = 1e-12
 
-_BELLS = (
-    BellState.PHI_PLUS,
-    BellState.PHI_MINUS,
-    BellState.PSI_PLUS,
-    BellState.PSI_MINUS,
-)
-
 #: (bit, sign) coordinates of each Bell state; the connection law is a
 #: componentwise XOR in these coordinates.
 _BELL_CODE = {
@@ -114,7 +107,7 @@ def check_connection_truth() -> List[CheckResult]:
     """
     results = []
     for kind, stage in (("enc_level1", "level 1"), ("enc_higher", "level >= 2")):
-        for b1, b2 in itertools.product(_BELLS, repeat=2):
+        for b1, b2 in itertools.product(BellState, repeat=2):
             entry = oracle_entry(kind, (P.P11, b1), (P.P11, b2), 1.0)
             target = bell_xor(b1, b2)
             dev = _pure_bell_deviation(entry, target, 0.5)
@@ -153,7 +146,7 @@ def check_purification_truth() -> List[CheckResult]:
     """
     results = []
     for phase_variant, label in ((False, "bit"), (True, "phase")):
-        for b1, b2 in itertools.product(_BELLS, repeat=2):
+        for b1, b2 in itertools.product(BellState, repeat=2):
             (x1, s1), (x2, s2) = _BELL_CODE[b1], _BELL_CODE[b2]
             entry = oracle_entry(f"enp_{label}", (P.P11, b1), (P.P11, b2), 1.0)
             accept = (x1 == x2) if not phase_variant else (s1 == s2)

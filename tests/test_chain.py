@@ -16,9 +16,7 @@ from ensemble_repeater.chain import (
     _McTimes,
     _sweep_spacings,
     check_step_noise,
-    elementary_time,
     empirical_time,
-    enc_success_estimate,
     feasible_l0,
     fit_tf_slope,
     format_csv,
@@ -101,7 +99,7 @@ def test_config_rejects_overflowing_elementary_time():
 def test_config_rejects_infinite_elementary_time():
     """exp(L0 / L_att) is finite here, but the elementary time is not."""
     config = dict(scheme=DLCZ, L=2836.0, L0=709.0, L_att=1.0, p_c=1e-3)
-    assert math.isinf(elementary_time(1e-3, 0.9, 709.0, 1.0, 2.0e5))
+    assert math.isinf(chain_module._elementary_time(1e-3, 0.9, 709.0, 1.0, 2.0e5))
     with pytest.raises(OverflowError, match=r"^the elementary time .* overflows for L0 = 709"):
         _config(**config)
     _config(**config, c_fiber=2.0e6)  # ten times faster fiber keeps it finite
@@ -147,22 +145,31 @@ def test_single_rail_chains_reject_a_purification_schedule():
 
 
 def test_elementary_time_closed_form():
-    t0 = elementary_time(0.01, 0.9, 40.0, 20.0, 2.0e5)
+    t0 = _config(p_c=0.01).t0
     assert t0 == pytest.approx((40.0 / 2.0e5) * math.exp(2.0) / (0.01 * 0.9))
-    with pytest.raises(ValueError):
-        elementary_time(0.0, 0.9, 40.0, 20.0, 2.0e5)
+    with pytest.raises(ValueError, match=r"^p_c must lie in \(0, 1\)$"):
+        _config(p_c=0.0)
+
+
+def _stable_success(eta):
+    """Stable-regime connection success probability eta^2(3-2eta)/(2(2-eta)^4)."""
+    return eta**2 * (3 - 2 * eta) / (2 * (2 - eta) ** 4)
 
 
 def test_stable_connection_success():
-    eta = 0.9
-    expect = eta**2 * (3 - 2 * eta) / (2 * (2 - eta) ** 4)
-    assert enc_success_estimate(eta) == pytest.approx(expect)
-    assert enc_success_estimate(1.0) == pytest.approx(0.5)
+    """From the second level on, a two-cell chain's connections succeed
+    with the stable-regime probability that ``scaling_exponent`` uses."""
+    for eta in (0.9, 1.0):
+        result = simulate_chain(_config(L=1280.0, p_c=1e-3, noise=NoiseParams(eta=eta)))
+        later = [r.success_prob for r in result.per_level if r.stage == "enc"][1:]
+        assert len(later) == 3
+        assert later == pytest.approx([_stable_success(eta)] * 3, rel=1e-2)
+    assert _stable_success(1.0) == 0.5
 
 
 def test_scaling_exponent_consistency():
     for eta in (0.9, 0.95, 1.0):
-        expect = 1.0 + math.log2(1.5) + math.log2(1.0 / enc_success_estimate(eta))
+        expect = 1.0 + math.log2(1.5) + math.log2(1.0 / _stable_success(eta))
         assert scaling_exponent(eta) == pytest.approx(expect)
     # At unit efficiency: 1 + log2(1.5) + 1 = 2.585.
     assert scaling_exponent(1.0) == pytest.approx(2.0 + math.log2(1.5))
@@ -174,13 +181,12 @@ def test_empirical_time_reference_point():
     t = empirical_time(config)
     assert t == pytest.approx(381.9, rel=5e-3)
     # One power of (L/L0) less than the full exponent.
-    t0 = elementary_time(8.1e-3, 0.9, 40.0, 20.0, 2.0e5)
-    assert t == pytest.approx(t0 * 32.0 ** (scaling_exponent(0.9) - 1.0))
+    assert t == pytest.approx(config.t0 * 32.0 ** (scaling_exponent(0.9) - 1.0))
 
 
 def test_deterministic_time_recursion():
     result = simulate_chain(_config(L=160.0))
-    t0 = elementary_time(5e-3, 0.9, 40.0, 20.0, 2.0e5)
+    t0 = result.config.t0
     eng_rec, enc_rec = result.per_level
     assert eng_rec.t_avg == pytest.approx(1.5 * t0)
     assert enc_rec.t_avg == pytest.approx(1.5 * eng_rec.t_avg / enc_rec.success_prob)
@@ -345,7 +351,6 @@ def test_final_figures_equal_the_last_record(name):
     assert result.fidelity == last.fidelity
     assert result.final_logical_fidelity == last.logical_fidelity
     assert result.t_avg == last.t_avg
-    assert result.final == (last.t_avg, last.fidelity)
     assert result.per_level is result.per_level
 
 

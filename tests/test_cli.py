@@ -91,21 +91,43 @@ eta_list = 0.9
 
 
 @pytest.mark.parametrize(
-    "body",
+    "body, message",
     [
-        "[chain]\nbogus = 1\n",
-        "[orbit]\nL = 100\n",
-        "[chain]\nL = not-a-number\n",
-        "[chain]\nscheme = qubit\n",
-        "[chain]\nwaiting = sometimes\n",
-        "[noise]\neta = 1.5\n",
-        "[sweep]\nl_list = 1,2,three\n",
+        pytest.param(body, message, id=body)
+        for body, message in (
+            ("[chain]\nbogus = 1\n", r"^unknown key 'bogus' in \[chain\]$"),
+            ("[noise]\nbogus = 1\n", r"^unknown key 'bogus' in \[noise\]$"),
+            ("[sweep]\nbogus = 1\n", r"^unknown key 'bogus' in \[sweep\]$"),
+            ("[orbit]\nL = 100\n", r"^unknown section \[orbit\]$"),
+            (
+                "[chain]\nL = not-a-number\n",
+                "^bad value for 'l': could not convert string to float: 'not-a-number'$",
+            ),
+            (
+                "[chain]\nscheme = qubit\n",
+                r"^unknown scheme 'qubit'; expected one of \['dlcz', 'new'\]$",
+            ),
+            (
+                "[chain]\nwaiting = sometimes\n",
+                "^unknown waiting model 'sometimes'; expected 'deterministic' or 'mc'$",
+            ),
+            (
+                "[noise]\nD = abc\n",
+                "^bad value for 'd': could not convert string to float: 'abc'$",
+            ),
+            ("[noise]\neta = 1.5\n", r"^eta must lie in \[0, 1\], got 1.5$"),
+            (
+                "[sweep]\nl_list = 1,2,three\n",
+                "^bad number list '1,2,three': could not convert string to float:"
+                " 'three'$",
+            ),
+        )
     ],
 )
-def test_load_settings_rejects_bad_input(tmp_path, body):
+def test_load_settings_rejects_bad_input(tmp_path, body, message):
     path = tmp_path / "bad.ini"
     path.write_text(body)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=message):
         load_settings(path)
 
 
@@ -335,6 +357,17 @@ def test_bad_configuration_exits_3(tmp_path, capsys, body, argv, command, messag
         pytest.param(
             "[sweep]\neta_list = 0\n", "curve", "eta must be positive, got 0.0",
             id="curve-zero-eta-list",
+        ),
+        # curve names its files by round(100 eta), so each value needs its own.
+        pytest.param(
+            "[chain]\nL = 160\n[sweep]\neta_list = 0.951, 0.954\n", "--scheme dlcz curve",
+            "eta_list values 0.951 and 0.954 both name their curve files eta95",
+            id="curve-colliding-eta-tags",
+        ),
+        pytest.param(
+            "[sweep]\neta_list = 0.9, 0.9\n", "curve",
+            "eta_list values 0.9 and 0.9 both name their curve files eta90",
+            id="curve-repeated-eta",
         ),
         # Only two-cell pairs can be purified.
         *(

@@ -1,6 +1,13 @@
-"""The package's public names."""
+"""The package's public names, and a caller for every library name."""
+
+import ast
+from collections import Counter
+from pathlib import Path
 
 import ensemble_repeater
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ensemble_repeater"
 
 
 def test_every_exported_name_resolves():
@@ -11,3 +18,49 @@ def test_every_exported_name_resolves():
     ]
     assert missing == []
     assert len(set(ensemble_repeater.__all__)) == len(ensemble_repeater.__all__)
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Names a tree reads: loaded names, attributes and imported names."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name] += 1
+    return found
+
+
+def _definitions(tree: ast.Module):
+    """(name, node) of each module-level function, class and assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def test_every_library_name_has_a_caller():
+    """A module-level name of the library that no code in ``src/`` or
+    ``demos/`` reads, outside its own definition, and that ``__all__``
+    does not export has no caller: it goes, or moves into its tests.
+    Methods are not listed, since overrides have no direct caller."""
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
+    used = sum((_references(tree) for tree in trees.values()), Counter())
+    uncalled = [
+        f"{path.stem}.{name}"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for name, node in _definitions(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in ensemble_repeater.__all__
+        and used[name] <= _references(node)[name]
+    ]
+    assert uncalled == []

@@ -21,7 +21,6 @@ from ensemble_repeater.patterns import (
     check_rows,
     fidelity,
     fidelity_rows,
-    from_text,
     logical_column,
     logical_fidelity,
     logical_fidelity_rows,
@@ -29,7 +28,6 @@ from ensemble_repeater.patterns import (
     normalize,
     row_totals,
     scheme_patterns,
-    to_text,
 )
 from ensemble_repeater.tables import canonical_keys
 
@@ -559,28 +557,3 @@ def test_projection_checks_its_mode_map(scheme, mode_map, message):
     rho = canonical_state(SchemeKind.DLCZ, ExcitationPattern.P11, "x", "y")
     with pytest.raises(ValueError, match=message):
         project_from_fock(rho, scheme, mode_map)
-
-
-def test_text_round_trip():
-    state = PatternState(
-        SchemeKind.NEW,
-        {
-            ExcitationPattern.P11: 0.625,
-            ExcitationPattern.P00: 0.25,
-            ExcitationPattern.P21_PERP: 0.125,
-        },
-        [0.125, 0.125, 0.75, 0.0],
-    )
-    text = to_text(state)
-    back = from_text(text)
-    assert back.scheme is state.scheme
-    for pat in scheme_patterns(state.scheme):
-        assert back.prob(pat) == pytest.approx(state.prob(pat), abs=0.0)
-    assert np.array_equal(back.logical, state.logical)
-
-
-def test_from_text_rejects_unknown_fields():
-    with pytest.raises(ValueError):
-        from_text("scheme: new\nbogus: 1.0\n")
-    with pytest.raises(ValueError):
-        from_text("P11: 1.0\n")
