@@ -427,6 +427,7 @@ def accumulate_entry(
         state, branch_residue = project_from_fock(cond, scheme, mode_map)
         row += state.row
         residue = max(residue, branch_residue)
+    row.flags.writeable = False
     return TableEntry(scheme, row, residue)
 
 

@@ -2,10 +2,13 @@
 
 Run from the repository root::
 
-    PYTHONPATH=src python3 -m ensemble_repeater.freeze
+    PYTHONPATH=src python3 -m ensemble_repeater.freeze [KIND ...]
 
-It rewrites ``src/ensemble_repeater/table_coefficients.json`` (about
-25 s on one core).  Each table of ``tables.KINDS`` is one block:
+It rewrites ``src/ensemble_repeater/coefficients/<kind>.json`` for each
+table kind named (``tables.KINDS``), or for all six when none is named
+(about 25 s on one core; ``enc_dlcz``, ``pme`` and ``enc_higher`` take
+under a second each).  A table build reads only its own kind's file, on
+that kind's first build.  Each file is one block:
 
 ``keys``
     the canonical input keys, the ``a`` and ``b`` indices;
@@ -20,7 +23,7 @@ It rewrites ``src/ensemble_repeater/table_coefficients.json`` (about
 An entry's value in a slot is the sum over its coefficients of
 ``c * eta**kept * (1 - eta)**lost``.  The coefficients come from one
 tagged oracle run per entry (``circuits.entry_terms``), not from a fit.
-The file's first line records the SHA-256 of the rest of its bytes
+A file's first line records the SHA-256 of the rest of its bytes
 (``tables.hash_line``).
 """
 
@@ -32,10 +35,10 @@ from pathlib import Path
 
 from .circuits import entry_terms
 from .tables import (
-    COEFFICIENTS_FILE,
     COLUMNS,
     KINDS,
     canonical_keys,
+    coefficients_file,
     hash_line,
     key_label,
     output_scheme,
@@ -47,7 +50,7 @@ FIELDS = ("keys", "slots", "exponents") + COLUMNS
 
 
 def coefficient_block(kind: str) -> dict:
-    """The frozen-file block of one table, computed by the oracle."""
+    """The frozen block of one table, computed by the oracle."""
     out = output_scheme(kind)
     keys = canonical_keys(KINDS[kind][0])
     terms = {}
@@ -73,26 +76,24 @@ def coefficient_block(kind: str) -> dict:
     return block
 
 
-def render(blocks: dict) -> str:
-    """The data file's text: its hash line, then one block field per line."""
-    texts = []
-    for kind, block in sorted(blocks.items()):
-        fields = ",\n".join(
-            f"   {json.dumps(field)}: {json.dumps(block[field])}" for field in FIELDS
-        )
-        texts.append(f"  {json.dumps(kind)}: {{\n{fields}\n  }}")
-    body = ' "tables": {\n' + ",\n".join(texts) + "\n }\n}\n"
+def render(block: dict) -> str:
+    """A coefficient file's text: its hash line, then one field per line."""
+    fields = ",\n".join(f" {json.dumps(field)}: {json.dumps(block[field])}" for field in FIELDS)
+    body = fields + "\n}\n"
     return hash_line(body.encode()).decode() + "\n" + body
 
 
 def main() -> int:
-    blocks = {}
-    for kind in KINDS:
+    kinds = sys.argv[1:] or list(KINDS)
+    unknown = [kind for kind in kinds if kind not in KINDS]
+    if unknown:
+        print(f"unknown table kind {unknown[0]!r}; known: {', '.join(KINDS)}", file=sys.stderr)
+        return 2
+    for kind in kinds:
         print(f"computing {kind} ...", file=sys.stderr, flush=True)
-        blocks[kind] = coefficient_block(kind)
-    path = Path(__file__).with_name(COEFFICIENTS_FILE)
-    path.write_text(render(blocks))
-    print(f"wrote {path}", file=sys.stderr)
+        path = Path(__file__).parent / coefficients_file(kind)
+        path.write_text(render(coefficient_block(kind)))
+        print(f"wrote {path}", file=sys.stderr)
     return 0
 
 

@@ -89,6 +89,11 @@ class BellState(enum.Enum):
     PSI_PLUS = "psi_plus"
     PSI_MINUS = "psi_minus"
 
+    # Members are singletons compared by identity, so they hash by
+    # identity too: Enum.__hash__, a Python call that hashes the name,
+    # was most of a table-key lookup.
+    __hash__ = object.__hash__
+
     @cached_property
     def index(self) -> int:
         """Position in the (Phi+, Phi-, Psi+, Psi-) order of Bell arrays."""
@@ -110,6 +115,8 @@ class ExcitationPattern(enum.Enum):
     P22_PAR_PERP = "P22_par_perp"
     P22_PERP_PERP = "P22_perp_perp"
     OVERFLOW = "overflow"
+
+    __hash__ = object.__hash__  # as BellState's
 
 
 _DLCZ_PATTERNS = (
@@ -192,8 +199,9 @@ def logical_column(scheme: SchemeKind) -> int:
 class PatternState:
     """A pair's pattern masses and Bell masses as one read-only float row.
 
-    ``row`` is laid out as the module docstring describes; ``masses``
-    and ``bell_masses()`` are views of it.  ``logical`` is derived: the
+    ``row`` is laid out as the module docstring describes: ``masses``
+    is a view of its pattern masses, and ``row[-4:]`` holds the absolute
+    Bell masses of the logical pattern.  ``logical`` is derived: the
     Bell masses over the logical mass, or the scheme's pure default when
     that mass is zero.  ``probs`` maps each pattern of nonzero mass to
     its mass, and ``total`` is the summed pattern mass.  A protocol step
@@ -271,10 +279,6 @@ class PatternState:
     def masses(self) -> np.ndarray:
         """Read-only view of the pattern masses in scheme order."""
         return self.row[:-4]
-
-    def bell_masses(self) -> np.ndarray:
-        """Read-only view of the absolute Bell masses of the logical pattern."""
-        return self.row[-4:]
 
     @property
     def logical(self) -> np.ndarray:

@@ -15,14 +15,16 @@ eta^kept (1 - eta)^lost.  Every table value is therefore a polynomial of
 degree at most 8, the sum of ``c * eta**kept * (1 - eta)**lost`` over
 the (kept, lost) exponents.  :mod:`.freeze` computes the coefficients
 ``c`` once, exactly, from a tagged run of the circuits and stores them
-in ``table_coefficients.json``: per table, five parallel columns ``a``,
-``b``, ``slot``, ``term`` and ``c``, one item per nonzero coefficient,
-under a first line that holds the SHA-256 of the rest of the file.  A
-table build reads the file on first use, evaluates the whole table as
-one product of its coefficient array with the eta basis, and takes each
-entry's row as a view of the result; tables are cached per (scheme,
-operation, variant, eta).  ``verify.check_frozen_tables`` compares them
-with the Fock oracle.
+in one file per table kind, ``coefficients/<kind>.json``: five parallel
+columns ``a``, ``b``, ``slot``, ``term`` and ``c``, one item per nonzero
+coefficient, under a first line that holds the SHA-256 of the rest of
+the file.  A table reads and checks its own kind's file on that kind's
+first build and keeps only the ``(a, b, slot)`` positions that have a
+coefficient.  It evaluates the whole table as one product of those
+positions' coefficients with the eta basis, scattered into zeros, and
+takes each entry's row as a view of the result; tables are cached per
+(scheme, operation, variant, eta).  ``verify.check_frozen_tables``
+compares them with the Fock oracle.
 
 The discarded-coherence diagnostic ``TableEntry.residue`` is no
 polynomial, so evaluated entries carry none; ``circuits.oracle_entry``
@@ -51,6 +53,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -81,8 +84,9 @@ KINDS = {
     "enp_phase": (SchemeKind.NEW, "enp", ENP_PHASE),
 }
 
-#: Data file of the frozen coefficients, next to this module.
-COEFFICIENTS_FILE = "table_coefficients.json"
+#: Directory of the frozen coefficients, next to this module: one
+#: ``<kind>.json`` per table kind.
+COEFFICIENTS_DIR = "coefficients"
 #: The coefficient columns of a block, one item per nonzero coefficient.
 COLUMNS = ("a", "b", "slot", "term", "c")
 
@@ -102,7 +106,6 @@ def enc_kind(scheme: SchemeKind, first_level: bool) -> str:
     return "enc_level1" if first_level else "enc_higher"
 
 
-@dataclass(frozen=True, eq=False)
 class TableEntry:
     """Unnormalized output of one pattern-pair connection, as one row.
 
@@ -115,14 +118,25 @@ class TableEntry:
     across accepted outcomes, is known only for entries built by the
     Fock oracle; it is None for entries evaluated from the frozen
     polynomials.
+
+    Entries are immutable: the fields are read-only properties, and the
+    builder passes a read-only row.  A cold build makes one entry per
+    key pair, and this slotted class is built in about a third of the
+    time of a frozen dataclass.
     """
 
-    scheme: SchemeKind
-    row: np.ndarray
-    residue: Optional[float] = None
+    __slots__ = ("_scheme", "_row", "_residue")
 
-    def __post_init__(self) -> None:
-        self.row.flags.writeable = False
+    def __init__(
+        self, scheme: SchemeKind, row: np.ndarray, residue: Optional[float] = None
+    ) -> None:
+        self._scheme = scheme
+        self._row = row
+        self._residue = residue
+
+    scheme = property(attrgetter("_scheme"))
+    row = property(attrgetter("_row"))
+    residue = property(attrgetter("_residue"))
 
     @property
     def masses(self) -> tuple[tuple[ExcitationPattern, float], ...]:
@@ -264,28 +278,37 @@ class ConnectionTable:
 
 
 def hash_line(body: bytes) -> bytes:
-    """First line of ``COEFFICIENTS_FILE``: the SHA-256 of ``body``, the
+    """First line of a coefficient file: the SHA-256 of ``body``, the
     bytes after it."""
     return b'{"sha256": "' + hashlib.sha256(body).hexdigest().encode() + b'",'
 
 
-@lru_cache(maxsize=None)
-def frozen_blocks() -> Mapping:
-    """The coefficient blocks of ``COEFFICIENTS_FILE``, checked against
-    its recorded hash.  Read on the first table build, not at import.
+def coefficients_file(kind: str) -> str:
+    """Path of one table kind's coefficient file, relative to this package."""
+    return f"{COEFFICIENTS_DIR}/{kind}.json"
 
-    The first line must be ``hash_line`` of the file's remaining bytes,
-    so any edit, whitespace included, is rejected.  Each block lists
-    ``keys``, ``slots`` and ``exponents``, then one coefficient per item
-    of the parallel columns ``a``, ``b``, ``slot``, ``term`` and ``c``.
+
+@lru_cache(maxsize=None)
+def frozen_block(kind: str) -> Mapping:
+    """The coefficient block of one table kind, checked against the hash
+    its file records.  Read on that kind's first build, not at import.
+
+    The first line of ``coefficients_file(kind)`` must be ``hash_line``
+    of the file's remaining bytes, so any edit, whitespace included, is
+    rejected.  The block lists ``keys``, ``slots`` and ``exponents``,
+    then one coefficient per item of the parallel columns ``a``, ``b``,
+    ``slot``, ``term`` and ``c``.
     """
     from importlib import resources
 
-    data = resources.files(__package__).joinpath(COEFFICIENTS_FILE).read_bytes()
+    name = coefficients_file(kind)
+    data = resources.files(__package__).joinpath(name).read_bytes()
     head, _, body = data.partition(b"\n")
     if head != hash_line(body):
-        raise RuntimeError(f"{COEFFICIENTS_FILE} does not match its sha256")
-    return json.loads(data)["tables"]
+        raise RuntimeError(f"{name} does not match its sha256")
+    block = json.loads(data)
+    del block["sha256"]
+    return block
 
 
 def key_label(key: Key) -> str:
@@ -299,11 +322,19 @@ def slot_labels(scheme: SchemeKind) -> list[str]:
 
 
 class _Polynomials(NamedTuple):
-    """One table's coefficients ``c[a, b, slot, term]`` with the term
-    exponents, indexed like ``canonical_keys`` and ``TableEntry.row``."""
+    """One table's nonzero coefficients, indexed like ``canonical_keys``
+    and ``TableEntry.row``.
+
+    ``coefficients[p, term]`` belongs to the flat ``(a, b, slot)``
+    position ``positions[p]`` of a table of ``shape``; every position
+    not listed has no coefficient.  ``kept`` and ``lost`` are the term
+    exponents.
+    """
 
     index: Mapping[Key, int]
     scheme: SchemeKind
+    shape: Tuple[int, int, int]
+    positions: np.ndarray
     kept: np.ndarray
     lost: np.ndarray
     coefficients: np.ndarray
@@ -311,31 +342,39 @@ class _Polynomials(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _polynomials(kind: str) -> _Polynomials:
-    block = frozen_blocks()[kind]
+    block = frozen_block(kind)
     out = output_scheme(kind)
     keys = canonical_keys(KINDS[kind][0])
     if block["keys"] != [key_label(k) for k in keys] or block["slots"] != slot_labels(out):
         raise RuntimeError(
-            f"{COEFFICIENTS_FILE}: the {kind} layout differs from the code;"
+            f"{coefficients_file(kind)}: the layout differs from the code;"
             " regenerate it with python3 -m ensemble_repeater.freeze"
         )
     kept, lost = np.array(block["exponents"], dtype=float).reshape(-1, 2).T
-    coefficients = np.zeros((len(keys), len(keys), len(block["slots"]), len(kept)))
-    a, b, slot, term, c = (block[column] for column in COLUMNS)
-    coefficients[a, b, slot, term] = c
+    shape = (len(keys), len(keys), len(block["slots"]))
+    a, b, slot, term = np.array([block[column] for column in COLUMNS[:-1]])
+    # the columns are sorted by index, so each new flat (a, b, slot) opens a row
+    flat = (a * shape[1] + b) * shape[2] + slot
+    opens = np.concatenate(([True], flat[1:] != flat[:-1]))
+    coefficients = np.zeros((np.count_nonzero(opens), len(kept)))
+    coefficients[np.cumsum(opens) - 1, term] = block["c"]
     index = {key: i for i, key in enumerate(keys)}
-    return _Polynomials(index, out, kept, lost, coefficients)
+    return _Polynomials(index, out, shape, flat[opens], kept, lost, coefficients)
 
 
 @lru_cache(maxsize=None)
 def _frozen_values(kind: str, eta: float) -> np.ndarray:
     """Every entry row of one table at eta, ``values[a, b]``, read-only.
 
-    One product of the coefficients with the eta basis, whose rows equal
-    the per-entry products ``coefficients[a, b] @ basis`` bit for bit.
+    One product of the coefficients with the eta basis, scattered into
+    zeros; each row equals the dense per-entry product
+    ``coefficients[a, b] @ basis`` bit for bit.
     """
     poly = _polynomials(kind)
-    values = poly.coefficients @ (eta**poly.kept * (1.0 - eta) ** poly.lost)
+    values = np.zeros(poly.shape)
+    values.reshape(-1)[poly.positions] = poly.coefficients @ (
+        eta**poly.kept * (1.0 - eta) ** poly.lost
+    )
     values.flags.writeable = False
     return values
 

@@ -1,6 +1,7 @@
 """The package's public names, and a caller for every library name."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -46,21 +47,57 @@ def _definitions(tree: ast.Module):
                         yield name.id, node
 
 
+def _methods(tree: ast.Module):
+    """(class, name, node) of each method and property of each
+    module-level class: its functions and its ``property(...)``
+    assignments."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                yield cls.name, node.name, node
+            elif (
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name)
+                and node.value.func.id == "property"
+            ):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        yield cls.name, target.id, node
+
+
+def _overrides(module: str, cls: str, name: str) -> bool:
+    """Whether a base class of the library class defines ``name``."""
+    bases = getattr(importlib.import_module(f"ensemble_repeater.{module}"), cls).__mro__[1:]
+    return any(name in vars(base) for base in bases)
+
+
 def test_every_library_name_has_a_caller():
     """A module-level name of the library that no code in ``src/`` or
     ``demos/`` reads, outside its own definition, and that ``__all__``
     does not export has no caller: it goes, or moves into its tests.
-    Methods are not listed, since overrides have no direct caller."""
+    So does a method or property of a library class that nothing there
+    reads, dunders aside, unless it overrides a base class's."""
     sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
     used = sum((_references(tree) for tree in trees.values()), Counter())
+    library = {path: tree for path, tree in trees.items() if path.parent == PACKAGE}
     uncalled = [
         f"{path.stem}.{name}"
-        for path, tree in trees.items()
-        if path.parent == PACKAGE
+        for path, tree in library.items()
         for name, node in _definitions(tree)
         if not (name.startswith("__") and name.endswith("__"))
         and name not in ensemble_repeater.__all__
         and used[name] <= _references(node)[name]
+    ]
+    uncalled += [
+        f"{path.stem}.{cls}.{name}"
+        for path, tree in library.items()
+        for cls, name, node in _methods(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+        and used[name] <= _references(node)[name]
+        and not _overrides(path.stem, cls, name)
     ]
     assert uncalled == []

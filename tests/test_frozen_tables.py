@@ -1,9 +1,10 @@
 """Tables evaluated from the frozen polynomials against the Fock oracle.
 
 Every table value is a polynomial in eta whose coefficients are stored
-in ``table_coefficients.json``.  These tests compare the evaluated
-tables with oracle builds, pin the data file to its hash and to a fresh
-regeneration, and check that the file ships with the package.
+in one file per table kind, ``coefficients/<kind>.json``.  These tests
+compare the evaluated tables with oracle builds, pin each file to its
+hash and to a fresh regeneration, check that a build reads only its own
+kind's file, and that the files ship with the package.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -24,12 +26,11 @@ from ensemble_repeater import freeze, tables
 from ensemble_repeater.circuits import oracle_table
 from ensemble_repeater.patterns import SchemeKind, logical_column, scheme_patterns
 from ensemble_repeater.tables import (
-    COEFFICIENTS_FILE,
     COLUMNS,
     KINDS,
-    _polynomials,
     canonical_keys,
-    frozen_blocks,
+    coefficients_file,
+    frozen_block,
     kind_table,
 )
 
@@ -125,15 +126,21 @@ def test_frozen_entries_reject_eta_outside_the_unit_interval():
             kind_table("pme", eta)
 
 
+def _coefficient_bytes(kind):
+    return resources.files("ensemble_repeater").joinpath(coefficients_file(kind)).read_bytes()
+
+
 def test_data_file_hash_matches_its_bytes():
-    """The first line holds the SHA-256 of every byte after it."""
-    data = resources.files("ensemble_repeater").joinpath(COEFFICIENTS_FILE).read_bytes()
-    head, body = data.split(b"\n", 1)
-    assert head == b'{"sha256": "' + hashlib.sha256(body).hexdigest().encode() + b'",'
-    text = data.decode()
-    blocks = json.loads(text)["tables"]
-    assert set(blocks) == set(KINDS)
-    assert freeze.render(blocks) == text
+    """In each kind's file, the first line holds the SHA-256 of every
+    byte after it, and the text is the rendering of its block."""
+    for kind in KINDS:
+        data = _coefficient_bytes(kind)
+        head, body = data.split(b"\n", 1)
+        assert head == b'{"sha256": "' + hashlib.sha256(body).hexdigest().encode() + b'",'
+        block = json.loads(data)
+        del block["sha256"]
+        assert list(block) == list(freeze.FIELDS)
+        assert freeze.render(block) == data.decode(), kind
 
 
 def _edit_digit(text):
@@ -147,58 +154,127 @@ def _edit_whitespace(text):
     return text.replace('"c": [', '"c":  [', 1)
 
 
-@pytest.mark.parametrize("edit", [None, _edit_digit, _edit_whitespace])
-def test_an_edited_data_file_is_rejected(tmp_path, edit):
-    """A copy of the package with an edited data file fails its first
-    table build; the unedited copy loads."""
-    package = tmp_path / "ensemble_repeater"
+# Builds every kind in a fresh interpreter and prints each outcome.
+_BUILD_EVERY_KIND = """
+from ensemble_repeater import tables
+for kind in tables.KINDS:
+    try:
+        tables.kind_table(kind, 0.9)
+        print(kind, "ok")
+    except RuntimeError as exc:
+        print(kind, exc)
+"""
+
+
+def _build_every_kind(tmp_path, edited=None, edit=None):
+    """Outcome of each kind's first build in a copy of the package whose
+    ``edited`` kind's file went through ``edit``."""
+    root = tmp_path / (edited or "unedited")
+    package = root / "ensemble_repeater"
     source = ROOT / "src" / "ensemble_repeater"
     shutil.copytree(source, package, ignore=shutil.ignore_patterns("__pycache__"))
-    text = (source / COEFFICIENTS_FILE).read_text()
-    if edit is not None:
-        edited = edit(text)
-        assert edited != text
-        (package / COEFFICIENTS_FILE).write_text(edited)
-    code = "from ensemble_repeater import tables; tables.kind_table('pme', 0.9)"
+    if edited is not None:
+        path = package / coefficients_file(edited)
+        text = path.read_text()
+        assert edit(text) != text
+        path.write_text(edit(text))
     proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        [sys.executable, "-c", _BUILD_EVERY_KIND],
+        env={**os.environ, "PYTHONPATH": str(root)},
         capture_output=True,
         text=True,
     )
+    assert proc.returncode == 0, proc.stderr
+    return dict(line.split(" ", 1) for line in proc.stdout.splitlines())
+
+
+@pytest.mark.parametrize("edit", [None, _edit_digit, _edit_whitespace])
+def test_an_edited_data_file_is_rejected(tmp_path, edit):
+    """A copy of the package with one kind's file edited fails that
+    kind's first build, naming the file, and builds every other kind;
+    the unedited copy builds all six."""
     if edit is None:
-        assert proc.returncode == 0, proc.stderr
-    else:
-        assert proc.returncode == 1
-        assert f"{COEFFICIENTS_FILE} does not match its sha256" in proc.stderr
+        assert _build_every_kind(tmp_path) == {kind: "ok" for kind in KINDS}
+        return
+    for edited in KINDS:
+        outcomes = _build_every_kind(tmp_path, edited, edit)
+        want = {kind: "ok" for kind in KINDS}
+        want[edited] = f"{coefficients_file(edited)} does not match its sha256"
+        assert outcomes == want
 
 
 @pytest.mark.parametrize("kind", ["enc_dlcz", "pme", "enc_higher"])
 def test_regenerating_a_block_reproduces_the_file(kind):
     """The blocks that regenerate in about a second: both with
     single-rail inputs, and a two-cell connection, which pins the two-cell
-    canonical states and projection bit for bit."""
-    assert freeze.coefficient_block(kind) == frozen_blocks()[kind]
+    canonical states and projection bit for bit.  The rendered text is
+    the shipped file, byte for byte."""
+    block = freeze.coefficient_block(kind)
+    assert block == frozen_block(kind)
+    assert freeze.render(block).encode() == _coefficient_bytes(kind)
+
+
+def test_freezing_named_kinds_rewrites_only_their_files(tmp_path):
+    """``python3 -m ensemble_repeater.freeze pme`` rewrites ``pme``'s file,
+    the same bytes, and leaves the others alone; an unknown kind is
+    rejected before anything is written."""
+    package = tmp_path / "ensemble_repeater"
+    shutil.copytree(
+        ROOT / "src" / "ensemble_repeater", package, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    files = {kind: package / coefficients_file(kind) for kind in KINDS}
+    for path in files.values():
+        os.utime(path, ns=(0, 0))
+
+    def freeze_run(*kinds):
+        return subprocess.run(
+            [sys.executable, "-m", "ensemble_repeater.freeze", *kinds],
+            env={**os.environ, "PYTHONPATH": str(tmp_path)},
+            capture_output=True,
+            text=True,
+        )
+
+    proc = freeze_run("pme", "enc_bogus")
+    assert proc.returncode == 2 and "unknown table kind 'enc_bogus'" in proc.stderr
+    assert all(path.stat().st_mtime_ns == 0 for path in files.values())
+    proc = freeze_run("pme")
+    assert proc.returncode == 0, proc.stderr
+    rewritten = [kind for kind, path in files.items() if path.stat().st_mtime_ns != 0]
+    assert rewritten == ["pme"]
+    for kind, path in files.items():
+        assert path.read_bytes() == _coefficient_bytes(kind), kind
 
 
 def test_data_file_ships_with_the_package():
-    """The file loads through importlib.resources and is declared as
-    package data, so an installed wheel carries it."""
-    resource = resources.files("ensemble_repeater").joinpath(COEFFICIENTS_FILE)
-    assert resource.is_file()
-    assert json.loads(resource.read_text())["tables"] == frozen_blocks()
+    """Each kind's file loads through importlib.resources, and the
+    files are declared as package data, so an installed wheel carries
+    them."""
+    directory = resources.files("ensemble_repeater").joinpath(tables.COEFFICIENTS_DIR)
+    assert sorted(path.name for path in directory.iterdir()) == sorted(
+        f"{kind}.json" for kind in KINDS
+    )
+    for kind in KINDS:
+        resource = resources.files("ensemble_repeater").joinpath(coefficients_file(kind))
+        assert resource.is_file()
+        block = json.loads(resource.read_text())
+        del block["sha256"]
+        assert block == frozen_block(kind), kind
     pyproject = (ROOT / "pyproject.toml").read_text()
-    assert f'ensemble_repeater = ["{COEFFICIENTS_FILE}"]' in pyproject
+    assert f'ensemble_repeater = ["{tables.COEFFICIENTS_DIR}/*.json"]' in pyproject
 
 
 def test_importing_the_package_does_not_read_the_data_file():
-    """Nor does it load the Fock oracle; only ``oracle-verify`` needs it."""
+    """Nor does it load the Fock oracle; only ``oracle-verify`` needs it.
+    A table build reads its own kind's file and no other."""
     code = (
         "import sys, ensemble_repeater, ensemble_repeater.cli;"
         " from ensemble_repeater import tables;"
-        " assert tables.frozen_blocks.cache_info().currsize == 0;"
+        " loaded = tables.frozen_block.cache_info;"
+        " assert loaded().currsize == 0;"
         " tables.kind_table('pme', 0.9);"
-        " assert tables.frozen_blocks.cache_info().currsize == 1;"
+        " assert loaded().currsize == 1 and loaded().hits == 0;"
+        " tables.frozen_block('pme');"
+        " assert loaded().currsize == 1 and loaded().hits == 1;"
         " oracle = ('fock', 'circuits', 'verify');"
         " loaded = [m for m in oracle if 'ensemble_repeater.' + m in sys.modules];"
         " assert loaded == [], loaded"
@@ -215,7 +291,7 @@ def test_importing_the_package_does_not_read_the_data_file():
 def test_evaluation_is_a_sum_over_exponent_terms():
     """One entry by hand: c * eta^kept (1 - eta)^lost summed over its
     coefficients."""
-    block = frozen_blocks()["enc_dlcz"]
+    block = frozen_block("enc_dlcz")
     eta = 0.77
     a, b = 1, 4  # P10[psi_plus] x P20
     want = np.zeros(len(block["slots"]))
@@ -228,16 +304,32 @@ def test_evaluation_is_a_sum_over_exponent_terms():
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
+@lru_cache(maxsize=None)
+def _dense_coefficients(kind):
+    """``c[a, b, slot, term]`` as one dense array, with the exponents,
+    filled from the block's columns."""
+    block = frozen_block(kind)
+    kept, lost = np.array(block["exponents"], dtype=float).T
+    n = len(block["keys"])
+    coefficients = np.zeros((n, n, len(block["slots"]), len(kept)))
+    coefficients[tuple(block[column] for column in COLUMNS[:-1])] = block["c"]
+    return coefficients, kept, lost
+
+
 @settings(max_examples=20, deadline=None)
 @given(eta=st.floats(min_value=0.0, max_value=1.0))
 @example(eta=0.0)
 @example(eta=1.0)
 def test_one_product_per_table_equals_the_per_entry_products(eta):
-    """Every entry row, a view of its table's one product, equals its own
+    """Every entry row, a view of its table's one product over the
+    nonzero positions, equals the dense per-entry product
     ``coefficients[a, b] @ basis`` bit for bit."""
     for kind in KINDS:
-        poly = _polynomials(kind)
-        basis = eta**poly.kept * (1.0 - eta) ** poly.lost
-        for (alpha, beta), entry in kind_table(kind, eta).entries.items():
-            want = poly.coefficients[poly.index[alpha], poly.index[beta]] @ basis
-            assert np.array_equal(entry.row, want), (kind, eta, alpha, beta)
+        coefficients, kept, lost = _dense_coefficients(kind)
+        basis = eta**kept * (1.0 - eta) ** lost
+        keys = canonical_keys(KINDS[kind][0])
+        table = kind_table(kind, eta)
+        for a, alpha in enumerate(keys):
+            for b, beta in enumerate(keys):
+                want = coefficients[a, b] @ basis
+                assert np.array_equal(table.entry(alpha, beta).row, want), (kind, eta, a, b)
