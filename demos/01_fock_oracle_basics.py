@@ -13,7 +13,6 @@ import math
 
 from ensemble_repeater.fock import (
     BS_5050,
-    DetectionPattern,
     FockDensityOperator,
     apply_loss,
     apply_mode_unitary,
@@ -41,16 +40,14 @@ print(f"  trace is still {lossy.trace:.6f}\n")
 # Photon counting on one mode: exhaustive outcomes and their
 # conditional states.  Probabilities sum to the input trace.
 print("Counting photons in mode a:")
-for pattern, (cond, p) in sorted(
-    measure_modes(lossy, ("a",)).items(), key=lambda kv: kv[0].count("a")
-):
-    print(f"  {pattern.count('a')} photons with probability {p:.6f},"
+for (n,), (cond, p) in sorted(measure_modes(lossy, ("a",)).items()):
+    print(f"  {n} photons with probability {p:.6f},"
           f" leftover trace {cond.trace:.6f}")
 print()
 
-# Post-selection on a specific count keeps the conditional state.
-want = DetectionPattern.from_counts({"a": 2})
-cond, p = measure_modes(out, ("a",))[want]
+# Post-selection on a specific count keeps the conditional state.  An
+# outcome is keyed by its tuple of counts, one per measured mode.
+cond, p = measure_modes(out, ("a",))[(2,)]
 print(f"Post-selecting exactly 2 photons in mode a: probability {p:.6f}")
 
 # The polarizing beamsplitter routes H through and reflects V; on H/V

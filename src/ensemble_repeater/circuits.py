@@ -223,10 +223,10 @@ def run_enc_dlcz(
     st = apply_loss(st, "c2", eta)
     st = apply_mode_unitary(st, ("c1", "c2"), BS_5050)
     accepted = []
-    for pattern, (cond, prob) in measure_modes(st, ("c1", "c2")).items():
-        if pattern.total != 1:
+    for (c1, c2), (cond, prob) in measure_modes(st, ("c1", "c2")).items():
+        if c1 + c2 != 1:
             continue
-        if pattern.count("c2") == 1:
+        if c2 == 1:
             cond = apply_mode_unitary(cond, ("aL",), PHASE_FLIP)
         accepted.append((cond, prob))
     return accepted
@@ -262,13 +262,10 @@ def run_enc_new(
     st = apply_mode_unitary(st, ("o2H", "o2V"), ROTATE_45)
     accepted = []
     detectors = ("o1H", "o1V", "o2H", "o2V")
-    for pattern, (cond, prob) in measure_modes(st, detectors).items():
-        n1 = pattern.count("o1H") + pattern.count("o1V")
-        n2 = pattern.count("o2H") + pattern.count("o2V")
-        if (n1, n2) != (1, 1):
+    for (h1, v1, h2, v2), (cond, prob) in measure_modes(st, detectors).items():
+        if (h1 + v1, h2 + v2) != (1, 1):
             continue
-        minus_clicks = pattern.count("o1V") + pattern.count("o2V")
-        if minus_clicks % 2 == 1:
+        if (v1 + v2) % 2 == 1:
             flip = PAULI_X if first_level else PAULI_Z
             cond = apply_mode_unitary(cond, ("aLH", "aLV"), flip)
         accepted.append((cond, prob))
@@ -310,16 +307,13 @@ def run_enp(
     st = apply_mode_unitary(st, ("bdH", "bdV"), ROTATE_45)
     accepted = []
     detectors = ("adH", "adV", "bdH", "bdV")
-    for pattern, (cond, prob) in measure_modes(st, detectors).items():
-        n_a = pattern.count("adH") + pattern.count("adV")
-        n_b = pattern.count("bdH") + pattern.count("bdV")
-        if (n_a, n_b) != (1, 1):
+    for (h_a, v_a, h_b, v_b), (cond, prob) in measure_modes(st, detectors).items():
+        if (h_a + v_a, h_b + v_b) != (1, 1):
             continue
         if phase_variant:
             cond = apply_mode_unitary(cond, ("auH", "auV"), ROTATE_45)
             cond = apply_mode_unitary(cond, ("buH", "buV"), ROTATE_45)
-        minus_clicks = pattern.count("adV") + pattern.count("bdV")
-        if minus_clicks % 2 == 1:
+        if (v_a + v_b) % 2 == 1:
             flip = PAULI_X if phase_variant else PAULI_Z
             cond = apply_mode_unitary(cond, ("auH", "auV"), flip)
         accepted.append((cond, prob))
@@ -488,8 +482,7 @@ def entry_terms(kind: str, alpha: Key, beta: Key) -> dict[tuple[int, int], Table
     branches, scheme, mode_map = _entry_branches(kind, alpha, beta, None)
     parts: dict[tuple[int, int], list[AcceptedBranch]] = {}
     for cond, _ in branches:
-        for counts, branch in measure_modes(cond, LEDGER).items():
-            exponents = (counts.count(LEDGER[0]), counts.count(LEDGER[1]))
+        for exponents, branch in measure_modes(cond, LEDGER).items():
             parts.setdefault(exponents, []).append(branch)
     return {
         exponents: accumulate_entry(part, scheme, mode_map)

@@ -10,8 +10,8 @@ Internally a state is an ensemble of unnormalized pure kets,
 ``rho = sum_i |k_i><k_i|``. Linear optics maps kets to kets, loss maps a
 ket to one ket per number of photons lost, and photon counting splits a
 ket by detection outcome, so every operation is exact up to floating
-point. A dense Hermitian matrix over the occupied basis is available for
-invariant checks and diagnostics.
+point. ``block`` builds the dense matrix over given occupation tuples,
+which is how the oracle reads a state's logical block.
 
 Conventions
 -----------
@@ -25,7 +25,6 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -58,27 +57,6 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
-@dataclass(frozen=True)
-class DetectionPattern:
-    """Observed photon counts on a set of measured modes."""
-
-    counts: tuple[tuple[ModeLabel, int], ...]
-
-    @classmethod
-    def from_counts(cls, counts: Mapping[ModeLabel, int]) -> "DetectionPattern":
-        return cls(tuple(sorted(counts.items())))
-
-    @property
-    def total(self) -> int:
-        return sum(n for _, n in self.counts)
-
-    def count(self, mode: ModeLabel) -> int:
-        for m, n in self.counts:
-            if m == mode:
-                return n
-        raise KeyError(mode)
-
-
 _Ket = dict[tuple[int, ...], complex]
 
 
@@ -89,8 +67,8 @@ class FockDensityOperator:
     outer products sum to the density operator. Each ket is a sparse map
     from occupation tuples (aligned with ``modes``) to complex
     amplitudes; ensemble weights are absorbed into the amplitudes.
-    Operations never form the dense matrix; ``matrix`` builds it on
-    demand for checks and inspection.
+    Operations never form the dense matrix; ``block`` builds it over
+    given occupation tuples on demand.
     """
 
     __slots__ = ("_modes", "_index", "_kets", "_cutoff")
@@ -187,16 +165,6 @@ class FockDensityOperator:
 
     # ------------------------------------------------------------------
     # dense facade
-
-    def occupied(self) -> list[tuple[int, ...]]:
-        """Sorted occupation tuples with nonzero amplitude somewhere."""
-        occs = {occ for ket in self._kets for occ in ket}
-        return sorted(occs)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense Hermitian matrix over the ``occupied`` tuples, in that order."""
-        return self.block(self.occupied())
 
     def block(self, occupations: Sequence[tuple[int, ...]]) -> np.ndarray:
         """Dense matrix block over the given occupation tuples."""
@@ -451,15 +419,15 @@ def _kept_modes(
 
 def measure_modes(
     state: FockDensityOperator, measured_modes: Sequence[ModeLabel]
-) -> dict[DetectionPattern, tuple[FockDensityOperator, float]]:
+) -> dict[tuple[int, ...], tuple[FockDensityOperator, float]]:
     """Exhaustive photon counting on the given modes.
 
-    Returns a map from every detection pattern with nonzero probability
-    to its unnormalized conditional state (counters removed) and
-    probability. Probabilities sum to the input trace.
+    Returns a map from every outcome with nonzero probability, the
+    tuple of counts on ``measured_modes`` in that order, to its
+    unnormalized conditional state (counters removed) and probability.
+    Probabilities sum to the input trace.
     """
-    measured = tuple(measured_modes)
-    idx = [state.mode_index(m) for m in measured]
+    idx = [state.mode_index(m) for m in measured_modes]
     keep, new_modes = _kept_modes(state, idx)
     # Per occupation: its outcome and the tuple without the counters.
     # Within one outcome distinct occupations stay distinct when stripped.
@@ -478,14 +446,12 @@ def measure_modes(
             per_outcome.setdefault(key, {})[rest] = amp
         for key, sub in per_outcome.items():
             grouped.setdefault(key, []).append(sub)
-    out: dict[DetectionPattern, tuple[FockDensityOperator, float]] = {}
+    out: dict[tuple[int, ...], tuple[FockDensityOperator, float]] = {}
     for key, kets in grouped.items():
         cond = FockDensityOperator(new_modes, kets, state.cutoff)
         tr = cond.trace
-        if tr <= 0.0:
-            continue
-        pattern = DetectionPattern.from_counts(dict(zip(measured, key)))
-        out[pattern] = (cond, tr)
+        if tr > 0.0:
+            out[key] = (cond, tr)
     return out
 
 

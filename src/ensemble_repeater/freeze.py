@@ -6,7 +6,7 @@ Run from the repository root::
 
 It rewrites ``src/ensemble_repeater/coefficients/<kind>.json`` for each
 table kind named (``tables.KINDS``), or for all six when none is named
-(about 25 s on one core; ``enc_dlcz``, ``pme`` and ``enc_higher`` take
+(about 15 s on one core; ``enc_dlcz``, ``pme`` and ``enc_higher`` take
 under a second each).  A table build reads only its own kind's file, on
 that kind's first build.  Each file is one block:
 
@@ -16,20 +16,25 @@ that kind's first build.  Each file is one block:
     the output values of an entry, the slots of ``TableEntry.row``;
 ``exponents``
     the (kept, lost) photon counts of each term;
-``a``, ``b``, ``slot``, ``term``, ``c`` (``tables.COLUMNS``)
-    parallel columns with one item per nonzero coefficient ``c`` of
-    ``c[a, b, slot, term]``, sorted by index.
+``bits``
+    the power of two under every coefficient;
+``a``, ``b``, ``slot``, ``term``, ``k`` (``tables.COLUMNS``)
+    parallel integer columns with one item per nonzero coefficient
+    ``c[a, b, slot, term] = k / 2**bits``, sorted by index.
 
 An entry's value in a slot is the sum over its coefficients of
 ``c * eta**kept * (1 - eta)**lost``.  The coefficients come from one
 tagged oracle run per entry (``circuits.entry_terms``), not from a fit.
-A file's first line records the SHA-256 of the rest of its bytes
-(``tables.hash_line``).
+Each is a dyadic rational, and ``dyadic`` rounds a kind's coefficients
+to exact integers; where it cannot, freeze names the kind and its worst
+coefficient, exits 1 and writes no file.  A file's first line
+records the SHA-256 of the rest of its bytes (``tables.hash_line``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -46,11 +51,36 @@ from .tables import (
 )
 
 #: Every field of a block, in file order.
-FIELDS = ("keys", "slots", "exponents") + COLUMNS
+FIELDS = ("keys", "slots", "exponents", "bits") + COLUMNS
+#: Largest relative move of a coefficient rounded to k / 2**bits.
+ROUNDING_TOL = 1e-12
+#: Most bits of a denominator.  The coefficients need at most 9; at 16 a
+#: value that is no dyadic rational, such as 0.1, still moves by ~1e-6.
+MAX_BITS = 16
+
+
+def dyadic(kind: str, rows: list[tuple]) -> tuple[int, list[int]]:
+    """The fewest bits, and the integers k, that put the value ``c`` of
+    every ``(a, b, slot, term, c)`` row of a kind within ``ROUNDING_TOL``
+    relative of its k / 2**bits; ValueError naming the kind and its
+    worst coefficient if no bits up to ``MAX_BITS`` do.
+    """
+    values = [row[-1] for row in rows]
+    for bits in range(MAX_BITS + 1):
+        ks = [round(math.ldexp(c, bits)) for c in values]
+        moves = [abs(math.ldexp(k, -bits) - c) / abs(c) for k, c in zip(ks, values)]
+        if max(moves) <= ROUNDING_TOL:
+            return bits, ks
+    *index, c = rows[moves.index(max(moves))]
+    raise ValueError(
+        f"{kind}: coefficient {c!r} at (a, b, slot, term) = {tuple(index)} is no"
+        f" k / 2**bits with bits <= {MAX_BITS} within {ROUNDING_TOL:g} relative"
+    )
 
 
 def coefficient_block(kind: str) -> dict:
-    """The frozen block of one table, computed by the oracle."""
+    """The frozen block of one table, computed by the oracle; ValueError
+    if a coefficient is no k / 2**bits (see ``dyadic``)."""
     out = output_scheme(kind)
     keys = canonical_keys(KINDS[kind][0])
     terms = {}
@@ -66,14 +96,15 @@ def coefficient_block(kind: str) -> dict:
         for slot, c in enumerate(values)
         if c != 0.0
     )
-    block = {
+    bits, ks = dyadic(kind, rows)
+    *index, _ = zip(*rows)
+    return {
         "keys": [key_label(k) for k in keys],
         "slots": slot_labels(out),
         "exponents": [list(e) for e in exponents],
+        "bits": bits,
+        **{field: list(items) for field, items in zip(COLUMNS, (*index, ks))},
     }
-    for field, values in zip(COLUMNS, zip(*rows)):
-        block[field] = list(values)
-    return block
 
 
 def render(block: dict) -> str:
@@ -89,10 +120,19 @@ def main() -> int:
     if unknown:
         print(f"unknown table kind {unknown[0]!r}; known: {', '.join(KINDS)}", file=sys.stderr)
         return 2
+    blocks, refused = {}, False
     for kind in kinds:
         print(f"computing {kind} ...", file=sys.stderr, flush=True)
+        try:
+            blocks[kind] = coefficient_block(kind)
+        except ValueError as exc:
+            print(f"refused {exc}; no file written", file=sys.stderr)
+            refused = True
+    if refused:
+        return 1
+    for kind, block in blocks.items():
         path = Path(__file__).parent / coefficients_file(kind)
-        path.write_text(render(coefficient_block(kind)))
+        path.write_text(render(block))
         print(f"wrote {path}", file=sys.stderr)
     return 0
 

@@ -14,17 +14,18 @@ retrieved photons and loses ``lost`` carries the factor
 eta^kept (1 - eta)^lost.  Every table value is therefore a polynomial of
 degree at most 8, the sum of ``c * eta**kept * (1 - eta)**lost`` over
 the (kept, lost) exponents.  :mod:`.freeze` computes the coefficients
-``c`` once, exactly, from a tagged run of the circuits and stores them
-in one file per table kind, ``coefficients/<kind>.json``: five parallel
-columns ``a``, ``b``, ``slot``, ``term`` and ``c``, one item per nonzero
-coefficient, under a first line that holds the SHA-256 of the rest of
-the file.  A table reads and checks its own kind's file on that kind's
-first build and keeps only the ``(a, b, slot)`` positions that have a
-coefficient.  It evaluates the whole table as one product of those
-positions' coefficients with the eta basis, scattered into zeros, and
-takes each entry's row as a view of the result; tables are cached per
-(scheme, operation, variant, eta).  ``verify.check_frozen_tables``
-compares them with the Fock oracle.
+once from a tagged run of the circuits and stores each exactly, as
+``c = k / 2**bits``, in one file per table kind,
+``coefficients/<kind>.json``: the kind's ``bits`` and five parallel
+integer columns ``a``, ``b``, ``slot``, ``term`` and ``k``, one item per
+nonzero coefficient, under a first line that holds the SHA-256 of the
+rest of the file.  A table reads and checks its own kind's file on that
+kind's first build.  One ``np.bincount`` sums each ``(a, b, slot)``
+value's own terms in file order, and each entry's row is a view of the
+result; tables are cached per (scheme, operation, variant, eta).  A
+coefficient and its input-swapped mirror are the same integer, so every
+table is exactly symmetric in its inputs.  ``verify.check_frozen_tables``
+compares the tables with the Fock oracle.
 
 The discarded-coherence diagnostic ``TableEntry.residue`` is no
 polynomial, so evaluated entries carry none; ``circuits.oracle_entry``
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import attrgetter
@@ -87,8 +89,8 @@ KINDS = {
 #: Directory of the frozen coefficients, next to this module: one
 #: ``<kind>.json`` per table kind.
 COEFFICIENTS_DIR = "coefficients"
-#: The coefficient columns of a block, one item per nonzero coefficient.
-COLUMNS = ("a", "b", "slot", "term", "c")
+#: The integer columns of a block, one item per nonzero coefficient.
+COLUMNS = ("a", "b", "slot", "term", "k")
 
 _DLCZ_LOGICAL_BELLS = (BellState.PSI_PLUS, BellState.PSI_MINUS)
 
@@ -295,9 +297,9 @@ def frozen_block(kind: str) -> Mapping:
 
     The first line of ``coefficients_file(kind)`` must be ``hash_line``
     of the file's remaining bytes, so any edit, whitespace included, is
-    rejected.  The block lists ``keys``, ``slots`` and ``exponents``,
-    then one coefficient per item of the parallel columns ``a``, ``b``,
-    ``slot``, ``term`` and ``c``.
+    rejected.  The block lists ``keys``, ``slots``, ``exponents`` and
+    ``bits``, then one coefficient ``k / 2**bits`` per item of the
+    parallel columns ``a``, ``b``, ``slot``, ``term`` and ``k``.
     """
     from importlib import resources
 
@@ -322,22 +324,22 @@ def slot_labels(scheme: SchemeKind) -> list[str]:
 
 
 class _Polynomials(NamedTuple):
-    """One table's nonzero coefficients, indexed like ``canonical_keys``
-    and ``TableEntry.row``.
+    """One table's nonzero coefficients in file order, indexed like
+    ``canonical_keys`` and ``TableEntry.row``.
 
-    ``coefficients[p, term]`` belongs to the flat ``(a, b, slot)``
-    position ``positions[p]`` of a table of ``shape``; every position
-    not listed has no coefficient.  ``kept`` and ``lost`` are the term
-    exponents.
+    ``coefficients[i]`` belongs to the flat ``(a, b, slot)`` position
+    ``flat[i]`` of a table of ``shape`` and multiplies the term
+    ``term[i]``, of exponents ``kept`` and ``lost`` at that index.
     """
 
     index: Mapping[Key, int]
     scheme: SchemeKind
     shape: Tuple[int, int, int]
-    positions: np.ndarray
+    flat: np.ndarray
+    term: np.ndarray
+    coefficients: np.ndarray
     kept: np.ndarray
     lost: np.ndarray
-    coefficients: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -352,29 +354,25 @@ def _polynomials(kind: str) -> _Polynomials:
         )
     kept, lost = np.array(block["exponents"], dtype=float).reshape(-1, 2).T
     shape = (len(keys), len(keys), len(block["slots"]))
-    a, b, slot, term = np.array([block[column] for column in COLUMNS[:-1]])
-    # the columns are sorted by index, so each new flat (a, b, slot) opens a row
+    a, b, slot, term, k = np.array([block[column] for column in COLUMNS])
     flat = (a * shape[1] + b) * shape[2] + slot
-    opens = np.concatenate(([True], flat[1:] != flat[:-1]))
-    coefficients = np.zeros((np.count_nonzero(opens), len(kept)))
-    coefficients[np.cumsum(opens) - 1, term] = block["c"]
     index = {key: i for i, key in enumerate(keys)}
-    return _Polynomials(index, out, shape, flat[opens], kept, lost, coefficients)
+    coefficients = np.ldexp(k, -block["bits"])
+    return _Polynomials(index, out, shape, flat, term, coefficients, kept, lost)
 
 
 @lru_cache(maxsize=None)
 def _frozen_values(kind: str, eta: float) -> np.ndarray:
     """Every entry row of one table at eta, ``values[a, b]``, read-only.
 
-    One product of the coefficients with the eta basis, scattered into
-    zeros; each row equals the dense per-entry product
-    ``coefficients[a, b] @ basis`` bit for bit.
+    Each value is the sum of its own terms ``c * eta**kept *
+    (1 - eta)**lost``, added from zero in file order, bit for bit.
     """
     poly = _polynomials(kind)
-    values = np.zeros(poly.shape)
-    values.reshape(-1)[poly.positions] = poly.coefficients @ (
-        eta**poly.kept * (1.0 - eta) ** poly.lost
-    )
+    basis = eta**poly.kept * (1.0 - eta) ** poly.lost
+    values = np.bincount(
+        poly.flat, weights=poly.coefficients * basis[poly.term], minlength=math.prod(poly.shape)
+    ).reshape(poly.shape)
     values.flags.writeable = False
     return values
 

@@ -1,10 +1,12 @@
 """Tables evaluated from the frozen polynomials against the Fock oracle.
 
 Every table value is a polynomial in eta whose coefficients are stored
-in one file per table kind, ``coefficients/<kind>.json``.  These tests
-compare the evaluated tables with oracle builds, pin each file to its
-hash and to a fresh regeneration, check that a build reads only its own
-kind's file, and that the files ship with the package.
+exactly, as integers k over a power of two 2**bits, in one file per
+table kind, ``coefficients/<kind>.json``.  These tests compare the
+evaluated tables with oracle builds, pin each file to its hash and to a
+fresh regeneration, check that freeze refuses a coefficient that is no
+k / 2**bits, that a build reads only its own kind's file, and that the
+files ship with the package.
 """
 
 import hashlib
@@ -141,17 +143,20 @@ def test_data_file_hash_matches_its_bytes():
         del block["sha256"]
         assert list(block) == list(freeze.FIELDS)
         assert freeze.render(block) == data.decode(), kind
+        # exact integers, no float text
+        assert type(block["bits"]) is int
+        assert all(type(value) is int for field in COLUMNS for value in block[field])
 
 
 def _edit_digit(text):
-    """Change the last digit of the first coefficient value."""
-    end = text.index(",", text.index('"c": ['))
+    """Change the last digit of the first coefficient's integer k."""
+    end = text.index(",", text.index('"k": ['))
     digit = text[end - 1]
     return text[: end - 1] + ("1" if digit != "1" else "2") + text[end:]
 
 
 def _edit_whitespace(text):
-    return text.replace('"c": [', '"c":  [', 1)
+    return text.replace('"k": [', '"k":  [', 1)
 
 
 # Builds every kind in a fresh interpreter and prints each outcome.
@@ -290,30 +295,30 @@ def test_importing_the_package_does_not_read_the_data_file():
 
 def test_evaluation_is_a_sum_over_exponent_terms():
     """One entry by hand: c * eta^kept (1 - eta)^lost summed over its
-    coefficients."""
+    coefficients c = k * 2^-bits."""
     block = frozen_block("enc_dlcz")
     eta = 0.77
     a, b = 1, 4  # P10[psi_plus] x P20
     want = np.zeros(len(block["slots"]))
-    for ra, rb, slot, term, c in zip(*(block[f] for f in COLUMNS)):
+    for ra, rb, slot, term, k in zip(*(block[f] for f in COLUMNS)):
         if (ra, rb) == (a, b):
             kept, lost = block["exponents"][term]
-            want[slot] += c * eta**kept * (1 - eta) ** lost
+            want[slot] += k * 2 ** -block["bits"] * eta**kept * (1 - eta) ** lost
     keys = canonical_keys(SchemeKind.DLCZ)
     got = kind_table("enc_dlcz", eta).entry(keys[a], keys[b]).row
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 @lru_cache(maxsize=None)
-def _dense_coefficients(kind):
-    """``c[a, b, slot, term]`` as one dense array, with the exponents,
-    filled from the block's columns."""
+def _position_terms(kind):
+    """Each ``(a, b, slot)`` position's ``(term, k * 2**-bits)`` pairs in
+    file order, and the term exponents as float arrays."""
     block = frozen_block(kind)
+    terms = {}
+    for a, b, slot, term, k in zip(*(block[column] for column in COLUMNS)):
+        terms.setdefault((a, b, slot), []).append((term, k * 2.0 ** -block["bits"]))
     kept, lost = np.array(block["exponents"], dtype=float).T
-    n = len(block["keys"])
-    coefficients = np.zeros((n, n, len(block["slots"]), len(kept)))
-    coefficients[tuple(block[column] for column in COLUMNS[:-1])] = block["c"]
-    return coefficients, kept, lost
+    return terms, kept, lost
 
 
 @settings(max_examples=20, deadline=None)
@@ -321,15 +326,107 @@ def _dense_coefficients(kind):
 @example(eta=0.0)
 @example(eta=1.0)
 def test_one_product_per_table_equals_the_per_entry_products(eta):
-    """Every entry row, a view of its table's one product over the
-    nonzero positions, equals the dense per-entry product
-    ``coefficients[a, b] @ basis`` bit for bit."""
+    """Every entry row, a view of its table's one evaluation, holds in
+    each slot the sum of that position's own terms, added from zero in
+    file order, bit for bit.  The basis is computed with numpy's power,
+    as the tables compute it; Python's ``**`` on floats differs from it
+    in the last bit for some terms."""
     for kind in KINDS:
-        coefficients, kept, lost = _dense_coefficients(kind)
+        terms, kept, lost = _position_terms(kind)
         basis = eta**kept * (1.0 - eta) ** lost
-        keys = canonical_keys(KINDS[kind][0])
         table = kind_table(kind, eta)
+        keys = canonical_keys(table.scheme)
+        want = np.zeros((len(keys), len(keys), len(table.entry(keys[0], keys[0]).row)))
+        for (a, b, slot), items in terms.items():
+            value = 0.0
+            for term, c in items:
+                value += c * basis[term]
+            want[a, b, slot] = value
         for a, alpha in enumerate(keys):
             for b, beta in enumerate(keys):
-                want = coefficients[a, b] @ basis
-                assert np.array_equal(table.entry(alpha, beta).row, want), (kind, eta, a, b)
+                assert np.array_equal(table.entry(alpha, beta).row, want[a, b]), (kind, eta, a, b)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_table_is_exactly_symmetric_in_its_inputs(kind):
+    """A coefficient and its input-swapped mirror are the same integer,
+    summed in the same order, so ``T[o, a, b] == T[o, b, a]`` bit for
+    bit, at the ends of the unit interval, next to them and inside."""
+    for eta in (0.0, 1e-9, 0.3, 0.85, 0.9, 0.913, 0.97, 1.0 - 1e-9, 1.0):
+        tensor = kind_table(kind, eta).tensor
+        assert tensor.tobytes() == tensor.transpose(0, 2, 1).copy().tobytes(), eta
+
+
+def test_rounding_refuses_a_coefficient_that_is_no_dyadic_rational():
+    """Rounding takes the fewest bits that move no coefficient by more
+    than 1e-12 relative, and names the kind and the worst coefficient
+    when no bits up to ``MAX_BITS`` do."""
+    rows = [(0, 0, 0, 0, 0.75), (0, 1, 2, 0, -0.125 * (1 + 3e-15)), (1, 0, 2, 0, -0.125)]
+    assert freeze.dyadic("pme", rows) == (3, [6, -1, -1])
+    for c in (0.1, 1e-34, 0.25 + 1e-9):
+        with pytest.raises(ValueError) as info:
+            freeze.dyadic("pme", [(0, 0, 0, 0, 0.25), (0, 1, 2, 0, c), (1, 0, 2, 0, 0.5)])
+        assert str(info.value) == (
+            f"pme: coefficient {c!r} at (a, b, slot, term) = (0, 1, 2, 0) is no"
+            " k / 2**bits with bits <= 16 within 1e-12 relative"
+        )
+
+
+# Runs freeze on the named kinds with one coefficient of ``pme``'s first
+# nonzero term replaced by ``value``, or ``value`` put beside it.
+_FREEZE_WITH_A_BAD_COEFFICIENT = """
+import sys
+import numpy as np
+from ensemble_repeater import freeze
+from ensemble_repeater.circuits import entry_terms
+from ensemble_repeater.tables import TableEntry
+
+value, beside = float(sys.argv[1]), sys.argv[2] == "beside"
+edited = []
+
+def terms(kind, alpha, beta):
+    parts = entry_terms(kind, alpha, beta)
+    if kind == "pme" and not edited:
+        for exponents, part in parts.items():
+            row = part.row.copy()
+            nonzero = np.flatnonzero(row)
+            if nonzero.size:
+                row[np.flatnonzero(row == 0.0)[0] if beside else nonzero[0]] = value
+                parts[exponents] = TableEntry(part.scheme, row)
+                edited.append(exponents)
+                break
+    return parts
+
+freeze.entry_terms = terms
+sys.argv = ["freeze", *sys.argv[3:]]
+sys.exit(freeze.main())
+"""
+
+
+@pytest.mark.parametrize("value, where", [("0.1", "in place"), ("1e-34", "beside")])
+def test_freeze_refuses_a_coefficient_that_is_no_k_over_2_to_the_bits(tmp_path, value, where):
+    """Freeze computes every named kind, prints one line that names the
+    refused kind and its worst coefficient, exits 1 and writes no file,
+    not even the kinds it could round."""
+    package = tmp_path / "ensemble_repeater"
+    shutil.copytree(
+        ROOT / "src" / "ensemble_repeater", package, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    files = {kind: package / coefficients_file(kind) for kind in KINDS}
+    for path in files.values():
+        os.utime(path, ns=(0, 0))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FREEZE_WITH_A_BAD_COEFFICIENT, value, where, "pme", "enc_dlcz"],
+        env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    computing_pme, refusal, computing_enc_dlcz = proc.stderr.splitlines()
+    assert (computing_pme, computing_enc_dlcz) == ("computing pme ...", "computing enc_dlcz ...")
+    assert refusal.startswith(f"refused pme: coefficient {value} at (a, b, slot, term) = (")
+    assert refusal.endswith(
+        ") is no k / 2**bits with bits <= 16 within 1e-12 relative; no file written"
+    )
+    assert all(path.stat().st_mtime_ns == 0 for path in files.values())
+    assert all(path.read_bytes() == _coefficient_bytes(kind) for kind, path in files.items())

@@ -419,9 +419,9 @@ def test_batched_step_equals_the_step_of_each_row(kind, data):
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_the_step_contracts_the_left_input_over_a_and_the_right_over_b(kind):
-    """Every table is symmetric in its two inputs up to rounding, so a
-    step with its inputs exchanged passes every check on real tables;
-    a random tensor in the table's shape pins which input is which."""
+    """Every table is exactly symmetric in its two inputs, so a step
+    with its inputs exchanged passes every check on real tables; a
+    random tensor in the table's shape pins which input is which."""
     table = kind_table(kind, ETA)
     rng = np.random.default_rng(11)
     tensor = rng.random(table.tensor.shape)
