@@ -2,9 +2,10 @@
 Exact Fock-space primitives
 ===========================
 
-The package keeps a small brute-force simulator of linear optics on a
-truncated Fock space: labeled bosonic modes, beamsplitters, polarizing
-beamsplitters, loss channels, and photon counting.  Everything the
+The package keeps a small brute-force simulator of linear optics on
+sparse Fock kets, exact at any photon number with no truncation:
+labeled bosonic modes, beamsplitters, polarizing beamsplitters, loss
+channels, and photon counting.  Everything the
 protocol layer claims is ultimately checked against it.  This script
 walks through the primitives on two-photon states.
 """

@@ -174,7 +174,6 @@ def canonical_state(
     left: object,
     right: object,
     bell: BellState | None = None,
-    cutoff: int = 4,
 ) -> FockDensityOperator:
     """Canonical Fock state of a pattern label on the nodes' memory modes.
 
@@ -193,10 +192,10 @@ def canonical_state(
             raise ValueError(f"the logical pattern needs one of the Bell labels {labels}")
         amps = vectors[labels.index(bell)].tolist()
         return FockDensityOperator.from_ket(
-            modes, {occ: a for occ, a in zip(occs, amps) if a != 0.0}, cutoff
+            modes, {occ: a for occ, a in zip(occs, amps) if a != 0.0}
         )
     root = math.sqrt(1.0 / len(occs))
-    return FockDensityOperator(modes, [{occ: root} for occ in occs], cutoff)
+    return FockDensityOperator(modes, [{occ: root} for occ in occs])
 
 
 # ----------------------------------------------------------------------
@@ -432,43 +431,40 @@ PME_OUT_MAP = {"left": ("xH", "xV"), "right": ("yH", "yV")}
 
 
 def _entry_branches(
-    kind: str, alpha: Key, beta: Key, eta: float | None, cutoff: int = 4
+    kind: str, alpha: Key, beta: Key, eta: float | None
 ) -> tuple[list[AcceptedBranch], SchemeKind, dict[str, object]]:
     """Accepted branches of one entry of a table of ``tables.KINDS``,
     with the scheme and mode map that classify them.  ``eta=None``
-    runs the circuit with tagged loss (see ``fock.apply_loss``);
-    ``cutoff`` is the per-mode Fock cutoff of the input states."""
+    runs the circuit with tagged loss (see ``fock.apply_loss``)."""
     pat_a, bell_a = alpha
     pat_b, bell_b = beta
     dlcz, new = SchemeKind.DLCZ, SchemeKind.NEW
     if kind == "enc_dlcz":
-        left = canonical_state(dlcz, pat_a, "aL", "c1", bell_a, cutoff)
-        right = canonical_state(dlcz, pat_b, "c2", "aR", bell_b, cutoff)
+        left = canonical_state(dlcz, pat_a, "aL", "c1", bell_a)
+        right = canonical_state(dlcz, pat_b, "c2", "aR", bell_b)
         return run_enc_dlcz(left, right, eta), dlcz, ENC_OUT_MAP_DLCZ
     if kind in ("enc_level1", "enc_higher"):
-        left = canonical_state(new, pat_a, ("aLH", "aLV"), ("c1H", "c1V"), bell_a, cutoff)
-        right = canonical_state(new, pat_b, ("c2H", "c2V"), ("aRH", "aRV"), bell_b, cutoff)
+        left = canonical_state(new, pat_a, ("aLH", "aLV"), ("c1H", "c1V"), bell_a)
+        right = canonical_state(new, pat_b, ("c2H", "c2V"), ("aRH", "aRV"), bell_b)
         first_level = kind == "enc_level1"
         return run_enc_new(left, right, eta, first_level), new, ENC_OUT_MAP_NEW
     if kind in ("enp_bit", "enp_phase"):
-        pair1 = canonical_state(new, pat_a, ("a1H", "a1V"), ("b1H", "b1V"), bell_a, cutoff)
-        pair2 = canonical_state(new, pat_b, ("a2H", "a2V"), ("b2H", "b2V"), bell_b, cutoff)
+        pair1 = canonical_state(new, pat_a, ("a1H", "a1V"), ("b1H", "b1V"), bell_a)
+        pair2 = canonical_state(new, pat_b, ("a2H", "a2V"), ("b2H", "b2V"), bell_b)
         branches = run_enp(pair1, pair2, eta, kind == "enp_phase")
         return branches, new, ENP_OUT_MAP
     if kind == "pme":
-        pair1 = canonical_state(dlcz, pat_a, "x1", "y1", bell_a, cutoff)
-        pair2 = canonical_state(dlcz, pat_b, "x2", "y2", bell_b, cutoff)
+        pair1 = canonical_state(dlcz, pat_a, "x1", "y1", bell_a)
+        pair2 = canonical_state(dlcz, pat_b, "x2", "y2", bell_b)
         # inputs are DLCZ patterns, the output a polarization pair
         return run_pme(pair1, pair2, eta), new, PME_OUT_MAP
     raise ValueError(f"unknown table kind {kind!r}")
 
 
-def oracle_entry(
-    kind: str, alpha: Key, beta: Key, eta: float, cutoff: int = 4
-) -> TableEntry:
+def oracle_entry(kind: str, alpha: Key, beta: Key, eta: float) -> TableEntry:
     """One entry of a table of ``tables.KINDS``, built by the Fock oracle
-    at eta with input states truncated at ``cutoff`` photons per mode."""
-    return accumulate_entry(*_entry_branches(kind, alpha, beta, eta, cutoff))
+    at eta."""
+    return accumulate_entry(*_entry_branches(kind, alpha, beta, eta))
 
 
 def entry_terms(kind: str, alpha: Key, beta: Key) -> dict[tuple[int, int], TableEntry]:

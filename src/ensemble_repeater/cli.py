@@ -4,8 +4,8 @@ Six subcommands drive the package end to end:
 
 ``oracle-verify``
     Run the exact verification suite (truth tables, success
-    probabilities, connection coefficients, cutoff insensitivity) and
-    report one pass/fail line per identity.
+    probabilities, connection coefficients, frozen tables) and report
+    one pass/fail line per identity.
 ``simulate``
     Simulate a single repeater chain and emit per-stage records.
 ``optimize``

@@ -5,13 +5,15 @@ truth table and every superoperator coefficient used by the scalable
 pattern recursion is checked against brute-force circuits built from the
 primitives here.
 
-States live in a truncated Fock space over a register of named modes.
-Internally a state is an ensemble of unnormalized pure kets,
-``rho = sum_i |k_i><k_i|``. Linear optics maps kets to kets, loss maps a
-ket to one ket per number of photons lost, and photon counting splits a
-ket by detection outcome, so every operation is exact up to floating
-point. ``block`` builds the dense matrix over given occupation tuples,
-which is how the oracle reads a state's logical block.
+A state lives on a register of named modes as an ensemble of
+unnormalized pure kets, ``rho = sum_i |k_i><k_i|``. Each ket is sparse:
+it holds only the occupation tuples it reaches, so a state is exact at
+any photon number and nothing is truncated. Linear optics maps kets to
+kets, loss maps a ket to one ket per number of photons lost, and photon
+counting splits a ket by detection outcome, so every operation is exact
+up to floating point. ``block`` builds the dense matrix over given
+occupation tuples, which is how the oracle reads a state's logical
+block.
 
 Conventions
 -----------
@@ -61,76 +63,78 @@ _Ket = dict[tuple[int, ...], complex]
 
 
 class FockDensityOperator:
-    """Truncated-Fock-space mixed state over labeled bosonic modes.
+    """Mixed state over labeled bosonic modes, exact at any photon number.
 
     The state is stored as an ensemble of unnormalized pure kets whose
     outer products sum to the density operator. Each ket is a sparse map
     from occupation tuples (aligned with ``modes``) to complex
-    amplitudes; ensemble weights are absorbed into the amplitudes.
-    Operations never form the dense matrix; ``block`` builds it over
-    given occupation tuples on demand.
+    amplitudes; ensemble weights are absorbed into the amplitudes. No
+    photon number is truncated. Operations never form the dense matrix;
+    ``block`` builds it over given occupation tuples on demand.
+
+    The constructor checks its input: distinct labels, and every
+    occupation tuple of the register's length with no negative count.
+    The first offender in ket order decides the message, and an
+    occupation whose amplitude is pruned is still checked.
     """
 
-    __slots__ = ("_modes", "_index", "_kets", "_cutoff")
+    __slots__ = ("_modes", "_index", "_kets")
 
-    def __init__(
-        self,
-        modes: Sequence[ModeLabel],
-        kets: Iterable[_Ket],
-        cutoff: int = 4,
-    ) -> None:
-        self._modes = tuple(modes)
-        if len(set(self._modes)) != len(self._modes):
+    def __init__(self, modes: Sequence[ModeLabel], kets: Iterable[_Ket]) -> None:
+        modes = tuple(modes)
+        if len(set(modes)) != len(modes):
             raise ValueError("duplicate mode labels")
-        self._index = {m: i for i, m in enumerate(self._modes)}
-        self._cutoff = int(cutoff)
-        clean: list[_Ket] = []
-        nmodes = len(self._modes)
-        # The kets of an ensemble share a few hundred occupation tuples, so
-        # each distinct tuple is checked once, in first-seen order.
-        checked: set[tuple[int, ...]] = set()
+        kets = list(kets)
         for ket in kets:
-            if not checked.issuperset(ket):
-                for occ in ket:
-                    if occ in checked:
-                        continue
-                    if len(occ) != nmodes:
-                        raise ValueError("occupation tuple does not match register")
-                    if any(n < 0 for n in occ):
-                        raise ValueError("occupations must be non-negative")
-                    if sum(occ) > self._cutoff:
-                        raise ValueError("occupation exceeds cutoff")
-                    checked.add(occ)
-            pruned: _Ket = {
+            for occ in ket:
+                if len(occ) != len(modes):
+                    raise ValueError("occupation tuple does not match register")
+                if any(n < 0 for n in occ):
+                    raise ValueError("occupations must be non-negative")
+        self._store(modes, kets)
+
+    def _store(self, modes: tuple[ModeLabel, ...], kets: Iterable[_Ket]) -> None:
+        """Keep each ket's amplitudes above ``_AMP_PRUNE``, as complex."""
+        self._modes = modes
+        self._index = {m: i for i, m in enumerate(modes)}
+        self._kets = []
+        for ket in kets:
+            pruned = {
                 occ: complex(amp) for occ, amp in ket.items() if abs(amp) > _AMP_PRUNE
             }
             if pruned:
-                clean.append(pruned)
-        self._kets = clean
+                self._kets.append(pruned)
+
+    @classmethod
+    def _result(
+        cls, modes: tuple[ModeLabel, ...], kets: Iterable[_Ket]
+    ) -> "FockDensityOperator":
+        """An operation's result, built without the constructor's checks.
+
+        Every operation takes a checked state, and its caller checks the
+        labels that the result adds or merges, so the result satisfies
+        the rules by construction. Loss and mode unitaries keep each
+        tuple's length and never make a count negative. Measurements and
+        projections keep or drop whole modes. A tensor product joins
+        disjoint registers, and a relabeling changes no tuple.
+        """
+        state = cls.__new__(cls)
+        state._store(modes, kets)
+        return state
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
-    def vacuum(cls, modes: Sequence[ModeLabel], cutoff: int = 4) -> "FockDensityOperator":
-        return cls(modes, [{(0,) * len(tuple(modes)): 1.0 + 0.0j}], cutoff)
-
-    @classmethod
     def from_ket(
-        cls,
-        modes: Sequence[ModeLabel],
-        amplitudes: Mapping[tuple[int, ...], complex],
-        cutoff: int = 4,
+        cls, modes: Sequence[ModeLabel], amplitudes: Mapping[tuple[int, ...], complex]
     ) -> "FockDensityOperator":
         """Pure state from a sparse amplitude map over occupation tuples."""
-        return cls(modes, [dict(amplitudes)], cutoff)
+        return cls(modes, [dict(amplitudes)])
 
     @classmethod
     def from_occupations(
-        cls,
-        modes: Sequence[ModeLabel],
-        occupations: Mapping[ModeLabel, int],
-        cutoff: int = 4,
+        cls, modes: Sequence[ModeLabel], occupations: Mapping[ModeLabel, int]
     ) -> "FockDensityOperator":
         """Basis state with the given photon numbers (zero elsewhere)."""
         modes = tuple(modes)
@@ -138,7 +142,7 @@ class FockDensityOperator:
         if unknown:
             raise ValueError(f"unknown mode labels: {sorted(unknown)}")
         occ = tuple(int(occupations.get(m, 0)) for m in modes)
-        return cls(modes, [{occ: 1.0 + 0.0j}], cutoff)
+        return cls(modes, [{occ: 1.0 + 0.0j}])
 
     # ------------------------------------------------------------------
     # basic properties
@@ -146,10 +150,6 @@ class FockDensityOperator:
     @property
     def modes(self) -> tuple[ModeLabel, ...]:
         return self._modes
-
-    @property
-    def cutoff(self) -> int:
-        return self._cutoff
 
     @property
     def trace(self) -> float:
@@ -206,7 +206,7 @@ def tensor(a: FockDensityOperator, b: FockDensityOperator) -> "FockDensityOperat
                     for occb, ampb in kb.items()
                 }
             )
-    return FockDensityOperator(a.modes + b.modes, kets, a.cutoff + b.cutoff)
+    return FockDensityOperator._result(a.modes + b.modes, kets)
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +300,7 @@ def apply_mode_unitary(
             for key, coeff in images:
                 out[key] = out.get(key, 0.0) + amp * coeff
         new_kets.append(out)
-    return FockDensityOperator(state.modes, new_kets, state.cutoff)
+    return FockDensityOperator._result(state.modes, new_kets)
 
 
 def relabel_modes(
@@ -308,7 +308,9 @@ def relabel_modes(
 ) -> FockDensityOperator:
     """Rename modes without touching amplitudes."""
     new_modes = tuple(mapping.get(m, m) for m in state.modes)
-    return FockDensityOperator(new_modes, state._kets, state.cutoff)
+    if len(set(new_modes)) != len(new_modes):
+        raise ValueError("duplicate mode labels")
+    return FockDensityOperator._result(new_modes, state._kets)
 
 
 def apply_pbs(
@@ -368,17 +370,18 @@ def apply_loss(
     ``eta=None`` tags the loss instead: a branch keeps only its
     binomial weight, without the factor eta^kept (1 - eta)^lost, and
     the kept and lost photon counts add up in the two ``LEDGER`` modes,
-    appended to the register on first use.  Counting the ledger at the
+    appended to the register unless they already end it.  Counting the ledger at the
     end of a circuit splits its output into parts that each carry one
     factor eta^kept (1 - eta)^lost at every eta.
     """
     tagged = eta is None
     if not tagged and not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    if tagged and LEDGER[0] not in state.modes:
-        # the ledger counts each photon at most once, so the cutoff doubles
+    if tagged and state.modes[-2:] != LEDGER:
+        if set(LEDGER) & set(state.modes):
+            raise ValueError("duplicate mode labels")
         kets = [{occ + (0, 0): amp for occ, amp in ket.items()} for ket in state._kets]
-        state = FockDensityOperator(state.modes + LEDGER, kets, 2 * state.cutoff)
+        state = FockDensityOperator._result(state.modes + LEDGER, kets)
     i = state.mode_index(mode)
     roots: dict[tuple[int, int], float] = {}
     new_kets: list[_Ket] = []
@@ -405,7 +408,7 @@ def apply_loss(
                 branch[kept] = branch.get(kept, 0.0) + amp * root
             if branch:
                 new_kets.append(branch)
-    return FockDensityOperator(state.modes, new_kets, state.cutoff)
+    return FockDensityOperator._result(state.modes, new_kets)
 
 
 def _kept_modes(
@@ -427,6 +430,8 @@ def measure_modes(
     unnormalized conditional state (counters removed) and probability.
     Probabilities sum to the input trace.
     """
+    if len(set(measured_modes)) != len(measured_modes):
+        raise ValueError("measured modes must be distinct")
     idx = [state.mode_index(m) for m in measured_modes]
     keep, new_modes = _kept_modes(state, idx)
     # Per occupation: its outcome and the tuple without the counters.
@@ -448,7 +453,7 @@ def measure_modes(
             grouped.setdefault(key, []).append(sub)
     out: dict[tuple[int, ...], tuple[FockDensityOperator, float]] = {}
     for key, kets in grouped.items():
-        cond = FockDensityOperator(new_modes, kets, state.cutoff)
+        cond = FockDensityOperator._result(new_modes, kets)
         tr = cond.trace
         if tr > 0.0:
             out[key] = (cond, tr)
@@ -464,6 +469,8 @@ def project_total_photons(
     among terms with the required total, as in post-selection where the
     surviving photons carry the output qubit.
     """
+    if len(set(modes)) != len(modes):
+        raise ValueError("projected modes must be distinct")
     idx = [state.mode_index(m) for m in modes]
     hits: dict[tuple[int, ...], bool] = {}
     new_kets = []
@@ -477,4 +484,4 @@ def project_total_photons(
                 sub[occ] = amp
         if sub:
             new_kets.append(sub)
-    return FockDensityOperator(state.modes, new_kets, state.cutoff)
+    return FockDensityOperator._result(state.modes, new_kets)

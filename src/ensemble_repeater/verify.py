@@ -5,8 +5,7 @@ brute-force Fock-space circuit simulation: the connection truth tables
 of both schemes, the purification accept/reject tables, the final
 post-selection, the ideal success probabilities, the symmetrized
 connection coefficients for every tracked excitation-pattern pair, and
-the insensitivity of all of it to the Fock-space cutoff, and the
-frozen polynomial tables the chain uses.  Checks are exact to
+the frozen polynomial tables the chain uses.  Checks are exact to
 ``TOLERANCE`` (the frozen tables to ``FROZEN_TOLERANCE``, relative) and
 fast enough to run routinely from the test suite or the command line.
 """
@@ -359,32 +358,6 @@ def check_bell_diagonal_closure(eta: float = 0.9) -> List[CheckResult]:
 
 
 # ----------------------------------------------------------------------
-# cutoff insensitivity
-
-def check_cutoff_insensitivity(eta: float = 0.9) -> List[CheckResult]:
-    """Raising the per-mode Fock cutoff from 4 to 5 leaves every checked
-    entry unchanged, confirming the default truncation is exact for the
-    tracked pattern family."""
-    cases = [
-        ("enc_higher", "two-cell", (P.P21_PERP, None), (P.P21_PERP, None)),
-        ("enc_higher", "two-cell", (P.P11, BellState.PHI_PLUS), (P.P21_PERP, None)),
-        ("enc_dlcz", "single-rail", (P.P20, None), (P.P20, None)),
-    ]
-    results = []
-    for kind, label, alpha, beta in cases:
-        base = oracle_entry(kind, alpha, beta, eta)
-        wide = oracle_entry(kind, alpha, beta, eta, cutoff=5)
-        results.append(
-            CheckResult(
-                f"cutoff 4 -> 5: {label} [{alpha[0].name}, {beta[0].name}]"
-                f" at eta={eta}",
-                _row_difference(base.row, wide.row),
-            )
-        )
-    return results
-
-
-# ----------------------------------------------------------------------
 # frozen tables
 
 def frozen_deviation(frozen: ConnectionTable, oracle: ConnectionTable) -> float:
@@ -437,7 +410,6 @@ def run_all() -> List[CheckResult]:
     results.extend(check_success_probabilities())
     results.extend(check_connection_coefficients())
     results.extend(check_bell_diagonal_closure())
-    results.extend(check_cutoff_insensitivity())
     results.extend(check_frozen_tables())
     return results
 

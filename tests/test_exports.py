@@ -68,6 +68,27 @@ def _methods(tree: ast.Module):
                         yield cls.name, target.id, node
 
 
+def _class_names(tree: ast.Module):
+    """Names each module-level class defines: its methods, properties
+    and fields."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                yield node.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        yield target.id
+
+
+def _imports(tree: ast.Module, name: str) -> bool:
+    """Whether a module imports ``name`` from another."""
+    return any(isinstance(node, ast.alias) and node.name == name for node in ast.walk(tree))
+
+
 def _overrides(module: str, cls: str, name: str) -> bool:
     """Whether a base class of the library class defines ``name``."""
     bases = getattr(importlib.import_module(f"ensemble_repeater.{module}"), cls).__mro__[1:]
@@ -79,11 +100,28 @@ def test_every_library_name_has_a_caller():
     ``demos/`` reads, outside its own definition, and that ``__all__``
     does not export has no caller: it goes, or moves into its tests.
     So does a method or property of a library class that nothing there
-    reads, dunders aside, unless it overrides a base class's."""
+    reads, dunders aside, unless it overrides a base class's.  When
+    another library definition shares the method's name, only a read
+    in a module that defines or imports its class counts."""
     sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
-    used = sum((_references(tree) for tree in trees.values()), Counter())
+    refs = {path: _references(tree) for path, tree in trees.items()}
+    used = sum(refs.values(), Counter())
     library = {path: tree for path, tree in trees.items() if path.parent == PACKAGE}
+    defined = Counter()
+    for tree in library.values():
+        defined.update(name for name, _ in _definitions(tree))
+        defined.update(_class_names(tree))
+
+    def method_reads(home: Path, cls: str, name: str) -> int:
+        if defined[name] <= 1:
+            return used[name]
+        return sum(
+            refs[path][name]
+            for path, tree in trees.items()
+            if path == home or _imports(tree, cls)
+        )
+
     uncalled = [
         f"{path.stem}.{name}"
         for path, tree in library.items()
@@ -97,7 +135,7 @@ def test_every_library_name_has_a_caller():
         for path, tree in library.items()
         for cls, name, node in _methods(tree)
         if not (name.startswith("__") and name.endswith("__"))
-        and used[name] <= _references(node)[name]
+        and method_reads(path, cls, name) <= _references(node)[name]
         and not _overrides(path.stem, cls, name)
     ]
     assert uncalled == []

@@ -1,4 +1,4 @@
-"""Unit checks for the truncated Fock-space layer.
+"""Unit checks for the sparse Fock-space layer.
 
 These exercise the exact linear-optics primitives (beamsplitters, PBS
 routing, loss, photon counting) on small states where the expected
@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from ensemble_repeater import circuits
 from ensemble_repeater.fock import (
     BS_5050,
     LEDGER,
@@ -25,6 +26,7 @@ from ensemble_repeater.fock import (
     relabel_modes,
     tensor,
 )
+from ensemble_repeater.patterns import BellState, ExcitationPattern
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -56,13 +58,18 @@ def verify_invariants(state: FockDensityOperator) -> None:
     assert state.trace <= 1.0 + TRACE_TOL, f"trace {state.trace} exceeds 1"
 
 
+def vacuum(modes: tuple[str, ...]) -> FockDensityOperator:
+    """The vacuum on ``modes``."""
+    return FockDensityOperator(modes, [{(0,) * len(modes): 1.0}])
+
+
 def _single_photon_pair():
     """|1,1> on modes a, b."""
     return FockDensityOperator.from_occupations(("a", "b"), {"a": 1, "b": 1})
 
 
 def test_vacuum_is_normalized():
-    vac = FockDensityOperator.vacuum(("a", "b", "c"))
+    vac = vacuum(("a", "b", "c"))
     assert vac.trace == pytest.approx(1.0)
     verify_invariants(vac)
 
@@ -168,6 +175,20 @@ def test_tagged_loss_records_kept_and_lost_photons():
     assert np.allclose(weighted, exact.block(occs), atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "modes",
+    [
+        pytest.param(("a", "#lost"), id="lost-only"),
+        # a ledger that no longer ends the register
+        pytest.param(("a", "b") + LEDGER + ("c",), id="ledger-inside"),
+    ],
+)
+def test_tagged_loss_rejects_ledger_labels_it_does_not_own(modes):
+    state = FockDensityOperator.from_occupations(modes, {"a": 1})
+    with pytest.raises(ValueError, match="duplicate mode labels"):
+        apply_loss(state, "a", None)
+
+
 def test_loss_destroys_coherence_between_photon_numbers():
     """A superposition of |0> and |1> partially decoheres under loss."""
     s = 1 / math.sqrt(2)
@@ -195,14 +216,14 @@ def test_pbs_routes_h_transmit_v_reflect():
 
 
 def test_pbs_rejects_overlapping_labels():
-    state = FockDensityOperator.vacuum(("aH", "aV", "bH", "bV"))
+    state = vacuum(("aH", "aV", "bH", "bV"))
     with pytest.raises(ValueError):
         apply_pbs(state, ("aH", "aV"), ("aH", "bV"), ("1H", "1V"), ("2H", "2V"))
 
 
 def test_tensor_and_relabel():
     a = FockDensityOperator.from_occupations(("x",), {"x": 1})
-    b = FockDensityOperator.vacuum(("y",))
+    b = vacuum(("y",))
     joint = tensor(a, b)
     assert joint.modes == ("x", "y")
     assert joint.trace == pytest.approx(1.0)
@@ -237,9 +258,48 @@ def test_project_total_photons_keeps_coherence():
     assert none.trace == pytest.approx(0.0)
 
 
-def test_cutoff_enforced():
-    with pytest.raises(ValueError):
-        FockDensityOperator.from_occupations(("a",), {"a": 5}, cutoff=4)
+def test_photon_number_is_not_truncated():
+    five = FockDensityOperator.from_occupations(("a", "b"), {"a": 5})
+    out = apply_mode_unitary(five, ("a", "b"), BS_5050)
+    assert out.trace == pytest.approx(1.0)
+    assert {sum(occ) for occ in occupied(out)} == {5}
+
+
+def test_relabel_rejects_merged_modes():
+    with pytest.raises(ValueError, match="duplicate mode labels"):
+        relabel_modes(_single_photon_pair(), {"a": "b"})
+
+
+def _one_photon_superposition():
+    """0.6|10> + 0.8|01> on modes a, b."""
+    return FockDensityOperator.from_ket(("a", "b"), {(1, 0): 0.6, (0, 1): 0.8})
+
+
+def test_projection_rejects_repeated_labels():
+    """A repeated label would count its photons twice."""
+    with pytest.raises(ValueError, match="projected modes must be distinct"):
+        project_total_photons(_one_photon_superposition(), ("a", "a"), 2)
+
+
+def test_measurement_rejects_repeated_labels():
+    """A repeated label would report its count twice."""
+    with pytest.raises(ValueError, match="measured modes must be distinct"):
+        measure_modes(_one_photon_superposition(), ("a", "a"))
+
+
+def test_operations_skip_the_checking_constructor(monkeypatch):
+    """One oracle entry checks its two canonical inputs and nothing else."""
+    calls = []
+    init = FockDensityOperator.__init__
+
+    def counted(state, *args, **kwargs):
+        calls.append(args)
+        init(state, *args, **kwargs)
+
+    monkeypatch.setattr(FockDensityOperator, "__init__", counted)
+    logical = (ExcitationPattern.P10, BellState.PSI_PLUS)
+    circuits.oracle_entry("enc_dlcz", logical, (ExcitationPattern.P11, None), 0.9)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(
@@ -247,32 +307,37 @@ def test_cutoff_enforced():
     [
         pytest.param([{(1, 0, 0): 1.0}], "does not match register", id="length"),
         pytest.param([{(1, -1): 1.0}], "must be non-negative", id="negative"),
-        pytest.param([{(3, 2): 1.0}], "exceeds cutoff", id="above-cutoff"),
         # A pruned amplitude does not exempt its occupation from the checks.
-        pytest.param([{(0, 0): 1.0, (5, 0): 0.0}], "exceeds cutoff", id="zero-amplitude"),
-        # The offending tuple only appears in a later ket, after tuples the
-        # earlier kets already had checked.
         pytest.param(
-            [{(1, 0): 0.6, (0, 1): 0.8}, {(0, 1): 0.5, (1, 0): 0.5}, {(1, 0): 0.1, (4, 1): 0.1}],
-            "exceeds cutoff",
+            [{(0, 0): 1.0, (-1, 0): 0.0}], "must be non-negative", id="zero-amplitude"
+        ),
+        # The offending tuple only appears in a later ket, beside tuples
+        # the earlier kets share.
+        pytest.param(
+            [
+                {(1, 0): 0.6, (0, 1): 0.8},
+                {(0, 1): 0.5, (1, 0): 0.5},
+                {(1, 0): 0.1, (4, 1, 0): 0.1},
+            ],
+            "does not match register",
             id="later-ket",
         ),
         # The first offender in ket order decides the message.
         pytest.param(
-            [{(0, 1): 1.0}, {(0, 1): 0.1, (-1, 0): 0.1, (5, 0): 0.1}],
+            [{(0, 1): 1.0}, {(0, 1): 0.1, (-1, 0): 0.1, (5,): 0.1}],
             "must be non-negative",
             id="first-offender-negative",
         ),
         pytest.param(
-            [{(0, 1): 1.0}, {(0, 1): 0.1, (5, 0): 0.1, (-1, 0): 0.1}],
-            "exceeds cutoff",
-            id="first-offender-cutoff",
+            [{(0, 1): 1.0}, {(0, 1): 0.1, (5,): 0.1, (-1, 0): 0.1}],
+            "does not match register",
+            id="first-offender-length",
         ),
     ],
 )
 def test_bad_occupations_rejected(kets, message):
     with pytest.raises(ValueError, match=message):
-        FockDensityOperator(("a", "b"), kets, cutoff=4)
+        FockDensityOperator(("a", "b"), kets)
 
 
 def _shared_tuple_ensemble():
