@@ -11,7 +11,7 @@ coefficient on demand.
 Layers, from the bottom up:
 
 ``fock``
-    Truncated Fock-space density operators and linear-optics circuits.
+    Exact Fock-space density operators and linear-optics circuits.
 ``patterns``
     ``PatternState``, the one pair-state type: a float row of
     excitation-pattern masses, then the Bell-diagonal masses of the

@@ -11,7 +11,8 @@ it holds only the occupation tuples it reaches, so a state is exact at
 any photon number and nothing is truncated. Linear optics maps kets to
 kets, loss maps a ket to one ket per number of photons lost, and photon
 counting splits a ket by detection outcome, so every operation is exact
-up to floating point. ``block`` builds the dense matrix over given
+up to floating point. Only amplitudes that are exactly zero are dropped;
+nothing is pruned by size. ``block`` builds the dense matrix over given
 occupation tuples, which is how the oracle reads a state's logical
 block.
 
@@ -34,15 +35,6 @@ import numpy as np
 ModeLabel = str
 
 UNITARITY_TOL = 1e-12
-
-# Amplitudes below this absolute size are interference residue and are
-# dropped.  The bound is absolute, not relative to the state's scale, so
-# near eta = 0 or 1 whole probabilities of order 1e-27 go: at
-# eta = 1 - 1e-7, oracle_table("pme", eta) reports exactly 0 for 20
-# values of up to 8.5e-28 and cuts others (the P11 x P22 entries) by
-# 11-20 %.  ROADMAP item 5 prunes relative to the state's scale instead.
-# Changing it changes what freeze writes.
-_AMP_PRUNE = 1e-14
 
 #: 45 degree rotation between the two cells of a node, taken verbatim as
 #: S_H -> (S_H + S_V)/sqrt2, S_V -> (S_H - S_V)/sqrt2. Self-inverse.
@@ -75,7 +67,7 @@ class FockDensityOperator:
     The constructor checks its input: distinct labels, and every
     occupation tuple of the register's length with no negative count.
     The first offender in ket order decides the message, and an
-    occupation whose amplitude is pruned is still checked.
+    occupation whose amplitude is zero is still checked.
     """
 
     __slots__ = ("_modes", "_index", "_kets")
@@ -94,16 +86,15 @@ class FockDensityOperator:
         self._store(modes, kets)
 
     def _store(self, modes: tuple[ModeLabel, ...], kets: Iterable[_Ket]) -> None:
-        """Keep each ket's amplitudes above ``_AMP_PRUNE``, as complex."""
+        """Keep each ket's nonzero amplitudes, as complex, and the kets
+        that have one; only exact zeros, such as a cancellation, go."""
         self._modes = modes
         self._index = {m: i for i, m in enumerate(modes)}
         self._kets = []
         for ket in kets:
-            pruned = {
-                occ: complex(amp) for occ, amp in ket.items() if abs(amp) > _AMP_PRUNE
-            }
-            if pruned:
-                self._kets.append(pruned)
+            kept = {occ: complex(amp) for occ, amp in ket.items() if amp != 0}
+            if kept:
+                self._kets.append(kept)
 
     @classmethod
     def _result(
@@ -116,7 +107,8 @@ class FockDensityOperator:
         the rules by construction. Loss and mode unitaries keep each
         tuple's length and never make a count negative. Measurements and
         projections keep or drop whole modes. A tensor product joins
-        disjoint registers, and a relabeling changes no tuple.
+        disjoint registers, and a relabeling changes no tuple. Like the
+        constructor, it drops only amplitudes that are exactly zero.
         """
         state = cls.__new__(cls)
         state._store(modes, kets)
@@ -242,7 +234,7 @@ def _expand_monomial(
     norm_in = math.sqrt(math.prod(math.factorial(n) for n in sub))
     out = []
     for mono, c in poly.items():
-        if abs(c) <= _AMP_PRUNE:
+        if c == 0:
             continue
         norm_out = math.sqrt(math.prod(math.factorial(m) for m in mono))
         out.append((mono, c * norm_out / norm_in))

@@ -37,9 +37,9 @@ logical pattern, which sum to its mass.  It is the only pair-state
 type: the protocol steps read this row and return their unnormalized
 output as a new one, whose total mass is the step's success
 probability.  The conditional Bell weights ``logical`` (a read-only
-float array) and the mapping ``probs`` are derived from the row.  A
-state with no logical mass reports the scheme's pure default weights:
-Psi+ for DLCZ, Phi+ for the two-cell scheme.
+float array) are derived from the row.  A state with no logical mass
+reports the scheme's pure default weights: Psi+ for DLCZ, Phi+ for the
+two-cell scheme.
 
 A batch of pairs is an ``(n, k)`` array of such rows.  The row
 functions (``row_totals``, ``check_rows``, ``fidelity_rows``,
@@ -64,7 +64,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -203,11 +202,10 @@ class PatternState:
     is a view of its pattern masses, and ``row[-4:]`` holds the absolute
     Bell masses of the logical pattern.  ``logical`` is derived: the
     Bell masses over the logical mass, or the scheme's pure default when
-    that mass is zero.  ``probs`` maps each pattern of nonzero mass to
-    its mass, and ``total`` is the summed pattern mass.  A protocol step
-    returns its output unnormalized, so that ``total`` is the step's
-    success probability; ``normalized`` reports whether the mass sums to
-    1.  States are immutable.
+    that mass is zero.  ``total`` is the summed pattern mass.  A
+    protocol step returns its output unnormalized, so that ``total`` is
+    the step's success probability; ``normalized`` reports whether the
+    mass sums to 1.  States are immutable.
 
     ``PatternState(scheme, probs, logical)`` builds a state from a
     pattern -> mass mapping and four conditional Bell weights in the
@@ -291,21 +289,6 @@ class PatternState:
         weights = self.row[-4:] / mass
         weights.flags.writeable = False
         return weights
-
-    @property
-    def probs(self) -> Mapping[ExcitationPattern, float]:
-        """Read-only mapping of the nonzero pattern masses, in scheme order."""
-        return MappingProxyType(
-            {
-                pat: p
-                for pat, p in zip(scheme_patterns(self.scheme), self.masses.tolist())
-                if p != 0.0
-            }
-        )
-
-    def prob(self, pattern: ExcitationPattern) -> float:
-        column = _layout(self.scheme).column.get(pattern)
-        return 0.0 if column is None else float(self.row[column])
 
     @property
     def normalized(self) -> bool:

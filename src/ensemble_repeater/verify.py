@@ -1,13 +1,14 @@
 """Exact verification of the protocol layer against the Fock oracle.
 
 Every primitive the scalable recursion relies on is checked here by
-brute-force Fock-space circuit simulation: the connection truth tables
-of both schemes, the purification accept/reject tables, the final
-post-selection, the ideal success probabilities, the symmetrized
-connection coefficients for every tracked excitation-pattern pair, and
-the frozen polynomial tables the chain uses.  Checks are exact to
-``TOLERANCE`` (the frozen tables to ``FROZEN_TOLERANCE``, relative) and
-fast enough to run routinely from the test suite or the command line.
+brute-force Fock-space circuit simulation: the paper's six Bell laws,
+read from one table (``_BELL_LAWS``: the connection of both schemes,
+both purification variants and the final post-selection), the ideal
+success probabilities, the symmetrized connection coefficients for
+every tracked excitation-pattern pair, and the frozen polynomial tables
+the chain uses.  Checks are exact to ``TOLERANCE`` (the frozen tables to
+``FROZEN_TOLERANCE``, relative) and fast enough to run routinely from the
+test suite or the command line.
 """
 
 from __future__ import annotations
@@ -94,97 +95,58 @@ def _pure_bell_deviation(
 # ----------------------------------------------------------------------
 # truth tables
 
-def check_connection_truth() -> List[CheckResult]:
-    """Bell-resolved connection on logical inputs, both schemes.
+def _multiply_signs(a: BellState, b: BellState) -> Optional[BellState]:
+    """Keep the shared bit and multiply the signs; reject unequal bits."""
+    (xa, sa), (xb, sb) = _BELL_CODE[a], _BELL_CODE[b]
+    return _CODE_BELL[(xa, sa ^ sb)] if xa == xb else None
 
-    At unit efficiency each Bell pair connects to the pure XOR Bell
-    state with coefficient exactly 1/2, after the heralded correction
-    (a bit flip at the first two-cell level, a phase flip above it, a
-    sign flip on the single rail).  In the sign frame fixed by the
-    classically known input labels, matched-sign pairs land on the
-    target Bell state directly.
+
+def _xor_bits(a: BellState, b: BellState) -> Optional[BellState]:
+    """Keep the shared sign and XOR the bits; reject unequal signs."""
+    (xa, sa), (xb, sb) = _BELL_CODE[a], _BELL_CODE[b]
+    return _CODE_BELL[(xa ^ xb, sa)] if sa == sb else None
+
+
+_ODD = (BellState.PSI_PLUS, BellState.PSI_MINUS)
+
+#: The paper's Bell laws, in report order: (kind, name, input pattern,
+#: input Bell states, law).  A law maps the two input Bell labels to the
+#: output's, or to None where the step rejects the pair.
+_BELL_LAWS = (
+    ("enc_level1", "connection level 1", P.P11, tuple(BellState), bell_xor),
+    ("enc_higher", "connection level >= 2", P.P11, tuple(BellState), bell_xor),
+    ("enc_dlcz", "single-rail connection", P.P10, _ODD, _multiply_signs),
+    ("enp_bit", "bit purification", P.P11, tuple(BellState), _multiply_signs),
+    ("enp_phase", "phase purification", P.P11, tuple(BellState), _xor_bits),
+    ("pme", "post-selection", P.P10, _ODD, _multiply_signs),
+)
+
+
+def check_truth_tables() -> List[CheckResult]:
+    """Every Bell law of ``_BELL_LAWS`` on logical inputs at eta = 1.
+
+    Both two-cell connection levels XOR the (bit, sign) labels, after
+    the heralded correction (a bit flip at the first level, a phase flip
+    above it).  The odd-parity single-rail connection and the final
+    post-selection keep the bit and multiply the signs.  Bit
+    purification accepts only equal bits (Phi x Psi accepts with
+    probability exactly zero) and multiplies the signs; phase
+    purification accepts only equal signs and XORs the bits.  Each
+    accepted output is the pure target Bell state with coefficient
+    exactly 1/2, in the sign frame fixed by the classically known input
+    labels.
     """
     results = []
-    for kind, stage in (("enc_level1", "level 1"), ("enc_higher", "level >= 2")):
-        for b1, b2 in itertools.product(BellState, repeat=2):
-            entry = oracle_entry(kind, (P.P11, b1), (P.P11, b2), 1.0)
-            target = bell_xor(b1, b2)
-            dev = _pure_bell_deviation(entry, target, 0.5)
-            results.append(
-                CheckResult(
-                    f"connection {stage}: {b1.name} x {b2.name}"
-                    f" -> {target.name} (1/2, pure)",
-                    dev,
-                )
-            )
-    for s1, s2 in itertools.product(
-        (BellState.PSI_PLUS, BellState.PSI_MINUS), repeat=2
-    ):
-        entry = oracle_entry("enc_dlcz", (P.P10, s1), (P.P10, s2), 1.0)
-        target = (
-            BellState.PSI_PLUS if s1 is s2 else BellState.PSI_MINUS
-        )
-        dev = _pure_bell_deviation(entry, target, 0.5)
-        results.append(
-            CheckResult(
-                f"single-rail connection: {s1.name} x {s2.name}"
-                f" -> {target.name} (1/2, pure)",
-                dev,
-            )
-        )
-    return results
-
-
-def check_purification_truth() -> List[CheckResult]:
-    """Accept/reject table of both purification variants on Bell pairs.
-
-    The bit variant accepts only equal-bit pairs (Phi x Psi accepts
-    with probability exactly zero) and multiplies the signs; the phase
-    variant accepts only equal-sign pairs and XORs the bits.  Accepted
-    outputs are pure with coefficient 1/2 at unit efficiency.
-    """
-    results = []
-    for phase_variant, label in ((False, "bit"), (True, "phase")):
-        for b1, b2 in itertools.product(BellState, repeat=2):
-            (x1, s1), (x2, s2) = _BELL_CODE[b1], _BELL_CODE[b2]
-            entry = oracle_entry(f"enp_{label}", (P.P11, b1), (P.P11, b2), 1.0)
-            accept = (x1 == x2) if not phase_variant else (s1 == s2)
-            if accept:
-                target = _CODE_BELL[
-                    (x1, s1 ^ s2) if not phase_variant else (x1 ^ x2, s1)
-                ]
-                dev = _pure_bell_deviation(entry, target, 0.5)
-                name = (
-                    f"{label} purification: {b1.name} x {b2.name}"
-                    f" -> {target.name} (1/2, pure)"
-                )
+    for kind, name, pattern, bells, law in _BELL_LAWS:
+        for b1, b2 in itertools.product(bells, repeat=2):
+            entry = oracle_entry(kind, (pattern, b1), (pattern, b2), 1.0)
+            target = law(b1, b2)
+            if target is None:
+                dev, out = entry.total, "rejected (probability 0)"
             else:
-                dev = entry.total
-                name = (
-                    f"{label} purification: {b1.name} x {b2.name}"
-                    " -> rejected (probability 0)"
-                )
-            results.append(CheckResult(name, dev))
-    return results
-
-
-def check_postselection_truth() -> List[CheckResult]:
-    """Final single-rail post-selection maps Psi^s x Psi^s' to the pure
-    polarization Bell pair Psi^(ss') with coefficient 1/2 at eta=1."""
-    results = []
-    for s1, s2 in itertools.product(
-        (BellState.PSI_PLUS, BellState.PSI_MINUS), repeat=2
-    ):
-        entry = oracle_entry("pme", (P.P10, s1), (P.P10, s2), 1.0)
-        target = BellState.PSI_PLUS if s1 is s2 else BellState.PSI_MINUS
-        dev = _pure_bell_deviation(entry, target, 0.5)
-        results.append(
-            CheckResult(
-                f"post-selection: {s1.name} x {s2.name}"
-                f" -> {target.name} (1/2, pure)",
-                dev,
-            )
-        )
+                dev = _pure_bell_deviation(entry, target, 0.5)
+                out = f"{target.name} (1/2, pure)"
+            results.append(CheckResult(f"{name}: {b1.name} x {b2.name} -> {out}", dev))
     return results
 
 
@@ -312,10 +274,13 @@ def _bell_label(scheme: SchemeKind, pattern: ExcitationPattern) -> Optional[Bell
     return None
 
 
-def check_connection_coefficients(
-    etas: Iterable[float] = (1.0, 0.9, 0.5),
-) -> List[CheckResult]:
-    """Symmetrized connection coefficients against the closed forms."""
+#: Efficiencies at which the connection coefficients are checked.
+COEFFICIENT_ETAS = (1.0, 0.9, 0.5)
+
+
+def check_connection_coefficients() -> List[CheckResult]:
+    """Symmetrized connection coefficients against the closed forms, at
+    each of ``COEFFICIENT_ETAS``."""
     results = []
     cases = [
         ("enc_dlcz", "single-rail", dlcz_connection_coefficients),
@@ -323,7 +288,7 @@ def check_connection_coefficients(
     ]
     for kind, label, expected_fn in cases:
         scheme = KINDS[kind][0]
-        for eta in etas:
+        for eta in COEFFICIENT_ETAS:
             expected = expected_fn(eta)
             for (pat_a, pat_b), want in expected.items():
                 alpha = (pat_a, _bell_label(scheme, pat_a))
@@ -340,17 +305,27 @@ def check_connection_coefficients(
     return results
 
 
-def check_bell_diagonal_closure(eta: float = 0.9) -> List[CheckResult]:
+#: Efficiency of the Bell-diagonal closure check and of the check of all
+#: six frozen tables.
+CHECK_ETA = 0.9
+
+#: Further efficiencies of the frozen-table check, for the four cheap
+#: tables: all but the two purification tables.
+MORE_FROZEN_ETAS = (0.5, 0.97)
+
+
+def check_bell_diagonal_closure() -> List[CheckResult]:
     """The two-cell connection never creates coherence outside the Bell
     diagonal, so the pattern-state recursion is exact for it; the worst
-    discarded off-diagonal magnitude over the whole table is zero."""
+    discarded off-diagonal magnitude over the whole table, at
+    ``CHECK_ETA``, is zero."""
     results = []
     for kind, stage in (("enc_level1", "level 1"), ("enc_higher", "level >= 2")):
-        table = oracle_table(kind, eta)
+        table = oracle_table(kind, CHECK_ETA)
         results.append(
             CheckResult(
                 f"two-cell connection {stage} Bell-diagonal closure"
-                f" at eta={eta}",
+                f" at eta={CHECK_ETA}",
                 table.max_residue(),
             )
         )
@@ -377,17 +352,15 @@ def frozen_deviation(frozen: ConnectionTable, oracle: ConnectionTable) -> float:
     return worst
 
 
-def check_frozen_tables(
-    eta: float = 0.9, more_etas: Iterable[float] = (0.5, 0.97)
-) -> List[CheckResult]:
+def check_frozen_tables() -> List[CheckResult]:
     """The tables evaluated from the frozen polynomials equal the Fock
     oracle's within 1e-12 relative, and their zeros are the oracle's.
 
-    All six tables are checked at ``eta``; the four cheap ones, all but
-    the two purification tables, at ``more_etas`` too.
+    All six tables are checked at ``CHECK_ETA``; the four cheap ones at
+    ``MORE_FROZEN_ETAS`` too.
     """
-    cases = [(kind, eta) for kind in KINDS]
-    cases += [(kind, e) for e in more_etas for kind in KINDS if KINDS[kind][1] != "enp"]
+    cases = [(kind, CHECK_ETA) for kind in KINDS]
+    cases += [(kind, e) for e in MORE_FROZEN_ETAS for kind in KINDS if KINDS[kind][1] != "enp"]
     return [
         CheckResult(
             f"frozen {kind} table equals the oracle at eta={e}",
@@ -404,9 +377,7 @@ def check_frozen_tables(
 def run_all() -> List[CheckResult]:
     """Every verification check, in a stable order."""
     results = []
-    results.extend(check_connection_truth())
-    results.extend(check_purification_truth())
-    results.extend(check_postselection_truth())
+    results.extend(check_truth_tables())
     results.extend(check_success_probabilities())
     results.extend(check_connection_coefficients())
     results.extend(check_bell_diagonal_closure())

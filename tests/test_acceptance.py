@@ -57,8 +57,7 @@ def test_criterion_01_connection_and_purification_truth_tables():
     probability exactly zero, and all sixteen phase-purification entries
     match their stated outputs; everything exact to 1e-10, under 10 s."""
     start = time.perf_counter()
-    _assert_all_pass(verify.check_connection_truth())
-    _assert_all_pass(verify.check_purification_truth())
+    _assert_all_pass(verify.check_truth_tables())
 
     # The even-parity corollary, spelled out: connect Phi^a and Phi^b,
     # flip the sign when the heralded detector parity says so, end on
@@ -98,7 +97,7 @@ def test_criterion_03_connection_coefficient_laws():
     pattern pairs) matches the brute-force Fock projection at
     eta in {1.0, 0.9, 0.5} within 1e-10, in under 60 s."""
     start = time.perf_counter()
-    _assert_all_pass(verify.check_connection_coefficients((1.0, 0.9, 0.5)))
+    _assert_all_pass(verify.check_connection_coefficients())
     assert time.perf_counter() - start < 60.0
 
 

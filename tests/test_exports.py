@@ -21,14 +21,20 @@ def test_every_exported_name_resolves():
     assert len(set(ensemble_repeater.__all__)) == len(ensemble_repeater.__all__)
 
 
+def _attribute_reads(tree: ast.AST) -> Counter:
+    """Attribute names a tree reads; a method is only ever called as one,
+    so a local variable of the same name does not count."""
+    return Counter(
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    )
+
+
 def _references(tree: ast.AST) -> Counter:
     """Names a tree reads: loaded names, attributes and imported names."""
-    found = Counter()
+    found = _attribute_reads(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             found[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            found[node.attr] += 1
         elif isinstance(node, ast.alias):
             found[node.name] += 1
     return found
@@ -100,13 +106,15 @@ def test_every_library_name_has_a_caller():
     ``demos/`` reads, outside its own definition, and that ``__all__``
     does not export has no caller: it goes, or moves into its tests.
     So does a method or property of a library class that nothing there
-    reads, dunders aside, unless it overrides a base class's.  When
-    another library definition shares the method's name, only a read
-    in a module that defines or imports its class counts."""
+    reads as an attribute, dunders aside, unless it overrides a base
+    class's.  When another library definition shares the method's name,
+    only a read in a module that defines or imports its class counts."""
     sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
     refs = {path: _references(tree) for path, tree in trees.items()}
     used = sum(refs.values(), Counter())
+    attrs = {path: _attribute_reads(tree) for path, tree in trees.items()}
+    used_attrs = sum(attrs.values(), Counter())
     library = {path: tree for path, tree in trees.items() if path.parent == PACKAGE}
     defined = Counter()
     for tree in library.values():
@@ -115,9 +123,9 @@ def test_every_library_name_has_a_caller():
 
     def method_reads(home: Path, cls: str, name: str) -> int:
         if defined[name] <= 1:
-            return used[name]
+            return used_attrs[name]
         return sum(
-            refs[path][name]
+            attrs[path][name]
             for path, tree in trees.items()
             if path == home or _imports(tree, cls)
         )
@@ -135,7 +143,7 @@ def test_every_library_name_has_a_caller():
         for path, tree in library.items()
         for cls, name, node in _methods(tree)
         if not (name.startswith("__") and name.endswith("__"))
-        and method_reads(path, cls, name) <= _references(node)[name]
+        and method_reads(path, cls, name) <= _attribute_reads(node)[name]
         and not _overrides(path.stem, cls, name)
     ]
     assert uncalled == []
