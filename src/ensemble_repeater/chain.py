@@ -24,9 +24,10 @@ elementary pair, whose phase error q(D L0) vanishes at D = 0.  So at
 D = 0 the chain at spacing 2 L0 is a prefix of the chain at L0: one
 batch, for the deepest chain, serves every spacing, and the
 single-rail final mapping adds one batched step per spacing.  At D > 0
-every spacing gets its own batch.  Each grid point still gets its own
-``simulate_chain`` call, which reads its pair states off the batch and
-computes only its times.
+every spacing gets its own batch.  The batch also runs the time
+recursion on whole columns, one time column per stage, and gives each
+row the error its chain raises, if any.  Each grid point still gets its
+own ``simulate_chain`` call, which only packages its row.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -334,6 +336,25 @@ class RunResult:
     final_logical_fidelity: float
     states: Sequence[PatternState] = field(repr=False, compare=False)
 
+    @classmethod
+    def _from_batch(
+        cls,
+        config: RepeaterConfig,
+        stages: Tuple[tuple, ...],
+        final_logical_fidelity: float,
+        states: Sequence[PatternState],
+    ) -> "RunResult":
+        """A sweep grid point's result from its batch row, built without
+        ``__init__``, as ``RepeaterConfig._grid_point`` builds its
+        configuration."""
+        result = cls.__new__(cls)
+        values = result.__dict__
+        values["config"] = config
+        values["stages"] = stages
+        values["final_logical_fidelity"] = final_logical_fidelity
+        values["states"] = states
+        return result
+
     @cached_property
     def per_level(self) -> Tuple[LevelRecord, ...]:
         return tuple(
@@ -355,6 +376,16 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must be non-negative, got {seed}")
 
 
+def _zero_success(level: int, stage: str) -> ZeroDivisionError:
+    """The error of a chain whose step at this stage never succeeds."""
+    return ZeroDivisionError(f"{stage} at level {level} has zero success probability")
+
+
+def _time_overflow(level: int, stage: str) -> OverflowError:
+    """The error of a chain whose average time at this stage is not finite."""
+    return OverflowError(f"the average time of {stage} at level {level} overflows")
+
+
 def _elementary_time(p_c, eta: float, L0: float, L_att: float, c_fiber: float):
     """Average time to herald one elementary pair, (L0/c) e^{L0/L_att} / (p_c eta).
 
@@ -367,8 +398,12 @@ def _elementary_time(p_c, eta: float, L0: float, L_att: float, c_fiber: float):
 def scaling_exponent(eta: float) -> float:
     """Polynomial time exponent 1 + log2(1.5) + log2(1/p_enc-stable).
 
-    p_enc-stable = eta^2 (3 - 2 eta) / (2 (2 - eta)^4) is the connection
-    success probability in the stable regime.
+    p_enc-stable = eta^2 (3 - 2 eta) / (2 (2 - eta)^4) is the paper's
+    closed form of the connection success probability in the stable
+    regime.  The simulated two-cell chains do not use it: at vanishing
+    p_c their connections from the second level on succeed with
+    eta^2 / (2 (2 - eta)^2), and the closed form is (3 - 2 eta)/(2 - eta)^2
+    times that, 0.889 at eta = 0.5 and 0.992 at eta = 0.9.
     """
     return 1.0 + math.log2(TWO_PAIR_OVERHEAD) + math.log2(
         2.0 * (2.0 - eta) ** 4 / (eta**2 * (3.0 - 2.0 * eta))
@@ -453,6 +488,13 @@ class _McTimes:
         self.rng = rng
         self.n = n_samples
 
+    @staticmethod
+    def mean(times: np.ndarray) -> float:
+        """The average time, inf where the sum overflows, with no warning;
+        ``simulate_chain`` reports it as the stage's overflow."""
+        with np.errstate(over="ignore"):
+            return float(times.mean())
+
     def elementary(self, config: RepeaterConfig) -> np.ndarray:
         eta = config.noise.eta
         p_att = config.p_c * eta * math.exp(-config.L0 / config.L_att)
@@ -461,21 +503,24 @@ class _McTimes:
         attempts = self.rng.geometric(min(p_att, 1.0), size=(draws, self.n))
         if attempts.max() == _SATURATED_DRAW:
             return np.full(self.n, math.inf)
-        t = attempts * cycle
+        with np.errstate(over="ignore"):  # inf, reported as the overflow
+            t = attempts * cycle
         return t.max(axis=0)
 
     def combine(self, times: np.ndarray, success: float) -> np.ndarray:
         """Times for one heralded step consuming two sub-pairs per attempt."""
         attempts = self.rng.geometric(min(success, 1.0), size=self.n)
-        # a saturated draw, or a total an int64 sum would wrap negative
-        if attempts.sum(dtype=float) >= _SATURATED_DRAW:
-            return np.full(self.n, math.inf)
-        total = int(attempts.sum())
-        a = self.rng.choice(times, size=total)
-        b = self.rng.choice(times, size=total)
-        pair = np.maximum(a, b)
-        starts = np.concatenate(([0], np.cumsum(attempts)[:-1]))
-        return np.add.reduceat(pair, starts)
+        # a sum that overflows is inf, which ``simulate_chain`` reports
+        with np.errstate(over="ignore"):
+            # a saturated draw, or a total an int64 sum would wrap negative
+            if attempts.sum(dtype=float) >= _SATURATED_DRAW:
+                return np.full(self.n, math.inf)
+            total = int(attempts.sum())
+            a = self.rng.choice(times, size=total)
+            b = self.rng.choice(times, size=total)
+            pair = np.maximum(a, b)
+            starts = np.concatenate(([0], np.cumsum(attempts)[:-1]))
+            return np.add.reduceat(pair, starts)
 
 
 def _plan(
@@ -544,26 +589,30 @@ def simulate_chain(
     independent sub-pair times (seeded, vectorized).  The quantum state
     evolution is identical in both modes.
 
-    ``pairs`` hands in the chain's pair states from a sweep's batch:
-    its stages in the form ``_chain_stages`` yields them, the final
-    logical fidelity and the states.  The call then computes only the
-    times.  Without it the chain runs every step on its own states.
+    ``pairs`` hands in one row of a sweep's batch, as
+    ``_PairBatch.point_pairs`` makes it: the error the chain raises or
+    None, the stages with their deterministic times, the final logical
+    fidelity and the states.  The call raises the error or returns the
+    rest as its result; ``waiting`` does not apply.  Without it the chain
+    runs every step on its own states.
     """
     if waiting not in ("deterministic", "mc"):
         raise ValueError("waiting must be 'deterministic' or 'mc'")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     check_seed(seed)
+    if pairs is not None:
+        verdict, stages, logical_F, states = pairs
+        if verdict is not None:
+            raise verdict
+        return RunResult._from_batch(config, stages, logical_F, states)
     mc = _McTimes(np.random.default_rng(seed), n_samples) if waiting == "mc" else None
-    if pairs is None:
-        built: list = []
-        computed = _chain_stages(config, built)
-    else:
-        computed, logical_F, states = pairs
+    built: list = []
+    computed = _chain_stages(config, built)
 
     if mc:
         times = mc.elementary(config)
-        t = float(times.mean())
+        t = mc.mean(times)
     else:
         t = config.t0
         if config.scheme is SchemeKind.NEW:
@@ -572,25 +621,20 @@ def simulate_chain(
     stages = [(0, "eng", target, 1.0, t, F)]
     for (level, stage, target), success, F in computed:
         if success <= 0.0:
-            raise ZeroDivisionError(
-                f"{stage} at level {level} has zero success probability"
-            )
+            raise _zero_success(level, stage)
         if mc:
             times = mc.combine(times, success)
-            t = float(times.mean())
+            t = mc.mean(times)
         else:
             t = TWO_PAIR_OVERHEAD * t / success
         stages.append((level, stage, target, success, t, F))
 
     for level, stage, _, _, t, _ in stages:
         if not math.isfinite(t):
-            raise OverflowError(
-                f"the average time of {stage} at level {level} overflows"
-            )
+            raise _time_overflow(level, stage)
 
-    if pairs is None:
-        states = tuple(built)
-        logical_F = logical_fidelity(states[-1], target)
+    states = tuple(built)
+    logical_F = logical_fidelity(states[-1], target)
     return RunResult(config, tuple(stages), logical_F, states)
 
 
@@ -692,23 +736,66 @@ class _PairBatch:
             tuple(fidelities), tuple(lives),
         )
 
-    def point_pairs(self) -> Iterator[tuple]:
-        """Every row's pairs in the form ``simulate_chain`` reads, made one
-        row at a time as they are read.
+    def times(self, t0s: np.ndarray) -> list:
+        """The average-time column of every stage, from the elementary
+        times ``t0s``.
 
-        A row's objects then die with its chain's result, so a sweep
-        holds one row's at a time, and the cyclic garbage collector finds
-        no backlog of them to collect.
+        Each element takes the IEEE operations ``simulate_chain`` takes
+        on one chain: the elementary time, times 1.5 for two-cell pairs,
+        then ``1.5 * t / success`` per step.  Where a success is zero or
+        a time overflows, the value is inf or nan, with no warning.
         """
-        successes = zip(*[column.tolist() for column in self.successes])
-        fidelities = zip(*[column.tolist() for column in self.fidelities])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            t = t0s * TWO_PAIR_OVERHEAD if self.schemes[0] is SchemeKind.NEW else t0s
+            columns = [t]
+            for success in self.successes[1:]:
+                t = TWO_PAIR_OVERHEAD * t / success
+                columns.append(t)
+        return columns
+
+    def verdicts(self, times: Sequence[np.ndarray]) -> list:
+        """Per row, the ``ArithmeticError`` its chain raises, or None.
+
+        As in ``simulate_chain``, the first step whose success is not
+        positive raises ``ZeroDivisionError``; otherwise the first stage
+        whose time is not finite raises ``OverflowError``.
+        """
+        failed = np.array([success <= 0.0 for success in self.successes])
+        overflowed = ~np.isfinite(np.array(times))
+        verdicts: list = [None] * len(times[0])
+        for i in np.flatnonzero(failed.any(axis=0) | overflowed.any(axis=0)):
+            if failed[:, i].any():
+                level, stage, _ = self.steps[failed[:, i].argmax()]
+                verdicts[i] = _zero_success(level, stage)
+            else:
+                level, stage, _ = self.steps[overflowed[:, i].argmax()]
+                verdicts[i] = _time_overflow(level, stage)
+        return verdicts
+
+    def point_pairs(self, t0s: np.ndarray) -> Iterator[tuple]:
+        """Every row in the form ``simulate_chain`` reads as ``pairs``,
+        from the elementary times ``t0s``, made one row at a time as they
+        are read.
+
+        The columns are computed at once, and each row's stage tuples are
+        zipped from them, with no Python frame per row.  A row's objects
+        die with its chain's result, so a sweep holds one row's at a
+        time, and the cyclic garbage collector finds no backlog of them
+        to collect.
+        """
+        times = self.times(t0s)
+        stages = zip(*[
+            zip(repeat(level), repeat(stage), repeat(target),
+                success.tolist(), t.tolist(), F.tolist())
+            for (level, stage, target), success, t, F
+            in zip(self.steps, self.successes, times, self.fidelities)
+        ])
         logical = logical_fidelity_rows(
             self.schemes[-1], self.rows[-1], self.steps[-1][2]
         ).tolist()
-        steps = self.steps
         blocks = tuple(zip(self.schemes, self.rows))
-        for i, (success, F, logical_F) in enumerate(zip(successes, fidelities, logical)):
-            yield zip(steps, success, F), logical_F, _BatchStates(blocks, i)
+        states = map(_BatchStates, repeat(blocks), range(len(logical)))
+        return zip(self.verdicts(times), stages, logical, states)
 
 
 def _generate_batch(
@@ -795,9 +882,11 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     spacings of L that have every scheduled level; and per spacing the
     ``L0 / L_att`` overflow, which makes every row of the spacing None,
     and the elementary-time column, where a non-finite time makes its
-    row None.  Every other grid point
-    gets a ``_grid_point`` configuration and one ``simulate_chain``
-    call, which reads its states off the batch and computes its times.
+    row None.  The batch then computes every stage's time column and
+    each row's error, as ``_PairBatch.point_pairs`` describes.  Every
+    other grid point gets a ``_grid_point`` configuration and one
+    ``simulate_chain`` call, which raises its row's error or returns its
+    row as a result, and the grid row is read from that result.
     """
     scheme, L = chain["scheme"], chain["L"]
     noise = chain.get("noise", NoiseParams())
@@ -833,7 +922,7 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
             batch = batch.extend(plan[-1:], noise.eta, channel, valid)
         column = []
         for p_c, t0, ok, pairs in zip(
-            p_cs, times.tolist(), valid.tolist(), batch.point_pairs()
+            p_cs, times.tolist(), valid.tolist(), batch.point_pairs(times)
         ):
             if not ok:
                 column.append(None)

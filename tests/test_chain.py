@@ -158,13 +158,33 @@ def _stable_success(eta):
 
 def test_stable_connection_success():
     """From the second level on, a two-cell chain's connections succeed
-    with the stable-regime probability that ``scaling_exponent`` uses."""
+    within 1 % of the paper's stable-regime closed form, which
+    ``scaling_exponent`` uses, at eta = 0.9 and 1.  The simulator does
+    not use that form: its connections follow the law of
+    ``test_stable_connection_law``, which the closed form undershoots by
+    the factor (3 - 2 eta)/(2 - eta)^2, 0.992 at eta = 0.9."""
     for eta in (0.9, 1.0):
         result = simulate_chain(_config(L=1280.0, p_c=1e-3, noise=NoiseParams(eta=eta)))
         later = [r.success_prob for r in result.per_level if r.stage == "enc"][1:]
         assert len(later) == 3
         assert later == pytest.approx([_stable_success(eta)] * 3, rel=1e-2)
     assert _stable_success(1.0) == 0.5
+
+
+@pytest.mark.parametrize("eta", [0.5, 0.7, 0.9, 0.95])
+def test_stable_connection_law(eta):
+    """At vanishing p_c a two-cell chain's connections from the second
+    level on succeed with eta^2 / (2 (2 - eta)^2), not with the paper's
+    closed form, which is (3 - 2 eta)/(2 - eta)^2 times that: 0.889 at
+    eta = 0.5."""
+    result = simulate_chain(_config(L=1280.0, p_c=1e-9, noise=NoiseParams(eta=eta)))
+    later = [r.success_prob for r in result.per_level if r.stage == "enc"][1:]
+    assert len(later) == 3
+    law = eta**2 / (2 * (2 - eta) ** 2)
+    assert later == pytest.approx([law] * 3, rel=1e-8)
+    assert _stable_success(eta) == pytest.approx(
+        law * (3 - 2 * eta) / (2 - eta) ** 2, rel=1e-12
+    )
 
 
 def test_scaling_exponent_consistency():
@@ -486,6 +506,46 @@ def test_a_sweep_makes_one_chain_call_per_valid_grid_point(monkeypatch):
     assert [config.L0 for config, *_ in calls] == [
         L0 for L0 in L0_GRID[:-1] for _ in range(2)
     ]
+
+
+@pytest.mark.parametrize(
+    "scheme, eta",
+    [(NEW, 1e-200), (DLCZ, 1e-200), (NEW, 1e-160), (DLCZ, 1e-160)],
+    ids=["two-cell-zero-success", "single-rail-zero-success",
+         "two-cell-overflow", "single-rail-overflow"],
+)
+def test_every_grid_point_raises_what_its_chain_raises_alone(
+    monkeypatch, scheme, eta
+):
+    """At eta = 1e-200 a step's success underflows to zero, and at
+    eta = 1e-160 a stage time overflows; a single-rail chain at 1e-200
+    overflows before its final mapping fails, and the zero success
+    wins.  Every configuration is valid, and each grid point's
+    ``simulate_chain`` call raises the class and message of the same
+    chain run on its own."""
+    raised = []
+    original = chain_module.simulate_chain
+
+    def recording(config, *args, **kwargs):
+        try:
+            return original(config, *args, **kwargs)
+        except ArithmeticError as error:
+            raised.append((config, error))
+            raise
+
+    monkeypatch.setattr(chain_module, "simulate_chain", recording)
+    chain = dict(scheme=scheme, L=640.0, noise=NoiseParams(eta=eta))
+    p_cs = tuple(float(p) for p in pc_grid()[::50])
+    per_l0 = _sweep_spacings(chain, p_cs)
+    assert all(row is None for _, rows in per_l0 for row in rows)
+    assert [(config.L0, config.p_c) for config, _ in raised] == [
+        (L0, p_c) for L0, _ in per_l0 for p_c in p_cs
+    ]
+    for config, error in raised:
+        with pytest.raises(ArithmeticError) as fresh:
+            original(RepeaterConfig(L0=config.L0, p_c=config.p_c, **chain))
+        assert type(error) is type(fresh.value)
+        assert str(error) == str(fresh.value)
 
 
 def test_sweeps_raise_configuration_errors_where_every_spacing_overflows():

@@ -5,6 +5,7 @@ directory; determinism is checked byte for byte on the emitted files.
 """
 
 import json
+import warnings
 
 import pytest
 
@@ -468,6 +469,28 @@ def test_rejected_run_writes_no_manifest(tmp_path, capsys, body, command, messag
     assert not (out / MANIFEST_NAME).exists()
     assert not (out / CONFIG_REFERENCE_NAME).exists()
     assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("c_fiber", ["1e-300", "1e-303"])
+def test_overflowing_mc_times_exit_3_without_a_warning(tmp_path, capsys, c_fiber):
+    """At c_fiber = 1e-300 every sampled elementary time is finite but
+    their sum overflows, in the mean and in each connection's sums; at
+    1e-303 the elementary time is finite and some sampled ones are not.
+    The run reports the overflow as one error line, with no numpy
+    warning before it, and writes nothing."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        "[chain]\nL = 2560\np_c = 8.1e-3\nc_fiber = " + c_fiber + "\nwaiting = mc\n"
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out = _run(tmp_path, "--config", str(cfg), "simulate")
+    assert rc == EXIT_BAD_CONFIG
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: the average time of eng at level 0 overflows"
+    ]
+    assert not out.exists()
 
 
 def test_unwritable_output_exits_3(tmp_path, capsys):

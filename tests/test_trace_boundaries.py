@@ -75,6 +75,28 @@ def test_traced_optimize_runs_one_chain_per_grid_point():
     assert counts["sweep"] == 1
 
 
+def test_traced_optimize_counts_every_zero_success_grid_point():
+    """At eta = 1e-200 every connection's success underflows to zero, so
+    each grid point's chain raises ``ZeroDivisionError`` and the tracer
+    counts every grid point as a zero-success one."""
+    workloads, spans = _load("workloads"), _load("spans")
+    pkg = workloads.load_package(ROOT)
+    chain = pkg.chain
+    tracer = spans.Tracer(pkg)
+    tracer.install()
+    try:
+        found = chain.optimize(
+            pkg.patterns.SchemeKind.NEW, 160.0, 0.9,
+            noise=pkg.er.NoiseParams(eta=1e-200),
+        )
+    finally:
+        tracer.uninstall()
+
+    assert found is None
+    counters = tracer.counters
+    assert counters["sweep.zero_success"] == counters["sweep.grid_points"] == 4 * 302
+
+
 def test_tracer_counts_oracle_projections_and_restores_patches():
     """One oracle entry runs its circuit through the ``fock`` boundaries
     and projects each accepted branch once."""
