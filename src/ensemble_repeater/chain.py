@@ -27,7 +27,10 @@ single-rail final mapping adds one batched step per spacing.  At D > 0
 every spacing gets its own batch.  The batch also runs the time
 recursion on whole columns, one time column per stage, and gives each
 row the error its chain raises, if any.  Each grid point still gets its
-own ``simulate_chain`` call, which only packages its row.
+own ``simulate_chain`` call, which takes its row's error, its last
+stage's time, fidelity and logical fidelity and a handle to the row,
+and raises the error or returns a result holding the rest; that
+result's per-stage records are built from the batch only if read.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ class RepeaterConfig:
     fixed (scheme, L, noise, L_att, c_fiber, schedule) and then
     ``_check_point`` on L0 and p_c.  A sweep runs the first once and the
     second on its p_c column (see ``_sweep_spacings``), and builds each
-    grid point's configuration with ``_grid_point``, which runs neither.
+    grid point's configuration in place, with neither.
     """
 
     scheme: SchemeKind
@@ -120,25 +123,6 @@ class RepeaterConfig:
         )
         object.__setattr__(self, "enp_schedule", schedule)
         object.__setattr__(self, "t0", t0)
-
-    @classmethod
-    def _grid_point(
-        cls, fields: dict, L0: float, p_c: float, t0: float
-    ) -> "RepeaterConfig":
-        """The configuration of one sweep grid point, built unchecked.
-
-        ``fields`` holds the other fields, checked by
-        ``_check_chain_fields`` and with its normalized schedule; L0,
-        p_c and the elementary time ``t0`` passed the column form of
-        ``_check_point`` in ``_sweep_spacings``.
-        """
-        config = cls.__new__(cls)
-        values = config.__dict__
-        values.update(fields)
-        values["L0"] = L0
-        values["p_c"] = p_c
-        values["t0"] = t0
-        return config
 
     @property
     def num_levels(self) -> int:
@@ -319,55 +303,37 @@ class LevelRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class RunResult:
-    """Full chain simulation output: per-stage results plus the final pair.
+    """Full chain simulation output: the final pair, and per-stage records.
 
-    ``stages`` holds one ``(level, stage, target, success, t, F)`` tuple
-    per stage: its Bell target, the step's success probability, the
-    average time and the fidelity.  ``states`` holds the normalized pair
-    after each stage; a sweep's chain builds them from its batch only
-    when they are read.  ``per_level`` derives the ``LevelRecord`` of
-    every stage from both on first read, so a sweep that reads only the
-    final time and fidelities builds none; those come straight from
-    the last stage.
+    ``t_avg`` and ``fidelity`` are the last stage's average time and
+    fidelity, and ``final_logical_fidelity`` the delivered pair's weight
+    on its target Bell state.  ``per_level`` derives the ``LevelRecord``
+    of every stage on first read, from its private inputs: one
+    ``(level, stage, target, success, t, F)`` tuple per stage and the
+    normalized pair after each stage.  A fresh chain builds both as it
+    runs, as ``_stages`` and ``_states``.  A sweep grid point's result
+    holds only ``_row``, the handle ``(batch, time columns, i)`` of its
+    batch row, and ``_PairBatch.levels`` builds both from it when
+    ``per_level`` is read; a sweep that reads only the final figures
+    builds neither.
     """
 
     config: RepeaterConfig
-    stages: Tuple[tuple, ...]
+    t_avg: float
+    fidelity: float
     final_logical_fidelity: float
-    states: Sequence[PatternState] = field(repr=False, compare=False)
-
-    @classmethod
-    def _from_batch(
-        cls,
-        config: RepeaterConfig,
-        stages: Tuple[tuple, ...],
-        final_logical_fidelity: float,
-        states: Sequence[PatternState],
-    ) -> "RunResult":
-        """A sweep grid point's result from its batch row, built without
-        ``__init__``, as ``RepeaterConfig._grid_point`` builds its
-        configuration."""
-        result = cls.__new__(cls)
-        values = result.__dict__
-        values["config"] = config
-        values["stages"] = stages
-        values["final_logical_fidelity"] = final_logical_fidelity
-        values["states"] = states
-        return result
+    _stages: Tuple[tuple, ...] = field(default=(), repr=False, compare=False)
+    _states: Tuple[PatternState, ...] = field(default=(), repr=False, compare=False)
+    _row: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @cached_property
     def per_level(self) -> Tuple[LevelRecord, ...]:
-        return tuple(
-            _record(*stage, state) for stage, state in zip(self.stages, self.states)
-        )
-
-    @property
-    def t_avg(self) -> float:
-        return self.stages[-1][4]
-
-    @property
-    def fidelity(self) -> float:
-        return self.stages[-1][5]
+        if self._row is None:
+            stages, states = self._stages, self._states
+        else:
+            batch, times, i = self._row
+            stages, states = batch.levels(times, i)
+        return tuple(_record(*stage, state) for stage, state in zip(stages, states))
 
 
 def check_seed(seed: int) -> None:
@@ -591,21 +557,29 @@ def simulate_chain(
 
     ``pairs`` hands in one row of a sweep's batch, as
     ``_PairBatch.point_pairs`` makes it: the error the chain raises or
-    None, the stages with their deterministic times, the final logical
-    fidelity and the states.  The call raises the error or returns the
-    rest as its result; ``waiting`` does not apply.  Without it the chain
-    runs every step on its own states.
+    None, the final deterministic time, fidelity and logical fidelity,
+    and the row's handle.  The call raises the error, or returns a result
+    that holds the three figures and the handle, built in place without
+    ``RunResult.__init__``; the other arguments do not apply.  Without
+    it the chain runs every step on its own states.
     """
+    if pairs is not None:
+        verdict, t_avg, F, logical_F, row = pairs
+        if verdict is not None:
+            raise verdict
+        result = RunResult.__new__(RunResult)
+        values = result.__dict__
+        values["config"] = config
+        values["t_avg"] = t_avg
+        values["fidelity"] = F
+        values["final_logical_fidelity"] = logical_F
+        values["_row"] = row
+        return result
     if waiting not in ("deterministic", "mc"):
         raise ValueError("waiting must be 'deterministic' or 'mc'")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     check_seed(seed)
-    if pairs is not None:
-        verdict, stages, logical_F, states = pairs
-        if verdict is not None:
-            raise verdict
-        return RunResult._from_batch(config, stages, logical_F, states)
     mc = _McTimes(np.random.default_rng(seed), n_samples) if waiting == "mc" else None
     built: list = []
     computed = _chain_stages(config, built)
@@ -635,24 +609,7 @@ def simulate_chain(
 
     states = tuple(built)
     logical_F = logical_fidelity(states[-1], target)
-    return RunResult(config, tuple(stages), logical_F, states)
-
-
-class _BatchStates:
-    """The states of one row of a batch, built when read."""
-
-    __slots__ = ("blocks", "i")
-
-    def __init__(self, blocks: Sequence[Tuple[SchemeKind, np.ndarray]], i: int):
-        self.blocks = blocks
-        self.i = i
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __getitem__(self, s: int) -> PatternState:
-        scheme, rows = self.blocks[s]
-        return PatternState._from_row(scheme, rows[self.i])
+    return RunResult(config, *stages[-1][4:], logical_F, tuple(stages), states)
 
 
 class _PairBatch:
@@ -775,27 +732,36 @@ class _PairBatch:
     def point_pairs(self, t0s: np.ndarray) -> Iterator[tuple]:
         """Every row in the form ``simulate_chain`` reads as ``pairs``,
         from the elementary times ``t0s``, made one row at a time as they
-        are read.
+        are read: its error or None, its last stage's time, fidelity and
+        logical fidelity, and its handle ``(batch, time columns, i)``.
 
-        The columns are computed at once, and each row's stage tuples are
-        zipped from them, with no Python frame per row.  A row's objects
-        die with its chain's result, so a sweep holds one row's at a
-        time, and the cyclic garbage collector finds no backlog of them
-        to collect.
+        Each of the three columns is read into a list once, and the rows
+        are zipped from the lists at C level, with no Python frame per
+        row.  ``levels`` builds a row's stages and states from its handle.
         """
         times = self.times(t0s)
-        stages = zip(*[
-            zip(repeat(level), repeat(stage), repeat(target),
-                success.tolist(), t.tolist(), F.tolist())
-            for (level, stage, target), success, t, F
-            in zip(self.steps, self.successes, times, self.fidelities)
-        ])
         logical = logical_fidelity_rows(
             self.schemes[-1], self.rows[-1], self.steps[-1][2]
-        ).tolist()
-        blocks = tuple(zip(self.schemes, self.rows))
-        states = map(_BatchStates, repeat(blocks), range(len(logical)))
-        return zip(self.verdicts(times), stages, logical, states)
+        )
+        handles = zip(repeat(self), repeat(times), range(len(t0s)))
+        return zip(
+            self.verdicts(times), times[-1].tolist(), self.fidelities[-1].tolist(),
+            logical.tolist(), handles,
+        )
+
+    def levels(self, times: Sequence[np.ndarray], i: int) -> tuple:
+        """Row ``i``'s stage tuples, with the stage times ``times``, and
+        its normalized pairs, as a fresh chain's ``RunResult`` holds them."""
+        stages = tuple(
+            (level, stage, target, success[i].item(), t[i].item(), F[i].item())
+            for (level, stage, target), success, t, F
+            in zip(self.steps, self.successes, times, self.fidelities)
+        )
+        states = tuple(
+            PatternState._from_row(scheme, rows[i])
+            for scheme, rows in zip(self.schemes, self.rows)
+        )
+        return stages, states
 
 
 def _generate_batch(
@@ -884,9 +850,11 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     and the elementary-time column, where a non-finite time makes its
     row None.  The batch then computes every stage's time column and
     each row's error, as ``_PairBatch.point_pairs`` describes.  Every
-    other grid point gets a ``_grid_point`` configuration and one
-    ``simulate_chain`` call, which raises its row's error or returns its
-    row as a result, and the grid row is read from that result.
+    other grid point gets its configuration, equal to a fresh one and
+    built in place from one field dict per spacing, and one
+    ``simulate_chain`` call with its row as ``pairs``, which raises the
+    row's error or returns its final figures as a result; the grid row
+    is read from that result.
     """
     scheme, L = chain["scheme"], chain["L"]
     noise = chain.get("noise", NoiseParams())
@@ -907,6 +875,7 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     channel = _step_channel(noise)
     if channel is not None:
         channel = check_bell_channel(channel)
+    new = RepeaterConfig.__new__
     rows = []
     deepest = None
     for L0 in spacings:
@@ -920,6 +889,7 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
         batch = deepest.prefix(len(connections) + 1)
         if scheme is SchemeKind.DLCZ:
             batch = batch.extend(plan[-1:], noise.eta, channel, valid)
+        point = dict(fields, L0=L0)
         column = []
         for p_c, t0, ok, pairs in zip(
             p_cs, times.tolist(), valid.tolist(), batch.point_pairs(times)
@@ -927,7 +897,11 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
             if not ok:
                 column.append(None)
                 continue
-            config = RepeaterConfig._grid_point(fields, L0, p_c, t0)
+            config = new(RepeaterConfig)
+            values = config.__dict__
+            values.update(point)
+            values["p_c"] = p_c
+            values["t0"] = t0
             try:
                 result = simulate_chain(config, pairs=pairs)
             except ArithmeticError:

@@ -392,6 +392,33 @@ def test_grid_rows_equal_per_point_chains(name):
             )
 
 
+@pytest.mark.parametrize("name", sorted(_RECORD_CHAINS))
+def test_a_sweep_row_result_is_the_fresh_chain_result(monkeypatch, name):
+    """A grid point's chain call returns a result whose per-stage records,
+    built from its batch row only when read, equal a fresh chain's, and
+    so do its final figures."""
+    results = []
+    original = chain_module.simulate_chain
+
+    def recording(config, *args, **kwargs):
+        result = original(config, *args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(chain_module, "simulate_chain", recording)
+    chain = _RECORD_CHAINS[name]
+    p_cs = tuple(float(p) for p in pc_grid()[::30])
+    per_l0 = _sweep_spacings(chain, p_cs)
+    assert len(results) == len(per_l0) * len(p_cs)
+    for result in results[::3]:
+        config = result.config
+        fresh = simulate_chain(RepeaterConfig(L0=config.L0, p_c=config.p_c, **chain))
+        assert result.per_level == fresh.per_level
+        assert result.t_avg == fresh.t_avg
+        assert result.fidelity == fresh.fidelity
+        assert result.final_logical_fidelity == fresh.final_logical_fidelity
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     original = getattr(chain_module, name)

@@ -4,10 +4,16 @@ Each subcommand is exercised through ``main`` with a temporary output
 directory; determinism is checked byte for byte on the emitted files.
 """
 
+import contextlib
+import io
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensemble_repeater.cli import (
     CONFIG_REFERENCE_NAME,
@@ -653,3 +659,83 @@ def test_scaling_fit_command(tmp_path):
     assert payload["fitted_exponent"] == pytest.approx(
         payload["stable_exponent"], abs=0.4
     )
+
+
+# ----------------------------------------------------------------------
+# the configuration contract
+
+#: Values for each INI key: valid ones, boundaries and invalid ones.  The
+#: pools keep n_samples / P small for the Monte-Carlo waiting model, whose
+#: draws grow with it.
+_CONTRACT_POOLS = {
+    "chain": {
+        "scheme": ("new", "dlcz", "bogus"),
+        "L": ("1280", "640", "160", "0", "1", "-640", "1e300", "-1e300", "inf", "nan"),
+        "L0": ("40", "20", "80", "0", "1", "-40", "1e300", "1e-300", "inf"),
+        "p_c": ("8.1e-3", "0.3", "0", "1", "-0.1", "1e-300", "1e300", "inf"),
+        "L_att": ("20", "0", "1", "-20", "1e300", "1e-300", "inf"),
+        "c_fiber": ("2e5", "0", "1", "-2e5", "1e300", "1e-300", "inf"),
+        "enp_schedule": (
+            "none", "phase-after-2", "bit-after-1, phase-after-3",
+            "phase-after-2, phase-after-2", "bit-after-0", "phase-after-99",
+            "bit-after--1", "parity-after-1", "phase-2",
+        ),
+        "waiting": ("deterministic", "mc", "random"),
+        "n_samples": ("1", "64", "0", "-1", "1e300"),
+    },
+    "noise": {
+        "eta": ("0.9", "1", "0", "-0.9", "1e300", "inf"),
+        "D": ("0", "1e-4", "1", "-1e-4", "1e300", "inf"),
+        "p_misalign": ("0", "0.02", "1", "-0.02", "1e300"),
+        "p_dark": ("0", "1e-3", "1", "-1e-3", "1e300"),
+        "eta_s": ("1", "0.5", "0", "-1", "1e300"),
+    },
+    "sweep": {
+        "F_target": ("0.9", "0.78", "0", "1", "-0.9", "1e300"),
+        "L_list": ("160, 320", "640", "0", "160, 1e300", "inf", "-160, 320"),
+        "eta_list": ("0.9", "0.9, 0.95", "1", "0", "-0.9", "1e300"),
+    },
+}
+
+
+@st.composite
+def _configurations(draw):
+    """An INI text with a few keys drawn from ``_CONTRACT_POOLS``, and one
+    of the five computing commands."""
+    sections = []
+    for section, pools in _CONTRACT_POOLS.items():
+        keys = draw(st.lists(st.sampled_from(sorted(pools)), max_size=3, unique=True))
+        lines = [f"{key} = {draw(st.sampled_from(pools[key]))}" for key in keys]
+        sections.append(f"[{section}]\n" + "".join(line + "\n" for line in lines))
+    command = draw(st.sampled_from(("simulate", "optimize", "table", "curve", "scaling")))
+    return "".join(sections), command
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_configurations())
+def test_every_configuration_exits_cleanly(case):
+    """Every configuration either runs (exit 0, or 2 for an infeasible
+    target) with no warning, or exits 3 with exactly one ``error:`` line
+    and writes nothing.  A warning raised during the run counts as a line
+    of stderr."""
+    body, command = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.ini"
+        cfg.write_text(body)
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            rc, out = _run(Path(tmp), "--config", str(cfg), command)
+        err = stderr.getvalue() + "".join(
+            warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+            for w in caught
+        )
+        assert rc in (EXIT_OK, EXIT_INFEASIBLE, EXIT_BAD_CONFIG), (body, command)
+        if rc == EXIT_BAD_CONFIG:
+            lines = err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (body, command, err)
+            assert not out.exists()
+        else:
+            assert "Warning" not in err, (body, command, err)

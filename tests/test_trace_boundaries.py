@@ -75,6 +75,34 @@ def test_traced_optimize_runs_one_chain_per_grid_point():
     assert counts["sweep"] == 1
 
 
+def test_traced_optimize_counts_the_rows_that_reach_the_target():
+    """The tracer counts a grid point as useful where its chain's result
+    reaches the target fidelity, so that count is the number of sweep
+    rows whose F reaches it: each per-point result carries its row's F."""
+    workloads, spans = _load("workloads"), _load("spans")
+    pkg = workloads.load_package(ROOT)
+    chain = pkg.chain
+    scheme = pkg.patterns.SchemeKind.NEW
+    noise = pkg.er.NoiseParams(eta=0.95)
+    tracer = spans.Tracer(pkg)
+    tracer.install()
+    try:
+        found = chain.optimize(scheme, 160.0, 0.9, noise=noise)
+    finally:
+        tracer.uninstall()
+
+    assert found is not None
+    per_l0 = chain._sweep_spacings(
+        dict(scheme=scheme, L=160.0, noise=noise),
+        tuple(float(p) for p in chain.pc_grid()),
+    )
+    useful = sum(
+        row is not None and row[1] >= 0.9 for _, rows in per_l0 for row in rows
+    )
+    assert 0 < useful < 4 * 302
+    assert tracer.counters["sweep.useful"] == useful
+
+
 def test_traced_optimize_counts_every_zero_success_grid_point():
     """At eta = 1e-200 every connection's success underflows to zero, so
     each grid point's chain raises ``ZeroDivisionError`` and the tracer
