@@ -59,6 +59,6 @@ for t2, F2, p_c, L02 in purified[::6]:
 from ensemble_repeater import fit_tf_slope
 
 clean = tf_curve(SchemeKind.NEW, L, noise=NoiseParams(eta=0.95))
-slope = fit_tf_slope(clean, infidelity_window=(0.01, 0.1))
+slope = fit_tf_slope(clean)
 print(f"\nlog t vs log(1-F) slope without phase noise: {slope:.3f}"
       " (expect about -1)")

@@ -27,10 +27,11 @@ single-rail final mapping adds one batched step per spacing.  At D > 0
 every spacing gets its own batch.  The batch also runs the time
 recursion on whole columns, one time column per stage, and gives each
 row the error its chain raises, if any.  Each grid point still gets its
-own ``simulate_chain`` call, which takes its row's error, its last
-stage's time, fidelity and logical fidelity and a handle to the row,
-and raises the error or returns a result holding the rest; that
-result's per-stage records are built from the batch only if read.
+own ``simulate_chain`` call, which takes its row's error and its last
+stage's time, fidelity and logical fidelity, and raises the error or
+returns a result holding the three figures.  Per-stage records have
+one source, the chain run on its own: such a result runs it only when
+its records are read.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -308,14 +308,12 @@ class RunResult:
     ``t_avg`` and ``fidelity`` are the last stage's average time and
     fidelity, and ``final_logical_fidelity`` the delivered pair's weight
     on its target Bell state.  ``per_level`` derives the ``LevelRecord``
-    of every stage on first read, from its private inputs: one
-    ``(level, stage, target, success, t, F)`` tuple per stage and the
-    normalized pair after each stage.  A fresh chain builds both as it
-    runs, as ``_stages`` and ``_states``.  A sweep grid point's result
-    holds only ``_row``, the handle ``(batch, time columns, i)`` of its
-    batch row, and ``_PairBatch.levels`` builds both from it when
-    ``per_level`` is read; a sweep that reads only the final figures
-    builds neither.
+    of every stage on first read, from the private inputs a fresh chain
+    builds as it runs: ``_stages``, one ``(level, stage, target,
+    success, t, F)`` tuple per stage, and ``_states``, the normalized
+    pair after each stage.  A sweep grid point's result holds no stages;
+    its ``per_level`` is that of ``simulate_chain(config)``, run on
+    first read, which a sweep row equals.
     """
 
     config: RepeaterConfig
@@ -324,16 +322,14 @@ class RunResult:
     final_logical_fidelity: float
     _stages: Tuple[tuple, ...] = field(default=(), repr=False, compare=False)
     _states: Tuple[PatternState, ...] = field(default=(), repr=False, compare=False)
-    _row: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @cached_property
     def per_level(self) -> Tuple[LevelRecord, ...]:
-        if self._row is None:
-            stages, states = self._stages, self._states
-        else:
-            batch, times, i = self._row
-            stages, states = batch.levels(times, i)
-        return tuple(_record(*stage, state) for stage, state in zip(stages, states))
+        if not self._stages:
+            return simulate_chain(self.config).per_level
+        return tuple(
+            _record(*stage, state) for stage, state in zip(self._stages, self._states)
+        )
 
 
 def check_seed(seed: int) -> None:
@@ -419,15 +415,11 @@ def _record(
     state: PatternState,
 ) -> LevelRecord:
     agg = aggregate(state)
-    mass = agg.p_logic
-    if mass == 0.0:
-        bell = tuple(state.logical.tolist())
-    else:
-        bell = tuple([b / mass for b in state.row.tolist()[-4:]])
+    bell = tuple(state.logical.tolist())
     return LevelRecord(
         level=level,
         stage=stage,
-        p_logic=mass,
+        p_logic=agg.p_logic,
         p_vac=agg.p_vac,
         p_multi=agg.p_multi,
         bell=bell,
@@ -506,40 +498,6 @@ def _plan(
     return plan
 
 
-def _chain_stages(config: RepeaterConfig, states: list) -> Iterator[tuple]:
-    """The stages of one chain, run one state and one step at a time.
-
-    Yields ``((level, stage, target), success, F)`` per stage, as each
-    is computed, and appends each normalized state to ``states``.  A
-    step that never succeeds is the last stage yielded, with no F.
-    """
-    scheme = config.scheme
-    noise = config.noise
-    eta = noise.eta
-    channel = _step_channel(noise)
-    state = eng(scheme, config.p_c, noise, config.L0)
-    target = _target_bell(scheme, False)
-    states.append(state)
-    yield (0, "eng", target), 1.0, fidelity(state, target)
-    target = _target_bell(scheme, True)
-    for stage, level, kind in _plan(scheme, config.num_levels, config.enp_schedule):
-        if stage == "enc":
-            out = enc(scheme, state, state, eta, level=level)
-        elif stage == "enp":
-            out = enp(kind, state, state, eta)
-        else:
-            out = postselect_pme(state, state, eta)
-        success = out.total
-        if success <= 0.0:  # simulate_chain raises at this stage
-            yield (level, stage, target), success, None
-            return
-        state = normalize(out)
-        if channel is not None:
-            state = apply_bell_channel(state, channel)
-        states.append(state)
-        yield (level, stage, target), success, fidelity(state, target)
-
-
 def simulate_chain(
     config: RepeaterConfig,
     waiting: str = "deterministic",
@@ -553,18 +511,19 @@ def simulate_chain(
     ``waiting`` selects the time model: "deterministic" applies the
     1.5/P recursion, "mc" samples geometric attempt counts and maxima of
     independent sub-pair times (seeded, vectorized).  The quantum state
-    evolution is identical in both modes.
+    evolution is identical in both modes.  The chain runs one state and
+    one step at a time, and its result keeps what every ``per_level``
+    record derives from: each stage's tuple and normalized pair.
 
     ``pairs`` hands in one row of a sweep's batch, as
     ``_PairBatch.point_pairs`` makes it: the error the chain raises or
-    None, the final deterministic time, fidelity and logical fidelity,
-    and the row's handle.  The call raises the error, or returns a result
-    that holds the three figures and the handle, built in place without
-    ``RunResult.__init__``; the other arguments do not apply.  Without
-    it the chain runs every step on its own states.
+    None, and the final deterministic time, fidelity and logical
+    fidelity.  The call raises the error, or returns a result that
+    holds the three figures and no stages, built in place without
+    ``RunResult.__init__``; the other arguments do not apply.
     """
     if pairs is not None:
-        verdict, t_avg, F, logical_F, row = pairs
+        verdict, t_avg, F, logical_F = pairs
         if verdict is not None:
             raise verdict
         result = RunResult.__new__(RunResult)
@@ -573,7 +532,6 @@ def simulate_chain(
         values["t_avg"] = t_avg
         values["fidelity"] = F
         values["final_logical_fidelity"] = logical_F
-        values["_row"] = row
         return result
     if waiting not in ("deterministic", "mc"):
         raise ValueError("waiting must be 'deterministic' or 'mc'")
@@ -581,35 +539,51 @@ def simulate_chain(
         raise ValueError("n_samples must be at least 1")
     check_seed(seed)
     mc = _McTimes(np.random.default_rng(seed), n_samples) if waiting == "mc" else None
-    built: list = []
-    computed = _chain_stages(config, built)
+    scheme = config.scheme
+    noise = config.noise
+    eta = noise.eta
+    channel = _step_channel(noise)
 
     if mc:
         times = mc.elementary(config)
         t = mc.mean(times)
     else:
         t = config.t0
-        if config.scheme is SchemeKind.NEW:
+        if scheme is SchemeKind.NEW:
             t *= TWO_PAIR_OVERHEAD
-    (_, _, target), _, F = next(computed)
-    stages = [(0, "eng", target, 1.0, t, F)]
-    for (level, stage, target), success, F in computed:
+    state = eng(scheme, config.p_c, noise, config.L0)
+    target = _target_bell(scheme, False)
+    stages = [(0, "eng", target, 1.0, t, fidelity(state, target))]
+    states = [state]
+    target = _target_bell(scheme, True)
+    for stage, level, kind in _plan(scheme, config.num_levels, config.enp_schedule):
+        if stage == "enc":
+            out = enc(scheme, state, state, eta, level=level)
+        elif stage == "enp":
+            out = enp(kind, state, state, eta)
+        else:
+            out = postselect_pme(state, state, eta)
+        success = out.total
         if success <= 0.0:
             raise _zero_success(level, stage)
+        state = normalize(out)
+        if channel is not None:
+            state = apply_bell_channel(state, channel)
+        F = fidelity(state, target)
         if mc:
             times = mc.combine(times, success)
             t = mc.mean(times)
         else:
             t = TWO_PAIR_OVERHEAD * t / success
         stages.append((level, stage, target, success, t, F))
+        states.append(state)
 
     for level, stage, _, _, t, _ in stages:
         if not math.isfinite(t):
             raise _time_overflow(level, stage)
 
-    states = tuple(built)
-    logical_F = logical_fidelity(states[-1], target)
-    return RunResult(config, *stages[-1][4:], logical_F, tuple(stages), states)
+    logical_F = logical_fidelity(state, target)
+    return RunResult(config, *stages[-1][4:], logical_F, tuple(stages), tuple(states))
 
 
 class _PairBatch:
@@ -732,36 +706,21 @@ class _PairBatch:
     def point_pairs(self, t0s: np.ndarray) -> Iterator[tuple]:
         """Every row in the form ``simulate_chain`` reads as ``pairs``,
         from the elementary times ``t0s``, made one row at a time as they
-        are read: its error or None, its last stage's time, fidelity and
-        logical fidelity, and its handle ``(batch, time columns, i)``.
+        are read: its error or None, and its last stage's time, fidelity
+        and logical fidelity.
 
         Each of the three columns is read into a list once, and the rows
         are zipped from the lists at C level, with no Python frame per
-        row.  ``levels`` builds a row's stages and states from its handle.
+        row.
         """
         times = self.times(t0s)
         logical = logical_fidelity_rows(
             self.schemes[-1], self.rows[-1], self.steps[-1][2]
         )
-        handles = zip(repeat(self), repeat(times), range(len(t0s)))
         return zip(
             self.verdicts(times), times[-1].tolist(), self.fidelities[-1].tolist(),
-            logical.tolist(), handles,
+            logical.tolist(),
         )
-
-    def levels(self, times: Sequence[np.ndarray], i: int) -> tuple:
-        """Row ``i``'s stage tuples, with the stage times ``times``, and
-        its normalized pairs, as a fresh chain's ``RunResult`` holds them."""
-        stages = tuple(
-            (level, stage, target, success[i].item(), t[i].item(), F[i].item())
-            for (level, stage, target), success, t, F
-            in zip(self.steps, self.successes, times, self.fidelities)
-        )
-        states = tuple(
-            PatternState._from_row(scheme, rows[i])
-            for scheme, rows in zip(self.schemes, self.rows)
-        )
-        return stages, states
 
 
 def _generate_batch(
@@ -789,6 +748,8 @@ def _generate_batch(
 L0_GRID = (5.0, 10.0, 20.0, 40.0, 80.0, 160.0)
 _PC_DECADES = (1e-5, 0.5)
 _PC_POINTS_PER_DECADE = 64
+_INFIDELITY_WINDOW = (0.01, 0.1)  # fit_tf_slope's: the high-fidelity branch
+_P_C_SCALE = 0.26  # scaling_fit's p_c, as a multiple of L0 / L
 
 
 def pc_grid() -> np.ndarray:
@@ -1033,11 +994,9 @@ def _pareto_indices(candidates: Sequence[Tuple]) -> set:
     return front
 
 
-def fit_tf_slope(
-    points: Sequence[Tuple], infidelity_window: Tuple[float, float] = (0.01, 0.1)
-) -> float:
-    """Slope of log t vs log(1-F) over the given infidelity window."""
-    lo, hi = infidelity_window
+def fit_tf_slope(points: Sequence[Tuple]) -> float:
+    """Slope of log t vs log(1-F) over ``_INFIDELITY_WINDOW``."""
+    lo, hi = _INFIDELITY_WINDOW
     xs, ys = [], []
     for t, F, *_ in points:
         if lo <= 1.0 - F <= hi:
@@ -1053,13 +1012,12 @@ def scaling_fit(
     noise: NoiseParams,
     L_values: Sequence[float],
     L0: float = 40.0,
-    p_c_scale: float = 0.26,
     waiting: str = "deterministic",
     seed: int = 0,
     L_att: float = RepeaterConfig.L_att,
     c_fiber: float = RepeaterConfig.c_fiber,
 ) -> Tuple[float, list]:
-    """Fitted slope of log t_avg vs log L with p_c scaled as L0/L.
+    """Fitted slope of log t_avg vs log L with p_c = ``_P_C_SCALE`` L0/L.
 
     Every chain is configured, and so checked, before any is simulated,
     and a line through fewer than two distinct lengths is no fit.
@@ -1070,7 +1028,7 @@ def scaling_fit(
         _check_length(L)  # before p_c divides by it
         configs.append(
             RepeaterConfig(
-                scheme=scheme, L=float(L), L0=L0, p_c=p_c_scale * L0 / L,
+                scheme=scheme, L=float(L), L0=L0, p_c=_P_C_SCALE * L0 / L,
                 noise=noise, L_att=L_att, c_fiber=c_fiber,
             )
         )

@@ -257,16 +257,21 @@ class PatternState:
         A row with no entry below 0 passes every check, so only a row
         with one pays for the array call.  ``min`` skips a NaN after the
         first entry and returns NaN for a NaN first entry, so it is below
-        0 or NaN whenever some entry is below 0.
+        0 or NaN whenever some entry is below 0.  The masses are added
+        left to right, as ``row_totals`` adds its columns; ``sum``
+        compensates float sums from Python 3.12 on.
         """
         values = row.tolist()
         if not min(values) >= 0.0:
             check_rows(scheme, row[None], _ONE_LIVE)
         row.flags.writeable = False
+        total = 0.0
+        for mass in values[:-4]:
+            total += mass
         fields = self.__dict__
         fields["scheme"] = scheme
         fields["row"] = row
-        fields["total"] = float(sum(values[:-4]))
+        fields["total"] = total
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PatternState):
@@ -383,8 +388,8 @@ _ONE_LIVE = np.ones(1, dtype=bool)
 def row_totals(scheme: SchemeKind, rows: np.ndarray) -> np.ndarray:
     """Summed pattern mass of each row, ``PatternState.total`` of each.
 
-    The columns are added left to right, in the order ``sum`` adds the
-    masses of one row, so each total is the state's to the bit.
+    The columns are added left to right, in the order ``PatternState``
+    adds the masses of one row, so each total is the state's to the bit.
     """
     total = 0.0 + rows[:, 0]
     for j in range(1, len(_layout(scheme).column)):

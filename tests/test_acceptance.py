@@ -260,7 +260,7 @@ def test_criterion_09c_tradeoff_slope():
     follows t proportional to 1/(1 - F): the log-log slope over the 1%
     to 10% infidelity window sits in [-1.15, -0.85]."""
     points = tf_curve(NEW, 1280.0, noise=NoiseParams(eta=0.95, D=0.0))
-    slope = fit_tf_slope(points, infidelity_window=(0.01, 0.1))
+    slope = fit_tf_slope(points)
     assert -1.15 <= slope <= -0.85
 
 

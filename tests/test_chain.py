@@ -392,11 +392,8 @@ def test_grid_rows_equal_per_point_chains(name):
             )
 
 
-@pytest.mark.parametrize("name", sorted(_RECORD_CHAINS))
-def test_a_sweep_row_result_is_the_fresh_chain_result(monkeypatch, name):
-    """A grid point's chain call returns a result whose per-stage records,
-    built from its batch row only when read, equal a fresh chain's, and
-    so do its final figures."""
+def _record_results(monkeypatch):
+    """The list every later ``simulate_chain`` result is appended to."""
     results = []
     original = chain_module.simulate_chain
 
@@ -406,6 +403,15 @@ def test_a_sweep_row_result_is_the_fresh_chain_result(monkeypatch, name):
         return result
 
     monkeypatch.setattr(chain_module, "simulate_chain", recording)
+    return results
+
+
+@pytest.mark.parametrize("name", sorted(_RECORD_CHAINS))
+def test_a_sweep_row_result_is_the_fresh_chain_result(monkeypatch, name):
+    """A grid point's chain call returns a result whose per-stage records,
+    which it gets from a fresh chain only when read, equal a fresh
+    chain's, and whose final figures, its batch row's, do too."""
+    results = _record_results(monkeypatch)
     chain = _RECORD_CHAINS[name]
     p_cs = tuple(float(p) for p in pc_grid()[::30])
     per_l0 = _sweep_spacings(chain, p_cs)
@@ -417,6 +423,19 @@ def test_a_sweep_row_result_is_the_fresh_chain_result(monkeypatch, name):
         assert result.t_avg == fresh.t_avg
         assert result.fidelity == fresh.fidelity
         assert result.final_logical_fidelity == fresh.final_logical_fidelity
+
+
+def test_a_sweep_point_runs_its_chain_once_when_its_records_are_read(monkeypatch):
+    """A grid point's result holds no stages: the first read of
+    ``per_level`` makes one ``simulate_chain`` call, and a second none."""
+    results = _record_results(monkeypatch)
+    _sweep_spacings(dict(scheme=NEW, L=640.0, noise=NoiseParams(eta=0.9)), (3e-3,))
+    point = results[-1]
+    calls = _count_calls(monkeypatch, "simulate_chain")
+    records = point.per_level
+    assert [(config.L0, config.p_c) for config, *_ in calls] == [(point.config.L0, 3e-3)]
+    assert point.per_level is records
+    assert len(calls) == 1
 
 
 def _count_calls(monkeypatch, name):

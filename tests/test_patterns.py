@@ -331,6 +331,15 @@ def test_batch_figures_equal_each_states_to_the_bit(batch, target):
                        for r in normalized]
 
 
+def test_a_state_total_adds_its_masses_left_to_right():
+    """1 + 2**-53 rounds to 1 twice over; a compensated sum, which
+    ``sum`` is from Python 3.12 on, gives 1 + 2**-52 instead."""
+    row = np.zeros(len(scheme_patterns(SchemeKind.NEW)) + 4)
+    row[:3] = 1.0, 2.0**-53, 2.0**-53
+    state = PatternState._from_row(SchemeKind.NEW, row.copy())
+    assert state.total == row_totals(SchemeKind.NEW, row[None])[0] == 1.0
+
+
 def test_batch_fidelity_requires_normalized_live_rows():
     rows = np.zeros((2, len(scheme_patterns(SchemeKind.NEW)) + 4))
     rows[0, logical_column(SchemeKind.NEW)] = rows[0, -4] = 1.0
