@@ -81,6 +81,8 @@ class SchemeKind(enum.Enum):
     DLCZ = "dlcz"
     NEW = "new"
 
+    __hash__ = object.__hash__  # as BellState's; the table caches are keyed on it
+
 
 class BellState(enum.Enum):
     PHI_PLUS = "phi_plus"

@@ -16,15 +16,18 @@ degree at most 8, the sum of ``c * eta**kept * (1 - eta)**lost`` over
 the (kept, lost) exponents.  :mod:`.freeze` computes the coefficients
 once from a tagged run of the circuits and stores each exactly, as
 ``c = k / 2**bits``, in one file per table kind,
-``coefficients/<kind>.json``: the kind's ``bits`` and five parallel
-integer columns ``a``, ``b``, ``slot``, ``term`` and ``k``, one item per
-nonzero coefficient, under a first line that holds the SHA-256 of the
-rest of the file.  A table reads and checks its own kind's file on that
-kind's first build.  One ``np.bincount`` sums each ``(a, b, slot)``
-value's own terms in file order, and each entry's row is a view of the
-result; tables are cached per (scheme, operation, variant, eta).  A
-coefficient and its input-swapped mirror are the same integer, so every
-table is exactly symmetric in its inputs.  ``verify.check_frozen_tables``
+``coefficients/<kind>.bin``.  Its first line holds the SHA-256 of the
+rest of the file, its second a JSON header with the kind's ``bits`` and
+item count, and the rest is five parallel integer columns ``a``, ``b``,
+``slot``, ``term`` and ``k``, one item per nonzero coefficient, as one
+block of little-endian 32-bit integers.  A table reads and checks its
+own kind's file on that kind's first build, and takes the columns as
+arrays straight from the block's bytes, with no work per coefficient in
+Python.  One ``np.bincount`` sums each ``(a, b, slot)`` value's own
+terms in file order, and each entry's row is a view of the result;
+tables are cached per (scheme, operation, variant, eta).  A coefficient
+and its input-swapped mirror are the same integer, so every table is
+exactly symmetric in its inputs.  ``verify.check_frozen_tables``
 compares the tables with the Fock oracle.
 
 The discarded-coherence diagnostic ``TableEntry.residue`` is no
@@ -87,10 +90,14 @@ KINDS = {
 }
 
 #: Directory of the frozen coefficients, next to this module: one
-#: ``<kind>.json`` per table kind.
+#: ``<kind>.bin`` per table kind.
 COEFFICIENTS_DIR = "coefficients"
+#: The fields of a coefficient file's JSON header, in file order.
+HEADER = ("keys", "slots", "exponents", "bits", "items")
 #: The integer columns of a block, one item per nonzero coefficient.
 COLUMNS = ("a", "b", "slot", "term", "k")
+#: How a coefficient file stores each item of a column.
+ITEM = np.dtype("<i4")
 
 _DLCZ_LOGICAL_BELLS = (BellState.PSI_PLUS, BellState.PSI_MINUS)
 
@@ -154,7 +161,12 @@ class TableEntry:
 
     @property
     def total(self) -> float:
-        return sum(self.row[:-4].tolist())
+        """The masses added left to right, as ``patterns.row_totals`` adds
+        them; ``sum`` compensates float sums from Python 3.12 on."""
+        total = 0.0
+        for mass in self.row[:-4].tolist():
+            total += mass
+        return total
 
 
 def canonical_keys(scheme: SchemeKind) -> tuple[Key, ...]:
@@ -282,12 +294,19 @@ class ConnectionTable:
 def hash_line(body: bytes) -> bytes:
     """First line of a coefficient file: the SHA-256 of ``body``, the
     bytes after it."""
-    return b'{"sha256": "' + hashlib.sha256(body).hexdigest().encode() + b'",'
+    return b"sha256 " + hashlib.sha256(body).hexdigest().encode()
 
 
 def coefficients_file(kind: str) -> str:
     """Path of one table kind's coefficient file, relative to this package."""
-    return f"{COEFFICIENTS_DIR}/{kind}.json"
+    return f"{COEFFICIENTS_DIR}/{kind}.bin"
+
+
+def _stale(name: str) -> RuntimeError:
+    return RuntimeError(
+        f"{name}: the layout differs from the code;"
+        " regenerate it with python3 -m ensemble_repeater.freeze"
+    )
 
 
 @lru_cache(maxsize=None)
@@ -297,9 +316,13 @@ def frozen_block(kind: str) -> Mapping:
 
     The first line of ``coefficients_file(kind)`` must be ``hash_line``
     of the file's remaining bytes, so any edit, whitespace included, is
-    rejected.  The block lists ``keys``, ``slots``, ``exponents`` and
-    ``bits``, then one coefficient ``k / 2**bits`` per item of the
-    parallel columns ``a``, ``b``, ``slot``, ``term`` and ``k``.
+    rejected.  The second line is a JSON header of the ``HEADER`` fields:
+    ``keys``, ``slots``, ``exponents``, ``bits`` and the number of
+    ``items``.  The rest must be exactly the parallel columns ``a``,
+    ``b``, ``slot``, ``term`` and ``k``, one after the other, each
+    ``items`` integers of type ``ITEM``: one coefficient ``k / 2**bits``
+    per item.  The block is the header with each column added as a
+    read-only integer array over the file's bytes.
     """
     from importlib import resources
 
@@ -308,8 +331,13 @@ def frozen_block(kind: str) -> Mapping:
     head, _, body = data.partition(b"\n")
     if head != hash_line(body):
         raise RuntimeError(f"{name} does not match its sha256")
-    block = json.loads(data)
-    del block["sha256"]
+    header, _, columns = body.partition(b"\n")
+    block = json.loads(header)
+    if list(block) != list(HEADER) or (
+        len(columns) != block["items"] * len(COLUMNS) * ITEM.itemsize
+    ):
+        raise _stale(name)
+    block.update(zip(COLUMNS, np.frombuffer(columns, ITEM).reshape(len(COLUMNS), -1)))
     return block
 
 
@@ -348,13 +376,10 @@ def _polynomials(kind: str) -> _Polynomials:
     out = output_scheme(kind)
     keys = canonical_keys(KINDS[kind][0])
     if block["keys"] != [key_label(k) for k in keys] or block["slots"] != slot_labels(out):
-        raise RuntimeError(
-            f"{coefficients_file(kind)}: the layout differs from the code;"
-            " regenerate it with python3 -m ensemble_repeater.freeze"
-        )
+        raise _stale(coefficients_file(kind))
     kept, lost = np.array(block["exponents"], dtype=float).reshape(-1, 2).T
     shape = (len(keys), len(keys), len(block["slots"]))
-    a, b, slot, term, k = np.array([block[column] for column in COLUMNS])
+    a, b, slot, term, k = np.array([block[column] for column in COLUMNS], dtype=np.intp)
     flat = (a * shape[1] + b) * shape[2] + slot
     index = {key: i for i, key in enumerate(keys)}
     coefficients = np.ldexp(k, -block["bits"])

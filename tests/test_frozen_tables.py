@@ -2,11 +2,13 @@
 
 Every table value is a polynomial in eta whose coefficients are stored
 exactly, as integers k over a power of two 2**bits, in one file per
-table kind, ``coefficients/<kind>.json``.  These tests compare the
-evaluated tables with oracle builds, pin each file to its hash and to a
-fresh regeneration, check that freeze refuses a coefficient that is no
-k / 2**bits, that a build reads only its own kind's file, and that the
-files ship with the package.
+table kind, ``coefficients/<kind>.bin``: a hash line, a JSON header and
+the integer columns as one block of 32-bit integers.  These tests
+compare the evaluated tables with oracle builds, pin every table's bits,
+pin each file to its hash and to a fresh regeneration, check that freeze
+refuses a coefficient that is no k / 2**bits or whose integer does not
+fit the stored width, that a build reads only its own kind's file, and
+that the files ship with the package.
 """
 
 import hashlib
@@ -26,9 +28,11 @@ from hypothesis import strategies as st
 
 from ensemble_repeater import freeze, tables
 from ensemble_repeater.circuits import oracle_table
-from ensemble_repeater.patterns import SchemeKind, logical_column, scheme_patterns
+from ensemble_repeater.patterns import SchemeKind, logical_column, row_totals, scheme_patterns
 from ensemble_repeater.tables import (
     COLUMNS,
+    HEADER,
+    ITEM,
     KINDS,
     canonical_keys,
     coefficients_file,
@@ -101,8 +105,53 @@ def test_an_entry_is_one_read_only_row(kind):
                 nonzero = [(p, w) for p, w in zip(scheme_patterns(scheme), slots) if w]
                 assert entry.masses == tuple(nonzero)
                 assert entry.bell == tuple(row[-4:])
-                assert entry.total == sum(slots)
+                assert entry.total == row_totals(scheme, row[None])[0]
                 assert np.array_equal(table.tensor[:, a, b][others], row[others])
+
+
+def test_an_entry_total_adds_its_masses_left_to_right():
+    """For every entry of all six tables, ``total`` is the row's total as
+    ``row_totals`` adds it, bit for bit.  1 + 2**-53 rounds to 1 twice
+    over; a compensated sum, which ``sum`` is from Python 3.12 on, gives
+    1 + 2**-52 instead."""
+    for kind in KINDS:
+        for entry in kind_table(kind, 0.9).entries.values():
+            assert entry.total == row_totals(entry.scheme, entry.row[None])[0], kind
+    row = np.zeros(len(scheme_patterns(SchemeKind.NEW)) + 4)
+    row[:3] = 1.0, 2.0**-53, 2.0**-53
+    assert tables.TableEntry(SchemeKind.NEW, row).total == 1.0
+
+
+# SHA-256 of every table's values, ``_frozen_values(kind, eta).tobytes()``,
+# as the tables evaluated them when the coefficient files were JSON text.
+TABLE_DIGESTS = {
+    ("enc_dlcz", 0.5): "72e7da283f12a6236e7c0d8b801ffdc86fd00b54a7a0384b8244e20b9c1efd34",
+    ("enc_dlcz", 0.9): "d198f26a3caf17cb4b27b932563b29fbc393265c8301cf4f38725c2b4f24014d",
+    ("enc_dlcz", 0.97): "469d3dfef0e312b1a4b751c17dbf97506647ab8d4cd980accd4c75c7cb9472a6",
+    ("pme", 0.5): "bafff05355f241dda36976c990575f304a297060b7818c73cedea81a507e4f28",
+    ("pme", 0.9): "bb26aaec4515ca0c7f7e0f0da95a95645fd80ad42c8d17de326e931b239bb5a4",
+    ("pme", 0.97): "a85a207f19373513ce763ae13576816294d21d3cf782c2859f9931bae62259ad",
+    ("enc_level1", 0.5): "ff4897e40016e7f614d8c9c448e08971a76dbff9b6152132051f15208395d0f1",
+    ("enc_level1", 0.9): "939509ae01fdef07128800177db21c8559466b5ada94b97464539010b442f275",
+    ("enc_level1", 0.97): "f241c7bccf54e680b206484d66d0102d1cbc528da2bba90bfb2e804b7a672baa",
+    ("enc_higher", 0.5): "9df6644c628e435df519f4ac442d95963dda920f6e59c78e65c261eeea2cdb5f",
+    ("enc_higher", 0.9): "55beec431c6fceeceeb126d4b551d3015f34bff2f1222e9c7ce19f3119074a96",
+    ("enc_higher", 0.97): "9e22d1565aa87e4ac25a9b0bc9db0102d4379d83327f22c4d27f1c8501248873",
+    ("enp_bit", 0.5): "33ca68b307ac5a1d82453fb68557b34d10afb532e23c7eea9cbe3b1caa869cf6",
+    ("enp_bit", 0.9): "cb66bc392a4cac0f662c994031fd4ade16679f6bf9df6f7bb8641f8373e20344",
+    ("enp_bit", 0.97): "36ff538213b2749b4d33183b4ba514c4e6e3ca1e825fb8efc4f88adc1d9432a5",
+    ("enp_phase", 0.5): "95f2a5580be5d31c392ca07244f7f11dfbabe97f201f21c2a6e9ba21c8d4b6b7",
+    ("enp_phase", 0.9): "5ace5643c57bac2a15a083e610366a03a24580a200c1659f5d4b33389623efc9",
+    ("enp_phase", 0.97): "a6de43745ce85570dc21978f3467efbcb08a874dbf27169cf7a444534466a0c5",
+}
+
+
+@pytest.mark.parametrize("kind, eta", list(TABLE_DIGESTS))
+def test_every_table_value_is_pinned_to_the_bit(kind, eta):
+    """A table bit that moves changes its table's digest; the oracle
+    comparisons, at 1e-12 relative, would let it pass."""
+    values = tables._frozen_values(kind, eta)
+    assert hashlib.sha256(values.tobytes()).hexdigest() == TABLE_DIGESTS[kind, eta]
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -141,29 +190,48 @@ def _coefficient_bytes(kind):
 
 def test_data_file_hash_matches_its_bytes():
     """In each kind's file, the first line holds the SHA-256 of every
-    byte after it, and the text is the rendering of its block."""
+    byte after it, the second a JSON header, and the rest the integer
+    columns, each ``items`` little-endian 32-bit integers; the bytes are
+    the rendering of the loaded block."""
     for kind in KINDS:
         data = _coefficient_bytes(kind)
         head, body = data.split(b"\n", 1)
-        assert head == b'{"sha256": "' + hashlib.sha256(body).hexdigest().encode() + b'",'
-        block = json.loads(data)
-        del block["sha256"]
-        assert list(block) == list(freeze.FIELDS)
-        assert freeze.render(block) == data.decode(), kind
+        assert head == b"sha256 " + hashlib.sha256(body).hexdigest().encode()
+        header, columns = body.split(b"\n", 1)
+        header = json.loads(header)
+        assert list(header) == list(HEADER)
+        block = frozen_block(kind)
+        assert list(block) == list(HEADER + COLUMNS)
+        assert freeze.render(block) == data, kind
         # exact integers, no float text
-        assert type(block["bits"]) is int
-        assert all(type(value) is int for field in COLUMNS for value in block[field])
+        assert type(header["bits"]) is int and type(header["items"]) is int
+        assert len(columns) == len(COLUMNS) * header["items"] * 4
+        stored = np.frombuffer(columns, "<i4").reshape(len(COLUMNS), header["items"])
+        for column, items in zip(COLUMNS, stored):
+            assert block[column].dtype == np.dtype("<i4")
+            assert np.array_equal(block[column], items), (kind, column)
+            with pytest.raises(ValueError, match="read-only"):
+                block[column][0] = 1
 
 
-def _edit_digit(text):
-    """Change the last digit of the first coefficient's integer k."""
-    end = text.index(",", text.index('"k": ['))
-    digit = text[end - 1]
-    return text[: end - 1] + ("1" if digit != "1" else "2") + text[end:]
+def _edit_digit(data):
+    """Change the last digit of the first coefficient's integer k: add
+    one to it."""
+    head, header, columns = data.split(b"\n", 2)
+    items = json.loads(header)["items"]
+    stored = np.frombuffer(columns, "<i4").reshape(len(COLUMNS), items).copy()
+    stored[-1, 0] += 1
+    return b"\n".join([head, header, stored.tobytes()])
 
 
-def _edit_whitespace(text):
-    return text.replace('"k": [', '"k":  [', 1)
+def _edit_whitespace(data):
+    return data.replace(b'"keys": [', b'"keys":  [', 1)
+
+
+def _drop_the_last_item_rehashed(data):
+    """Drop the last integer of the ``k`` column and record the new hash."""
+    body = data.split(b"\n", 1)[1][: -ITEM.itemsize]
+    return tables.hash_line(body) + b"\n" + body
 
 
 # Builds every kind in a fresh interpreter and prints each outcome.
@@ -187,9 +255,9 @@ def _build_every_kind(tmp_path, edited=None, edit=None):
     shutil.copytree(source, package, ignore=shutil.ignore_patterns("__pycache__"))
     if edited is not None:
         path = package / coefficients_file(edited)
-        text = path.read_text()
-        assert edit(text) != text
-        path.write_text(edit(text))
+        data = path.read_bytes()
+        assert edit(data) != data
+        path.write_bytes(edit(data))
     proc = subprocess.run(
         [sys.executable, "-c", _BUILD_EVERY_KIND],
         env={**os.environ, "PYTHONPATH": str(root)},
@@ -215,15 +283,31 @@ def test_an_edited_data_file_is_rejected(tmp_path, edit):
         assert outcomes == want
 
 
+def test_a_data_file_of_the_wrong_length_is_rejected(tmp_path):
+    """Columns one integer short under a hash that matches them fail the
+    kind's first build before any column is read."""
+    outcomes = _build_every_kind(tmp_path, "pme", _drop_the_last_item_rehashed)
+    want = {kind: "ok" for kind in KINDS}
+    want["pme"] = (
+        f"{coefficients_file('pme')}: the layout differs from the code;"
+        " regenerate it with python3 -m ensemble_repeater.freeze"
+    )
+    assert outcomes == want
+
+
 @pytest.mark.parametrize("kind", ["enc_dlcz", "pme", "enc_higher"])
 def test_regenerating_a_block_reproduces_the_file(kind):
     """The blocks that regenerate in about a second: both with
     single-rail inputs, and a two-cell connection, which pins the two-cell
-    canonical states and projection bit for bit.  The rendered text is
-    the shipped file, byte for byte."""
+    canonical states and projection bit for bit.  The block holds the
+    loaded header and integers, and its rendering is the shipped file,
+    byte for byte."""
     block = freeze.coefficient_block(kind)
-    assert block == frozen_block(kind)
-    assert freeze.render(block).encode() == _coefficient_bytes(kind)
+    loaded = frozen_block(kind)
+    assert list(block) == list(loaded) == list(HEADER + COLUMNS)
+    assert all(block[field] == loaded[field] for field in HEADER)
+    assert all(block[column] == loaded[column].tolist() for column in COLUMNS)
+    assert freeze.render(block) == _coefficient_bytes(kind)
 
 
 def test_freezing_named_kinds_rewrites_only_their_files(tmp_path):
@@ -263,16 +347,16 @@ def test_data_file_ships_with_the_package():
     them."""
     directory = resources.files("ensemble_repeater").joinpath(tables.COEFFICIENTS_DIR)
     assert sorted(path.name for path in directory.iterdir()) == sorted(
-        f"{kind}.json" for kind in KINDS
+        f"{kind}.bin" for kind in KINDS
     )
     for kind in KINDS:
         resource = resources.files("ensemble_repeater").joinpath(coefficients_file(kind))
         assert resource.is_file()
-        block = json.loads(resource.read_text())
-        del block["sha256"]
-        assert block == frozen_block(kind), kind
+        header = json.loads(resource.read_bytes().split(b"\n", 2)[1])
+        block = frozen_block(kind)
+        assert header == {field: block[field] for field in HEADER}, kind
     pyproject = (ROOT / "pyproject.toml").read_text()
-    assert f'ensemble_repeater = ["{tables.COEFFICIENTS_DIR}/*.json"]' in pyproject
+    assert f'ensemble_repeater = ["{tables.COEFFICIENTS_DIR}/*.bin"]' in pyproject
 
 
 def test_importing_the_package_does_not_read_the_data_file():
@@ -410,11 +494,10 @@ sys.exit(freeze.main())
 """
 
 
-@pytest.mark.parametrize("value, where", [("0.1", "in place"), ("1e-34", "beside")])
-def test_freeze_refuses_a_coefficient_that_is_no_k_over_2_to_the_bits(tmp_path, value, where):
-    """Freeze computes every named kind, prints one line that names the
-    refused kind and its worst coefficient, exits 1 and writes no file,
-    not even the kinds it could round."""
+def _refusal(tmp_path, value, where):
+    """Freeze's refusal line when run on ``pme`` and ``enc_dlcz`` with a
+    bad ``pme`` coefficient, after checking that it computed both kinds,
+    exited 1 and wrote no file, not even the kind it could store."""
     package = tmp_path / "ensemble_repeater"
     shutil.copytree(
         ROOT / "src" / "ensemble_repeater", package, ignore=shutil.ignore_patterns("__pycache__")
@@ -431,9 +514,31 @@ def test_freeze_refuses_a_coefficient_that_is_no_k_over_2_to_the_bits(tmp_path, 
     assert proc.returncode == 1, proc.stderr
     computing_pme, refusal, computing_enc_dlcz = proc.stderr.splitlines()
     assert (computing_pme, computing_enc_dlcz) == ("computing pme ...", "computing enc_dlcz ...")
+    assert all(path.stat().st_mtime_ns == 0 for path in files.values())
+    assert all(path.read_bytes() == _coefficient_bytes(kind) for kind, path in files.items())
+    return refusal
+
+
+@pytest.mark.parametrize("value, where", [("0.1", "in place"), ("1e-34", "beside")])
+def test_freeze_refuses_a_coefficient_that_is_no_k_over_2_to_the_bits(tmp_path, value, where):
+    """Freeze computes every named kind, prints one line that names the
+    refused kind and its worst coefficient, exits 1 and writes no file,
+    not even the kinds it could round."""
+    refusal = _refusal(tmp_path, value, where)
     assert refusal.startswith(f"refused pme: coefficient {value} at (a, b, slot, term) = (")
     assert refusal.endswith(
         ") is no k / 2**bits with bits <= 16 within 1e-12 relative; no file written"
     )
-    assert all(path.stat().st_mtime_ns == 0 for path in files.values())
-    assert all(path.read_bytes() == _coefficient_bytes(kind) for kind, path in files.items())
+
+
+def test_freeze_refuses_an_integer_that_does_not_fit_the_stored_width(tmp_path):
+    """A coefficient of 2**40 is a dyadic rational, but its integer k
+    needs more than 32 bits: freeze names the kind, the column and the
+    integer, exits 1 and writes no file."""
+    refusal = _refusal(tmp_path, str(2.0**40), "in place")
+    prefix, suffix = "refused pme: k = ", "; no file written"
+    assert refusal.startswith(prefix) and refusal.endswith(suffix)
+    k, rest = refusal[len(prefix) : -len(suffix)].split(" ", 1)
+    assert int(k) >= 2**40
+    assert rest.startswith("at (a, b, slot, term) = (")
+    assert rest.endswith(") does not fit the stored width, 32-bit integers")

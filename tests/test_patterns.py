@@ -37,6 +37,14 @@ def test_bell_state_order():
     assert BellState.PSI_PLUS.index == 2
 
 
+def test_pattern_layer_enums_hash_by_identity():
+    """Their members are singletons, so the table caches keyed on them
+    hash with ``object.__hash__``, not the Python-level ``Enum.__hash__``."""
+    for kind in (SchemeKind, BellState, ExcitationPattern):
+        assert kind.__hash__ is object.__hash__, kind
+        assert all(hash(member) == object.__hash__(member) for member in kind)
+
+
 def test_scheme_patterns_contain_logical_and_overflow():
     for scheme in SchemeKind:
         pats = scheme_patterns(scheme)
