@@ -15,20 +15,22 @@ The single-rail protocol ends with the post-selected mapping of two
 parallel full-length chains onto one polarization pair; the two-cell
 protocol carries polarization pairs throughout.
 
-The grid sweeps compute the pair states of a whole p_c grid at once:
-each stage is one batched step over an ``(n, k)`` array of rows in the
+The grid sweeps compute the pair states of a whole p_c grid at once.
+A batch is a tuple of ``_Stage`` records, one per stage: each stage is
+one batched step (``_extend``) over an ``(n, k)`` array of rows in the
 ``PatternState.row`` layout, with every check of the per-state path
 run on each live row and a row whose step never succeeds masked dead.
 The pair after a stage depends on the spacing only through the
 elementary pair, whose phase error q(D L0) vanishes at D = 0.  So at
 D = 0 the chain at spacing 2 L0 is a prefix of the chain at L0: one
-batch, for the deepest chain, serves every spacing, and the
-single-rail final mapping adds one batched step per spacing.  At D > 0
-every spacing gets its own batch.  The batch also runs the time
-recursion on whole columns, one time column per stage, and gives each
-row the error its chain raises, if any.  Each grid point still gets its
-own ``simulate_chain`` call, which takes its row's error and its last
-stage's time, fidelity and logical fidelity, and raises the error or
+batch, for the deepest chain, serves every spacing as a slice of its
+stages, and the single-rail final mapping adds one batched step per
+spacing.  At D > 0 every spacing gets its own batch.  ``_times`` runs
+the time recursion on whole columns, one time column per stage, and
+``_verdicts`` gives each row the error its chain raises, if any.
+``_point_pairs`` zips each row's error and final time with its last
+fidelity and logical fidelity.  Each grid point still gets its own
+``simulate_chain`` call, which takes that row and raises the error or
 returns a result holding the three figures.  Per-stage records have
 one source, the chain run on its own: such a result runs it only when
 its records are read.
@@ -515,12 +517,12 @@ def simulate_chain(
     one step at a time, and its result keeps what every ``per_level``
     record derives from: each stage's tuple and normalized pair.
 
-    ``pairs`` hands in one row of a sweep's batch, as
-    ``_PairBatch.point_pairs`` makes it: the error the chain raises or
-    None, and the final deterministic time, fidelity and logical
-    fidelity.  The call raises the error, or returns a result that
-    holds the three figures and no stages, built in place without
-    ``RunResult.__init__``; the other arguments do not apply.
+    ``pairs`` hands in one row of a sweep's batch, as ``_point_pairs``
+    makes it: the error the chain raises or None, and the final
+    deterministic time, fidelity and logical fidelity.  The call raises
+    the error, or returns a result that holds the three figures and no
+    stages, built in place without ``RunResult.__init__``; the other
+    arguments do not apply.
     """
     if pairs is not None:
         verdict, t_avg, F, logical_F = pairs
@@ -586,141 +588,24 @@ def simulate_chain(
     return RunResult(config, *stages[-1][4:], logical_F, tuple(stages), tuple(states))
 
 
-class _PairBatch:
-    """The pair states of one plan over a p_c array, stage by stage.
+class _Stage(NamedTuple):
+    """One stage of a sweep's batch: the pair states of one plan step
+    over a p_c array.
 
-    Per stage, generation first: ``steps`` holds ``(level, stage,
-    target)``, ``schemes`` the rows' scheme, ``rows`` the normalized
-    ``(n, k)`` rows, ``successes`` and ``fidelities`` one value per row,
-    and ``live`` which rows are still alive.  A row that is not live
-    from the start, or whose step never succeeds, is zero from then on
-    and no check reads it.
+    A batch is a tuple of stages, generation first; its first ``n`` stages
+    are ``batch[:n]``.  ``step`` is ``(level, stage, target)``, ``scheme``
+    the rows' scheme, ``rows`` the normalized ``(n, k)`` rows, ``success``
+    and ``fidelity`` one value per row, and ``live`` which rows are still
+    alive.  A row that is not live from the start, or whose step never
+    succeeds, is zero from then on and no check reads it.
     """
 
-    __slots__ = ("steps", "schemes", "rows", "successes", "fidelities", "live")
-
-    def __init__(
-        self,
-        steps: tuple,
-        schemes: tuple,
-        rows: tuple,
-        successes: tuple,
-        fidelities: tuple,
-        live: tuple,
-    ) -> None:
-        self.steps = steps
-        self.schemes = schemes
-        self.rows = rows
-        self.successes = successes
-        self.fidelities = fidelities
-        self.live = live
-
-    def prefix(self, n_stages: int) -> "_PairBatch":
-        return _PairBatch(
-            *(getattr(self, name)[:n_stages] for name in _PairBatch.__slots__)
-        )
-
-    def extend(
-        self,
-        plan: Sequence,
-        eta: float,
-        channel: Optional[np.ndarray],
-        valid: np.ndarray,
-    ) -> "_PairBatch":
-        """The batch with every step of ``plan`` run on its last stage.
-
-        Only the rows that are live there and ``valid`` stay live.  Each
-        step runs the checks of the per-state path on every live row:
-        the step output's and the normalized pair's ``_set_row``, the
-        Bell channel's output's (``channel`` is checked already) and
-        ``fidelity``'s.  A row whose step has zero success is masked
-        dead, as ``simulate_chain`` raises at it.
-        """
-        steps, schemes, blocks = list(self.steps), list(self.schemes), list(self.rows)
-        successes, fidelities, lives = (
-            list(self.successes), list(self.fidelities), list(self.live)
-        )
-        scheme, rows, live = schemes[-1], blocks[-1], lives[-1] & valid
-        target = _target_bell(schemes[0], True)
-        for stage, level, kind in plan:
-            table = step_table(stage, scheme, eta, level, kind)
-            out = apply_table_rows(table, rows, rows)
-            scheme = table.output_scheme
-            check_rows(scheme, out, live)
-            success = row_totals(scheme, out)
-            live = live & ~(success <= 0.0)
-            rows = out / np.where(live, success, 1.0)[:, None]
-            rows[~live] = 0.0
-            check_rows(scheme, rows, live)
-            if channel is not None:
-                rows[:, -4:] = np.einsum("ij,nj->ni", channel, rows[:, -4:])
-                check_rows(scheme, rows, live)
-            rows.flags.writeable = False
-            steps.append((level, stage, target))
-            schemes.append(scheme)
-            blocks.append(rows)
-            successes.append(success)
-            fidelities.append(fidelity_rows(scheme, rows, live, target))
-            lives.append(live)
-        return _PairBatch(
-            tuple(steps), tuple(schemes), tuple(blocks), tuple(successes),
-            tuple(fidelities), tuple(lives),
-        )
-
-    def times(self, t0s: np.ndarray) -> list:
-        """The average-time column of every stage, from the elementary
-        times ``t0s``.
-
-        Each element takes the IEEE operations ``simulate_chain`` takes
-        on one chain: the elementary time, times 1.5 for two-cell pairs,
-        then ``1.5 * t / success`` per step.  Where a success is zero or
-        a time overflows, the value is inf or nan, with no warning.
-        """
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            t = t0s * TWO_PAIR_OVERHEAD if self.schemes[0] is SchemeKind.NEW else t0s
-            columns = [t]
-            for success in self.successes[1:]:
-                t = TWO_PAIR_OVERHEAD * t / success
-                columns.append(t)
-        return columns
-
-    def verdicts(self, times: Sequence[np.ndarray]) -> list:
-        """Per row, the ``ArithmeticError`` its chain raises, or None.
-
-        As in ``simulate_chain``, the first step whose success is not
-        positive raises ``ZeroDivisionError``; otherwise the first stage
-        whose time is not finite raises ``OverflowError``.
-        """
-        failed = np.array([success <= 0.0 for success in self.successes])
-        overflowed = ~np.isfinite(np.array(times))
-        verdicts: list = [None] * len(times[0])
-        for i in np.flatnonzero(failed.any(axis=0) | overflowed.any(axis=0)):
-            if failed[:, i].any():
-                level, stage, _ = self.steps[failed[:, i].argmax()]
-                verdicts[i] = _zero_success(level, stage)
-            else:
-                level, stage, _ = self.steps[overflowed[:, i].argmax()]
-                verdicts[i] = _time_overflow(level, stage)
-        return verdicts
-
-    def point_pairs(self, t0s: np.ndarray) -> Iterator[tuple]:
-        """Every row in the form ``simulate_chain`` reads as ``pairs``,
-        from the elementary times ``t0s``, made one row at a time as they
-        are read: its error or None, and its last stage's time, fidelity
-        and logical fidelity.
-
-        Each of the three columns is read into a list once, and the rows
-        are zipped from the lists at C level, with no Python frame per
-        row.
-        """
-        times = self.times(t0s)
-        logical = logical_fidelity_rows(
-            self.schemes[-1], self.rows[-1], self.steps[-1][2]
-        )
-        return zip(
-            self.verdicts(times), times[-1].tolist(), self.fidelities[-1].tolist(),
-            logical.tolist(),
-        )
+    step: tuple
+    scheme: SchemeKind
+    rows: np.ndarray
+    success: np.ndarray
+    fidelity: np.ndarray
+    live: np.ndarray
 
 
 def _generate_batch(
@@ -729,16 +614,116 @@ def _generate_batch(
     noise: NoiseParams,
     L0: float,
     live: np.ndarray,
-) -> _PairBatch:
+) -> Tuple[_Stage, ...]:
     """The elementary pairs of every p_c, the first stage of a batch."""
     rows = eng_rows(scheme, p_cs, noise, L0)
     check_rows(scheme, rows, live)
     rows[~live] = 0.0
     rows.flags.writeable = False
     target = _target_bell(scheme, False)
-    return _PairBatch(
-        ((0, "eng", target),), (scheme,), (rows,), (np.ones(len(rows)),),
-        (fidelity_rows(scheme, rows, live, target),), (live,),
+    return (
+        _Stage(
+            (0, "eng", target), scheme, rows, np.ones(len(rows)),
+            fidelity_rows(scheme, rows, live, target), live,
+        ),
+    )
+
+
+def _extend(
+    batch: Tuple[_Stage, ...],
+    plan: Sequence,
+    eta: float,
+    channel: Optional[np.ndarray],
+    valid: np.ndarray,
+) -> Tuple[_Stage, ...]:
+    """The batch with every step of ``plan`` run on its last stage.
+
+    Only the rows that are live there and ``valid`` stay live.  Each
+    step runs the checks of the per-state path on every live row: the
+    step output's and the normalized pair's ``_set_row``, the Bell
+    channel's output's (``channel`` is checked already) and
+    ``fidelity``'s.  A row whose step has zero success is masked dead,
+    as ``simulate_chain`` raises at it.
+    """
+    stages = list(batch)
+    scheme, rows, live = batch[-1].scheme, batch[-1].rows, batch[-1].live & valid
+    target = _target_bell(batch[0].scheme, True)
+    for stage, level, kind in plan:
+        table = step_table(stage, scheme, eta, level, kind)
+        out = apply_table_rows(table, rows, rows)
+        scheme = table.output_scheme
+        check_rows(scheme, out, live)
+        success = row_totals(scheme, out)
+        live = live & ~(success <= 0.0)
+        rows = out / np.where(live, success, 1.0)[:, None]
+        rows[~live] = 0.0
+        check_rows(scheme, rows, live)
+        if channel is not None:
+            rows[:, -4:] = np.einsum("ij,nj->ni", channel, rows[:, -4:])
+            check_rows(scheme, rows, live)
+        rows.flags.writeable = False
+        stages.append(
+            _Stage(
+                (level, stage, target), scheme, rows, success,
+                fidelity_rows(scheme, rows, live, target), live,
+            )
+        )
+    return tuple(stages)
+
+
+def _times(batch: Tuple[_Stage, ...], t0s: np.ndarray) -> list:
+    """The average-time column of every stage of the batch, from the
+    elementary times ``t0s``.
+
+    Each element takes the IEEE operations ``simulate_chain`` takes on
+    one chain: the elementary time, times 1.5 for two-cell pairs, then
+    ``1.5 * t / success`` per step.  Where a success is zero or a time
+    overflows, the value is inf or nan, with no warning.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = t0s * TWO_PAIR_OVERHEAD if batch[0].scheme is SchemeKind.NEW else t0s
+        columns = [t]
+        for stage in batch[1:]:
+            t = TWO_PAIR_OVERHEAD * t / stage.success
+            columns.append(t)
+    return columns
+
+
+def _verdicts(batch: Tuple[_Stage, ...], times: Sequence[np.ndarray]) -> list:
+    """Per row, the ``ArithmeticError`` its chain raises, or None.
+
+    As in ``simulate_chain``, the first step whose success is not
+    positive raises ``ZeroDivisionError``; otherwise the first stage
+    whose time is not finite raises ``OverflowError``.
+    """
+    failed = np.array([stage.success <= 0.0 for stage in batch])
+    overflowed = ~np.isfinite(np.array(times))
+    verdicts: list = [None] * len(times[0])
+    for i in np.flatnonzero(failed.any(axis=0) | overflowed.any(axis=0)):
+        if failed[:, i].any():
+            level, stage, _ = batch[failed[:, i].argmax()].step
+            verdicts[i] = _zero_success(level, stage)
+        else:
+            level, stage, _ = batch[overflowed[:, i].argmax()].step
+            verdicts[i] = _time_overflow(level, stage)
+    return verdicts
+
+
+def _point_pairs(batch: Tuple[_Stage, ...], t0s: np.ndarray) -> Iterator[tuple]:
+    """Every row of the batch in the form ``simulate_chain`` reads as
+    ``pairs``, from the elementary times ``t0s``, made one row at a time
+    as they are read: its error or None, and its last stage's time,
+    fidelity and logical fidelity.
+
+    Each of the three columns is read into a list once, and the rows
+    are zipped from the lists at C level, with no Python frame per row.
+    """
+    times = _times(batch, t0s)
+    last = batch[-1]
+    logical = logical_fidelity_rows(last.scheme, last.rows, last.step[2])
+    return zip(
+        _verdicts(batch, times), times[-1].tolist(), last.fidelity.tolist(),
+        logical.tolist(),
     )
 
 
@@ -798,9 +783,10 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     hold (t_avg, F, logical F) for every p_c, in order, or None where a
     step never succeeds, or the elementary time or a stage time
     overflows.  The pair states come from one batch over the p_c grid
-    (see the module docstring): at D = 0 the deepest spacing's batch
-    serves every spacing up to its depth, plus one batched final mapping
-    per single-rail spacing; at D > 0 each spacing runs its own.
+    (see the module docstring), ``_generate_batch`` then ``_extend``: at
+    D = 0 the deepest spacing's batch, sliced to each spacing's depth,
+    serves every spacing, plus one batched final mapping per single-rail
+    spacing; at D > 0 each spacing runs its own.
 
     Every check of ``RepeaterConfig`` runs, with its message, but not
     per point: ``_check_chain_fields`` once, before any spacing; the p_c
@@ -809,9 +795,9 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     spacings of L that have every scheduled level; and per spacing the
     ``L0 / L_att`` overflow, which makes every row of the spacing None,
     and the elementary-time column, where a non-finite time makes its
-    row None.  The batch then computes every stage's time column and
-    each row's error, as ``_PairBatch.point_pairs`` describes.  Every
-    other grid point gets its configuration, equal to a fresh one and
+    row None.  ``_point_pairs`` then computes every stage's time column
+    and each row's error, as ``_times`` and ``_verdicts`` describe.
+    Every other grid point gets its configuration, equal to a fresh one and
     built in place from one field dict per spacing, and one
     ``simulate_chain`` call with its row as ``pairs``, which raises the
     row's error or returns its final figures as a result; the grid row
@@ -846,14 +832,14 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
         connections = plan[:-1] if scheme is SchemeKind.DLCZ else plan
         if deepest is None or noise.D != 0.0:
             batch = _generate_batch(scheme, grid, noise, L0, valid)
-            deepest = batch.extend(connections, noise.eta, channel, valid)
-        batch = deepest.prefix(len(connections) + 1)
+            deepest = _extend(batch, connections, noise.eta, channel, valid)
+        batch = deepest[: len(connections) + 1]
         if scheme is SchemeKind.DLCZ:
-            batch = batch.extend(plan[-1:], noise.eta, channel, valid)
+            batch = _extend(batch, plan[-1:], noise.eta, channel, valid)
         point = dict(fields, L0=L0)
         column = []
         for p_c, t0, ok, pairs in zip(
-            p_cs, times.tolist(), valid.tolist(), batch.point_pairs(times)
+            p_cs, times.tolist(), valid.tolist(), _point_pairs(batch, times)
         ):
             if not ok:
                 column.append(None)

@@ -490,11 +490,10 @@ def entry_terms(kind: str, alpha: Key, beta: Key) -> dict[tuple[int, int], Table
 def oracle_table(kind: str, eta: float) -> ConnectionTable:
     """A table of ``tables.KINDS`` built entry by entry by the Fock
     oracle at eta, residues included."""
-    scheme, op, variant = KINDS[kind]
-    keys = canonical_keys(scheme)
+    keys = canonical_keys(KINDS[kind][0])
     entries = {
         (alpha, beta): oracle_entry(kind, alpha, beta, eta)
         for alpha in keys
         for beta in keys
     }
-    return ConnectionTable(scheme, op, variant, eta, entries)
+    return ConnectionTable(kind, eta, entries)

@@ -58,7 +58,6 @@ from .tables import (
     coefficients_file,
     hash_line,
     key_label,
-    output_scheme,
     slot_labels,
 )
 
@@ -91,8 +90,8 @@ def dyadic(kind: str, rows: list[tuple]) -> tuple[int, list[int]]:
 def coefficient_block(kind: str) -> dict:
     """The frozen block of one table, computed by the oracle; ValueError
     if a coefficient is no k / 2**bits (see ``dyadic``)."""
-    out = output_scheme(kind)
-    keys = canonical_keys(KINDS[kind][0])
+    scheme, out = KINDS[kind]
+    keys = canonical_keys(scheme)
     terms = {}
     for a, alpha in enumerate(keys):
         for b, beta in enumerate(keys):

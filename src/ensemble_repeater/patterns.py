@@ -336,14 +336,8 @@ def fidelity(state: PatternState, target: BellState) -> float:
 
 def logical_fidelity(state: PatternState, target: BellState) -> float:
     """Fidelity conditioned on the logical pattern (post-selected): the
-    target's Bell mass over the logical mass, or the scheme's pure default
-    weight when that mass is zero."""
-    layout = _layout(state.scheme)
-    values = state.row.tolist()
-    mass = values[layout.logical]
-    if mass == 0.0:
-        return float(layout.default_logical[target.index])
-    return values[target.index - 4] / mass
+    target's weight in ``state.logical``."""
+    return float(state.logical[target.index])
 
 
 def normalize(state: PatternState) -> PatternState:

@@ -25,10 +25,10 @@ own kind's file on that kind's first build, and takes the columns as
 arrays straight from the block's bytes, with no work per coefficient in
 Python.  One ``np.bincount`` sums each ``(a, b, slot)`` value's own
 terms in file order, and each entry's row is a view of the result;
-tables are cached per (scheme, operation, variant, eta).  A coefficient
-and its input-swapped mirror are the same integer, so every table is
-exactly symmetric in its inputs.  ``verify.check_frozen_tables``
-compares the tables with the Fock oracle.
+tables are cached per (kind, eta).  A coefficient and its input-swapped
+mirror are the same integer, so every table is exactly symmetric in its
+inputs.  ``verify.check_frozen_tables`` compares the tables with the
+Fock oracle.
 
 The discarded-coherence diagnostic ``TableEntry.residue`` is no
 polynomial, so evaluated entries carry none; ``circuits.oracle_entry``
@@ -74,19 +74,15 @@ from .patterns import (
 
 Key = Tuple[ExcitationPattern, Optional[BellState]]
 
-ENC_LEVEL1 = "level1"
-ENC_HIGHER = "higher"
-ENP_BIT = "bit"
-ENP_PHASE = "phase"
-
-#: The six tables by name: (input scheme, operation, variant).
+#: The six tables by kind: (input scheme, output scheme).  The final
+#: mapping, ``pme``, makes polarization pairs of single-rail ones.
 KINDS = {
-    "enc_dlcz": (SchemeKind.DLCZ, "enc", ENC_HIGHER),
-    "pme": (SchemeKind.DLCZ, "pme", ""),
-    "enc_level1": (SchemeKind.NEW, "enc", ENC_LEVEL1),
-    "enc_higher": (SchemeKind.NEW, "enc", ENC_HIGHER),
-    "enp_bit": (SchemeKind.NEW, "enp", ENP_BIT),
-    "enp_phase": (SchemeKind.NEW, "enp", ENP_PHASE),
+    "enc_dlcz": (SchemeKind.DLCZ, SchemeKind.DLCZ),
+    "pme": (SchemeKind.DLCZ, SchemeKind.NEW),
+    "enc_level1": (SchemeKind.NEW, SchemeKind.NEW),
+    "enc_higher": (SchemeKind.NEW, SchemeKind.NEW),
+    "enp_bit": (SchemeKind.NEW, SchemeKind.NEW),
+    "enp_phase": (SchemeKind.NEW, SchemeKind.NEW),
 }
 
 #: Directory of the frozen coefficients, next to this module: one
@@ -100,12 +96,6 @@ COLUMNS = ("a", "b", "slot", "term", "k")
 ITEM = np.dtype("<i4")
 
 _DLCZ_LOGICAL_BELLS = (BellState.PSI_PLUS, BellState.PSI_MINUS)
-
-
-def output_scheme(kind: str) -> SchemeKind:
-    """Scheme of a table's output pairs; the final mapping makes polarization pairs."""
-    scheme, op, _ = KINDS[kind]
-    return SchemeKind.NEW if op == "pme" else scheme
 
 
 def enc_kind(scheme: SchemeKind, first_level: bool) -> str:
@@ -215,32 +205,30 @@ class ConnectionTable:
 
     Attributes
     ----------
-    scheme : SchemeKind
-        Scheme of the *input* pairs.
-    op : str
-        One of ``"enc"``, ``"enp"``, ``"pme"``.
-    variant : str
-        Sub-variant: ENC level ("level1"/"higher"), purification kind
-        ("bit"/"phase"), or "" for the final mapping.
+    kind : str
+        One of the ``KINDS``, the table's only identity.
     eta : float
         Retrieval/detection efficiency used in the circuits.
     entries : mapping
         ``(key_left, key_right) -> TableEntry`` over canonical keys.
 
-    ``tensor``, the entries as one dense array, and ``matrix``, its
-    ``(b, o·a)`` layout for the step's matrix products, are built on
-    first use, not with the table.
+    ``scheme``, of the input pairs, and ``output_scheme`` are the kind's
+    pair in ``KINDS``.  ``tensor``, the entries as one dense array, and
+    ``matrix``, its ``(b, o·a)`` layout for the step's matrix products,
+    are built on first use, not with the table.
     """
 
-    scheme: SchemeKind
-    op: str
-    variant: str
+    kind: str
     eta: float
     entries: Mapping[Tuple[Key, Key], TableEntry]
 
-    @property
+    @cached_property
+    def scheme(self) -> SchemeKind:
+        return KINDS[self.kind][0]
+
+    @cached_property
     def output_scheme(self) -> SchemeKind:
-        return SchemeKind.NEW if self.op == "pme" else self.scheme
+        return KINDS[self.kind][1]
 
     def entry(self, alpha: Key, beta: Key) -> TableEntry:
         return self.entries[(alpha, beta)]
@@ -373,8 +361,8 @@ class _Polynomials(NamedTuple):
 @lru_cache(maxsize=None)
 def _polynomials(kind: str) -> _Polynomials:
     block = frozen_block(kind)
-    out = output_scheme(kind)
-    keys = canonical_keys(KINDS[kind][0])
+    scheme, out = KINDS[kind]
+    keys = canonical_keys(scheme)
     if block["keys"] != [key_label(k) for k in keys] or block["slots"] != slot_labels(out):
         raise _stale(coefficients_file(kind))
     kept, lost = np.array(block["exponents"], dtype=float).reshape(-1, 2).T
@@ -432,30 +420,27 @@ def pme_entry(alpha: Key, beta: Key, eta: float) -> TableEntry:
 # tables
 
 
-def _build(scheme: SchemeKind, op: str, variant: str, eta: float) -> ConnectionTable:
+def _build(kind: str, eta: float) -> ConnectionTable:
+    scheme = KINDS[kind][0]
     keys = canonical_keys(scheme)
     entries: dict[Tuple[Key, Key], TableEntry] = {}
     for alpha in keys:
         for beta in keys:
-            if op == "enc":
-                entry = enc_entry(
-                    scheme, alpha, beta, eta, first_level=(variant == ENC_LEVEL1)
-                )
-            elif op == "enp":
-                entry = enp_entry(
-                    alpha, beta, eta, phase_variant=(variant == ENP_PHASE)
-                )
-            elif op == "pme":
+            if kind == "pme":
                 entry = pme_entry(alpha, beta, eta)
+            elif kind in ("enp_bit", "enp_phase"):
+                entry = enp_entry(alpha, beta, eta, phase_variant=(kind == "enp_phase"))
             else:
-                raise ValueError(f"unknown operation {op!r}")
+                entry = enc_entry(
+                    scheme, alpha, beta, eta, first_level=(kind == "enc_level1")
+                )
             entries[(alpha, beta)] = entry
-    return ConnectionTable(scheme, op, variant, eta, entries)
+    return ConnectionTable(kind, eta, entries)
 
 
 @lru_cache(maxsize=None)
-def _enc_table(scheme: SchemeKind, eta: float, variant: str) -> ConnectionTable:
-    return _build(scheme, "enc", variant, eta)
+def _enc_table(kind: str, eta: float) -> ConnectionTable:
+    return _build(kind, eta)
 
 
 def enc_table(scheme: SchemeKind, eta: float, first_level: bool = False) -> ConnectionTable:
@@ -464,31 +449,30 @@ def enc_table(scheme: SchemeKind, eta: float, first_level: bool = False) -> Conn
     The single-rail connection is level-independent; the two-cell scheme
     adds 45 degree rotations on the retrieved qubits at the first level.
     """
-    return _enc_table(scheme, eta, KINDS[enc_kind(scheme, first_level)][2])
+    return _enc_table(enc_kind(scheme, first_level), eta)
 
 
 @lru_cache(maxsize=None)
 def enp_table(kind: str, eta: float) -> ConnectionTable:
     """Entanglement-purification table (kind "bit" or "phase")."""
-    if kind not in (ENP_BIT, ENP_PHASE):
+    if kind not in ("bit", "phase"):
         raise ValueError(f"unknown purification kind {kind!r}")
-    return _build(SchemeKind.NEW, "enp", kind, eta)
+    return _build(f"enp_{kind}", eta)
 
 
 @lru_cache(maxsize=None)
 def pme_table(eta: float) -> ConnectionTable:
     """Final post-selected mapping from two single-rail pairs."""
-    return _build(SchemeKind.DLCZ, "pme", "", eta)
+    return _build("pme", eta)
 
 
 def kind_table(kind: str, eta: float) -> ConnectionTable:
     """The cached table of one of the ``KINDS`` at eta."""
-    scheme, op, variant = KINDS[kind]
-    if op == "enc":
-        return enc_table(scheme, eta, first_level=(variant == ENC_LEVEL1))
-    if op == "enp":
-        return enp_table(variant, eta)
-    return pme_table(eta)
+    if kind == "pme":
+        return pme_table(eta)
+    if kind in ("enp_bit", "enp_phase"):
+        return enp_table(kind.removeprefix("enp_"), eta)
+    return enc_table(KINDS[kind][0], eta, first_level=(kind == "enc_level1"))
 
 
 def dump_table(table: ConnectionTable) -> str:
@@ -499,10 +483,7 @@ def dump_table(table: ConnectionTable) -> str:
     oracle-built table, the off-diagonal residue diagnostic.
     Deterministic ordering.
     """
-    lines = [
-        f"# scheme={table.scheme.value} op={table.op}"
-        f" variant={table.variant or '-'} eta={table.eta!r}"
-    ]
+    lines = [f"# kind={table.kind} eta={table.eta!r}"]
     logical = logical_pattern(table.output_scheme)
     for alpha in canonical_keys(table.scheme):
         for beta in canonical_keys(table.scheme):

@@ -35,7 +35,7 @@ from ensemble_repeater import protocols
 from ensemble_repeater.noise import NoiseParams
 from ensemble_repeater.patterns import ExcitationPattern, SchemeKind
 from ensemble_repeater.protocols import EnpKind
-from ensemble_repeater.tables import canonical_keys, enc_table, kind_table
+from ensemble_repeater.tables import ConnectionTable, canonical_keys, enc_table, kind_table
 
 NEW = SchemeKind.NEW
 DLCZ = SchemeKind.DLCZ
@@ -630,7 +630,7 @@ def test_sweeps_report_the_first_bad_p_c_in_grid_order():
 
 def _with_tensor(table, tensor):
     """A copy of ``table`` that applies ``tensor``."""
-    patched = type(table)(table.scheme, table.op, table.variant, table.eta, table.entries)
+    patched = ConnectionTable(table.kind, table.eta, table.entries)
     patched.__dict__["tensor"] = tensor
     return patched
 

@@ -17,6 +17,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -28,7 +29,14 @@ from hypothesis import strategies as st
 
 from ensemble_repeater import freeze, tables
 from ensemble_repeater.circuits import oracle_table
-from ensemble_repeater.patterns import SchemeKind, logical_column, row_totals, scheme_patterns
+from ensemble_repeater.patterns import (
+    BellState,
+    ExcitationPattern,
+    SchemeKind,
+    logical_column,
+    row_totals,
+    scheme_patterns,
+)
 from ensemble_repeater.tables import (
     COLUMNS,
     HEADER,
@@ -38,6 +46,7 @@ from ensemble_repeater.tables import (
     coefficients_file,
     frozen_block,
     kind_table,
+    selected_columns,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -158,7 +167,7 @@ def test_every_table_value_is_pinned_to_the_bit(kind, eta):
 def test_the_step_matrix_lays_the_tensor_out_as_b_by_o_a(kind):
     """Row ``b`` of ``matrix``, read as ``(o, a)``, is ``T[:, :, b]``; the
     matrix is read-only, built once, and not built with the table."""
-    built = tables._build(*KINDS[kind], 0.9)
+    built = tables._build(kind, 0.9)
     assert "tensor" not in vars(built) and "matrix" not in vars(built)
     table = kind_table(kind, 0.9)
     o, a, b = table.tensor.shape
@@ -168,6 +177,15 @@ def test_the_step_matrix_lays_the_tensor_out_as_b_by_o_a(kind):
     assert table.matrix is matrix
     with pytest.raises(ValueError, match="read-only"):
         matrix[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_table_is_its_kind(kind):
+    """Frozen and oracle tables alike name their kind, and their input
+    and output schemes are the kind's pair in ``KINDS``."""
+    for table in (kind_table(kind, 0.9), oracle_table(kind, 0.9)):
+        assert table.kind == kind
+        assert (table.scheme, table.output_scheme) == KINDS[kind]
 
 
 def test_frozen_entries_carry_no_residue():
@@ -398,6 +416,55 @@ def test_evaluation_is_a_sum_over_exponent_terms():
     keys = canonical_keys(SchemeKind.DLCZ)
     got = kind_table("enc_dlcz", eta).entry(keys[a], keys[b]).row
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def _exact_values(kind, eta):
+    """``{(a, b, slot): value}`` of one table at a rational eta, each value
+    the sum of its stored terms ``k / 2**bits * eta**kept * (1 - eta)**lost``
+    in ``Fraction`` arithmetic."""
+    block = frozen_block(kind)
+    basis = [eta**kept * (1 - eta) ** lost for kept, lost in block["exponents"]]
+    unit = Fraction(1, 2 ** block["bits"])
+    values = {}
+    for a, b, slot, term, k in zip(*(block[column].tolist() for column in COLUMNS)):
+        values[a, b, slot] = values.get((a, b, slot), 0) + k * unit * basis[term]
+    return values
+
+
+def _exact_step(values, row):
+    """One normalized step on a two-cell row and its success probability:
+    the tensor's contraction of the row's component masses with itself,
+    whose logical slot holds the sum of the Bell masses."""
+    masses = [row[column] for column in selected_columns(SchemeKind.NEW).tolist()]
+    out = [Fraction(0)] * len(row)
+    for (a, b, slot), value in values.items():
+        out[slot] += value * masses[a] * masses[b]
+    out[logical_column(SchemeKind.NEW)] = sum(out[-4:])
+    success = sum(out[:-4])
+    return [mass / success for mass in out], success
+
+
+@pytest.mark.parametrize("eta", [Fraction(1, 2), Fraction(9, 10), Fraction(19, 20)])
+def test_the_stable_connection_laws_hold_exactly(eta):
+    """At p_c -> 0 the two-cell elementary pair is P11 (Psi+) and P20_perp
+    at 1/2 each.  Through six connection levels, evaluated exactly from
+    the stored integers, the vacuum-to-logical ratio (P00 + P10) / P11 is
+    (1 - eta)(3 - eta) from level 1 on, and the success probability is
+    eta^2 / (2 (2 - eta)^2) from level 2 on, as identities (ROADMAP
+    item 14)."""
+    patterns = scheme_patterns(SchemeKind.NEW)
+    column = {pattern: i for i, pattern in enumerate(patterns)}
+    P = ExcitationPattern
+    row = [Fraction(0)] * (len(patterns) + 4)
+    row[column[P.P11]] = row[column[P.P20_PERP]] = Fraction(1, 2)
+    row[len(patterns) + BellState.PSI_PLUS.index] = Fraction(1, 2)
+    first, higher = _exact_values("enc_level1", eta), _exact_values("enc_higher", eta)
+    for level in range(1, 7):
+        row, success = _exact_step(first if level == 1 else higher, row)
+        ratio = (row[column[P.P00]] + row[column[P.P10]]) / row[column[P.P11]]
+        assert ratio == (1 - eta) * (3 - eta), level
+        if level >= 2:
+            assert success == eta**2 / (2 * (2 - eta) ** 2), level
 
 
 @lru_cache(maxsize=None)

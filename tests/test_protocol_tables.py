@@ -309,7 +309,7 @@ def test_purification_closes_on_the_logical_sector():
     for table in tables:
         for (alpha, beta), entry in table.entries.items():
             if alpha[1] is not None and beta[1] is not None:
-                assert entry.residue <= 1e-10, (table.op, alpha, beta)
+                assert entry.residue <= 1e-10, (table.kind, alpha, beta)
         assert table.max_residue() > 1e-3
 
 
@@ -437,9 +437,7 @@ def test_the_step_contracts_the_left_input_over_a_and_the_right_over_b(kind):
     rng = np.random.default_rng(11)
     tensor = rng.random(table.tensor.shape)
     assert not np.allclose(tensor, tensor.transpose(0, 2, 1))
-    patched = ConnectionTable(
-        table.scheme, table.op, table.variant, table.eta, table.entries
-    )
+    patched = ConnectionTable(table.kind, table.eta, table.entries)
     patched.__dict__["tensor"] = tensor
     left_rows, right_rows = (_random_rows(rng, table.scheme, 5) for _ in range(2))
     x_left = _component_masses(table.scheme, left_rows)
@@ -597,9 +595,7 @@ def test_step_checks_keep_their_messages():
     ):
         enc(DLCZ, even, dlcz_pair, ETA)
     table = enc_table(NEW, ETA)
-    broken = ConnectionTable(
-        table.scheme, table.op, table.variant, table.eta, table.entries
-    )
+    broken = ConnectionTable(table.kind, table.eta, table.entries)
     tensor = table.tensor.copy()
     tensor[0] = -1.0  # every input pair now feeds negative P00 mass
     broken.__dict__["tensor"] = tensor
@@ -612,9 +608,7 @@ def test_step_checks_keep_their_messages():
 def test_step_rejects_negative_bell_weight():
     pair = eng(NEW, 0.01, NoiseParams(eta=ETA), 40.0)
     table = enc_table(NEW, ETA)
-    broken = ConnectionTable(
-        table.scheme, table.op, table.variant, table.eta, table.entries
-    )
+    broken = ConnectionTable(table.kind, table.eta, table.entries)
     tensor = table.tensor.copy()
     tensor[-1] = -1e-3  # every input pair now feeds negative Psi- mass
     broken.__dict__["tensor"] = tensor

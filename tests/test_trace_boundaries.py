@@ -52,6 +52,31 @@ def test_tracer_counts_chain_stages_and_restores_patches():
         assert getattr(owner, attr) is original, attr
 
 
+def test_tracer_counts_every_table_build_by_kind():
+    """``tables._build`` calls ``enc_entry``, ``enp_entry`` or
+    ``pme_entry`` once per entry, and each kind's first table lookup
+    misses its cache, so the tracer sees one entry span per key pair and
+    one build per kind.  The eta is one no other test builds at."""
+    workloads, spans = _load("workloads"), _load("spans")
+    pkg = workloads.load_package(ROOT)
+    _, misses = pkg.cache_counts()
+    tracer = spans.Tracer(pkg)
+    tracer.install()
+    try:
+        for kind in workloads.ALL_KINDS:
+            workloads.build_table(pkg, kind, 0.8123)
+    finally:
+        tracer.uninstall()
+
+    counts = {name: int(entry[0]) for name, entry in tracer.agg.items()}
+    entries = {"enc_dlcz": 49, "pme": 49}
+    for kind in workloads.ALL_KINDS:
+        assert counts["circuits.entry." + kind] == entries.get(kind, 169), kind
+    builds = {name for name in tracer.counters if name.startswith("tables.build_s.")}
+    assert builds == {"tables.build_s." + kind for kind in workloads.ALL_KINDS}
+    assert pkg.cache_counts()[1] - misses == 6
+
+
 def test_traced_optimize_runs_one_chain_per_grid_point():
     """A sweep evaluates every grid point through ``simulate_chain``, so the
     tracer counts one chain span and one grid point per (L0, p_c)."""
