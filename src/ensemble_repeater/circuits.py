@@ -14,17 +14,18 @@ entry of any table at a time (``oracle_entry``) or a whole table
 
 Excitation patterns
 -------------------
-One table defines the pattern labels: per scheme, the cell occupations
-of a node with each signature, and per label its pair of node
-signatures.  From it follow each label's occupations of the memory
+The pattern labels and the logical Bell labels are defined in
+:mod:`.patterns`: each label as its pair of node signatures.  One table
+here gives, per scheme, the cell occupations of a node with each
+signature.  From the two follow each label's occupations of the memory
 modes, left node first, which give both the oracle's inputs and the
 classification of its outputs.  The superoperator algebra is bilinear
 over excitation patterns, so each label is represented by a canonical
 Fock state (``canonical_state``): the uniform mixture over its
 occupations, with both side orientations weighted equally. The logical
-pattern is represented by each Bell state in turn, which spans every
-Bell-diagonal block by linearity.  An output occupation's label is a
-lookup (``classify``), and ``project_from_fock`` turns an accepted
+pattern is represented by each of its Bell labels in turn, which spans
+every Bell-diagonal block by linearity.  An output occupation's label
+is a lookup (``classify``), and ``project_from_fock`` turns an accepted
 branch into its ``PatternState`` and residue.
 
 Detection conventions
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -61,6 +62,8 @@ from .fock import (
     tensor,
 )
 from .patterns import (
+    LOGICAL_BELLS,
+    SIGNATURES,
     BellState,
     ExcitationPattern,
     PatternState,
@@ -93,30 +96,12 @@ _CELLS = {
     },
 }
 
-_P = ExcitationPattern
-#: Per scheme, each pattern's pair of node signatures, left-first
-#: orientation first.
-_SIGNATURES = {
-    SchemeKind.DLCZ: {
-        _P.P00: (0, 0), _P.P10: (1, 0), _P.P11: (1, 1),
-        _P.P20: (2, 0), _P.P21: (2, 1), _P.P22: (2, 2),
-    },
-    SchemeKind.NEW: {
-        _P.P00: ("0", "0"), _P.P10: ("1", "0"), _P.P11: ("1", "1"),
-        _P.P20_PAR: ("par", "0"), _P.P20_PERP: ("perp", "0"),
-        _P.P21_PAR: ("par", "1"), _P.P21_PERP: ("perp", "1"),
-        _P.P22_PAR_PAR: ("par", "par"), _P.P22_PAR_PERP: ("par", "perp"),
-        _P.P22_PERP_PERP: ("perp", "perp"),
-    },
-}
-
-
 def _occupations(scheme: SchemeKind) -> dict[ExcitationPattern, list[tuple[int, ...]]]:
     """Each pattern's memory occupations (left cells, then right cells):
     every cell arrangement of each orientation, in build order."""
     cells = _CELLS[scheme]
     out = {}
-    for pattern, (a, b) in _SIGNATURES[scheme].items():
+    for pattern, (a, b) in SIGNATURES[scheme].items():
         sides = [(a, b)] if a == b else [(a, b), (b, a)]
         out[pattern] = [l + r for x, y in sides for l in cells[x] for r in cells[y]]
     return out
@@ -130,17 +115,13 @@ _PATTERN_OF = {
     for scheme, by_pattern in _OCCUPATIONS.items()
 }
 
-#: Per scheme, the Bell labels of the logical pattern and, as rows, their
-#: vectors over its occupations: (|10>, |01>) for DLCZ, (HH, HV, VH, VV)
-#: for the two-cell scheme.
+#: Per scheme, as rows in ``LOGICAL_BELLS`` order, the vectors of the
+#: logical Bell labels over the logical pattern's occupations: (|10>,
+#: |01>) for DLCZ, (HH, HV, VH, VV) for the two-cell scheme.
 _BELL_VECTORS = {
-    SchemeKind.DLCZ: (
-        (BellState.PSI_PLUS, BellState.PSI_MINUS),
-        SQRT_HALF * np.array([[1, 1], [1, -1]]),
-    ),
-    SchemeKind.NEW: (
-        tuple(BellState),
-        SQRT_HALF * np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]),
+    SchemeKind.DLCZ: SQRT_HALF * np.array([[1, 1], [1, -1]]),
+    SchemeKind.NEW: SQRT_HALF * np.array(
+        [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]
     ),
 }
 
@@ -152,11 +133,12 @@ def classify(scheme: SchemeKind, occupation: tuple[int, ...]) -> ExcitationPatte
 
 
 def _memory_modes(scheme: SchemeKind, left: object, right: object) -> tuple[ModeLabel, ...]:
-    """The memory modes of the two nodes, left cells first: a single
-    label per node for DLCZ, an (H, V) label pair for the two-cell scheme."""
+    """The two nodes' memory modes as one register, left node first: a
+    single label per node for DLCZ, an (H, V) label pair per node for the
+    two-cell scheme."""
     if scheme is SchemeKind.DLCZ:
         if not isinstance(left, str) or not isinstance(right, str):
-            raise ValueError("DLCZ mode map entries must be single mode labels")
+            raise ValueError("DLCZ memory modes must be single mode labels")
         return left, right
     if (
         not isinstance(left, (tuple, list))
@@ -164,7 +146,7 @@ def _memory_modes(scheme: SchemeKind, left: object, right: object) -> tuple[Mode
         or len(left) != 2
         or len(right) != 2
     ):
-        raise ValueError("two-cell mode map entries must be (H, V) mode pairs")
+        raise ValueError("two-cell memory modes must be (H, V) mode pairs")
     return (*left, *right)
 
 
@@ -178,22 +160,24 @@ def canonical_state(
     """Canonical Fock state of a pattern label on the nodes' memory modes.
 
     ``left`` and ``right`` are a mode label per node (DLCZ) or an (H, V)
-    label pair (two-cell scheme).  The logical pattern needs a Bell label
-    of the scheme and is that Bell state; any other pattern is the
-    uniform mixture over its occupations.
+    label pair (two-cell scheme).  The logical pattern needs one of the
+    scheme's ``LOGICAL_BELLS`` and is that Bell state; any other pattern
+    takes no Bell label and is the uniform mixture over its occupations.
     """
     modes = _memory_modes(scheme, left, right)
     occs = _OCCUPATIONS[scheme].get(pattern)
     if occs is None:
         raise ValueError(f"no canonical state for {pattern} in the {scheme.value} scheme")
     if pattern is logical_pattern(scheme):
-        labels, vectors = _BELL_VECTORS[scheme]
+        labels = LOGICAL_BELLS[scheme]
         if bell not in labels:
             raise ValueError(f"the logical pattern needs one of the Bell labels {labels}")
-        amps = vectors[labels.index(bell)].tolist()
+        amps = _BELL_VECTORS[scheme][labels.index(bell)].tolist()
         return FockDensityOperator.from_ket(
             modes, {occ: a for occ, a in zip(occs, amps) if a != 0.0}
         )
+    if bell is not None:
+        raise ValueError(f"{pattern} is not the logical pattern and takes no Bell label")
     root = math.sqrt(1.0 / len(occs))
     return FockDensityOperator(modes, [{occ: root} for occ in occs])
 
@@ -346,32 +330,26 @@ def run_pme(
 
 
 def project_from_fock(
-    rho: FockDensityOperator,
-    scheme: SchemeKind,
-    mode_map: Mapping[str, object],
+    rho: FockDensityOperator, scheme: SchemeKind, left: object, right: object
 ) -> tuple[PatternState, float]:
     """Classify an oracle state into a PatternState, with its residue.
 
     Pattern masses are the traces of the pattern-subspace projections,
     so the total trace is kept exactly.  The logical block, the density
-    matrix over the logical pattern's occupations, gives the Bell-basis
-    diagonal; the residue is the Frobenius norm of its non-diagonal
-    part, the coherence the pattern decomposition discards.
+    matrix over the logical pattern's occupations, gives the masses of
+    the scheme's ``LOGICAL_BELLS``; the residue is the Frobenius norm of
+    its non-diagonal part in the Bell basis, the coherence the pattern
+    decomposition discards.
 
-    ``mode_map`` assigns the memory modes: ``{"left": m, "right": m}``
-    with single labels for DLCZ, or (H, V) label pairs per node for the
-    two-cell scheme. The state register must contain exactly these
-    modes.
+    ``left`` and ``right`` are the nodes' memory modes, as for
+    ``canonical_state``: a single label per node for DLCZ, an (H, V)
+    label pair per node for the two-cell scheme.  The state register
+    must contain exactly these modes.
     """
-    try:
-        left = mode_map["left"]
-        right = mode_map["right"]
-    except KeyError as exc:
-        raise ValueError("mode map must define 'left' and 'right'") from exc
     modes = _memory_modes(scheme, left, right)
     if set(rho.modes) != set(modes):
         raise ValueError(
-            f"state register {rho.modes} does not match mode map {sorted(modes)}"
+            f"state register {rho.modes} does not match the memory modes {sorted(modes)}"
         )
     index = [rho.mode_index(m) for m in modes]
 
@@ -387,13 +365,11 @@ def project_from_fock(
             occ[i] = n
         basis.append(tuple(occ))
     block = rho.block(basis)
-    labels, vecs = _BELL_VECTORS[scheme]
-    if scheme is SchemeKind.DLCZ:
-        bell = np.zeros(4)
-        for label, xi in zip(labels, vecs):
-            bell[label.index] = float(np.real(xi @ block @ xi))
-    else:
-        bell = np.real(np.einsum("ij,jk,ik->i", vecs.conj(), block, vecs))
+    vecs = _BELL_VECTORS[scheme]
+    bell = np.zeros(4)
+    bell[[label.index for label in LOGICAL_BELLS[scheme]]] = np.real(
+        np.einsum("ij,jk,ik->i", vecs.conj(), block, vecs)
+    )
     vecs = vecs.astype(complex)
     in_bell = vecs.conj() @ block @ vecs.T
     residue = float(np.linalg.norm(in_bell - np.diag(np.diag(in_bell))))
@@ -405,66 +381,79 @@ def project_from_fock(
     return PatternState(scheme, probs, weights), residue
 
 
-def accumulate_entry(
-    branches: Iterable[AcceptedBranch],
-    scheme: SchemeKind,
-    mode_map: dict[str, object],
-) -> TableEntry:
-    """Sum the classified rows of accepted circuit branches into a
-    TableEntry whose residue is the largest branch residue."""
+class _Circuit(NamedTuple):
+    """A circuit and its three registers, each a pair's memory modes
+    (left node, right node) as ``canonical_state`` takes them: the left
+    input pair's, the right input pair's and the output pair's."""
+
+    run: Callable[..., list[AcceptedBranch]]
+    left: tuple[object, object]
+    right: tuple[object, object]
+    out: tuple[object, object]
+
+
+_ENC_DLCZ = _Circuit(run_enc_dlcz, ("aL", "c1"), ("c2", "aR"), ("aL", "aR"))
+_ENC_NEW = _Circuit(
+    run_enc_new,
+    (("aLH", "aLV"), ("c1H", "c1V")),
+    (("c2H", "c2V"), ("aRH", "aRV")),
+    (("aLH", "aLV"), ("aRH", "aRV")),
+)
+_ENP = _Circuit(
+    run_enp,
+    (("a1H", "a1V"), ("b1H", "b1V")),
+    (("a2H", "a2V"), ("b2H", "b2V")),
+    (("auH", "auV"), ("buH", "buV")),
+)
+_PME = _Circuit(run_pme, ("x1", "y1"), ("x2", "y2"), (("xH", "xV"), ("yH", "yV")))
+
+#: Each table kind's circuit and the variant arguments it runs with.
+_KIND_CIRCUITS = {
+    "enc_dlcz": (_ENC_DLCZ, ()),
+    "enc_level1": (_ENC_NEW, (True,)),
+    "enc_higher": (_ENC_NEW, (False,)),
+    "enp_bit": (_ENP, (False,)),
+    "enp_phase": (_ENP, (True,)),
+    "pme": (_PME, ()),
+}
+
+
+def accumulate_entry(branches: Iterable[AcceptedBranch], kind: str) -> TableEntry:
+    """Sum the classified rows of accepted branches of a kind's circuit
+    into a TableEntry of the kind's output scheme, whose residue is the
+    largest branch residue."""
+    scheme = KINDS[kind][1]
+    out = _KIND_CIRCUITS[kind][0].out
     row = np.zeros(len(scheme_patterns(scheme)) + 4)
     residue = 0.0
     for cond, prob in branches:
         if prob <= 0.0:
             continue
-        state, branch_residue = project_from_fock(cond, scheme, mode_map)
+        state, branch_residue = project_from_fock(cond, scheme, *out)
         row += state.row
         residue = max(residue, branch_residue)
     row.flags.writeable = False
     return TableEntry(scheme, row, residue)
 
 
-ENC_OUT_MAP_DLCZ = {"left": "aL", "right": "aR"}
-ENC_OUT_MAP_NEW = {"left": ("aLH", "aLV"), "right": ("aRH", "aRV")}
-ENP_OUT_MAP = {"left": ("auH", "auV"), "right": ("buH", "buV")}
-PME_OUT_MAP = {"left": ("xH", "xV"), "right": ("yH", "yV")}
-
-
 def _entry_branches(
     kind: str, alpha: Key, beta: Key, eta: float | None
-) -> tuple[list[AcceptedBranch], SchemeKind, dict[str, object]]:
-    """Accepted branches of one entry of a table of ``tables.KINDS``,
-    with the scheme and mode map that classify them.  ``eta=None``
-    runs the circuit with tagged loss (see ``fock.apply_loss``)."""
-    pat_a, bell_a = alpha
-    pat_b, bell_b = beta
-    dlcz, new = SchemeKind.DLCZ, SchemeKind.NEW
-    if kind == "enc_dlcz":
-        left = canonical_state(dlcz, pat_a, "aL", "c1", bell_a)
-        right = canonical_state(dlcz, pat_b, "c2", "aR", bell_b)
-        return run_enc_dlcz(left, right, eta), dlcz, ENC_OUT_MAP_DLCZ
-    if kind in ("enc_level1", "enc_higher"):
-        left = canonical_state(new, pat_a, ("aLH", "aLV"), ("c1H", "c1V"), bell_a)
-        right = canonical_state(new, pat_b, ("c2H", "c2V"), ("aRH", "aRV"), bell_b)
-        first_level = kind == "enc_level1"
-        return run_enc_new(left, right, eta, first_level), new, ENC_OUT_MAP_NEW
-    if kind in ("enp_bit", "enp_phase"):
-        pair1 = canonical_state(new, pat_a, ("a1H", "a1V"), ("b1H", "b1V"), bell_a)
-        pair2 = canonical_state(new, pat_b, ("a2H", "a2V"), ("b2H", "b2V"), bell_b)
-        branches = run_enp(pair1, pair2, eta, kind == "enp_phase")
-        return branches, new, ENP_OUT_MAP
-    if kind == "pme":
-        pair1 = canonical_state(dlcz, pat_a, "x1", "y1", bell_a)
-        pair2 = canonical_state(dlcz, pat_b, "x2", "y2", bell_b)
-        # inputs are DLCZ patterns, the output a polarization pair
-        return run_pme(pair1, pair2, eta), new, PME_OUT_MAP
-    raise ValueError(f"unknown table kind {kind!r}")
+) -> list[AcceptedBranch]:
+    """Accepted branches of one entry of a table of ``tables.KINDS``: the
+    kind's circuit run on the canonical states of the two keys.
+    ``eta=None`` runs the circuit with tagged loss (see
+    ``fock.apply_loss``)."""
+    circuit, variant = _KIND_CIRCUITS[kind]
+    scheme = KINDS[kind][0]
+    left = canonical_state(scheme, alpha[0], *circuit.left, alpha[1])
+    right = canonical_state(scheme, beta[0], *circuit.right, beta[1])
+    return circuit.run(left, right, eta, *variant)
 
 
 def oracle_entry(kind: str, alpha: Key, beta: Key, eta: float) -> TableEntry:
     """One entry of a table of ``tables.KINDS``, built by the Fock oracle
     at eta."""
-    return accumulate_entry(*_entry_branches(kind, alpha, beta, eta))
+    return accumulate_entry(_entry_branches(kind, alpha, beta, eta), kind)
 
 
 def entry_terms(kind: str, alpha: Key, beta: Key) -> dict[tuple[int, int], TableEntry]:
@@ -475,14 +464,12 @@ def entry_terms(kind: str, alpha: Key, beta: Key) -> dict[tuple[int, int], Table
     eta is the sum over the returned parts of part * eta**kept *
     (1 - eta)**lost.
     """
-    branches, scheme, mode_map = _entry_branches(kind, alpha, beta, None)
     parts: dict[tuple[int, int], list[AcceptedBranch]] = {}
-    for cond, _ in branches:
+    for cond, _ in _entry_branches(kind, alpha, beta, None):
         for exponents, branch in measure_modes(cond, LEDGER).items():
             parts.setdefault(exponents, []).append(branch)
     return {
-        exponents: accumulate_entry(part, scheme, mode_map)
-        for exponents, part in sorted(parts.items())
+        exponents: accumulate_entry(part, kind) for exponents, part in sorted(parts.items())
     }
 
 

@@ -25,8 +25,9 @@ States with more than two excitations at a node appear only at second
 order in the excitation probability; they are kept as an explicit
 OVERFLOW bucket so that classification preserves trace exactly, and are
 treated as absorbing failure mass by the connection tables.  Each
-label's cell occupations, from which the oracle builds its input states
-and classifies its output, are defined once, in :mod:`.circuits`.
+label is defined once, in ``SIGNATURES``, as its pair of node
+signatures, to which :mod:`.circuits` gives cell occupations; the
+logical pattern's Bell labels are defined once, in ``LOGICAL_BELLS``.
 
 Array layout
 ------------
@@ -120,34 +121,42 @@ class ExcitationPattern(enum.Enum):
     __hash__ = object.__hash__  # as BellState's
 
 
-_DLCZ_PATTERNS = (
-    ExcitationPattern.P00,
-    ExcitationPattern.P10,
-    ExcitationPattern.P11,
-    ExcitationPattern.P20,
-    ExcitationPattern.P21,
-    ExcitationPattern.P22,
-    ExcitationPattern.OVERFLOW,
-)
+_P = ExcitationPattern
 
-_NEW_PATTERNS = (
-    ExcitationPattern.P00,
-    ExcitationPattern.P10,
-    ExcitationPattern.P11,
-    ExcitationPattern.P20_PAR,
-    ExcitationPattern.P20_PERP,
-    ExcitationPattern.P21_PAR,
-    ExcitationPattern.P21_PERP,
-    ExcitationPattern.P22_PAR_PAR,
-    ExcitationPattern.P22_PAR_PERP,
-    ExcitationPattern.P22_PERP_PERP,
-    ExcitationPattern.OVERFLOW,
-)
+#: Per scheme, each pattern label's pair of node signatures, left-first
+#: orientation first, in canonical order.  A signature is a node's
+#: excitation count, and for two excitations in two cells whether they
+#: share one ("par") or not ("perp"); the oracle's circuits give each
+#: signature its cell occupations.
+SIGNATURES = {
+    SchemeKind.DLCZ: {
+        _P.P00: (0, 0), _P.P10: (1, 0), _P.P11: (1, 1),
+        _P.P20: (2, 0), _P.P21: (2, 1), _P.P22: (2, 2),
+    },
+    SchemeKind.NEW: {
+        _P.P00: ("0", "0"), _P.P10: ("1", "0"), _P.P11: ("1", "1"),
+        _P.P20_PAR: ("par", "0"), _P.P20_PERP: ("perp", "0"),
+        _P.P21_PAR: ("par", "1"), _P.P21_PERP: ("perp", "1"),
+        _P.P22_PAR_PAR: ("par", "par"), _P.P22_PAR_PERP: ("par", "perp"),
+        _P.P22_PERP_PERP: ("perp", "perp"),
+    },
+}
+
+_PATTERNS = {scheme: (*labels, _P.OVERFLOW) for scheme, labels in SIGNATURES.items()}
+
+#: Per scheme, the Bell labels the logical pattern can carry, the pure
+#: default first: Psi+ and Psi- for single-rail pairs, all four for
+#: two-cell pairs.
+LOGICAL_BELLS = {
+    SchemeKind.DLCZ: (BellState.PSI_PLUS, BellState.PSI_MINUS),
+    SchemeKind.NEW: tuple(BellState),
+}
 
 
 def scheme_patterns(scheme: SchemeKind) -> tuple[ExcitationPattern, ...]:
-    """Pattern labels valid for the scheme, in canonical order."""
-    return _DLCZ_PATTERNS if scheme is SchemeKind.DLCZ else _NEW_PATTERNS
+    """Pattern labels valid for the scheme, in canonical order: the
+    labels of ``SIGNATURES``, then OVERFLOW."""
+    return _PATTERNS[scheme]
 
 
 def logical_pattern(scheme: SchemeKind) -> ExcitationPattern:
@@ -176,9 +185,8 @@ class _Layout(NamedTuple):
 def _make_layout(scheme: SchemeKind) -> _Layout:
     column = {p: i for i, p in enumerate(scheme_patterns(scheme))}
     vacuum = tuple(column[p] for p in _VACUUM_PATTERNS[scheme])
-    default = BellState.PSI_PLUS if scheme is SchemeKind.DLCZ else BellState.PHI_PLUS
     weights = np.zeros(4)
-    weights[default.index] = 1.0
+    weights[LOGICAL_BELLS[scheme][0].index] = 1.0
     weights.flags.writeable = False
     return _Layout(column, column[logical_pattern(scheme)], vacuum, weights)
 

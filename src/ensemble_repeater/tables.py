@@ -64,11 +64,13 @@ from typing import Mapping, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .patterns import (
+    LOGICAL_BELLS,
     BellState,
     ExcitationPattern,
     SchemeKind,
     logical_column,
     logical_pattern,
+    row_totals,
     scheme_patterns,
 )
 
@@ -94,8 +96,6 @@ HEADER = ("keys", "slots", "exponents", "bits", "items")
 COLUMNS = ("a", "b", "slot", "term", "k")
 #: How a coefficient file stores each item of a column.
 ITEM = np.dtype("<i4")
-
-_DLCZ_LOGICAL_BELLS = (BellState.PSI_PLUS, BellState.PSI_MINUS)
 
 
 def enc_kind(scheme: SchemeKind, first_level: bool) -> str:
@@ -151,28 +151,25 @@ class TableEntry:
 
     @property
     def total(self) -> float:
-        """The masses added left to right, as ``patterns.row_totals`` adds
-        them; ``sum`` compensates float sums from Python 3.12 on."""
-        total = 0.0
-        for mass in self.row[:-4].tolist():
-            total += mass
-        return total
+        """The masses added left to right, by ``patterns.row_totals``;
+        ``sum`` compensates float sums from Python 3.12 on."""
+        return float(row_totals(self.scheme, self.row[None])[0])
 
 
 def canonical_keys(scheme: SchemeKind) -> tuple[Key, ...]:
     """Ordered canonical component keys of a scheme, overflow excluded.
 
-    The logical pattern expands into one key per admissible Bell state;
-    every other pattern contributes a single (pattern, None) key.
+    The logical pattern expands into one key per Bell label of
+    ``LOGICAL_BELLS``; every other pattern contributes a single
+    (pattern, None) key.
     """
     logical = logical_pattern(scheme)
-    bells = _DLCZ_LOGICAL_BELLS if scheme is SchemeKind.DLCZ else tuple(BellState)
     keys: list[Key] = []
     for pattern in scheme_patterns(scheme):
         if pattern is ExcitationPattern.OVERFLOW:
             continue
         if pattern is logical:
-            keys.extend((pattern, bell) for bell in bells)
+            keys.extend((pattern, bell) for bell in LOGICAL_BELLS[scheme])
         else:
             keys.append((pattern, None))
     return tuple(keys)

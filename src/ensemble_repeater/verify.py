@@ -21,11 +21,13 @@ import numpy as np
 
 from .circuits import oracle_entry, oracle_table
 from .patterns import (
+    LOGICAL_BELLS,
     BellState,
     ExcitationPattern,
     PatternState,
     SchemeKind,
     logical_column,
+    logical_pattern,
 )
 from .protocols import enc, enp, postselect_pme
 from .tables import KINDS, ConnectionTable, TableEntry, kind_table
@@ -107,18 +109,16 @@ def _xor_bits(a: BellState, b: BellState) -> Optional[BellState]:
     return _CODE_BELL[(xa ^ xb, sa)] if sa == sb else None
 
 
-_ODD = (BellState.PSI_PLUS, BellState.PSI_MINUS)
-
-#: The paper's Bell laws, in report order: (kind, name, input pattern,
-#: input Bell states, law).  A law maps the two input Bell labels to the
-#: output's, or to None where the step rejects the pair.
+#: The paper's Bell laws, in report order: (kind, name, law).  A law
+#: maps the Bell labels of two logical inputs of the kind's input scheme
+#: to the output's, or to None where the step rejects the pair.
 _BELL_LAWS = (
-    ("enc_level1", "connection level 1", P.P11, tuple(BellState), bell_xor),
-    ("enc_higher", "connection level >= 2", P.P11, tuple(BellState), bell_xor),
-    ("enc_dlcz", "single-rail connection", P.P10, _ODD, _multiply_signs),
-    ("enp_bit", "bit purification", P.P11, tuple(BellState), _multiply_signs),
-    ("enp_phase", "phase purification", P.P11, tuple(BellState), _xor_bits),
-    ("pme", "post-selection", P.P10, _ODD, _multiply_signs),
+    ("enc_level1", "connection level 1", bell_xor),
+    ("enc_higher", "connection level >= 2", bell_xor),
+    ("enc_dlcz", "single-rail connection", _multiply_signs),
+    ("enp_bit", "bit purification", _multiply_signs),
+    ("enp_phase", "phase purification", _xor_bits),
+    ("pme", "post-selection", _multiply_signs),
 )
 
 
@@ -137,8 +137,10 @@ def check_truth_tables() -> List[CheckResult]:
     labels.
     """
     results = []
-    for kind, name, pattern, bells, law in _BELL_LAWS:
-        for b1, b2 in itertools.product(bells, repeat=2):
+    for kind, name, law in _BELL_LAWS:
+        scheme = KINDS[kind][0]
+        pattern = logical_pattern(scheme)
+        for b1, b2 in itertools.product(LOGICAL_BELLS[scheme], repeat=2):
             entry = oracle_entry(kind, (pattern, b1), (pattern, b2), 1.0)
             target = law(b1, b2)
             if target is None:
@@ -266,21 +268,14 @@ def two_cell_connection_coefficients(
     }
 
 
-def _bell_label(scheme: SchemeKind, pattern: ExcitationPattern) -> Optional[BellState]:
-    if pattern is P.P11 and scheme is SchemeKind.NEW:
-        return BellState.PHI_PLUS
-    if pattern is P.P10 and scheme is SchemeKind.DLCZ:
-        return BellState.PSI_PLUS
-    return None
-
-
 #: Efficiencies at which the connection coefficients are checked.
 COEFFICIENT_ETAS = (1.0, 0.9, 0.5)
 
 
 def check_connection_coefficients() -> List[CheckResult]:
     """Symmetrized connection coefficients against the closed forms, at
-    each of ``COEFFICIENT_ETAS``."""
+    each of ``COEFFICIENT_ETAS``; a logical input carries the scheme's
+    default Bell label, the first of its ``LOGICAL_BELLS``."""
     results = []
     cases = [
         ("enc_dlcz", "single-rail", dlcz_connection_coefficients),
@@ -288,11 +283,12 @@ def check_connection_coefficients() -> List[CheckResult]:
     ]
     for kind, label, expected_fn in cases:
         scheme = KINDS[kind][0]
+        logical, default = logical_pattern(scheme), LOGICAL_BELLS[scheme][0]
         for eta in COEFFICIENT_ETAS:
             expected = expected_fn(eta)
             for (pat_a, pat_b), want in expected.items():
-                alpha = (pat_a, _bell_label(scheme, pat_a))
-                beta = (pat_b, _bell_label(scheme, pat_b))
+                alpha = (pat_a, default if pat_a is logical else None)
+                beta = (pat_b, default if pat_b is logical else None)
                 got = _sym(kind, alpha, beta, eta)[:-4]
                 dev = _row_difference(got, PatternState(scheme, want).masses)
                 results.append(

@@ -4,11 +4,12 @@ Every table value is a polynomial in eta whose coefficients are stored
 exactly, as integers k over a power of two 2**bits, in one file per
 table kind, ``coefficients/<kind>.bin``: a hash line, a JSON header and
 the integer columns as one block of 32-bit integers.  These tests
-compare the evaluated tables with oracle builds, pin every table's bits,
-pin each file to its hash and to a fresh regeneration, check that freeze
-refuses a coefficient that is no k / 2**bits or whose integer does not
-fit the stored width, that a build reads only its own kind's file, and
-that the files ship with the package.
+compare the evaluated tables with oracle builds, pin every table's bits
+and the oracle's at eta = 0.9, pin each file to its hash and to a fresh
+regeneration, check that freeze refuses a coefficient that is no
+k / 2**bits or whose integer does not fit the stored width, that a
+build reads only its own kind's file, and that the files ship with the
+package.
 """
 
 import hashlib
@@ -182,10 +183,35 @@ def test_the_step_matrix_lays_the_tensor_out_as_b_by_o_a(kind):
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_a_table_is_its_kind(kind):
     """Frozen and oracle tables alike name their kind, and their input
-    and output schemes are the kind's pair in ``KINDS``."""
+    and output schemes are the kind's pair in ``KINDS``; so is the
+    scheme of every entry the oracle builds."""
     for table in (kind_table(kind, 0.9), oracle_table(kind, 0.9)):
         assert table.kind == kind
         assert (table.scheme, table.output_scheme) == KINDS[kind]
+    output = KINDS[kind][1]
+    assert all(entry.scheme is output for entry in oracle_table(kind, 0.9).entries.values())
+
+
+# SHA-256 of every oracle table at eta = 0.9: each entry's row followed
+# by its residue, in entry order.
+ORACLE_DIGESTS = {
+    "enc_dlcz": "cef8f2f539a497daf97809f98b8e66b9a9275262dbaf90d59cdb2c8e3b85b511",
+    "pme": "56ce1a8f07db47b29db878577a6f599957daad6fd640d4e4d7d89ba4f67ba4ae",
+    "enc_level1": "072056d5e4457d6ace54a91cd7a28b3da11da16eaec53600bf62228e36635856",
+    "enc_higher": "9ea9e6401091041b48d1f57316cdc5f0dfda4e94b23b8d1ffe9b4cb373180461",
+    "enp_bit": "9ef8a29dc2c9448ffd8f8fb7f6a4b78ac11d5050636816a90ee346af8f519fbf",
+    "enp_phase": "d355956d8862a562eccc140a2aa9e4101fbcc4c502b525d14641c8a0d7af85a6",
+}
+
+
+@pytest.mark.parametrize("kind", list(ORACLE_DIGESTS))
+def test_every_oracle_value_is_pinned_to_the_bit(kind):
+    """An oracle bit that moves, a residue's included, changes its
+    table's digest; the comparison with the frozen tables, at 1e-12
+    relative, would let it pass."""
+    entries = oracle_table(kind, 0.9).entries.values()
+    values = np.concatenate([np.append(entry.row, entry.residue) for entry in entries])
+    assert hashlib.sha256(values.tobytes()).hexdigest() == ORACLE_DIGESTS[kind]
 
 
 def test_frozen_entries_carry_no_residue():

@@ -555,7 +555,7 @@ def test_canonical_state_projects_back_onto_its_label(scheme, pattern, bell):
     and the logical one as its Bell label alone, with nothing discarded."""
     left, right = _MEMORIES[scheme]
     rho = canonical_state(scheme, pattern, left, right, bell)
-    state, residue = project_from_fock(rho, scheme, {"left": left, "right": right})
+    state, residue = project_from_fock(rho, scheme, left, right)
     assert _nonzero(state) == {pattern: pytest.approx(1.0, abs=1e-15)}
     if bell is not None:
         want = np.zeros(4)
@@ -567,13 +567,44 @@ def test_canonical_state_projects_back_onto_its_label(scheme, pattern, bell):
 @pytest.mark.parametrize(
     "scheme, mode_map, message",
     [
-        (SchemeKind.DLCZ, {"left": "x"}, "must define 'left' and 'right'"),
-        (SchemeKind.DLCZ, {"left": ("x",), "right": "y"}, "single mode labels"),
-        (SchemeKind.NEW, {"left": "x", "right": "y"}, r"\(H, V\) mode pairs"),
-        (SchemeKind.DLCZ, {"left": "x", "right": "z"}, "does not match mode map"),
+        (SchemeKind.NEW, (("x", "y", "z"), ("u", "v")), r"\(H, V\) mode pairs"),
+        (SchemeKind.DLCZ, (("x",), "y"), "single mode labels"),
+        (SchemeKind.NEW, ("x", "y"), r"\(H, V\) mode pairs"),
+        (SchemeKind.DLCZ, ("x", "z"), "does not match the memory modes"),
     ],
 )
 def test_projection_checks_its_mode_map(scheme, mode_map, message):
+    """``mode_map`` is the (left, right) memory modes the projection
+    reads the state on."""
     rho = canonical_state(SchemeKind.DLCZ, ExcitationPattern.P11, "x", "y")
     with pytest.raises(ValueError, match=message):
-        project_from_fock(rho, scheme, mode_map)
+        project_from_fock(rho, scheme, *mode_map)
+
+
+@pytest.mark.parametrize(
+    "scheme, pattern, bell, message",
+    [
+        pytest.param(
+            SchemeKind.DLCZ, ExcitationPattern.OVERFLOW, None, "no canonical state",
+            id="overflow",
+        ),
+        pytest.param(
+            SchemeKind.NEW, ExcitationPattern.P11, None, "needs one of the Bell labels",
+            id="logical-without-bell",
+        ),
+        pytest.param(
+            SchemeKind.DLCZ, ExcitationPattern.P10, BellState.PHI_PLUS,
+            "needs one of the Bell labels", id="single-rail-phi-plus",
+        ),
+        pytest.param(
+            SchemeKind.DLCZ, ExcitationPattern.P00, BellState.PSI_MINUS,
+            "P00 is not the logical pattern", id="bell-on-non-logical",
+        ),
+    ],
+)
+def test_canonical_state_rejects_a_key_that_is_not_canonical(scheme, pattern, bell, message):
+    """Only the keys of ``canonical_keys`` have a canonical state: a Bell
+    label on any pattern but the logical one is an error, not ignored."""
+    left, right = _MEMORIES[scheme]
+    with pytest.raises(ValueError, match=message):
+        canonical_state(scheme, pattern, left, right, bell)

@@ -158,7 +158,7 @@ def test_tracer_counts_oracle_projections_and_restores_patches():
     circuits, patterns = pkg.circuits, pkg.patterns
     logical = (patterns.ExcitationPattern.P10, patterns.BellState.PSI_PLUS)
     error = (patterns.ExcitationPattern.P11, None)
-    branches, _, _ = circuits._entry_branches("enc_dlcz", logical, error, 0.9)
+    branches = circuits._entry_branches("enc_dlcz", logical, error, 0.9)
     accepted = sum(prob > 0.0 for _, prob in branches)
     assert accepted == 2  # one click at either detector
 
