@@ -82,6 +82,11 @@ _MAX_EXP_ARG = math.log(sys.float_info.max)
 # Value at which numpy saturates a geometric draw.
 _SATURATED_DRAW = np.iinfo(np.int64).max
 
+# Most sub-pair times one Monte-Carlo step may draw: each draw takes
+# about 40 bytes of arrays, so a step stays under 1 GB.  The largest
+# total of the tests, demos and benchmark cases is about 4.7e5 draws.
+MC_MAX_DRAWS = 2**24
+
 # Number of detection windows whose dark counts can fake a herald in one
 # connection or purification step (two accepted detectors per step).
 _DETECTIONS_PER_STEP = 2
@@ -438,10 +443,11 @@ class _McTimes:
     numpy saturates a geometric draw at the int64 maximum when the
     success probability is tiny.  A stage with such a draw, or whose
     attempt counts sum beyond the int64 maximum, gets infinite times,
-    which ``simulate_chain`` reports as that stage's overflow.  Totals
-    that fit in int64 but whose draws do not fit in memory would need
-    the exact waiting-time distribution of each stage, propagated
-    without drawing one sample per attempt.
+    which ``simulate_chain`` reports as that stage's overflow.  A stage
+    whose total is below that but above ``MC_MAX_DRAWS`` is refused
+    before it draws: its draws might not fit in memory.  Such chains
+    would need the exact waiting-time distribution of each stage,
+    propagated without drawing one sample per attempt.
     """
 
     def __init__(self, rng: np.random.Generator, n_samples: int) -> None:
@@ -467,8 +473,14 @@ class _McTimes:
             t = attempts * cycle
         return t.max(axis=0)
 
-    def combine(self, times: np.ndarray, success: float) -> np.ndarray:
-        """Times for one heralded step consuming two sub-pairs per attempt."""
+    def combine(
+        self, times: np.ndarray, success: float, level: int, stage: str
+    ) -> np.ndarray:
+        """Times for one heralded step consuming two sub-pairs per attempt.
+
+        Raises ``ValueError`` naming the step when its attempts would
+        draw more than ``MC_MAX_DRAWS`` sub-pair times.
+        """
         attempts = self.rng.geometric(min(success, 1.0), size=self.n)
         # a sum that overflows is inf, which ``simulate_chain`` reports
         with np.errstate(over="ignore"):
@@ -476,6 +488,11 @@ class _McTimes:
             if attempts.sum(dtype=float) >= _SATURATED_DRAW:
                 return np.full(self.n, math.inf)
             total = int(attempts.sum())
+            if total > MC_MAX_DRAWS:
+                raise ValueError(
+                    f"mc waiting times of {stage} at level {level} would draw"
+                    f" {total} sub-pair times, more than {MC_MAX_DRAWS}"
+                )
             a = self.rng.choice(times, size=total)
             b = self.rng.choice(times, size=total)
             pair = np.maximum(a, b)
@@ -521,8 +538,9 @@ def simulate_chain(
     makes it: the error the chain raises or None, and the final
     deterministic time, fidelity and logical fidelity.  The call raises
     the error, or returns a result that holds the three figures and no
-    stages, built in place without ``RunResult.__init__``; the other
-    arguments do not apply.
+    stages; the other arguments do not apply.  Both results are built in
+    place: ``RunResult.__init__`` sets each field of the frozen dataclass
+    through ``object.__setattr__``, a cost every call would pay.
     """
     if pairs is not None:
         verdict, t_avg, F, logical_F = pairs
@@ -539,12 +557,17 @@ def simulate_chain(
         raise ValueError("waiting must be 'deterministic' or 'mc'")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    if n_samples > MC_MAX_DRAWS:
+        # every step draws at least one sub-pair time per sample
+        raise ValueError(f"n_samples must be at most {MC_MAX_DRAWS}, got {n_samples}")
     check_seed(seed)
     mc = _McTimes(np.random.default_rng(seed), n_samples) if waiting == "mc" else None
     scheme = config.scheme
     noise = config.noise
     eta = noise.eta
     channel = _step_channel(noise)
+    if channel is not None:
+        channel = check_bell_channel(channel)
 
     if mc:
         times = mc.elementary(config)
@@ -570,10 +593,10 @@ def simulate_chain(
             raise _zero_success(level, stage)
         state = normalize(out)
         if channel is not None:
-            state = apply_bell_channel(state, channel)
+            state = apply_bell_channel(state, channel, checked=True)
         F = fidelity(state, target)
         if mc:
-            times = mc.combine(times, success)
+            times = mc.combine(times, success, level, stage)
             t = mc.mean(times)
         else:
             t = TWO_PAIR_OVERHEAD * t / success
@@ -585,7 +608,14 @@ def simulate_chain(
             raise _time_overflow(level, stage)
 
     logical_F = logical_fidelity(state, target)
-    return RunResult(config, *stages[-1][4:], logical_F, tuple(stages), tuple(states))
+    result = RunResult.__new__(RunResult)
+    values = result.__dict__
+    values["config"] = config
+    values["t_avg"], values["fidelity"] = stages[-1][4:]
+    values["final_logical_fidelity"] = logical_F
+    values["_stages"] = tuple(stages)
+    values["_states"] = tuple(states)
+    return result
 
 
 class _Stage(NamedTuple):

@@ -339,7 +339,7 @@ def fidelity(state: PatternState, target: BellState) -> float:
     """
     if not state.normalized:
         raise ValueError("fidelity requires a normalized state")
-    return state.row.tolist()[target.index - 4]
+    return state.row.item(target.index - 4)
 
 
 def logical_fidelity(state: PatternState, target: BellState) -> float:
@@ -370,13 +370,17 @@ def check_bell_channel(channel: np.ndarray) -> np.ndarray:
     return channel
 
 
-def apply_bell_channel(state: PatternState, channel: np.ndarray) -> PatternState:
+def apply_bell_channel(
+    state: PatternState, channel: np.ndarray, *, checked: bool = False
+) -> PatternState:
     """Apply a stochastic 4x4 matrix to the Bell masses.
 
     ``channel[i, j]`` is the probability that Bell state j becomes Bell
-    state i; columns must sum to 1.
+    state i; columns must sum to 1.  ``checked=True`` skips that check
+    for a channel that ``check_bell_channel`` returned.
     """
-    channel = check_bell_channel(channel)
+    if not checked:
+        channel = check_bell_channel(channel)
     row = state.row.copy()
     row[-4:] = channel @ row[-4:]
     return PatternState._from_row(state.scheme, row)

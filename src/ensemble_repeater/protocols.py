@@ -10,9 +10,13 @@ to the input decompositions, as two matrix products per step.
 ``eng_rows`` and ``apply_table_rows`` do the same for a batch of pairs,
 an ``(n, k)`` array of rows in the ``PatternState.row`` layout; ``eng``
 and the steps are their batches of one, so both share one formula.
-A batched step makes the same BLAS calls for each row as a batch of
-one does, so its rows equal the single steps to the bit, whatever the
-batch size.
+The steps run that batch of one on the 1-d rows, with none of the
+stacking a batch needs: ``np.dot`` of a vector and a matrix, where a
+batch stacks the same products with ``np.matmul``.  numpy sends both
+to the same BLAS matrix-vector call, so a batched step's rows equal
+the single steps to the bit, whatever the batch size; a tier-1 test
+pins this at batch sizes 0 to 3, around 256, and 302.  ``eng`` at one
+p_c takes the same IEEE products as a row of ``eng_rows``.
 
 Connection-type steps return their output as an unnormalized
 :class:`~.patterns.PatternState` whose total mass is the acceptance
@@ -115,6 +119,8 @@ def eng_rows(scheme: SchemeKind, p_c, noise: NoiseParams, L0: float) -> np.ndarr
     # Each entry is one product, mass or multi times its column's factor,
     # plus an exact zero from the other product.
     mass_factors, multi_factors = _eng_factors(scheme, q)
+    if not isinstance(p_c, np.ndarray):
+        return mass * mass_factors + multi * multi_factors
     return np.multiply.outer(mass, mass_factors) + np.multiply.outer(
         multi, multi_factors
     )
@@ -140,21 +146,23 @@ def _eng_factors(scheme: SchemeKind, q: float) -> tuple:
 
 
 def _component_masses(scheme: SchemeKind, rows: np.ndarray) -> np.ndarray:
-    """Canonical component masses of each row; non-positive ones count as 0.
+    """Canonical component masses of each row of an ``(n, k)`` array, or
+    of one 1-d row; non-positive ones count as 0.
 
     A single-rail row must carry no even-parity Bell weight: a row whose
     Phi+ or Phi- mass over its logical mass is positive is rejected.
     """
     if scheme is SchemeKind.DLCZ:
-        even = rows[:, -4:-2]
+        even = rows[..., -4:-2]
         # Only a row with even-parity Bell mass can fail; a valid chain has
         # none.  count_nonzero is the cheapest test for a row or two.
         if np.count_nonzero(even):
-            mass = rows[:, logical_column(scheme)]
+            even = even.reshape(-1, 2)
+            mass = rows[..., logical_column(scheme)].reshape(-1)
             weighted = mass != 0.0
             if (even[weighted] / mass[weighted, None] > 0.0).any():
                 raise ValueError("single-rail pairs carry only odd-parity Bell weight")
-    return np.maximum(rows.take(selected_columns(scheme), axis=1), 0.0)
+    return np.maximum(rows.take(selected_columns(scheme), axis=-1), 0.0)
 
 
 def apply_table_rows(
@@ -172,11 +180,12 @@ def apply_table_rows(
     Each row takes two products of its own, stacked by ``np.matmul``:
     its right masses times ``table.matrix``, read as ``(o, a)``, then
     that times its left masses.  Stacked, each is one BLAS
-    matrix-vector call per row, the call a batch of one makes, so a
-    row's bits do not depend on how many rows the batch holds.  One
-    matrix product over the whole batch is faster, but its rows differ
-    in the last bits with the batch size, and a sweep's rows would then
-    differ from the same chains run one at a time.
+    matrix-vector call per row, the call ``_apply_table``'s ``np.dot``
+    makes on one row, so a row's bits do not depend on how many rows
+    the batch holds.  One matrix product over the whole batch is
+    faster, but its rows differ in the last bits with the batch size,
+    and a sweep's rows would then differ from the same chains run one
+    at a time.
     """
     x_left = _component_masses(table.scheme, left)
     x_right = x_left if right is left else _component_masses(table.scheme, right)
@@ -192,13 +201,23 @@ def _apply_table(
     right: PatternState,
 ) -> PatternState:
     """Unnormalized output of one table step; its total is the success
-    probability.  The batch of one of ``apply_table_rows``."""
+    probability.
+
+    The batch of one of ``apply_table_rows``, run on the 1-d rows: the
+    right masses times ``table.matrix``, read as ``(o, a)``, then that
+    times the left masses, as two ``np.dot`` calls.  numpy sends each to
+    the BLAS matrix-vector call that the stacked ``np.matmul`` of
+    ``apply_table_rows`` makes for each row, so the output equals that
+    row to the bit without the stacking's per-call cost;
+    ``test_batch_size_leaves_each_rows_step_unchanged`` pins this.
+    """
     if left.scheme is not table.scheme or right.scheme is not table.scheme:
         raise ValueError("input scheme does not match table scheme")
-    x_left = left.row[None]
-    x_right = x_left if right is left else right.row[None]
-    row = apply_table_rows(table, x_left, x_right)[0]
-    return PatternState._from_row(table.output_scheme, row)
+    x_left = _component_masses(table.scheme, left.row)
+    x_right = x_left if right is left else _component_masses(table.scheme, right.row)
+    o, a, _ = table.tensor.shape
+    partial = np.dot(x_right, table.matrix).reshape(o, a)
+    return PatternState._from_row(table.output_scheme, np.dot(partial, x_left))
 
 
 def step_table(

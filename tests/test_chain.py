@@ -763,8 +763,8 @@ def test_mc_waiting_reports_saturated_draws_as_overflow():
     with pytest.raises(OverflowError, match=r"^the average time of eng at level 0 overflows$"):
         simulate_chain(config, waiting="mc")
     mc = _McTimes(np.random.default_rng(0), 8)
-    assert np.isinf(mc.combine(np.ones(8), 1e-300)).all()
-    assert np.isfinite(mc.combine(np.ones(8), 0.5)).all()
+    assert np.isinf(mc.combine(np.ones(8), 1e-300, 1, "enc")).all()
+    assert np.isfinite(mc.combine(np.ones(8), 0.5, 1, "enc")).all()
 
 
 def test_mc_attempt_totals_past_int64_are_overflow():
@@ -773,8 +773,24 @@ def test_mc_attempt_totals_past_int64_are_overflow():
     infinite, as for a saturated draw, and the chain reports them."""
     n = 16384
     assert np.random.default_rng(0).geometric(1e-15, size=n).sum() < 0
-    times = _McTimes(np.random.default_rng(0), n).combine(np.ones(n), 1e-15)
+    times = _McTimes(np.random.default_rng(0), n).combine(np.ones(n), 1e-15, 1, "enc")
     assert times.shape == (n,) and np.isinf(times).all()
+
+
+def test_mc_refuses_a_step_past_the_draw_bound(monkeypatch):
+    """A step whose attempts would draw more sub-pair times than
+    ``MC_MAX_DRAWS`` raises before it draws, naming the step and the
+    count; so do more samples than that, which every step draws."""
+    config = _config()
+    monkeypatch.setattr(chain_module, "MC_MAX_DRAWS", 64)
+    with pytest.raises(
+        ValueError,
+        match=r"^mc waiting times of enc at level 1 would draw \d+ sub-pair"
+        r" times, more than 64$",
+    ):
+        simulate_chain(config, waiting="mc", n_samples=64)
+    with pytest.raises(ValueError, match=r"^n_samples must be at most 64, got 65$"):
+        simulate_chain(config, waiting="mc", n_samples=65)
 
 
 def test_mc_waiting_needs_at_least_one_sample():

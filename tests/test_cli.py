@@ -299,6 +299,13 @@ def test_mc_seed_changes_simulated_times(tmp_path):
             [], "simulate", "the average time of eng at level 0 overflows",
             id="saturated-mc-attempts",
         ),
+        # The first connection's attempts would draw about 1.5e11 sub-pair
+        # times, some 6 TB of arrays.
+        pytest.param(
+            "[chain]\nwaiting = mc\nn_samples = 3\n[noise]\neta = 1e-5\n", [],
+            "simulate", "mc waiting times of enc at level 1 would draw",
+            id="mc-draws-past-the-bound",
+        ),
     ],
 )
 def test_bad_configuration_exits_3(tmp_path, capsys, body, argv, command, message):

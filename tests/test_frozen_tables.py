@@ -33,6 +33,7 @@ from ensemble_repeater.circuits import oracle_table
 from ensemble_repeater.patterns import (
     BellState,
     ExcitationPattern,
+    PatternState,
     SchemeKind,
     logical_column,
     row_totals,
@@ -115,18 +116,36 @@ def test_an_entry_is_one_read_only_row(kind):
                 nonzero = [(p, w) for p, w in zip(scheme_patterns(scheme), slots) if w]
                 assert entry.masses == tuple(nonzero)
                 assert entry.bell == tuple(row[-4:])
-                assert entry.total == row_totals(scheme, row[None])[0]
+                assert entry.total == _left_to_right_total(row)
                 assert np.array_equal(table.tensor[:, a, b][others], row[others])
 
 
+def _left_to_right_total(row):
+    """The row's pattern masses added one at a time, left to right."""
+    total = 0.0
+    for mass in row.tolist()[:-4]:
+        total += mass
+    return total
+
+
 def test_an_entry_total_adds_its_masses_left_to_right():
-    """For every entry of all six tables, ``total`` is the row's total as
-    ``row_totals`` adds it, bit for bit.  1 + 2**-53 rounds to 1 twice
-    over; a compensated sum, which ``sum`` is from Python 3.12 on, gives
-    1 + 2**-52 instead."""
+    """For every entry of all six tables, and for the states and
+    ``row_totals`` of random rows, the total is the masses added left to
+    right, bit for bit.  1 + 2**-53 rounds to 1 twice over; a compensated
+    sum, which ``sum`` is from Python 3.12 on, gives 1 + 2**-52
+    instead."""
     for kind in KINDS:
         for entry in kind_table(kind, 0.9).entries.values():
-            assert entry.total == row_totals(entry.scheme, entry.row[None])[0], kind
+            assert entry.total == _left_to_right_total(entry.row), kind
+    rng = np.random.default_rng(53)
+    for scheme in SchemeKind:
+        rows = rng.random((200, len(scheme_patterns(scheme)) + 4))
+        rows[:, logical_column(scheme)] = rows[:, -4:].sum(axis=1)
+        totals = row_totals(scheme, rows)
+        for row, total in zip(rows, totals.tolist()):
+            want = _left_to_right_total(row)
+            assert total == want
+            assert PatternState._from_row(scheme, row).total == want
     row = np.zeros(len(scheme_patterns(SchemeKind.NEW)) + 4)
     row[:3] = 1.0, 2.0**-53, 2.0**-53
     assert tables.TableEntry(SchemeKind.NEW, row).total == 1.0

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ensemble_repeater.chain import pc_grid
 from ensemble_repeater.circuits import oracle_table
 from ensemble_repeater.noise import (
     NoiseParams,
@@ -40,6 +41,7 @@ from ensemble_repeater.protocols import (
     apply_table_rows,
     enc,
     eng,
+    eng_rows,
     enp,
     postselect_pme,
     predicted_logical_error,
@@ -447,14 +449,16 @@ def test_the_step_contracts_the_left_input_over_a_and_the_right_over_b(kind):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("n", [0, 302])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 255, 256, 257, 302])
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_batch_size_leaves_each_rows_step_unchanged(kind, n):
-    """At no rows and at the 302 rows of the p_c grid, where one BLAS
-    product over the whole batch would block its sums differently from
-    a single row's, row i of a batched step is the step on the states of
-    row i, to the bit: for one pair per row and for each row with
-    itself."""
+    """At batch sizes from none to the 302 rows of the p_c grid, where
+    one BLAS product over the whole batch would block its sums
+    differently from a single row's, row i of a batched step is the
+    step on the states of row i, to the bit: for one pair per row and
+    for each row with itself.  The single step runs on the 1-d rows
+    with ``np.dot``, the batch stacks its rows with ``np.matmul``, and
+    both must reach the same BLAS matrix-vector call."""
     table = kind_table(kind, ETA)
     rng = np.random.default_rng(302)
     left_rows, right_rows = (_random_rows(rng, table.scheme, n) for _ in range(2))
@@ -659,6 +663,18 @@ def test_generation_row_equals_the_mapping_built_state(scheme, p_c, L0, D):
     state = eng(scheme, p_c, NoiseParams(eta=ETA, D=D), L0)
     assert state == PatternState(scheme, probs, (0.0, 0.0, 1.0 - q, q))
     assert not state.row.flags.writeable
+
+
+@pytest.mark.parametrize("D", [0.0, 1e-4])
+@pytest.mark.parametrize("scheme", [NEW, DLCZ], ids=["two-cell", "single-rail"])
+def test_generation_at_one_p_c_is_its_grid_row(scheme, D):
+    """``eng`` at a float p_c takes its own products, which must be the
+    grid's row of ``eng_rows`` to the bit at every p_c of the grid."""
+    noise = NoiseParams(eta=ETA, D=D)
+    grid = pc_grid()
+    rows = eng_rows(scheme, grid, noise, 40.0)
+    for p_c, row in zip(grid.tolist(), rows):
+        assert eng(scheme, p_c, noise, 40.0).row.tobytes() == row.tobytes(), p_c
 
 
 def test_generation_phase_noise_mixes_the_sign():
