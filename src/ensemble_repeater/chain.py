@@ -538,9 +538,8 @@ def simulate_chain(
     makes it: the error the chain raises or None, and the final
     deterministic time, fidelity and logical fidelity.  The call raises
     the error, or returns a result that holds the three figures and no
-    stages; the other arguments do not apply.  Both results are built in
-    place: ``RunResult.__init__`` sets each field of the frozen dataclass
-    through ``object.__setattr__``, a cost every call would pay.
+    stages, built in place without ``RunResult.__init__``; the other
+    arguments do not apply.
     """
     if pairs is not None:
         verdict, t_avg, F, logical_F = pairs
@@ -557,8 +556,8 @@ def simulate_chain(
         raise ValueError("waiting must be 'deterministic' or 'mc'")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    if n_samples > MC_MAX_DRAWS:
-        # every step draws at least one sub-pair time per sample
+    if waiting == "mc" and n_samples > MC_MAX_DRAWS:
+        # every mc step draws at least one sub-pair time per sample
         raise ValueError(f"n_samples must be at most {MC_MAX_DRAWS}, got {n_samples}")
     check_seed(seed)
     mc = _McTimes(np.random.default_rng(seed), n_samples) if waiting == "mc" else None
@@ -566,8 +565,6 @@ def simulate_chain(
     noise = config.noise
     eta = noise.eta
     channel = _step_channel(noise)
-    if channel is not None:
-        channel = check_bell_channel(channel)
 
     if mc:
         times = mc.elementary(config)
@@ -593,7 +590,7 @@ def simulate_chain(
             raise _zero_success(level, stage)
         state = normalize(out)
         if channel is not None:
-            state = apply_bell_channel(state, channel, checked=True)
+            state = apply_bell_channel(state, channel)
         F = fidelity(state, target)
         if mc:
             times = mc.combine(times, success, level, stage)
@@ -608,14 +605,7 @@ def simulate_chain(
             raise _time_overflow(level, stage)
 
     logical_F = logical_fidelity(state, target)
-    result = RunResult.__new__(RunResult)
-    values = result.__dict__
-    values["config"] = config
-    values["t_avg"], values["fidelity"] = stages[-1][4:]
-    values["final_logical_fidelity"] = logical_F
-    values["_stages"] = tuple(stages)
-    values["_states"] = tuple(states)
-    return result
+    return RunResult(config, *stages[-1][4:], logical_F, tuple(stages), tuple(states))
 
 
 class _Stage(NamedTuple):

@@ -370,17 +370,13 @@ def check_bell_channel(channel: np.ndarray) -> np.ndarray:
     return channel
 
 
-def apply_bell_channel(
-    state: PatternState, channel: np.ndarray, *, checked: bool = False
-) -> PatternState:
+def apply_bell_channel(state: PatternState, channel: np.ndarray) -> PatternState:
     """Apply a stochastic 4x4 matrix to the Bell masses.
 
     ``channel[i, j]`` is the probability that Bell state j becomes Bell
-    state i; columns must sum to 1.  ``checked=True`` skips that check
-    for a channel that ``check_bell_channel`` returned.
+    state i; columns must sum to 1.
     """
-    if not checked:
-        channel = check_bell_channel(channel)
+    channel = check_bell_channel(channel)
     row = state.row.copy()
     row[-4:] = channel @ row[-4:]
     return PatternState._from_row(state.scheme, row)

@@ -8,15 +8,15 @@ multi-excitation admixture; connection, purification and the final
 mapping apply the exact Fock-level tables of :mod:`.tables` bilinearly
 to the input decompositions, as two matrix products per step.
 ``eng_rows`` and ``apply_table_rows`` do the same for a batch of pairs,
-an ``(n, k)`` array of rows in the ``PatternState.row`` layout; ``eng``
-and the steps are their batches of one, so both share one formula.
-The steps run that batch of one on the 1-d rows, with none of the
-stacking a batch needs: ``np.dot`` of a vector and a matrix, where a
-batch stacks the same products with ``np.matmul``.  numpy sends both
-to the same BLAS matrix-vector call, so a batched step's rows equal
-the single steps to the bit, whatever the batch size; a tier-1 test
-pins this at batch sizes 0 to 3, around 256, and 302.  ``eng`` at one
-p_c takes the same IEEE products as a row of ``eng_rows``.
+an ``(n, k)`` array of rows in the ``PatternState.row`` layout.
+``eng`` is the batch of one of ``eng_rows``, taking the same IEEE
+products at one p_c.  The steps re-implement the batch's formula on
+the 1-d rows, both written in ``_table_products``: two ``np.dot``
+calls of a vector and a matrix, where a batch stacks the same products
+with ``np.matmul``.  The two agree to the bit only because numpy sends
+both to the same BLAS matrix-vector call;
+``test_batch_size_leaves_each_rows_step_unchanged`` pins it at batch
+sizes 0 to 3, around 256, and 302.
 
 Connection-type steps return their output as an unnormalized
 :class:`~.patterns.PatternState` whose total mass is the acceptance
@@ -177,20 +177,36 @@ def apply_table_rows(
     left row i and right row i, and its pattern total is that step's
     success probability.
 
-    Each row takes two products of its own, stacked by ``np.matmul``:
-    its right masses times ``table.matrix``, read as ``(o, a)``, then
-    that times its left masses.  Stacked, each is one BLAS
-    matrix-vector call per row, the call ``_apply_table``'s ``np.dot``
-    makes on one row, so a row's bits do not depend on how many rows
-    the batch holds.  One matrix product over the whole batch is
-    faster, but its rows differ in the last bits with the batch size,
-    and a sweep's rows would then differ from the same chains run one
-    at a time.
+    Each row takes the two products of ``_table_products``, stacked by
+    ``np.matmul``, so a row's bits do not depend on how many rows the
+    batch holds.  One matrix product over the whole batch is faster,
+    but its rows differ in the last bits with the batch size, and a
+    sweep's rows would then differ from the same chains run one at a
+    time.
     """
     x_left = _component_masses(table.scheme, left)
     x_right = x_left if right is left else _component_masses(table.scheme, right)
-    n = len(x_left)
+    return _table_products(table, x_left, x_right)
+
+
+def _table_products(
+    table: ConnectionTable, x_left: np.ndarray, x_right: np.ndarray
+) -> np.ndarray:
+    """The step's two products on component masses: the right masses
+    times ``table.matrix``, read as ``(o, a)``, then that times the left
+    masses.
+
+    One 1-d row takes two ``np.dot`` calls; an ``(n, b)`` batch stacks
+    the same products with ``np.matmul``, whose stacking would cost a
+    single row several microseconds.  numpy sends both to one BLAS
+    matrix-vector call per row, so a row's output is the same bits
+    either way.
+    """
     o, a, _ = table.tensor.shape
+    if x_left.ndim == 1:
+        partial = np.dot(x_right, table.matrix).reshape(o, a)
+        return np.dot(partial, x_left)
+    n = len(x_left)
     partial = np.matmul(x_right[:, None, :], table.matrix).reshape(n, o, a)
     return np.matmul(partial, x_left[:, :, None]).reshape(n, o)
 
@@ -203,21 +219,19 @@ def _apply_table(
     """Unnormalized output of one table step; its total is the success
     probability.
 
-    The batch of one of ``apply_table_rows``, run on the 1-d rows: the
-    right masses times ``table.matrix``, read as ``(o, a)``, then that
-    times the left masses, as two ``np.dot`` calls.  numpy sends each to
-    the BLAS matrix-vector call that the stacked ``np.matmul`` of
-    ``apply_table_rows`` makes for each row, so the output equals that
-    row to the bit without the stacking's per-call cost;
+    ``apply_table_rows`` on the 1-d rows, without the stacking's
+    per-call cost: ``_table_products`` runs one row as two ``np.dot``
+    calls, which equal the stacked row to the bit because numpy sends
+    both to the same BLAS matrix-vector call;
     ``test_batch_size_leaves_each_rows_step_unchanged`` pins this.
     """
     if left.scheme is not table.scheme or right.scheme is not table.scheme:
         raise ValueError("input scheme does not match table scheme")
     x_left = _component_masses(table.scheme, left.row)
     x_right = x_left if right is left else _component_masses(table.scheme, right.row)
-    o, a, _ = table.tensor.shape
-    partial = np.dot(x_right, table.matrix).reshape(o, a)
-    return PatternState._from_row(table.output_scheme, np.dot(partial, x_left))
+    return PatternState._from_row(
+        table.output_scheme, _table_products(table, x_left, x_right)
+    )
 
 
 def step_table(

@@ -780,7 +780,8 @@ def test_mc_attempt_totals_past_int64_are_overflow():
 def test_mc_refuses_a_step_past_the_draw_bound(monkeypatch):
     """A step whose attempts would draw more sub-pair times than
     ``MC_MAX_DRAWS`` raises before it draws, naming the step and the
-    count; so do more samples than that, which every step draws."""
+    count; so do more samples than that, which every step draws.  A
+    deterministic chain draws nothing and takes any sample count."""
     config = _config()
     monkeypatch.setattr(chain_module, "MC_MAX_DRAWS", 64)
     with pytest.raises(
@@ -791,6 +792,7 @@ def test_mc_refuses_a_step_past_the_draw_bound(monkeypatch):
         simulate_chain(config, waiting="mc", n_samples=64)
     with pytest.raises(ValueError, match=r"^n_samples must be at most 64, got 65$"):
         simulate_chain(config, waiting="mc", n_samples=65)
+    assert simulate_chain(config, n_samples=65).t_avg == simulate_chain(config).t_avg
 
 
 def test_mc_waiting_needs_at_least_one_sample():
