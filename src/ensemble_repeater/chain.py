@@ -42,7 +42,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -500,12 +500,17 @@ class _McTimes:
             return np.add.reduceat(pair, starts)
 
 
+@lru_cache(maxsize=64)
 def _plan(
     scheme: SchemeKind, levels: int, schedule: Tuple[Tuple[int, EnpKind], ...]
-) -> list:
+) -> Tuple[Tuple[str, int, Optional[EnpKind]], ...]:
     """(stage, level, kind) of every step after generation: a connection
     per level, each followed by the purification rounds scheduled after
-    it, and the single-rail final mapping."""
+    it, and the single-rail final mapping.
+
+    Cached per (scheme, levels, schedule), as ``_eng_factors`` is, so a
+    chain and each spacing of a sweep look their plan up; it is a tuple,
+    so no caller can change a cached plan for the chains after it."""
     plan: list[Tuple[str, int, Optional[EnpKind]]] = []
     for level in range(1, levels + 1):
         plan.append(("enc", level, None))
@@ -514,7 +519,7 @@ def _plan(
                 plan.append(("enp", level, kind))
     if scheme is SchemeKind.DLCZ:
         plan.append(("pme", levels + 1, None))
-    return plan
+    return tuple(plan)
 
 
 def simulate_chain(
@@ -984,6 +989,7 @@ def tf_curve(
         on_front = [c for j, c in mine if j in frontier]
         pick = min(on_front or [c for _, c in mine], key=lambda c: (c[0], c[3]))
         points.append((pick[0], pick[1], p_c, pick[3]))
+    points.sort(key=lambda point: point[2])  # stable: equal p_c keep sweep order
     return points
 
 

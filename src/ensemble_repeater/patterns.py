@@ -255,8 +255,8 @@ class PatternState:
 
     @classmethod
     def _from_row(cls, scheme: SchemeKind, row: np.ndarray) -> "PatternState":
-        """State owning ``row``, a fresh array; ``eng`` and every step
-        build their output here."""
+        """State owning ``row``, a fresh array; ``eng`` and
+        ``apply_bell_channel`` build their output here."""
         state = cls.__new__(cls)
         state._set_row(scheme, row)
         return state
@@ -267,14 +267,19 @@ class PatternState:
         A row with no entry below 0 passes every check, so only a row
         with one pays for the array call.  ``min`` skips a NaN after the
         first entry and returns NaN for a NaN first entry, so it is below
-        0 or NaN whenever some entry is below 0.  The masses are added
-        left to right, as ``row_totals`` adds its columns; ``sum``
-        compensates float sums from Python 3.12 on.
+        0 or NaN whenever some entry is below 0.  ``setflags`` freezes the
+        row, a method call that costs less than setting
+        ``row.flags.writeable``.  The masses are added left to right, as
+        ``row_totals`` adds its columns; ``sum`` compensates float sums
+        from Python 3.12 on.
+
+        The steps and ``normalize`` build their state with
+        ``object.__new__`` and this method, without ``_from_row``.
         """
         values = row.tolist()
         if not min(values) >= 0.0:
             check_rows(scheme, row[None], _ONE_LIVE)
-        row.flags.writeable = False
+        row.setflags(write=False)
         total = 0.0
         for mass in values[:-4]:
             total += mass
@@ -344,15 +349,26 @@ def fidelity(state: PatternState, target: BellState) -> float:
 
 def logical_fidelity(state: PatternState, target: BellState) -> float:
     """Fidelity conditioned on the logical pattern (post-selected): the
-    target's weight in ``state.logical``."""
-    return float(state.logical[target.index])
+    target's weight in ``state.logical``.
+
+    It divides the target's Bell mass by the logical mass as two Python
+    floats, the one IEEE division ``state.logical`` takes for that
+    weight, and reads the scheme's default weight when the mass is zero.
+    """
+    layout = _layout(state.scheme)
+    mass = state.row.item(layout.logical)
+    if mass == 0.0:
+        return layout.default_logical.item(target.index)
+    return state.row.item(target.index - 4) / mass
 
 
 def normalize(state: PatternState) -> PatternState:
     total = state.total
     if total <= 0.0:
         raise ValueError("cannot normalize a zero-trace pattern state")
-    return PatternState._from_row(state.scheme, state.row / total)
+    normalized = object.__new__(PatternState)
+    normalized._set_row(state.scheme, state.row / total)
+    return normalized
 
 
 def check_bell_channel(channel: np.ndarray) -> np.ndarray:

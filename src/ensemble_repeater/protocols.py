@@ -100,8 +100,8 @@ def eng_rows(scheme: SchemeKind, p_c, noise: NoiseParams, L0: float) -> np.ndarr
     Psi+, Psi-), the logical mass times (0, 0, 1 - q, q).  A float and
     an array entry give the same row to the bit.
     """
-    values = p_c.tolist() if isinstance(p_c, np.ndarray) else (p_c,)
-    if not all(0.0 < p < 1.0 for p in values):
+    batch = isinstance(p_c, np.ndarray)
+    if not (all(0.0 < p < 1.0 for p in p_c.tolist()) if batch else 0.0 < p_c < 1.0):
         raise ValueError("p_c must lie in (0, 1)")
     if L0 <= 0.0:
         raise ValueError("L0 must be positive")
@@ -119,7 +119,7 @@ def eng_rows(scheme: SchemeKind, p_c, noise: NoiseParams, L0: float) -> np.ndarr
     # Each entry is one product, mass or multi times its column's factor,
     # plus an exact zero from the other product.
     mass_factors, multi_factors = _eng_factors(scheme, q)
-    if not isinstance(p_c, np.ndarray):
+    if not batch:
         return mass * mass_factors + multi * multi_factors
     return np.multiply.outer(mass, mass_factors) + np.multiply.outer(
         multi, multi_factors
@@ -151,18 +151,29 @@ def _component_masses(scheme: SchemeKind, rows: np.ndarray) -> np.ndarray:
 
     A single-rail row must carry no even-parity Bell weight: a row whose
     Phi+ or Phi- mass over its logical mass is positive is rejected.
+    Only a row with even-parity Bell mass can fail, and a valid chain has
+    none, so the rule runs only where some is nonzero: for one 1-d row,
+    as its two scalars ``row.item(-4)`` and ``row.item(-3)`` tell, and
+    for a batch, as ``np.count_nonzero`` of the two columns tells.  A 1-d
+    row takes its columns with ``take`` along its one axis.
     """
-    if scheme is SchemeKind.DLCZ:
-        even = rows[..., -4:-2]
-        # Only a row with even-parity Bell mass can fail; a valid chain has
-        # none.  count_nonzero is the cheapest test for a row or two.
-        if np.count_nonzero(even):
-            even = even.reshape(-1, 2)
-            mass = rows[..., logical_column(scheme)].reshape(-1)
-            weighted = mass != 0.0
-            if (even[weighted] / mass[weighted, None] > 0.0).any():
-                raise ValueError("single-rail pairs carry only odd-parity Bell weight")
-    return np.maximum(rows.take(selected_columns(scheme), axis=-1), 0.0)
+    columns = selected_columns(scheme)
+    if rows.ndim == 1:
+        if scheme is SchemeKind.DLCZ and (rows.item(-4) or rows.item(-3)):
+            _check_odd_parity(scheme, rows[None])
+        return np.maximum(rows.take(columns), 0.0)
+    if scheme is SchemeKind.DLCZ and np.count_nonzero(rows[:, -4:-2]):
+        _check_odd_parity(scheme, rows)
+    return np.maximum(rows.take(columns, axis=-1), 0.0)
+
+
+def _check_odd_parity(scheme: SchemeKind, rows: np.ndarray) -> None:
+    """Reject the ``(n, k)`` single-rail rows whose Phi+ or Phi- mass over
+    their logical mass is positive."""
+    mass = rows[:, logical_column(scheme)]
+    weighted = mass != 0.0
+    if (rows[weighted, -4:-2] / mass[weighted, None] > 0.0).any():
+        raise ValueError("single-rail pairs carry only odd-parity Bell weight")
 
 
 def apply_table_rows(
@@ -223,15 +234,18 @@ def _apply_table(
     per-call cost: ``_table_products`` runs one row as two ``np.dot``
     calls, which equal the stacked row to the bit because numpy sends
     both to the same BLAS matrix-vector call;
-    ``test_batch_size_leaves_each_rows_step_unchanged`` pins this.
+    ``test_batch_size_leaves_each_rows_step_unchanged`` pins this.  The
+    output state is built directly, with ``object.__new__`` and
+    ``PatternState._set_row``.
     """
-    if left.scheme is not table.scheme or right.scheme is not table.scheme:
+    scheme = table.scheme
+    if left.scheme is not scheme or right.scheme is not scheme:
         raise ValueError("input scheme does not match table scheme")
-    x_left = _component_masses(table.scheme, left.row)
-    x_right = x_left if right is left else _component_masses(table.scheme, right.row)
-    return PatternState._from_row(
-        table.output_scheme, _table_products(table, x_left, x_right)
-    )
+    x_left = _component_masses(scheme, left.row)
+    x_right = x_left if right is left else _component_masses(scheme, right.row)
+    state = object.__new__(PatternState)
+    state._set_row(table.output_scheme, _table_products(table, x_left, x_right))
+    return state
 
 
 def step_table(

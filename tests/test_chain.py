@@ -972,6 +972,28 @@ def test_tf_curve_is_a_trade_off():
     assert points[0][0] > points[-1][0]
 
 
+def test_tf_curve_sorts_an_unsorted_sweep_by_p_c():
+    noise = NoiseParams(eta=0.9)
+    points = tf_curve(NEW, 640.0, noise=noise, p_c_sweep=[0.01, 0.001, 0.005])
+    assert [p_c for _, _, p_c, _ in points] == [0.001, 0.005, 0.01]
+    assert points == tf_curve(NEW, 640.0, noise=noise, p_c_sweep=[0.001, 0.005, 0.01])
+
+
+def test_a_plan_is_one_cached_tuple():
+    """Every chain of a (scheme, levels, schedule) reads one cached plan,
+    so the plan must be immutable."""
+    schedule = ((2, EnpKind.PHASE),)
+    plan = chain_module._plan(NEW, 3, schedule)
+    assert type(plan) is tuple
+    assert plan == (
+        ("enc", 1, None), ("enc", 2, None), ("enp", 2, EnpKind.PHASE), ("enc", 3, None),
+    )
+    assert chain_module._plan(NEW, 3, schedule) is plan
+    assert chain_module._plan(DLCZ, 2, ()) == (
+        ("enc", 1, None), ("enc", 2, None), ("pme", 3, None),
+    )
+
+
 def test_fit_tf_slope_recovers_synthetic_exponent():
     infid = np.logspace(-2, -1, 12)
     points = [(float(0.5 * e**-1.07), float(1.0 - e), 0.0, 40.0) for e in infid]

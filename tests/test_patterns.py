@@ -331,6 +331,7 @@ def test_batch_figures_equal_each_states_to_the_bit(batch, target):
     assert row_totals(scheme, rows).tolist() == [state.total for state in states]
     weights = logical_fidelity_rows(scheme, rows, target).tolist()
     assert weights == [logical_fidelity(state, target) for state in states]
+    assert weights == [float(state.logical[target.index]) for state in states]
     normalized = np.array([normalize(s).row for s in states if s.total > 0.0])
     if len(normalized):
         live = np.ones(len(normalized), dtype=bool)

@@ -598,6 +598,11 @@ def test_step_checks_keep_their_messages():
         ValueError, match="^single-rail pairs carry only odd-parity Bell weight$"
     ):
         enc(DLCZ, even, dlcz_pair, ETA)
+    even_right = PatternState(DLCZ, {P.P10: 1.0}, (1.0, 0.0, 0.0, 0.0))
+    with pytest.raises(
+        ValueError, match="^single-rail pairs carry only odd-parity Bell weight$"
+    ):
+        enc(DLCZ, dlcz_pair, even_right, ETA)
     table = enc_table(NEW, ETA)
     broken = ConnectionTable(table.kind, table.eta, table.entries)
     tensor = table.tensor.copy()
@@ -607,6 +612,23 @@ def test_step_checks_keep_their_messages():
     message = r"^negative pattern probability: ExcitationPattern\.P00 = -"
     with pytest.raises(ValueError, match=message):
         _apply_table(broken, pair, pair)
+
+
+def test_single_rail_step_accepts_even_parity_mass_without_logical_mass():
+    """The parity rule weighs Bell mass by the logical mass, so a row
+    whose logical mass is zero passes whatever its Phi+ and Phi- mass,
+    on either side; the step does not read that mass."""
+    plain = np.zeros(len(scheme_patterns(DLCZ)) + 4)
+    plain[[0, 2]] = 0.5  # P00 and P11
+    even = plain.copy()
+    even[-4:-2] = 0.25, 0.5
+    pair = PatternState(DLCZ, {P.P10: 1.0}, PSI_PLUS)
+    want = enc(DLCZ, PatternState._from_row(DLCZ, plain.copy()), pair, ETA)
+    assert want.total > 0.0
+    got = enc(DLCZ, PatternState._from_row(DLCZ, even.copy()), pair, ETA)
+    assert got == want
+    got = enc(DLCZ, pair, PatternState._from_row(DLCZ, even.copy()), ETA)
+    assert got == enc(DLCZ, pair, PatternState._from_row(DLCZ, plain), ETA)
 
 
 def test_step_rejects_negative_bell_weight():
