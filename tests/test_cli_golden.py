@@ -14,6 +14,7 @@ Re-record the goldens, only when an output is meant to change, with::
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -29,33 +30,31 @@ ATOL = 1e-15
 _MC = "[chain]\nwaiting = mc\n"
 _NOISY = "[noise]\nD = 1e-4\np_misalign = 0.02\n"
 
-#: Case name -> (configuration body or None, command line, exit code).
-#: Every case exits 0 today; the code is kept so that a case may pin
-#: an infeasible target.
+#: Case name -> (configuration body or None, command line).
 CASES = {
     **{
-        f"{command}-{scheme}": (None, ("--scheme", scheme, command), EXIT_OK)
+        f"{command}-{scheme}": (None, ("--scheme", scheme, command))
         for command in ("simulate", "optimize", "table", "curve", "scaling")
         for scheme in ("dlcz", "new")
     },
     **{
-        f"simulate-mc-{scheme}": (_MC, ("--scheme", scheme, "simulate"), EXIT_OK)
+        f"simulate-mc-{scheme}": (_MC, ("--scheme", scheme, "simulate"))
         for scheme in ("dlcz", "new")
     },
-    "simulate-noisy-new": (_NOISY, ("--scheme", "new", "simulate"), EXIT_OK),
+    "simulate-noisy-new": (_NOISY, ("--scheme", "new", "simulate")),
 }
 
 
 def run_case(case: str, work: Path) -> dict:
     """Run one case in ``work``; the text of its JSON outputs by file name."""
-    body, argv, code = CASES[case]
+    body, argv = CASES[case]
     config = ()
     if body is not None:
         path = work / "run.ini"
         path.write_text(body)
         config = ("--config", str(path))
     out = work / "out"
-    assert main([*config, "--out", str(out), *argv]) == code
+    assert main([*config, "--out", str(out), *argv]) == EXIT_OK
     return {
         path.name: path.read_text()
         for path in sorted(out.glob("*.json"))
@@ -115,8 +114,6 @@ def test_the_comparison_has_the_stated_bound():
 
 def record(cases) -> None:
     """Write each case's JSON outputs under ``GOLDEN_DIR``."""
-    import tempfile
-
     for case in cases:
         with tempfile.TemporaryDirectory() as work:
             files = run_case(case, Path(work))
