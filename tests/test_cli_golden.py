@@ -1,11 +1,12 @@
 """CLI outputs against golden files recorded from an earlier commit.
 
 Each case runs one command through ``main`` and compares every JSON file
-it writes, except the run-specific ``manifest.json``, with
-``tests/golden/cli/<case>/``: keys and strings exactly, numbers within
-1e-12 relative with a 1e-15 absolute floor.  A change that keeps every
-output bit for bit passes trivially; one that changes arithmetic must
-stay inside that bound.
+it writes, except the run-specific ``manifest.json``, and its
+``<command>.csv`` with ``tests/golden/cli/<case>/``: keys, strings and
+CSV headers exactly, numbers within 1e-12 relative with a 1e-15 absolute
+floor.  A change that keeps every output bit for bit passes trivially;
+one that changes arithmetic must stay inside that bound.  ``curve``'s
+per-variant CSVs repeat ``curve.csv``'s rows and are not recorded.
 
 Re-record the goldens, only when an output is meant to change, with::
 
@@ -45,8 +46,9 @@ CASES = {
 }
 
 
-def run_case(case: str, work: Path) -> dict:
-    """Run one case in ``work``; the text of its JSON outputs by file name."""
+def run_case(case: str, work: Path, *options: str) -> dict:
+    """Run one case in ``work``, with ``options`` before its command line;
+    the text of its compared outputs by file name."""
     body, argv = CASES[case]
     config = ()
     if body is not None:
@@ -54,12 +56,33 @@ def run_case(case: str, work: Path) -> dict:
         path.write_text(body)
         config = ("--config", str(path))
     out = work / "out"
-    assert main([*config, "--out", str(out), *argv]) == EXIT_OK
+    assert main([*config, "--out", str(out), *options, *argv]) == EXIT_OK
+    csv_path = out / f"{argv[-1]}.csv"
     return {
-        path.name: path.read_text()
-        for path in sorted(out.glob("*.json"))
-        if path.name != MANIFEST_NAME
+        **{
+            path.name: path.read_text()
+            for path in sorted(out.glob("*.json"))
+            if path.name != MANIFEST_NAME
+        },
+        csv_path.name: csv_path.read_text(),
     }
+
+
+def parse(name: str, text: str):
+    """A JSON file's value, or a CSV file's header and its rows of cells,
+    each cell an int, a float or, failing both, its string."""
+    if name.endswith(".json"):
+        return json.loads(text)
+    return [[_cell(cell) for cell in line.split(", ")] for line in text.splitlines()]
+
+
+def _cell(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def mismatches(golden, value, where: str = "") -> list:
@@ -93,13 +116,20 @@ def test_cli_output_matches_its_golden(tmp_path, case):
     files = run_case(case, tmp_path)
     golden_dir = GOLDEN_DIR / case
     golden = {
-        path.name: json.loads(path.read_text())
-        for path in sorted(golden_dir.glob("*.json"))
+        path.name: parse(path.name, path.read_text())
+        for path in sorted(golden_dir.iterdir())
     }
     assert golden, f"no golden files under {golden_dir}"
     assert sorted(files) == sorted(golden)
     for name in golden:
-        assert mismatches(golden[name], json.loads(files[name]), name) == []
+        assert mismatches(golden[name], parse(name, files[name]), name) == []
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+@pytest.mark.parametrize("command", ["simulate", "optimize", "table", "curve", "scaling"])
+def test_stdout_is_the_file_the_format_names(tmp_path, capsys, command, output_format):
+    files = run_case(f"{command}-dlcz", tmp_path, "--format", output_format)
+    assert capsys.readouterr().out == files[f"{command}.{output_format}"]
 
 
 def test_the_comparison_has_the_stated_bound():
@@ -110,16 +140,17 @@ def test_the_comparison_has_the_stated_bound():
     assert mismatches([1, 2], [1]) != []
     assert mismatches("x", "y") != [] and mismatches(None, 0) != []
     assert mismatches(True, 1) != [] and mismatches(1, 1.0) == []
+    assert parse("a.csv", "x, L_km\nnew, 2.5, , 1\n") == [["x", "L_km"], ["new", 2.5, "", 1]]
 
 
 def record(cases) -> None:
-    """Write each case's JSON outputs under ``GOLDEN_DIR``."""
+    """Write each case's compared outputs under ``GOLDEN_DIR``."""
     for case in cases:
         with tempfile.TemporaryDirectory() as work:
             files = run_case(case, Path(work))
         target = GOLDEN_DIR / case
         target.mkdir(parents=True, exist_ok=True)
-        for old in target.glob("*.json"):
+        for old in target.iterdir():
             old.unlink()
         for name, text in files.items():
             (target / name).write_text(text)
