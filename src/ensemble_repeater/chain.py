@@ -38,7 +38,6 @@ its records are read.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -198,8 +197,8 @@ def _check_point(
             " the elementary time exp(L0 / L_att) overflows"
         )
     # L0 > 0 and 0 < p_c < 1 are checked above, and eta, L_att and
-    # c_fiber > 0 by _check_chain_fields.
-    t0 = _elementary_time(p_c, eta, L0, L_att, c_fiber)
+    # c_fiber > 0 by _check_chain_fields; p_c eta can still underflow to 0.
+    t0 = _elementary_time(p_c, eta, L0, L_att, c_fiber) if p_c * eta else math.inf
     if not math.isfinite(t0):
         raise OverflowError(
             "the elementary time (L0 / c_fiber) exp(L0 / L_att) / (p_c eta)"
@@ -285,6 +284,8 @@ def check_step_noise(scheme: SchemeKind, noise: NoiseParams) -> None:
 def _spacing_problem(scheme: SchemeKind, L: float, L0: float) -> Optional[str]:
     """Why L/L0 is no usable power of two for the scheme, or None if it is."""
     ratio = L / L0
+    if not 0.0 < ratio < math.inf:  # L/L0 overflows or underflows
+        return "L/L0 must be a power of 2 (at least 2)"
     k = round(math.log2(ratio))
     if abs(ratio - 2.0**k) > 1e-9 * ratio or k < 1:
         return "L/L0 must be a power of 2 (at least 2)"
@@ -1107,9 +1108,10 @@ def _csv_cell(x) -> str:
     return str(x)
 
 
-def run_result_json(result: RunResult) -> str:
+def run_result_payload(result: RunResult) -> dict:
+    """The JSON payload of one chain: its configuration and per-stage records."""
     config = result.config
-    payload = {
+    return {
         "scheme": config.scheme.value,
         "L_km": config.L,
         "L0_km": config.L0,
@@ -1134,4 +1136,3 @@ def run_result_json(result: RunResult) -> str:
         ],
         "final": {"t_avg_s": result.t_avg, "F": result.fidelity},
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

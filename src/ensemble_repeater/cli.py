@@ -29,9 +29,11 @@ rerunning the same configuration and seed reproduces every file byte
 for byte.
 
 A command computes all its results before anything is written: it
-returns its files, its stdout text and its exit code, and only then are
-``config-reference.ini``, ``manifest.json`` and its files written and its
-stdout printed.  So the library's own checks are the configuration
+returns its table, its JSON payload, any extra files and its exit code.
+Only then does ``main`` render the table as ``<command>.csv`` and the
+payload as ``<command>.json``, write ``config-reference.ini``,
+``manifest.json``, the extra files and those two, and print the one that
+``--format`` names.  So the library's own checks are the configuration
 checks, and a rejected run leaves no file behind.
 
 Exit codes: 0 on success, 1 when verification fails, 2 when an
@@ -50,13 +52,14 @@ from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .chain import (
+    CSV_COLUMNS,
     RepeaterConfig,
     RunResult,
     check_seed,
     format_csv,
     format_enp_schedule,
     optimize,
-    run_result_json,
+    run_result_payload,
     run_result_rows,
     scaling_exponent,
     scaling_fit,
@@ -74,8 +77,6 @@ EXIT_BAD_CONFIG = 3
 
 #: Fixed default seed so that runs are reproducible by default.
 DEFAULT_SEED = 20210405
-
-_SCHEME_NAMES = {"dlcz": SchemeKind.DLCZ, "new": SchemeKind.NEW}
 
 CONFIG_REFERENCE_NAME = "config-reference.ini"
 MANIFEST_NAME = "manifest.json"
@@ -136,10 +137,10 @@ def parse_enp_schedule(text: str) -> Tuple[Tuple[int, EnpKind], ...]:
 
 def _parse_scheme(text: str) -> SchemeKind:
     try:
-        return _SCHEME_NAMES[text.strip().lower()]
-    except KeyError:
+        return SchemeKind(text.strip().lower())
+    except ValueError:
         raise ConfigError(
-            f"unknown scheme {text!r}; expected one of {sorted(_SCHEME_NAMES)}"
+            f"unknown scheme {text!r}; expected one of {[s.value for s in SchemeKind]}"
         ) from None
 
 
@@ -204,6 +205,9 @@ def load_settings(path: Optional[Path]) -> Settings:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse configuration file: {exc}") from None
 
+    # configparser lists no [DEFAULT] section but merges its keys into all.
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}]")
     values: Dict[str, Dict[str, object]] = {section: {} for section in _SECTIONS}
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -262,69 +266,60 @@ eta_list = {", ".join(str(x) for x in s.eta_list)}    # efficiencies for curve
 # ----------------------------------------------------------------------
 # manifest and output helpers
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce one invocation byte for byte."""
+def render_json(payload) -> str:
+    """The text of every JSON file the CLI writes."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    command: str
-    config_path: Optional[str]
-    out_dir: str
-    seed: int
-    output_format: str
-    settings: Settings
 
-    def to_json(self) -> str:
-        s = self.settings
-        payload = {
-            "command": self.command,
-            "config_path": self.config_path,
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-            "output_format": self.output_format,
-            "settings": {
-                "scheme": s.scheme.value,
-                "L_km": s.L,
-                "L0_km": s.L0,
-                "p_c": s.p_c,
-                "L_att_km": s.L_att,
-                "c_fiber_km_per_s": s.c_fiber,
-                "enp_schedule": format_enp_schedule(s.enp_schedule),
-                "waiting": s.waiting,
-                "n_samples": s.n_samples,
-                "noise": dataclasses.asdict(s.noise),
-                "F_target": s.F_target,
-                "L_list_km": list(s.L_list),
-                "eta_list": list(s.eta_list),
-            },
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def manifest_json(args: argparse.Namespace, settings: Settings) -> str:
+    """``manifest.json``: everything needed to reproduce one invocation
+    byte for byte."""
+    s = settings
+    return render_json({
+        "command": args.command,
+        "config_path": str(args.config) if args.config else None,
+        "out_dir": str(args.out),
+        "seed": args.seed,
+        "output_format": args.format,
+        "settings": {
+            "scheme": s.scheme.value,
+            "L_km": s.L,
+            "L0_km": s.L0,
+            "p_c": s.p_c,
+            "L_att_km": s.L_att,
+            "c_fiber_km_per_s": s.c_fiber,
+            "enp_schedule": format_enp_schedule(s.enp_schedule),
+            "waiting": s.waiting,
+            "n_samples": s.n_samples,
+            "noise": dataclasses.asdict(s.noise),
+            "F_target": s.F_target,
+            "L_list_km": list(s.L_list),
+            "eta_list": list(s.eta_list),
+        },
+    })
 
 
 class CommandOutput(NamedTuple):
     """What a command computed, before anything is written.
 
-    ``files`` maps each output file name to its text, in write order;
-    ``stdout`` is printed after the files are written, and ``note``, if
-    any, goes to stderr after it.
+    ``main`` renders ``header`` and ``rows`` as ``<command>.csv`` and
+    ``payload`` as ``<command>.json``.  ``files`` maps each extra file
+    name to its text, written before those two; a command with no table
+    (``oracle-verify``) has an empty header, writes no CSV or JSON and
+    prints its ``.txt`` file.  ``note``, if any, goes to stderr after
+    stdout.
     """
 
-    files: Dict[str, str]
-    stdout: str
+    header: Sequence[str]
+    rows: List[list]
+    payload: object
+    files: Dict[str, str] = {}
     code: int = EXIT_OK
     note: str = ""
 
 
-def _chain_config(settings: Settings) -> RepeaterConfig:
-    return RepeaterConfig(
-        scheme=settings.scheme,
-        L=settings.L,
-        L0=settings.L0,
-        p_c=settings.p_c,
-        noise=settings.noise,
-        L_att=settings.L_att,
-        c_fiber=settings.c_fiber,
-        enp_schedule=settings.enp_schedule,
-    )
+def _chain_config(s: Settings) -> RepeaterConfig:
+    return RepeaterConfig(s.scheme, s.L, s.L0, s.p_c, **_sweep_options(s))
 
 
 def _sweep_options(settings: Settings) -> dict:
@@ -346,7 +341,7 @@ def cmd_oracle_verify(args, settings: Settings) -> CommandOutput:
     results = verify.run_all()
     report = verify.format_report(results)
     code = EXIT_OK if verify.all_ok(results) else EXIT_VERIFICATION
-    return CommandOutput({"oracle_verify.txt": report}, report, code)
+    return CommandOutput((), [], None, {"oracle_verify.txt": report}, code)
 
 
 def cmd_simulate(args, settings: Settings) -> CommandOutput:
@@ -357,10 +352,8 @@ def cmd_simulate(args, settings: Settings) -> CommandOutput:
         n_samples=settings.n_samples,
         seed=args.seed,
     )
-    csv_text = format_csv(run_result_rows(result))
-    json_text = run_result_json(result)
-    files = {"simulate.csv": csv_text, "simulate.json": json_text}
-    return CommandOutput(files, csv_text if args.format == "csv" else json_text)
+    rows = run_result_rows(result)
+    return CommandOutput(CSV_COLUMNS, rows, run_result_payload(result))
 
 
 _TABLE_COLUMNS = (
@@ -386,8 +379,7 @@ def cmd_optimize(args, settings: Settings) -> CommandOutput:
     best = optimize(
         settings.scheme, settings.L, settings.F_target, **_sweep_options(settings)
     )
-    row = _optimum_row(settings.scheme, settings.L, best)
-    csv_text = format_csv([row], header=_TABLE_COLUMNS)
+    rows = [_optimum_row(settings.scheme, settings.L, best)]
     payload = {
         "scheme": settings.scheme.value,
         "L_km": settings.L,
@@ -401,40 +393,30 @@ def cmd_optimize(args, settings: Settings) -> CommandOutput:
             p_c=config.p_c,
             t_avg_s=result.t_avg,
             F_fin=result.fidelity,
-            run=json.loads(run_result_json(result)),
+            run=run_result_payload(result),
         )
-    json_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    files = {"optimize.csv": csv_text, "optimize.json": json_text}
-    stdout = csv_text if args.format == "csv" else json_text
-    if best is None:
-        return CommandOutput(
-            files, stdout, EXIT_INFEASIBLE,
-            f"no feasible configuration reaches F >= {settings.F_target}"
-            f" at L = {settings.L} km",
-        )
-    return CommandOutput(files, stdout)
+        return CommandOutput(_TABLE_COLUMNS, rows, payload)
+    return CommandOutput(
+        _TABLE_COLUMNS, rows, payload, code=EXIT_INFEASIBLE,
+        note=f"no feasible configuration reaches F >= {settings.F_target}"
+        f" at L = {settings.L} km",
+    )
 
 
 def cmd_table(args, settings: Settings) -> CommandOutput:
     rows = []
-    feasible_count = 0
     for L in settings.L_list:
         best = optimize(
             settings.scheme, float(L), settings.F_target, **_sweep_options(settings)
         )
-        feasible_count += best is not None
         rows.append(_optimum_row(settings.scheme, float(L), best))
-    csv_text = format_csv(rows, header=_TABLE_COLUMNS)
     payload = [
         {key: (None if cell == "" else cell) for key, cell in zip(_TABLE_COLUMNS, row)}
         for row in rows
     ]
-    json_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    files = {"table.csv": csv_text, "table.json": json_text}
     return CommandOutput(
-        files,
-        csv_text if args.format == "csv" else json_text,
-        EXIT_OK if feasible_count else EXIT_INFEASIBLE,
+        _TABLE_COLUMNS, rows, payload,
+        code=EXIT_OK if any(row[-1] for row in rows) else EXIT_INFEASIBLE,
     )
 
 
@@ -498,11 +480,7 @@ def cmd_curve(args, settings: Settings) -> CommandOutput:
                 {"t_avg_s": t, "F": F, "p_c": p_c, "L0_km": L0}
                 for t, F, p_c, L0 in points
             ]
-    csv_text = format_csv(all_rows, header=_CURVE_COLUMNS)
-    json_text = json.dumps(collected, indent=2, sort_keys=True) + "\n"
-    files["curve.csv"] = csv_text
-    files["curve.json"] = json_text
-    return CommandOutput(files, csv_text if args.format == "csv" else json_text)
+    return CommandOutput(_CURVE_COLUMNS, all_rows, collected, files)
 
 
 _SCALING_COLUMNS = ("scheme", "eta", "L_km", "t_avg_s")
@@ -523,7 +501,6 @@ def cmd_scaling(args, settings: Settings) -> CommandOutput:
     rows = [
         [settings.scheme.value, eta, L, t] for L, t in points
     ]
-    csv_text = format_csv(rows, header=_SCALING_COLUMNS)
     payload = {
         "scheme": settings.scheme.value,
         "eta": eta,
@@ -532,9 +509,7 @@ def cmd_scaling(args, settings: Settings) -> CommandOutput:
         "stable_exponent": scaling_exponent(eta),
         "points": [{"L_km": L, "t_avg_s": t} for L, t in points],
     }
-    json_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    files = {"scaling.csv": csv_text, "scaling.json": json_text}
-    return CommandOutput(files, csv_text if args.format == "csv" else json_text)
+    return CommandOutput(_SCALING_COLUMNS, rows, payload)
 
 
 _COMMANDS: Dict[str, Callable[..., CommandOutput]] = {
@@ -580,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
         f" (default {DEFAULT_SEED})",
     )
     parser.add_argument(
-        "--scheme", choices=sorted(_SCHEME_NAMES), default=None,
+        "--scheme", choices=[s.value for s in SchemeKind], default=None,
         help="override the configured scheme",
     )
     parser.add_argument(
@@ -608,23 +583,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 settings, enp_schedule=parse_enp_schedule(args.enp)
             )
         check_seed(args.seed)
-        manifest = RunManifest(
-            command=args.command,
-            config_path=str(args.config) if args.config else None,
-            out_dir=str(args.out),
-            seed=args.seed,
-            output_format=args.format,
-            settings=settings,
-        )
         output = _COMMANDS[args.command](args, settings)
     except (ConfigError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    stem = args.command.replace("-", "_")
     files = {
         CONFIG_REFERENCE_NAME: config_reference(),
-        MANIFEST_NAME: manifest.to_json(),
+        MANIFEST_NAME: manifest_json(args, settings),
         **output.files,
     }
+    if output.header:
+        files[f"{stem}.csv"] = format_csv(output.rows, output.header)
+        files[f"{stem}.json"] = render_json(output.payload)
+    stdout = files[f"{stem}.{args.format}" if output.header else f"{stem}.txt"]
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -635,7 +607,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    sys.stdout.write(output.stdout)
+    sys.stdout.write(stdout)
     if output.note:
         print(output.note, file=sys.stderr)
     return output.code

@@ -22,7 +22,7 @@ from ensemble_repeater.chain import (
     format_csv,
     optimize,
     pc_grid,
-    run_result_json,
+    run_result_payload,
     run_result_rows,
     scaling_exponent,
     scaling_fit,
@@ -1040,7 +1040,7 @@ def test_run_result_rows_and_csv():
 
 def test_run_result_json_round_trips():
     result = simulate_chain(_config(L=160.0, enp_schedule=((1, "bit"),)))
-    payload = json.loads(run_result_json(result))
+    payload = json.loads(json.dumps(run_result_payload(result)))
     assert payload["scheme"] == "new"
     assert payload["enp_schedule"] == [[1, "bit"]]
     assert payload["final"]["F"] == pytest.approx(result.fidelity)

@@ -106,6 +106,11 @@ eta_list = 0.9
             ("[noise]\nbogus = 1\n", r"^unknown key 'bogus' in \[noise\]$"),
             ("[sweep]\nbogus = 1\n", r"^unknown key 'bogus' in \[sweep\]$"),
             ("[orbit]\nL = 100\n", r"^unknown section \[orbit\]$"),
+            # configparser merges [DEFAULT]'s keys into every other section.
+            *(
+                (f"[DEFAULT]\neta = 0.5\n{rest}", r"^unknown section \[DEFAULT\]$")
+                for rest in ("", "[noise]\nD = 0\n", "[chain]\nL = 320\n")
+            ),
             (
                 "[chain]\nL = not-a-number\n",
                 "^bad value for 'l': could not convert string to float: 'not-a-number'$",
@@ -240,6 +245,29 @@ def test_mc_seed_changes_simulated_times(tmp_path):
         pytest.param("[chain]\nL = nan\n", [], "simulate", "L must be finite", id="nan-L"),
         pytest.param("[noise]\nD = nan\n", [], "simulate", "D must be finite", id="nan-D"),
         pytest.param(
+            "[DEFAULT]\neta = 0.5\n[noise]\nD = 0\n", [], "simulate",
+            "unknown section [DEFAULT]", id="default-section",
+        ),
+        # L/L0 overflows to inf or underflows to 0, and p_c eta underflows to 0.
+        pytest.param(
+            "[chain]\nL = 1e300\nL0 = 1e-300\n", [], "simulate",
+            "L/L0 must be a power of 2 (at least 2)", id="overflowing-L-over-L0",
+        ),
+        pytest.param(
+            "[chain]\nL = 5e-324\n", [], "simulate",
+            "L/L0 must be a power of 2 (at least 2)", id="underflowing-L-over-L0",
+        ),
+        pytest.param(
+            "[chain]\nL0 = 5e-324\n", [], "scaling",
+            "L/L0 must be a power of 2 (at least 2)", id="scaling-overflowing-L-over-L0",
+        ),
+        pytest.param(
+            "[noise]\neta = 5e-324\n", [], "simulate",
+            "the elementary time (L0 / c_fiber) exp(L0 / L_att) / (p_c eta) overflows"
+            " for L0 = 40, L_att = 20, p_c = 0.0081, eta = 4.94066e-324",
+            id="underflowing-p_c-eta",
+        ),
+        pytest.param(
             "[chain]\nwaiting = mc\nn_samples = 0\n", [], "simulate",
             "n_samples must be at least 1", id="no-mc-samples",
         ),
@@ -325,6 +353,13 @@ def test_bad_configuration_exits_3(tmp_path, capsys, body, argv, command, messag
         pytest.param(
             "[chain]\nL = nan\n", "simulate", "L must be finite, got nan",
             id="simulate",
+        ),
+        *(
+            pytest.param(
+                "[DEFAULT]\neta = 0.5\n", command, "unknown section [DEFAULT]",
+                id=f"default-section-{command}",
+            )
+            for command in ("simulate", "oracle-verify")
         ),
         pytest.param(
             "[chain]\nL = nan\n", "optimize", "L must be finite, got nan",
@@ -743,6 +778,13 @@ def test_every_configuration_exits_cleanly(case):
         if rc == EXIT_BAD_CONFIG:
             lines = err.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), (body, command, err)
+            # The line names the rule the input breaks, not Python's arithmetic.
+            assert lines[0] not in (
+                "error: float division by zero",
+                "error: cannot convert float infinity to integer",
+                "error: math range error",
+                "error: math domain error",
+            ), (body, command)
             assert not out.exists()
         else:
             assert "Warning" not in err, (body, command, err)
