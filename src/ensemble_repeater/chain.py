@@ -15,25 +15,24 @@ The single-rail protocol ends with the post-selected mapping of two
 parallel full-length chains onto one polarization pair; the two-cell
 protocol carries polarization pairs throughout.
 
-The grid sweeps compute the pair states of a whole p_c grid at once.
-A batch is a tuple of ``_Stage`` records, one per stage: each stage is
-one batched step (``_extend``) over an ``(n, k)`` array of rows in the
-``PatternState.row`` layout, with every check of the per-state path
-run on each live row and a row whose step never succeeds masked dead.
-The pair after a stage depends on the spacing only through the
-elementary pair, whose phase error q(D L0) vanishes at D = 0.  So at
-D = 0 the chain at spacing 2 L0 is a prefix of the chain at L0: one
-batch, for the deepest chain, serves every spacing as a slice of its
-stages, and the single-rail final mapping adds one batched step per
-spacing.  At D > 0 every spacing gets its own batch.  ``_times`` runs
-the time recursion on whole columns, one time column per stage, and
-``_verdicts`` gives each row the error its chain raises, if any.
-``_point_pairs`` zips each row's error and final time with its last
-fidelity and logical fidelity.  Each grid point still gets its own
-``simulate_chain`` call, which takes that row and raises the error or
-returns a result holding the three figures.  Per-stage records have
-one source, the chain run on its own: such a result runs it only when
-its records are read.
+The grid sweeps compute the pair states of a whole sweep at once, in
+one block of ``(n, k)`` rows in the ``PatternState.row`` layout, one
+row set of the p_c grid per station spacing.  Each plan step is one
+batched step (``_step``) over the rows of the spacings that reach it,
+a prefix, as the spacings go deepest first, with every check of the
+per-state path run on each live row and a row whose step never
+succeeds masked dead.  The pair after a stage depends on the spacing
+only through the elementary pair, whose phase error q(D L0) vanishes
+at D = 0.  So at D = 0 the chain at spacing 2 L0 is a prefix of the
+chain at L0, and the block holds one row set, which every spacing
+reads at its own depth.  The single-rail final mapping is one batched
+step over every spacing's rows at its depth.  The time recursion, each
+row's error, if any, and the fidelity and logical-fidelity columns are
+then computed once over the ``(spacings, p_cs)`` grid.  Each grid point
+still gets its own ``simulate_chain`` call, which takes its row and
+raises the error or returns a result holding the three figures.
+Per-stage records have one source, the chain run on its own: such a
+result runs it only when its records are read.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,6 +71,7 @@ from .protocols import (
     postselect_pme,
     step_table,
 )
+from .tables import ConnectionTable
 
 TWO_PAIR_OVERHEAD = 1.5
 
@@ -540,7 +540,7 @@ def simulate_chain(
     one step at a time, and its result keeps what every ``per_level``
     record derives from: each stage's tuple and normalized pair.
 
-    ``pairs`` hands in one row of a sweep's batch, as ``_point_pairs``
+    ``pairs`` hands in one row of a sweep's block, as ``_sweep_spacings``
     makes it: the error the chain raises or None, and the final
     deterministic time, fidelity and logical fidelity.  The call raises
     the error, or returns a result that holds the three figures and no
@@ -614,143 +614,36 @@ def simulate_chain(
     return RunResult(config, *stages[-1][4:], logical_F, tuple(stages), tuple(states))
 
 
-class _Stage(NamedTuple):
-    """One stage of a sweep's batch: the pair states of one plan step
-    over a p_c array.
-
-    A batch is a tuple of stages, generation first; its first ``n`` stages
-    are ``batch[:n]``.  ``step`` is ``(level, stage, target)``, ``scheme``
-    the rows' scheme, ``rows`` the normalized ``(n, k)`` rows, ``success``
-    and ``fidelity`` one value per row, and ``live`` which rows are still
-    alive.  A row that is not live from the start, or whose step never
-    succeeds, is zero from then on and no check reads it.
-    """
-
-    step: tuple
-    scheme: SchemeKind
-    rows: np.ndarray
-    success: np.ndarray
-    fidelity: np.ndarray
-    live: np.ndarray
-
-
-def _generate_batch(
-    scheme: SchemeKind,
-    p_cs: np.ndarray,
-    noise: NoiseParams,
-    L0: float,
+def _step(
+    table: ConnectionTable,
+    rows: np.ndarray,
     live: np.ndarray,
-) -> Tuple[_Stage, ...]:
-    """The elementary pairs of every p_c, the first stage of a batch."""
-    rows = eng_rows(scheme, p_cs, noise, L0)
-    check_rows(scheme, rows, live)
-    rows[~live] = 0.0
-    rows.flags.writeable = False
-    target = _target_bell(scheme, False)
-    return (
-        _Stage(
-            (0, "eng", target), scheme, rows, np.ones(len(rows)),
-            fidelity_rows(scheme, rows, live, target), live,
-        ),
-    )
-
-
-def _extend(
-    batch: Tuple[_Stage, ...],
-    plan: Sequence,
-    eta: float,
     channel: Optional[np.ndarray],
-    valid: np.ndarray,
-) -> Tuple[_Stage, ...]:
-    """The batch with every step of ``plan`` run on its last stage.
+    target: BellState,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One plan step of ``table`` on every row of a sweep's block: the
+    normalized ``(n, k)`` rows after it, each row's success and
+    fidelity, and which rows are still alive.
 
-    Only the rows that are live there and ``valid`` stay live.  Each
-    step runs the checks of the per-state path on every live row: the
-    step output's and the normalized pair's ``_set_row``, the Bell
-    channel's output's (``channel`` is checked already) and
+    The step runs the checks of the per-state path on every ``live``
+    row: the step output's and the normalized pair's ``_set_row``, the
+    Bell channel's output's (``channel`` is checked already) and
     ``fidelity``'s.  A row whose step has zero success is masked dead,
-    as ``simulate_chain`` raises at it.
+    as ``simulate_chain`` raises at it; a dead row is zero from then on
+    and no check reads it.
     """
-    stages = list(batch)
-    scheme, rows, live = batch[-1].scheme, batch[-1].rows, batch[-1].live & valid
-    target = _target_bell(batch[0].scheme, True)
-    for stage, level, kind in plan:
-        table = step_table(stage, scheme, eta, level, kind)
-        out = apply_table_rows(table, rows, rows)
-        scheme = table.output_scheme
-        check_rows(scheme, out, live)
-        success = row_totals(scheme, out)
-        live = live & ~(success <= 0.0)
-        rows = out / np.where(live, success, 1.0)[:, None]
-        rows[~live] = 0.0
+    scheme = table.output_scheme
+    out = apply_table_rows(table, rows, rows)
+    check_rows(scheme, out, live)
+    success = row_totals(scheme, out)
+    live = live & ~(success <= 0.0)
+    rows = out / np.where(live, success, 1.0)[:, None]
+    rows[~live] = 0.0
+    check_rows(scheme, rows, live)
+    if channel is not None:
+        rows[:, -4:] = np.einsum("ij,nj->ni", channel, rows[:, -4:])
         check_rows(scheme, rows, live)
-        if channel is not None:
-            rows[:, -4:] = np.einsum("ij,nj->ni", channel, rows[:, -4:])
-            check_rows(scheme, rows, live)
-        rows.flags.writeable = False
-        stages.append(
-            _Stage(
-                (level, stage, target), scheme, rows, success,
-                fidelity_rows(scheme, rows, live, target), live,
-            )
-        )
-    return tuple(stages)
-
-
-def _times(batch: Tuple[_Stage, ...], t0s: np.ndarray) -> list:
-    """The average-time column of every stage of the batch, from the
-    elementary times ``t0s``.
-
-    Each element takes the IEEE operations ``simulate_chain`` takes on
-    one chain: the elementary time, times 1.5 for two-cell pairs, then
-    ``1.5 * t / success`` per step.  Where a success is zero or a time
-    overflows, the value is inf or nan, with no warning.
-    """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        t = t0s * TWO_PAIR_OVERHEAD if batch[0].scheme is SchemeKind.NEW else t0s
-        columns = [t]
-        for stage in batch[1:]:
-            t = TWO_PAIR_OVERHEAD * t / stage.success
-            columns.append(t)
-    return columns
-
-
-def _verdicts(batch: Tuple[_Stage, ...], times: Sequence[np.ndarray]) -> list:
-    """Per row, the ``ArithmeticError`` its chain raises, or None.
-
-    As in ``simulate_chain``, the first step whose success is not
-    positive raises ``ZeroDivisionError``; otherwise the first stage
-    whose time is not finite raises ``OverflowError``.
-    """
-    failed = np.array([stage.success <= 0.0 for stage in batch])
-    overflowed = ~np.isfinite(np.array(times))
-    verdicts: list = [None] * len(times[0])
-    for i in np.flatnonzero(failed.any(axis=0) | overflowed.any(axis=0)):
-        if failed[:, i].any():
-            level, stage, _ = batch[failed[:, i].argmax()].step
-            verdicts[i] = _zero_success(level, stage)
-        else:
-            level, stage, _ = batch[overflowed[:, i].argmax()].step
-            verdicts[i] = _time_overflow(level, stage)
-    return verdicts
-
-
-def _point_pairs(batch: Tuple[_Stage, ...], t0s: np.ndarray) -> Iterator[tuple]:
-    """Every row of the batch in the form ``simulate_chain`` reads as
-    ``pairs``, from the elementary times ``t0s``, made one row at a time
-    as they are read: its error or None, and its last stage's time,
-    fidelity and logical fidelity.
-
-    Each of the three columns is read into a list once, and the rows
-    are zipped from the lists at C level, with no Python frame per row.
-    """
-    times = _times(batch, t0s)
-    last = batch[-1]
-    logical = logical_fidelity_rows(last.scheme, last.rows, last.step[2])
-    return zip(
-        _verdicts(batch, times), times[-1].tolist(), last.fidelity.tolist(),
-        logical.tolist(),
-    )
+    return rows, success, fidelity_rows(scheme, rows, live, target), live
 
 
 # ---------------------------------------------------------------------------
@@ -808,26 +701,27 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     ``chain`` holds the other ``RepeaterConfig`` arguments.  The rows
     hold (t_avg, F, logical F) for every p_c, in order, or None where a
     step never succeeds, or the elementary time or a stage time
-    overflows.  The pair states come from one batch over the p_c grid
-    (see the module docstring), ``_generate_batch`` then ``_extend``: at
-    D = 0 the deepest spacing's batch, sliced to each spacing's depth,
-    serves every spacing, plus one batched final mapping per single-rail
-    spacing; at D > 0 each spacing runs its own.
+    overflows.  One block holds the pair states of the whole sweep (see
+    the module docstring): per plan step one ``_step`` over the spacings
+    that reach it, and for single-rail chains one final mapping over
+    every spacing's rows at its own depth.  The time, verdict, fidelity
+    and logical-fidelity columns are then computed once over the
+    ``(spacings, p_cs)`` grid, with the IEEE operations ``simulate_chain``
+    takes on one chain: a row's error is the ``ZeroDivisionError`` of its
+    first step without success, or else the ``OverflowError`` of its
+    first stage whose time is not finite.
 
     Every check of ``RepeaterConfig`` runs, with its message, but not
     per point: ``_check_chain_fields`` once, before any spacing; the p_c
     checks once on the p_c column, where the first bad p_c raises;
     ``_check_spacing`` through ``sweep_l0``, which keeps only grid
-    spacings of L that have every scheduled level; and per spacing the
-    ``L0 / L_att`` overflow, which makes every row of the spacing None,
-    and the elementary-time column, where a non-finite time makes its
-    row None.  ``_point_pairs`` then computes every stage's time column
-    and each row's error, as ``_times`` and ``_verdicts`` describe.
-    Every other grid point gets its configuration, equal to a fresh one and
-    built in place from one field dict per spacing, and one
-    ``simulate_chain`` call with its row as ``pairs``, which raises the
-    row's error or returns its final figures as a result; the grid row
-    is read from that result.
+    spacings of L that have every scheduled level; and the elementary
+    times, where a non-finite time, as where ``L0 / L_att`` overflows,
+    makes its row None.  Every other grid point gets its configuration,
+    equal to a fresh one and built in place from one field dict per
+    spacing, and one ``simulate_chain`` call with its row as ``pairs``,
+    which raises the row's error or returns its final figures as a
+    result; the grid row is read from that result.
     """
     scheme, L = chain["scheme"], chain["L"]
     noise = chain.get("noise", NoiseParams())
@@ -848,25 +742,71 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     channel = _step_channel(noise)
     if channel is not None:
         channel = check_bell_channel(channel)
+    if not spacings:
+        return []
+    n, eta = len(p_cs), noise.eta
+    levels = [_num_levels(L, L0) for L0 in spacings]
+    connections = _plan(scheme, levels[0], schedule)
+    if scheme is SchemeKind.DLCZ:
+        connections = connections[:-1]
+    depths = [sum(level <= m for _, level, _ in connections) for m in levels]
+    t0s = np.array([_elementary_times(L0, grid, eta, L_att, c_fiber) for L0 in spacings])
+    valid = np.isfinite(t0s)
+    # one row set per spacing; at D = 0 the elementary pair does not
+    # depend on L0, and every spacing reads one set at its own depth
+    sets = len(spacings) if noise.D != 0.0 else 1
+    rows = np.concatenate([eng_rows(scheme, grid, noise, L0) for L0 in spacings[:sets]])
+    live = valid[:sets].ravel()
+    check_rows(scheme, rows, live)
+    rows[~live] = 0.0
+    stages = [(rows, fidelity_rows(scheme, rows, live, _target_bell(scheme, False)), live)]
+    steps = [(0, "eng"), *((level, stage) for stage, level, _ in connections)]
+    successes = []  # (spacings reached, one success row per row set)
+    target = _target_bell(scheme, True)
+    for j, (stage, level, kind) in enumerate(connections, 1):
+        reach = sum(depth >= j for depth in depths)  # a prefix: deepest first
+        m = min(reach, sets)
+        table = step_table(stage, scheme, eta, level, kind)
+        rows, success, F, live = _step(table, rows[: m * n], live[: m * n], channel, target)
+        stages.append((rows, F, live))
+        successes.append((reach, success.reshape(m, n)))
+    ends = [(stages[depth], min(i, sets - 1) * n) for i, depth in enumerate(depths)]
+    rows, F, live = (
+        np.concatenate([stage[c][at : at + n] for stage, at in ends]) for c in range(3)
+    )
+    if scheme is SchemeKind.DLCZ:
+        table = step_table("pme", scheme, eta)
+        rows, success, F, _ = _step(table, rows, live & valid.ravel(), channel, target)
+        successes.append((len(spacings), success.reshape(len(spacings), n)))
+    logical = logical_fidelity_rows(table.output_scheme, rows, target)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = t0s * TWO_PAIR_OVERHEAD if scheme is SchemeKind.NEW else t0s.copy()
+        failed, overflowed = [np.zeros_like(valid)], [~np.isfinite(t)]
+        for reach, success in successes:
+            t[:reach] = TWO_PAIR_OVERHEAD * t[:reach] / success
+            failed.append(np.zeros_like(valid))
+            failed[-1][:reach] = success <= 0.0
+            overflowed.append(~np.isfinite(t))
+    failed = np.array(failed).reshape(len(failed), -1)
+    overflowed = np.array(overflowed).reshape(len(overflowed), -1)
+    verdicts: list = [None] * failed.shape[1]
+    for i in np.flatnonzero(failed.any(axis=0) | overflowed.any(axis=0)).tolist():
+        error, at = (
+            (_zero_success, failed[:, i]) if failed[:, i].any()
+            else (_time_overflow, overflowed[:, i])
+        )
+        j = int(at.argmax())
+        verdicts[i] = error(*steps[j]) if j < len(steps) else error(levels[i // n] + 1, "pme")
+    cells = zip(
+        valid.ravel().tolist(), t0s.ravel().tolist(),
+        zip(verdicts, t.ravel().tolist(), F.tolist(), logical.tolist()),
+    )
     new = RepeaterConfig.__new__
-    rows = []
-    deepest = None
+    out = []
     for L0 in spacings:
-        times = _elementary_times(L0, grid, noise.eta, L_att, c_fiber)
-        valid = np.isfinite(times)
-        plan = _plan(scheme, _num_levels(L, L0), schedule)
-        connections = plan[:-1] if scheme is SchemeKind.DLCZ else plan
-        if deepest is None or noise.D != 0.0:
-            batch = _generate_batch(scheme, grid, noise, L0, valid)
-            deepest = _extend(batch, connections, noise.eta, channel, valid)
-        batch = deepest[: len(connections) + 1]
-        if scheme is SchemeKind.DLCZ:
-            batch = _extend(batch, plan[-1:], noise.eta, channel, valid)
         point = dict(fields, L0=L0)
         column = []
-        for p_c, t0, ok, pairs in zip(
-            p_cs, times.tolist(), valid.tolist(), _point_pairs(batch, times)
-        ):
+        for p_c, (ok, t0, pairs) in zip(p_cs, cells):
             if not ok:
                 column.append(None)
                 continue
@@ -883,8 +823,8 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
             column.append(
                 (result.t_avg, result.fidelity, result.final_logical_fidelity)
             )
-        rows.append((L0, column))
-    return rows
+        out.append((L0, column))
+    return out
 
 
 def _elementary_times(
@@ -1096,16 +1036,21 @@ def run_result_rows(result: RunResult) -> list:
 
 
 def format_csv(rows: Iterable[Sequence], header: Sequence[str] = CSV_COLUMNS) -> str:
-    lines = [", ".join(header)]
+    lines = [", ".join(_csv_cell(x) for x in header)]
     for row in rows:
         lines.append(", ".join(_csv_cell(x) for x in row))
     return "\n".join(lines) + "\n"
 
 
 def _csv_cell(x) -> str:
+    """A float's repr, or the text of any other value, quoted as RFC 4180
+    asks where it holds a comma, a double quote or a line break."""
     if isinstance(x, float):
         return repr(x)
-    return str(x)
+    text = str(x)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def run_result_payload(result: RunResult) -> dict:

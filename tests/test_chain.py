@@ -458,25 +458,30 @@ def _steps_of(calls, kind, eta):
 
 @pytest.mark.parametrize("D, levels", [(0.0, 7), (1e-4, 7 + 6 + 5 + 4 + 3 + 2)])
 def test_sweep_shares_connections_only_without_phase_noise(monkeypatch, D, levels):
-    """A two-cell 1280 km sweep at D = 0 runs the deepest chain's seven
-    connection levels once, as batched steps over the whole p_c grid,
-    and every other spacing reads its states off that batch; at D > 0
-    every spacing runs its own."""
+    """A two-cell 1280 km sweep runs each of the deepest chain's seven
+    connection levels once, as one batched step.  At D = 0 the step is
+    over the 302 rows of the p_c grid, and every spacing reads its states
+    off that block; at D > 0 it is over the rows of every spacing that
+    reaches the level, so the seven steps hold ``levels`` x 302 rows."""
     calls = _count_calls(monkeypatch, "apply_table_rows")
     chain = dict(scheme=NEW, L=1280.0, noise=NoiseParams(eta=0.9, D=D))
     _sweep_spacings(chain, tuple(float(p) for p in pc_grid()))
-    assert len(calls) == levels
-    assert all(len(args[1]) == 302 for args in calls)
+    assert len(calls) == 7
+    sets = [1] * 7 if D == 0.0 else [6, 6, 5, 4, 3, 2, 1]
+    assert [len(args[1]) for args in calls] == [302 * k for k in sets]
+    assert sum(sets) == levels
 
 
 def test_sweep_runs_every_final_mapping(monkeypatch):
-    """The single-rail final mapping is one batched step per spacing."""
+    """The single-rail final mapping is one batched step over the rows
+    of every spacing, each at its own depth."""
     calls = _count_calls(monkeypatch, "apply_table_rows")
     chain = dict(scheme=DLCZ, L=1280.0, noise=NoiseParams(eta=0.9))
     _sweep_spacings(chain, tuple(float(p) for p in pc_grid()))
     assert len(_steps_of(calls, "enc_dlcz", 0.9)) == 7
-    assert len(_steps_of(calls, "pme", 0.9)) == len(feasible_l0(DLCZ, 1280.0))
-    assert len(calls) == 7 + len(feasible_l0(DLCZ, 1280.0))
+    (mapping,) = _steps_of(calls, "pme", 0.9)
+    assert len(mapping[1]) == len(feasible_l0(DLCZ, 1280.0)) * 302
+    assert len(calls) == 7 + 1
 
 
 def _fresh_row(config_kwargs):
@@ -693,7 +698,8 @@ def test_sweep_raises_the_check_error_of_its_first_chain(
 ):
     """The batched steps run the per-state checks: a sweep whose second
     connection table breaks them raises what the chain at its first grid
-    point raises."""
+    point raises, whether its block holds one row set (D = 0) or one per
+    spacing (D > 0)."""
     higher = _broken_table(enc_table(NEW, 0.9), output, value)
     original = protocols.enc_table
 
@@ -701,13 +707,14 @@ def test_sweep_raises_the_check_error_of_its_first_chain(
         return original(scheme, eta, first_level) if first_level else higher
 
     monkeypatch.setattr(protocols, "enc_table", patched)
-    chain = dict(scheme=NEW, L=640.0, noise=NoiseParams(eta=0.9))
-    p_cs = (1e-3, 1e-2)
-    with pytest.raises(ValueError, match=message) as fresh:
-        simulate_chain(RepeaterConfig(L0=5.0, p_c=p_cs[0], **chain))
-    with pytest.raises(ValueError) as swept:
-        _sweep_spacings(chain, p_cs)
-    assert str(swept.value) == str(fresh.value)
+    for D in (0.0, 1e-4):  # one row set, and one per spacing
+        chain = dict(scheme=NEW, L=640.0, noise=NoiseParams(eta=0.9, D=D))
+        p_cs = (1e-3, 1e-2)
+        with pytest.raises(ValueError, match=message) as fresh:
+            simulate_chain(RepeaterConfig(L0=5.0, p_c=p_cs[0], **chain))
+        with pytest.raises(ValueError) as swept:
+            _sweep_spacings(chain, p_cs)
+        assert str(swept.value) == str(fresh.value)
 
 
 # (L0, p_c, t_avg, F) of the optimum at eta = 0.9, recorded before the
@@ -1036,6 +1043,9 @@ def test_run_result_rows_and_csv():
     assert len(lines) == 1 + len(rows)
     # Floats are emitted with full repr precision for byte-stable reruns.
     assert repr(result.per_level[0].t_avg) in lines[1]
+    # A cell holding a comma, a quote or a line break is quoted (RFC 4180).
+    text = format_csv([["a, b", 'say "x"', "line\nbreak", 0.5, 3, "plain"]], ("h1", "h2"))
+    assert text == 'h1, h2\n"a, b", "say ""x""", "line\nbreak", 0.5, 3, plain\n'
 
 
 def test_run_result_json_round_trips():

@@ -5,6 +5,7 @@ directory; determinism is checked byte for byte on the emitted files.
 """
 
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -663,6 +664,27 @@ def test_curve_single_variant(tmp_path):
     assert (out / "curve_dlcz_enp-none_eta90.csv").exists()
     header = (out / "curve.csv").read_text().splitlines()[0]
     assert header.replace(" ", "") == "scheme,L_km,eta,D,enp_schedule,p_c,L0_km,t_avg_s,F"
+
+
+def test_curve_quotes_a_schedule_cell_that_holds_a_comma(tmp_path):
+    """A two-step schedule is one CSV cell, quoted because it holds a
+    comma, so every row of ``curve.csv`` and of the per-variant file has
+    the header's cell count."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[chain]\nL = 160\n[sweep]\neta_list = 0.9\n")
+    rc, out = _run(
+        tmp_path, "--config", str(cfg), "--scheme", "new",
+        "--enp", "bit-after-1, phase-after-2", "curve",
+    )
+    assert rc == EXIT_OK
+    paths = sorted(out.glob("curve*.csv"))
+    assert len(paths) == 2
+    for path in paths:
+        with path.open(newline="") as handle:
+            header, *rows = csv.reader(handle, skipinitialspace=True)
+        assert rows and all(len(row) == len(header) for row in rows)
+        schedule = header.index("enp_schedule")
+        assert {row[schedule] for row in rows} == {"bit-after-1, phase-after-2"}
 
 
 def test_curve_sweeps_eta_list_not_the_noise_eta(tmp_path):

@@ -13,6 +13,8 @@ Re-record the goldens, only when an output is meant to change, with::
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 
+import csv
+import io
 import json
 import sys
 import tempfile
@@ -30,6 +32,8 @@ ATOL = 1e-15
 #: INI bodies of the non-default runs.
 _MC = "[chain]\nwaiting = mc\n"
 _NOISY = "[noise]\nD = 1e-4\np_misalign = 0.02\n"
+#: Single-rail chains reject misalignment, so their noisy sweeps dephase only.
+_DEPHASED = "[noise]\nD = 1e-4\n"
 
 #: Case name -> (configuration body or None, command line).
 CASES = {
@@ -43,6 +47,13 @@ CASES = {
         for scheme in ("dlcz", "new")
     },
     "simulate-noisy-new": (_NOISY, ("--scheme", "new", "simulate")),
+    # sweeps at D > 0, where every station spacing has its own elementary pair
+    "optimize-noisy-new": (
+        _NOISY + "[sweep]\nF_target = 0.78\n", ("--scheme", "new", "optimize")
+    ),
+    "curve-noisy-new": (_NOISY, ("--scheme", "new", "curve")),
+    "optimize-phase-dlcz": (_DEPHASED, ("--scheme", "dlcz", "optimize")),
+    "curve-phase-dlcz": (_DEPHASED, ("--scheme", "dlcz", "curve")),
 }
 
 
@@ -73,7 +84,8 @@ def parse(name: str, text: str):
     each cell an int, a float or, failing both, its string."""
     if name.endswith(".json"):
         return json.loads(text)
-    return [[_cell(cell) for cell in line.split(", ")] for line in text.splitlines()]
+    lines = csv.reader(io.StringIO(text, newline=""), skipinitialspace=True)
+    return [[_cell(cell) for cell in line] for line in lines]
 
 
 def _cell(text: str):
@@ -141,6 +153,9 @@ def test_the_comparison_has_the_stated_bound():
     assert mismatches("x", "y") != [] and mismatches(None, 0) != []
     assert mismatches(True, 1) != [] and mismatches(1, 1.0) == []
     assert parse("a.csv", "x, L_km\nnew, 2.5, , 1\n") == [["x", "L_km"], ["new", 2.5, "", 1]]
+    assert parse("a.csv", 'enp, F\n"bit-after-1, phase-after-2", 0.5\n')[1] == [
+        "bit-after-1, phase-after-2", 0.5
+    ]
 
 
 def record(cases) -> None:

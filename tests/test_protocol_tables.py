@@ -449,11 +449,12 @@ def test_the_step_contracts_the_left_input_over_a_and_the_right_over_b(kind):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 255, 256, 257, 302])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 255, 256, 257, 302, 604, 906, 1208, 1510, 1812])
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_batch_size_leaves_each_rows_step_unchanged(kind, n):
-    """At batch sizes from none to the 302 rows of the p_c grid, where
-    one BLAS product over the whole batch would block its sums
+    """At batch sizes from none to the 302 rows of the p_c grid, and up
+    to a sweep's block of 302 rows for each of six station spacings,
+    where one BLAS product over the whole batch would block its sums
     differently from a single row's, row i of a batched step is the
     step on the states of row i, to the bit: for one pair per row and
     for each row with itself.  The single step runs on the 1-d rows
