@@ -774,11 +774,13 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     rows, F, live = (
         np.concatenate([stage[c][at : at + n] for stage, at in ends]) for c in range(3)
     )
+    delivered = scheme
     if scheme is SchemeKind.DLCZ:
         table = step_table("pme", scheme, eta)
         rows, success, F, _ = _step(table, rows, live & valid.ravel(), channel, target)
         successes.append((len(spacings), success.reshape(len(spacings), n)))
-    logical = logical_fidelity_rows(table.output_scheme, rows, target)
+        delivered = table.output_scheme
+    logical = logical_fidelity_rows(delivered, rows, target)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         t = t0s * TWO_PAIR_OVERHEAD if scheme is SchemeKind.NEW else t0s.copy()
         failed, overflowed = [np.zeros_like(valid)], [~np.isfinite(t)]
