@@ -709,7 +709,9 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     ``(spacings, p_cs)`` grid, with the IEEE operations ``simulate_chain``
     takes on one chain: a row's error is the ``ZeroDivisionError`` of its
     first step without success, or else the ``OverflowError`` of its
-    first stage whose time is not finite.
+    first stage whose time is not finite.  A check of the per-state path
+    raises as soon as it fails, so its error is that of the first step
+    and check to fail, on the first failing row in grid order.
 
     Every check of ``RepeaterConfig`` runs, with its message, but not
     per point: ``_check_chain_fields`` once, before any spacing; the p_c
