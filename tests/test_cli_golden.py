@@ -8,6 +8,11 @@ floor.  A change that keeps every output bit for bit passes trivially;
 one that changes arithmetic must stay inside that bound.  ``curve``'s
 per-variant CSVs repeat ``curve.csv``'s rows and are not recorded.
 
+Two outputs hold no computed number and are compared byte for byte: the
+manifest's ``settings`` block, recorded per case as
+``manifest-settings.json``, and ``config-reference.ini``, which every
+run writes alike and which is recorded once, next to the case folders.
+
 Re-record the goldens, only when an output is meant to change, with::
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -22,9 +27,12 @@ from pathlib import Path
 
 import pytest
 
-from ensemble_repeater.cli import EXIT_OK, MANIFEST_NAME, main
+from ensemble_repeater.cli import CONFIG_REFERENCE_NAME, EXIT_OK, MANIFEST_NAME, main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "cli"
+
+#: The file a case's manifest ``settings`` block is recorded in.
+SETTINGS_NAME = "manifest-settings.json"
 
 RTOL = 1e-12
 ATOL = 1e-15
@@ -34,6 +42,30 @@ _MC = "[chain]\nwaiting = mc\n"
 _NOISY = "[noise]\nD = 1e-4\np_misalign = 0.02\n"
 #: Single-rail chains reject misalignment, so their noisy sweeps dephase only.
 _DEPHASED = "[noise]\nD = 1e-4\n"
+#: Every configuration key away from its default, so that the manifest's
+#: ``settings`` block shows each key's value form.
+_EVERY_KEY = """\
+[chain]
+scheme = dlcz
+L = 640
+L0 = 80
+p_c = 0.01
+L_att = 22
+c_fiber = 2.1e5
+enp_schedule = bit-after-1, phase-after-2
+waiting = mc
+n_samples = 64
+[noise]
+eta = 0.9
+D = 1e-4
+p_misalign = 0.01
+p_dark = 1e-3
+eta_s = 0.8
+[sweep]
+F_target = 0.8
+L_list = 160, 320
+eta_list = 0.85
+"""
 
 #: Case name -> (configuration body or None, command line).
 CASES = {
@@ -47,6 +79,7 @@ CASES = {
         for scheme in ("dlcz", "new")
     },
     "simulate-noisy-new": (_NOISY, ("--scheme", "new", "simulate")),
+    "simulate-every-key-new": (_EVERY_KEY, ("--scheme", "new", "simulate")),
     # sweeps at D > 0, where every station spacing has its own elementary pair
     "optimize-noisy-new": (
         _NOISY + "[sweep]\nF_target = 0.78\n", ("--scheme", "new", "optimize")
@@ -59,7 +92,8 @@ CASES = {
 
 def run_case(case: str, work: Path, *options: str) -> dict:
     """Run one case in ``work``, with ``options`` before its command line;
-    the text of its compared outputs by file name."""
+    the text of its compared outputs by file name, its manifest's
+    ``settings`` block as ``SETTINGS_NAME`` included."""
     body, argv = CASES[case]
     config = ()
     if body is not None:
@@ -69,6 +103,7 @@ def run_case(case: str, work: Path, *options: str) -> dict:
     out = work / "out"
     assert main([*config, "--out", str(out), *options, *argv]) == EXIT_OK
     csv_path = out / f"{argv[-1]}.csv"
+    settings = json.loads((out / MANIFEST_NAME).read_text())["settings"]
     return {
         **{
             path.name: path.read_text()
@@ -76,6 +111,8 @@ def run_case(case: str, work: Path, *options: str) -> dict:
             if path.name != MANIFEST_NAME
         },
         csv_path.name: csv_path.read_text(),
+        SETTINGS_NAME: json.dumps(settings, indent=2, sort_keys=True) + "\n",
+        CONFIG_REFERENCE_NAME: (out / CONFIG_REFERENCE_NAME).read_text(),
     }
 
 
@@ -126,15 +163,17 @@ def mismatches(golden, value, where: str = "") -> list:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_its_golden(tmp_path, case):
     files = run_case(case, tmp_path)
+    reference = (GOLDEN_DIR / CONFIG_REFERENCE_NAME).read_text()
+    assert files.pop(CONFIG_REFERENCE_NAME) == reference
     golden_dir = GOLDEN_DIR / case
-    golden = {
-        path.name: parse(path.name, path.read_text())
-        for path in sorted(golden_dir.iterdir())
-    }
+    golden = {path.name: path.read_text() for path in sorted(golden_dir.iterdir())}
     assert golden, f"no golden files under {golden_dir}"
     assert sorted(files) == sorted(golden)
+    assert files.pop(SETTINGS_NAME) == golden.pop(SETTINGS_NAME)
     for name in golden:
-        assert mismatches(golden[name], parse(name, files[name]), name) == []
+        assert mismatches(
+            parse(name, golden[name]), parse(name, files[name]), name
+        ) == []
 
 
 @pytest.mark.parametrize("output_format", ["csv", "json"])
@@ -163,6 +202,7 @@ def record(cases) -> None:
     for case in cases:
         with tempfile.TemporaryDirectory() as work:
             files = run_case(case, Path(work))
+        (GOLDEN_DIR / CONFIG_REFERENCE_NAME).write_text(files.pop(CONFIG_REFERENCE_NAME))
         target = GOLDEN_DIR / case
         target.mkdir(parents=True, exist_ok=True)
         for old in target.iterdir():
