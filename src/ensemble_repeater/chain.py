@@ -869,7 +869,7 @@ def optimize(
         scheme=scheme, L=L, noise=noise, L_att=L_att, c_fiber=c_fiber,
         enp_schedule=enp_schedule,
     )
-    p_cs = tuple(float(p) for p in pc_grid())
+    p_cs = tuple(pc_grid().tolist())
     best = None  # (t, L0, p_c)
     for L0, rows in _sweep_spacings(chain, p_cs):
         for p_c, row in zip(p_cs, rows):
@@ -908,7 +908,7 @@ def tf_curve(
     (t_avg, F, p_c, L0) tuples sorted by p_c.
     """
     sweep = pc_grid() if p_c_sweep is None else np.asarray(p_c_sweep, dtype=float)
-    p_cs = tuple(float(p) for p in sweep)
+    p_cs = tuple(sweep.tolist())
     chain = dict(
         scheme=scheme, L=L, noise=noise, L_att=L_att, c_fiber=c_fiber,
         enp_schedule=enp_schedule,

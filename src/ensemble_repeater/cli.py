@@ -22,11 +22,13 @@ Six subcommands drive the package end to end:
 
 All options live either on the command line (``--config``, ``--out``,
 ``--seed``, ``--scheme``, ``--enp``, ``--format``) or in an INI
-configuration file whose sections mirror the library dataclasses (see
-``config-reference.ini``, written next to every output).  Parameter
-sweeps run serially in one process.  Outputs are deterministic:
-rerunning the same configuration and seed reproduces every file byte
-for byte.
+configuration file whose sections mirror the library dataclasses.  Each
+INI key is declared once, in ``_KEYS``: ``Settings`` and its defaults,
+the INI parser, ``config-reference.ini`` (the reference written next to
+every output) and the manifest's ``settings`` block all derive from
+those declarations.  Parameter sweeps run serially in one process.
+Outputs are deterministic: rerunning the same configuration and seed
+reproduces every file byte for byte.
 
 A command computes all its results before anything is written: it
 returns its table, its JSON payload, any extra files and its exit code.
@@ -89,31 +91,6 @@ class ConfigError(Exception):
 # ----------------------------------------------------------------------
 # settings
 
-@dataclasses.dataclass(frozen=True)
-class Settings:
-    """Resolved configuration for one command invocation.
-
-    The ``[chain]`` and ``[noise]`` sections of the configuration file
-    mirror ``RepeaterConfig`` and ``NoiseParams``; ``[sweep]`` holds the
-    quantities that only parameter sweeps use.  Distances are in km,
-    times in s, the diffusion coefficient in rad^2/km.
-    """
-
-    scheme: SchemeKind = SchemeKind.NEW
-    L: float = 1280.0
-    L0: float = 40.0
-    p_c: float = 8.1e-3
-    L_att: float = RepeaterConfig.L_att
-    c_fiber: float = RepeaterConfig.c_fiber
-    enp_schedule: Tuple[Tuple[int, EnpKind], ...] = ()
-    waiting: str = "deterministic"
-    n_samples: int = 16384
-    noise: NoiseParams = NoiseParams()
-    F_target: float = 0.9
-    L_list: Tuple[float, ...] = (160.0, 320.0, 640.0, 1280.0)
-    eta_list: Tuple[float, ...] = (0.9, 0.95)
-
-
 def parse_enp_schedule(text: str) -> Tuple[Tuple[int, EnpKind], ...]:
     """Parse "none" or a comma list of "<kind>-after-<level>" items."""
     text = text.strip()
@@ -160,35 +137,72 @@ def _parse_waiting(text: str) -> str:
     return text
 
 
-#: Each configuration section's keys, as ``configparser`` lowercases
-#: them, with the attribute each sets and the parser of its value.  The
-#: ``[noise]`` keys set ``NoiseParams`` fields, the others ``Settings``
-#: fields.
-_SECTIONS: Dict[str, Dict[str, Tuple[str, Callable[[str], object]]]] = {
-    "chain": {
-        "scheme": ("scheme", _parse_scheme),
-        "l": ("L", float),
-        "l0": ("L0", float),
-        "p_c": ("p_c", float),
-        "l_att": ("L_att", float),
-        "c_fiber": ("c_fiber", float),
-        "enp_schedule": ("enp_schedule", parse_enp_schedule),
-        "waiting": ("waiting", _parse_waiting),
-        "n_samples": ("n_samples", int),
-    },
-    "noise": {
-        "eta": ("eta", float),
-        "d": ("D", float),
-        "p_misalign": ("p_misalign", float),
-        "p_dark": ("p_dark", float),
-        "eta_s": ("eta_s", float),
-    },
-    "sweep": {
-        "f_target": ("F_target", float),
-        "l_list": ("L_list", _parse_float_list),
-        "eta_list": ("eta_list", _parse_float_list),
-    },
+class _Key(NamedTuple):
+    """One configuration key: its INI name, which is also the attribute it
+    sets (of ``NoiseParams`` in ``[noise]``, else of ``Settings``), its
+    default, the ``gap`` and ``comment`` after its default's form in
+    ``config-reference.ini``, its name in ``manifest.json`` if not
+    ``name``, its parser, and its value form in those two files."""
+
+    name: str
+    default: object
+    gap: int
+    comment: str
+    manifest: str = ""
+    parse: Callable[[str], object] = float
+    form: Callable[[object], object] = lambda value: value
+
+
+#: Every configuration key by section, in the order of ``config-reference.ini``.
+_KEYS: Dict[str, Tuple[_Key, ...]] = {
+    "chain": (
+        _Key("scheme", SchemeKind.NEW, 12, "dlcz | new",
+             parse=_parse_scheme, form=lambda scheme: scheme.value),
+        _Key("L", 1280.0, 13, "total distance between the end nodes", "L_km"),
+        _Key("L0", 40.0, 14, "station spacing; L/L0 must be a power of two",
+             "L0_km"),
+        _Key("p_c", 8.1e-3, 12, "excitation probability per generation attempt"),
+        _Key("L_att", RepeaterConfig.L_att, 11, "fiber attenuation length", "L_att_km"),
+        _Key("c_fiber", RepeaterConfig.c_fiber, 5, "signal velocity in fiber, km/s",
+             "c_fiber_km_per_s"),
+        _Key("enp_schedule", (), 4,
+             "none | <kind>-after-<level>[, ...]; kind: bit | phase",
+             parse=parse_enp_schedule, form=format_enp_schedule),
+        _Key("waiting", "deterministic", 1, "deterministic | mc", parse=_parse_waiting),
+        _Key("n_samples", 16384, 7, "samples for the mc waiting model", parse=int),
+    ),
+    "noise": (
+        _Key("eta", NoiseParams.eta, 12, "retrieval times detection efficiency"),
+        _Key("D", NoiseParams.D, 15, "phase diffusion coefficient, rad^2/km"),
+        _Key("p_misalign", NoiseParams.p_misalign, 6,
+             "misalignment probability per connection"),
+        _Key("p_dark", NoiseParams.p_dark, 10,
+             "dark count probability per detection window"),
+        _Key("eta_s", NoiseParams.eta_s, 11,
+             "collection efficiency entering the dark count rate"),
+    ),
+    "sweep": (
+        _Key("F_target", 0.9, 8, "fidelity target for optimize and table"),
+        _Key("L_list", (160.0, 320.0, 640.0, 1280.0), 4,
+             "distances for table and scaling", "L_list_km", _parse_float_list, list),
+        _Key("eta_list", (0.9, 0.95), 4, "efficiencies for curve",
+             parse=_parse_float_list, form=list),
+    ),
 }
+
+#: Resolved configuration for one command invocation: a field per
+#: ``[chain]`` and ``[sweep]`` key, with its default, and ``noise``, the
+#: ``NoiseParams`` that the ``[noise]`` keys set.
+Settings = dataclasses.make_dataclass(
+    "Settings",
+    [
+        (key.name, type(key.default), dataclasses.field(default=key.default))
+        for section in ("chain", "sweep")
+        for key in _KEYS[section]
+    ] + [("noise", NoiseParams, dataclasses.field(default=NoiseParams()))],
+    frozen=True,
+    namespace={"__module__": __name__},
+)
 
 
 def load_settings(path: Optional[Path]) -> Settings:
@@ -208,59 +222,49 @@ def load_settings(path: Optional[Path]) -> Settings:
     # configparser lists no [DEFAULT] section but merges its keys into all.
     if parser.defaults():
         raise ConfigError(f"unknown section [{parser.default_section}]")
-    values: Dict[str, Dict[str, object]] = {section: {} for section in _SECTIONS}
+    fields: Dict[str, object] = {}
+    noise: Dict[str, object] = {}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in _SECTIONS[section]:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
-            name, parse = _SECTIONS[section][key]
+        # configparser lowercases every key it reads.
+        keys = {key.name.lower(): key for key in _KEYS[section]}
+        for name, raw in parser.items(section):
+            key = keys.get(name)
+            if key is None:
+                raise ConfigError(f"unknown key {name!r} in [{section}]")
             try:
-                values[section][name] = parse(raw)
+                (noise if section == "noise" else fields)[key.name] = key.parse(raw)
             except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}") from None
-    noise = values.pop("noise")
+                raise ConfigError(f"bad value for {name!r}: {exc}") from None
     if noise:
         try:
-            values["chain"]["noise"] = NoiseParams(**noise)
+            fields["noise"] = NoiseParams(**noise)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    return Settings(**values["chain"], **values["sweep"])
+    return Settings(**fields)
+
+
+def _ini_text(value) -> str:
+    """A value form as INI text: a list as its comma-separated items."""
+    return ", ".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
 def config_reference() -> str:
     """INI reference listing every key with its default value."""
-    s = Settings()
-    n = s.noise
-    return f"""\
-# Reference configuration: every recognized key with its default value.
-# All keys are optional.  Distances are in km, times in s, the phase
-# diffusion coefficient in rad^2 per km.
-
-[chain]
-scheme = {s.scheme.value}            # dlcz | new
-L = {s.L}             # total distance between the end nodes
-L0 = {s.L0}              # station spacing; L/L0 must be a power of two
-p_c = {s.p_c}            # excitation probability per generation attempt
-L_att = {s.L_att}           # fiber attenuation length
-c_fiber = {s.c_fiber}     # signal velocity in fiber, km/s
-enp_schedule = {format_enp_schedule(s.enp_schedule)}    # none | <kind>-after-<level>[, ...]; kind: bit | phase
-waiting = {s.waiting} # deterministic | mc
-n_samples = {s.n_samples}       # samples for the mc waiting model
-
-[noise]
-eta = {n.eta}            # retrieval times detection efficiency
-D = {n.D}               # phase diffusion coefficient, rad^2/km
-p_misalign = {n.p_misalign}      # misalignment probability per connection
-p_dark = {n.p_dark}          # dark count probability per detection window
-eta_s = {n.eta_s}           # collection efficiency entering the dark count rate
-
-[sweep]
-F_target = {s.F_target}        # fidelity target for optimize and table
-L_list = {", ".join(str(x) for x in s.L_list)}    # distances for table and scaling
-eta_list = {", ".join(str(x) for x in s.eta_list)}    # efficiencies for curve
-"""
+    lines = [
+        "# Reference configuration: every recognized key with its default value.",
+        "# All keys are optional.  Distances are in km, times in s, the phase",
+        "# diffusion coefficient in rad^2 per km.",
+    ]
+    for section, keys in _KEYS.items():
+        lines += ["", f"[{section}]"]
+        lines += [
+            f"{key.name} = {_ini_text(key.form(key.default))}{' ' * key.gap}"
+            f"# {key.comment}"
+            for key in keys
+        ]
+    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -274,28 +278,20 @@ def render_json(payload) -> str:
 def manifest_json(args: argparse.Namespace, settings: Settings) -> str:
     """``manifest.json``: everything needed to reproduce one invocation
     byte for byte."""
-    s = settings
+    block: Dict[str, object] = {"noise": {}}
+    for section, keys in _KEYS.items():
+        holder, into = settings, block
+        if section == "noise":
+            holder, into = settings.noise, block["noise"]
+        for key in keys:
+            into[key.manifest or key.name] = key.form(getattr(holder, key.name))
     return render_json({
         "command": args.command,
         "config_path": str(args.config) if args.config else None,
         "out_dir": str(args.out),
         "seed": args.seed,
         "output_format": args.format,
-        "settings": {
-            "scheme": s.scheme.value,
-            "L_km": s.L,
-            "L0_km": s.L0,
-            "p_c": s.p_c,
-            "L_att_km": s.L_att,
-            "c_fiber_km_per_s": s.c_fiber,
-            "enp_schedule": format_enp_schedule(s.enp_schedule),
-            "waiting": s.waiting,
-            "n_samples": s.n_samples,
-            "noise": dataclasses.asdict(s.noise),
-            "F_target": s.F_target,
-            "L_list_km": list(s.L_list),
-            "eta_list": list(s.eta_list),
-        },
+        "settings": block,
     })
 
 

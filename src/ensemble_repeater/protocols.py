@@ -101,7 +101,7 @@ def eng_rows(scheme: SchemeKind, p_c, noise: NoiseParams, L0: float) -> np.ndarr
     an array entry give the same row to the bit.
     """
     batch = isinstance(p_c, np.ndarray)
-    if not (all(0.0 < p < 1.0 for p in p_c.tolist()) if batch else 0.0 < p_c < 1.0):
+    if not (np.all((0.0 < p_c) & (p_c < 1.0)) if batch else 0.0 < p_c < 1.0):
         raise ValueError("p_c must lie in (0, 1)")
     if L0 <= 0.0:
         raise ValueError("L0 must be positive")

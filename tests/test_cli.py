@@ -4,6 +4,7 @@ Each subcommand is exercised through ``main`` with a temporary output
 directory; determinism is checked byte for byte on the emitted files.
 """
 
+import configparser
 import contextlib
 import csv
 import io
@@ -24,6 +25,7 @@ from ensemble_repeater.cli import (
     MANIFEST_NAME,
     ConfigError,
     Settings,
+    _KEYS,
     config_reference,
     format_enp_schedule,
     load_settings,
@@ -760,6 +762,19 @@ _CONTRACT_POOLS = {
         "eta_list": ("0.9", "0.9, 0.95", "1", "0", "-0.9", "1e300"),
     },
 }
+
+
+def test_the_contract_pools_hold_every_declared_key():
+    """Each section's pools name exactly its declared keys, as
+    ``configparser`` folds their case, so no key escapes the contract."""
+    fold = configparser.ConfigParser().optionxform
+    assert {
+        section: sorted(fold(name) for name in pools)
+        for section, pools in _CONTRACT_POOLS.items()
+    } == {
+        section: sorted(fold(key.name) for key in keys)
+        for section, keys in _KEYS.items()
+    }
 
 
 @st.composite

@@ -202,7 +202,8 @@ def record(cases) -> None:
     for case in cases:
         with tempfile.TemporaryDirectory() as work:
             files = run_case(case, Path(work))
-        (GOLDEN_DIR / CONFIG_REFERENCE_NAME).write_text(files.pop(CONFIG_REFERENCE_NAME))
+        reference = files.pop(CONFIG_REFERENCE_NAME)
+        (GOLDEN_DIR / CONFIG_REFERENCE_NAME).write_text(reference)
         target = GOLDEN_DIR / case
         target.mkdir(parents=True, exist_ok=True)
         for old in target.iterdir():

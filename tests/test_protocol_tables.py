@@ -722,6 +722,13 @@ def test_generation_validation():
         eng(NEW, 1.0, noise, 40.0)
     with pytest.raises(ValueError):
         eng(NEW, 0.01, noise, 0.0)
+    # An array p_c is checked as one column: one bad entry rejects it.
+    for bad in (np.nan, 0.0, 1.0):
+        column = pc_grid()
+        column[len(column) // 2] = bad
+        for scheme in (NEW, DLCZ):
+            with pytest.raises(ValueError, match=r"^p_c must lie in \(0, 1\)$"):
+                eng_rows(scheme, column, noise, 40.0)
 
 
 def test_predicted_logical_error():
