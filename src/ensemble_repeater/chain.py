@@ -41,6 +41,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -1008,35 +1009,43 @@ def scaling_fit(
 # ---------------------------------------------------------------------------
 # Tabular output
 
-CSV_COLUMNS = (
-    "scheme", "L_km", "L0_km", "p_c", "eta", "D", "level",
-    "p_logic", "p_vac", "p_multi", "F", "P_success", "t_avg_s",
+#: The output fields of a chain's configuration and of each of its stages:
+#: each maps its name, a CSV column and a JSON key, to the attribute path
+#: its value is read from, of the ``RepeaterConfig`` or the ``LevelRecord``.
+_CONFIG_FIELDS = dict(
+    scheme="scheme.value", L_km="L", L0_km="L0", p_c="p_c", eta="noise.eta",
+    D="noise.D",
 )
+_STAGE_FIELDS = dict(
+    level="level", p_logic="p_logic", p_vac="p_vac", p_multi="p_multi",
+    F="fidelity", P_success="success_prob", t_avg_s="t_avg",
+)
+#: The stage fields of the JSON records only.
+_STAGE_JSON_FIELDS = dict(stage="stage", bell="bell", F_logical="logical_fidelity")
+#: The stage fields a ``RunResult`` holds too, as its last stage's.
+_FINAL_FIELDS = {
+    name: path for name, path in _STAGE_FIELDS.items()
+    if path in RunResult.__dataclass_fields__
+}
+
+CSV_COLUMNS = (*_CONFIG_FIELDS, *_STAGE_FIELDS)
+
+
+def read_fields(fields: dict, item) -> list:
+    """The value of each of ``fields`` on ``item``, in order; ``fields``
+    maps each output name to the attribute path its value is read from."""
+    return [attrgetter(path)(item) for path in fields.values()]
+
+
+def field_record(fields: dict, item) -> dict:
+    """The JSON record of ``fields`` on ``item``: each name with its value."""
+    return dict(zip(fields, read_fields(fields, item)))
 
 
 def run_result_rows(result: RunResult) -> list:
-    """One CSV row per chain stage, in the documented column order."""
-    config = result.config
-    rows = []
-    for rec in result.per_level:
-        rows.append(
-            [
-                config.scheme.value,
-                config.L,
-                config.L0,
-                config.p_c,
-                config.noise.eta,
-                config.noise.D,
-                rec.level,
-                rec.p_logic,
-                rec.p_vac,
-                rec.p_multi,
-                rec.fidelity,
-                rec.success_prob,
-                rec.t_avg,
-            ]
-        )
-    return rows
+    """One CSV row per chain stage, in the order of ``CSV_COLUMNS``."""
+    config = read_fields(_CONFIG_FIELDS, result.config)
+    return [config + read_fields(_STAGE_FIELDS, rec) for rec in result.per_level]
 
 
 def format_csv(rows: Iterable[Sequence], header: Sequence[str] = CSV_COLUMNS) -> str:
@@ -1058,30 +1067,16 @@ def _csv_cell(x) -> str:
 
 
 def run_result_payload(result: RunResult) -> dict:
-    """The JSON payload of one chain: its configuration and per-stage records."""
-    config = result.config
+    """The JSON payload of one chain: the configuration fields of its CSV
+    rows and its purification schedule, each stage's record, which holds
+    the stage fields of its row and ``_STAGE_JSON_FIELDS``, and the final
+    time and fidelity."""
     return {
-        "scheme": config.scheme.value,
-        "L_km": config.L,
-        "L0_km": config.L0,
-        "p_c": config.p_c,
-        "eta": config.noise.eta,
-        "D": config.noise.D,
-        "enp_schedule": [[m, kind.value] for m, kind in config.enp_schedule],
+        **field_record(_CONFIG_FIELDS, result.config),
+        "enp_schedule": [[m, kind.value] for m, kind in result.config.enp_schedule],
         "levels": [
-            {
-                "level": rec.level,
-                "stage": rec.stage,
-                "p_logic": rec.p_logic,
-                "p_vac": rec.p_vac,
-                "p_multi": rec.p_multi,
-                "bell": list(rec.bell),
-                "F": rec.fidelity,
-                "F_logical": rec.logical_fidelity,
-                "P_success": rec.success_prob,
-                "t_avg_s": rec.t_avg,
-            }
+            field_record({**_STAGE_FIELDS, **_STAGE_JSON_FIELDS}, rec)
             for rec in result.per_level
         ],
-        "final": {"t_avg_s": result.t_avg, "F": result.fidelity},
+        "final": field_record(_FINAL_FIELDS, result),
     }

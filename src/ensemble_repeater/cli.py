@@ -61,6 +61,7 @@ from .chain import (
     format_csv,
     format_enp_schedule,
     optimize,
+    read_fields,
     run_result_payload,
     run_result_rows,
     scaling_exponent,
@@ -352,9 +353,10 @@ def cmd_simulate(args, settings: Settings) -> CommandOutput:
     return CommandOutput(CSV_COLUMNS, rows, run_result_payload(result))
 
 
-_TABLE_COLUMNS = (
-    "scheme", "L_km", "t_avg_s", "L0_km", "p_c", "F_fin", "feasible",
-)
+#: The fields of an optimum that the optimizer finds, read from its run's
+#: ``RunResult`` (see ``read_fields``); empty cells where none is found.
+_OPTIMUM_FIELDS = dict(t_avg_s="t_avg", L0_km="config.L0", p_c="config.p_c", F_fin="fidelity")
+_TABLE_COLUMNS = ("scheme", "L_km", *_OPTIMUM_FIELDS, "feasible")
 
 
 def _optimum_row(
@@ -362,13 +364,10 @@ def _optimum_row(
     L: float,
     best: Optional[Tuple[RepeaterConfig, RunResult]],
 ) -> List:
+    """The ``_TABLE_COLUMNS`` row of the fastest chain at ``L``, if any."""
     if best is None:
-        return [scheme.value, L, "", "", "", "", 0]
-    config, result = best
-    return [
-        scheme.value, L, result.t_avg, config.L0, config.p_c,
-        result.fidelity, 1,
-    ]
+        return [scheme.value, L, *[""] * len(_OPTIMUM_FIELDS), 0]
+    return [scheme.value, L, *read_fields(_OPTIMUM_FIELDS, best[1]), 1]
 
 
 def cmd_optimize(args, settings: Settings) -> CommandOutput:
@@ -376,21 +375,10 @@ def cmd_optimize(args, settings: Settings) -> CommandOutput:
         settings.scheme, settings.L, settings.F_target, **_sweep_options(settings)
     )
     rows = [_optimum_row(settings.scheme, settings.L, best)]
-    payload = {
-        "scheme": settings.scheme.value,
-        "L_km": settings.L,
-        "F_target": settings.F_target,
-        "feasible": best is not None,
-    }
+    payload = {key: cell for key, cell in zip(_TABLE_COLUMNS, rows[0]) if cell != ""}
+    payload.update(F_target=settings.F_target, feasible=best is not None)
     if best is not None:
-        config, result = best
-        payload.update(
-            L0_km=config.L0,
-            p_c=config.p_c,
-            t_avg_s=result.t_avg,
-            F_fin=result.fidelity,
-            run=run_result_payload(result),
-        )
+        payload["run"] = run_result_payload(best[1])
         return CommandOutput(_TABLE_COLUMNS, rows, payload)
     return CommandOutput(
         _TABLE_COLUMNS, rows, payload, code=EXIT_INFEASIBLE,
@@ -416,10 +404,9 @@ def cmd_table(args, settings: Settings) -> CommandOutput:
     )
 
 
-_CURVE_COLUMNS = (
-    "scheme", "L_km", "eta", "D", "enp_schedule", "p_c", "L0_km",
-    "t_avg_s", "F",
-)
+#: A curve point's columns, which are also the keys of its JSON record.
+_CURVE_POINT_COLUMNS = ("p_c", "L0_km", "t_avg_s", "F")
+_CURVE_COLUMNS = ("scheme", "L_km", "eta", "D", "enp_schedule", *_CURVE_POINT_COLUMNS)
 
 #: The standard trade-off variants: the single-rail protocol, the
 #: two-cell scheme without purification, and the two-cell scheme with
@@ -460,26 +447,24 @@ def cmd_curve(args, settings: Settings) -> CommandOutput:
                 scheme, settings.L, noise=noise, enp_schedule=schedule,
                 L_att=settings.L_att, c_fiber=settings.c_fiber,
             )
-            rows = [
-                [
-                    scheme.value, settings.L, noise.eta, noise.D,
-                    format_enp_schedule(schedule), p_c, L0, t, F,
-                ]
-                for t, F, p_c, L0 in points
+            variant = [
+                scheme.value, settings.L, noise.eta, noise.D,
+                format_enp_schedule(schedule),
             ]
+            cells = [[p_c, L0, t, F] for t, F, p_c, L0 in points]
+            rows = [variant + point for point in cells]
             all_rows.extend(rows)
             tag = (
                 f"curve_{scheme.value}_enp-{format_enp_schedule(schedule)}_{eta_tag}"
             ).replace(", ", "+")
             files[f"{tag}.csv"] = format_csv(rows, header=_CURVE_COLUMNS)
-            collected[tag] = [
-                {"t_avg_s": t, "F": F, "p_c": p_c, "L0_km": L0}
-                for t, F, p_c, L0 in points
-            ]
+            collected[tag] = [dict(zip(_CURVE_POINT_COLUMNS, point)) for point in cells]
     return CommandOutput(_CURVE_COLUMNS, all_rows, collected, files)
 
 
-_SCALING_COLUMNS = ("scheme", "eta", "L_km", "t_avg_s")
+#: A scaling point's columns, which are also the keys of its JSON record.
+_SCALING_POINT_COLUMNS = ("L_km", "t_avg_s")
+_SCALING_COLUMNS = ("scheme", "eta", *_SCALING_POINT_COLUMNS)
 
 
 def cmd_scaling(args, settings: Settings) -> CommandOutput:
@@ -494,16 +479,14 @@ def cmd_scaling(args, settings: Settings) -> CommandOutput:
         c_fiber=settings.c_fiber,
     )
     eta = settings.noise.eta
-    rows = [
-        [settings.scheme.value, eta, L, t] for L, t in points
-    ]
+    fit = [settings.scheme.value, eta]
+    rows = [fit + list(point) for point in points]
     payload = {
-        "scheme": settings.scheme.value,
-        "eta": eta,
+        **dict(zip(_SCALING_COLUMNS, fit)),
         "L0_km": settings.L0,
         "fitted_exponent": slope,
         "stable_exponent": scaling_exponent(eta),
-        "points": [{"L_km": L, "t_avg_s": t} for L, t in points],
+        "points": [dict(zip(_SCALING_POINT_COLUMNS, point)) for point in points],
     }
     return CommandOutput(_SCALING_COLUMNS, rows, payload)
 
