@@ -53,6 +53,7 @@ from .patterns import (
     SchemeKind,
     aggregate,
     apply_bell_channel,
+    apply_bell_channel_rows,
     check_bell_channel,
     check_rows,
     fidelity,
@@ -629,9 +630,11 @@ def _step(
     The step runs the checks of the per-state path on every ``live``
     row: the step output's and the normalized pair's ``_set_row``, the
     Bell channel's output's (``channel`` is checked already) and
-    ``fidelity``'s.  A row whose step has zero success is masked dead,
-    as ``simulate_chain`` raises at it; a dead row is zero from then on
-    and no check reads it.
+    ``fidelity``'s.  The channel is ``apply_bell_channel_rows``, the
+    arithmetic of ``apply_bell_channel``, so a row gets its chain's bits
+    on any BLAS kernel.  A row whose step has zero success is masked
+    dead, as ``simulate_chain`` raises at it; a dead row is zero from
+    then on and no check reads it.
     """
     scheme = table.output_scheme
     out = apply_table_rows(table, rows, rows)
@@ -642,7 +645,7 @@ def _step(
     rows[~live] = 0.0
     check_rows(scheme, rows, live)
     if channel is not None:
-        rows[:, -4:] = np.einsum("ij,nj->ni", channel, rows[:, -4:])
+        apply_bell_channel_rows(rows, channel)
         check_rows(scheme, rows, live)
     return rows, success, fidelity_rows(scheme, rows, live, target), live
 
@@ -1013,8 +1016,7 @@ def scaling_fit(
 #: each maps its name, a CSV column and a JSON key, to the attribute path
 #: its value is read from, of the ``RepeaterConfig`` or the ``LevelRecord``.
 _CONFIG_FIELDS = dict(
-    scheme="scheme.value", L_km="L", L0_km="L0", p_c="p_c", eta="noise.eta",
-    D="noise.D",
+    scheme="scheme.value", L_km="L", L0_km="L0", p_c="p_c", eta="noise.eta", D="noise.D"
 )
 _STAGE_FIELDS = dict(
     level="level", p_logic="p_logic", p_vac="p_vac", p_multi="p_multi",
@@ -1067,10 +1069,9 @@ def _csv_cell(x) -> str:
 
 
 def run_result_payload(result: RunResult) -> dict:
-    """The JSON payload of one chain: the configuration fields of its CSV
-    rows and its purification schedule, each stage's record, which holds
-    the stage fields of its row and ``_STAGE_JSON_FIELDS``, and the final
-    time and fidelity."""
+    """The JSON payload of one chain: its rows' configuration fields and
+    its purification schedule, each stage's record (its row's stage fields
+    and ``_STAGE_JSON_FIELDS``), and the final time and fidelity."""
     return {
         **field_record(_CONFIG_FIELDS, result.config),
         "enp_schedule": [[m, kind.value] for m, kind in result.config.enp_schedule],

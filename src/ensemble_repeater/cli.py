@@ -355,7 +355,9 @@ def cmd_simulate(args, settings: Settings) -> CommandOutput:
 
 #: The fields of an optimum that the optimizer finds, read from its run's
 #: ``RunResult`` (see ``read_fields``); empty cells where none is found.
-_OPTIMUM_FIELDS = dict(t_avg_s="t_avg", L0_km="config.L0", p_c="config.p_c", F_fin="fidelity")
+_OPTIMUM_FIELDS = dict(
+    t_avg_s="t_avg", L0_km="config.L0", p_c="config.p_c", F_fin="fidelity"
+)
 _TABLE_COLUMNS = ("scheme", "L_km", *_OPTIMUM_FIELDS, "feasible")
 
 

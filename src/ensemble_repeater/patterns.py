@@ -43,9 +43,9 @@ reports the scheme's pure default weights: Psi+ for DLCZ, Phi+ for the
 two-cell scheme.
 
 A batch of pairs is an ``(n, k)`` array of such rows.  The row
-functions (``row_totals``, ``check_rows``, ``fidelity_rows``,
-``logical_fidelity_rows``) are the state operations on every row at
-once, with the same arithmetic and the same checks.
+functions (``row_totals``, ``apply_bell_channel_rows``, ``check_rows``,
+``fidelity_rows``, ``logical_fidelity_rows``) are the state operations
+on every row at once, with the same arithmetic and the same checks.
 
 The state rule
 --------------
@@ -394,8 +394,20 @@ def apply_bell_channel(state: PatternState, channel: np.ndarray) -> PatternState
     """
     channel = check_bell_channel(channel)
     row = state.row.copy()
-    row[-4:] = channel @ row[-4:]
+    row[-4:] = _mix_bell_masses(channel.tolist(), row[-4:].tolist())
     return PatternState._from_row(state.scheme, row)
+
+
+def _mix_bell_masses(channel: list, masses: Sequence) -> list:
+    """The Bell masses after a checked channel given as nested lists: mass
+    i is ``channel[i][0] m0 + ... + channel[i][3] m3``, added left to right.
+
+    ``masses`` holds one state's four masses as floats, or a batch's four
+    mass columns as arrays, mixed element by element with the same IEEE
+    operations and no BLAS call: a row gets its state's bits on any kernel.
+    """
+    m0, m1, m2, m3 = masses
+    return [c0 * m0 + c1 * m1 + c2 * m2 + c3 * m3 for c0, c1, c2, c3 in channel]
 
 
 # ----------------------------------------------------------------------
@@ -415,6 +427,11 @@ def row_totals(scheme: SchemeKind, rows: np.ndarray) -> np.ndarray:
     for j in range(1, len(_layout(scheme).column)):
         total += rows[:, j]
     return total
+
+
+def apply_bell_channel_rows(rows: np.ndarray, channel: np.ndarray) -> None:
+    """``apply_bell_channel`` on every row, in place, with a checked channel."""
+    rows[:, -4:] = np.transpose(_mix_bell_masses(channel.tolist(), rows[:, -4:].T))
 
 
 def check_rows(scheme: SchemeKind, rows: np.ndarray, live: np.ndarray) -> None:

@@ -18,6 +18,7 @@ from ensemble_repeater.patterns import (
     SchemeKind,
     aggregate,
     apply_bell_channel,
+    apply_bell_channel_rows,
     check_rows,
     fidelity,
     fidelity_rows,
@@ -321,13 +322,25 @@ def test_state_check_ignores_the_position_of_a_nan_mass():
             PatternState._from_row(SchemeKind.NEW, np.array(masses + [0.0] * 4))
 
 
+def _column_stochastic(entries):
+    channel = np.reshape(entries, (4, 4))
+    return channel / channel.sum(axis=0)
+
+
+#: Column-stochastic 4x4 Bell channels with random entries.
+_CHANNELS = st.lists(st.floats(0.01, 1.0), min_size=16, max_size=16).map(_column_stochastic)
+
+
 @settings(max_examples=100, deadline=None)
-@given(batch=_batches(), target=st.sampled_from(list(BellState)))
-def test_batch_figures_equal_each_states_to_the_bit(batch, target):
+@given(batch=_batches(), target=st.sampled_from(list(BellState)), channel=_CHANNELS)
+def test_batch_figures_equal_each_states_to_the_bit(batch, target, channel):
     scheme, rows, _ = batch
     rows[:, : len(scheme_patterns(scheme))] = np.abs(rows[:, : len(scheme_patterns(scheme))])
     rows[:, -4:] = np.abs(rows[:, -4:])
     states = [PatternState._from_row(scheme, row.copy()) for row in rows]
+    mixed = rows.copy()
+    apply_bell_channel_rows(mixed, channel)
+    assert mixed.tolist() == [apply_bell_channel(s, channel).row.tolist() for s in states]
     assert row_totals(scheme, rows).tolist() == [state.total for state in states]
     weights = logical_fidelity_rows(scheme, rows, target).tolist()
     assert weights == [logical_fidelity(state, target) for state in states]
