@@ -430,7 +430,7 @@ def row_totals(scheme: SchemeKind, rows: np.ndarray) -> np.ndarray:
 
 
 def apply_bell_channel_rows(rows: np.ndarray, channel: np.ndarray) -> None:
-    """``apply_bell_channel`` on every row, in place, with a checked channel."""
+    """``apply_bell_channel`` on every row, in place; ``channel`` is checked already."""
     rows[:, -4:] = np.transpose(_mix_bell_masses(channel.tolist(), rows[:, -4:].T))
 
 
