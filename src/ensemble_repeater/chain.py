@@ -46,7 +46,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .noise import NoiseParams, dark_count_error, misalignment_channel
+from .noise import NoiseParams, step_error
 from .patterns import (
     BellState,
     PatternState,
@@ -54,7 +54,6 @@ from .patterns import (
     aggregate,
     apply_bell_channel,
     apply_bell_channel_rows,
-    check_bell_channel,
     check_rows,
     fidelity,
     fidelity_rows,
@@ -87,11 +86,6 @@ _SATURATED_DRAW = np.iinfo(np.int64).max
 # about 40 bytes of arrays, so a step stays under 1 GB.  The largest
 # total of the tests, demos and benchmark cases is about 4.7e5 draws.
 MC_MAX_DRAWS = 2**24
-
-# Number of detection windows whose dark counts can fake a herald in one
-# connection or purification step (two accepted detectors per step).
-_DETECTIONS_PER_STEP = 2
-
 
 @dataclass(frozen=True)
 class RepeaterConfig:
@@ -393,15 +387,6 @@ def empirical_time(config: RepeaterConfig) -> float:
     return config.t0 * (config.L / config.L0) ** exponent
 
 
-def _step_channel(noise: NoiseParams) -> Optional[np.ndarray]:
-    """Bell channel applied after each heralded step, or None if trivial."""
-    p_extra = _DETECTIONS_PER_STEP * dark_count_error(noise.p_dark, noise.eta_s)
-    p = noise.p_misalign + min(p_extra, 1.0)
-    if p <= 0.0:
-        return None
-    return misalignment_channel(min(p, 1.0))
-
-
 def _target_bell(scheme: SchemeKind, connected: bool) -> BellState:
     """Target Bell state of a chain stage.
 
@@ -572,7 +557,7 @@ def simulate_chain(
     scheme = config.scheme
     noise = config.noise
     eta = noise.eta
-    channel = _step_channel(noise)
+    p_step = step_error(noise)
 
     if mc:
         times = mc.elementary(config)
@@ -597,8 +582,8 @@ def simulate_chain(
         if success <= 0.0:
             raise _zero_success(level, stage)
         state = normalize(out)
-        if channel is not None:
-            state = apply_bell_channel(state, channel)
+        if p_step > 0.0:
+            state = apply_bell_channel(state, p_step)
         F = fidelity(state, target)
         if mc:
             times = mc.combine(times, success, level, stage)
@@ -620,7 +605,7 @@ def _step(
     table: ConnectionTable,
     rows: np.ndarray,
     live: np.ndarray,
-    channel: Optional[np.ndarray],
+    p_step: float,
     target: BellState,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One plan step of ``table`` on every row of a sweep's block: the
@@ -629,10 +614,10 @@ def _step(
 
     The step runs the checks of the per-state path on every ``live``
     row: the step output's and the normalized pair's ``_set_row``, the
-    Bell channel's output's (``channel`` is checked already) and
-    ``fidelity``'s.  The channel is ``apply_bell_channel_rows``, the
-    arithmetic of ``apply_bell_channel``, so a row gets its chain's bits
-    on any BLAS kernel.  A row whose step has zero success is masked
+    Bell channel's output's and ``fidelity``'s.  The channel, run where
+    the step error ``p_step`` is positive, is ``apply_bell_channel_rows``,
+    the arithmetic of ``apply_bell_channel``, so a row gets its chain's
+    bits on any BLAS kernel.  A row whose step has zero success is masked
     dead, as ``simulate_chain`` raises at it; a dead row is zero from
     then on and no check reads it.
     """
@@ -644,8 +629,8 @@ def _step(
     rows = out / np.where(live, success, 1.0)[:, None]
     rows[~live] = 0.0
     check_rows(scheme, rows, live)
-    if channel is not None:
-        apply_bell_channel_rows(rows, channel)
+    if p_step > 0.0:
+        apply_bell_channel_rows(rows, p_step)
         check_rows(scheme, rows, live)
     return rows, success, fidelity_rows(scheme, rows, live, target), live
 
@@ -745,9 +730,7 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     if bad.any():
         raise ValueError(_p_c_problem(p_cs[int(bad.argmax())]))
     spacings = sweep_l0(scheme, L, schedule)
-    channel = _step_channel(noise)
-    if channel is not None:
-        channel = check_bell_channel(channel)
+    p_step = step_error(noise)
     if not spacings:
         return []
     n, eta = len(p_cs), noise.eta
@@ -773,7 +756,7 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
         reach = sum(depth >= j for depth in depths)  # a prefix: deepest first
         m = min(reach, sets)
         table = step_table(stage, scheme, eta, level, kind)
-        rows, success, F, live = _step(table, rows[: m * n], live[: m * n], channel, target)
+        rows, success, F, live = _step(table, rows[: m * n], live[: m * n], p_step, target)
         stages.append((rows, F, live))
         successes.append((reach, success.reshape(m, n)))
     ends = [(stages[depth], min(i, sets - 1) * n) for i, depth in enumerate(depths)]
@@ -783,7 +766,7 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     delivered = scheme
     if scheme is SchemeKind.DLCZ:
         table = step_table("pme", scheme, eta)
-        rows, success, F, _ = _step(table, rows, live & valid.ravel(), channel, target)
+        rows, success, F, _ = _step(table, rows, live & valid.ravel(), p_step, target)
         successes.append((len(spacings), success.reshape(len(spacings), n)))
         delivered = table.output_scheme
     logical = logical_fidelity_rows(delivered, rows, target)

@@ -1,19 +1,18 @@
 """Imperfection models: efficiency, phase diffusion, misalignment, dark counts.
 
 The combined retrieval and detection efficiency eta is consumed directly
-by the connection circuits; this module holds the remaining channels.
+by the connection circuits; this module holds the remaining two models.
 Interferometric phase noise is applied at generation time as a
-Bell-weight mixture (the Gaussian average over the accumulated phase),
-misalignment as a depolarizing Bell channel per connection step, and
-dark counts as a small logical-error injection per detection.
+Bell-weight mixture, the Gaussian average over the accumulated phase
+(``phase_error_prob``).  Misalignment and dark counts enter together as
+one depolarizing Bell channel after each heralded connection or
+purification step, given by its probability ``step_error``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -65,20 +64,11 @@ def phase_error_prob(D: float, L0: float) -> float:
     return 0.5 * (1.0 - math.exp(-D * L0))
 
 
-def gaussian_phase_average(variance: float) -> float:
-    """<sin^2(delta/2)> for a zero-mean Gaussian phase of given variance."""
-    return 0.5 * (1.0 - math.exp(-variance / 2.0))
+def step_error(noise: NoiseParams) -> float:
+    """Depolarizing probability of the Bell channel after each heralded step.
 
-
-def misalignment_channel(p_misalign: float) -> np.ndarray:
-    """Depolarizing Bell channel: keep with 1-p, randomize with p."""
-    if not 0.0 <= p_misalign <= 1.0:
-        raise ValueError("p_misalign must lie in [0, 1]")
-    return (1.0 - p_misalign) * np.eye(4) + p_misalign * np.full((4, 4), 0.25)
-
-
-def dark_count_error(p_dark: float, eta_s: float) -> float:
-    """Logical-error probability injected per detection, p_dark*(1-eta_s)."""
-    if not 0.0 <= p_dark <= 1.0 or not 0.0 <= eta_s <= 1.0:
-        raise ValueError("probabilities must lie in [0, 1]")
-    return p_dark * (1.0 - eta_s)
+    Misalignment adds p_misalign; dark counts on the step's two accepted
+    detectors add 2 p_dark (1 - eta_s), at most 1; the sum is capped at 1.
+    """
+    dark = min(2 * (noise.p_dark * (1.0 - noise.eta_s)), 1.0)
+    return min(noise.p_misalign + dark, 1.0)

@@ -40,12 +40,14 @@ output as a new one, whose total mass is the step's success
 probability.  The conditional Bell weights ``logical`` (a read-only
 float array) are derived from the row.  A state with no logical mass
 reports the scheme's pure default weights: Psi+ for DLCZ, Phi+ for the
-two-cell scheme.
+two-cell scheme.  The one Bell channel, ``apply_bell_channel``, is
+depolarizing and is given by its probability.
 
 A batch of pairs is an ``(n, k)`` array of such rows.  The row
 functions (``row_totals``, ``apply_bell_channel_rows``, ``check_rows``,
 ``fidelity_rows``, ``logical_fidelity_rows``) are the state operations
-on every row at once, with the same arithmetic and the same checks.
+on every row at once, with the same arithmetic and the same checks;
+``apply_bell_channel_rows`` takes a probability that is checked already.
 
 The state rule
 --------------
@@ -70,10 +72,6 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 WEIGHT_TOL = 1e-12
-
-# Column-sum tolerance of a Bell channel: np.allclose(sums, 1, atol=1e-9)
-# with allclose's default rtol of 1e-5.
-_CHANNEL_COLUMN_TOL = 1e-9 + 1e-5
 
 
 class SchemeKind(enum.Enum):
@@ -371,43 +369,33 @@ def normalize(state: PatternState) -> PatternState:
     return normalized
 
 
-def check_bell_channel(channel: np.ndarray) -> np.ndarray:
-    """The channel as a float array, once it is a stochastic 4x4 matrix."""
-    channel = np.asarray(channel, dtype=float)
-    if channel.shape != (4, 4):
-        raise ValueError("Bell channel must be 4x4")
-    # Plain comparisons: np.allclose costs far more than the matmul it
-    # guards.  A NaN fails every comparison, so its column is rejected.
-    if any(x < -WEIGHT_TOL for x in channel.ravel().tolist()):
-        raise ValueError("Bell channel entries must be non-negative")
-    sums = channel.sum(axis=0).tolist()
-    if not all(abs(s - 1.0) <= _CHANNEL_COLUMN_TOL for s in sums):
-        raise ValueError("Bell channel columns must sum to 1")
-    return channel
-
-
-def apply_bell_channel(state: PatternState, channel: np.ndarray) -> PatternState:
-    """Apply a stochastic 4x4 matrix to the Bell masses.
-
-    ``channel[i, j]`` is the probability that Bell state j becomes Bell
-    state i; columns must sum to 1.
-    """
-    channel = check_bell_channel(channel)
+def apply_bell_channel(state: PatternState, p: float) -> PatternState:
+    """Depolarize the Bell masses with probability ``p`` in [0, 1]: each
+    Bell state is kept with 1 - p and randomized with p."""
+    if not 0.0 <= p <= 1.0:  # a NaN fails too
+        raise ValueError(f"depolarizing probability must lie in [0, 1], got {p}")
     row = state.row.copy()
-    row[-4:] = _mix_bell_masses(channel.tolist(), row[-4:].tolist())
+    row[-4:] = _mix_bell_masses(p, row[-4:].tolist())
     return PatternState._from_row(state.scheme, row)
 
 
-def _mix_bell_masses(channel: list, masses: Sequence) -> list:
-    """The Bell masses after a checked channel given as nested lists: mass
-    i is ``channel[i][0] m0 + ... + channel[i][3] m3``, added left to right.
+def _mix_bell_masses(p: float, masses: Sequence) -> list:
+    """The Bell masses after depolarizing with probability ``p``: mass i
+    is ``c_i0 m0 + ... + c_i3 m3``, added left to right, where c is the
+    channel matrix ``(1 - p) I + p J / 4``, J all ones.
 
     ``masses`` holds one state's four masses as floats, or a batch's four
     mass columns as arrays, mixed element by element with the same IEEE
     operations and no BLAS call: a row gets its state's bits on any kernel.
     """
+    keep, flip = (1.0 - p) + 0.25 * p, 0.25 * p
     m0, m1, m2, m3 = masses
-    return [c0 * m0 + c1 * m1 + c2 * m2 + c3 * m3 for c0, c1, c2, c3 in channel]
+    return [
+        keep * m0 + flip * m1 + flip * m2 + flip * m3,
+        flip * m0 + keep * m1 + flip * m2 + flip * m3,
+        flip * m0 + flip * m1 + keep * m2 + flip * m3,
+        flip * m0 + flip * m1 + flip * m2 + keep * m3,
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -429,9 +417,9 @@ def row_totals(scheme: SchemeKind, rows: np.ndarray) -> np.ndarray:
     return total
 
 
-def apply_bell_channel_rows(rows: np.ndarray, channel: np.ndarray) -> None:
-    """``apply_bell_channel`` on every row, in place; ``channel`` is checked already."""
-    rows[:, -4:] = np.transpose(_mix_bell_masses(channel.tolist(), rows[:, -4:].T))
+def apply_bell_channel_rows(rows: np.ndarray, p: float) -> None:
+    """``apply_bell_channel`` on every row, in place, with no check of ``p``."""
+    rows[:, -4:] = np.transpose(_mix_bell_masses(p, rows[:, -4:].T))
 
 
 def check_rows(scheme: SchemeKind, rows: np.ndarray, live: np.ndarray) -> None:

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .noise import NoiseParams, gaussian_phase_average, phase_error_prob
+from .noise import NoiseParams, phase_error_prob
 from .patterns import (
     ExcitationPattern,
     PatternState,
@@ -111,7 +111,7 @@ def eng_rows(scheme: SchemeKind, p_c, noise: NoiseParams, L0: float) -> np.ndarr
         norm = 1.0 + extra
         mass = 1.0 / norm
     else:
-        q = gaussian_phase_average(4.0 * noise.D * L0)
+        q = phase_error_prob(2.0 * noise.D, L0)
         extra = ENG_MULTI_WEIGHT_NEW * p_c
         norm = 1.0 + extra
         mass = 0.5 / norm

@@ -1,16 +1,16 @@
-"""Tests for the imperfection channels."""
+"""Tests for the imperfection models."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ensemble_repeater.noise import (
-    NoiseParams,
-    dark_count_error,
-    gaussian_phase_average,
-    misalignment_channel,
-    phase_error_prob,
+from ensemble_repeater.noise import NoiseParams, phase_error_prob, step_error
+from ensemble_repeater.patterns import (
+    ExcitationPattern,
+    PatternState,
+    SchemeKind,
+    apply_bell_channel,
 )
 
 
@@ -52,38 +52,62 @@ def test_phase_error_monotone():
     assert grid == sorted(grid)
 
 
+def _gaussian_phase_average(variance):
+    """<sin^2(delta/2)> for a zero-mean Gaussian phase of given variance."""
+    return 0.5 * (1.0 - math.exp(-variance / 2.0))
+
+
 def test_gaussian_phase_average_matches_link_form():
-    # One link of variance 2*D*L0 reproduces phase_error_prob.
+    # One link of variance 2*D*L0 is phase_error_prob(D, L0); the two-cell
+    # pair's variance 4*D*L0 is phase_error_prob(2*D, L0), to the bit.
     D, L0 = 2e-3, 25.0
-    assert gaussian_phase_average(2.0 * D * L0) == pytest.approx(
+    assert _gaussian_phase_average(2.0 * D * L0) == pytest.approx(
         phase_error_prob(D, L0), abs=1e-15
     )
-    assert gaussian_phase_average(0.0) == 0.0
+    for D, L0 in (
+        (0.0, 40.0), (1e-4, 40.0), (3e-4, 5.0), (0.02, 160.0),
+        (0.5, 1e308), (5e-324, 1.0),  # 4*D*L0 overflows; D*L0 is subnormal
+    ):
+        assert phase_error_prob(2.0 * D, L0) == _gaussian_phase_average(4.0 * D * L0)
 
 
 def test_gaussian_phase_average_against_sampling():
-    """Monte Carlo check of <sin^2(delta/2)> for Gaussian delta."""
+    """Monte Carlo check of <sin^2(delta/2)> for Gaussian delta of
+    variance 2*D*L0."""
     rng = np.random.default_rng(7)
-    variance = 0.08
-    delta = rng.normal(0.0, math.sqrt(variance), size=200_000)
+    D, L0 = 1e-3, 40.0
+    delta = rng.normal(0.0, math.sqrt(2.0 * D * L0), size=200_000)
     estimate = np.mean(np.sin(delta / 2.0) ** 2)
     sigma = np.std(np.sin(delta / 2.0) ** 2) / math.sqrt(delta.size)
-    assert abs(estimate - gaussian_phase_average(variance)) < 4.0 * sigma
+    assert abs(estimate - phase_error_prob(D, L0)) < 4.0 * sigma
 
 
 def test_misalignment_channel_is_stochastic():
-    chan = misalignment_channel(0.3)
-    assert chan.shape == (4, 4)
-    assert np.allclose(chan.sum(axis=0), 1.0)
-    assert np.all(chan >= 0.0)
-    assert np.allclose(misalignment_channel(0.0), np.eye(4))
-    assert np.allclose(misalignment_channel(1.0), 0.25)
-    with pytest.raises(ValueError):
-        misalignment_channel(-0.1)
+    """Misalignment alone is the step error; its channel keeps the Bell
+    mass, is the identity at 0 and randomizes fully at 1."""
+    assert step_error(NoiseParams(p_misalign=0.3)) == 0.3
+    state = PatternState(SchemeKind.NEW, {ExcitationPattern.P11: 1.0}, (0.7, 0.1, 0.2, 0.0))
+    out = apply_bell_channel(state, 0.3)
+    assert out.logical.sum() == pytest.approx(1.0)
+    assert np.all(out.logical >= 0.0)
+    assert apply_bell_channel(state, 0.0) == state
+    assert apply_bell_channel(state, 1.0).logical.tolist() == [0.25] * 4
 
 
 def test_dark_count_error():
-    assert dark_count_error(0.0, 0.9) == 0.0
-    assert dark_count_error(1e-4, 0.9) == pytest.approx(1e-5)
-    with pytest.raises(ValueError):
-        dark_count_error(2.0, 0.9)
+    """Dark counts on the step's two accepted detectors add
+    2 p_dark (1 - eta_s)."""
+    assert step_error(NoiseParams(p_dark=0.0, eta_s=0.9)) == 0.0
+    assert step_error(NoiseParams(p_dark=1e-4, eta_s=0.9)) == pytest.approx(2e-5)
+    assert step_error(NoiseParams(p_dark=0.3, eta_s=1.0)) == 0.0
+
+
+def test_step_error():
+    """The step error is p_misalign + min(2 p_dark (1 - eta_s), 1), capped
+    at 1, with the IEEE operations of that formula."""
+    assert step_error(NoiseParams()) == 0.0
+    noise = NoiseParams(p_misalign=0.03, p_dark=0.01, eta_s=0.5)
+    assert step_error(noise) == 0.03 + 2 * (0.01 * (1.0 - 0.5))
+    assert step_error(NoiseParams(p_dark=1.0, eta_s=0.0)) == 1.0
+    assert step_error(NoiseParams(p_misalign=0.4, p_dark=0.6, eta_s=0.0)) == 1.0
+    assert step_error(NoiseParams(p_misalign=1.0)) == 1.0

@@ -15,12 +15,7 @@ from hypothesis import strategies as st
 
 from ensemble_repeater.chain import pc_grid
 from ensemble_repeater.circuits import oracle_table
-from ensemble_repeater.noise import (
-    NoiseParams,
-    gaussian_phase_average,
-    misalignment_channel,
-    phase_error_prob,
-)
+from ensemble_repeater.noise import NoiseParams, phase_error_prob
 from ensemble_repeater.patterns import (
     BellState,
     ExcitationPattern,
@@ -510,7 +505,7 @@ def test_state_row_invariant_holds_through_every_operation(kind, data):
     for out in (
         state,
         unit,
-        apply_bell_channel(unit, misalignment_channel(p)),
+        apply_bell_channel(unit, p),
         _apply_table(table, unit, unit),
     ):
         _assert_row_invariant(out)
@@ -674,7 +669,7 @@ def test_generation_row_equals_the_mapping_built_state(scheme, p_c, L0, D):
         norm = 1.0 + extra
         probs = {P.P10: 1.0 / norm, P.P11: 0.5 * extra / norm, P.P20: 0.5 * extra / norm}
     else:
-        q = gaussian_phase_average(4.0 * D * L0)
+        q = phase_error_prob(2.0 * D, L0)
         extra = ENG_MULTI_WEIGHT_NEW * p_c
         norm = 1.0 + extra
         probs = {
