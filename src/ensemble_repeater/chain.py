@@ -240,6 +240,10 @@ def _num_levels(L: float, L0: float) -> int:
 def _normalized_schedule(
     schedule: Iterable[Tuple[int, str]],
 ) -> Tuple[Tuple[int, EnpKind], ...]:
+    schedule = tuple(schedule)
+    for m, _ in schedule:
+        if not float(m).is_integer():
+            raise ValueError(f"purification levels must be integers, got {m}")
     return tuple((int(m), EnpKind(kind)) for m, kind in schedule)
 
 
@@ -283,7 +287,8 @@ def _spacing_problem(scheme: SchemeKind, L: float, L0: float) -> Optional[str]:
     if not 0.0 < ratio < math.inf:  # L/L0 overflows or underflows
         return "L/L0 must be a power of 2 (at least 2)"
     k = round(math.log2(ratio))
-    if abs(ratio - 2.0**k) > 1e-9 * ratio or k < 1:
+    # k is 1024 just below the float maximum, where 2.0**k overflows
+    if not 1 <= k < sys.float_info.max_exp or abs(ratio - 2.0**k) > 1e-9 * ratio:
         return "L/L0 must be a power of 2 (at least 2)"
     if scheme is SchemeKind.NEW and k < 2:
         return "two-cell chains need at least one connection level"

@@ -370,8 +370,8 @@ def project_from_fock(
     bell[[label.index for label in LOGICAL_BELLS[scheme]]] = np.real(
         np.einsum("ij,jk,ik->i", vecs.conj(), block, vecs)
     )
-    vecs = vecs.astype(complex)
-    in_bell = vecs.conj() @ block @ vecs.T
+    # elementwise sums, not a BLAS product: the residue's bits follow no kernel
+    in_bell = np.einsum("ij,jk,lk->il", vecs.conj(), block, vecs)
     residue = float(np.linalg.norm(in_bell - np.diag(np.diag(in_bell))))
 
     mass = float(bell.sum())

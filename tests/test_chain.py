@@ -125,6 +125,9 @@ def test_enp_schedule_validation():
         _config(L=1280.0, enp_schedule=((5, "phase"),))
     with pytest.raises(ValueError):
         _config(L=1280.0, enp_schedule=((0, "bit"),))
+    # a fractional level is rejected, not truncated
+    with pytest.raises(ValueError, match=r"^purification levels must be integers, got 1\.5$"):
+        _config(L=1280.0, enp_schedule=((1.5, "bit"),))
 
 
 def test_single_rail_chains_reject_a_purification_schedule():

@@ -261,6 +261,10 @@ def test_mc_seed_changes_simulated_times(tmp_path):
             "L/L0 must be a power of 2 (at least 2)", id="underflowing-L-over-L0",
         ),
         pytest.param(
+            "[chain]\nL = 1.7e308\nL0 = 1\n", [], "simulate",
+            "L/L0 must be a power of 2 (at least 2)", id="L-over-L0-near-the-float-maximum",
+        ),
+        pytest.param(
             "[chain]\nL0 = 5e-324\n", [], "scaling",
             "L/L0 must be a power of 2 (at least 2)", id="scaling-overflowing-L-over-L0",
         ),
@@ -736,7 +740,10 @@ def test_scaling_fit_command(tmp_path):
 _CONTRACT_POOLS = {
     "chain": {
         "scheme": ("new", "dlcz", "bogus"),
-        "L": ("1280", "640", "160", "0", "1", "-640", "1e300", "-1e300", "inf", "nan"),
+        "L": (
+            "1280", "640", "160", "0", "1", "-640", "1e300", "1.7e308", "-1e300", "inf",
+            "nan",
+        ),
         "L0": ("40", "20", "80", "0", "1", "-40", "1e300", "1e-300", "inf"),
         "p_c": ("8.1e-3", "0.3", "0", "1", "-0.1", "1e-300", "1e300", "inf"),
         "L_att": ("20", "0", "1", "-20", "1e300", "1e-300", "inf"),
@@ -821,6 +828,7 @@ def test_every_configuration_exits_cleanly(case):
                 "error: cannot convert float infinity to integer",
                 "error: math range error",
                 "error: math domain error",
+                "error: (34, 'Numerical result out of range')",
             ), (body, command)
             assert not out.exists()
         else:
