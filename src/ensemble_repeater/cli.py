@@ -126,7 +126,7 @@ def _parse_float_list(text: str) -> Tuple[float, ...]:
     try:
         return tuple(float(x) for x in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad number list {text!r}: {exc}") from None
+        raise ValueError(f"bad number list {text!r}: {exc}") from None
 
 
 def _parse_waiting(text: str) -> str:

@@ -24,10 +24,10 @@ block of little-endian 32-bit integers.  A table reads and checks its
 own kind's file on that kind's first build, and takes the columns as
 arrays straight from the block's bytes, with no work per coefficient in
 Python.  One ``np.bincount`` sums each ``(a, b, slot)`` value's own
-terms in file order, and each entry's row is a view of the result;
-tables are cached per (kind, eta).  A coefficient and its input-swapped
-mirror are the same integer, so every table is exactly symmetric in its
-inputs.  ``verify.check_frozen_tables`` compares the tables with the
+terms in file order; its rows, one read-only view per entry, are listed
+once per (kind, eta), and tables are cached per (kind, eta).  A
+coefficient and its input-swapped mirror are the same integer, so every
+table is exactly symmetric in its inputs.  ``verify.check_frozen_tables`` compares the tables with the
 Fock oracle.
 
 The discarded-coherence diagnostic ``TableEntry.residue`` is no
@@ -59,6 +59,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import attrgetter
+from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -297,7 +298,8 @@ def _stale(name: str) -> RuntimeError:
 @lru_cache(maxsize=None)
 def frozen_block(kind: str) -> Mapping:
     """The coefficient block of one table kind, checked against the hash
-    its file records.  Read on that kind's first build, not at import.
+    its file records.  Read from this module's directory, where
+    :mod:`.freeze` writes it, on that kind's first build, not at import.
 
     The first line of ``coefficients_file(kind)`` must be ``hash_line``
     of the file's remaining bytes, so any edit, whitespace included, is
@@ -309,10 +311,8 @@ def frozen_block(kind: str) -> Mapping:
     per item.  The block is the header with each column added as a
     read-only integer array over the file's bytes.
     """
-    from importlib import resources
-
     name = coefficients_file(kind)
-    data = resources.files(__package__).joinpath(name).read_bytes()
+    data = (Path(__file__).parent / name).read_bytes()
     head, _, body = data.partition(b"\n")
     if head != hash_line(body):
         raise RuntimeError(f"{name} does not match its sha256")
@@ -387,13 +387,21 @@ def _frozen_values(kind: str, eta: float) -> np.ndarray:
     return values
 
 
+@lru_cache(maxsize=None)
+def _frozen_rows(kind: str, eta: float) -> tuple:
+    """Output scheme, key index, key count n and rows: ``rows[a * n + b]``
+    is a view of ``_frozen_values(kind, eta)[a, b]``."""
+    poly = _polynomials(kind)
+    rows = list(_frozen_values(kind, eta).reshape(-1, poly.shape[2]))
+    return poly.scheme, poly.index, poly.shape[1], rows
+
+
 def _frozen_entry(kind: str, alpha: Key, beta: Key, eta: float) -> TableEntry:
     """One table entry evaluated from its frozen polynomials at eta."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    poly = _polynomials(kind)
-    row = _frozen_values(kind, eta)[poly.index[alpha], poly.index[beta]]
-    return TableEntry(poly.scheme, row)
+    scheme, index, n, rows = _frozen_rows(kind, eta)
+    return TableEntry(scheme, rows[index[alpha] * n + index[beta]])
 
 
 def enc_entry(
@@ -417,21 +425,25 @@ def pme_entry(alpha: Key, beta: Key, eta: float) -> TableEntry:
 # tables
 
 
-def _build(kind: str, eta: float) -> ConnectionTable:
-    scheme = KINDS[kind][0]
+@lru_cache(maxsize=None)
+def _key_pairs(scheme: SchemeKind) -> tuple:
     keys = canonical_keys(scheme)
-    entries: dict[Tuple[Key, Key], TableEntry] = {}
-    for alpha in keys:
-        for beta in keys:
-            if kind == "pme":
-                entry = pme_entry(alpha, beta, eta)
-            elif kind in ("enp_bit", "enp_phase"):
-                entry = enp_entry(alpha, beta, eta, phase_variant=(kind == "enp_phase"))
-            else:
-                entry = enc_entry(
-                    scheme, alpha, beta, eta, first_level=(kind == "enc_level1")
-                )
-            entries[(alpha, beta)] = entry
+    return tuple((alpha, beta) for alpha in keys for beta in keys)
+
+
+def _build(kind: str, eta: float) -> ConnectionTable:
+    """The kind's table: its entry function, chosen once, is called once
+    per key pair, as a module global that a wrapper may replace."""
+    scheme = KINDS[kind][0]
+    pairs = _key_pairs(scheme)
+    if kind == "pme":
+        entries = {pair: pme_entry(pair[0], pair[1], eta) for pair in pairs}
+    elif kind in ("enp_bit", "enp_phase"):
+        phase = kind == "enp_phase"
+        entries = {pair: enp_entry(pair[0], pair[1], eta, phase) for pair in pairs}
+    else:
+        first = kind == "enc_level1"
+        entries = {pair: enc_entry(scheme, pair[0], pair[1], eta, first) for pair in pairs}
     return ConnectionTable(kind, eta, entries)
 
 
@@ -482,20 +494,19 @@ def dump_table(table: ConnectionTable) -> str:
     """
     lines = [f"# kind={table.kind} eta={table.eta!r}"]
     logical = logical_pattern(table.output_scheme)
-    for alpha in canonical_keys(table.scheme):
-        for beta in canonical_keys(table.scheme):
-            entry = table.entries[(alpha, beta)]
-            if entry.total <= 0.0:
+    for alpha, beta in _key_pairs(table.scheme):
+        entry = table.entries[(alpha, beta)]
+        if entry.total <= 0.0:
+            continue
+        parts = []
+        for pattern, mass in entry.masses:
+            if pattern is logical:
                 continue
-            parts = []
-            for pattern, mass in entry.masses:
-                if pattern is logical:
-                    continue
-                parts.append(f"{pattern.value}={mass!r}")
-            if any(entry.bell):
-                bell = ",".join(repr(w) for w in entry.bell)
-                parts.append(f"{logical.value}=({bell})")
-            if entry.residue is not None:
-                parts.append(f"| residue={entry.residue:.3e}")
-            lines.append(f"{key_label(alpha)} x {key_label(beta)} -> " + " ".join(parts))
+            parts.append(f"{pattern.value}={mass!r}")
+        if any(entry.bell):
+            bell = ",".join(repr(w) for w in entry.bell)
+            parts.append(f"{logical.value}=({bell})")
+        if entry.residue is not None:
+            parts.append(f"| residue={entry.residue:.3e}")
+        lines.append(f"{key_label(alpha)} x {key_label(beta)} -> " + " ".join(parts))
     return "\n".join(lines) + "\n"

@@ -133,8 +133,16 @@ eta_list = 0.9
             ("[noise]\neta = 1.5\n", r"^eta must lie in \[0, 1\], got 1.5$"),
             (
                 "[sweep]\nl_list = 1,2,three\n",
-                "^bad number list '1,2,three': could not convert string to float:"
-                " 'three'$",
+                "^bad value for 'l_list': bad number list '1,2,three': could not"
+                " convert string to float: 'three'$",
+            ),
+            *(
+                (
+                    f"[sweep]\n{key} =\n",
+                    f"^bad value for '{key}': bad number list '': could not convert"
+                    " string to float: ''$",
+                )
+                for key in ("l_list", "eta_list")
             ),
         )
     ],

@@ -13,6 +13,7 @@ package.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import shutil
@@ -243,9 +244,36 @@ def test_frozen_entries_carry_no_residue():
 
 
 def test_frozen_entries_reject_eta_outside_the_unit_interval():
+    alpha = canonical_keys(SchemeKind.DLCZ)[0]
+    beta = canonical_keys(SchemeKind.NEW)[0]
     for eta in (-0.1, 1.5, float("nan")):
-        with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\]"):
-            kind_table("pme", eta)
+        for build in (
+            lambda: kind_table("pme", eta),
+            lambda: tables.pme_entry(alpha, alpha, eta),
+            lambda: tables.enc_entry(SchemeKind.DLCZ, alpha, alpha, eta),
+            lambda: tables.enc_entry(SchemeKind.NEW, beta, beta, eta, first_level=True),
+            lambda: tables.enp_entry(beta, beta, eta, phase_variant=True),
+        ):
+            with pytest.raises(ValueError, match=r"eta must lie in \[0, 1\]"):
+                build()
+
+
+@pytest.mark.parametrize("eta", [0.9, 0.5])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_build_holds_one_entry_per_key_pair_in_key_order(kind, eta):
+    """Entries run left key major over ``canonical_keys``; each entry's
+    row is, bit for bit, its read-only slice of ``_frozen_values``, in
+    the kind's output scheme, with no residue."""
+    table = kind_table(kind, eta)
+    keys = canonical_keys(table.scheme)
+    assert list(table.entries) == [(a, b) for a in keys for b in keys]
+    values = tables._frozen_values(kind, eta)
+    for (i, alpha), (j, beta) in itertools.product(enumerate(keys), repeat=2):
+        entry = table.entries[(alpha, beta)]
+        assert entry.row.tobytes() == values[i, j].tobytes()
+        assert not entry.row.flags.writeable
+        assert entry.scheme is KINDS[kind][1]
+        assert entry.residue is None
 
 
 def _coefficient_bytes(kind):
@@ -442,6 +470,25 @@ def test_importing_the_package_does_not_read_the_data_file():
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_build_reads_its_file_without_importlib_resources():
+    """The files are read next to ``tables.py``, where freeze writes
+    them; with no site start-up to import it first, building every kind
+    leaves ``importlib.resources`` unloaded."""
+    code = (
+        "import sys; from ensemble_repeater import tables;"
+        " [tables.kind_table(kind, 0.9) for kind in tables.KINDS];"
+        " assert 'importlib.resources' not in sys.modules"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), str(Path(np.__file__).parents[1])])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
     )
