@@ -25,10 +25,10 @@ own kind's file on that kind's first build, and takes the columns as
 arrays straight from the block's bytes, with no work per coefficient in
 Python.  One ``np.bincount`` sums each ``(a, b, slot)`` value's own
 terms in file order; its rows, one read-only view per entry, are listed
-once per (kind, eta), and tables are cached per (kind, eta).  A
-coefficient and its input-swapped mirror are the same integer, so every
-table is exactly symmetric in its inputs.  ``verify.check_frozen_tables`` compares the tables with the
-Fock oracle.
+once per (kind, eta), like the tables.  A coefficient and its
+input-swapped mirror are the same integer, so every table is exactly
+symmetric in its inputs.  ``verify.check_frozen_tables`` compares the
+tables with the Fock oracle.
 
 The discarded-coherence diagnostic ``TableEntry.residue`` is no
 polynomial, so evaluated entries carry none; ``circuits.oracle_entry``
