@@ -28,15 +28,17 @@ chain at L0, and the block holds one row set, which every spacing
 reads at its own depth.  The single-rail final mapping is one batched
 step over every spacing's rows at its depth.  The time recursion, each
 row's error, if any, and the fidelity and logical-fidelity columns are
-then computed once over the ``(spacings, p_cs)`` grid.  Each grid point
-still gets its own ``simulate_chain`` call, which takes its row and
-raises the error or returns a result holding the three figures.
-Per-stage records have one source, the chain run on its own: such a
-result runs it only when its records are read.
+then computed once over the ``(spacings, p_cs)`` grid, into one record
+per grid point: its ``(t_avg, F, logical F)`` row, or the error its
+chain raises.  Each grid point still gets its own ``simulate_chain``
+call, which takes that record and raises the error or returns a result
+holding the row.  Per-stage records have one source, the chain run on
+its own: such a result runs it only when its records are read.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -521,7 +523,7 @@ def simulate_chain(
     n_samples: int = 16384,
     seed: int = 0,
     *,
-    pairs: Optional[tuple] = None,
+    row: tuple | ArithmeticError | None = None,
 ) -> RunResult:
     """Simulate the full chain and return its per-stage results.
 
@@ -532,23 +534,19 @@ def simulate_chain(
     one step at a time, and its result keeps what every ``per_level``
     record derives from: each stage's tuple and normalized pair.
 
-    ``pairs`` hands in one row of a sweep's block, as ``_sweep_spacings``
-    makes it: the error the chain raises or None, and the final
-    deterministic time, fidelity and logical fidelity.  The call raises
-    the error, or returns a result that holds the three figures and no
-    stages, built in place without ``RunResult.__init__``; the other
-    arguments do not apply.
+    ``row`` hands in a sweep grid point's outcome, as ``_sweep_spacings``
+    makes it: the ``ArithmeticError`` its chain raises, which the call
+    raises, or its final deterministic ``(t_avg, F, logical F)``, which
+    the call returns as a result with no stages, built in place without
+    ``RunResult.__init__``.  The other arguments then do not apply.
     """
-    if pairs is not None:
-        verdict, t_avg, F, logical_F = pairs
-        if verdict is not None:
-            raise verdict
+    if row is not None:
+        if isinstance(row, ArithmeticError):
+            raise row
         result = RunResult.__new__(RunResult)
         values = result.__dict__
         values["config"] = config
-        values["t_avg"] = t_avg
-        values["fidelity"] = F
-        values["final_logical_fidelity"] = logical_F
+        values["t_avg"], values["fidelity"], values["final_logical_fidelity"] = row
         return result
     if waiting not in ("deterministic", "mc"):
         raise ValueError("waiting must be 'deterministic' or 'mc'")
@@ -698,14 +696,15 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     overflows.  One block holds the pair states of the whole sweep (see
     the module docstring): per plan step one ``_step`` over the spacings
     that reach it, and for single-rail chains one final mapping over
-    every spacing's rows at its own depth.  The time, verdict, fidelity
+    every spacing's rows at its own depth.  The time, error, fidelity
     and logical-fidelity columns are then computed once over the
     ``(spacings, p_cs)`` grid, with the IEEE operations ``simulate_chain``
-    takes on one chain: a row's error is the ``ZeroDivisionError`` of its
-    first step without success, or else the ``OverflowError`` of its
-    first stage whose time is not finite.  A check of the per-state path
-    raises as soon as it fails, so its error is that of the first step
-    and check to fail, on the first failing row in grid order.
+    takes on one chain, into one record per grid point: its row, or its
+    error, the ``ZeroDivisionError`` of its first step without success,
+    or else the ``OverflowError`` of its first stage whose time is not
+    finite.  A check of the per-state path raises as soon as it fails,
+    so its error is that of the first step and check to fail, on the
+    first failing row in grid order.
 
     Every check of ``RepeaterConfig`` runs, with its message, but not
     per point: ``_check_chain_fields`` once, before any spacing; the p_c
@@ -715,9 +714,9 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     times, where a non-finite time, as where ``L0 / L_att`` overflows,
     makes its row None.  Every other grid point gets its configuration,
     equal to a fresh one and built in place from one field dict per
-    spacing, and one ``simulate_chain`` call with its row as ``pairs``,
-    which raises the row's error or returns its final figures as a
-    result; the grid row is read from that result.
+    spacing, and one ``simulate_chain`` call with its record as ``row``,
+    which raises the error or returns the row as a result; the grid
+    keeps the row it handed in, or None where the call raised.
     """
     scheme, L = chain["scheme"], chain["L"]
     noise = chain.get("noise", NoiseParams())
@@ -785,40 +784,32 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
             overflowed.append(~np.isfinite(t))
     failed = np.array(failed).reshape(len(failed), -1)
     overflowed = np.array(overflowed).reshape(len(overflowed), -1)
-    verdicts: list = [None] * failed.shape[1]
+    records = list(zip(t.ravel().tolist(), F.tolist(), logical.tolist()))
     for i in np.flatnonzero(failed.any(axis=0) | overflowed.any(axis=0)).tolist():
         error, at = (
             (_zero_success, failed[:, i]) if failed[:, i].any()
             else (_time_overflow, overflowed[:, i])
         )
         j = int(at.argmax())
-        verdicts[i] = error(*steps[j]) if j < len(steps) else error(levels[i // n] + 1, "pme")
-    cells = zip(
-        valid.ravel().tolist(), t0s.ravel().tolist(),
-        zip(verdicts, t.ravel().tolist(), F.tolist(), logical.tolist()),
-    )
+        records[i] = error(*steps[j]) if j < len(steps) else error(levels[i // n] + 1, "pme")
+    cells = zip(valid.ravel().tolist(), t0s.ravel().tolist(), records)
     new = RepeaterConfig.__new__
     out = []
     for L0 in spacings:
         point = dict(fields, L0=L0)
         column = []
-        for p_c, (ok, t0, pairs) in zip(p_cs, cells):
-            if not ok:
-                column.append(None)
-                continue
-            config = new(RepeaterConfig)
-            values = config.__dict__
-            values.update(point)
-            values["p_c"] = p_c
-            values["t0"] = t0
-            try:
-                result = simulate_chain(config, pairs=pairs)
-            except ArithmeticError:
-                column.append(None)
-                continue
-            column.append(
-                (result.t_avg, result.fidelity, result.final_logical_fidelity)
-            )
+        for p_c, (ok, t0, row) in zip(p_cs, cells):
+            if ok:
+                config = new(RepeaterConfig)
+                values = config.__dict__
+                values.update(point)
+                values["p_c"] = p_c
+                values["t0"] = t0
+                try:
+                    simulate_chain(config, row=row)
+                except ArithmeticError:
+                    ok = False
+            column.append(row if ok else None)
         out.append((L0, column))
     return out
 
@@ -862,20 +853,15 @@ def optimize(
         enp_schedule=enp_schedule,
     )
     p_cs = tuple(pc_grid().tolist())
-    best = None  # (t, L0, p_c)
-    for L0, rows in _sweep_spacings(chain, p_cs):
-        for p_c, row in zip(p_cs, rows):
-            if row is None:
-                continue
-            t, F, _ = row
-            if F < F_target:
-                continue
-            key = (t, L0, p_c)
-            if best is None or key < best:
-                best = key
-    if best is None:
+    feasible = [
+        (row[0], L0, p_c)
+        for L0, rows in _sweep_spacings(chain, p_cs)
+        for p_c, row in zip(p_cs, rows)
+        if row is not None and row[1] >= F_target
+    ]
+    if not feasible:
         return None
-    _, L0, p_c = best
+    _, L0, p_c = min(feasible)
     config = RepeaterConfig(L0=L0, p_c=p_c, **chain)
     return config, simulate_chain(config)
 
@@ -906,41 +892,25 @@ def tf_curve(
         enp_schedule=enp_schedule,
     )
     per_l0 = _sweep_spacings(chain, p_cs)
-
-    candidates = []  # (t, F, p_c index, L0)
-    for i in range(len(sweep)):
-        for L0, rows in per_l0:
-            if rows[i] is not None:
-                t, _, F_log = rows[i]
-                candidates.append((t, F_log, i, L0))
-    frontier = _pareto_indices(candidates)
-
-    by_pc: list = [[] for _ in p_cs]  # (candidate index, candidate)
-    for j, c in enumerate(candidates):
-        by_pc[c[2]].append((j, c))
-
+    # each p_c's candidates [t, logical F, L0, on the front], by spacing
+    groups = [
+        [[row[0], row[2], L0, False] for L0, rows in per_l0 if (row := rows[i]) is not None]
+        for i in range(len(p_cs))
+    ]
+    # on the front: a higher logical F than every candidate before it in
+    # (t, -F) order, equal keys in (p_c, spacing) order
+    best_f = -math.inf
+    for c in sorted(itertools.chain(*groups), key=lambda c: (c[0], -c[1])):
+        if c[1] > best_f:
+            c[3], best_f = True, c[1]
     points = []
-    for p_c, mine in zip(p_cs, by_pc):
-        if not mine:
-            continue
-        on_front = [c for j, c in mine if j in frontier]
-        pick = min(on_front or [c for _, c in mine], key=lambda c: (c[0], c[3]))
-        points.append((pick[0], pick[1], p_c, pick[3]))
+    for p_c, group in zip(p_cs, groups):
+        if group:
+            on_front = [c for c in group if c[3]]
+            t, F, L0, _ = min(on_front or group, key=lambda c: (c[0], c[2]))
+            points.append((t, F, p_c, L0))
     points.sort(key=lambda point: point[2])  # stable: equal p_c keep sweep order
     return points
-
-
-def _pareto_indices(candidates: Sequence[Tuple]) -> set:
-    """Indices of points not dominated in (time lower, fidelity higher)."""
-    order = sorted(range(len(candidates)), key=lambda j: (candidates[j][0], -candidates[j][1]))
-    best_f = -math.inf
-    front = set()
-    for j in order:
-        f = candidates[j][1]
-        if f > best_f:
-            front.add(j)
-            best_f = f
-    return front
 
 
 def fit_tf_slope(points: Sequence[Tuple]) -> float:

@@ -53,13 +53,24 @@ The state rule
 --------------
 A row is a pair state unless a pattern mass is below ``-WEIGHT_TOL``,
 or a Bell weight (a Bell mass over the logical mass) is below
-``-WEIGHT_TOL``; a step may leave a mass slightly negative, and the
-weights' sign then flips with it.  ``check_rows`` is the rule's one
-implementation: a batch runs it on every live row, and a state on its
-one row.  It returns at once when no entry of the block is below 0.
-That is sound: no mass is then below ``-WEIGHT_TOL``, and every Bell
-mass over a mass is 0 or more, or NaN (a NaN mass or Bell mass), and
-NaN is not below ``-WEIGHT_TOL`` either.
+``-WEIGHT_TOL``.  A state a caller builds (``PatternState(...)``,
+``_from_row``) may hold masses down to ``-WEIGHT_TOL``, and the weights'
+sign then flips with its logical mass.  A row the engines build holds
+no negative mass.  ``verify.check_frozen_certificates`` shows that every
+table value is 0 or more at every eta, so each such row is a sum of
+products of non-negative floats: a step's output, as
+``protocols._component_masses`` clips its inputs to 0 or more; the
+``eng_rows`` masses, 1 - q and q with q at most 0.5; the Bell channel's
+factors (1 - p) + p/4 and p/4; and ``normalize``, a division by a
+positive total.  So the rule cannot fail on those rows, though it
+still runs on them.  NaN passes it, and the zero-success and overflow
+verdicts are separate checks.
+
+``check_rows`` is the rule's one implementation: a batch runs it on
+every live row, and a state on its one row.  It returns at once when
+no entry of the block is below 0.  That is sound: no mass is then below
+``-WEIGHT_TOL``, and every Bell mass over a mass is 0 or more, or NaN
+(a NaN mass or Bell mass), and NaN is not below ``-WEIGHT_TOL`` either.
 """
 
 from __future__ import annotations

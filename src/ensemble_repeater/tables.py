@@ -25,10 +25,10 @@ own kind's file on that kind's first build, and takes the columns as
 arrays straight from the block's bytes, with no work per coefficient in
 Python.  One ``np.bincount`` sums each ``(a, b, slot)`` value's own
 terms in file order; its rows, one read-only view per entry, are listed
-once per (kind, eta), like the tables.  A coefficient and its
-input-swapped mirror are the same integer, so every table is exactly
-symmetric in its inputs.  ``verify.check_frozen_tables`` compares the
-tables with the Fock oracle.
+once per (kind, eta) and kept, as the tables are, for the
+``ETA_CACHE_SIZE`` keys last used.  A coefficient and its input-swapped
+mirror are the same integer, so every table is exactly symmetric in its
+inputs; ``verify.check_frozen_tables`` compares the tables with the oracle.
 
 The discarded-coherence diagnostic ``TableEntry.residue`` is no
 polynomial, so evaluated entries carry none; ``circuits.oracle_entry``
@@ -97,6 +97,8 @@ HEADER = ("keys", "slots", "exponents", "bits", "items")
 COLUMNS = ("a", "b", "slot", "term", "k")
 #: How a coefficient file stores each item of a column.
 ITEM = np.dtype("<i4")
+#: Most (kind, eta) keys each per-eta cache keeps, above the test suite's count.
+ETA_CACHE_SIZE = 512
 
 
 def enc_kind(scheme: SchemeKind, first_level: bool) -> str:
@@ -371,13 +373,11 @@ def _polynomials(kind: str) -> _Polynomials:
     return _Polynomials(index, out, shape, flat, term, coefficients, kept, lost)
 
 
-@lru_cache(maxsize=None)
 def _frozen_values(kind: str, eta: float) -> np.ndarray:
-    """Every entry row of one table at eta, ``values[a, b]``, read-only.
-
-    Each value is the sum of its own terms ``c * eta**kept *
-    (1 - eta)**lost``, added from zero in file order, bit for bit.
-    """
+    """Every entry row of one table at eta, ``values[a, b]``, read-only
+    and not cached: ``_frozen_rows`` keeps them.  Each value is the sum
+    of its own terms ``c * eta**kept * (1 - eta)**lost``, added from zero
+    in file order, bit for bit."""
     poly = _polynomials(kind)
     basis = eta**poly.kept * (1.0 - eta) ** poly.lost
     values = np.bincount(
@@ -387,7 +387,7 @@ def _frozen_values(kind: str, eta: float) -> np.ndarray:
     return values
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ETA_CACHE_SIZE)
 def _frozen_rows(kind: str, eta: float) -> tuple:
     """Output scheme, key index, key count n and rows: ``rows[a * n + b]``
     is a view of ``_frozen_values(kind, eta)[a, b]``."""
@@ -447,7 +447,7 @@ def _build(kind: str, eta: float) -> ConnectionTable:
     return ConnectionTable(kind, eta, entries)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ETA_CACHE_SIZE)
 def _enc_table(kind: str, eta: float) -> ConnectionTable:
     return _build(kind, eta)
 
@@ -461,7 +461,7 @@ def enc_table(scheme: SchemeKind, eta: float, first_level: bool = False) -> Conn
     return _enc_table(enc_kind(scheme, first_level), eta)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ETA_CACHE_SIZE)
 def enp_table(kind: str, eta: float) -> ConnectionTable:
     """Entanglement-purification table (kind "bit" or "phase")."""
     if kind not in ("bit", "phase"):
@@ -469,7 +469,7 @@ def enp_table(kind: str, eta: float) -> ConnectionTable:
     return _build(f"enp_{kind}", eta)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ETA_CACHE_SIZE)
 def pme_table(eta: float) -> ConnectionTable:
     """Final post-selected mapping from two single-rail pairs."""
     return _build("pme", eta)

@@ -8,12 +8,15 @@ success probabilities, the symmetrized connection coefficients for
 every tracked excitation-pattern pair, and the frozen polynomial tables
 the chain uses.  Checks are exact to ``TOLERANCE`` (the frozen tables to
 ``FROZEN_TOLERANCE``, relative) and fast enough to run routinely from the
-test suite or the command line.
+test suite or the command line.  Three certificates per table kind, read
+from its coefficient file's integers alone, hold exactly, with
+tolerance 0, and so at every eta in [0, 1].
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -30,7 +33,7 @@ from .patterns import (
     logical_pattern,
 )
 from .protocols import enc, enp, postselect_pme
-from .tables import KINDS, ConnectionTable, TableEntry, kind_table
+from .tables import COLUMNS, KINDS, ConnectionTable, TableEntry, frozen_block, kind_table
 
 TOLERANCE = 1e-10
 FROZEN_TOLERANCE = 1e-12
@@ -367,6 +370,55 @@ def check_frozen_tables() -> List[CheckResult]:
     ]
 
 
+def check_frozen_certificates() -> List[CheckResult]:
+    """Three exact facts per table kind, from ``frozen_block(kind)``'s
+    integers alone; each deviation is the worst violation, in units of
+    the table values, and the tolerance is 0.
+
+    A value is the sum of its terms ``k / 2**bits * eta**kept *
+    (1 - eta)**lost``, a Bernstein-type basis that is at least 0 on
+    [0, 1].  So where every ``k`` is at least 0, every value is, at every
+    eta.  In a nonzero entry of top degree d, lift each term to degree d
+    with ``(eta + (1 - eta))**(d - kept - lost)``; where every
+    coefficient of ``2**bits * (eta + (1 - eta))**d`` minus the pattern
+    slots' lifted sum is at least 0, the entry's success probability is
+    at most 1 at every eta.  And in every entry the four Bell slots sum
+    to the logical pattern's slot, term by term.
+    """
+    results = []
+    for kind, (_, out) in KINDS.items():
+        block = frozen_block(kind)
+        exponents, patterns = block["exponents"], len(block["slots"]) - 4
+        logical = block["slots"].index(logical_pattern(out).value)
+        entries: Dict[tuple, Dict[tuple, int]] = {}
+        for a, b, slot, term, k in zip(*(block[column].tolist() for column in COLUMNS)):
+            entries.setdefault((a, b), {})[slot, term] = k
+        sign = max(0, -min(block["k"].tolist()))
+        excess = split = 0
+        for entry in entries.values():
+            d = max(sum(exponents[term]) for _, term in entry)
+            room = [math.comb(d, i) << block["bits"] for i in range(d + 1)]
+            for (slot, term), k in entry.items():
+                if slot < patterns:
+                    kept, lost = exponents[term]
+                    lift = d - kept - lost
+                    for j in range(lift + 1):
+                        room[kept + j] -= k * math.comb(lift, j)
+            excess = max(excess, -min(room))
+            for term in {term for _, term in entry}:
+                bell = sum(entry.get((slot, term), 0) for slot in range(patterns, patterns + 4))
+                split = max(split, abs(bell - entry.get((logical, term), 0)))
+        results += [
+            CheckResult(name, math.ldexp(worst, -block["bits"]), 0.0)
+            for name, worst in (
+                (f"frozen {kind} coefficients are all >= 0 (exact)", sign),
+                (f"frozen {kind} success is at most 1 at every eta (exact)", excess),
+                (f"frozen {kind} Bell masses sum to the logical mass (exact)", split),
+            )
+        ]
+    return results
+
+
 # ----------------------------------------------------------------------
 # suite
 
@@ -378,6 +430,7 @@ def run_all() -> List[CheckResult]:
     results.extend(check_connection_coefficients())
     results.extend(check_bell_diagonal_closure())
     results.extend(check_frozen_tables())
+    results.extend(check_frozen_certificates())
     return results
 
 

@@ -989,6 +989,133 @@ def test_tf_curve_sorts_an_unsorted_sweep_by_p_c():
     assert points == tf_curve(NEW, 640.0, noise=noise, p_c_sweep=[0.001, 0.005, 0.01])
 
 
+# Reference selections: the explicit loops ``optimize`` and ``tf_curve``
+# ran over the sweep rows before they read them in one pass.
+
+def _reference_optimum(per_l0, p_cs, F_target):
+    """(t, L0, p_c) of the fastest row reaching ``F_target``, or None."""
+    best = None  # (t, L0, p_c)
+    for L0, rows in per_l0:
+        for p_c, row in zip(p_cs, rows):
+            if row is None:
+                continue
+            t, F, _ = row
+            if F < F_target:
+                continue
+            key = (t, L0, p_c)
+            if best is None or key < best:
+                best = key
+    return best
+
+
+def _reference_pareto_indices(candidates):
+    """Indices of points not dominated in (time lower, fidelity higher)."""
+    order = sorted(range(len(candidates)), key=lambda j: (candidates[j][0], -candidates[j][1]))
+    best_f = -math.inf
+    front = set()
+    for j in order:
+        f = candidates[j][1]
+        if f > best_f:
+            front.add(j)
+            best_f = f
+    return front
+
+
+def _reference_tf_points(per_l0, p_cs):
+    """``tf_curve``'s points: per p_c, the fastest spacing on the front."""
+    candidates = []  # (t, F, p_c index, L0)
+    for i in range(len(p_cs)):
+        for L0, rows in per_l0:
+            if rows[i] is not None:
+                t, _, F_log = rows[i]
+                candidates.append((t, F_log, i, L0))
+    frontier = _reference_pareto_indices(candidates)
+    by_pc = [[] for _ in p_cs]  # (candidate index, candidate)
+    for j, c in enumerate(candidates):
+        by_pc[c[2]].append((j, c))
+    points = []
+    for p_c, mine in zip(p_cs, by_pc):
+        if not mine:
+            continue
+        on_front = [c for j, c in mine if j in frontier]
+        pick = min(on_front or [c for _, c in mine], key=lambda c: (c[0], c[3]))
+        points.append((pick[0], pick[1], p_c, pick[3]))
+    points.sort(key=lambda point: point[2])
+    return points
+
+
+_SELECTION_SWEEPS = {
+    **{
+        f"{label}-D{D:g}": dict(scheme=scheme, L=1280.0, noise=NoiseParams(eta=0.9, D=D))
+        for label, scheme in (("two-cell", NEW), ("single-rail", DLCZ))
+        for D in (0.0, 1e-4)
+    },
+    "two-cell-phase-after-2": dict(
+        scheme=NEW, L=1280.0, noise=NoiseParams(eta=0.9), enp_schedule=((2, "phase"),)
+    ),
+    **{
+        f"{label}-eta{eta:g}": dict(scheme=scheme, L=640.0, noise=NoiseParams(eta=eta))
+        for label, scheme in (("two-cell", NEW), ("single-rail", DLCZ))
+        for eta in (1e-200, 1e-160)
+    },
+}
+
+
+@pytest.mark.parametrize("F_target", [0.6, 0.9999])
+@pytest.mark.parametrize("name", sorted(_SELECTION_SWEEPS))
+def test_optimize_picks_what_the_reference_loop_picks(name, F_target):
+    """Over the same sweep rows, ``optimize``'s one ``min`` finds the
+    reference loop's optimum, or None where it finds none: at 0.6 every
+    live sweep has one, at 0.9999 none has, and the sweeps at eta =
+    1e-200 and 1e-160 have no live row."""
+    chain = _SELECTION_SWEEPS[name]
+    p_cs = tuple(pc_grid().tolist())
+    want = _reference_optimum(_sweep_spacings(chain, p_cs), p_cs, F_target)
+    assert (want is not None) == (F_target == 0.6 and chain["noise"].eta > 1e-100)
+    found = optimize(F_target=F_target, **chain)
+    if want is None:
+        assert found is None
+    else:
+        config, result = found
+        assert (result.t_avg, config.L0, config.p_c) == want
+
+
+_UNSORTED_SWEEP = tuple(
+    [float(p) for p in np.random.default_rng(5).permutation(pc_grid())[:40]] + [1e-3, 1e-3]
+)
+
+
+@pytest.mark.parametrize("p_cs", [None, _UNSORTED_SWEEP], ids=["grid", "unsorted"])
+@pytest.mark.parametrize("name", sorted(_SELECTION_SWEEPS))
+def test_tf_curve_picks_what_the_reference_pareto_pick_picks(name, p_cs):
+    """Over the same sweep rows, ``tf_curve``'s one pass over each p_c's
+    candidates gives the reference points, with an unsorted sweep that
+    repeats a p_c too."""
+    chain = _SELECTION_SWEEPS[name]
+    grid = tuple(pc_grid().tolist()) if p_cs is None else p_cs
+    want = _reference_tf_points(_sweep_spacings(chain, grid), grid)
+    assert bool(want) == (chain["noise"].eta > 1e-100)
+    assert tf_curve(p_c_sweep=p_cs, **chain) == want
+
+
+@pytest.mark.parametrize(
+    "error", [chain_module._zero_success(2, "enc"), chain_module._time_overflow(3, "enp")]
+)
+def test_a_row_call_raises_the_error_it_is_handed(error):
+    with pytest.raises(ArithmeticError) as raised:
+        simulate_chain(_config(), row=error)
+    assert raised.value is error
+
+
+def test_a_row_call_returns_the_row_it_is_handed():
+    """The result holds the three figures of the row and no stages."""
+    config = _config()
+    result = simulate_chain(config, row=(2.5, 0.75, 0.875))
+    assert result.config is config
+    assert (result.t_avg, result.fidelity, result.final_logical_fidelity) == (2.5, 0.75, 0.875)
+    assert result._stages == () and result._states == ()
+
+
 def test_a_plan_is_one_cached_tuple():
     """Every chain of a (scheme, levels, schedule) reads one cached plan,
     so the plan must be immutable."""

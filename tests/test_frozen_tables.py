@@ -8,8 +8,10 @@ compare the evaluated tables with oracle builds, pin every table's bits
 and the oracle's at eta = 0.9, pin each file to its hash and to a fresh
 regeneration, check that freeze refuses a coefficient that is no
 k / 2**bits or whose integer does not fit the stored width, that a
-build reads only its own kind's file, and that the files ship with the
-package.
+build reads only its own kind's file, that the files ship with the
+package, that their integers carry the exact certificates of
+``verify.check_frozen_certificates``, and that the per-eta caches stay
+within their bound.
 """
 
 import hashlib
@@ -29,7 +31,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ensemble_repeater import freeze, tables
+from ensemble_repeater import freeze, tables, verify
 from ensemble_repeater.circuits import oracle_table
 from ensemble_repeater.patterns import (
     BellState,
@@ -489,6 +491,73 @@ def test_a_build_reads_its_file_without_importlib_resources():
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_frozen_coefficients_carry_their_exact_certificates():
+    """Three checks per kind from the coefficient files' integers alone,
+    with tolerance 0: every k is 0 or more, no nonzero entry's success
+    exceeds 1 at any eta, and the Bell slots sum to the logical slot
+    term by term."""
+    results = verify.check_frozen_certificates()
+    assert [r.name.split()[1] for r in results] == [kind for kind in KINDS for _ in range(3)]
+    assert all(r.deviation == 0.0 and r.tolerance == 0.0 and r.ok for r in results)
+
+
+@pytest.mark.parametrize("mutation, failing", [("negate", 0), ("excess", 1), ("split", 2)])
+def test_each_certificate_fails_on_a_block_that_breaks_it(monkeypatch, mutation, failing):
+    """Negating one pattern coefficient, raising it past 2**bits, or
+    adding 1 to one Bell coefficient fails that certificate alone."""
+    block = dict(frozen_block("enc_dlcz"))
+    k, slot = block["k"].copy(), block["slot"]
+    pattern = int(np.flatnonzero(slot == 0)[0])
+    if mutation == "negate":
+        k[pattern] = -k[pattern]
+    elif mutation == "excess":
+        k[pattern] += 1 << (block["bits"] + 8)
+    else:
+        k[int(np.flatnonzero(slot >= len(block["slots"]) - 4)[0])] += 1
+    block["k"] = k
+    monkeypatch.setattr(
+        verify, "frozen_block", lambda kind: block if kind == "enc_dlcz" else frozen_block(kind)
+    )
+    results = verify.check_frozen_certificates()
+    assert [i for i, r in enumerate(results) if not r.ok] == [failing]
+
+
+def test_the_per_eta_caches_keep_at_most_their_bound():
+    """A scan over eta keeps at most ``ETA_CACHE_SIZE`` keys in each
+    per-eta cache, and a table rebuilt after its eviction equals the
+    first build by its bytes.  It runs in its own process, so that the
+    suite's cached tables stay."""
+    code = """if True:
+        from ensemble_repeater import tables
+        from ensemble_repeater.patterns import SchemeKind
+        bound = tables.ETA_CACHE_SIZE
+        builds = (
+            lambda eta: tables.enc_table(SchemeKind.DLCZ, eta),
+            lambda eta: tables.enp_table("bit", eta),
+            tables.pme_table,
+        )
+        first = [build(0.5).tensor.tobytes() for build in builds]
+        for i in range(1, bound + 1):
+            for build in builds:
+                build(0.5 + i / 4096)
+        caches = (tables._frozen_rows, tables._enc_table, tables.enp_table, tables.pme_table)
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.maxsize == info.currsize == bound, (cache, info)
+        assert not hasattr(tables._frozen_values, "cache_info")
+        misses = tables.pme_table.cache_info().misses
+        assert [build(0.5).tensor.tobytes() for build in builds] == first
+        assert tables.pme_table.cache_info().misses == misses + 1
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
     )
