@@ -19,21 +19,23 @@ The grid sweeps compute the pair states of a whole sweep at once, in
 one block of ``(n, k)`` rows in the ``PatternState.row`` layout, one
 row set of the p_c grid per station spacing.  Each plan step is one
 batched step (``_step``) over the rows of the spacings that reach it,
-a prefix, as the spacings go deepest first, with every check of the
-per-state path run on each live row and a row whose step never
-succeeds masked dead.  The pair after a stage depends on the spacing
-only through the elementary pair, whose phase error q(D L0) vanishes
-at D = 0.  So at D = 0 the chain at spacing 2 L0 is a prefix of the
-chain at L0, and the block holds one row set, which every spacing
-reads at its own depth.  The single-rail final mapping is one batched
-step over every spacing's rows at its depth.  The time recursion, each
-row's error, if any, and the fidelity and logical-fidelity columns are
-then computed once over the ``(spacings, p_cs)`` grid, into one record
-per grid point: its ``(t_avg, F, logical F)`` row, or the error its
-chain raises.  Each grid point still gets its own ``simulate_chain``
-call, which takes that record and raises the error or returns a result
-holding the row.  Per-stage records have one source, the chain run on
-its own: such a result runs it only when its records are read.
+a prefix, as the spacings go deepest first.  A row whose step never
+succeeds is dead: it is zero from then on.  The block runs no check of
+the state rule on its rows: each table is checked once, where both
+engines read it (see ``patterns``' section "The state rule").  The
+pair after a stage depends on the spacing only through the elementary
+pair, whose phase error q(D L0) vanishes at D = 0.  So at D = 0 the
+chain at spacing 2 L0 is a prefix of the chain at L0, and the block
+holds one row set, which every spacing reads at its own depth.  The
+single-rail final mapping is one batched step over every spacing's
+rows at its depth.  The time recursion, each row's error, if any, and
+the fidelity and logical-fidelity columns are then computed once over
+the ``(spacings, p_cs)`` grid, into one record per grid point: its
+``(t_avg, F, logical F)`` row, or the error its chain raises.  Each
+grid point still gets its own ``simulate_chain`` call, which takes
+that record and raises the error or returns a result holding the row.
+Per-stage records have one source, the chain run on its own: such a
+result runs it only when its records are read.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .patterns import (
     aggregate,
     apply_bell_channel,
     apply_bell_channel_rows,
-    check_rows,
     fidelity,
     fidelity_rows,
     logical_fidelity,
@@ -605,37 +606,29 @@ def simulate_chain(
 
 
 def _step(
-    table: ConnectionTable,
-    rows: np.ndarray,
-    live: np.ndarray,
-    p_step: float,
-    target: BellState,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    table: ConnectionTable, rows: np.ndarray, p_step: float, target: BellState
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One plan step of ``table`` on every row of a sweep's block: the
-    normalized ``(n, k)`` rows after it, each row's success and
-    fidelity, and which rows are still alive.
+    normalized ``(n, k)`` rows after it, and each row's success and
+    fidelity.
 
-    The step runs the checks of the per-state path on every ``live``
-    row: the step output's and the normalized pair's ``_set_row``, the
-    Bell channel's output's and ``fidelity``'s.  The channel, run where
-    the step error ``p_step`` is positive, is ``apply_bell_channel_rows``,
-    the arithmetic of ``apply_bell_channel``, so a row gets its chain's
-    bits on any BLAS kernel.  A row whose step has zero success is masked
-    dead, as ``simulate_chain`` raises at it; a dead row is zero from
-    then on and no check reads it.
+    A row whose step has zero success, where ``simulate_chain`` raises,
+    is dead: it is zero after the step, so every later step of it has
+    zero success too, and ``fidelity_rows`` does not read it.  The
+    channel, run where the step error ``p_step`` is positive, is
+    ``apply_bell_channel_rows``, the arithmetic of ``apply_bell_channel``,
+    so a row gets its chain's bits on any BLAS kernel.  The step runs no
+    check of the state rule: ``table.matrix`` checks the table once.
     """
     scheme = table.output_scheme
     out = apply_table_rows(table, rows, rows)
-    check_rows(scheme, out, live)
     success = row_totals(scheme, out)
-    live = live & ~(success <= 0.0)
+    live = ~(success <= 0.0)
     rows = out / np.where(live, success, 1.0)[:, None]
     rows[~live] = 0.0
-    check_rows(scheme, rows, live)
     if p_step > 0.0:
         apply_bell_channel_rows(rows, p_step)
-        check_rows(scheme, rows, live)
-    return rows, success, fidelity_rows(scheme, rows, live, target), live
+    return rows, success, fidelity_rows(scheme, rows, live, target)
 
 
 # ---------------------------------------------------------------------------
@@ -702,9 +695,9 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     takes on one chain, into one record per grid point: its row, or its
     error, the ``ZeroDivisionError`` of its first step without success,
     or else the ``OverflowError`` of its first stage whose time is not
-    finite.  A check of the per-state path raises as soon as it fails,
-    so its error is that of the first step and check to fail, on the
-    first failing row in grid order.
+    finite.  A table with a negative value raises its ``ValueError`` at
+    the first step that reads it, as the chain of the first grid point
+    does, unless that chain fails first.
 
     Every check of ``RepeaterConfig`` runs, with its message, but not
     per point: ``_check_chain_fields`` once, before any spacing; the p_c
@@ -749,10 +742,8 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     # depend on L0, and every spacing reads one set at its own depth
     sets = len(spacings) if noise.D != 0.0 else 1
     rows = np.concatenate([eng_rows(scheme, grid, noise, L0) for L0 in spacings[:sets]])
-    live = valid[:sets].ravel()
-    check_rows(scheme, rows, live)
-    rows[~live] = 0.0
-    stages = [(rows, fidelity_rows(scheme, rows, live, _target_bell(scheme, False)), live)]
+    every = np.ones(len(rows), dtype=bool)
+    stages = [(rows, fidelity_rows(scheme, rows, every, _target_bell(scheme, False)))]
     steps = [(0, "eng"), *((level, stage) for stage, level, _ in connections)]
     successes = []  # (spacings reached, one success row per row set)
     target = _target_bell(scheme, True)
@@ -760,17 +751,15 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
         reach = sum(depth >= j for depth in depths)  # a prefix: deepest first
         m = min(reach, sets)
         table = step_table(stage, scheme, eta, level, kind)
-        rows, success, F, live = _step(table, rows[: m * n], live[: m * n], p_step, target)
-        stages.append((rows, F, live))
+        rows, success, F = _step(table, rows[: m * n], p_step, target)
+        stages.append((rows, F))
         successes.append((reach, success.reshape(m, n)))
     ends = [(stages[depth], min(i, sets - 1) * n) for i, depth in enumerate(depths)]
-    rows, F, live = (
-        np.concatenate([stage[c][at : at + n] for stage, at in ends]) for c in range(3)
-    )
+    rows, F = (np.concatenate([stage[c][at : at + n] for stage, at in ends]) for c in range(2))
     delivered = scheme
     if scheme is SchemeKind.DLCZ:
         table = step_table("pme", scheme, eta)
-        rows, success, F, _ = _step(table, rows, live & valid.ravel(), p_step, target)
+        rows, success, F = _step(table, rows, p_step, target)
         successes.append((len(spacings), success.reshape(len(spacings), n)))
         delivered = table.output_scheme
     logical = logical_fidelity_rows(delivered, rows, target)
@@ -807,7 +796,9 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
                 values["t0"] = t0
                 try:
                     simulate_chain(config, row=row)
-                except ArithmeticError:
+                except ArithmeticError as error:
+                    # its traceback holds this frame, which holds ``records``
+                    error.__traceback__ = None
                     ok = False
             column.append(row if ok else None)
         out.append((L0, column))

@@ -44,9 +44,9 @@ two-cell scheme.  The one Bell channel, ``apply_bell_channel``, is
 depolarizing and is given by its probability.
 
 A batch of pairs is an ``(n, k)`` array of such rows.  The row
-functions (``row_totals``, ``apply_bell_channel_rows``, ``check_rows``,
+functions (``row_totals``, ``apply_bell_channel_rows``,
 ``fidelity_rows``, ``logical_fidelity_rows``) are the state operations
-on every row at once, with the same arithmetic and the same checks;
+on every row at once, with the same arithmetic;
 ``apply_bell_channel_rows`` takes a probability that is checked already.
 
 The state rule
@@ -55,22 +55,27 @@ A row is a pair state unless a pattern mass is below ``-WEIGHT_TOL``,
 or a Bell weight (a Bell mass over the logical mass) is below
 ``-WEIGHT_TOL``.  A state a caller builds (``PatternState(...)``,
 ``_from_row``) may hold masses down to ``-WEIGHT_TOL``, and the weights'
-sign then flips with its logical mass.  A row the engines build holds
-no negative mass.  ``verify.check_frozen_certificates`` shows that every
-table value is 0 or more at every eta, so each such row is a sum of
-products of non-negative floats: a step's output, as
+sign then flips with its logical mass.  NaN passes the rule, and the
+zero-success and overflow verdicts are separate checks.
+
+A row the engines build holds no negative mass.  Every table value is
+0 or more, as ``verify.check_frozen_certificates`` shows at every eta
+and ``ConnectionTable.matrix`` checks once per table, so each such row
+is a sum of products of non-negative floats: a step's output, as
 ``protocols._component_masses`` clips its inputs to 0 or more; the
 ``eng_rows`` masses, 1 - q and q with q at most 0.5; the Bell channel's
 factors (1 - p) + p/4 and p/4; and ``normalize``, a division by a
-positive total.  So the rule cannot fail on those rows, though it
-still runs on them.  NaN passes it, and the zero-success and overflow
-verdicts are separate checks.
+positive total.  So a sweep's block runs no row check, and
+``PatternState._set_row`` runs the rule, at the cost of one ``min``,
+on every state it freezes: a caller's, and ``normalize``'s output,
+which can break it (a P00 mass of -1e-12 in a state of total 0.5
+becomes -2e-12).
 
-``check_rows`` is the rule's one implementation: a batch runs it on
-every live row, and a state on its one row.  It returns at once when
-no entry of the block is below 0.  That is sound: no mass is then below
-``-WEIGHT_TOL``, and every Bell mass over a mass is 0 or more, or NaN
-(a NaN mass or Bell mass), and NaN is not below ``-WEIGHT_TOL`` either.
+``check_rows`` is the rule's one implementation.  It returns at once
+when no entry of the block is below 0.  That is sound: no mass is then
+below ``-WEIGHT_TOL``, and every Bell mass over a mass is 0 or more, or
+NaN (a NaN mass or Bell mass), and NaN is not below ``-WEIGHT_TOL``
+either.
 """
 
 from __future__ import annotations
@@ -287,7 +292,7 @@ class PatternState:
         """
         values = row.tolist()
         if not min(values) >= 0.0:
-            check_rows(scheme, row[None], _ONE_LIVE)
+            check_rows(scheme, row[None])
         row.setflags(write=False)
         total = 0.0
         for mass in values[:-4]:
@@ -410,10 +415,7 @@ def _mix_bell_masses(p: float, masses: Sequence) -> list:
 
 
 # ----------------------------------------------------------------------
-# batches of rows (see the module docstring); ``live`` masks the rows the
-# checks apply to
-
-_ONE_LIVE = np.ones(1, dtype=bool)
+# batches of rows (see the module docstring)
 
 
 def row_totals(scheme: SchemeKind, rows: np.ndarray) -> np.ndarray:
@@ -433,9 +435,9 @@ def apply_bell_channel_rows(rows: np.ndarray, p: float) -> None:
     rows[:, -4:] = np.transpose(_mix_bell_masses(p, rows[:, -4:].T))
 
 
-def check_rows(scheme: SchemeKind, rows: np.ndarray, live: np.ndarray) -> None:
-    """Raise for the first live row that breaks the state rule (see the
-    module docstring).
+def check_rows(scheme: SchemeKind, rows: np.ndarray) -> None:
+    """Raise for the first row that breaks the state rule (see the module
+    docstring); ``PatternState._set_row`` runs it on its one row.
 
     A bad pattern mass raises naming the first in scheme order.  Dividing
     by a nonzero mass is monotone, so the smallest Bell weight is the
@@ -447,9 +449,9 @@ def check_rows(scheme: SchemeKind, rows: np.ndarray, live: np.ndarray) -> None:
     layout = _layout(scheme)
     n = len(layout.column)
     negative = rows[:, :n] < -WEIGHT_TOL
-    bad_mass = live & negative.any(axis=1)
+    bad_mass = negative.any(axis=1)
     mass = rows[:, layout.logical]
-    weighted = live & (mass != 0.0)
+    weighted = mass != 0.0
     bell = rows[weighted, n:]
     extreme = np.where(mass[weighted] > 0.0, bell.min(axis=1), bell.max(axis=1))
     bad = bad_mass.copy()

@@ -268,7 +268,12 @@ class ConnectionTable:
         vector over ``a`` that the left-input masses then contract.
         The products take about twice as long on the transposed view
         of the tensor as on this copy at 302 rows.
+
+        Both engines read the matrix, so a table is checked here, once:
+        a negative value, which no frozen table holds at any eta, raises.
         """
+        if (self.tensor < 0.0).any():
+            raise ValueError(f"the {self.kind} table at eta={self.eta!r} holds a negative value")
         o, a, b = self.tensor.shape
         matrix = np.ascontiguousarray(self.tensor.reshape(o * a, b).T)
         matrix.flags.writeable = False

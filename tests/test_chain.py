@@ -1,5 +1,6 @@
 """Chain assembly, timing model, and optimization sweeps."""
 
+import gc
 import json
 import math
 import warnings
@@ -34,7 +35,7 @@ from ensemble_repeater import chain as chain_module
 from ensemble_repeater import protocols
 from ensemble_repeater.noise import NoiseParams
 from ensemble_repeater.patterns import ExcitationPattern, SchemeKind
-from ensemble_repeater.protocols import EnpKind
+from ensemble_repeater.protocols import EnpKind, _apply_table, eng
 from ensemble_repeater.tables import ConnectionTable, canonical_keys, enc_table, kind_table
 
 NEW = SchemeKind.NEW
@@ -602,6 +603,24 @@ def test_every_grid_point_raises_what_its_chain_raises_alone(
         assert str(error) == str(fresh.value)
 
 
+def test_a_dead_sweep_leaves_no_reference_cycles():
+    """Every grid point's chain raises at eta = 1e-200; the errors the
+    sweep catches keep no traceback, whose frame would hold the records
+    that hold the errors, so the sweep leaves nothing for the cyclic
+    garbage collector."""
+    noise = NoiseParams(eta=1e-200)
+    assert optimize(NEW, 1280.0, 0.9, noise=noise) is None  # warm
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert optimize(NEW, 1280.0, 0.9, noise=noise) is None
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_sweeps_raise_configuration_errors_where_every_spacing_overflows():
     """A single-rail chain with step noise is no configuration; a sweep
     says so whether or not its spacings' elementary times overflow, and
@@ -688,21 +707,17 @@ def _broken_table(table, output, value):
     return _with_tensor(table, tensor)
 
 
+_NEGATIVE_TABLE = r"^the enc_higher table at eta=0\.9 holds a negative value$"
+
+
 @pytest.mark.parametrize(
-    "output, value, message",
-    [
-        (0, -1.0, r"^negative pattern probability: ExcitationPattern\.P00 = -"),
-        (-1, -1e-3, "^Bell weights must be non-negative$"),
-    ],
-    ids=["negative-mass", "negative-bell-weight"],
+    "output, value", [(0, -1.0), (-1, -1e-3)], ids=["negative-mass", "negative-bell-weight"]
 )
-def test_sweep_raises_the_check_error_of_its_first_chain(
-    monkeypatch, output, value, message
-):
-    """The batched steps run the per-state checks: a sweep whose second
-    connection table breaks them raises what the chain at its first grid
-    point raises, whether its block holds one row set (D = 0) or one per
-    spacing (D > 0)."""
+def test_sweep_raises_the_check_error_of_its_first_chain(monkeypatch, output, value):
+    """A sweep whose second connection table would feed every row a
+    negative P00 or Psi- mass raises what the chain at its first grid
+    point raises, the table's own error, whether its block holds one row
+    set (D = 0) or one per spacing (D > 0)."""
     higher = _broken_table(enc_table(NEW, 0.9), output, value)
     original = protocols.enc_table
 
@@ -713,11 +728,56 @@ def test_sweep_raises_the_check_error_of_its_first_chain(
     for D in (0.0, 1e-4):  # one row set, and one per spacing
         chain = dict(scheme=NEW, L=640.0, noise=NoiseParams(eta=0.9, D=D))
         p_cs = (1e-3, 1e-2)
-        with pytest.raises(ValueError, match=message) as fresh:
+        with pytest.raises(ValueError, match=_NEGATIVE_TABLE) as fresh:
             simulate_chain(RepeaterConfig(L0=5.0, p_c=p_cs[0], **chain))
         with pytest.raises(ValueError) as swept:
             _sweep_spacings(chain, p_cs)
         assert str(swept.value) == str(fresh.value)
+
+
+def _negated(table, at):
+    """``table`` with the value at flat position ``at`` of its tensor negated."""
+    tensor = table.tensor.copy()
+    tensor.flat[at] = -tensor.flat[at]
+    return _with_tensor(table, tensor)
+
+
+# A chain that reads each table kind, at L = 640 km.
+_KIND_CHAINS = {
+    "enc_dlcz": dict(scheme=DLCZ),
+    "pme": dict(scheme=DLCZ),
+    "enc_level1": dict(scheme=NEW),
+    "enc_higher": dict(scheme=NEW),
+    "enp_bit": dict(scheme=NEW, enp_schedule=((1, "bit"),)),
+    "enp_phase": dict(scheme=NEW, enp_schedule=((1, "phase"),)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_CHAINS))
+def test_both_engines_refuse_a_table_with_a_negative_value(monkeypatch, kind):
+    """The frozen table builds its step matrix; a copy with one nonzero
+    value negated is refused by the per-state step and by the sweep
+    alike.  A value negated to -0.0 is not below 0 and passes."""
+    table = kind_table(kind, 0.9)
+    assert table.matrix.size == table.tensor.size
+    values = table.tensor.ravel()
+    zero, nonzero = np.flatnonzero(values == 0.0)[0], np.flatnonzero(values)[0]
+    assert _negated(table, zero).matrix.size == table.tensor.size
+    broken = _negated(table, nonzero)
+    message = f"^the {kind} table at eta=0\\.9 holds a negative value$"
+    pair = eng(table.scheme, 1e-2, NoiseParams(eta=0.9), 40.0)
+    with pytest.raises(ValueError, match=message):
+        _apply_table(broken, pair, pair)
+    original = chain_module.step_table
+
+    def patched(*args, **kwargs):
+        step = original(*args, **kwargs)
+        return broken if step.kind == kind else step
+
+    monkeypatch.setattr(chain_module, "step_table", patched)
+    chain = dict(L=640.0, noise=NoiseParams(eta=0.9), **_KIND_CHAINS[kind])
+    with pytest.raises(ValueError, match=message):
+        _sweep_spacings(chain, (1e-3, 1e-2))
 
 
 # (L0, p_c, t_avg, F) of the optimum at eta = 0.9, recorded before the

@@ -231,10 +231,12 @@ ORACLE_DIGESTS = {
 def test_every_oracle_value_is_pinned_to_the_bit(kind):
     """An oracle bit that moves, a residue's included, changes its
     table's digest; the comparison with the frozen tables, at 1e-12
-    relative, would let it pass."""
+    relative, would let it pass.  No value is negative, so the oracle
+    table passes the step matrix's check as the frozen one does."""
     entries = oracle_table(kind, 0.9).entries.values()
     values = np.concatenate([np.append(entry.row, entry.residue) for entry in entries])
     assert hashlib.sha256(values.tobytes()).hexdigest() == ORACLE_DIGESTS[kind]
+    assert min(entry.row.min() for entry in entries) >= 0.0
 
 
 def test_frozen_entries_carry_no_residue():

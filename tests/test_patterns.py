@@ -255,8 +255,7 @@ def _batches(draw):
     width = len(scheme_patterns(scheme)) + 4
     n = draw(st.integers(1, 6))
     rows = np.array([[draw(_ENTRY) for _ in range(width)] for _ in range(n)])
-    live = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    return scheme, rows, live
+    return scheme, rows
 
 
 def _state_error(scheme, row):
@@ -270,15 +269,15 @@ def _state_error(scheme, row):
 @settings(max_examples=120, deadline=None)
 @given(batch=_batches())
 def test_batch_checks_raise_what_the_first_failing_live_state_raises(batch):
-    scheme, rows, live = batch
+    scheme, rows = batch
     errors = [_rule_error(scheme, row) for row in rows]
     assert [_state_error(scheme, row) for row in rows] == errors
-    expected = next((e for e, ok in zip(errors, live) if ok and e is not None), None)
+    expected = next((e for e in errors if e is not None), None)
     if expected is None:
-        check_rows(scheme, rows, live)
+        check_rows(scheme, rows)
     else:
         with pytest.raises(ValueError) as caught:
-            check_rows(scheme, rows, live)
+            check_rows(scheme, rows)
         assert str(caught.value) == expected
 
 
@@ -304,7 +303,7 @@ def test_state_checks_give_the_batch_verdict_on_non_finite_rows(case):
     expected = _rule_error(scheme, row)
     with np.errstate(all="ignore"):
         try:
-            check_rows(scheme, row[None, :], np.array([True]))
+            check_rows(scheme, row[None, :])
         except ValueError as exc:
             got = str(exc)
         else:
@@ -335,7 +334,7 @@ def _matrix_channel_row(state, p):
 @settings(max_examples=200, deadline=None)
 @given(batch=_batches(), p=st.floats(0.0, 1.0))
 def test_apply_bell_channel_is_the_matrix_channel_to_the_bit(batch, p):
-    scheme, rows, _ = batch
+    scheme, rows = batch
     for row in np.abs(rows):
         state = PatternState._from_row(scheme, row)
         assert apply_bell_channel(state, p).row.tolist() == _matrix_channel_row(state, p).tolist()
@@ -344,7 +343,7 @@ def test_apply_bell_channel_is_the_matrix_channel_to_the_bit(batch, p):
 @settings(max_examples=100, deadline=None)
 @given(batch=_batches(), target=st.sampled_from(list(BellState)), p=st.floats(0.0, 1.0))
 def test_batch_figures_equal_each_states_to_the_bit(batch, target, p):
-    scheme, rows, _ = batch
+    scheme, rows = batch
     rows[:, : len(scheme_patterns(scheme))] = np.abs(rows[:, : len(scheme_patterns(scheme))])
     rows[:, -4:] = np.abs(rows[:, -4:])
     states = [PatternState._from_row(scheme, row.copy()) for row in rows]
@@ -396,6 +395,20 @@ def test_pattern_state_total_and_normalize():
     assert _mass(unit, ExcitationPattern.P10) == pytest.approx(0.75)
     # Normalization leaves the conditional Bell weights untouched.
     assert unit.logical[BellState.PSI_PLUS.index] == pytest.approx(1.0)
+
+
+def test_normalize_applies_the_state_rule_to_a_callers_state():
+    """A caller's state may hold a P00 mass of -1e-12; normalizing it by
+    its total, 0.5 less that mass, takes the mass past -WEIGHT_TOL, and
+    the normalized state is refused.  Engine rows hold no negative mass,
+    so only such states can fail here."""
+    row = np.zeros(len(scheme_patterns(SchemeKind.NEW)) + 4)
+    row[0] = -1e-12
+    row[scheme_patterns(SchemeKind.NEW).index(ExcitationPattern.P20_PERP)] = 0.5
+    state = PatternState._from_row(SchemeKind.NEW, row)
+    message = r"^negative pattern probability: ExcitationPattern\.P00 = -2\.0000000000039997e-12$"
+    with pytest.raises(ValueError, match=message):
+        normalize(state)
 
 
 def test_bell_masses_scale_with_logical_probability():

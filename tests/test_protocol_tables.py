@@ -582,9 +582,13 @@ def test_single_rail_states_cannot_carry_even_parity_weight():
         enc(DLCZ, bad, bad, ETA)
 
 
+# What a step raises on a two-cell connection table holding a negative value.
+_NEGATIVE_TABLE = r"^the enc_higher table at eta=0\.9 holds a negative value$"
+
+
 def test_step_checks_keep_their_messages():
-    """The scheme, parity and state checks still run on the array a step
-    reads and writes."""
+    """The scheme and parity checks still run on the array a step reads,
+    and the table check on the table it applies."""
     pair = eng(NEW, 0.01, NoiseParams(eta=ETA), 40.0)
     dlcz_pair = PatternState(DLCZ, {P.P10: 1.0}, PSI_PLUS)
     with pytest.raises(ValueError, match="^input scheme does not match table scheme$"):
@@ -605,8 +609,7 @@ def test_step_checks_keep_their_messages():
     tensor[0] = -1.0  # every input pair now feeds negative P00 mass
     broken.__dict__["tensor"] = tensor
     assert _mass(_apply_table(table, pair, pair), P.P00) >= 0.0
-    message = r"^negative pattern probability: ExcitationPattern\.P00 = -"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=_NEGATIVE_TABLE):
         _apply_table(broken, pair, pair)
 
 
@@ -634,7 +637,7 @@ def test_step_rejects_negative_bell_weight():
     tensor = table.tensor.copy()
     tensor[-1] = -1e-3  # every input pair now feeds negative Psi- mass
     broken.__dict__["tensor"] = tensor
-    with pytest.raises(ValueError, match="^Bell weights must be non-negative$"):
+    with pytest.raises(ValueError, match=_NEGATIVE_TABLE):
         _apply_table(broken, pair, pair)
 
 
