@@ -20,22 +20,23 @@ one block of ``(n, k)`` rows in the ``PatternState.row`` layout, one
 row set of the p_c grid per station spacing.  Each plan step is one
 batched step (``_step``) over the rows of the spacings that reach it,
 a prefix, as the spacings go deepest first.  A row whose step never
-succeeds is dead: it is zero from then on.  The block runs no check of
-the state rule on its rows: each table is checked once, where both
-engines read it (see ``patterns``' section "The state rule").  The
-pair after a stage depends on the spacing only through the elementary
+succeeds is dead: it is zero from then on.  The block runs no check
+on its rows, of the state rule or of normalization: each table is
+checked once, where both engines read it, and a row built from it
+needs no check (see ``patterns``' section "The state rule").  The pair
+after a stage depends on the spacing only through the elementary
 pair, whose phase error q(D L0) vanishes at D = 0.  So at D = 0 the
 chain at spacing 2 L0 is a prefix of the chain at L0, and the block
 holds one row set, which every spacing reads at its own depth.  The
 single-rail final mapping is one batched step over every spacing's
-rows at its depth.  The time recursion, each row's error, if any, and
-the fidelity and logical-fidelity columns are then computed once over
-the ``(spacings, p_cs)`` grid, into one record per grid point: its
-``(t_avg, F, logical F)`` row, or the error its chain raises.  Each
-grid point still gets its own ``simulate_chain`` call, which takes
-that record and raises the error or returns a result holding the row.
-Per-stage records have one source, the chain run on its own: such a
-result runs it only when its records are read.
+rows at its depth.  F is the target column of the final rows; the
+time recursion, each row's error, if any, and the logical fidelity are
+computed once over the ``(spacings, p_cs)`` grid, into one record per
+grid point: its ``(t_avg, F, logical F)`` row, or the error its chain
+raises.  Each grid point still gets its own ``simulate_chain`` call,
+which takes that record and raises the error or returns a result
+holding the row.  Per-stage records have one source, the chain run on
+its own: such a result runs it only when its records are read.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .patterns import (
     apply_bell_channel,
     apply_bell_channel_rows,
     fidelity,
-    fidelity_rows,
     logical_fidelity,
     logical_fidelity_rows,
     normalize,
@@ -606,29 +606,27 @@ def simulate_chain(
 
 
 def _step(
-    table: ConnectionTable, rows: np.ndarray, p_step: float, target: BellState
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    table: ConnectionTable, rows: np.ndarray, p_step: float
+) -> Tuple[np.ndarray, np.ndarray]:
     """One plan step of ``table`` on every row of a sweep's block: the
-    normalized ``(n, k)`` rows after it, and each row's success and
-    fidelity.
+    normalized ``(n, k)`` rows after it, and each row's success.
 
     A row whose step has zero success, where ``simulate_chain`` raises,
     is dead: it is zero after the step, so every later step of it has
-    zero success too, and ``fidelity_rows`` does not read it.  The
-    channel, run where the step error ``p_step`` is positive, is
-    ``apply_bell_channel_rows``, the arithmetic of ``apply_bell_channel``,
-    so a row gets its chain's bits on any BLAS kernel.  The step runs no
-    check of the state rule: ``table.matrix`` checks the table once.
+    zero success too.  The channel, run where the step error ``p_step``
+    is positive, is ``apply_bell_channel_rows``, the arithmetic of
+    ``apply_bell_channel``, so a row gets its chain's bits on any BLAS
+    kernel.  The step checks no row (see ``patterns``' section "The
+    state rule"): ``table.matrix`` checks the table once.
     """
-    scheme = table.output_scheme
     out = apply_table_rows(table, rows, rows)
-    success = row_totals(scheme, out)
+    success = row_totals(table.output_scheme, out)
     live = ~(success <= 0.0)
     rows = out / np.where(live, success, 1.0)[:, None]
     rows[~live] = 0.0
     if p_step > 0.0:
         apply_bell_channel_rows(rows, p_step)
-    return rows, success, fidelity_rows(scheme, rows, live, target)
+    return rows, success
 
 
 # ---------------------------------------------------------------------------
@@ -689,8 +687,9 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     overflows.  One block holds the pair states of the whole sweep (see
     the module docstring): per plan step one ``_step`` over the spacings
     that reach it, and for single-rail chains one final mapping over
-    every spacing's rows at its own depth.  The time, error, fidelity
-    and logical-fidelity columns are then computed once over the
+    every spacing's rows at its own depth.  F is the target column of
+    those final rows, each a step's output.  The time, error and
+    logical-fidelity columns are then computed once over the
     ``(spacings, p_cs)`` grid, with the IEEE operations ``simulate_chain``
     takes on one chain, into one record per grid point: its row, or its
     error, the ``ZeroDivisionError`` of its first step without success,
@@ -742,26 +741,26 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     # depend on L0, and every spacing reads one set at its own depth
     sets = len(spacings) if noise.D != 0.0 else 1
     rows = np.concatenate([eng_rows(scheme, grid, noise, L0) for L0 in spacings[:sets]])
-    every = np.ones(len(rows), dtype=bool)
-    stages = [(rows, fidelity_rows(scheme, rows, every, _target_bell(scheme, False)))]
+    stages = [rows]
     steps = [(0, "eng"), *((level, stage) for stage, level, _ in connections)]
     successes = []  # (spacings reached, one success row per row set)
-    target = _target_bell(scheme, True)
     for j, (stage, level, kind) in enumerate(connections, 1):
         reach = sum(depth >= j for depth in depths)  # a prefix: deepest first
         m = min(reach, sets)
         table = step_table(stage, scheme, eta, level, kind)
-        rows, success, F = _step(table, rows[: m * n], p_step, target)
-        stages.append((rows, F))
+        rows, success = _step(table, rows[: m * n], p_step)
+        stages.append(rows)
         successes.append((reach, success.reshape(m, n)))
     ends = [(stages[depth], min(i, sets - 1) * n) for i, depth in enumerate(depths)]
-    rows, F = (np.concatenate([stage[c][at : at + n] for stage, at in ends]) for c in range(2))
+    rows = np.concatenate([stage[at : at + n] for stage, at in ends])
     delivered = scheme
     if scheme is SchemeKind.DLCZ:
         table = step_table("pme", scheme, eta)
-        rows, success, F = _step(table, rows, p_step, target)
+        rows, success = _step(table, rows, p_step)
         successes.append((len(spacings), success.reshape(len(spacings), n)))
         delivered = table.output_scheme
+    target = _target_bell(scheme, True)
+    F = rows[:, target.index - 4]
     logical = logical_fidelity_rows(delivered, rows, target)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         t = t0s * TWO_PAIR_OVERHEAD if scheme is SchemeKind.NEW else t0s.copy()
@@ -877,6 +876,8 @@ def tf_curve(
     (t_avg, F, p_c, L0) tuples sorted by p_c.
     """
     sweep = pc_grid() if p_c_sweep is None else np.asarray(p_c_sweep, dtype=float)
+    if sweep.ndim != 1:
+        raise ValueError(f"p_c_sweep must be 1-d, got shape {sweep.shape}")
     p_cs = tuple(sweep.tolist())
     chain = dict(
         scheme=scheme, L=L, noise=noise, L_att=L_att, c_fiber=c_fiber,

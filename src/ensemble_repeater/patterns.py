@@ -45,9 +45,10 @@ depolarizing and is given by its probability.
 
 A batch of pairs is an ``(n, k)`` array of such rows.  The row
 functions (``row_totals``, ``apply_bell_channel_rows``,
-``fidelity_rows``, ``logical_fidelity_rows``) are the state operations
-on every row at once, with the same arithmetic;
-``apply_bell_channel_rows`` takes a probability that is checked already.
+``logical_fidelity_rows``) are the state operations on every row at
+once, with the same arithmetic; ``apply_bell_channel_rows`` takes a
+probability that is checked already.  A normalized row's ``fidelity``
+is its target's Bell column.
 
 The state rule
 --------------
@@ -65,11 +66,15 @@ is a sum of products of non-negative floats: a step's output, as
 ``protocols._component_masses`` clips its inputs to 0 or more; the
 ``eng_rows`` masses, 1 - q and q with q at most 0.5; the Bell channel's
 factors (1 - p) + p/4 and p/4; and ``normalize``, a division by a
-positive total.  So a sweep's block runs no row check, and
-``PatternState._set_row`` runs the rule, at the cost of one ``min``,
-on every state it freezes: a caller's, and ``normalize``'s output,
-which can break it (a P00 mass of -1e-12 in a state of total 0.5
-becomes -2e-12).
+positive total.  And a live row is normalized: adding its k masses
+left to right, dividing each by the total and adding again leaves the
+total within (2k - 1) 2**-53 of 1, recursive summation's rounding
+bound (2.3e-15 at k = 11, 430 times below ``WEIGHT_TOL``), as sums of
+subnormals are exact and the Bell channel moves only Bell mass.  So a
+sweep's block runs no row check, and ``PatternState._set_row`` runs
+the rule, at the cost of one ``min``, on every state it freezes: a
+caller's, and ``normalize``'s output, which can break it (a P00 mass
+of -1e-12 in a state of total 0.5 becomes -2e-12).
 
 ``check_rows`` is the rule's one implementation.  It returns at once
 when no entry of the block is below 0.  That is sound: no mass is then
@@ -465,16 +470,6 @@ def check_rows(scheme: SchemeKind, rows: np.ndarray) -> None:
                 f"negative pattern probability: {pattern} = {float(rows[i, j])}"
             )
         raise ValueError("Bell weights must be non-negative")
-
-
-def fidelity_rows(
-    scheme: SchemeKind, rows: np.ndarray, live: np.ndarray, target: BellState
-) -> np.ndarray:
-    """``fidelity`` of every row; every live row must be normalized."""
-    off = np.abs(row_totals(scheme, rows) - 1.0)
-    if (live & ~(off <= WEIGHT_TOL)).any():
-        raise ValueError("fidelity requires a normalized state")
-    return rows[:, target.index - 4]
 
 
 def logical_fidelity_rows(

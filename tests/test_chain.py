@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -34,7 +35,7 @@ from ensemble_repeater.chain import (
 from ensemble_repeater import chain as chain_module
 from ensemble_repeater import protocols
 from ensemble_repeater.noise import NoiseParams
-from ensemble_repeater.patterns import ExcitationPattern, SchemeKind
+from ensemble_repeater.patterns import ExcitationPattern, SchemeKind, row_totals, scheme_patterns
 from ensemble_repeater.protocols import EnpKind, _apply_table, eng
 from ensemble_repeater.tables import ConnectionTable, canonical_keys, enc_table, kind_table
 
@@ -655,6 +656,16 @@ def test_sweeps_report_the_first_bad_p_c_in_grid_order():
         tf_curve(NEW, 160.0, p_c_sweep=(1e-3, math.nan, 1.5))
 
 
+@pytest.mark.parametrize(
+    "p_c_sweep, shape", [(0.01, r"\(\)"), ([[1e-3, 2e-3]], r"\(1, 2\)")], ids=["scalar", "2-d"]
+)
+def test_tf_curve_rejects_a_p_c_sweep_that_is_not_1d(monkeypatch, p_c_sweep, shape):
+    calls = _count_calls(monkeypatch, "_sweep_spacings")
+    with pytest.raises(ValueError, match=rf"^p_c_sweep must be 1-d, got shape {shape}$"):
+        tf_curve(NEW, 160.0, p_c_sweep=p_c_sweep)
+    assert calls == []
+
+
 def _with_tensor(table, tensor):
     """A copy of ``table`` that applies ``tensor``."""
     patched = ConnectionTable(table.kind, table.eta, table.entries)
@@ -698,6 +709,40 @@ def test_dead_rows_raise_no_warning_and_are_the_failing_chains(monkeypatch):
     with pytest.raises(OverflowError):
         RepeaterConfig(L0=160.0, p_c=1e-3, **chain)
     _assert_rows_equal_fresh_chains(chain, p_cs)
+
+
+@pytest.mark.parametrize("eta", [0.9, 1e-160])
+def test_sweep_rows_are_normalized_within_the_summation_bound(monkeypatch, eta):
+    """Every live row a sweep step returns totals within (2k - 1) 2**-53
+    of 1, k the output scheme's pattern count: the rounding bound of
+    adding k masses, dividing each by their total and adding again,
+    which is why a sweep runs no normalization check.  The two-cell
+    chain at D > 0 also runs the Bell channel; at eta = 1e-160 some live
+    rows have a subnormal success."""
+    steps = []
+    original = chain_module._step
+
+    def recorded(table, rows, p_step):
+        out, success = original(table, rows, p_step)
+        steps.append((table.output_scheme, out, success))
+        return out, success
+
+    monkeypatch.setattr(chain_module, "_step", recorded)
+    p_cs = tuple(pc_grid().tolist())
+    for D in (0.0, 1e-4):
+        noise = NoiseParams(eta=eta, D=D)
+        _sweep_spacings(dict(scheme=DLCZ, L=1280.0, noise=noise), p_cs)
+        noise = NoiseParams(eta=eta, D=D, p_misalign=0.05 if D else 0.0)
+        schedule = ((1, "bit"), (2, "phase"))
+        _sweep_spacings(dict(scheme=NEW, L=1280.0, noise=noise, enp_schedule=schedule), p_cs)
+    assert {scheme for scheme, _, _ in steps} == {DLCZ, NEW}
+    subnormal = False
+    for scheme, rows, success in steps:
+        live = success > 0.0
+        bound = (2 * len(scheme_patterns(scheme)) - 1) * 2.0**-53
+        assert np.abs(row_totals(scheme, rows[live]) - 1.0).max(initial=0.0) <= bound
+        subnormal |= bool((success[live] < sys.float_info.min).any())
+    assert subnormal == (eta == 1e-160)
 
 
 def _broken_table(table, output, value):

@@ -20,7 +20,6 @@ from ensemble_repeater.patterns import (
     apply_bell_channel_rows,
     check_rows,
     fidelity,
-    fidelity_rows,
     logical_column,
     logical_fidelity,
     logical_fidelity_rows,
@@ -354,12 +353,6 @@ def test_batch_figures_equal_each_states_to_the_bit(batch, target, p):
     weights = logical_fidelity_rows(scheme, rows, target).tolist()
     assert weights == [logical_fidelity(state, target) for state in states]
     assert weights == [float(state.logical[target.index]) for state in states]
-    normalized = np.array([normalize(s).row for s in states if s.total > 0.0])
-    if len(normalized):
-        live = np.ones(len(normalized), dtype=bool)
-        got = fidelity_rows(scheme, normalized, live, target).tolist()
-        assert got == [fidelity(PatternState._from_row(scheme, r.copy()), target)
-                       for r in normalized]
 
 
 def test_a_state_total_adds_its_masses_left_to_right():
@@ -369,17 +362,6 @@ def test_a_state_total_adds_its_masses_left_to_right():
     row[:3] = 1.0, 2.0**-53, 2.0**-53
     state = PatternState._from_row(SchemeKind.NEW, row.copy())
     assert state.total == row_totals(SchemeKind.NEW, row[None])[0] == 1.0
-
-
-def test_batch_fidelity_requires_normalized_live_rows():
-    rows = np.zeros((2, len(scheme_patterns(SchemeKind.NEW)) + 4))
-    rows[0, logical_column(SchemeKind.NEW)] = rows[0, -4] = 1.0
-    rows[1, logical_column(SchemeKind.NEW)] = rows[1, -4] = 0.5
-    assert fidelity_rows(
-        SchemeKind.NEW, rows, np.array([True, False]), BellState.PHI_PLUS
-    ).tolist() == [1.0, 0.5]
-    with pytest.raises(ValueError, match="^fidelity requires a normalized state$"):
-        fidelity_rows(SchemeKind.NEW, rows, np.array([True, True]), BellState.PHI_PLUS)
 
 
 def test_pattern_state_total_and_normalize():
