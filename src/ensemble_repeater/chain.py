@@ -104,7 +104,8 @@ class RepeaterConfig:
     Construction runs ``_check_chain_fields`` on the fields a sweep holds
     fixed (scheme, L, noise, L_att, c_fiber, schedule) and then
     ``_check_point`` on L0 and p_c.  A sweep runs the first once and the
-    second on its p_c column (see ``_sweep_spacings``), and builds each
+    rules of the second, ``_spacing_problem`` and ``_p_c_problem``, on its
+    spacings and its p_c column (see ``_sweep_spacings``), and builds each
     grid point's configuration in place, with neither.
     """
 
@@ -181,13 +182,11 @@ def _check_point(
 ) -> float:
     """``RepeaterConfig``'s checks of L0 and p_c, on checked other fields.
 
-    Returns the elementary time.  ``_sweep_spacings`` runs the same
-    checks with p_c as a column: ``sweep_l0`` keeps only the spacings
-    ``_check_spacing`` passes, ``_p_c_problem`` runs at the first bad
-    p_c, and ``_elementary_times`` per spacing.
+    Raises what ``_spacing_problem``, then ``_p_c_problem``, returns, and
+    returns the elementary time.  ``_sweep_spacings`` runs the same rules
+    through ``feasible_l0`` and on each p_c, and ``_elementary_times``.
     """
-    _check_spacing(scheme, L, L0, schedule)
-    problem = _p_c_problem(p_c)
+    problem = _spacing_problem(scheme, L, L0, schedule) or _p_c_problem(p_c)
     if problem is not None:
         raise ValueError(problem)
     if L0 / L_att > _MAX_EXP_ARG:
@@ -205,26 +204,6 @@ def _check_point(
             f" p_c = {p_c:g}, eta = {eta:g}"
         )
     return t0
-
-
-def _check_spacing(
-    scheme: SchemeKind,
-    L: float,
-    L0: float,
-    schedule: Tuple[Tuple[int, EnpKind], ...],
-) -> None:
-    """Reject an L0 that is no usable spacing of L for the scheme and schedule."""
-    if not math.isfinite(L0):
-        raise ValueError(f"L0 must be finite, got {L0}")
-    if L0 <= 0.0:
-        raise ValueError("L and L0 must be positive")
-    problem = _spacing_problem(scheme, L, L0)
-    if problem is not None:
-        raise ValueError(problem)
-    levels = _num_levels(L, L0)
-    for m, _ in schedule:
-        if not 1 <= m <= levels:
-            raise ValueError(f"purification level {m} outside 1..{levels}")
 
 
 def _p_c_problem(p_c: float) -> Optional[str]:
@@ -284,8 +263,17 @@ def check_step_noise(scheme: SchemeKind, noise: NoiseParams) -> None:
         )
 
 
-def _spacing_problem(scheme: SchemeKind, L: float, L0: float) -> Optional[str]:
-    """Why L/L0 is no usable power of two for the scheme, or None if it is."""
+def _spacing_problem(
+    scheme: SchemeKind, L: float, L0: float, schedule: Tuple[Tuple[int, EnpKind], ...]
+) -> Optional[str]:
+    """Why L0 is no usable spacing of a checked L for the scheme and a
+    checked schedule, or None if it is: L0 must be finite and positive,
+    L/L0 a power of two with a connection level for two-cell chains, and
+    every scheduled level one of the chain's."""
+    if not math.isfinite(L0):
+        return f"L0 must be finite, got {L0}"
+    if L0 <= 0.0:
+        return "L and L0 must be positive"
     ratio = L / L0
     if not 0.0 < ratio < math.inf:  # L/L0 overflows or underflows
         return "L/L0 must be a power of 2 (at least 2)"
@@ -295,6 +283,9 @@ def _spacing_problem(scheme: SchemeKind, L: float, L0: float) -> Optional[str]:
         return "L/L0 must be a power of 2 (at least 2)"
     if scheme is SchemeKind.NEW and k < 2:
         return "two-cell chains need at least one connection level"
+    for m, _ in schedule:
+        if not 1 <= m <= k - 1:
+            return f"purification level {m} outside 1..{k - 1}"
     return None
 
 
@@ -646,40 +637,18 @@ def pc_grid() -> np.ndarray:
     return np.logspace(lo, hi, n)
 
 
-def feasible_l0(scheme: SchemeKind, L: float) -> Tuple[float, ...]:
-    """Grid spacings giving an integer number of doublings for this L."""
-    _check_length(L)
-    return tuple(L0 for L0 in L0_GRID if _spacing_problem(scheme, L, L0) is None)
-
-
-def sweep_l0(
-    scheme: SchemeKind,
-    L: float,
-    enp_schedule: Tuple[Tuple[int, EnpKind], ...] = (),
+def feasible_l0(
+    scheme: SchemeKind, L: float, schedule: Tuple[Tuple[int, EnpKind], ...] = ()
 ) -> Tuple[float, ...]:
-    """Feasible spacings with every connection level the schedule purifies after.
-
-    A spacing with too few levels is skipped.  If the schedule leaves no
-    feasible spacing, a ``ValueError`` names it.
-    """
-    spacings = feasible_l0(scheme, L)
-    schedule = _normalized_schedule(enp_schedule)
-    _check_enp_schedule(scheme, schedule)
-    usable = tuple(
-        L0 for L0 in spacings
-        if all(1 <= m <= _num_levels(L, L0) for m, _ in schedule)
-    )
-    if spacings and not usable:
-        raise ValueError(
-            f"enp_schedule = {format_enp_schedule(schedule)} purifies after a"
-            f" level that no grid spacing gives at L = {L:g} km (levels 1.."
-            f"{_num_levels(L, spacings[0])})"
-        )
-    return usable
+    """Grid spacings of this L that ``_spacing_problem`` passes: an integer
+    number of doublings, with every connection level that ``schedule``, a
+    checked one, purifies after."""
+    _check_length(L)
+    return tuple(L0 for L0 in L0_GRID if _spacing_problem(scheme, L, L0, schedule) is None)
 
 
 def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
-    """(L0, grid rows) for every spacing ``sweep_l0`` keeps, in grid order.
+    """(L0, grid rows) for every spacing ``feasible_l0`` keeps, in grid order.
 
     ``chain`` holds the other ``RepeaterConfig`` arguments.  The rows
     hold (t_avg, F, logical F) for every p_c, in order, or None where a
@@ -699,16 +668,17 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     does, unless that chain fails first.
 
     Every check of ``RepeaterConfig`` runs, with its message, but not
-    per point: ``_check_chain_fields`` once, before any spacing; the p_c
-    checks once on the p_c column, where the first bad p_c raises;
-    ``_check_spacing`` through ``sweep_l0``, which keeps only grid
-    spacings of L that have every scheduled level; and the elementary
-    times, where a non-finite time, as where ``L0 / L_att`` overflows,
-    makes its row None.  Every other grid point gets its configuration,
-    equal to a fresh one and built in place from one field dict per
-    spacing, and one ``simulate_chain`` call with its record as ``row``,
-    which raises the error or returns the row as a result; the grid
-    keeps the row it handed in, or None where the call raised.
+    per point: ``_check_chain_fields`` once, before any spacing;
+    ``_p_c_problem`` on each p_c, where the first bad p_c raises;
+    ``_spacing_problem`` through ``feasible_l0``, which keeps only grid
+    spacings of L that have every scheduled level (a schedule that leaves
+    none of them raises); and the elementary times, where a non-finite
+    time, as where ``L0 / L_att`` overflows, makes its row None.  Every
+    other grid point gets its configuration, equal to a fresh one and
+    built in place from one field dict per spacing, and one
+    ``simulate_chain`` call with its record as ``row``, which raises the
+    error or returns the row as a result; the grid keeps the row it
+    handed in, or None where the call raised.
     """
     scheme, L = chain["scheme"], chain["L"]
     noise = chain.get("noise", NoiseParams())
@@ -721,14 +691,22 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
         scheme=scheme, L=L, noise=noise, L_att=L_att, c_fiber=c_fiber,
         enp_schedule=schedule,
     )
-    grid = np.array(p_cs, dtype=float)
-    bad = ~((grid > 0.0) & (grid < 1.0))
-    if bad.any():
-        raise ValueError(_p_c_problem(p_cs[int(bad.argmax())]))
-    spacings = sweep_l0(scheme, L, schedule)
-    p_step = step_error(noise)
+    for p_c in p_cs:
+        problem = _p_c_problem(p_c)
+        if problem is not None:
+            raise ValueError(problem)
+    spacings = feasible_l0(scheme, L, schedule)
     if not spacings:
+        unscheduled = feasible_l0(scheme, L)
+        if unscheduled:
+            raise ValueError(
+                f"enp_schedule = {format_enp_schedule(schedule)} purifies after a"
+                f" level that no grid spacing gives at L = {L:g} km (levels 1.."
+                f"{_num_levels(L, unscheduled[0])})"
+            )
         return []
+    grid = np.array(p_cs, dtype=float)
+    p_step = step_error(noise)
     n, eta = len(p_cs), noise.eta
     levels = [_num_levels(L, L0) for L0 in spacings]
     connections = _plan(scheme, levels[0], schedule)
@@ -927,11 +905,13 @@ def scaling_fit(
     seed: int = 0,
     L_att: float = RepeaterConfig.L_att,
     c_fiber: float = RepeaterConfig.c_fiber,
+    n_samples: int = 16384,
 ) -> Tuple[float, list]:
     """Fitted slope of log t_avg vs log L with p_c = ``_P_C_SCALE`` L0/L.
 
     Every chain is configured, and so checked, before any is simulated,
     and a line through fewer than two distinct lengths is no fit.
+    ``waiting``, ``n_samples`` and ``seed`` go to each ``simulate_chain``.
     Returns (slope, [(L, t_avg), ...]).
     """
     configs = []
@@ -951,7 +931,7 @@ def scaling_fit(
         )
     points = []
     for config in configs:
-        result = simulate_chain(config, waiting=waiting, seed=seed)
+        result = simulate_chain(config, waiting=waiting, n_samples=n_samples, seed=seed)
         points.append((config.L, result.t_avg))
     logs = np.log([p[0] for p in points])
     logt = np.log([p[1] for p in points])
@@ -1008,10 +988,11 @@ def format_csv(rows: Iterable[Sequence], header: Sequence[str] = CSV_COLUMNS) ->
 
 
 def _csv_cell(x) -> str:
-    """A float's repr, or the text of any other value, quoted as RFC 4180
-    asks where it holds a comma, a double quote or a line break."""
+    """A float's repr, as a Python float's for a numpy float too, or the
+    text of any other value, quoted as RFC 4180 asks where it holds a
+    comma, a double quote or a line break."""
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))
     text = str(x)
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'

@@ -476,6 +476,7 @@ def cmd_scaling(args, settings: Settings) -> CommandOutput:
         settings.L_list,
         L0=settings.L0,
         waiting=settings.waiting,
+        n_samples=settings.n_samples,
         seed=args.seed,
         L_att=settings.L_att,
         c_fiber=settings.c_fiber,

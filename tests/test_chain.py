@@ -16,6 +16,7 @@ from ensemble_repeater.chain import (
     L0_GRID,
     RepeaterConfig,
     _McTimes,
+    _spacing_problem,
     _sweep_spacings,
     check_step_noise,
     empirical_time,
@@ -29,7 +30,6 @@ from ensemble_repeater.chain import (
     scaling_exponent,
     scaling_fit,
     simulate_chain,
-    sweep_l0,
     tf_curve,
 )
 from ensemble_repeater import chain as chain_module
@@ -142,7 +142,9 @@ def test_single_rail_chains_reject_a_purification_schedule():
     with pytest.raises(ValueError, match=message):
         _config(scheme=DLCZ, L=1280.0, enp_schedule=((1, "bit"), (2, "phase")))
     with pytest.raises(ValueError, match=message):
-        sweep_l0(DLCZ, 1280.0, ((1, "bit"), (2, "phase")))
+        optimize(DLCZ, 1280.0, 0.9, enp_schedule=((1, "bit"), (2, "phase")))
+    with pytest.raises(ValueError, match=message):
+        tf_curve(DLCZ, 1280.0, enp_schedule=((1, "bit"), (2, "phase")))
 
 
 # ----------------------------------------------------------------------
@@ -386,7 +388,7 @@ def test_grid_rows_equal_per_point_chains(name):
     chain = _RECORD_CHAINS[name]
     p_cs = tuple(float(p) for p in pc_grid()[::30])
     per_l0 = _sweep_spacings(chain, p_cs)
-    spacings = sweep_l0(chain["scheme"], chain["L"], chain.get("enp_schedule", ()))
+    spacings = feasible_l0(chain["scheme"], chain["L"], chain.get("enp_schedule", ()))
     assert [L0 for L0, _ in per_l0] == list(spacings)
     for L0, rows in per_l0:
         assert len(rows) == len(p_cs)
@@ -953,6 +955,40 @@ def test_feasible_l0():
             feasible_l0(DLCZ, bad)
 
 
+@st.composite
+def _lengths_and_schedules(draw):
+    """A scheme; a length that is a power-of-two multiple of a grid
+    spacing, or any other; and, for the two-cell scheme, the only one
+    that purifies, a schedule of levels 0-6."""
+    scheme = draw(st.sampled_from((NEW, DLCZ)))
+    multiple = st.builds(
+        lambda L0, k: L0 * 2.0**k, st.sampled_from(L0_GRID), st.integers(0, 10)
+    )
+    L = draw(st.one_of(multiple, st.floats(0.5, 1e5)))
+    levels = st.tuples(st.integers(0, 6), st.sampled_from(tuple(EnpKind)))
+    schedule = tuple(draw(st.lists(levels, max_size=3))) if scheme is NEW else ()
+    return scheme, L, schedule
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_lengths_and_schedules())
+def test_feasible_spacings_are_those_a_configuration_accepts(case):
+    """The sweep and ``RepeaterConfig`` share one spacing rule:
+    ``feasible_l0`` keeps exactly the grid spacings whose configuration
+    can be built, and a configuration at any other one raises the text
+    ``_spacing_problem`` gives."""
+    scheme, L, schedule = case
+    kept = feasible_l0(scheme, L, schedule)
+    for L0 in L0_GRID:
+        try:
+            RepeaterConfig(scheme, L, L0, 1e-3, enp_schedule=schedule)
+        except ValueError as error:
+            assert L0 not in kept
+            assert str(error) == _spacing_problem(scheme, L, L0, schedule)
+        else:
+            assert L0 in kept
+
+
 def test_optimize_returns_fastest_feasible_point():
     noise = NoiseParams(eta=0.95)
     found = optimize(NEW, 160.0, 0.9, noise=noise)
@@ -1034,7 +1070,7 @@ def test_sweeps_skip_spacings_without_the_scheduled_levels():
     too few for a purification round after level 3; the other spacings
     carry it."""
     schedule = ((3, EnpKind.PHASE),)
-    assert sweep_l0(NEW, 1280.0, schedule) == (5.0, 10.0, 20.0, 40.0, 80.0)
+    assert feasible_l0(NEW, 1280.0, schedule) == (5.0, 10.0, 20.0, 40.0, 80.0)
     noise = NoiseParams(eta=0.95)
     chain = dict(scheme=NEW, L=1280.0, noise=noise, enp_schedule=schedule)
     per_l0 = _sweep_spacings(chain, (1e-3,))
@@ -1052,13 +1088,11 @@ def test_sweeps_refuse_a_schedule_no_spacing_carries():
     )
     schedule = ((5, EnpKind.PHASE),)
     with pytest.raises(ValueError, match=message):
-        sweep_l0(NEW, 160.0, schedule)
-    with pytest.raises(ValueError, match=message):
         optimize(NEW, 160.0, 0.9, enp_schedule=schedule)
     with pytest.raises(ValueError, match=message):
         tf_curve(NEW, 160.0, enp_schedule=schedule)
     # A length with no grid spacing at all stays an infeasible target.
-    assert sweep_l0(NEW, 96.0, schedule) == ()
+    assert feasible_l0(NEW, 96.0, schedule) == ()
     assert optimize(NEW, 96.0, 0.9, enp_schedule=schedule) is None
 
 
@@ -1255,6 +1289,16 @@ def test_scaling_fit_needs_two_distinct_lengths(monkeypatch, L_values):
     assert calls == []
 
 
+def test_scaling_fit_draws_n_samples_mc_samples():
+    """Each chain of an mc scaling fit is the chain run on its own with
+    the fit's ``n_samples``."""
+    noise = NoiseParams(eta=0.95)
+    _, points = scaling_fit(NEW, noise, (160.0, 320.0), waiting="mc", n_samples=64)
+    for L, t in points:
+        config = RepeaterConfig(scheme=NEW, L=L, L0=40.0, p_c=0.26 * 40.0 / L, noise=noise)
+        assert t == simulate_chain(config, waiting="mc", n_samples=64).t_avg
+
+
 def test_scaling_fit_matches_stable_exponent():
     slope, points = scaling_fit(
         NEW, NoiseParams(eta=0.95), (160.0, 320.0, 640.0, 1280.0)
@@ -1281,6 +1325,18 @@ def test_run_result_rows_and_csv():
     # A cell holding a comma, a quote or a line break is quoted (RFC 4180).
     text = format_csv([["a, b", 'say "x"', "line\nbreak", 0.5, 3, "plain"]], ("h1", "h2"))
     assert text == 'h1, h2\n"a, b", "say ""x""", "line\nbreak", 0.5, 3, plain\n'
+
+
+def test_csv_writes_numpy_floats_as_floats():
+    """A configuration built from numpy p_c values gets numpy float cells,
+    which the CSV writes as the repr of the float they hold."""
+    p_c = np.logspace(-3, -2, 3)[1]
+    result = simulate_chain(_config(L=160.0, p_c=p_c))
+    text = format_csv(run_result_rows(result))
+    assert "np." not in text
+    first = text.splitlines()[1].split(", ")
+    assert first[CSV_COLUMNS.index("p_c")] == repr(float(p_c))
+    assert first[CSV_COLUMNS.index("t_avg_s")] == repr(float(result.per_level[0].t_avg))
 
 
 def test_run_result_json_round_trips():

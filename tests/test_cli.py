@@ -392,6 +392,10 @@ def test_bad_configuration_exits_3(tmp_path, capsys, body, argv, command, messag
             "n_samples must be at least 1", id="no-mc-samples",
         ),
         pytest.param(
+            "[chain]\nwaiting = mc\nn_samples = 0\n", "scaling",
+            "n_samples must be at least 1", id="scaling-no-mc-samples",
+        ),
+        pytest.param(
             "[chain]\nscheme = dlcz\nL = 320\n[noise]\np_dark = 0.001\n", "simulate",
             "p_misalign and p_dark must be 0 for the single-rail (dlcz) scheme,"
             " got p_misalign = 0.0, p_dark = 0.001",
