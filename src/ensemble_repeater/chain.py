@@ -30,13 +30,14 @@ chain at spacing 2 L0 is a prefix of the chain at L0, and the block
 holds one row set, which every spacing reads at its own depth.  The
 single-rail final mapping is one batched step over every spacing's
 rows at its depth.  F is the target column of the final rows; the
-time recursion, each row's error, if any, and the logical fidelity are
-computed once over the ``(spacings, p_cs)`` grid, into one record per
-grid point: its ``(t_avg, F, logical F)`` row, or the error its chain
-raises.  Each grid point still gets its own ``simulate_chain`` call,
-which takes that record and raises the error or returns a result
-holding the row.  Per-stage records have one source, the chain run on
-its own: such a result runs it only when its records are read.
+time recursion and the logical fidelity are computed once over the
+``(spacings, p_cs)`` grid, into one ``(t_avg, F, logical F)`` record
+per grid point, or None where its final time is not finite.  Each grid
+point still gets its own ``simulate_chain`` call, which returns a
+result holding the record, or, with no record, runs the point's own
+chain, which raises its error: a verdict has one source, the chain.
+Per-stage records have one source too, the chain run on its own: a
+result with a record runs it only when its records are read.
 """
 
 from __future__ import annotations
@@ -515,7 +516,7 @@ def simulate_chain(
     n_samples: int = 16384,
     seed: int = 0,
     *,
-    row: tuple | ArithmeticError | None = None,
+    row: tuple | None = None,
 ) -> RunResult:
     """Simulate the full chain and return its per-stage results.
 
@@ -526,15 +527,12 @@ def simulate_chain(
     one step at a time, and its result keeps what every ``per_level``
     record derives from: each stage's tuple and normalized pair.
 
-    ``row`` hands in a sweep grid point's outcome, as ``_sweep_spacings``
-    makes it: the ``ArithmeticError`` its chain raises, which the call
-    raises, or its final deterministic ``(t_avg, F, logical F)``, which
-    the call returns as a result with no stages, built in place without
+    ``row`` hands in a live sweep grid point's final deterministic
+    ``(t_avg, F, logical F)``, as ``_sweep_spacings`` makes it, which the
+    call returns as a result with no stages, built in place without
     ``RunResult.__init__``.  The other arguments then do not apply.
     """
     if row is not None:
-        if isinstance(row, ArithmeticError):
-            raise row
         result = RunResult.__new__(RunResult)
         values = result.__dict__
         values["config"] = config
@@ -657,15 +655,17 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     the module docstring): per plan step one ``_step`` over the spacings
     that reach it, and for single-rail chains one final mapping over
     every spacing's rows at its own depth.  F is the target column of
-    those final rows, each a step's output.  The time, error and
+    those final rows, each a step's output.  The time and
     logical-fidelity columns are then computed once over the
     ``(spacings, p_cs)`` grid, with the IEEE operations ``simulate_chain``
-    takes on one chain, into one record per grid point: its row, or its
-    error, the ``ZeroDivisionError`` of its first step without success,
-    or else the ``OverflowError`` of its first stage whose time is not
-    finite.  A table with a negative value raises its ``ValueError`` at
-    the first step that reads it, as the chain of the first grid point
-    does, unless that chain fails first.
+    takes on one chain, into one record per grid point: its row, or None
+    where its final time is not finite.  That is exactly where its chain
+    raises: every success is at least 0 and every time positive, so a
+    step without success makes the time infinite, and a time that is not
+    finite stays so through every later ``1.5 t / P``.  A table with a
+    negative value raises its ``ValueError`` at the first step that reads
+    it, as the chain of the first grid point does, unless that chain
+    fails first.
 
     Every check of ``RepeaterConfig`` runs, with its message, but not
     per point: ``_check_chain_fields`` once, before any spacing;
@@ -676,9 +676,9 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     time, as where ``L0 / L_att`` overflows, makes its row None.  Every
     other grid point gets its configuration, equal to a fresh one and
     built in place from one field dict per spacing, and one
-    ``simulate_chain`` call with its record as ``row``, which raises the
-    error or returns the row as a result; the grid keeps the row it
-    handed in, or None where the call raised.
+    ``simulate_chain`` call with its record as ``row``: a row comes back
+    as a result, and a point with no row runs its own chain, which
+    raises the chain's error; the grid keeps the row, or None.
     """
     scheme, L = chain["scheme"], chain["L"]
     noise = chain.get("noise", NoiseParams())
@@ -720,7 +720,6 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     sets = len(spacings) if noise.D != 0.0 else 1
     rows = np.concatenate([eng_rows(scheme, grid, noise, L0) for L0 in spacings[:sets]])
     stages = [rows]
-    steps = [(0, "eng"), *((level, stage) for stage, level, _ in connections)]
     successes = []  # (spacings reached, one success row per row set)
     for j, (stage, level, kind) in enumerate(connections, 1):
         reach = sum(depth >= j for depth in depths)  # a prefix: deepest first
@@ -742,22 +741,11 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     logical = logical_fidelity_rows(delivered, rows, target)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         t = t0s * TWO_PAIR_OVERHEAD if scheme is SchemeKind.NEW else t0s.copy()
-        failed, overflowed = [np.zeros_like(valid)], [~np.isfinite(t)]
         for reach, success in successes:
             t[:reach] = TWO_PAIR_OVERHEAD * t[:reach] / success
-            failed.append(np.zeros_like(valid))
-            failed[-1][:reach] = success <= 0.0
-            overflowed.append(~np.isfinite(t))
-    failed = np.array(failed).reshape(len(failed), -1)
-    overflowed = np.array(overflowed).reshape(len(overflowed), -1)
     records = list(zip(t.ravel().tolist(), F.tolist(), logical.tolist()))
-    for i in np.flatnonzero(failed.any(axis=0) | overflowed.any(axis=0)).tolist():
-        error, at = (
-            (_zero_success, failed[:, i]) if failed[:, i].any()
-            else (_time_overflow, overflowed[:, i])
-        )
-        j = int(at.argmax())
-        records[i] = error(*steps[j]) if j < len(steps) else error(levels[i // n] + 1, "pme")
+    for i in np.flatnonzero(~np.isfinite(t)).tolist():
+        records[i] = None  # its own chain raises its error
     cells = zip(valid.ravel().tolist(), t0s.ravel().tolist(), records)
     new = RepeaterConfig.__new__
     out = []
@@ -773,9 +761,7 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
                 values["t0"] = t0
                 try:
                     simulate_chain(config, row=row)
-                except ArithmeticError as error:
-                    # its traceback holds this frame, which holds ``records``
-                    error.__traceback__ = None
+                except ArithmeticError:
                     ok = False
             column.append(row if ok else None)
         out.append((L0, column))
@@ -906,11 +892,13 @@ def scaling_fit(
     L_att: float = RepeaterConfig.L_att,
     c_fiber: float = RepeaterConfig.c_fiber,
     n_samples: int = 16384,
+    enp_schedule: Tuple[Tuple[int, EnpKind], ...] = (),
 ) -> Tuple[float, list]:
     """Fitted slope of log t_avg vs log L with p_c = ``_P_C_SCALE`` L0/L.
 
-    Every chain is configured, and so checked, before any is simulated,
-    and a line through fewer than two distinct lengths is no fit.
+    Every chain, with ``enp_schedule`` at every length, is configured,
+    and so checked, before any is simulated, and a line through fewer
+    than two distinct lengths is no fit.
     ``waiting``, ``n_samples`` and ``seed`` go to each ``simulate_chain``.
     Returns (slope, [(L, t_avg), ...]).
     """
@@ -920,7 +908,7 @@ def scaling_fit(
         configs.append(
             RepeaterConfig(
                 scheme=scheme, L=float(L), L0=L0, p_c=_P_C_SCALE * L0 / L,
-                noise=noise, L_att=L_att, c_fiber=c_fiber,
+                noise=noise, L_att=L_att, c_fiber=c_fiber, enp_schedule=enp_schedule,
             )
         )
     lengths = sorted({config.L for config in configs})

@@ -461,7 +461,12 @@ def cmd_curve(args, settings: Settings) -> CommandOutput:
             ).replace(", ", "+")
             files[f"{tag}.csv"] = format_csv(rows, header=_CURVE_COLUMNS)
             collected[tag] = [dict(zip(_CURVE_POINT_COLUMNS, point)) for point in cells]
-    return CommandOutput(_CURVE_COLUMNS, all_rows, collected, files)
+    if all_rows:
+        return CommandOutput(_CURVE_COLUMNS, all_rows, collected, files)
+    return CommandOutput(
+        _CURVE_COLUMNS, all_rows, collected, files, code=EXIT_INFEASIBLE,
+        note=f"no curve has a point at L = {settings.L} km",
+    )
 
 
 #: A scaling point's columns, which are also the keys of its JSON record.
@@ -480,6 +485,7 @@ def cmd_scaling(args, settings: Settings) -> CommandOutput:
         seed=args.seed,
         L_att=settings.L_att,
         c_fiber=settings.c_fiber,
+        enp_schedule=settings.enp_schedule,
     )
     eta = settings.noise.eta
     fit = [settings.scheme.value, eta]

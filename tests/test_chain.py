@@ -446,11 +446,12 @@ def test_a_sweep_point_runs_its_chain_once_when_its_records_are_read(monkeypatch
 
 
 def _count_calls(monkeypatch, name):
+    """Each call's positional arguments, followed by its keyword dict."""
     calls = []
     original = getattr(chain_module, name)
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append((*args, kwargs))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(chain_module, name, counted)
@@ -548,13 +549,16 @@ def test_a_sweep_makes_one_chain_call_per_valid_grid_point(monkeypatch):
     """Each grid point with a valid configuration gets one ``simulate_chain``
     call, which the benchmark's tracer counts as a grid point, and
     ``optimize`` one more for its optimum; a spacing whose
-    ``exp(L0 / L_att)`` overflows gets none."""
+    ``exp(L0 / L_att)`` overflows gets none.  At eta = 0.9 every grid
+    point's chain runs, and its call hands in its row."""
     calls = _count_calls(monkeypatch, "simulate_chain")
     noise = NoiseParams(eta=0.9)
     assert optimize(DLCZ, 1280.0, 0.9, noise=noise) is not None
     assert len(calls) == 6 * 302 + 1
     grid = [(config.L0, config.p_c) for config, *_ in calls[:-1]]
     assert grid == [(L0, float(p_c)) for L0 in L0_GRID for p_c in pc_grid()]
+    rows = [kwargs["row"] for _, kwargs in calls[:-1]]
+    assert all(type(row) is tuple and len(row) == 3 for row in rows)
     config = calls[1][0]
     fresh = RepeaterConfig(scheme=DLCZ, L=1280.0, L0=5.0, p_c=config.p_c, noise=noise)
     assert config == fresh and config.t0 == fresh.t0
@@ -579,8 +583,9 @@ def test_every_grid_point_raises_what_its_chain_raises_alone(
     eta = 1e-160 a stage time overflows; a single-rail chain at 1e-200
     overflows before its final mapping fails, and the zero success
     wins.  Every configuration is valid, and each grid point's
-    ``simulate_chain`` call raises the class and message of the same
-    chain run on its own."""
+    ``simulate_chain`` call hands in no row, so it runs the point's own
+    chain, and raises the class and message of that chain run on its
+    own."""
     raised = []
     original = chain_module.simulate_chain
 
@@ -588,6 +593,7 @@ def test_every_grid_point_raises_what_its_chain_raises_alone(
         try:
             return original(config, *args, **kwargs)
         except ArithmeticError as error:
+            assert kwargs.get("row") is None
             raised.append((config, error))
             raise
 
@@ -607,10 +613,10 @@ def test_every_grid_point_raises_what_its_chain_raises_alone(
 
 
 def test_a_dead_sweep_leaves_no_reference_cycles():
-    """Every grid point's chain raises at eta = 1e-200; the errors the
-    sweep catches keep no traceback, whose frame would hold the records
-    that hold the errors, so the sweep leaves nothing for the cyclic
-    garbage collector."""
+    """Every grid point's chain raises at eta = 1e-200; the sweep keeps
+    none of the errors it catches, so the frames their tracebacks hold
+    go with them, and the sweep leaves nothing for the cyclic garbage
+    collector."""
     noise = NoiseParams(eta=1e-200)
     assert optimize(NEW, 1280.0, 0.9, noise=noise) is None  # warm
     enabled = gc.isenabled()
@@ -1237,15 +1243,6 @@ def test_tf_curve_picks_what_the_reference_pareto_pick_picks(name, p_cs):
     assert tf_curve(p_c_sweep=p_cs, **chain) == want
 
 
-@pytest.mark.parametrize(
-    "error", [chain_module._zero_success(2, "enc"), chain_module._time_overflow(3, "enp")]
-)
-def test_a_row_call_raises_the_error_it_is_handed(error):
-    with pytest.raises(ArithmeticError) as raised:
-        simulate_chain(_config(), row=error)
-    assert raised.value is error
-
-
 def test_a_row_call_returns_the_row_it_is_handed():
     """The result holds the three figures of the row and no stages."""
     config = _config()
@@ -1297,6 +1294,18 @@ def test_scaling_fit_draws_n_samples_mc_samples():
     for L, t in points:
         config = RepeaterConfig(scheme=NEW, L=L, L0=40.0, p_c=0.26 * 40.0 / L, noise=noise)
         assert t == simulate_chain(config, waiting="mc", n_samples=64).t_avg
+
+
+def test_scaling_fit_runs_the_scheduled_chains():
+    """Each point of a scaling fit with a purification schedule is the
+    scheduled chain run on its own."""
+    noise = NoiseParams(eta=0.95)
+    schedule = ((2, EnpKind.PHASE),)
+    _, points = scaling_fit(NEW, noise, (320.0, 640.0), enp_schedule=schedule)
+    for L, t in points:
+        point = dict(scheme=NEW, L=L, L0=40.0, p_c=0.26 * 40.0 / L, noise=noise)
+        assert t == simulate_chain(RepeaterConfig(**point, enp_schedule=schedule)).t_avg
+        assert t != simulate_chain(RepeaterConfig(**point)).t_avg
 
 
 def test_scaling_fit_matches_stable_exponent():

@@ -395,6 +395,17 @@ def test_bad_configuration_exits_3(tmp_path, capsys, body, argv, command, messag
             "[chain]\nwaiting = mc\nn_samples = 0\n", "scaling",
             "n_samples must be at least 1", id="scaling-no-mc-samples",
         ),
+        # ``scaling`` checks the schedule of every length's chain.
+        pytest.param(
+            "[chain]\nscheme = dlcz\nenp_schedule = bit-after-1\n", "scaling",
+            "the single-rail (dlcz) scheme has no purification step, got"
+            " enp_schedule = bit-after-1",
+            id="scaling-single-rail-schedule",
+        ),
+        pytest.param(
+            "[chain]\nenp_schedule = phase-after-9\n", "scaling",
+            "purification level 9 outside 1..1", id="scaling-schedule-too-deep",
+        ),
         pytest.param(
             "[chain]\nscheme = dlcz\nL = 320\n[noise]\np_dark = 0.001\n", "simulate",
             "p_misalign and p_dark must be 0 for the single-rail (dlcz) scheme,"
@@ -729,6 +740,30 @@ def test_curve_with_an_empty_enp_sweeps_one_variant(tmp_path):
     assert rc == EXIT_OK
     collected = json.loads((out / "curve.json").read_text())
     assert list(collected) == ["curve_new_enp-none_eta90"]
+
+
+@pytest.mark.parametrize(
+    "body, L",
+    [
+        pytest.param("[chain]\nL = 100\n", 100.0, id="no-grid-spacing"),
+        pytest.param("[sweep]\neta_list = 1e-200\n", 1280.0, id="every-point-fails"),
+    ],
+)
+def test_curve_without_a_point_is_infeasible(tmp_path, capsys, body, L):
+    """A curve run where no variant has a point exits 2 with a note, as
+    ``optimize`` and ``table`` do where no grid point is feasible, and
+    still writes its header-only files."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(body)
+    rc, out = _run(tmp_path, "--config", str(cfg), "curve")
+    assert rc == EXIT_INFEASIBLE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == f"no curve has a point at L = {L} km"
+    assert all(line.startswith("wrote ") for line in err[:-1])
+    assert (out / "curve.csv").read_text().count("\n") == 1
+    collected = json.loads((out / "curve.json").read_text())
+    assert collected and all(points == [] for points in collected.values())
+    assert (out / MANIFEST_NAME).exists()
 
 
 def test_scaling_fit_command(tmp_path):
