@@ -678,7 +678,7 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
     built in place from one field dict per spacing, and one
     ``simulate_chain`` call with its record as ``row``: a row comes back
     as a result, and a point with no row runs its own chain, which
-    raises the chain's error; the grid keeps the row, or None.
+    raises the chain's error.  The sweep returns the records.
     """
     scheme, L = chain["scheme"], chain["L"]
     noise = chain.get("noise", NoiseParams())
@@ -748,10 +748,8 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
         records[i] = None  # its own chain raises its error
     cells = zip(valid.ravel().tolist(), t0s.ravel().tolist(), records)
     new = RepeaterConfig.__new__
-    out = []
     for L0 in spacings:
         point = dict(fields, L0=L0)
-        column = []
         for p_c, (ok, t0, row) in zip(p_cs, cells):
             if ok:
                 config = new(RepeaterConfig)
@@ -762,10 +760,8 @@ def _sweep_spacings(chain: dict, p_cs: Tuple[float, ...]) -> list:
                 try:
                     simulate_chain(config, row=row)
                 except ArithmeticError:
-                    ok = False
-            column.append(row if ok else None)
-        out.append((L0, column))
-    return out
+                    pass  # a point with no row: its chain's own verdict
+    return [(L0, records[i * n : (i + 1) * n]) for i, L0 in enumerate(spacings)]
 
 
 def _elementary_times(

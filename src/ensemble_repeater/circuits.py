@@ -3,7 +3,9 @@
 Each protocol step (entanglement connection, purification, final
 post-selection) is expressed here as an explicit Fock-space circuit:
 retrieval loss, interference optics, photon counting over all detection
-outcomes, and the measurement-conditioned corrections. Feeding canonical
+outcomes, and the measurement-conditioned corrections.  Retrieval is
+one rule (``_entry_branches``): every input memory that the output pair
+does not keep is read out at efficiency eta.  Feeding canonical
 pattern states through these circuits produces the exact superoperator
 entries of the connection tables, each the sum of the classified
 ``PatternState`` rows of its accepted branches. Run once with tagged
@@ -34,7 +36,8 @@ Counting in the +/-45 degree basis is realized by a 45 degree rotation
 on the output (H, V) pair followed by photon counting, so the H counter
 registers "+" photons and the V counter registers "-" photons. The
 parity of "-" clicks across the accepted detectors fixes the
-feed-forward correction.
+feed-forward correction; ``_herald`` is this rule, with one photon
+accepted per pair of counters.
 """
 
 from __future__ import annotations
@@ -185,56 +188,56 @@ def canonical_state(
 # ----------------------------------------------------------------------
 # circuits
 
-# Each run_* circuit takes eta=None for tagged loss (see fock.apply_loss).
-
 AcceptedBranch = tuple[FockDensityOperator, float]
+ModePairs = tuple[tuple[ModeLabel, ModeLabel], ...]
 
 
-def run_enc_dlcz(
-    left: FockDensityOperator, right: FockDensityOperator, eta: float | None
+def _herald(
+    st: FockDensityOperator, counters: ModePairs, kept: tuple, flip: np.ndarray,
+    undo: ModePairs = (),
 ) -> list[AcceptedBranch]:
-    """Single-rail connection: retrieve the central memories, interfere
-    on a balanced beamsplitter, accept exactly one click.
-
-    ``left`` lives on modes (aL, c1), ``right`` on (c2, aR). A click at
-    the second port heralds a sign flip, undone by a pi phase on aL.
-    Returns the corrected conditional states on (aL, aR) with their
-    probabilities.
-    """
-    st = tensor(left, right)
-    st = apply_loss(st, "c1", eta)
-    st = apply_loss(st, "c2", eta)
-    st = apply_mode_unitary(st, ("c1", "c2"), BS_5050)
+    """Count the ``counters`` pairs and accept exactly one photon per
+    pair; on each accepted state rotate every ``undo`` pair by 45
+    degrees, then apply ``flip`` to ``kept`` if the second counters
+    clicked an odd number of times.  Returns the corrected conditional
+    states with their probabilities."""
     accepted = []
-    for (c1, c2), (cond, prob) in measure_modes(st, ("c1", "c2")).items():
-        if c1 + c2 != 1:
+    detectors = tuple(mode for pair in counters for mode in pair)
+    for clicks, (cond, prob) in measure_modes(st, detectors).items():
+        if any(a + b != 1 for a, b in zip(clicks[::2], clicks[1::2])):
             continue
-        if c2 == 1:
-            cond = apply_mode_unitary(cond, ("aL",), PHASE_FLIP)
+        for pair in undo:
+            cond = apply_mode_unitary(cond, pair, ROTATE_45)
+        if sum(clicks[1::2]) % 2 == 1:
+            cond = apply_mode_unitary(cond, kept, flip)
         accepted.append((cond, prob))
     return accepted
 
 
-def run_enc_new(
-    left: FockDensityOperator,
-    right: FockDensityOperator,
-    eta: float | None,
-    first_level: bool,
-) -> list[AcceptedBranch]:
-    """Two-cell connection: retrieve both central qubits, overlap them on
-    a PBS, count both outputs in the +/- basis, accept one photon per
+def run_enc_dlcz(st: FockDensityOperator) -> list[AcceptedBranch]:
+    """Single-rail connection: interfere the retrieved central memories
+    on a balanced beamsplitter, accept exactly one click.
+
+    ``st`` lives on (aL, c1, c2, aR). A click at the second port heralds
+    a sign flip, undone by a pi phase on aL. Returns the corrected
+    conditional states on (aL, aR) with their probabilities.
+    """
+    st = apply_mode_unitary(st, ("c1", "c2"), BS_5050)
+    return _herald(st, (("c1", "c2"),), ("aL",), PHASE_FLIP)
+
+
+def run_enc_new(st: FockDensityOperator, first_level: bool) -> list[AcceptedBranch]:
+    """Two-cell connection: overlap both retrieved central qubits on a
+    PBS, count both outputs in the +/- basis, accept one photon per
     output.
 
-    ``left`` lives on (aLH, aLV, c1H, c1V), ``right`` on
-    (c2H, c2V, aRH, aRV). At the first nesting level an additional 45
-    degree rotation acts on each retrieved central qubit before the PBS
-    and the heralded correction is a bit flip; at higher levels no input
-    rotation is applied and the correction is a phase flip. Returns the
-    corrected conditional states on (aLH, aLV, aRH, aRV).
+    ``st`` lives on (aLH, aLV, c1H, c1V, c2H, c2V, aRH, aRV). At the
+    first nesting level an additional 45 degree rotation acts on each
+    retrieved central qubit before the PBS and the heralded correction
+    is a bit flip; at higher levels no input rotation is applied and the
+    correction is a phase flip. Returns the corrected conditional states
+    on (aLH, aLV, aRH, aRV).
     """
-    st = tensor(left, right)
-    for mode in ("c1H", "c1V", "c2H", "c2V"):
-        st = apply_loss(st, mode, eta)
     if first_level:
         st = apply_mode_unitary(st, ("c1H", "c1V"), ROTATE_45)
         st = apply_mode_unitary(st, ("c2H", "c2V"), ROTATE_45)
@@ -243,32 +246,18 @@ def run_enc_new(
     )
     st = apply_mode_unitary(st, ("o1H", "o1V"), ROTATE_45)
     st = apply_mode_unitary(st, ("o2H", "o2V"), ROTATE_45)
-    accepted = []
-    detectors = ("o1H", "o1V", "o2H", "o2V")
-    for (h1, v1, h2, v2), (cond, prob) in measure_modes(st, detectors).items():
-        if (h1 + v1, h2 + v2) != (1, 1):
-            continue
-        if (v1 + v2) % 2 == 1:
-            flip = PAULI_X if first_level else PAULI_Z
-            cond = apply_mode_unitary(cond, ("aLH", "aLV"), flip)
-        accepted.append((cond, prob))
-    return accepted
+    flip = PAULI_X if first_level else PAULI_Z
+    return _herald(st, (("o1H", "o1V"), ("o2H", "o2V")), ("aLH", "aLV"), flip)
 
 
-def run_enp(
-    pair1: FockDensityOperator,
-    pair2: FockDensityOperator,
-    eta: float | None,
-    phase_variant: bool,
-) -> list[AcceptedBranch]:
+def run_enp(st: FockDensityOperator, phase_variant: bool) -> list[AcceptedBranch]:
     """Entanglement purification between two pairs spanning nodes a, b.
 
-    ``pair1`` lives on (a1H, a1V, b1H, b1V), ``pair2`` on
-    (a2H, a2V, b2H, b2V). All eight memories are retrieved (efficiency
-    eta each); at each node the two retrieved qubits overlap on a PBS;
-    the lower outputs are counted in the +/- basis and exactly one
-    photon at each lower output is accepted; the upper outputs are
-    stored back as the surviving pair.
+    ``st`` lives on the retrieved qubits of pair 1, (a1H, a1V, b1H,
+    b1V), then of pair 2, (a2H, a2V, b2H, b2V). At each node the two
+    retrieved qubits overlap on a PBS; the lower outputs are counted in
+    the +/- basis and exactly one photon at each lower output is
+    accepted; the upper outputs are stored back as the surviving pair.
 
     The bit variant filters bit errors directly. The phase variant
     conjugates the same interferometer by 45 degree rotations on all
@@ -278,9 +267,6 @@ def run_enp(
 
     Returns the corrected conditional states on (auH, auV, buH, buV).
     """
-    st = tensor(pair1, pair2)
-    for mode in st.modes:
-        st = apply_loss(st, mode, eta)
     if phase_variant:
         for pair in (("a1H", "a1V"), ("a2H", "a2V"), ("b1H", "b1V"), ("b2H", "b2V")):
             st = apply_mode_unitary(st, pair, ROTATE_45)
@@ -288,37 +274,22 @@ def run_enp(
     st = apply_pbs(st, ("b1H", "b1V"), ("b2H", "b2V"), ("buH", "buV"), ("bdH", "bdV"))
     st = apply_mode_unitary(st, ("adH", "adV"), ROTATE_45)
     st = apply_mode_unitary(st, ("bdH", "bdV"), ROTATE_45)
-    accepted = []
-    detectors = ("adH", "adV", "bdH", "bdV")
-    for (h_a, v_a, h_b, v_b), (cond, prob) in measure_modes(st, detectors).items():
-        if (h_a + v_a, h_b + v_b) != (1, 1):
-            continue
-        if phase_variant:
-            cond = apply_mode_unitary(cond, ("auH", "auV"), ROTATE_45)
-            cond = apply_mode_unitary(cond, ("buH", "buV"), ROTATE_45)
-        if (v_a + v_b) % 2 == 1:
-            flip = PAULI_X if phase_variant else PAULI_Z
-            cond = apply_mode_unitary(cond, ("auH", "auV"), flip)
-        accepted.append((cond, prob))
-    return accepted
+    surviving = (("auH", "auV"), ("buH", "buV"))
+    flip, undo = (PAULI_X, surviving) if phase_variant else (PAULI_Z, ())
+    return _herald(st, (("adH", "adV"), ("bdH", "bdV")), surviving[0], flip, undo)
 
 
-def run_pme(
-    pair1: FockDensityOperator, pair2: FockDensityOperator, eta: float | None
-) -> list[AcceptedBranch]:
+def run_pme(st: FockDensityOperator) -> list[AcceptedBranch]:
     """Final DLCZ post-selection onto a polarization-entangled pair.
 
-    ``pair1`` lives on single-rail modes (x1, y1), ``pair2`` on
-    (x2, y2); the two memories at each node are retrieved into
+    ``st`` lives on the retrieved single-rail modes of pair 1, (x1, y1),
+    then of pair 2, (x2, y2); the two memories at each node go into
     orthogonal polarizations of one output channel (pair 1 to H, pair 2
     to V) and the coincidence "one photon at each node" is
     post-selected coherently, since the surviving photons carry the
     polarization qubits. Returns the projected state on
     (xH, xV, yH, yV).
     """
-    st = tensor(pair1, pair2)
-    for mode in st.modes:
-        st = apply_loss(st, mode, eta)
     st = relabel_modes(st, {"x1": "xH", "x2": "xV", "y1": "yH", "y2": "yV"})
     st = project_total_photons(st, ("xH", "xV"), 1)
     st = project_total_photons(st, ("yH", "yV"), 1)
@@ -384,7 +355,9 @@ def project_from_fock(
 class _Circuit(NamedTuple):
     """A circuit and its three registers, each a pair's memory modes
     (left node, right node) as ``canonical_state`` takes them: the left
-    input pair's, the right input pair's and the output pair's."""
+    input pair's, the right input pair's and the output pair's.  ``run``
+    takes the lossy tensor of the input registers and the variant
+    arguments (see ``_entry_branches``)."""
 
     run: Callable[..., list[AcceptedBranch]]
     left: tuple[object, object]
@@ -440,14 +413,20 @@ def _entry_branches(
     kind: str, alpha: Key, beta: Key, eta: float | None
 ) -> list[AcceptedBranch]:
     """Accepted branches of one entry of a table of ``tables.KINDS``: the
-    kind's circuit run on the canonical states of the two keys.
-    ``eta=None`` runs the circuit with tagged loss (see
-    ``fock.apply_loss``)."""
+    kind's circuit run on the canonical states of the two keys, after
+    retrieval loss at eta on every input mode, in register order, that
+    is not one of the output pair's memories.  ``eta=None`` runs the
+    circuit with tagged loss (see ``fock.apply_loss``)."""
     circuit, variant = _KIND_CIRCUITS[kind]
-    scheme = KINDS[kind][0]
-    left = canonical_state(scheme, alpha[0], *circuit.left, alpha[1])
-    right = canonical_state(scheme, beta[0], *circuit.right, beta[1])
-    return circuit.run(left, right, eta, *variant)
+    scheme, out_scheme = KINDS[kind]
+    st = tensor(
+        canonical_state(scheme, alpha[0], *circuit.left, alpha[1]),
+        canonical_state(scheme, beta[0], *circuit.right, beta[1]),
+    )
+    stored = _memory_modes(out_scheme, *circuit.out)
+    for mode in [m for m in st.modes if m not in stored]:
+        st = apply_loss(st, mode, eta)
+    return circuit.run(st, *variant)
 
 
 def oracle_entry(kind: str, alpha: Key, beta: Key, eta: float) -> TableEntry:

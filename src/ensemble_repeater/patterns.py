@@ -76,11 +76,11 @@ the rule, at the cost of one ``min``, on every state it freezes: a
 caller's, and ``normalize``'s output, which can break it (a P00 mass
 of -1e-12 in a state of total 0.5 becomes -2e-12).
 
-``check_rows`` is the rule's one implementation.  It returns at once
-when no entry of the block is below 0.  That is sound: no mass is then
-below ``-WEIGHT_TOL``, and every Bell mass over a mass is 0 or more, or
-NaN (a NaN mass or Bell mass), and NaN is not below ``-WEIGHT_TOL``
-either.
+``check_row`` is the rule's one implementation, and ``_set_row`` runs
+it only on a row with an entry below 0.  That is sound: in a row with
+none, no mass is below ``-WEIGHT_TOL``, and every Bell mass over a mass
+is 0 or more, or NaN (a NaN mass or Bell mass), and NaN is not below
+``-WEIGHT_TOL`` either.
 """
 
 from __future__ import annotations
@@ -281,7 +281,7 @@ class PatternState:
         return state
 
     def _set_row(self, scheme: SchemeKind, row: np.ndarray) -> None:
-        """Check ``row`` with ``check_rows`` and freeze it as this state's.
+        """Check ``row`` with ``check_row`` and freeze it as this state's.
 
         A row with no entry below 0 passes every check, so only a row
         with one pays for the array call.  ``min`` skips a NaN after the
@@ -297,7 +297,7 @@ class PatternState:
         """
         values = row.tolist()
         if not min(values) >= 0.0:
-            check_rows(scheme, row[None])
+            check_row(scheme, row)
         row.setflags(write=False)
         total = 0.0
         for mass in values[:-4]:
@@ -440,36 +440,26 @@ def apply_bell_channel_rows(rows: np.ndarray, p: float) -> None:
     rows[:, -4:] = np.transpose(_mix_bell_masses(p, rows[:, -4:].T))
 
 
-def check_rows(scheme: SchemeKind, rows: np.ndarray) -> None:
-    """Raise for the first row that breaks the state rule (see the module
-    docstring); ``PatternState._set_row`` runs it on its one row.
+def check_row(scheme: SchemeKind, row: np.ndarray) -> None:
+    """Raise if ``row`` breaks the state rule (see the module docstring).
 
     A bad pattern mass raises naming the first in scheme order.  Dividing
     by a nonzero mass is monotone, so the smallest Bell weight is the
     smallest Bell mass over a positive mass and the largest over a
     negative one.
     """
-    if not (rows < 0.0).any():
-        return
     layout = _layout(scheme)
     n = len(layout.column)
-    negative = rows[:, :n] < -WEIGHT_TOL
-    bad_mass = negative.any(axis=1)
-    mass = rows[:, layout.logical]
-    weighted = mass != 0.0
-    bell = rows[weighted, n:]
-    extreme = np.where(mass[weighted] > 0.0, bell.min(axis=1), bell.max(axis=1))
-    bad = bad_mass.copy()
-    bad[weighted] |= extreme / mass[weighted] < -WEIGHT_TOL
-    if bad.any():
-        i = int(bad.argmax())
-        if bad_mass[i]:
-            j = int(negative[i].argmax())
-            pattern = scheme_patterns(scheme)[j]
-            raise ValueError(
-                f"negative pattern probability: {pattern} = {float(rows[i, j])}"
-            )
-        raise ValueError("Bell weights must be non-negative")
+    negative = row[:n] < -WEIGHT_TOL
+    if negative.any():
+        j = int(negative.argmax())
+        pattern = scheme_patterns(scheme)[j]
+        raise ValueError(f"negative pattern probability: {pattern} = {float(row[j])}")
+    mass = row[layout.logical]
+    if mass != 0.0:
+        extreme = row[n:].min() if mass > 0.0 else row[n:].max()
+        if extreme / mass < -WEIGHT_TOL:
+            raise ValueError("Bell weights must be non-negative")
 
 
 def logical_fidelity_rows(

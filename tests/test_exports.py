@@ -21,6 +21,32 @@ def test_every_exported_name_resolves():
     assert len(set(ensemble_repeater.__all__)) == len(ensemble_repeater.__all__)
 
 
+def test_every_imported_name_is_read_or_exported():
+    """Each library module reads every name it imports, and only the
+    package's ``__init__`` may import a name just to export it through
+    ``__all__``: a deletion leaves no stale import behind."""
+    stale = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        reads = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        if path.name == "__init__.py":
+            reads.update(ensemble_repeater.__all__)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in reads:
+                    stale.append(f"{path.stem}: {name}")
+    assert stale == []
+
+
 def _attribute_reads(tree: ast.AST) -> Counter:
     """Attribute names a tree reads; a method is only ever called as one,
     so a local variable of the same name does not count."""

@@ -27,6 +27,7 @@ from ensemble_repeater.fock import (
     tensor,
 )
 from ensemble_repeater.patterns import BellState, ExcitationPattern
+from ensemble_repeater.tables import KINDS, canonical_keys
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -377,3 +378,73 @@ def test_multi_ket_measurement_sums_to_trace():
         assert state.block(hits).tolist() == matrix(cond).tolist()
     by_total = [project_total_photons(state, ("a", "c"), n).trace for n in range(5)]
     assert sum(by_total) == pytest.approx(state.trace, rel=1e-12)
+
+
+_INPUT_MEMORIES = ("a1H", "a1V", "b1H", "b1V", "a2H", "a2V", "b2H", "b2V")
+
+
+@pytest.mark.parametrize("eta", [0.9, None], ids=["float", "tagged"])
+@pytest.mark.parametrize(
+    "kind, retrieved",
+    [
+        ("enc_dlcz", ("c1", "c2")),
+        ("enc_level1", ("c1H", "c1V", "c2H", "c2V")),
+        ("enc_higher", ("c1H", "c1V", "c2H", "c2V")),
+        ("enp_bit", _INPUT_MEMORIES),
+        ("enp_phase", _INPUT_MEMORIES),
+        ("pme", ("x1", "y1", "x2", "y2")),
+    ],
+)
+def test_retrieval_loss_acts_on_each_input_memory_the_output_does_not_keep(
+    monkeypatch, kind, retrieved, eta
+):
+    """One entry loses photons on every input memory that is not one of
+    the output pair's, once each, in register order."""
+    calls = []
+    original = circuits.apply_loss
+
+    def recorded(state, mode, loss_eta):
+        calls.append((mode, loss_eta))
+        return original(state, mode, loss_eta)
+
+    monkeypatch.setattr(circuits, "apply_loss", recorded)
+    key = canonical_keys(KINDS[kind][0])[0]
+    circuits._entry_branches(kind, key, key, eta)
+    assert calls == [(mode, eta) for mode in retrieved]
+
+
+def _herald_input():
+    """An H photon in the kept pair (kH, kV), mixed over the counter
+    outcomes (c, d) = (0, 0), (2, 0), (1, 0) and (0, 1) with weights
+    0.1 to 0.4."""
+    outcomes = ((0, 0), (2, 0), (1, 0), (0, 1))
+    kets = [
+        {(1, 0) + outcome: math.sqrt(w)}
+        for outcome, w in zip(outcomes, (0.1, 0.2, 0.3, 0.4))
+    ]
+    return FockDensityOperator(("kH", "kV", "c", "d"), kets)
+
+
+_KEPT_BASIS = [(1, 0), (0, 1)]
+
+
+@pytest.mark.parametrize("undo", [(), (("kH", "kV"),)], ids=["plain", "undo"])
+def test_herald_accepts_one_photon_per_pair_and_flips_on_the_second_counter(undo):
+    """(0, 0) and (2, 0) are rejected; (1, 0) is kept as it is and (0, 1)
+    with the flip, each after the ``undo`` rotation: the flipped branch
+    holds |+>, where a rotation after the flip would leave |->."""
+    accepted = circuits._herald(
+        _herald_input(), (("c", "d"),), ("kH", "kV"), PAULI_X, undo
+    )
+    assert sorted(prob for _, prob in accepted) == pytest.approx([0.3, 0.4])
+    h = FockDensityOperator.from_occupations(("kH", "kV"), {"kH": 1})
+    if undo:
+        h = apply_mode_unitary(h, ("kH", "kV"), ROTATE_45)
+    for weight, flipped in ((0.3, False), (0.4, True)):
+        expected = apply_mode_unitary(h, ("kH", "kV"), PAULI_X) if flipped else h
+        (cond,) = [cond for cond, prob in accepted if prob == pytest.approx(weight)]
+        assert cond.modes == ("kH", "kV")
+        np.testing.assert_allclose(
+            cond.block(_KEPT_BASIS), weight * expected.block(_KEPT_BASIS), atol=1e-15
+        )
+

@@ -18,7 +18,7 @@ from ensemble_repeater.patterns import (
     aggregate,
     apply_bell_channel,
     apply_bell_channel_rows,
-    check_rows,
+    check_row,
     fidelity,
     logical_column,
     logical_fidelity,
@@ -213,9 +213,9 @@ def test_step_row_checks_bell_weights_on_both_signs_of_the_logical_mass(
 
 # Row entries: mostly ordinary masses, some exact zeros of either sign,
 # some just inside and some just outside -WEIGHT_TOL, and some far below
-# it.  -0.0 is not below 0, so a block of such entries takes
-# ``check_rows``' early return; -1e-300 is, so a block holding it takes the
-# full check, though as a mass it is within tolerance.  No entry is
+# it.  -0.0 is not below 0, so a state of such entries runs no
+# ``check_row``; -1e-300 is, so a row holding it takes the full check,
+# though as a mass it is within tolerance.  No entry is
 # subnormal, so that a Bell mass over a logical mass stays finite.
 _ENTRY = st.one_of(
     st.floats(0.0, 1.0, allow_subnormal=False),
@@ -265,19 +265,22 @@ def _state_error(scheme, row):
     return None
 
 
+def _row_error(scheme, row):
+    try:
+        check_row(scheme, row)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 @settings(max_examples=120, deadline=None)
 @given(batch=_batches())
-def test_batch_checks_raise_what_the_first_failing_live_state_raises(batch):
+def test_row_check_and_state_give_the_rule_verdict_on_every_row(batch):
     scheme, rows = batch
-    errors = [_rule_error(scheme, row) for row in rows]
-    assert [_state_error(scheme, row) for row in rows] == errors
-    expected = next((e for e in errors if e is not None), None)
-    if expected is None:
-        check_rows(scheme, rows)
-    else:
-        with pytest.raises(ValueError) as caught:
-            check_rows(scheme, rows)
-        assert str(caught.value) == expected
+    for row in rows:
+        expected = _rule_error(scheme, row)
+        assert _row_error(scheme, row) == expected
+        assert _state_error(scheme, row) == expected
 
 
 @st.composite
@@ -294,20 +297,14 @@ def _rows_with_non_finite_entries(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=_rows_with_non_finite_entries())
-def test_state_checks_give_the_batch_verdict_on_non_finite_rows(case):
-    """A state and ``check_rows`` give the rule's verdict on NaN and
+def test_row_and_state_checks_give_the_rule_verdict_on_non_finite_rows(case):
+    """A state and ``check_row`` give the rule's verdict on NaN and
     infinite entries wherever they sit: a NaN mass first or second in the
     row gets the same verdict."""
     scheme, row = case
     expected = _rule_error(scheme, row)
     with np.errstate(all="ignore"):
-        try:
-            check_rows(scheme, row[None, :])
-        except ValueError as exc:
-            got = str(exc)
-        else:
-            got = None
-        assert got == expected
+        assert _row_error(scheme, row) == expected
         assert _state_error(scheme, row) == expected
 
 
