@@ -314,10 +314,10 @@ class RunResult:
     on its target Bell state.  ``per_level`` derives the ``LevelRecord``
     of every stage on first read, from the private inputs a fresh chain
     builds as it runs: ``_stages``, one ``(level, stage, target,
-    success, t, F)`` tuple per stage, and ``_states``, the normalized
-    pair after each stage.  A sweep grid point's result holds no stages;
-    its ``per_level`` is that of ``simulate_chain(config)``, run on
-    first read, which a sweep row equals.
+    success, t, F, state)`` tuple per stage, ``state`` its normalized
+    pair.  A sweep grid point's result holds no stages; its
+    ``per_level`` is that of ``simulate_chain(config)``, run on first
+    read, which a sweep row equals.
     """
 
     config: RepeaterConfig
@@ -325,15 +325,12 @@ class RunResult:
     fidelity: float
     final_logical_fidelity: float
     _stages: Tuple[tuple, ...] = field(default=(), repr=False, compare=False)
-    _states: Tuple[PatternState, ...] = field(default=(), repr=False, compare=False)
 
     @cached_property
     def per_level(self) -> Tuple[LevelRecord, ...]:
         if not self._stages:
             return simulate_chain(self.config).per_level
-        return tuple(
-            _record(*stage, state) for stage, state in zip(self._stages, self._states)
-        )
+        return tuple(itertools.starmap(_record, self._stages))
 
 
 def check_seed(seed: int) -> None:
@@ -525,7 +522,7 @@ def simulate_chain(
     independent sub-pair times (seeded, vectorized).  The quantum state
     evolution is identical in both modes.  The chain runs one state and
     one step at a time, and its result keeps what every ``per_level``
-    record derives from: each stage's tuple and normalized pair.
+    record derives from: each stage's tuple, its normalized pair included.
 
     ``row`` hands in a live sweep grid point's final deterministic
     ``(t_avg, F, logical F)``, as ``_sweep_spacings`` makes it, which the
@@ -561,8 +558,7 @@ def simulate_chain(
             t *= TWO_PAIR_OVERHEAD
     state = eng(scheme, config.p_c, noise, config.L0)
     target = _target_bell(scheme, False)
-    stages = [(0, "eng", target, 1.0, t, fidelity(state, target))]
-    states = [state]
+    stages = [(0, "eng", target, 1.0, t, fidelity(state, target), state)]
     target = _target_bell(scheme, True)
     for stage, level, kind in _plan(scheme, config.num_levels, config.enp_schedule):
         if stage == "enc":
@@ -583,15 +579,14 @@ def simulate_chain(
             t = mc.mean(times)
         else:
             t = TWO_PAIR_OVERHEAD * t / success
-        stages.append((level, stage, target, success, t, F))
-        states.append(state)
+        stages.append((level, stage, target, success, t, F, state))
 
-    for level, stage, _, _, t, _ in stages:
+    for level, stage, _, _, t, _, _ in stages:
         if not math.isfinite(t):
             raise _time_overflow(level, stage)
 
     logical_F = logical_fidelity(state, target)
-    return RunResult(config, *stages[-1][4:], logical_F, tuple(stages), tuple(states))
+    return RunResult(config, *stages[-1][4:6], logical_F, tuple(stages))
 
 
 def _step(

@@ -348,7 +348,7 @@ def project_from_fock(
     mass = float(bell.sum())
     # The logical pattern's mass stays the exact subspace trace in probs;
     # the Bell diagonal supplies only the conditional weights.
-    weights = np.maximum(bell, 0.0) / mass if mass > 0.0 else (1.0, 0.0, 0.0, 0.0)
+    weights = np.maximum(bell, 0.0) / mass if mass > 0.0 else None
     return PatternState(scheme, probs, weights), residue
 
 

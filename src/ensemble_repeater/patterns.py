@@ -53,11 +53,13 @@ is its target's Bell column.
 The state rule
 --------------
 A row is a pair state unless a pattern mass is below ``-WEIGHT_TOL``,
-or a Bell weight (a Bell mass over the logical mass) is below
-``-WEIGHT_TOL``.  A state a caller builds (``PatternState(...)``,
-``_from_row``) may hold masses down to ``-WEIGHT_TOL``, and the weights'
-sign then flips with its logical mass.  NaN passes the rule, and the
-zero-success and overflow verdicts are separate checks.
+a Bell weight (a Bell mass over the logical mass) is below
+``-WEIGHT_TOL``, or a single-rail pair's Phi+ or Phi- weight is above 0:
+its one excitation, shared by two ensembles, holds only Psi+ and Psi-.
+A state a caller builds (``PatternState(...)``, ``_from_row``) may hold
+masses down to ``-WEIGHT_TOL``, and the weights' sign then flips with
+its logical mass.  NaN passes the rule, and the zero-success and
+overflow verdicts are separate checks.
 
 A row the engines build holds no negative mass.  Every table value is
 0 or more, as ``verify.check_frozen_certificates`` shows at every eta
@@ -66,21 +68,26 @@ is a sum of products of non-negative floats: a step's output, as
 ``protocols._component_masses`` clips its inputs to 0 or more; the
 ``eng_rows`` masses, 1 - q and q with q at most 0.5; the Bell channel's
 factors (1 - p) + p/4 and p/4; and ``normalize``, a division by a
-positive total.  And a live row is normalized: adding its k masses
-left to right, dividing each by the total and adding again leaves the
-total within (2k - 1) 2**-53 of 1, recursive summation's rounding
-bound (2.3e-15 at k = 11, 430 times below ``WEIGHT_TOL``), as sums of
-subnormals are exact and the Bell channel moves only Bell mass.  So a
-sweep's block runs no row check, and ``PatternState._set_row`` runs
-the rule, at the cost of one ``min``, on every state it freezes: a
-caller's, and ``normalize``'s output, which can break it (a P00 mass
-of -1e-12 in a state of total 0.5 becomes -2e-12).
+positive total.  Nor does a single-rail one hold Phi+ or Phi- mass:
+``eng_rows`` puts none there, ``enc_dlcz`` has no such coefficient (the
+certificates show it, and ``matrix`` checks it), and the Bell channel
+never runs on a single-rail row (``chain.check_step_noise``).  And a
+live row is normalized: adding its k masses left to right, dividing
+each by the total and adding again leaves the total within (2k - 1)
+2**-53 of 1, recursive summation's rounding bound (2.3e-15 at k = 11,
+430 times below ``WEIGHT_TOL``), as sums of subnormals are exact and
+the Bell channel moves only Bell mass.  So a sweep's block runs no row
+check, and ``PatternState._set_row`` runs the rule, at the cost of one
+``min``, on every state it freezes: a caller's, and ``normalize``'s
+output, which can break it (a P00 mass of -1e-12 in a state of total
+0.5 becomes -2e-12).
 
 ``check_row`` is the rule's one implementation, and ``_set_row`` runs
-it only on a row with an entry below 0.  That is sound: in a row with
-none, no mass is below ``-WEIGHT_TOL``, and every Bell mass over a mass
-is 0 or more, or NaN (a NaN mass or Bell mass), and NaN is not below
-``-WEIGHT_TOL`` either.
+it only on a row with an entry below 0, or a single-rail row with
+nonzero Phi+ or Phi- mass.  That is sound: in a row with neither, no
+mass is below ``-WEIGHT_TOL``, every Bell mass over a mass is 0 or more,
+or NaN (a NaN mass or Bell mass), and NaN is not below ``-WEIGHT_TOL``
+either; and 0 over a mass is not above 0.
 """
 
 from __future__ import annotations
@@ -88,7 +95,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -210,17 +217,14 @@ def _make_layout(scheme: SchemeKind) -> _Layout:
     return _Layout(column, column[logical_pattern(scheme)], vacuum, weights)
 
 
-_DLCZ_LAYOUT = _make_layout(SchemeKind.DLCZ)
-_NEW_LAYOUT = _make_layout(SchemeKind.NEW)
-
-
-def _layout(scheme: SchemeKind) -> _Layout:
-    return _DLCZ_LAYOUT if scheme is SchemeKind.DLCZ else _NEW_LAYOUT
+_LAYOUTS = {scheme: _make_layout(scheme) for scheme in SchemeKind}
+#: ``SchemeKind.DLCZ``, which Python 3.11 reads faster as a module global.
+_DLCZ = SchemeKind.DLCZ
 
 
 def logical_column(scheme: SchemeKind) -> int:
     """Position of the logical pattern in ``scheme_patterns(scheme)``."""
-    return _layout(scheme).logical
+    return _LAYOUTS[scheme].logical
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -238,10 +242,10 @@ class PatternState:
 
     ``PatternState(scheme, probs, logical)`` builds a state from a
     pattern -> mass mapping and four conditional Bell weights in the
-    order (Phi+, Phi-, Psi+, Psi-), pure Phi+ by default.  It rejects
-    patterns outside the scheme and Bell weights that are negative or do
-    not sum to 1; the state rule then rejects a mass below
-    ``-WEIGHT_TOL``, naming the first in scheme order.
+    order (Phi+, Phi-, Psi+, Psi-), by default those ``logical`` reports
+    at zero logical mass.  It rejects patterns outside the scheme and
+    Bell weights that are negative or do not sum to 1; the state rule
+    then rejects the rest, a mass below ``-WEIGHT_TOL`` naming the first.
     """
 
     scheme: SchemeKind
@@ -252,14 +256,16 @@ class PatternState:
         self,
         scheme: SchemeKind,
         probs: Mapping[ExcitationPattern, float],
-        logical: Sequence[float] = (1.0, 0.0, 0.0, 0.0),
+        logical: Optional[Sequence[float]] = None,
     ) -> None:
-        layout = _layout(scheme)
+        layout = _LAYOUTS[scheme]
         masses = np.zeros(len(layout.column))
         for pat, p in probs.items():
             if pat not in layout.column:
                 raise ValueError(f"pattern {pat} not valid for scheme {scheme}")
             masses[layout.column[pat]] = p
+        if logical is None:
+            logical = layout.default_logical
         weights = np.asarray(logical, dtype=float)
         if weights.shape != (4,):
             raise ValueError("expected four Bell weights")
@@ -283,20 +289,20 @@ class PatternState:
     def _set_row(self, scheme: SchemeKind, row: np.ndarray) -> None:
         """Check ``row`` with ``check_row`` and freeze it as this state's.
 
-        A row with no entry below 0 passes every check, so only a row
-        with one pays for the array call.  ``min`` skips a NaN after the
-        first entry and returns NaN for a NaN first entry, so it is below
-        0 or NaN whenever some entry is below 0.  ``setflags`` freezes the
-        row, a method call that costs less than setting
-        ``row.flags.writeable``.  The masses are added left to right, as
-        ``row_totals`` adds its columns; ``sum`` compensates float sums
-        from Python 3.12 on.
+        A row with no entry below 0, and if single-rail no Phi+ or Phi-
+        mass, passes every check, so only another row pays for the array
+        call.  ``min`` skips a NaN after the first entry and returns NaN
+        for a NaN first entry, so it is below 0 or NaN whenever some
+        entry is below 0.  ``setflags`` freezes the row, a method call
+        that costs less than setting ``row.flags.writeable``.  The masses
+        are added left to right, as ``row_totals`` adds its columns;
+        ``sum`` compensates float sums from Python 3.12 on.
 
         The steps and ``normalize`` build their state with
         ``object.__new__`` and this method, without ``_from_row``.
         """
         values = row.tolist()
-        if not min(values) >= 0.0:
+        if not min(values) >= 0.0 or (scheme is _DLCZ and (values[-4] or values[-3])):
             check_row(scheme, row)
         row.setflags(write=False)
         total = 0.0
@@ -321,7 +327,7 @@ class PatternState:
     def logical(self) -> np.ndarray:
         """Read-only Bell weights (Phi+, Phi-, Psi+, Psi-) conditioned on
         the logical pattern; they sum to 1."""
-        layout = _layout(self.scheme)
+        layout = _LAYOUTS[self.scheme]
         mass = self.row[layout.logical]
         if mass == 0.0:
             return layout.default_logical
@@ -347,7 +353,7 @@ def aggregate(state: PatternState) -> PatternAggregate:
     Two-cell scheme: logical is P11, vacuum is P00 + P10 (states with at
     most one excitation between both pairs of cells), rest is multi.
     """
-    layout = _layout(state.scheme)
+    layout = _LAYOUTS[state.scheme]
     masses = state.row.tolist()
     p_logic = masses[layout.logical]
     p_vac = sum(masses[i] for i in layout.vacuum)
@@ -374,7 +380,7 @@ def logical_fidelity(state: PatternState, target: BellState) -> float:
     floats, the one IEEE division ``state.logical`` takes for that
     weight, and reads the scheme's default weight when the mass is zero.
     """
-    layout = _layout(state.scheme)
+    layout = _LAYOUTS[state.scheme]
     mass = state.row.item(layout.logical)
     if mass == 0.0:
         return layout.default_logical.item(target.index)
@@ -430,7 +436,7 @@ def row_totals(scheme: SchemeKind, rows: np.ndarray) -> np.ndarray:
     adds the masses of one row, so each total is the state's to the bit.
     """
     total = 0.0 + rows[:, 0]
-    for j in range(1, len(_layout(scheme).column)):
+    for j in range(1, len(_LAYOUTS[scheme].column)):
         total += rows[:, j]
     return total
 
@@ -443,12 +449,13 @@ def apply_bell_channel_rows(rows: np.ndarray, p: float) -> None:
 def check_row(scheme: SchemeKind, row: np.ndarray) -> None:
     """Raise if ``row`` breaks the state rule (see the module docstring).
 
-    A bad pattern mass raises naming the first in scheme order.  Dividing
+    A bad pattern mass raises naming the first in scheme order, then a
+    negative Bell weight, then single-rail Phi+ or Phi- weight.  Dividing
     by a nonzero mass is monotone, so the smallest Bell weight is the
     smallest Bell mass over a positive mass and the largest over a
     negative one.
     """
-    layout = _layout(scheme)
+    layout = _LAYOUTS[scheme]
     n = len(layout.column)
     negative = row[:n] < -WEIGHT_TOL
     if negative.any():
@@ -460,13 +467,15 @@ def check_row(scheme: SchemeKind, row: np.ndarray) -> None:
         extreme = row[n:].min() if mass > 0.0 else row[n:].max()
         if extreme / mass < -WEIGHT_TOL:
             raise ValueError("Bell weights must be non-negative")
+        if scheme is _DLCZ and (row[n : n + 2] / mass > 0.0).any():
+            raise ValueError("single-rail pairs carry only odd-parity Bell weight")
 
 
 def logical_fidelity_rows(
     scheme: SchemeKind, rows: np.ndarray, target: BellState
 ) -> np.ndarray:
     """``logical_fidelity`` of every row."""
-    layout = _layout(scheme)
+    layout = _LAYOUTS[scheme]
     mass = rows[:, layout.logical]
     weights = np.full(len(rows), layout.default_logical[target.index])
     np.divide(rows[:, target.index - 4], mass, out=weights, where=mass != 0.0)

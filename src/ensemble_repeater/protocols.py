@@ -22,7 +22,10 @@ Connection-type steps return their output as an unnormalized
 :class:`~.patterns.PatternState` whose total mass is the acceptance
 probability of the step; overflow components of the inputs (beyond two
 excitations per node) are treated as never yielding an accepted
-outcome.
+outcome.  A step checks only its inputs' scheme: a state passed the
+state rule of :mod:`.patterns`, a single-rail pair's odd parity
+included, where it was built, and a table is checked where both engines
+read it, by ``ConnectionTable.matrix``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .patterns import (
     ExcitationPattern,
     PatternState,
     SchemeKind,
-    logical_column,
     scheme_patterns,
 )
 from .tables import (
@@ -147,33 +149,14 @@ def _eng_factors(scheme: SchemeKind, q: float) -> tuple:
 
 def _component_masses(scheme: SchemeKind, rows: np.ndarray) -> np.ndarray:
     """Canonical component masses of each row of an ``(n, k)`` array, or
-    of one 1-d row; non-positive ones count as 0.
-
-    A single-rail row must carry no even-parity Bell weight: a row whose
-    Phi+ or Phi- mass over its logical mass is positive is rejected.
-    Only a row with even-parity Bell mass can fail, and a valid chain has
-    none, so the rule runs only where some is nonzero: for one 1-d row,
-    as its two scalars ``row.item(-4)`` and ``row.item(-3)`` tell, and
-    for a batch, as ``np.count_nonzero`` of the two columns tells.  A 1-d
-    row takes its columns with ``take`` along its one axis.
+    of one 1-d row; non-positive ones count as 0.  A batch's columns are
+    taken with ``take``, C-contiguous as the products need for a sweep
+    row to equal its chain to the bit; a 1-d row is indexed, which is as
+    exact and faster.
     """
     columns = selected_columns(scheme)
-    if rows.ndim == 1:
-        if scheme is SchemeKind.DLCZ and (rows.item(-4) or rows.item(-3)):
-            _check_odd_parity(scheme, rows[None])
-        return np.maximum(rows.take(columns), 0.0)
-    if scheme is SchemeKind.DLCZ and np.count_nonzero(rows[:, -4:-2]):
-        _check_odd_parity(scheme, rows)
-    return np.maximum(rows.take(columns, axis=-1), 0.0)
-
-
-def _check_odd_parity(scheme: SchemeKind, rows: np.ndarray) -> None:
-    """Reject the ``(n, k)`` single-rail rows whose Phi+ or Phi- mass over
-    their logical mass is positive."""
-    mass = rows[:, logical_column(scheme)]
-    weighted = mass != 0.0
-    if (rows[weighted, -4:-2] / mass[weighted, None] > 0.0).any():
-        raise ValueError("single-rail pairs carry only odd-parity Bell weight")
+    picked = rows[columns] if rows.ndim == 1 else rows.take(columns, axis=-1)
+    return np.maximum(picked, 0.0)
 
 
 def apply_table_rows(

@@ -270,10 +270,14 @@ class ConnectionTable:
         of the tensor as on this copy at 302 rows.
 
         Both engines read the matrix, so a table is checked here, once:
-        a negative value, which no frozen table holds at any eta, raises.
+        a negative value raises, and so does Phi+ or Phi- mass for a
+        single-rail output.  No frozen table holds either at any eta.
         """
+        name = f"the {self.kind} table at eta={self.eta!r}"
         if (self.tensor < 0.0).any():
-            raise ValueError(f"the {self.kind} table at eta={self.eta!r} holds a negative value")
+            raise ValueError(f"{name} holds a negative value")
+        if self.output_scheme is SchemeKind.DLCZ and self.tensor[-4:-2].any():
+            raise ValueError(f"{name} holds even-parity Bell mass for a single-rail pair")
         o, a, b = self.tensor.shape
         matrix = np.ascontiguousarray(self.tensor.reshape(o * a, b).T)
         matrix.flags.writeable = False
@@ -395,7 +399,10 @@ def _frozen_values(kind: str, eta: float) -> np.ndarray:
 @lru_cache(maxsize=ETA_CACHE_SIZE)
 def _frozen_rows(kind: str, eta: float) -> tuple:
     """Output scheme, key index, key count n and rows: ``rows[a * n + b]``
-    is a view of ``_frozen_values(kind, eta)[a, b]``."""
+    is a view of ``_frozen_values(kind, eta)[a, b]``; no eta outside
+    [0, 1], which raises, is cached."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must lie in [0, 1]")
     poly = _polynomials(kind)
     rows = list(_frozen_values(kind, eta).reshape(-1, poly.shape[2]))
     return poly.scheme, poly.index, poly.shape[1], rows
@@ -403,8 +410,6 @@ def _frozen_rows(kind: str, eta: float) -> tuple:
 
 def _frozen_entry(kind: str, alpha: Key, beta: Key, eta: float) -> TableEntry:
     """One table entry evaluated from its frozen polynomials at eta."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
     scheme, index, n, rows = _frozen_rows(kind, eta)
     return TableEntry(scheme, rows[index[alpha] * n + index[beta]])
 

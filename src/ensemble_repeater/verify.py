@@ -371,9 +371,9 @@ def check_frozen_tables() -> List[CheckResult]:
 
 
 def check_frozen_certificates() -> List[CheckResult]:
-    """Three exact facts per table kind, from ``frozen_block(kind)``'s
-    integers alone; each deviation is the worst violation, in units of
-    the table values, and the tolerance is 0.
+    """Three exact facts per table kind, four for a single-rail output,
+    from ``frozen_block(kind)``'s integers alone; each deviation is the
+    worst violation, in units of the table values, and the tolerance is 0.
 
     A value is the sum of its terms ``k / 2**bits * eta**kept *
     (1 - eta)**lost``, a Bernstein-type basis that is at least 0 on
@@ -382,8 +382,9 @@ def check_frozen_certificates() -> List[CheckResult]:
     with ``(eta + (1 - eta))**(d - kept - lost)``; where every
     coefficient of ``2**bits * (eta + (1 - eta))**d`` minus the pattern
     slots' lifted sum is at least 0, the entry's success probability is
-    at most 1 at every eta.  And in every entry the four Bell slots sum
-    to the logical pattern's slot, term by term.
+    at most 1 at every eta.  In every entry the four Bell slots sum to
+    the logical pattern's slot, term by term.  And for a single-rail
+    output no coefficient, so no value, sits in a Phi+ or Phi- slot.
     """
     results = []
     for kind, (_, out) in KINDS.items():
@@ -394,7 +395,7 @@ def check_frozen_certificates() -> List[CheckResult]:
         for a, b, slot, term, k in zip(*(block[column].tolist() for column in COLUMNS)):
             entries.setdefault((a, b), {})[slot, term] = k
         sign = max(0, -min(block["k"].tolist()))
-        excess = split = 0
+        excess = split = even = 0
         for entry in entries.values():
             d = max(sum(exponents[term]) for _, term in entry)
             room = [math.comb(d, i) << block["bits"] for i in range(d + 1)]
@@ -404,17 +405,21 @@ def check_frozen_certificates() -> List[CheckResult]:
                     lift = d - kept - lost
                     for j in range(lift + 1):
                         room[kept + j] -= k * math.comb(lift, j)
+                elif slot < patterns + 2:  # Phi+ or Phi-
+                    even = max(even, abs(k))
             excess = max(excess, -min(room))
             for term in {term for _, term in entry}:
                 bell = sum(entry.get((slot, term), 0) for slot in range(patterns, patterns + 4))
                 split = max(split, abs(bell - entry.get((logical, term), 0)))
+        checks = (
+            (f"frozen {kind} coefficients are all >= 0 (exact)", sign),
+            (f"frozen {kind} success is at most 1 at every eta (exact)", excess),
+            (f"frozen {kind} Bell masses sum to the logical mass (exact)", split),
+            (f"frozen {kind} holds no Phi+ or Phi- coefficient (exact)", even),
+        )
         results += [
             CheckResult(name, math.ldexp(worst, -block["bits"]), 0.0)
-            for name, worst in (
-                (f"frozen {kind} coefficients are all >= 0 (exact)", sign),
-                (f"frozen {kind} success is at most 1 at every eta (exact)", excess),
-                (f"frozen {kind} Bell masses sum to the logical mass (exact)", split),
-            )
+            for name, worst in checks[: 4 if out is SchemeKind.DLCZ else 3]
         ]
     return results
 

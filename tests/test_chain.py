@@ -788,6 +788,31 @@ def test_sweep_raises_the_check_error_of_its_first_chain(monkeypatch, output, va
         assert str(swept.value) == str(fresh.value)
 
 
+_EVEN_PARITY_TABLE = (
+    r"^the enc_dlcz table at eta=0\.9 holds even-parity Bell mass for a single-rail pair$"
+)
+
+
+def test_a_single_rail_table_with_even_parity_mass_is_refused_by_both_engines(monkeypatch):
+    """A single-rail connection table that feeds every input pair Phi+
+    mass is refused where both engines read it, by its matrix: a sweep
+    and the chain at each of its grid points raise the table's error,
+    whether the block holds one row set (D = 0) or one per spacing
+    (D > 0)."""
+    broken = _broken_table(enc_table(DLCZ, 0.9), -4, 1e-3)
+    p_cs = (1e-3, 1e-2)
+    chains = [dict(scheme=DLCZ, L=640.0, noise=NoiseParams(eta=0.9, D=D)) for D in (0.0, 1e-4)]
+    spacings = [[L0 for L0, _ in _sweep_spacings(chain, p_cs)] for chain in chains]
+    monkeypatch.setattr(protocols, "enc_table", lambda scheme, eta, first_level=False: broken)
+    for chain, L0s in zip(chains, spacings):
+        with pytest.raises(ValueError, match=_EVEN_PARITY_TABLE):
+            _sweep_spacings(chain, p_cs)
+        for L0 in L0s:
+            for p_c in p_cs:
+                with pytest.raises(ValueError, match=_EVEN_PARITY_TABLE):
+                    simulate_chain(RepeaterConfig(L0=L0, p_c=p_c, **chain))
+
+
 def _negated(table, at):
     """``table`` with the value at flat position ``at`` of its tensor negated."""
     tensor = table.tensor.copy()
@@ -1249,7 +1274,7 @@ def test_a_row_call_returns_the_row_it_is_handed():
     result = simulate_chain(config, row=(2.5, 0.75, 0.875))
     assert result.config is config
     assert (result.t_avg, result.fidelity, result.final_logical_fidelity) == (2.5, 0.75, 0.875)
-    assert result._stages == () and result._states == ()
+    assert result._stages == ()
 
 
 def test_a_plan_is_one_cached_tuple():

@@ -136,13 +136,18 @@ def test_an_entry_total_adds_its_masses_left_to_right():
     ``row_totals`` of random rows, the total is the masses added left to
     right, bit for bit.  1 + 2**-53 rounds to 1 twice over; a compensated
     sum, which ``sum`` is from Python 3.12 on, gives 1 + 2**-52
-    instead."""
+    instead.  A single-rail row holds no Phi+ or Phi- mass: a state
+    refuses such a row."""
     for kind in KINDS:
         for entry in kind_table(kind, 0.9).entries.values():
             assert entry.total == _left_to_right_total(entry.row), kind
     rng = np.random.default_rng(53)
     for scheme in SchemeKind:
         rows = rng.random((200, len(scheme_patterns(scheme)) + 4))
+        if scheme is SchemeKind.DLCZ:
+            with pytest.raises(ValueError, match="^single-rail pairs carry only odd-parity"):
+                PatternState._from_row(scheme, rows[0].copy())
+            rows[:, -4:-2] = 0.0
         rows[:, logical_column(scheme)] = rows[:, -4:].sum(axis=1)
         totals = row_totals(scheme, rows)
         for row, total in zip(rows, totals.tolist()):
@@ -503,16 +508,24 @@ def test_the_frozen_coefficients_carry_their_exact_certificates():
     """Three checks per kind from the coefficient files' integers alone,
     with tolerance 0: every k is 0 or more, no nonzero entry's success
     exceeds 1 at any eta, and the Bell slots sum to the logical slot
-    term by term."""
+    term by term; and a fourth for the single-rail output of enc_dlcz:
+    no k sits in a Phi+ or Phi- slot."""
     results = verify.check_frozen_certificates()
-    assert [r.name.split()[1] for r in results] == [kind for kind in KINDS for _ in range(3)]
+    checks = {kind: 4 if out is SchemeKind.DLCZ else 3 for kind, (_, out) in KINDS.items()}
+    assert checks["enc_dlcz"] == 4 and sum(checks.values()) == 19
+    assert [r.name.split()[1] for r in results] == [
+        kind for kind in KINDS for _ in range(checks[kind])
+    ]
     assert all(r.deviation == 0.0 and r.tolerance == 0.0 and r.ok for r in results)
 
 
-@pytest.mark.parametrize("mutation, failing", [("negate", 0), ("excess", 1), ("split", 2)])
+@pytest.mark.parametrize(
+    "mutation, failing", [("negate", 0), ("excess", 1), ("split", 2), ("even", 3)]
+)
 def test_each_certificate_fails_on_a_block_that_breaks_it(monkeypatch, mutation, failing):
-    """Negating one pattern coefficient, raising it past 2**bits, or
-    adding 1 to one Bell coefficient fails that certificate alone."""
+    """Negating one pattern coefficient, raising it past 2**bits, adding
+    1 to one Bell coefficient, or moving one Bell coefficient to the Phi-
+    slot fails that certificate alone."""
     block = dict(frozen_block("enc_dlcz"))
     k, slot = block["k"].copy(), block["slot"]
     pattern = int(np.flatnonzero(slot == 0)[0])
@@ -520,8 +533,12 @@ def test_each_certificate_fails_on_a_block_that_breaks_it(monkeypatch, mutation,
         k[pattern] = -k[pattern]
     elif mutation == "excess":
         k[pattern] += 1 << (block["bits"] + 8)
-    else:
+    elif mutation == "split":
         k[int(np.flatnonzero(slot >= len(block["slots"]) - 4)[0])] += 1
+    else:
+        slot = slot.copy()
+        slot[int(np.flatnonzero(slot >= len(block["slots"]) - 4)[0])] = len(block["slots"]) - 3
+        block["slot"] = slot
     block["k"] = k
     monkeypatch.setattr(
         verify, "frozen_block", lambda kind: block if kind == "enc_dlcz" else frozen_block(kind)

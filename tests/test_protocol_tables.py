@@ -22,6 +22,7 @@ from ensemble_repeater.patterns import (
     PatternState,
     SchemeKind,
     apply_bell_channel,
+    apply_bell_channel_rows,
     logical_column,
     logical_pattern,
     normalize,
@@ -359,6 +360,14 @@ def _reference_step(table, left, right):
 
 _MASS = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
 
+# What a state refuses: a single-rail pair of nonzero logical mass with
+# Phi+ or Phi- mass.
+_ODD_PARITY = "^single-rail pairs carry only odd-parity Bell weight$"
+# What a step raises on a single-rail connection table with such mass.
+_EVEN_PARITY_TABLE = (
+    r"^the enc_dlcz table at eta=0\.9 holds even-parity Bell mass for a single-rail pair$"
+)
+
 
 @st.composite
 def _pattern_states(draw, scheme):
@@ -429,7 +438,9 @@ def test_batched_step_equals_the_step_of_each_row(kind, data):
 def test_the_step_contracts_the_left_input_over_a_and_the_right_over_b(kind):
     """Every table is exactly symmetric in its two inputs, so a step
     with its inputs exchanged passes every check on real tables; a
-    random tensor in the table's shape pins which input is which."""
+    random tensor in the table's shape pins which input is which.  A
+    single-rail output gets no Phi+ or Phi- mass, which its table's
+    matrix refuses."""
     table = kind_table(kind, ETA)
     rng = np.random.default_rng(11)
     tensor = rng.random(table.tensor.shape)
@@ -437,6 +448,10 @@ def test_the_step_contracts_the_left_input_over_a_and_the_right_over_b(kind):
     patched = ConnectionTable(table.kind, table.eta, table.entries)
     patched.__dict__["tensor"] = tensor
     left_rows, right_rows = (_random_rows(rng, table.scheme, 5) for _ in range(2))
+    if table.output_scheme is DLCZ:
+        with pytest.raises(ValueError, match=_EVEN_PARITY_TABLE):
+            apply_table_rows(patched, left_rows, right_rows)
+        tensor[-4:-2] = 0.0  # the refused matrix was not cached
     x_left = _component_masses(table.scheme, left_rows)
     x_right = _component_masses(table.scheme, right_rows)
     want = np.einsum("oab,na,nb->no", tensor, x_left, x_right)
@@ -502,12 +517,19 @@ def test_state_row_invariant_holds_through_every_operation(kind, data):
     assume(state.total > 0.0)
     p = data.draw(st.floats(0.0, 1.0), label="p_misalign")
     unit = normalize(state)
-    for out in (
-        state,
-        unit,
-        apply_bell_channel(unit, p),
-        _apply_table(table, unit, unit),
-    ):
+    outs = [state, unit, _apply_table(table, unit, unit)]
+    mixed = unit.row[None].copy()
+    apply_bell_channel_rows(mixed, p)
+    if table.scheme is DLCZ and mixed[0, -4:-2].any():
+        # The channel mixes a single-rail pair's Bell mass into Phi+ and
+        # Phi-, which a state refuses; a chain never asks for it
+        # (``check_step_noise``).
+        assert p > 0.0
+        with pytest.raises(ValueError, match=_ODD_PARITY):
+            apply_bell_channel(unit, p)
+    else:
+        outs.append(apply_bell_channel(unit, p))
+    for out in outs:
         _assert_row_invariant(out)
 
 
@@ -577,9 +599,8 @@ def test_enc_rejects_bad_level_and_scheme_mismatch():
 
 
 def test_single_rail_states_cannot_carry_even_parity_weight():
-    bad = PatternState(DLCZ, {P.P10: 1.0}, [0.5, 0.0, 0.5, 0.0])
-    with pytest.raises(ValueError):
-        enc(DLCZ, bad, bad, ETA)
+    with pytest.raises(ValueError, match=_ODD_PARITY):
+        PatternState(DLCZ, {P.P10: 1.0}, [0.5, 0.0, 0.5, 0.0])
 
 
 # What a step raises on a two-cell connection table holding a negative value.
@@ -587,22 +608,16 @@ _NEGATIVE_TABLE = r"^the enc_higher table at eta=0\.9 holds a negative value$"
 
 
 def test_step_checks_keep_their_messages():
-    """The scheme and parity checks still run on the array a step reads,
-    and the table check on the table it applies."""
+    """The scheme check still runs on the states a step reads, the
+    parity check where a single-rail state is built, and the table check
+    on the table a step applies."""
     pair = eng(NEW, 0.01, NoiseParams(eta=ETA), 40.0)
     dlcz_pair = PatternState(DLCZ, {P.P10: 1.0}, PSI_PLUS)
     with pytest.raises(ValueError, match="^input scheme does not match table scheme$"):
         enc(NEW, pair, dlcz_pair, ETA)
-    even = PatternState(DLCZ, {P.P10: 1.0}, (0.0, 1.0, 0.0, 0.0))
-    with pytest.raises(
-        ValueError, match="^single-rail pairs carry only odd-parity Bell weight$"
-    ):
-        enc(DLCZ, even, dlcz_pair, ETA)
-    even_right = PatternState(DLCZ, {P.P10: 1.0}, (1.0, 0.0, 0.0, 0.0))
-    with pytest.raises(
-        ValueError, match="^single-rail pairs carry only odd-parity Bell weight$"
-    ):
-        enc(DLCZ, dlcz_pair, even_right, ETA)
+    for even in ((0.0, 1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match=_ODD_PARITY):
+            PatternState(DLCZ, {P.P10: 1.0}, even)
     table = enc_table(NEW, ETA)
     broken = ConnectionTable(table.kind, table.eta, table.entries)
     tensor = table.tensor.copy()
