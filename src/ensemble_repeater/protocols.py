@@ -149,14 +149,11 @@ def _eng_factors(scheme: SchemeKind, q: float) -> tuple:
 
 def _component_masses(scheme: SchemeKind, rows: np.ndarray) -> np.ndarray:
     """Canonical component masses of each row of an ``(n, k)`` array, or
-    of one 1-d row; non-positive ones count as 0.  A batch's columns are
-    taken with ``take``, C-contiguous as the products need for a sweep
-    row to equal its chain to the bit; a 1-d row is indexed, which is as
-    exact and faster.
+    of one 1-d row; non-positive ones count as 0.  ``take`` keeps a
+    batch C-contiguous, as the products need for a sweep row to equal
+    its chain to the bit.
     """
-    columns = selected_columns(scheme)
-    picked = rows[columns] if rows.ndim == 1 else rows.take(columns, axis=-1)
-    return np.maximum(picked, 0.0)
+    return np.maximum(rows.take(selected_columns(scheme), axis=-1), 0.0)
 
 
 def apply_table_rows(

@@ -405,21 +405,22 @@ def check_frozen_certificates() -> List[CheckResult]:
                     lift = d - kept - lost
                     for j in range(lift + 1):
                         room[kept + j] -= k * math.comb(lift, j)
-                elif slot < patterns + 2:  # Phi+ or Phi-
+                elif out is SchemeKind.DLCZ and slot < patterns + 2:  # Phi+ or Phi-
                     even = max(even, abs(k))
             excess = max(excess, -min(room))
             for term in {term for _, term in entry}:
                 bell = sum(entry.get((slot, term), 0) for slot in range(patterns, patterns + 4))
                 split = max(split, abs(bell - entry.get((logical, term), 0)))
-        checks = (
+        checks = [
             (f"frozen {kind} coefficients are all >= 0 (exact)", sign),
             (f"frozen {kind} success is at most 1 at every eta (exact)", excess),
             (f"frozen {kind} Bell masses sum to the logical mass (exact)", split),
-            (f"frozen {kind} holds no Phi+ or Phi- coefficient (exact)", even),
-        )
+        ]
+        if out is SchemeKind.DLCZ:
+            checks.append((f"frozen {kind} holds no Phi+ or Phi- coefficient (exact)", even))
         results += [
             CheckResult(name, math.ldexp(worst, -block["bits"]), 0.0)
-            for name, worst in checks[: 4 if out is SchemeKind.DLCZ else 3]
+            for name, worst in checks
         ]
     return results
 

@@ -761,55 +761,44 @@ def _broken_table(table, output, value):
 
 
 _NEGATIVE_TABLE = r"^the enc_higher table at eta=0\.9 holds a negative value$"
-
-
-@pytest.mark.parametrize(
-    "output, value", [(0, -1.0), (-1, -1e-3)], ids=["negative-mass", "negative-bell-weight"]
-)
-def test_sweep_raises_the_check_error_of_its_first_chain(monkeypatch, output, value):
-    """A sweep whose second connection table would feed every row a
-    negative P00 or Psi- mass raises what the chain at its first grid
-    point raises, the table's own error, whether its block holds one row
-    set (D = 0) or one per spacing (D > 0)."""
-    higher = _broken_table(enc_table(NEW, 0.9), output, value)
-    original = protocols.enc_table
-
-    def patched(scheme, eta, first_level=False):
-        return original(scheme, eta, first_level) if first_level else higher
-
-    monkeypatch.setattr(protocols, "enc_table", patched)
-    for D in (0.0, 1e-4):  # one row set, and one per spacing
-        chain = dict(scheme=NEW, L=640.0, noise=NoiseParams(eta=0.9, D=D))
-        p_cs = (1e-3, 1e-2)
-        with pytest.raises(ValueError, match=_NEGATIVE_TABLE) as fresh:
-            simulate_chain(RepeaterConfig(L0=5.0, p_c=p_cs[0], **chain))
-        with pytest.raises(ValueError) as swept:
-            _sweep_spacings(chain, p_cs)
-        assert str(swept.value) == str(fresh.value)
-
-
 _EVEN_PARITY_TABLE = (
     r"^the enc_dlcz table at eta=0\.9 holds even-parity Bell mass for a single-rail pair$"
 )
 
 
-def test_a_single_rail_table_with_even_parity_mass_is_refused_by_both_engines(monkeypatch):
-    """A single-rail connection table that feeds every input pair Phi+
-    mass is refused where both engines read it, by its matrix: a sweep
-    and the chain at each of its grid points raise the table's error,
-    whether the block holds one row set (D = 0) or one per spacing
-    (D > 0)."""
-    broken = _broken_table(enc_table(DLCZ, 0.9), -4, 1e-3)
+@pytest.mark.parametrize(
+    "scheme, output, value, message",
+    [
+        (NEW, 0, -1.0, _NEGATIVE_TABLE),
+        (NEW, -1, -1e-3, _NEGATIVE_TABLE),
+        (DLCZ, -4, 1e-3, _EVEN_PARITY_TABLE),
+    ],
+    ids=["negative-mass", "negative-bell-weight", "even-parity"],
+)
+def test_sweep_raises_the_check_error_of_its_first_chain(
+    monkeypatch, scheme, output, value, message
+):
+    """A sweep whose connection table above level 1 would feed every row
+    a negative P00 or Psi- mass, or single-rail Phi+ mass, is refused
+    where both engines read that table, by its matrix: the sweep and the
+    chain at each of its grid points raise the table's own error, whether
+    its block holds one row set (D = 0) or one per spacing (D > 0)."""
+    broken = _broken_table(enc_table(scheme, 0.9), output, value)
+    original = protocols.enc_table
+
+    def patched(scheme, eta, first_level=False):
+        return original(scheme, eta, first_level) if first_level else broken
+
+    monkeypatch.setattr(protocols, "enc_table", patched)
     p_cs = (1e-3, 1e-2)
-    chains = [dict(scheme=DLCZ, L=640.0, noise=NoiseParams(eta=0.9, D=D)) for D in (0.0, 1e-4)]
-    spacings = [[L0 for L0, _ in _sweep_spacings(chain, p_cs)] for chain in chains]
-    monkeypatch.setattr(protocols, "enc_table", lambda scheme, eta, first_level=False: broken)
-    for chain, L0s in zip(chains, spacings):
-        with pytest.raises(ValueError, match=_EVEN_PARITY_TABLE):
+    for D in (0.0, 1e-4):  # one row set, and one per spacing
+        # At 1280 km every grid spacing leaves a connection level above 1.
+        chain = dict(scheme=scheme, L=1280.0, noise=NoiseParams(eta=0.9, D=D))
+        with pytest.raises(ValueError, match=message):
             _sweep_spacings(chain, p_cs)
-        for L0 in L0s:
+        for L0 in feasible_l0(scheme, 1280.0):
             for p_c in p_cs:
-                with pytest.raises(ValueError, match=_EVEN_PARITY_TABLE):
+                with pytest.raises(ValueError, match=message):
                     simulate_chain(RepeaterConfig(L0=L0, p_c=p_c, **chain))
 
 
