@@ -223,11 +223,14 @@ def _num_levels(L: float, L0: float) -> int:
 def _normalized_schedule(
     schedule: Iterable[Tuple[int, str]],
 ) -> Tuple[Tuple[int, EnpKind], ...]:
+    """(level, ``EnpKind``) rounds in the chain's order, by level and then
+    as written: the one normalizer of the configuration, sweep and CLI."""
     schedule = tuple(schedule)
     for m, _ in schedule:
         if not float(m).is_integer():
             raise ValueError(f"purification levels must be integers, got {m}")
-    return tuple((int(m), EnpKind(kind)) for m, kind in schedule)
+    rounds = ((int(m), EnpKind(kind)) for m, kind in schedule)
+    return tuple(sorted(rounds, key=lambda item: item[0]))
 
 
 def format_enp_schedule(schedule: Tuple[Tuple[int, EnpKind], ...]) -> str:

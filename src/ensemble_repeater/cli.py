@@ -57,6 +57,7 @@ from .chain import (
     CSV_COLUMNS,
     RepeaterConfig,
     RunResult,
+    _normalized_schedule,
     check_seed,
     format_csv,
     format_enp_schedule,
@@ -110,7 +111,7 @@ def parse_enp_schedule(text: str) -> Tuple[Tuple[int, EnpKind], ...]:
                 f"bad purification step {part!r};"
                 " expected e.g. 'phase-after-2' or 'none'"
             ) from None
-    return tuple(sorted(out))
+    return _normalized_schedule(out)
 
 
 def _parse_scheme(text: str) -> SchemeKind:
@@ -278,7 +279,8 @@ def render_json(payload) -> str:
 
 def manifest_json(args: argparse.Namespace, settings: Settings) -> str:
     """``manifest.json``: everything needed to reproduce one invocation
-    byte for byte."""
+    byte for byte, with ``--scheme`` and ``--enp`` as typed, or None:
+    ``curve`` picks its variants by whether they were."""
     block: Dict[str, object] = {"noise": {}}
     for section, keys in _KEYS.items():
         holder, into = settings, block
@@ -292,6 +294,8 @@ def manifest_json(args: argparse.Namespace, settings: Settings) -> str:
         "out_dir": str(args.out),
         "seed": args.seed,
         "output_format": args.format,
+        "scheme_option": args.scheme,
+        "enp_option": args.enp,
         "settings": block,
     })
 

@@ -55,10 +55,13 @@ def phase_error_prob(D: float, L0: float) -> float:
 
     The accumulated phase is Gaussian with variance 2*D*L0, and the
     average sin^2(delta/2) over that distribution is (1 - exp(-D*L0))/2.
-    Monotone in both arguments, bounded by 1/2.
+    Monotone in both arguments, bounded by 1/2.  The elementary pair's
+    one check of D (not NaN, at least 0) and L0 (finite, positive).
     """
-    if D < 0.0:
+    if not D >= 0.0:
         raise ValueError("D must be non-negative")
+    if not math.isfinite(L0):
+        raise ValueError(f"L0 must be finite, got {L0}")
     if L0 <= 0.0:
         raise ValueError("L0 must be positive")
     return 0.5 * (1.0 - math.exp(-D * L0))

@@ -10,11 +10,12 @@ to the input decompositions, as two matrix products per step.
 ``eng_rows`` and ``apply_table_rows`` do the same for a batch of pairs,
 an ``(n, k)`` array of rows in the ``PatternState.row`` layout.
 ``eng`` is the batch of one of ``eng_rows``, taking the same IEEE
-products at one p_c.  The steps re-implement the batch's formula on
-the 1-d rows, both written in ``_table_products``: two ``np.dot``
-calls of a vector and a matrix, where a batch stacks the same products
-with ``np.matmul``.  The two agree to the bit only because numpy sends
-both to the same BLAS matrix-vector call;
+products at one p_c.  Every step of either engine is one function,
+``apply_table_rows``: the steps pass it their 1-d rows, a sweep its
+block.  Its only fork is ``_table_products``' rank branch: two
+``np.dot`` calls of a vector and a matrix for one row, where a batch
+stacks the same products with ``np.matmul``.  The two agree to the bit
+only because numpy sends both to the same BLAS matrix-vector call;
 ``test_batch_size_leaves_each_rows_step_unchanged`` pins it at batch
 sizes 0 to 3, around 256, and 302.
 
@@ -105,8 +106,6 @@ def eng_rows(scheme: SchemeKind, p_c, noise: NoiseParams, L0: float) -> np.ndarr
     batch = isinstance(p_c, np.ndarray)
     if not (np.all((0.0 < p_c) & (p_c < 1.0)) if batch else 0.0 < p_c < 1.0):
         raise ValueError("p_c must lie in (0, 1)")
-    if L0 <= 0.0:
-        raise ValueError("L0 must be positive")
     if scheme is SchemeKind.DLCZ:
         q = phase_error_prob(noise.D, L0)
         extra = ENG_MULTI_WEIGHT_DLCZ * p_c
@@ -164,16 +163,16 @@ def apply_table_rows(
     """Unnormalized outputs of one table step on ``n`` pairs of input rows.
 
     ``left`` and ``right`` are ``(n, k)`` rows in the layout of
-    ``table.scheme``; row i of the ``(n, k_out)`` result is the step on
-    left row i and right row i, and its pattern total is that step's
-    success probability.
+    ``table.scheme``, or two 1-d rows; row i of the ``(n, k_out)``
+    result is the step on left row i and right row i, and its pattern
+    total is that step's success probability.
 
     Each row takes the two products of ``_table_products``, stacked by
-    ``np.matmul``, so a row's bits do not depend on how many rows the
-    batch holds.  One matrix product over the whole batch is faster,
-    but its rows differ in the last bits with the batch size, and a
-    sweep's rows would then differ from the same chains run one at a
-    time.
+    ``np.matmul`` in a batch, so a row's bits do not depend on how many
+    rows the batch holds.  One matrix product over the whole batch is
+    faster, but its rows differ in the last bits with the batch size,
+    and a sweep's rows would then differ from the same chains run one
+    at a time.
     """
     x_left = _component_masses(table.scheme, left)
     x_right = x_left if right is left else _component_masses(table.scheme, right)
@@ -207,24 +206,13 @@ def _apply_table(
     left: PatternState,
     right: PatternState,
 ) -> PatternState:
-    """Unnormalized output of one table step; its total is the success
-    probability.
-
-    ``apply_table_rows`` on the 1-d rows, without the stacking's
-    per-call cost: ``_table_products`` runs one row as two ``np.dot``
-    calls, which equal the stacked row to the bit because numpy sends
-    both to the same BLAS matrix-vector call;
-    ``test_batch_size_leaves_each_rows_step_unchanged`` pins this.  The
-    output state is built directly, with ``object.__new__`` and
-    ``PatternState._set_row``.
-    """
-    scheme = table.scheme
-    if left.scheme is not scheme or right.scheme is not scheme:
+    """Unnormalized output of one table step, ``apply_table_rows`` on the
+    1-d rows; its total is the success probability.  The state is built
+    directly, with ``object.__new__`` and ``PatternState._set_row``."""
+    if left.scheme is not table.scheme or right.scheme is not table.scheme:
         raise ValueError("input scheme does not match table scheme")
-    x_left = _component_masses(scheme, left.row)
-    x_right = x_left if right is left else _component_masses(scheme, right.row)
     state = object.__new__(PatternState)
-    state._set_row(table.output_scheme, _table_products(table, x_left, x_right))
+    state._set_row(table.output_scheme, apply_table_rows(table, left.row, right.row))
     return state
 
 

@@ -16,6 +16,7 @@ from ensemble_repeater.chain import (
     L0_GRID,
     RepeaterConfig,
     _McTimes,
+    _normalized_schedule,
     _spacing_problem,
     _sweep_spacings,
     check_step_noise,
@@ -123,6 +124,12 @@ def test_single_rail_chains_reject_step_noise():
 def test_enp_schedule_validation():
     cfg = _config(L=1280.0, enp_schedule=((2, "phase"),))
     assert cfg.enp_schedule == ((2, EnpKind.PHASE),)
+    # held in the order the chain runs it: by level, then as written
+    assert _config(L=1280.0, enp_schedule=((3, "phase"), (1, "bit"))) == _config(
+        L=1280.0, enp_schedule=((1, "bit"), (3, "phase"))
+    )
+    cfg = _config(L=1280.0, enp_schedule=((2, "phase"), (1, "bit"), (2, "bit")))
+    assert cfg.enp_schedule == ((1, EnpKind.BIT), (2, EnpKind.PHASE), (2, EnpKind.BIT))
     with pytest.raises(ValueError):
         _config(L=1280.0, enp_schedule=((5, "phase"),))
     with pytest.raises(ValueError):
@@ -507,7 +514,10 @@ def _assert_rows_equal_fresh_chains(chain, p_cs):
         assert rows == [_fresh_row(dict(chain, L0=L0, p_c=p_c)) for p_c in p_cs]
 
 
-_SCHEDULES = ((), ((1, "bit"),), ((2, "phase"),), ((1, "bit"), (3, "phase")))
+_SCHEDULES = (
+    (), ((1, "bit"),), ((2, "phase"),), ((1, "bit"), (3, "phase")),
+    ((2, "phase"), (2, "bit")), ((2, "bit"), (2, "phase")),
+)
 
 
 @st.composite
@@ -996,7 +1006,7 @@ def test_feasible_spacings_are_those_a_configuration_accepts(case):
     """The sweep and ``RepeaterConfig`` share one spacing rule:
     ``feasible_l0`` keeps exactly the grid spacings whose configuration
     can be built, and a configuration at any other one raises the text
-    ``_spacing_problem`` gives."""
+    ``_spacing_problem`` gives on its normalized schedule."""
     scheme, L, schedule = case
     kept = feasible_l0(scheme, L, schedule)
     for L0 in L0_GRID:
@@ -1004,7 +1014,9 @@ def test_feasible_spacings_are_those_a_configuration_accepts(case):
             RepeaterConfig(scheme, L, L0, 1e-3, enp_schedule=schedule)
         except ValueError as error:
             assert L0 not in kept
-            assert str(error) == _spacing_problem(scheme, L, L0, schedule)
+            assert str(error) == _spacing_problem(
+                scheme, L, L0, _normalized_schedule(schedule)
+            )
         else:
             assert L0 in kept
 

@@ -32,6 +32,8 @@ from ensemble_repeater.cli import (
     main,
     parse_enp_schedule,
 )
+from ensemble_repeater.chain import RepeaterConfig, simulate_chain
+from ensemble_repeater.noise import NoiseParams
 from ensemble_repeater.patterns import SchemeKind
 from ensemble_repeater.protocols import EnpKind
 
@@ -48,13 +50,19 @@ def test_parse_enp_schedule():
         (1, EnpKind.BIT),
         (3, EnpKind.PHASE),
     )
+    assert parse_enp_schedule("phase-after-2, bit-after-2") == (
+        (2, EnpKind.PHASE),
+        (2, EnpKind.BIT),
+    )
     for bad in ("bogus", "phase-after-x", "parity-after-2", "phase-2"):
         with pytest.raises(ConfigError):
             parse_enp_schedule(bad)
 
 
 def test_format_enp_schedule_round_trips():
-    for text in ("none", "phase-after-2", "bit-after-1, phase-after-2"):
+    for text in (
+        "none", "phase-after-2", "bit-after-1, phase-after-2", "phase-after-2, bit-after-2",
+    ):
         assert format_enp_schedule(parse_enp_schedule(text)) == text
 
 
@@ -192,7 +200,29 @@ def test_manifest_keys(tmp_path):
     manifest = json.loads((out / MANIFEST_NAME).read_text())
     assert set(manifest) == {
         "command", "config_path", "out_dir", "output_format", "seed", "settings",
+        "scheme_option", "enp_option",
     }
+
+
+def test_manifest_records_the_typed_scheme_and_schedule(tmp_path):
+    """``curve`` picks its variants by whether ``--scheme`` or ``--enp``
+    was typed, so the manifest records both as typed, or null: a
+    configured scheme and the same scheme typed write different
+    manifests."""
+    cfg = tmp_path / "m.ini"
+    cfg.write_text("[chain]\nscheme = dlcz\n")
+    manifests, curves = [], []
+    for flags in ([], ["--scheme", "dlcz"]):
+        rc, out = _run(tmp_path / str(len(flags)), "--config", str(cfg), *flags, "curve")
+        assert rc == EXIT_OK
+        manifest = json.loads((out / MANIFEST_NAME).read_text())
+        manifests.append({key: manifest[key] for key in manifest if key != "out_dir"})
+        curves.append(sorted(json.loads((out / "curve.json").read_text())))
+    assert [len(tags) for tags in curves] == [6, 2]
+    assert [(m["scheme_option"], m["enp_option"]) for m in manifests] == [
+        (None, None), ("dlcz", None),
+    ]
+    assert manifests[0] != manifests[1]
 
 
 def test_simulate_outputs_are_deterministic(tmp_path):
@@ -204,6 +234,22 @@ def test_simulate_outputs_are_deterministic(tmp_path):
     payload = json.loads((out1 / "simulate.json").read_text())
     assert payload["L_km"] == 1280.0
     assert payload["levels"][0]["stage"] == "eng"
+
+
+def test_rounds_after_one_level_run_in_the_order_written(tmp_path):
+    """``--enp`` keeps the written order of the rounds after one level, as
+    the chain runs them: phase then bit after level 2 gives the library
+    chain's F, where bit first gives 0.734513775243414."""
+    rc, out = _run(tmp_path, "--enp", "phase-after-2, bit-after-2", "simulate")
+    assert rc == EXIT_OK
+    payload = json.loads((out / "simulate.json").read_text())
+    assert payload["eta"] == 0.95
+    chain = simulate_chain(RepeaterConfig(
+        SchemeKind.NEW, 1280.0, 40.0, 8.1e-3, NoiseParams(eta=0.95),
+        enp_schedule=((2, EnpKind.PHASE), (2, EnpKind.BIT)),
+    ))
+    assert payload["final"]["F"] == chain.fidelity
+    assert payload["final"]["F"] == pytest.approx(0.7350211318099259, rel=1e-12)
 
 
 def test_simulate_respects_config_and_overrides(tmp_path, capsys):
@@ -797,7 +843,8 @@ _CONTRACT_POOLS = {
         "c_fiber": ("2e5", "0", "1", "-2e5", "1e300", "1e-300", "inf"),
         "enp_schedule": (
             "none", "phase-after-2", "bit-after-1, phase-after-3",
-            "phase-after-2, phase-after-2", "bit-after-0", "phase-after-99",
+            "phase-after-2, phase-after-2", "phase-after-2, bit-after-2",
+            "bit-after-0", "phase-after-99",
             "bit-after--1", "parity-after-1", "phase-2",
         ),
         "waiting": ("deterministic", "mc", "random"),

@@ -45,6 +45,13 @@ def test_phase_error_limits():
         phase_error_prob(-1e-3, 10.0)
     with pytest.raises(ValueError):
         phase_error_prob(1e-3, 0.0)
+    for D, L0, message in (
+        (math.nan, 10.0, "D must be non-negative"),
+        (1e-3, math.nan, "L0 must be finite, got nan"),
+        (1e-3, math.inf, "L0 must be finite, got inf"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            phase_error_prob(D, L0)
 
 
 def test_phase_error_monotone():

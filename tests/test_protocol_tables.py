@@ -735,6 +735,10 @@ def test_generation_validation():
         eng(NEW, 1.0, noise, 40.0)
     with pytest.raises(ValueError):
         eng(NEW, 0.01, noise, 0.0)
+    for bad in (np.nan, np.inf):
+        for scheme in (NEW, DLCZ):
+            with pytest.raises(ValueError, match=f"^L0 must be finite, got {bad}$"):
+                eng(scheme, 0.01, noise, bad)
     # An array p_c is checked as one column: one bad entry rejects it.
     for bad in (np.nan, 0.0, 1.0):
         column = pc_grid()
